@@ -185,8 +185,7 @@ const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
 }
 
 void network_step_benchmark(benchmark::State& state, const std::string& kind,
-                            double beta, std::vector<std::uint8_t> rewards,
-                            core::kernel_kind kernel = core::kernel_kind::auto_select) {
+                            double beta, std::vector<std::uint8_t> rewards) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::graph& g = cached_topology(kind, n);
 
@@ -196,7 +195,6 @@ void network_step_benchmark(benchmark::State& state, const std::string& kind,
   p.beta = beta;
   core::finite_dynamics dyn{p, n};
   dyn.set_topology(&g);
-  dyn.set_kernel(kernel);
 
   rng gen{8};
   for (int t = 0; t < 30; ++t) dyn.step(rewards, gen);  // past the transient
@@ -251,27 +249,14 @@ void BM_network_step_ring_very_sparse(benchmark::State& state) {
 }
 BENCHMARK(BM_network_step_ring_very_sparse)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 
-// Scalar-pinned twins of the headline network steps: the default runs
-// above auto-select the v3 SIMD kernel when the host has one, so the
-// scalar/auto pair in one report is the measured kernel speedup (the
-// "network" name keeps them inside the CI perf-smoke filter).
-void BM_network_step_ring_scalar(benchmark::State& state) {
-  network_step_benchmark(state, "ring", 0.62, {1, 0}, core::kernel_kind::scalar);
-}
-BENCHMARK(BM_network_step_ring_scalar)->Arg(1000000)->Unit(benchmark::kMicrosecond);
-
-void BM_network_step_ba_scalar(benchmark::State& state) {
-  network_step_benchmark(state, "ba", 0.62, {1, 0}, core::kernel_kind::scalar);
-}
-BENCHMARK(BM_network_step_ba_scalar)->Arg(1000000)->Unit(benchmark::kMicrosecond);
-
 // --- raw v3 kernels, no engine around them ----------------------------------
 //
 // Every agent sees the same small committed-neighbour row, so the working
 // set is the SoA arrays alone: this is the per-agent cost of the sampling
 // arithmetic itself (counter RNG + stage 1 + branchless stage 2), the
-// number the DESIGN.md kernel table quotes.  The generic-TU twin gives the
-// same loop compiled without vector target flags.
+// number the DESIGN.md kernel table quotes.  The generic-TU twin runs the
+// same formulas one agent at a time — what a host without a vector ISA
+// (or SGL_KERNEL=generic) executes.
 
 void kernel_net2_benchmark(benchmark::State& state, core::kernel::net2_fn fn) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -45,21 +45,6 @@ void finite_dynamics::set_agent_rules(std::vector<adoption_rule> rules) {
   }
 }
 
-void finite_dynamics::set_kernel(kernel_kind kind) {
-  if (kind == kernel_kind::simd && !kernel::vector_isa_available()) {
-    throw std::invalid_argument{
-        "finite_dynamics::set_kernel: kernel=simd but the runtime dispatcher "
-        "resolved no vector ISA on this host (or SGL_KERNEL=scalar is set); "
-        "use kernel=auto or kernel=scalar"};
-  }
-  kernel_ = kind;
-}
-
-bool finite_dynamics::use_vector_kernel() const noexcept {
-  return kernel_ == kernel_kind::simd ||
-         (kernel_ == kernel_kind::auto_select && kernel::vector_isa_available());
-}
-
 void finite_dynamics::set_topology(const graph::graph* topology) {
   if (topology != nullptr && topology->num_vertices() != choices_.size()) {
     throw std::invalid_argument{"finite_dynamics::set_topology: vertex count != agents"};
@@ -143,6 +128,8 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
     step_network(rewards, gen);
   } else if (rules_.empty()) {
     step_batched(rewards, gen);
+  } else if (params_.num_options <= 64) {
+    step_mixed_vec(rewards, gen);
   } else {
     step_per_agent(rewards, gen);
   }
@@ -186,29 +173,22 @@ void finite_dynamics::step_batched(std::span<const std::uint8_t> rewards, rng& g
 }
 
 void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng& gen) {
-  if (!rules_.empty() && params_.num_options <= 64 && use_vector_kernel()) {
-    step_mixed_vec(rewards, gen);
-    return;
-  }
   const std::size_t m = params_.num_options;
 
   // Stage 1 sampler for the fully mixed case: popularity-proportional
   // (identical in law to "copy a uniformly random adopter").  Rebuilt in
   // place: allocation-free after the first step.
-  if (m > 1) by_popularity_.rebuild(popularity_);
+  by_popularity_.rebuild(popularity_);
 
   std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
   std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
 
   const double mu = params_.mu;
-  const adoption_rule homogeneous{params_.resolved_alpha(), params_.beta};
 
   for (std::size_t i = 0; i < choices_.size(); ++i) {
     // --- Stage 1: pick an option to consider. ---
     std::size_t considered;
-    if (m == 1) {
-      considered = 0;
-    } else if (gen.next_bernoulli(mu)) {
+    if (gen.next_bernoulli(mu)) {
       considered = static_cast<std::size_t>(gen.next_below(m));
     } else {
       considered = by_popularity_.sample(gen);
@@ -216,7 +196,7 @@ void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng&
     ++stage_counts_[considered];
 
     // --- Stage 2: adopt or sit out. ---
-    const adoption_rule& rule = rules_.empty() ? homogeneous : rules_[i];
+    const adoption_rule& rule = rules_[i];
     const double adopt_p = rewards[considered] != 0 ? rule.beta : rule.alpha;
     if (gen.next_bernoulli(adopt_p)) {
       choices_[i] = static_cast<std::int32_t>(considered);
@@ -284,10 +264,11 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   // at the end of every network step, rebuilt on reset/set_topology).
   previous_choices_.swap(choices_);
 
-  // Stream derivation v2 (DESIGN.md): one word of the caller's stream
-  // seeds the step; shard s then draws from its own derived stream.  The
-  // decomposition depends only on N, never on the thread count, so the
-  // trajectory is bit-identical for any parallelism.
+  // One word of the caller's stream seeds the step (DESIGN.md): the net2
+  // kernel addresses per-agent counter draws from it (v3), the other
+  // samplers give shard s its own derived stream (v2).  The decomposition
+  // depends only on N, never on the thread count, so the trajectory is
+  // bit-identical for any parallelism.
   const std::uint64_t step_seed = gen.next_u64();
   const std::size_t shards = (n + shard_size - 1) / shard_size;
   const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
@@ -307,29 +288,12 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
     }
     changed_.resize(n);
     changed_len_.assign(shards, 0);
-    // Fused stage-2 thresholds (stream derivation v2): the explore word u
-    // is reused for the adoption test.  Conditional on {u < mu} the
-    // rescaled variable u/mu (resp. (u-mu)/(1-mu)) is uniform and
-    // independent of the stage-1 option draw, so "adopt with probability
-    // p" becomes u < mu*p (explore) or u < mu + (1-mu)*p (copy) — one
-    // generator word fewer per agent, same law.
-    adopt_below_explore_.resize(m);
-    adopt_below_copy_.resize(m);
-    if (rules_.empty()) {
-      const double alpha = params_.resolved_alpha();
-      const double mu = params_.mu;
-      for (std::size_t j = 0; j < m; ++j) {
-        const double p = rewards[j] != 0 ? params_.beta : alpha;
-        adopt_below_explore_[j] = mu * p;
-        adopt_below_copy_[j] = mu + (1.0 - mu) * p;
-      }
-    }
   }
 
   const double mu = params_.mu;
   const adoption_rule homogeneous{params_.resolved_alpha(), params_.beta};
 
-  if (!network_dense_ && m == 2 && use_vector_kernel()) {
+  if (!network_dense_ && m == 2) {
     // Stream derivation v3: the vectorized kernel over the packed
     // two-option view.  The per-agent draws are counter-addressed from
     // step_seed alone, so the shard decomposition below is pure work
@@ -367,12 +331,28 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
         },
         threads);
   } else if (!network_dense_) {
-    // Sparse mode: exact draw from the incremental committed-neighbour
-    // view.  The loop has a fixed shape — every agent consumes one word
-    // for the fused explore/adopt test plus one bounded draw
-    // (next_below_mul resamples only with probability < bound/2^64) — and
-    // stage 2 is select-based, so the hot path is nearly branch-free.
+    // Sparse mode, m != 2 (derivation v2): exact draw from the incremental
+    // committed-neighbour view.  The loop has a fixed shape — every agent
+    // consumes one word for the fused explore/adopt test plus one bounded
+    // draw (next_below_mul resamples only with probability < bound/2^64) —
+    // and stage 2 is select-based, so the hot path is nearly branch-free.
     // Changed agents are recorded per shard for the delta pass below.
+    //
+    // Fused stage-2 thresholds: the explore word u is reused for the
+    // adoption test.  Conditional on {u < mu} the rescaled variable u/mu
+    // (resp. (u-mu)/(1-mu)) is uniform and independent of the stage-1
+    // option draw, so "adopt with probability p" becomes u < mu*p
+    // (explore) or u < mu + (1-mu)*p (copy) — one generator word fewer per
+    // agent, same law.
+    adopt_below_explore_.resize(m);
+    adopt_below_copy_.resize(m);
+    if (rules_.empty()) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const double p = rewards[j] != 0 ? homogeneous.beta : homogeneous.alpha;
+        adopt_below_explore_[j] = mu * p;
+        adopt_below_copy_[j] = mu + (1.0 - mu) * p;
+      }
+    }
     parallel_for(
         0, shards,
         [&](std::size_t s) {
@@ -383,34 +363,23 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
           const std::size_t hi = std::min(n, lo + shard_size);
           std::uint64_t* changed = changed_.data() + lo;
           std::size_t changed_len = 0;
-          const std::size_t row_stride = m == 2 ? 1 : m;
-          const std::uint32_t* row = &neighbor_view_[lo * row_stride];
+          const std::uint32_t* row = &neighbor_view_[lo * m];
           const bool heterogeneous = !rules_.empty();
-          for (std::size_t i = lo; i < hi; ++i, row += row_stride) {
+          for (std::size_t i = lo; i < hi; ++i, row += m) {
             // --- Stage 1: explore, or copy a uniform committed neighbour
             // (uniform option when there is none). ---
             const double u = shard_gen.next_double();
             const bool explore = u < mu;
-            std::uint64_t total;
+            std::uint64_t total = 0;
+            for (std::size_t j = 0; j < m; ++j) total += row[j];
+            const bool by_view = !explore && total != 0;
+            std::uint64_t r = shard_gen.next_below_mul(by_view ? total : m);
             std::size_t considered;
-            if (m == 2) {  // the canonical two-option case: packed word
-              const std::uint32_t packed = row[0];
-              const std::uint32_t c0 = packed & 0xFFFFU;
-              total = c0 + (packed >> 16);
-              const bool by_view = !explore && total != 0;
-              const std::uint64_t r = shard_gen.next_below_mul(by_view ? total : 2);
-              considered = by_view ? (r >= c0) : r;
+            if (by_view) {
+              considered = 0;
+              while (r >= row[considered]) r -= row[considered++];
             } else {
-              total = 0;
-              for (std::size_t j = 0; j < m; ++j) total += row[j];
-              const bool by_view = !explore && total != 0;
-              std::uint64_t r = shard_gen.next_below_mul(by_view ? total : m);
-              if (by_view) {
-                considered = 0;
-                while (r >= row[considered]) r -= row[considered++];
-              } else {
-                considered = static_cast<std::size_t>(r);
-              }
+              considered = static_cast<std::size_t>(r);
             }
             ++stage[considered];
 

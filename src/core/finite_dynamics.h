@@ -17,17 +17,20 @@
 /// agents materialized from the counts.  The batched path consumes the
 /// generator *identically* to aggregate_dynamics, so the two engines
 /// produce bit-identical popularity trajectories from the same stream
-/// (tested).  Heterogeneous rules without a topology fall back to the O(N)
-/// per-agent loop.
+/// (tested).  Heterogeneous rules without a topology take the O(N)
+/// per-agent step: the vectorized mixed kernel for m ≤ 64 (stream
+/// derivation v3, core/step_kernel.h), a scalar v2 loop above that.
 ///
 /// Network mode has its own path: an **incremental committed-neighbour
 /// view** — per-vertex, per-option counts of committed neighbours, updated
 /// by delta only for agents whose choice changed between steps — makes
 /// stage 1 an *exact* O(active options) draw from the neighbour-adopter
-/// distribution, and agents step in a fixed shard decomposition with
-/// per-(step, shard) RNG streams, so any thread count produces the same
-/// trajectory bit for bit (DESIGN.md, "stream derivation v2 — network
-/// mode").
+/// distribution.  Agents step in a fixed shard decomposition, so any
+/// thread count produces the same trajectory bit for bit.  The two-option
+/// sparse step runs the net2 kernel (v3, counter-addressed per agent); the
+/// m > 2 sparse step and the dense rejection sampler draw from
+/// per-(step, shard) streams (DESIGN.md, "stream derivation v2 — network
+/// mode").  Each path has exactly one sampler, whatever the host ISA.
 ///
 /// Semantics pinned down beyond the paper's text (documented in DESIGN.md):
 ///   * If nobody adopted at step t, popularity Q^t is *uniform* (matching
@@ -57,19 +60,6 @@ struct adoption_rule {
   double beta = 1.0;
 };
 
-/// Which step kernel finite_dynamics uses on the paths that have a
-/// vectorized implementation (the sparse two-option network step and the
-/// fully mixed heterogeneous per-agent step):
-///   * auto_select — the SIMD kernel (stream derivation v3) when the
-///     runtime dispatcher resolved a vector ISA, else the scalar v2 path;
-///   * scalar — always the scalar v2 path (this is what pins every golden
-///     hash in tests/harness_determinism_test.cpp);
-///   * simd — always the v3 kernel; rejected outright when no vector ISA
-///     is available, so the choice never silently degrades.
-/// Paths without a vector implementation (dense network mode, network rows
-/// with m != 2, m > 64 options) run scalar v2 under every setting.
-enum class kernel_kind { auto_select, scalar, simd };
-
 class finite_dynamics : public dynamics_engine {
  public:
   /// Homogeneous population of `num_agents` with the rule implied by
@@ -95,16 +85,6 @@ class finite_dynamics : public dynamics_engine {
   /// time.  Ignored outside network mode.
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
-  /// Selects the step kernel (see kernel_kind).  Like set_threads this is
-  /// configuration, surviving reset(); unlike set_threads it changes the
-  /// trajectory — v3 consumes position-addressable counter draws, v2
-  /// sequential stream draws — though both consume exactly one word of the
-  /// *caller's* generator per step, and each is bit-identical across
-  /// thread counts.  Throws std::invalid_argument for kernel_kind::simd
-  /// when the dispatcher resolved no vector ISA.
-  void set_kernel(kernel_kind kind);
-  [[nodiscard]] kernel_kind kernel() const noexcept { return kernel_; }
 
   /// Everybody back to the initial state (no choices, uniform popularity).
   void reset() final;
@@ -175,18 +155,17 @@ class finite_dynamics : public dynamics_engine {
   /// aggregate_dynamics, agents filled in from the counts.
   void step_batched(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// O(N) per-agent loop: heterogeneous rules, fully mixed (no topology).
+  /// O(N) per-agent loop (derivation v2): heterogeneous rules, fully mixed
+  /// (no topology), m > 64 — beyond the mixed kernel's CDF ladder.
   void step_per_agent(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// Vectorized (derivation v3) replacement for step_per_agent, taken when
-  /// the kernel setting resolves to SIMD and m <= 64.
+  /// The same step through the vectorized mixed kernel (derivation v3),
+  /// the only sampler for heterogeneous fully mixed runs with m <= 64.
   void step_mixed_vec(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// Does the kernel setting resolve to the v3 kernels on this host?
-  [[nodiscard]] bool use_vector_kernel() const noexcept;
-
   /// Sharded network-mode step: exact committed-neighbour draws from the
-  /// incremental view, per-(step, shard) RNG streams, delta view update.
+  /// incremental view (the net2 kernel for m == 2, per-(step, shard) RNG
+  /// streams otherwise), delta view update.
   void step_network(std::span<const std::uint8_t> rewards, rng& gen);
 
   /// Recomputes the committed-neighbour view from `choices_` (O(E)); used
@@ -241,7 +220,6 @@ class finite_dynamics : public dynamics_engine {
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;
   unsigned threads_ = 1;
-  kernel_kind kernel_ = kernel_kind::auto_select;
   bool network_dense_ = false;  // topology above the degree threshold
   bool scatter_topology_ = false;  // ≥¼ of edges leave their vertex bucket
 };

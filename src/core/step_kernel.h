@@ -3,8 +3,9 @@
 /// \file step_kernel.h
 /// Vectorized step kernels for finite_dynamics — stream derivation v3.
 ///
-/// Two hot paths are implemented as lane-parallel kernels (DESIGN.md, "SoA
-/// state layout and stream derivation v3"):
+/// Two hot paths are implemented as lane-parallel kernels, each the only
+/// sampler of its path (DESIGN.md, "SoA state layout and stream derivation
+/// v3"):
 ///
 ///   * `net2` — the sparse network step for the canonical two-option case
 ///     (packed committed-neighbour view, one u32 row per vertex), covering
@@ -33,11 +34,11 @@
 /// Dispatch: the four translation units (generic / avx2 / avx512 / neon)
 /// compile one shared implementation under different target flags;
 /// `active_isa()` picks once per process from CPU capability and what was
-/// compiled in.
-/// Setting the environment variable SGL_KERNEL=scalar makes
-/// `vector_isa_available()` report false, which downgrades `kernel = auto`
-/// engines to the scalar v2 path — CI uses this to exercise the fallback
-/// on the same binary.
+/// compiled in.  The generic TU runs the scalar formulas only, since
+/// emulated vectors on a baseline target are slower than plain scalar
+/// code.
+/// Setting the environment variable SGL_KERNEL=generic forces the generic
+/// TU, so one binary can prove that both ISAs produce the same bits.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,14 +110,9 @@ void mixed_step_neon(const mixed_args& args);
 
 /// The ISA the dispatcher resolved to, decided once per process: the best
 /// of {avx512, avx2, neon} that is both compiled in and supported by the
-/// running CPU, else generic.  SGL_KERNEL=scalar in the environment forces
-/// generic (and thus the scalar-v2 fallback for `kernel = auto` engines).
+/// running CPU, else generic.  SGL_KERNEL=generic in the environment forces
+/// generic; results are the same either way, only speed differs.
 [[nodiscard]] simd::isa active_isa() noexcept;
-
-/// True when active_isa() is a real vector ISA — the condition for
-/// `kernel = auto` to take the v3 path and for `kernel = simd` to be
-/// accepted at all (scenario::validate_spec rejects it otherwise).
-[[nodiscard]] bool vector_isa_available() noexcept;
 
 /// Kernel entry for the active ISA (valid to call under any ISA including
 /// generic — the result is bit-identical everywhere, only speed differs).

@@ -17,10 +17,10 @@ void mixed_step_generic(const mixed_args& args) { mixed_body(args); }
 
 simd::isa active_isa() noexcept {
   static const simd::isa resolved = [] {
-    // CI sets SGL_KERNEL=scalar to run the same binary down the scalar-v2
-    // fallback: `kernel = auto` engines see no vector ISA and downgrade.
+    // SGL_KERNEL=generic runs the same binary on the generic TU, which
+    // must reproduce every vector ISA bit for bit.
     if (const char* env = std::getenv("SGL_KERNEL");
-        env != nullptr && std::string_view{env} == "scalar") {
+        env != nullptr && std::string_view{env} == "generic") {
       return simd::isa::generic;
     }
     if (avx512_kernels_compiled() && simd::cpu_supports(simd::isa::avx512)) {
@@ -35,10 +35,6 @@ simd::isa active_isa() noexcept {
     return simd::isa::generic;
   }();
   return resolved;
-}
-
-bool vector_isa_available() noexcept {
-  return active_isa() != simd::isa::generic;
 }
 
 net2_fn net2_step() noexcept {

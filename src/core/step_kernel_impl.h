@@ -12,8 +12,9 @@
 // t_mu + mulhi(2^64 − t_mu, P), endpoint conventions) is documented at the
 // point of use.  The scalar remainder loops repeat the vector formulas
 // verbatim on one agent at a time — same counter addressing, same
-// fixed-point products — so where the tail starts (a function of N and the
-// lane width only) can never change a trajectory.
+// fixed-point products — so where the tail starts (a function of N, the
+// lane width and the TU's ABI only; the generic TU runs the tail alone) can
+// never change a trajectory.
 
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +48,11 @@ using simd::vu64;
 
 constexpr std::uint64_t k_gamma = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t k_max = ~std::uint64_t{0};
+
+/// The generic TU has no native 64-bit lanes: its vector types would be
+/// emulated on the baseline target, which is slower than the scalar
+/// remainder formulas.  There, the vector loops cover no agents at all.
+constexpr bool k_vector_loops = simd::compiled_abi != simd::isa::generic;
 
 [[nodiscard]] inline vu64 splat64(std::uint64_t x) noexcept { return vu64{} + x; }
 [[nodiscard]] inline vi64 splat_mask64(bool b) noexcept {
@@ -138,7 +144,8 @@ inline void net2_body(const net2_args& a) {
   // counter; the matching w1 state is one γ further.  All counter
   // arithmetic wraps mod 2^64, exactly like counter_word's (c+1)·γ.
   std::size_t i = a.lo;
-  const std::size_t vec_end = a.lo + ((a.hi - a.lo) & ~(lane_count - 1));
+  const std::size_t vec_end =
+      k_vector_loops ? a.lo + ((a.hi - a.lo) & ~(lane_count - 1)) : a.lo;
   vu64 s0 = simd::lane_ramp(
       a.step_seed + (2 * static_cast<std::uint64_t>(a.lo) + 1) * k_gamma,
       2 * k_gamma);
@@ -281,7 +288,7 @@ inline void mixed_body(const mixed_args& a) {
   const vu64 reward_bits_v = splat64(a.reward_bits);
 
   std::size_t g = 0;
-  const std::size_t vec_end = a.n & ~(lane_count - 1);
+  const std::size_t vec_end = k_vector_loops ? a.n & ~(lane_count - 1) : 0;
   vu64 s0 = simd::lane_ramp(a.step_seed + k_gamma, 2 * k_gamma);
   constexpr std::uint64_t batch_stride =
       2 * static_cast<std::uint64_t>(lane_count) * k_gamma;

@@ -12,7 +12,6 @@
 #include "core/aggregate_dynamics.h"
 #include "core/finite_dynamics.h"
 #include "core/infinite_dynamics.h"
-#include "core/step_kernel.h"
 #include "protocol/protocol_engine.h"
 #include "support/rng.h"
 
@@ -365,8 +364,8 @@ core::engine_factory make_engine(const scenario_spec& spec) {
         topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
       }
       return [params = spec.params, num_agents = spec.num_agents, topology,
-              rules = spec.agent_rules, threads = spec.engine_threads,
-              kernel = spec.engine_kernel]() -> std::unique_ptr<core::dynamics_engine> {
+              rules = spec.agent_rules,
+              threads = spec.engine_threads]() -> std::unique_ptr<core::dynamics_engine> {
         std::unique_ptr<core::finite_dynamics> engine;
         if (topology != nullptr) {
           engine = std::make_unique<networked_dynamics>(
@@ -377,7 +376,6 @@ core::engine_factory make_engine(const scenario_spec& spec) {
         }
         if (!rules.empty()) engine->set_agent_rules(rules);
         engine->set_threads(threads);
-        engine->set_kernel(kernel);
         return engine;
       };
     }
@@ -594,13 +592,6 @@ void validate_spec(const scenario_spec& spec) {
     throw std::invalid_argument{
         where("per-agent rules configure the agent-based engine only (set "
               "engine = \"agent_based\" or drop agent_rules)")};
-  }
-  if (spec.engine_kernel == core::kernel_kind::simd &&
-      !core::kernel::vector_isa_available()) {
-    throw std::invalid_argument{
-        where("kernel = \"simd\" but this host has no vector ISA the build "
-              "can dispatch to; use kernel = \"auto\" (falls back to scalar) "
-              "or \"scalar\"")};
   }
 
   // Everything make_engine / the factories would reject is rejected here

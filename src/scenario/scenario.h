@@ -152,14 +152,6 @@ struct scenario_spec {
   /// single-replication scenarios set 0 to use the whole machine.
   unsigned engine_threads = 1;
 
-  /// Step kernel for the agent-based engine (key `kernel`): `auto` takes
-  /// the SIMD v3 kernel when the host has a vector ISA, `scalar` pins the
-  /// v2 scalar path (what every golden-hash scenario wants), `simd`
-  /// demands v3 and is rejected by validate_spec on hosts without a
-  /// vector ISA.  Unlike engine_threads this changes the trajectory (v3
-  /// is a different, position-addressable stream derivation).
-  core::kernel_kind engine_kernel = core::kernel_kind::auto_select;
-
   environment_spec environment;
   topology_spec topology;
   protocol_spec protocol;  ///< read only by the protocol engine

@@ -237,12 +237,6 @@ constexpr std::array<std::pair<std::string_view, engine_kind>, 6> k_engine_names
     {"protocol", engine_kind::protocol},
 }};
 
-constexpr std::array<std::pair<std::string_view, core::kernel_kind>, 3> k_kernel_names{{
-    {"auto", core::kernel_kind::auto_select},
-    {"scalar", core::kernel_kind::scalar},
-    {"simd", core::kernel_kind::simd},
-}};
-
 constexpr std::array<std::pair<std::string_view, topology_spec::family_kind>, 10>
     k_topology_names{{
         {"none", topology_spec::family_kind::none},
@@ -288,13 +282,12 @@ constexpr std::array<std::pair<std::string_view, fault_action_spec::link_class_k
 /// indexed families.  The `protocol.*` and `faults.*` families are
 /// serialized only for protocol-engine specs and rejected for every other
 /// engine (engine-family gating below).
-constexpr std::array<std::string_view, 36> k_keys{
+constexpr std::array<std::string_view, 35> k_keys{
     "name",
     "description",
     "engine",
     "num_agents",
     "engine_threads",
-    "kernel",
     "params.num_options",
     "params.mu",
     "params.beta",
@@ -415,8 +408,6 @@ void apply_override(scenario_spec& spec, std::string_view key, std::string_view 
     spec.num_agents = parse_unsigned(k, v);
   } else if (k == "engine_threads") {
     spec.engine_threads = static_cast<unsigned>(parse_unsigned(k, v));
-  } else if (k == "kernel") {
-    spec.engine_kernel = enum_value(k, v, k_kernel_names);
   } else if (k == "params.num_options") {
     spec.params.num_options = static_cast<std::size_t>(parse_unsigned(k, v));
   } else if (k == "params.mu") {
@@ -595,7 +586,6 @@ std::vector<std::pair<std::string, std::string>> scenario_fields(
   add("engine", quote(enum_name("engine", spec.engine, k_engine_names)));
   add("num_agents", std::to_string(spec.num_agents));
   add("engine_threads", std::to_string(spec.engine_threads));
-  add("kernel", quote(enum_name("kernel", spec.engine_kernel, k_kernel_names)));
   add("params.num_options", std::to_string(spec.params.num_options));
   add("params.mu", json_number(spec.params.mu));
   add("params.beta", json_number(spec.params.beta));

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/step_kernel.h"
 #include "scenario/serialize.h"
 #include "support/json.h"
 
@@ -22,18 +21,6 @@ std::string_view engine_name(scenario::engine_kind kind) {
     case engine_kind::auto_select: break;  // resolved away by the caller
   }
   throw std::logic_error{"digest: unresolved engine kind"};
-}
-
-/// What kernel an agent-based run of `spec` would execute on THIS host:
-/// the finite_dynamics::set_kernel decision, including the SGL_KERNEL
-/// override folded into vector_isa_available().
-std::string_view resolved_kernel(const scenario::scenario_spec& spec) {
-  switch (spec.engine_kernel) {
-    case core::kernel_kind::scalar: return "scalar";
-    case core::kernel_kind::simd: return "simd";
-    case core::kernel_kind::auto_select: break;
-  }
-  return core::kernel::vector_isa_available() ? "simd" : "scalar";
 }
 
 }  // namespace
@@ -84,15 +71,9 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   };
   std::vector<std::pair<std::string, std::string>> fields;
   fields.emplace_back("engine", quoted(engine_name(resolved)));
-  if (resolved == scenario::engine_kind::agent_based) {
-    // Only the agent-based engine has a kernel choice; on every other
-    // engine the field cannot affect the trajectory and is dropped so a
-    // stray `kernel` setting never splits the cache.
-    fields.emplace_back("kernel", quoted(resolved_kernel(spec)));
-  }
   for (auto& [key, value] : scenario::scenario_fields(spec)) {
     if (key == "name" || key == "description" || key == "engine_threads" ||
-        key == "engine" || key == "kernel") {
+        key == "engine") {
       continue;  // handled above / semantically inert
     }
     fields.emplace_back(std::move(key), std::move(value));

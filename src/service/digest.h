@@ -20,9 +20,8 @@
 ///   * the canonical spec fields, minus `name`, `description` and
 ///     `engine_threads` (documentation and thread counts never change a
 ///     trajectory), with `engine` pre-resolved (auto_select hashes as what
-///     it resolves to) and `kernel` resolved against the host's vector ISA
-///     — `kernel = auto` means different stream derivations on different
-///     hosts, so the *decision*, not the request, is hashed;
+///     it resolves to).  There is no kernel or ISA field: every step path
+///     has one sampler whose bits do not depend on the host;
 ///   * the run shape: horizon, replications, master seed (config.threads
 ///     and config.reuse are excluded — bit-identity makes them free);
 ///   * the resolved probe list, in order (probes never consume RNG, but

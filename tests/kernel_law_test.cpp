@@ -4,31 +4,26 @@
 // `ctest` and the dedicated statistical CI job, not by the blocking gate.
 //
 // v3 draws per-agent words from a counter-based splitmix64 stream instead
-// of v2's sequential per-shard streams, so scalar-vs-SIMD equality cannot
-// be checked bit for bit — the two derivations are *different* exact
-// samplers of the *same* law.  These tests pin the law:
+// of v2's sequential per-shard streams: a *different* exact sampler of the
+// *same* law, and the only sampler of the paths it covers.  These tests
+// pin the law, on every host (the bits are ISA-independent):
 //
 //   1. exact one-step category probabilities from the all-uncommitted
 //      start, pooled over replications, verified by chi-square — on the
-//      sparse network path (the vectorized net2 kernel), the dense network
-//      path (scalar under every kernel setting, so `kernel = simd` must
-//      not corrupt it), and the fully mixed heterogeneous path (the mixed
-//      kernel);
+//      sparse network path (the net2 kernel), the dense network path (the
+//      v2 rejection sampler), and the fully mixed heterogeneous path (the
+//      mixed kernel);
 //   2. an exact stage-1 chi-square *from a committed configuration*,
 //      driving the net2 kernel directly with a crafted committed-neighbour
 //      view (every agent sees 3 committed neighbours on option 0, 1 on
 //      option 1), where the consideration law μ/2 + (1−μ)·c_j/(c_0+c_1)
-//      is in closed form;
-//   3. a multi-round 4.5σ comparison of scalar-v2 and SIMD-v3 engines on
-//      final best-option popularity and adopter counts over a ring — the
-//      law-equivalence statement that lets `kernel = auto` pick either.
+//      is in closed form.
 //
-// Every SIMD leg skips when the dispatcher resolved no vector ISA (e.g.
-// under SGL_KERNEL=scalar), keeping the file meaningful on any host.
+// The multi-round law over a ring is checked against a naive reference in
+// network_dynamics_test (law_matches_naive_reference_sparse_mode).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -39,7 +34,6 @@
 #include "graph/graph.h"
 #include "support/gof.h"
 #include "support/rng.h"
-#include "support/stats.h"
 
 namespace {
 
@@ -62,7 +56,6 @@ core::dynamics_params make_params(std::size_t m, double mu, double beta,
 /// the chi-square result over `replications` i.i.d. populations.
 sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
                                              const graph::graph* topology,
-                                             core::kernel_kind kind,
                                              std::uint64_t seed) {
   const core::dynamics_params& params = prototype.params();
   const std::size_t m = params.num_options;
@@ -74,7 +67,6 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
 
   std::vector<std::uint64_t> observed(m + 1, 0);
   prototype.set_topology(topology);
-  prototype.set_kernel(kind);
   for (int r = 0; r < replications; ++r) {
     prototype.reset();
     rng gen = rng::from_stream(seed, static_cast<std::uint64_t>(r));
@@ -99,39 +91,32 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
   return sgl::chi_square_test(observed, expected);
 }
 
-TEST(kernel_law, network_sparse_one_step_chi_square_simd) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, network_sparse_one_step_chi_square) {
   const std::size_t n = 500;
   const graph::graph g = graph::graph::ring(n);
-  const auto result =
-      one_step_adoption_chi_square(core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n},
-                                   &g, core::kernel_kind::simd, 101);
+  const auto result = one_step_adoption_chi_square(
+      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n}, &g, 101);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
-TEST(kernel_law, network_dense_one_step_chi_square_under_simd_setting) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, network_dense_one_step_chi_square) {
   // K_60's average degree (59) is over dense_degree_threshold, so the
-  // engine runs the rejection sampler — scalar under every kernel setting.
-  // `kernel = simd` must leave its law untouched.
+  // engine runs the v2 rejection sampler, not the net2 kernel.
   const std::size_t n = 60;
   const graph::graph g = graph::graph::complete(n);
-  const auto result =
-      one_step_adoption_chi_square(core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n},
-                                   &g, core::kernel_kind::simd, 202);
+  const auto result = one_step_adoption_chi_square(
+      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n}, &g, 202);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
-TEST(kernel_law, mixed_one_step_chi_square_simd) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_law, mixed_one_step_chi_square) {
   // Identical per-agent rules keep the agents i.i.d. (multinomial pooled
   // counts) while the non-empty rule vector forces the per-agent path —
-  // which is the mixed v3 kernel under `kernel = simd`.
+  // which is the mixed v3 kernel for m <= 64.
   const std::size_t n = 400;
   core::finite_dynamics dyn{make_params(3, 0.1, 0.7, 0.3), n};
   dyn.set_agent_rules(std::vector<core::adoption_rule>(n, {0.3, 0.7}));
-  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr,
-                                                   core::kernel_kind::simd, 303);
+  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr, 303);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
@@ -183,59 +168,6 @@ TEST(kernel_law, net2_stage1_chi_square_from_committed_view) {
   EXPECT_GT(result.p_value, 1e-3)
       << "chi-square statistic " << result.statistic << " over n = "
       << n * replications << " pooled stage-1 draws";
-}
-
-TEST(kernel_law, multi_round_scalar_vs_simd_within_sigma) {
-  if (!core::kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
-  // The equivalence that justifies `kernel = auto`: over a ring, from
-  // independent streams, the v2-scalar and v3-SIMD engines agree on final
-  // best-option popularity and total adopters to within 4.5σ.
-  constexpr std::size_t n = 300;
-  constexpr int replications = 250;
-  constexpr int horizon = 25;
-  const std::vector<double> etas{0.8, 0.3};
-  const graph::graph g = graph::graph::ring(n);
-  const core::dynamics_params params = make_params(2, 0.08, 0.7, 0.3);
-
-  sgl::running_stats scalar_pop, scalar_adopt, simd_pop, simd_adopt;
-  std::vector<std::uint8_t> rewards(2);
-  core::finite_dynamics scalar_dyn{params, n};
-  scalar_dyn.set_topology(&g);
-  scalar_dyn.set_kernel(core::kernel_kind::scalar);
-  core::finite_dynamics simd_dyn{params, n};
-  simd_dyn.set_topology(&g);
-  simd_dyn.set_kernel(core::kernel_kind::simd);
-
-  for (int r = 0; r < replications; ++r) {
-    scalar_dyn.reset();
-    simd_dyn.reset();
-    rng scalar_gen = rng::from_stream(31, static_cast<std::uint64_t>(r));
-    rng simd_gen = rng::from_stream(32, static_cast<std::uint64_t>(r));
-    rng scalar_env = rng::from_stream(33, static_cast<std::uint64_t>(r));
-    rng simd_env = rng::from_stream(34, static_cast<std::uint64_t>(r));
-    for (int t = 0; t < horizon; ++t) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        rewards[j] = scalar_env.next_bernoulli(etas[j]) ? 1 : 0;
-      }
-      scalar_dyn.step(rewards, scalar_gen);
-      for (std::size_t j = 0; j < 2; ++j) {
-        rewards[j] = simd_env.next_bernoulli(etas[j]) ? 1 : 0;
-      }
-      simd_dyn.step(rewards, simd_gen);
-    }
-    scalar_pop.add(scalar_dyn.popularity()[0]);
-    scalar_adopt.add(static_cast<double>(scalar_dyn.adopters()));
-    simd_pop.add(simd_dyn.popularity()[0]);
-    simd_adopt.add(static_cast<double>(simd_dyn.adopters()));
-  }
-
-  const double pop_tolerance =
-      4.5 * std::sqrt((scalar_pop.variance() + simd_pop.variance()) / replications);
-  const double adopt_tolerance =
-      4.5 * std::sqrt((scalar_adopt.variance() + simd_adopt.variance()) /
-                      replications);
-  EXPECT_NEAR(scalar_pop.mean(), simd_pop.mean(), pop_tolerance);
-  EXPECT_NEAR(scalar_adopt.mean(), simd_adopt.mean(), adopt_tolerance);
 }
 
 }  // namespace

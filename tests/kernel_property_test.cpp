@@ -3,10 +3,10 @@
 // straddles every batching boundary — lane width (7/8/9), shard size
 // (8191/8192/8193) and the degenerate N = 1 — because the classic failure
 // of a vectorized loop with a scalar remainder is an agent stepped twice,
-// skipped, or read from the wrong lane at exactly those edges.  Every test
-// runs the scalar kernel unconditionally and the SIMD kernel whenever the
-// dispatcher resolved a vector ISA (under SGL_KERNEL=scalar the SIMD legs
-// collapse to the scalar path on purpose — CI runs that configuration).
+// skipped, or read from the wrong lane at exactly those edges.  The engine
+// tests run whatever ISA the dispatcher resolved (SGL_KERNEL=generic forces
+// the generic TU); the direct kernel tests also compare the generic TU
+// against the active ISA bit for bit.
 
 #include "core/step_kernel.h"
 
@@ -31,12 +31,6 @@ namespace {
 // finite_dynamics; lane_count is 4 or 8 depending on the compiled ABI).
 constexpr std::size_t k_population_grid[] = {1, 7, 8, 9, 31, 32, 33,
                                              8191, 8192, 8193};
-
-std::vector<kernel_kind> kernels_under_test() {
-  std::vector<kernel_kind> kinds{kernel_kind::scalar};
-  if (kernel::vector_isa_available()) kinds.push_back(kernel_kind::simd);
-  return kinds;
-}
 
 dynamics_params make_params(std::size_t m, double mu, double beta,
                             double alpha = -1.0) {
@@ -94,78 +88,61 @@ void check_step_invariants(const finite_dynamics& dyn, std::size_t n,
 
 TEST(kernel_property, network_invariants_on_every_batch_boundary) {
   const std::vector<std::uint8_t> rewards{1, 0};
-  for (const kernel_kind kind : kernels_under_test()) {
-    for (const std::size_t n : k_population_grid) {
-      finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n};
-      const graph::graph g = graph::graph::ring(n);
-      dyn.set_topology(&g);
-      dyn.set_kernel(kind);
-      rng gen{0x51c7u + n};
-      for (int t = 0; t < 6; ++t) {
-        dyn.step(rewards, gen);
-        check_step_invariants(
-            dyn, n, 2,
-            (std::string{"network kernel="} +
-             (kind == kernel_kind::simd ? "simd" : "scalar") + " N=" +
-             std::to_string(n) + " t=" + std::to_string(t))
-                .c_str());
-      }
+  for (const std::size_t n : k_population_grid) {
+    finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n};
+    const graph::graph g = graph::graph::ring(n);
+    dyn.set_topology(&g);
+    rng gen{0x51c7u + n};
+    for (int t = 0; t < 6; ++t) {
+      dyn.step(rewards, gen);
+      check_step_invariants(
+          dyn, n, 2,
+          ("network N=" + std::to_string(n) + " t=" + std::to_string(t)).c_str());
     }
   }
 }
 
 TEST(kernel_property, network_heterogeneous_rules_share_the_kernel) {
   const std::vector<std::uint8_t> rewards{0, 1};
-  for (const kernel_kind kind : kernels_under_test()) {
-    for (const std::size_t n : {std::size_t{9}, std::size_t{8193}}) {
-      finite_dynamics dyn{make_params(2, 0.15, 0.8), n};
-      const graph::graph g = graph::graph::ring(n);
-      dyn.set_topology(&g);
-      dyn.set_agent_rules(varied_rules(n));
-      dyn.set_kernel(kind);
-      rng gen{0xbeefu + n};
-      for (int t = 0; t < 4; ++t) {
-        dyn.step(rewards, gen);
-        check_step_invariants(dyn, n, 2, "network heterogeneous");
-      }
+  for (const std::size_t n : {std::size_t{9}, std::size_t{8193}}) {
+    finite_dynamics dyn{make_params(2, 0.15, 0.8), n};
+    const graph::graph g = graph::graph::ring(n);
+    dyn.set_topology(&g);
+    dyn.set_agent_rules(varied_rules(n));
+    rng gen{0xbeefu + n};
+    for (int t = 0; t < 4; ++t) {
+      dyn.step(rewards, gen);
+      check_step_invariants(dyn, n, 2, "network heterogeneous");
     }
   }
 }
 
 TEST(kernel_property, mixed_invariants_on_every_batch_boundary) {
-  for (const kernel_kind kind : kernels_under_test()) {
-    for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{10}}) {
-      std::vector<std::uint8_t> rewards(m, 0);
-      rewards[0] = 1;
-      if (m > 2) rewards[2] = 1;
-      for (const std::size_t n : k_population_grid) {
-        finite_dynamics dyn{make_params(m, 0.1, 0.7), n};
-        dyn.set_agent_rules(varied_rules(n));  // heterogeneous → per-agent path
-        dyn.set_kernel(kind);
-        rng gen{0xabcdu + n * 31 + m};
-        for (int t = 0; t < 5; ++t) {
-          dyn.step(rewards, gen);
-          check_step_invariants(
-              dyn, n, m,
-              (std::string{"mixed kernel="} +
-               (kind == kernel_kind::simd ? "simd" : "scalar") + " N=" +
-               std::to_string(n) + " m=" + std::to_string(m))
-                  .c_str());
-        }
+  for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{10}}) {
+    std::vector<std::uint8_t> rewards(m, 0);
+    rewards[0] = 1;
+    if (m > 2) rewards[2] = 1;
+    for (const std::size_t n : k_population_grid) {
+      finite_dynamics dyn{make_params(m, 0.1, 0.7), n};
+      dyn.set_agent_rules(varied_rules(n));  // heterogeneous → per-agent path
+      rng gen{0xabcdu + n * 31 + m};
+      for (int t = 0; t < 5; ++t) {
+        dyn.step(rewards, gen);
+        check_step_invariants(
+            dyn, n, m,
+            ("mixed N=" + std::to_string(n) + " m=" + std::to_string(m)).c_str());
       }
     }
   }
 }
 
-TEST(kernel_property, simd_network_bit_identical_across_threads_and_reuse) {
-  if (!kernel::vector_isa_available()) GTEST_SKIP() << "no vector ISA";
+TEST(kernel_property, network_bit_identical_across_threads_and_reuse) {
   const std::size_t n = 8193;
   const std::vector<std::uint8_t> rewards{1, 0};
   const graph::graph g = graph::graph::ring(n);
   const auto run = [&](unsigned threads, bool reuse) {
     finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n};
     dyn.set_topology(&g);
-    dyn.set_kernel(kernel_kind::simd);
     dyn.set_threads(threads);
     if (reuse) {
       // Dirty the state, then reset: a reused engine must replay the

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/step_kernel.h"
 #include "scenario/serialize.h"
 
 namespace sgl::testgen {
@@ -376,13 +375,6 @@ void fill_protocol(prng& rng, scenario_spec& spec) {
   }
 }
 
-core::kernel_kind random_kernel(prng& rng) {
-  std::vector<core::kernel_kind> kinds{core::kernel_kind::auto_select,
-                                       core::kernel_kind::scalar};
-  if (core::kernel::vector_isa_available()) kinds.push_back(core::kernel_kind::simd);
-  return rng.pick(kinds);
-}
-
 void check_valid(const scenario_spec& spec, const char* who) {
   const std::string error = scenario::validate_spec_error(spec);
   if (!error.empty()) {
@@ -416,7 +408,6 @@ scenario_spec random_scenario(prng& rng) {
     case 2:  // agent-based, homogeneous fully mixed
       spec.num_agents = rng.pick<std::uint64_t>({1, 2, 3, 16, 60, 200});
       spec.engine = engine_kind::agent_based;
-      spec.engine_kernel = random_kernel(rng);
       spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 3:  // agent-based, heterogeneous per-agent rules
@@ -424,7 +415,6 @@ scenario_spec random_scenario(prng& rng) {
       spec.engine = engine_kind::agent_based;
       spec.agent_rules.resize(spec.num_agents);
       for (auto& rule : spec.agent_rules) rule = random_rule(rng);
-      spec.engine_kernel = random_kernel(rng);
       spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 4:  // agent-based on a topology
@@ -436,7 +426,6 @@ scenario_spec random_scenario(prng& rng) {
         for (auto& rule : spec.agent_rules) rule = random_rule(rng);
         spec.engine = engine_kind::agent_based;
       }
-      spec.engine_kernel = random_kernel(rng);
       spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 5: {  // grouped rule mixture
@@ -512,7 +501,6 @@ const std::vector<scenario_spec>& corner_specs() {
       spec.params.alpha = 0.0;
       spec.num_agents = 5;
       spec.engine = engine_kind::agent_based;
-      spec.engine_kernel = core::kernel_kind::scalar;
       spec.environment.etas = {0.0, 0.0};
     });
     add("corner-mu-one", [](scenario_spec& spec) {
@@ -543,7 +531,6 @@ const std::vector<scenario_spec>& corner_specs() {
       spec.params.num_options = 2;
       spec.num_agents = 3;
       spec.topology.family = topology_spec::family_kind::ring;
-      spec.engine_kernel = core::kernel_kind::scalar;
       spec.environment.etas = {0.75, 0.25};
     });
     add("corner-empty-graph", [](scenario_spec& spec) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/invariants.h"
-#include "core/step_kernel.h"
 #include "property/generators.h"
 #include "property/property_harness.h"
 #include "scenario/scenario.h"
@@ -162,34 +161,22 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
   });
 }
 
-// Law 5: documented-inert engine knobs really are inert.  engine_threads
+// Law 5: the documented-inert engine knob really is inert.  engine_threads
 // only reshards the agent-based network step (finite_dynamics::set_threads
-// promises bit-identity), and kernel = auto must equal the kernel it
-// resolves to on this host — simd when a vector ISA is live, scalar
-// otherwise.  (scalar vs simd is NOT an identity: v3 is a different stream
-// derivation by design.)
-TEST(scenario_property, engine_threads_and_kernel_resolution_are_inert) {
+// promises bit-identity).
+TEST(scenario_property, engine_threads_are_inert) {
   check_scenario_property(
       [](const scenario::scenario_spec& spec) {
         return guarded([&]() -> std::string {
           const core::run_config config = property_run_config();
           const std::string reference = run_fingerprint(spec, config);
           if (scenario::resolved_engine(spec) != scenario::engine_kind::agent_based) {
-            return std::string{};  // both knobs are read only by agent_based
+            return std::string{};  // the knob is read only by agent_based
           }
           scenario::scenario_spec threaded = spec;
           threaded.engine_threads = spec.engine_threads == 2 ? 1 : 2;
           if (run_fingerprint(threaded, config) != reference) {
             return "engine_threads changed the trajectory";
-          }
-          if (spec.engine_kernel == core::kernel_kind::auto_select) {
-            scenario::scenario_spec pinned = spec;
-            pinned.engine_kernel = core::kernel::vector_isa_available()
-                                       ? core::kernel_kind::simd
-                                       : core::kernel_kind::scalar;
-            if (run_fingerprint(pinned, config) != reference) {
-              return "kernel=auto ran differently from the kernel it resolves to";
-            }
           }
           return {};
         });

@@ -179,6 +179,19 @@ TEST(apply_override, rejects_bad_keys_and_values) {
   }
 }
 
+TEST(parse_scenario, retired_kernel_key_is_rejected) {
+  // Every step path has one sampler, so the old `kernel` knob is gone; a
+  // spec that still sets it fails like any other unknown key.
+  try {
+    (void)parse_scenario("engine = \"agent_based\"\nkernel = \"scalar\"\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("unknown scenario key 'kernel'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(sweep_grammar, range_axis_expands_inclusively) {
   const sweep_axis axis = parse_sweep_axis("params.beta=0.55:0.75:0.05");
   EXPECT_EQ(axis.key, "params.beta");

@@ -24,7 +24,6 @@
 #include <unistd.h>
 
 #include "core/experiment.h"
-#include "core/step_kernel.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
@@ -140,34 +139,6 @@ TEST(spec_digest, every_semantic_field_changes_the_digest) {
 
   const std::vector<std::string> other_probes{"regret", "final_histogram"};
   EXPECT_NE(spec_digest(base, config, other_probes), reference);
-}
-
-TEST(spec_digest, kernel_auto_hashes_as_the_resolved_decision) {
-  // `kernel = auto` must digest to what THIS host would execute, or a
-  // store shared across hosts (or SGL_KERNEL settings) would serve a
-  // scalar result for a simd run.
-  scenario::scenario_spec auto_kernel = test_spec();
-  scenario::apply_override(auto_kernel, "kernel", "auto");
-  scenario::scenario_spec resolved = test_spec();
-  scenario::apply_override(resolved, "kernel",
-                           core::kernel::vector_isa_available() ? "simd" : "scalar");
-  const core::run_config config = test_config();
-  EXPECT_EQ(spec_digest(auto_kernel, config, {}), spec_digest(resolved, config, {}));
-}
-
-TEST(spec_digest, kernel_is_dropped_for_engines_without_one) {
-  // On a non-agent-based engine the kernel field cannot affect the
-  // trajectory; a stray setting must not split the cache.
-  scenario::scenario_spec scalar = scenario::parse_scenario(
-      "engine = \"infinite\"\n"
-      "params.num_options = 3\n"
-      "params.beta = 0.65\n"
-      "environment.etas = [0.8, 0.5, 0.3]\n"
-      "kernel = \"scalar\"\n");
-  scenario::scenario_spec simd = scalar;
-  scenario::apply_override(simd, "kernel", "simd");
-  const core::run_config config = test_config();
-  EXPECT_EQ(spec_digest(scalar, config, {}), spec_digest(simd, config, {}));
 }
 
 TEST(spec_digest, probe_fallback_matches_explicit_probes) {

@@ -457,9 +457,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
                   "-1 = keep the scenario's setting); bit-identical results "
                   "for any value");
   flags.add_int64("agents", -1, "override the scenario's population (-1 = keep)");
-  flags.add_string("kernel", "",
-                   "step kernel for the agent-based engine: auto | scalar | "
-                   "simd (empty = keep the scenario's setting)");
   flags.add_bool("curves", false, "emit per-step curves as CSV instead of the table");
   flags.add_bool("no-reuse", false,
                  "rebuild the engine/environment every replication instead of "
@@ -501,9 +498,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   // Legacy convenience overrides, kept on top of --set.
   if (flags.get_int64("engine-threads") >= 0) {
     spec.engine_threads = static_cast<unsigned>(flags.get_int64("engine-threads"));
-  }
-  if (const std::string& kernel = flags.get_string("kernel"); !kernel.empty()) {
-    scenario::apply_override(spec, "kernel", kernel);
   }
   if (flags.get_int64("agents") >= 0) {
     const scenario::engine_kind kind = scenario::resolved_engine(spec);
