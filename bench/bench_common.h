@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file bench_common.h
-/// Shared scaffolding for the experiment binaries (bench/e01..e14): a
+/// Shared scaffolding for the experiment binaries (bench/e01..e18): a
 /// standard flag set, a header banner tying the binary to its paper claim,
 /// and small helpers.  Every binary accepts --reps/--seed/--threads/--quick
-/// and prints the table or series its experiment reproduces; EXPERIMENTS.md
-/// records the measured-vs-bound outcomes.
+/// and prints the table or series its experiment reproduces; where the
+/// paper states a bound, the table prints it next to the measurement,
+/// usually with a yes/NO verdict column.
 
 #include <cstdint>
 #include <cstdio>

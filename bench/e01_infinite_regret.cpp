@@ -12,8 +12,10 @@
 
 #include "bench_common.h"
 #include "core/theory.h"
+#include "core/probe.h"
 #include "env/reward_model.h"
 #include "scenario/registry.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -26,6 +28,7 @@ int run(const bench::standard_options& options) {
 
   text_table table{{"m", "beta", "delta", "T*", "T", "Regret_inf(T)", "bound 3d",
                     "within"}};
+  const std::vector<std::string> regret_only{"regret"};
 
   for (const std::size_t m : {std::size_t{2}, std::size_t{10}, std::size_t{50}}) {
     for (const double beta : {0.55, 0.62, 0.73}) {
@@ -44,12 +47,13 @@ int run(const bench::standard_options& options) {
         config.replications = options.replications;
         config.seed = options.seed;
         config.threads = options.threads;
-        const core::regret_estimate est = scenario::run(spec, config).scalars;
+        const core::probe_list merged = scenario::run_probes(spec, config, regret_only);
+        const mean_ci regret = confidence_interval(
+            dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
         table.add_row({std::to_string(m), fmt(beta, 2), fmt(delta, 3),
                        std::to_string(t_star), std::to_string(config.horizon),
-                       fmt_pm(est.regret.mean, est.regret.half_width),
-                       fmt(bound, 3),
-                       bench::verdict(est.regret.mean - est.regret.half_width <= bound)});
+                       fmt_pm(regret.mean, regret.half_width), fmt(bound, 3),
+                       bench::verdict(regret.mean - regret.half_width <= bound)});
       }
     }
   }

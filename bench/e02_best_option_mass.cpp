@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "core/experiment.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
 
@@ -27,6 +28,8 @@ int run(const bench::standard_options& options) {
   constexpr double eta1 = 0.9;
   text_table table{{"beta", "delta", "gap", "T", "avg best mass", "bound",
                     "informative", "within"}};
+  const core::regret_probe prototype;
+  const core::probe* probes[] = {&prototype};
 
   for (const double beta : {0.52, 0.55, 0.6, 0.65, 0.73}) {
     for (const double gap : {0.1, 0.2, 0.4, 0.8}) {
@@ -38,19 +41,20 @@ int run(const bench::standard_options& options) {
       config.replications = options.replications;
       config.seed = options.seed;
       config.threads = options.threads;
-      const core::regret_estimate est = core::estimate_infinite_regret(
-          params,
+      const core::probe_list merged = core::run_with_probes(
+          core::make_infinite_engine_factory(params),
           [&] {
             return std::make_unique<env::bernoulli_rewards>(
                 std::vector<double>{eta1, eta1 - gap, eta1 - gap});
           },
-          config);
-      table.add_row(
-          {fmt(beta, 2), fmt(params.delta(), 3), fmt(gap, 2),
-           std::to_string(config.horizon),
-           fmt_pm(est.best_mass.mean, est.best_mass.half_width), fmt(bound, 3),
-           bench::verdict(bound > 0.0),
-           bench::verdict(est.best_mass.mean + est.best_mass.half_width >= bound)});
+          config, probes);
+      const mean_ci best_mass = confidence_interval(
+          dynamic_cast<const core::regret_probe&>(*merged[0]).best_mass_stats());
+      table.add_row({fmt(beta, 2), fmt(params.delta(), 3), fmt(gap, 2),
+                     std::to_string(config.horizon),
+                     fmt_pm(best_mass.mean, best_mass.half_width), fmt(bound, 3),
+                     bench::verdict(bound > 0.0),
+                     bench::verdict(best_mass.mean + best_mass.half_width >= bound)});
     }
   }
   bench::emit(table, options);

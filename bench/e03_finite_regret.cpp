@@ -7,15 +7,16 @@
 // override over four orders of magnitude (exact aggregate engine, O(m) per
 // step) at T* and 10·T*, with the registered "theorem-infinite" scenario as
 // the N→∞ reference.  The paper's explicit N-thresholds are astronomically
-// conservative; the table shows the 6δ bound already holding at small N —
-// a finding EXPERIMENTS.md records.
+// conservative; the table shows the 6δ bound already holding at small N.
 
 #include <algorithm>
 #include <cmath>
 
 #include "bench_common.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "scenario/registry.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -38,6 +39,13 @@ int run(const bench::standard_options& options) {
 
   text_table table{{"N", "T", "Regret_N(T)", "Regret_inf(T)", "bound 6d",
                     "paper N-cond", "within"}};
+  const std::vector<std::string> regret_only{"regret"};
+  const auto regret = [&](const scenario::scenario_spec& spec,
+                          const core::run_config& config) {
+    const core::probe_list merged = scenario::run_probes(spec, config, regret_only);
+    return confidence_interval(
+        dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
+  };
 
   for (const std::uint64_t multiple : {1ULL, 10ULL}) {
     core::run_config config;
@@ -46,19 +54,19 @@ int run(const bench::standard_options& options) {
     config.seed = options.seed;
     config.threads = options.threads;
 
-    const core::regret_estimate infinite = scenario::run(infinite_spec, config).scalars;
+    const mean_ci infinite = regret(infinite_spec, config);
 
     for (const std::uint64_t n :
          {100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL}) {
       finite_spec.num_agents = n;
-      const core::regret_estimate finite = scenario::run(finite_spec, config).scalars;
+      const mean_ci finite = regret(finite_spec, config);
       table.add_row(
           {std::to_string(n), std::to_string(config.horizon),
-           fmt_pm(finite.regret.mean, finite.regret.half_width),
-           fmt_pm(infinite.regret.mean, infinite.regret.half_width), fmt(bound, 3),
+           fmt_pm(finite.mean, finite.half_width),
+           fmt_pm(infinite.mean, infinite.half_width), fmt(bound, 3),
            bench::verdict(core::theory::theorem44_population_condition(
                params, static_cast<double>(n))),
-           bench::verdict(finite.regret.mean - finite.regret.half_width <= bound)});
+           bench::verdict(finite.mean - finite.half_width <= bound)});
     }
   }
   bench::emit(table, options);

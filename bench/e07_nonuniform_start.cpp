@@ -11,9 +11,11 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
 #include "scenario/registry.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -28,6 +30,7 @@ int run(const bench::standard_options& options) {
   constexpr std::size_t m = 5;
   text_table table{{"beta", "zeta", "T(zeta)", "T", "Regret_inf", "bound 3d",
                     "within"}};
+  const std::vector<std::string> regret_only{"regret"};
 
   for (const double beta : {0.6, 0.65}) {
     // The registered hostile-start scenario, re-parameterized per sweep cell.
@@ -49,12 +52,12 @@ int run(const bench::standard_options& options) {
         config.replications = options.replications;
         config.seed = options.seed;
         config.threads = options.threads;
-        const core::regret_estimate est = scenario::run(spec, config).scalars;
-        table.add_row(
-            {fmt(beta, 2), fmt(zeta, 3), std::to_string(t_zeta),
-             std::to_string(config.horizon),
-             fmt_pm(est.regret.mean, est.regret.half_width), fmt(bound, 3),
-             bench::verdict(est.regret.mean - est.regret.half_width <= bound)});
+        const core::probe_list merged = scenario::run_probes(spec, config, regret_only);
+        const mean_ci regret = confidence_interval(
+            dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
+        table.add_row({fmt(beta, 2), fmt(zeta, 3), std::to_string(t_zeta),
+                       std::to_string(config.horizon), fmt_pm(regret.mean, regret.half_width),
+                       fmt(bound, 3), bench::verdict(regret.mean - regret.half_width <= bound)});
       }
     }
   }

@@ -16,6 +16,7 @@
 #include "bench_common.h"
 #include "algo/full_info.h"
 #include "core/experiment.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
 #include "support/parallel.h"
@@ -59,6 +60,8 @@ int run(const bench::standard_options& options) {
   const auto etas = env::two_level_etas(m, 0.85, 0.35);
 
   text_table table{{"T", "beta", "delta", "ln(m)/d^2", "Regret_inf", "bound 3d"}};
+  const core::regret_probe prototype;
+  const core::probe* probes[] = {&prototype};
 
   for (const std::uint64_t horizon : {100ULL, 1000ULL}) {
     for (const double beta : {0.52, 0.55, 0.58, 0.62, 0.66, 0.70, 0.73}) {
@@ -68,12 +71,14 @@ int run(const bench::standard_options& options) {
       config.replications = options.replications;
       config.seed = options.seed;
       config.threads = options.threads;
-      const core::regret_estimate est = core::estimate_infinite_regret(
-          params, [&] { return std::make_unique<env::bernoulli_rewards>(etas); },
-          config);
+      const core::probe_list merged = core::run_with_probes(
+          core::make_infinite_engine_factory(params),
+          [&] { return std::make_unique<env::bernoulli_rewards>(etas); }, config, probes);
+      const mean_ci regret = confidence_interval(
+          dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
       table.add_row({std::to_string(horizon), fmt(beta, 2), fmt(params.delta(), 3),
                      fmt(core::theory::min_horizon(m, beta), 1),
-                     fmt_pm(est.regret.mean, est.regret.half_width),
+                     fmt_pm(regret.mean, regret.half_width),
                      fmt(core::theory::infinite_regret_bound(beta), 3)});
     }
     // Yardstick: Hedge at the horizon-optimal rate.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/probe.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 
@@ -81,7 +82,7 @@ int run(const bench::standard_options& options) {
   config.replications = options.replications;
   config.seed = options.seed;
   config.threads = options.threads;
-  config.collect_curves = true;
+  const std::vector<std::string> probe_specs{"regret", "trajectory"};
 
   text_table table{{"topology", "avg degree", "regret", "final best mass",
                     "t to mean 90%"}};
@@ -94,18 +95,20 @@ int run(const bench::standard_options& options) {
           scenario::build_topology(c.spec.topology, n));
       degree = fmt(c.spec.prebuilt_graph->average_degree(), 1);
     }
-    const core::run_result result = scenario::run(c.spec, config);
+    const core::probe_list merged = scenario::run_probes(c.spec, config, probe_specs);
     c.spec.prebuilt_graph.reset();
+    const auto& scalars = dynamic_cast<const core::regret_probe&>(*merged[0]);
+    const auto& curves = dynamic_cast<const core::trajectory_probe&>(*merged[1]);
     std::uint64_t hit = k_horizon + 1;
-    for (std::size_t t = 0; t < result.curves->best_mass.length(); ++t) {
-      if (result.curves->best_mass.mean(t) >= 0.9) {
+    for (std::size_t t = 0; t < curves.best_mass().length(); ++t) {
+      if (curves.best_mass().mean(t) >= 0.9) {
         hit = t + 1;
         break;
       }
     }
-    table.add_row({c.label, degree,
-                   fmt_pm(result.scalars.regret.mean, result.scalars.regret.half_width),
-                   fmt(result.scalars.final_best_mass.mean, 3), std::to_string(hit)});
+    const mean_ci regret = confidence_interval(scalars.regret_stats());
+    table.add_row({c.label, degree, fmt_pm(regret.mean, regret.half_width),
+                   fmt(scalars.final_best_mass_stats().mean(), 3), std::to_string(hit)});
   }
   bench::emit(table, options);
   std::printf("N = %zu, T = %llu, beta = 0.65, eta = (0.85, 0.35); 't to mean 90%%' of "

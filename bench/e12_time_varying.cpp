@@ -17,6 +17,7 @@
 
 #include "bench_common.h"
 #include "core/experiment.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/markov_rewards.h"
 #include "env/reward_model.h"
@@ -41,6 +42,17 @@ int run(const bench::standard_options& options) {
 
   text_table table{{"workload", "period L", "T", "dyn regret (finite)",
                     "dyn regret (infinite)", "recovery t (mean)", "recovered"}};
+  const core::engine_factory make_finite = core::make_finite_engine_factory(params, k_agents);
+  const core::engine_factory make_infinite = core::make_infinite_engine_factory(params);
+  const core::regret_probe scalars;
+  // Regret CI of one engine on one environment, from the regret probe alone.
+  const auto regret = [&](const core::engine_factory& engine, const core::env_factory& env,
+                          const core::run_config& config) {
+    const core::probe* probes[] = {&scalars};
+    const core::probe_list merged = core::run_with_probes(engine, env, config, probes);
+    return confidence_interval(
+        dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
+  };
 
   for (const std::uint64_t period : {50ULL, 100ULL, 200ULL, 400ULL}) {
     const std::uint64_t horizon = 3 * period;
@@ -49,30 +61,26 @@ int run(const bench::standard_options& options) {
     config.replications = options.replications;
     config.seed = options.seed;
     config.threads = options.threads;
-    const auto factory = [&] {
+    const core::env_factory factory = [&] {
       return std::make_unique<env::switching_rewards>(base, period);
     };
     // One pass, two probes: the §2.2 scalars and the recovery time (steps
-    // after each switch until the new best option regains half the mass) —
-    // measured on the same trajectories, which the fixed reduction could
-    // not do.
-    const core::regret_probe scalars;
+    // after each switch until the new best option regains half the mass),
+    // measured on the same trajectories.
     const core::recovery_probe recovery{0.5};
     const core::probe* probes[] = {&scalars, &recovery};
-    const auto merged = core::run_with_probes(
-        core::make_finite_engine_factory(params, k_agents), factory, config, probes);
-    const core::regret_estimate finite =
-        core::to_regret_estimate(dynamic_cast<const core::regret_probe&>(*merged[0]));
+    const auto merged = core::run_with_probes(make_finite, factory, config, probes);
+    const mean_ci finite = confidence_interval(
+        dynamic_cast<const core::regret_probe&>(*merged[0]).regret_stats());
     const auto& recovered = dynamic_cast<const core::recovery_probe&>(*merged[1]);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const mean_ci infinite = regret(make_infinite, factory, config);
 
     // The mean covers only switches that recovered before the horizon (or
     // the next switch); the recovered/switches column keeps a short-period
     // run from reading "fast" when most switches never recover at all.
     table.add_row({"switching", std::to_string(period), std::to_string(horizon),
-                   fmt_pm(finite.regret.mean, finite.regret.half_width),
-                   fmt_pm(infinite.regret.mean, infinite.regret.half_width),
+                   fmt_pm(finite.mean, finite.half_width),
+                   fmt_pm(infinite.mean, infinite.half_width),
                    fmt(recovered.recovery_time_stats().mean(), 1),
                    std::to_string(recovered.recovery_time_stats().count()) + "/" +
                        std::to_string(recovered.switches())});
@@ -85,18 +93,16 @@ int run(const bench::standard_options& options) {
     config.replications = options.replications;
     config.seed = options.seed;
     config.threads = options.threads;
-    const auto factory = [&] {
+    const core::env_factory factory = [&] {
       return std::make_unique<env::drifting_rewards>(
           std::vector<double>{0.85, 0.35, 0.35}, std::vector<double>{0.35, 0.35, 0.85},
           horizon);
     };
-    const core::regret_estimate finite =
-        core::estimate_finite_regret(params, k_agents, factory, config);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const mean_ci finite = regret(make_finite, factory, config);
+    const mean_ci infinite = regret(make_infinite, factory, config);
     table.add_row({"drifting (invert)", "-", std::to_string(horizon),
-                   fmt_pm(finite.regret.mean, finite.regret.half_width),
-                   fmt_pm(infinite.regret.mean, infinite.regret.half_width), "-", "-"});
+                   fmt_pm(finite.mean, finite.half_width),
+                   fmt_pm(infinite.mean, infinite.half_width), "-", "-"});
   }
 
   // Markov regime-switching workload ("stocks"): bull/bear regimes with
@@ -108,20 +114,18 @@ int run(const bench::standard_options& options) {
     config.replications = options.replications;
     config.seed = options.seed;
     config.threads = options.threads;
-    const auto factory = [&] {
+    const core::env_factory factory = [&] {
       return std::make_unique<env::markov_rewards>(
           std::vector<std::vector<double>>{{0.85, 0.35, 0.35}, {0.35, 0.85, 0.35}},
           std::vector<std::vector<double>>{{stay, 1.0 - stay}, {1.0 - stay, stay}},
           horizon, options.seed + 77);
     };
-    const core::regret_estimate finite =
-        core::estimate_finite_regret(params, k_agents, factory, config);
-    const core::regret_estimate infinite =
-        core::estimate_infinite_regret(params, factory, config);
+    const mean_ci finite = regret(make_finite, factory, config);
+    const mean_ci infinite = regret(make_infinite, factory, config);
     table.add_row({"markov (stay=" + fmt(stay, 3) + ")",
                    fmt(1.0 / (1.0 - stay), 0), std::to_string(horizon),
-                   fmt_pm(finite.regret.mean, finite.regret.half_width),
-                   fmt_pm(infinite.regret.mean, infinite.regret.half_width), "-", "-"});
+                   fmt_pm(finite.mean, finite.half_width),
+                   fmt_pm(infinite.mean, infinite.half_width), "-", "-"});
   }
 
   bench::emit(table, options);

@@ -7,13 +7,13 @@
 // and crash faults, reporting convergence, regret, and message cost.
 
 #include <algorithm>
-#include <cmath>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "core/probe.h"
 #include "core/theory.h"
-#include "graph/graph.h"
-#include "protocol/gossip_learner.h"
-#include "support/stats.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -21,25 +21,59 @@ using namespace sgl;
 
 constexpr std::size_t k_nodes = 200;
 constexpr std::uint64_t k_rounds = 300;
+constexpr std::uint64_t k_late_window = 50;
 
 struct case_spec {
   std::string name;
   double drop = 0.0;
   double crash_fraction = 0.0;
   bool sticky = false;
-  bool use_grid = false;
+  bool use_torus = false;
   bool split_brain = false;
 };
+
+/// The protocol-engine spec of one case: the radio-channel environment,
+/// jittery links, and the case's loss / stickiness / topology / faults.
+scenario::scenario_spec make_spec(const case_spec& c) {
+  using fault = scenario::fault_action_spec;
+  scenario::scenario_spec spec;
+  spec.name = c.name;
+  spec.params = core::theorem_params(3, 0.65);
+  spec.engine = scenario::engine_kind::protocol;
+  spec.num_agents = k_nodes;
+  spec.environment.etas = {0.9, 0.4, 0.4};  // e.g. radio channels
+  spec.protocol.base_latency = 0.05;
+  spec.protocol.jitter_mean = 0.05;
+  spec.protocol.drop_probability = c.drop;
+  spec.protocol.sticky = c.sticky;
+  if (c.use_torus) {
+    spec.topology.family = scenario::topology_spec::family_kind::torus;
+    spec.topology.rows = 20;
+    spec.topology.cols = 10;
+  }
+  if (c.crash_fraction > 0.0) {
+    fault wave;
+    wave.kind = fault::action_kind::crash_wave;
+    wave.at = 50.0;
+    wave.fraction = c.crash_fraction;
+    spec.faults.actions.push_back(std::move(wave));
+  }
+  if (c.split_brain) {
+    fault cut;
+    cut.kind = fault::action_kind::partition;
+    cut.at = 80.0;
+    cut.until = 160.0;
+    for (std::uint64_t id = 0; id < k_nodes / 2; ++id) cut.targets.push_back(id);
+    spec.faults.actions.push_back(std::move(cut));
+  }
+  return spec;
+}
 
 int run(const bench::standard_options& options) {
   bench::print_banner(
       "E14: Low-memory distributed MWU on a simulated sensor network (Sections 1, 6)",
       "Claim: one-integer-per-node gossip implements the dynamics; convergence "
       "survives packet loss and crash faults, at ~2 messages/node/round.");
-
-  const std::vector<double> etas{0.9, 0.4, 0.4};  // e.g. radio channels
-  const core::dynamics_params params = core::theorem_params(3, 0.65);
-  const graph::graph grid = graph::graph::grid(20, 10, true);
 
   const std::vector<case_spec> cases{
       {"complete, lossless", 0.0, 0.0, false, false},
@@ -52,64 +86,46 @@ int run(const bench::standard_options& options) {
       {"split-brain r80..160", 0.1, 0.0, false, false, true},
   };
 
-  text_table table{{"scenario", "final best frac", "avg regret", "msgs/node/round",
+  // Each replication is a full discrete-event simulation; a few suffice.
+  core::run_config config;
+  config.horizon = k_rounds;
+  config.replications = std::max<std::uint64_t>(3, options.replications / 10);
+  config.seed = options.seed;
+  config.threads = options.threads;
+  const std::vector<std::string> probe_specs{"regret", "trajectory", "message_cost"};
+
+  text_table table{{"scenario", "late best frac", "avg regret", "msgs/node/round",
                     "kB total", "drop rate", "converged"}};
 
   for (const auto& c : cases) {
-    // Average the protocol outcome over a few seeds (each run is a full
-    // discrete-event simulation).
-    running_stats final_frac;
-    running_stats regret;
-    running_stats msg_rate;
-    running_stats drop_rate;
-    double bytes = 0.0;
-    const std::uint64_t runs = std::max<std::uint64_t>(3, options.replications / 10);
-    for (std::uint64_t rep = 0; rep < runs; ++rep) {
-      protocol::gossip_params gossip;
-      gossip.dynamics = params;
-      gossip.sticky = c.sticky;
-      protocol::signal_oracle oracle{etas, options.seed + 1000 + rep};
-      protocol::gossip_run_config config;
-      config.num_nodes = k_nodes;
-      config.rounds = k_rounds;
-      config.seed = options.seed + rep;
-      config.links.base_latency = 0.05;
-      config.links.jitter_mean = 0.05;
-      config.links.drop_probability = c.drop;
-      config.crash_fraction = c.crash_fraction;
-      config.crash_round = c.crash_fraction > 0.0 ? 50 : 0;
-      if (c.split_brain) {
-        config.partition_round = 80;
-        config.heal_round = 160;
-      }
-      if (c.use_grid) config.topology = &grid;
+    const core::probe_list merged = scenario::run_probes(make_spec(c), config, probe_specs);
+    const auto& scalars = dynamic_cast<const core::regret_probe&>(*merged[0]);
+    const auto& curves = dynamic_cast<const core::trajectory_probe&>(*merged[1]);
+    const core::probe_report cost = merged[2]->report();
 
-      const protocol::gossip_run_result result =
-          protocol::run_gossip_experiment(gossip, oracle, config);
-      running_stats late;
-      for (std::uint64_t t = k_rounds - 50; t < k_rounds; ++t) {
-        late.add(result.best_fraction[t]);
-      }
-      final_frac.add(late.mean());
-      regret.add(result.average_regret);
-      msg_rate.add(static_cast<double>(result.net.messages_sent) /
-                   (static_cast<double>(k_nodes) * static_cast<double>(k_rounds)));
-      drop_rate.add(result.net.messages_sent == 0
-                        ? 0.0
-                        : static_cast<double>(result.net.messages_dropped) /
-                              static_cast<double>(result.net.messages_sent));
-      bytes += static_cast<double>(result.net.bytes_sent());
+    // Best-option share over the last rounds: the window mean of the
+    // per-round means, ± the window mean of their 95% half-widths (an upper
+    // bound on the half-width of the window mean).
+    double late = 0.0;
+    double late_half_width = 0.0;
+    for (std::uint64_t t = k_rounds - k_late_window; t < k_rounds; ++t) {
+      const mean_ci at = curves.best_mass().ci(t);
+      late += at.mean / static_cast<double>(k_late_window);
+      late_half_width += at.half_width / static_cast<double>(k_late_window);
     }
-    table.add_row({c.name, fmt_pm(final_frac.mean(), 2.0 * final_frac.stderror()),
-                   fmt(regret.mean(), 4), fmt(msg_rate.mean(), 2),
-                   fmt(bytes / static_cast<double>(runs) / 1024.0, 0),
-                   fmt(drop_rate.mean(), 3),
-                   bench::verdict(final_frac.mean() > 0.6)});
+    const double bytes_per_round = cost.find_scalar("bytes_per_round")->value;
+    table.add_row({c.name, fmt_pm(late, late_half_width),
+                   fmt(scalars.regret_stats().mean(), 4),
+                   fmt(cost.find_scalar("messages_per_node_round")->value, 2),
+                   fmt(bytes_per_round * static_cast<double>(k_rounds) / 1024.0, 0),
+                   fmt(cost.find_scalar("drop_rate")->value, 3),
+                   bench::verdict(late > 0.6)});
   }
   bench::emit(table, options);
   std::printf("N = %zu nodes, %llu rounds, m = 3 'channels', eta = (0.9, 0.4, 0.4), "
-              "beta = 0.65.\nShape: loss and crashes slow convergence but do not "
-              "break it; per-node state is a single int throughout.\n",
+              "beta = 0.65; nodes start uncommitted.\nShape: loss and crashes slow "
+              "convergence but do not break it; per-node state is a single int "
+              "throughout.\n",
               k_nodes, static_cast<unsigned long long>(k_rounds));
   return 0;
 }

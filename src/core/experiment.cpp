@@ -22,11 +22,6 @@ void merge_shards(replication_shard& into, const replication_shard& from) {
   }
 }
 
-run_config with_curves(run_config config) {
-  config.collect_curves = true;
-  return config;
-}
-
 }  // namespace
 
 void check_run_config(const run_config& config) {
@@ -53,7 +48,7 @@ void replication_context::rebuild() {
   environment_ = make_env_();
   engine_ = make_engine_();
   if (environment_->num_options() != engine_->num_options()) {
-    throw std::invalid_argument{"run_scenario: engine/environment option-count mismatch"};
+    throw std::invalid_argument{"run_with_probes: engine/environment option-count mismatch"};
   }
   if (clamp_engine_threads_) {
     // When the runner itself spreads replications across workers, an engine
@@ -165,42 +160,6 @@ probe_list run_with_probes(const engine_factory& make_engine, const env_factory&
   return std::move(shard.probes);
 }
 
-regret_estimate to_regret_estimate(const regret_probe& probe) {
-  regret_estimate est;
-  est.regret = confidence_interval(probe.regret_stats());
-  est.average_reward = confidence_interval(probe.average_reward_stats());
-  est.best_mass = confidence_interval(probe.best_mass_stats());
-  est.final_best_mass = confidence_interval(probe.final_best_mass_stats());
-  est.empty_step_fraction = probe.empty_fraction_stats().mean();
-  est.replications = probe.regret_stats().count();
-  return est;
-}
-
-trajectory_estimate to_trajectory_estimate(const trajectory_probe& probe) {
-  trajectory_estimate curves{probe.running_regret().length()};
-  curves.running_regret = probe.running_regret();
-  curves.best_mass = probe.best_mass();
-  curves.min_popularity = probe.min_popularity();
-  return curves;
-}
-
-run_result run_scenario(const engine_factory& make_engine, const env_factory& make_env,
-                        const run_config& config) {
-  const regret_probe scalars;
-  const trajectory_probe curves;
-  std::vector<const probe*> prototypes{&scalars};
-  if (config.collect_curves) prototypes.push_back(&curves);
-
-  probe_list merged = run_with_probes(make_engine, make_env, config, prototypes);
-
-  run_result result;
-  result.scalars = to_regret_estimate(static_cast<const regret_probe&>(*merged[0]));
-  if (config.collect_curves) {
-    result.curves = to_trajectory_estimate(static_cast<const trajectory_probe&>(*merged[1]));
-  }
-  return result;
-}
-
 engine_factory make_infinite_engine_factory(const dynamics_params& params,
                                             std::span<const double> start) {
   return [params, start = std::vector<double>{start.begin(), start.end()}] {
@@ -211,56 +170,10 @@ engine_factory make_infinite_engine_factory(const dynamics_params& params,
 }
 
 engine_factory make_finite_engine_factory(const dynamics_params& params,
-                                          std::uint64_t num_agents, finite_engine engine,
-                                          const graph::graph* topology) {
-  if (topology != nullptr || engine == finite_engine::agent_based) {
-    return [params, num_agents, topology] {
-      auto process =
-          std::make_unique<finite_dynamics>(params, static_cast<std::size_t>(num_agents));
-      if (topology != nullptr) process->set_topology(topology);
-      return process;
-    };
-  }
+                                          std::uint64_t num_agents) {
   return [params, num_agents] {
     return std::make_unique<aggregate_dynamics>(params, num_agents);
   };
-}
-
-regret_estimate estimate_infinite_regret(const dynamics_params& params,
-                                         const env_factory& make_env,
-                                         const run_config& config,
-                                         std::span<const double> start) {
-  return run_scenario(make_infinite_engine_factory(params, start), make_env, config)
-      .scalars;
-}
-
-regret_estimate estimate_finite_regret(const dynamics_params& params,
-                                       std::uint64_t num_agents, const env_factory& make_env,
-                                       const run_config& config, finite_engine engine,
-                                       const graph::graph* topology) {
-  return run_scenario(make_finite_engine_factory(params, num_agents, engine, topology),
-                      make_env, config)
-      .scalars;
-}
-
-trajectory_estimate collect_infinite_trajectory(const dynamics_params& params,
-                                                const env_factory& make_env,
-                                                const run_config& config,
-                                                std::span<const double> start) {
-  return std::move(*run_scenario(make_infinite_engine_factory(params, start), make_env,
-                                 with_curves(config))
-                        .curves);
-}
-
-trajectory_estimate collect_finite_trajectory(const dynamics_params& params,
-                                              std::uint64_t num_agents,
-                                              const env_factory& make_env,
-                                              const run_config& config, finite_engine engine,
-                                              const graph::graph* topology) {
-  return std::move(
-      *run_scenario(make_finite_engine_factory(params, num_agents, engine, topology),
-                    make_env, with_curves(config))
-           .curves);
 }
 
 }  // namespace sgl::core

@@ -85,9 +85,6 @@ void protocol_engine::build(rng& gen) {
   node_params.sticky = config_.sticky;
   node_params.max_retries = config_.max_retries;
   node_params.lockstep = config_.lockstep;
-  // The dynamics_engine contract starts with nobody committed and uniform
-  // popularity; nodes join uncommitted (unlike the standalone runs).
-  node_params.start_committed = false;
 
   learners_.reserve(num_nodes_);
   for (std::size_t i = 0; i < num_nodes_; ++i) {

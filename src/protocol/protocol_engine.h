@@ -28,7 +28,6 @@
 /// commit_latency / adoption probes can account for wire traffic, commit
 /// spells, and churn.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -86,27 +85,6 @@ struct engine_config {
   /// schedule is checked against the node count in the engine constructor
   /// (validate() has no population to check against).
   void validate() const;
-};
-
-/// The harness-posted signal board: serves the environment's sampled R^t
-/// to every node for the duration of the current round, realizing the
-/// paper's shared-signal assumption inside the asynchronous protocol.
-class posted_signals final : public signal_source {
- public:
-  explicit posted_signals(std::size_t num_options) : row_(num_options, 0) {}
-
-  void post(std::span<const std::uint8_t> rewards) {
-    std::copy(rewards.begin(), rewards.end(), row_.begin());
-  }
-
-  [[nodiscard]] std::uint8_t signal(std::uint64_t /*round*/,
-                                    std::size_t option) const override {
-    return row_[option];
-  }
-  [[nodiscard]] std::size_t num_options() const noexcept override { return row_.size(); }
-
- private:
-  std::vector<std::uint8_t> row_;
 };
 
 class protocol_engine final : public core::dynamics_engine,

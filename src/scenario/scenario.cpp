@@ -353,8 +353,7 @@ core::engine_factory make_engine(const scenario_spec& spec) {
     case engine_kind::infinite:
       return core::make_infinite_engine_factory(spec.params, spec.start);
     case engine_kind::aggregate:
-      return core::make_finite_engine_factory(spec.params, spec.num_agents,
-                                              core::finite_engine::aggregate);
+      return core::make_finite_engine_factory(spec.params, spec.num_agents);
     case engine_kind::agent_based: {
       if (spec.num_agents == 0) {
         throw std::invalid_argument{"make_engine: agent-based engine needs N >= 1"};
@@ -694,12 +693,6 @@ std::string validate_spec_error(const scenario_spec& spec) {
     return message.empty() ? std::string{"invalid spec"} : message;
   }
   return {};
-}
-
-core::run_result run(const scenario_spec& spec, const core::run_config& config) {
-  validate_spec(spec);
-  return core::run_scenario(make_engine(spec), make_environment(spec.environment),
-                            config);
 }
 
 core::probe_list run_probes(const scenario_spec& spec, const core::run_config& config,

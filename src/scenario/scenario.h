@@ -243,11 +243,6 @@ void validate_spec(const scenario_spec& spec);
 [[nodiscard]] std::string topology_build_error(const topology_spec& spec,
                                                std::size_t num_agents);
 
-/// One-call convenience: run the scenario under the generic Monte-Carlo
-/// harness.  Calls validate_spec first.
-[[nodiscard]] core::run_result run(const scenario_spec& spec,
-                                   const core::run_config& config);
-
 /// Runs the scenario with an explicit probe set (core/probe.h spec
 /// grammar).  Empty `probe_specs` falls back to the scenario's own
 /// `probes` list, and failing that to {"regret"}.  Calls validate_spec.

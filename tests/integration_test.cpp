@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/bandit.h"
@@ -13,15 +14,26 @@
 #include "core/experiment.h"
 #include "core/finite_dynamics.h"
 #include "core/params.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/ef_model.h"
 #include "env/reward_model.h"
-#include "protocol/gossip_learner.h"
+#include "scenario/scenario.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
 namespace sgl {
 namespace {
+
+/// The merged regret probe of the exact aggregate finite dynamics.
+core::regret_probe finite_regret(const core::dynamics_params& params,
+                                 std::uint64_t num_agents, const core::env_factory& envs,
+                                 const core::run_config& config) {
+  const core::regret_probe prototype;
+  const core::probe* probes[] = {&prototype};
+  return dynamic_cast<const core::regret_probe&>(*core::run_with_probes(
+      core::make_finite_engine_factory(params, num_agents), envs, config, probes)[0]);
+}
 
 TEST(integration, epoch_restart_preserves_learning) {
   // The large-T proof restarts analysis at epoch boundaries from the current
@@ -118,14 +130,13 @@ TEST(integration, group_learning_beats_population_of_random_bandits) {
   config.horizon = 200;
   config.replications = 60;
   config.seed = 5;
-  const core::regret_estimate group = core::estimate_finite_regret(
-      params, 2000,
-      [&] { return std::make_unique<env::bernoulli_rewards>(etas); }, config);
+  const core::regret_probe group = finite_regret(
+      params, 2000, [&] { return std::make_unique<env::bernoulli_rewards>(etas); }, config);
 
   // Uniform players earn mean(etas) per step forever.
   double uniform_reward = 0.0;
   for (const double eta : etas) uniform_reward += eta / 4.0;
-  EXPECT_GT(group.average_reward.mean, uniform_reward + 0.1);
+  EXPECT_GT(group.average_reward_stats().mean(), uniform_reward + 0.1);
 }
 
 TEST(integration, group_dynamics_competitive_with_individual_ucb_population) {
@@ -183,10 +194,12 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
   config.horizon = 300;
   config.replications = 80;
   config.seed = 8;
-  const auto factory = [&] { return std::make_unique<env::bernoulli_rewards>(etas); };
+  const core::env_factory factory = [&] {
+    return std::make_unique<env::bernoulli_rewards>(etas);
+  };
 
-  const core::regret_estimate full =
-      core::estimate_finite_regret(core::theorem_params(2, 0.65), 2000, factory, config);
+  const mean_ci full = confidence_interval(
+      finite_regret(core::theorem_params(2, 0.65), 2000, factory, config).regret_stats());
 
   // Pure copying: adoption blind to signals (β = α = 1).
   core::dynamics_params copy_only;
@@ -194,56 +207,57 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
   copy_only.mu = 0.0;
   copy_only.beta = 1.0;
   copy_only.alpha = 1.0;
-  const core::regret_estimate copying =
-      core::estimate_finite_regret(copy_only, 2000, factory, config);
+  const core::regret_probe copying = finite_regret(copy_only, 2000, factory, config);
+  const mean_ci copying_regret = confidence_interval(copying.regret_stats());
 
   // No social sampling: μ = 1 (uniform consideration forever).
   core::dynamics_params no_social;
   no_social.num_options = 2;
   no_social.mu = 1.0;
   no_social.beta = 0.65;
-  const core::regret_estimate solo =
-      core::estimate_finite_regret(no_social, 2000, factory, config);
+  const mean_ci solo = confidence_interval(
+      finite_regret(no_social, 2000, factory, config).regret_stats());
 
-  EXPECT_LT(full.regret.mean, copying.regret.mean - copying.regret.half_width)
+  EXPECT_LT(full.mean, copying_regret.mean - copying_regret.half_width)
       << "signal-blind copying cannot identify the best option";
-  EXPECT_LT(full.regret.mean, solo.regret.mean - solo.regret.half_width)
+  EXPECT_LT(full.mean, solo.mean - solo.half_width)
       << "without social sampling the population never concentrates";
   // Pure copying fixates at the uniform average reward in expectation.
-  EXPECT_NEAR(copying.average_reward.mean, 0.6, 0.05);
+  EXPECT_NEAR(copying.average_reward_stats().mean(), 0.6, 0.05);
 }
 
 TEST(integration, gossip_protocol_matches_synchronous_dynamics) {
   // The asynchronous protocol and the synchronous finite dynamics are the
   // same algorithm; their converged best-option shares must be similar.
-  const std::vector<double> etas{0.85, 0.35};
-  const core::dynamics_params params = core::theorem_params(2, 0.65);
-
-  protocol::gossip_params gossip;
-  gossip.dynamics = params;
-  protocol::signal_oracle oracle{etas, 91};
-  protocol::gossip_run_config gossip_config;
-  gossip_config.num_nodes = 300;
-  gossip_config.rounds = 200;
-  gossip_config.seed = 9;
-  const protocol::gossip_run_result async =
-      protocol::run_gossip_experiment(gossip, oracle, gossip_config);
-  running_stats async_late;
-  for (std::size_t t = 150; t < 200; ++t) async_late.add(async.best_fraction[t]);
-
+  scenario::scenario_spec spec;
+  spec.name = "sync";
+  spec.params = core::theorem_params(2, 0.65);
+  spec.num_agents = 300;
+  spec.environment.etas = {0.85, 0.35};
   core::run_config config;
   config.horizon = 200;
   config.replications = 40;
   config.seed = 10;
-  const core::regret_estimate sync = core::estimate_finite_regret(
-      params, 300, [&] { return std::make_unique<env::bernoulli_rewards>(etas); },
-      config);
+  const std::vector<std::string> regret_only{"regret"};
+  const auto sync = scenario::run_probes(spec, config, regret_only);
+  const double sync_final =
+      dynamic_cast<const core::regret_probe&>(*sync[0]).final_best_mass_stats().mean();
 
-  EXPECT_NEAR(async_late.mean(), sync.final_best_mass.mean, 0.15);
+  spec.name = "async";
+  spec.engine = scenario::engine_kind::protocol;
+  config.replications = 4;
+  config.seed = 9;
+  const std::vector<std::string> curves_only{"trajectory"};
+  const auto async = scenario::run_probes(spec, config, curves_only);
+  const series_stats& best = dynamic_cast<const core::trajectory_probe&>(*async[0]).best_mass();
+  running_stats async_late;
+  for (std::size_t t = 150; t < 200; ++t) async_late.add(best.mean(t));
+
+  EXPECT_NEAR(async_late.mean(), sync_final, 0.15);
   EXPECT_GT(async_late.mean(), 0.6);
 }
 
-TEST(integration, regret_estimate_consistent_with_theory_kit) {
+TEST(integration, measured_regret_consistent_with_theory_kit) {
   // End-to-end: parameters built by theorem_params satisfy the hypotheses,
   // and the measured regret honours the matching bound.
   for (const double beta : {0.58, 0.66}) {
@@ -254,15 +268,15 @@ TEST(integration, regret_estimate_consistent_with_theory_kit) {
         std::ceil(std::max(core::theory::min_horizon(6, beta), 10.0)));
     config.replications = 80;
     config.seed = 11;
-    const core::regret_estimate est = core::estimate_finite_regret(
-        params, 20000,
-        [] {
-          return std::make_unique<env::bernoulli_rewards>(
-              env::two_level_etas(6, 0.85, 0.35));
-        },
-        config);
-    EXPECT_LE(est.regret.mean - est.regret.half_width,
-              core::theory::finite_regret_bound(beta));
+    const mean_ci regret = confidence_interval(
+        finite_regret(params, 20000,
+                      [] {
+                        return std::make_unique<env::bernoulli_rewards>(
+                            env::two_level_etas(6, 0.85, 0.35));
+                      },
+                      config)
+            .regret_stats());
+    EXPECT_LE(regret.mean - regret.half_width, core::theory::finite_regret_bound(beta));
   }
 }
 

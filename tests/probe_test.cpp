@@ -1,7 +1,7 @@
 // Tests for the probe API: the built-in regret/trajectory probes must
-// reproduce the pre-redesign estimate_*/collect_* numbers EXACTLY (golden
-// values captured from the fixed-reduction implementation before probes
-// existed), probes must merge deterministically across thread counts, the
+// reproduce the pre-redesign numbers EXACTLY (golden values captured from
+// the fixed-reduction implementation before probes existed), probes must
+// merge deterministically across thread counts, the
 // new probes must measure what they claim, and the probe spec grammar must
 // parse and reject correctly.
 
@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -35,48 +36,65 @@ probe_list run_probe(const engine_factory& engines, const env_factory& envs,
 // --- golden equivalence with the pre-redesign fixed reduction ---------------
 //
 // These constants were printed with %.17g by the seed implementation (the
-// hand-rolled reduction inside run_scenario, commit 9959ddf) and parse back
-// to the exact doubles it produced.  The probe-based runner must match them
-// bit for bit.
+// hand-rolled reduction of the original fixed-result runner, commit 9959ddf)
+// and parse back to the exact doubles it produced.  The probe-based runner
+// must match them bit for bit.
 
-TEST(probe_golden, finite_regret_estimate_matches_pre_redesign_numbers) {
+TEST(probe_golden, finite_regret_matches_pre_redesign_numbers) {
   run_config config;
   config.horizon = 60;
   config.replications = 24;
   config.seed = 123;
   config.threads = 3;
-  const regret_estimate est = estimate_finite_regret(
-      theorem_params(3, 0.65), 400, bernoulli_factory({0.8, 0.45, 0.4}), config);
+  const auto merged = run_probe(make_finite_engine_factory(theorem_params(3, 0.65), 400),
+                                bernoulli_factory({0.8, 0.45, 0.4}), config, regret_probe{});
+  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
+  const mean_ci regret = confidence_interval(est.regret_stats());
+  const mean_ci average_reward = confidence_interval(est.average_reward_stats());
+  const mean_ci best_mass = confidence_interval(est.best_mass_stats());
+  const mean_ci final_best_mass = confidence_interval(est.final_best_mass_stats());
 
-  EXPECT_EQ(est.regret.mean, 0.11268049156909628);
-  EXPECT_EQ(est.regret.half_width, 0.021475501421871532);
-  EXPECT_EQ(est.average_reward.mean, 0.68731950843090306);
-  EXPECT_EQ(est.average_reward.half_width, 0.021475501421871535);
-  EXPECT_EQ(est.best_mass.mean, 0.72277625267115508);
-  EXPECT_EQ(est.best_mass.half_width, 0.026129920786873245);
-  EXPECT_EQ(est.final_best_mass.mean, 0.74980178302420897);
-  EXPECT_EQ(est.final_best_mass.half_width, 0.057725300701185804);
-  EXPECT_EQ(est.empty_step_fraction, 0.0);
-  EXPECT_EQ(est.replications, 24U);
+  EXPECT_EQ(regret.mean, 0.11268049156909628);
+  EXPECT_EQ(regret.half_width, 0.021475501421871532);
+  EXPECT_EQ(average_reward.mean, 0.68731950843090306);
+  EXPECT_EQ(average_reward.half_width, 0.021475501421871535);
+  EXPECT_EQ(best_mass.mean, 0.72277625267115508);
+  EXPECT_EQ(best_mass.half_width, 0.026129920786873245);
+  EXPECT_EQ(final_best_mass.mean, 0.74980178302420897);
+  EXPECT_EQ(final_best_mass.half_width, 0.057725300701185804);
+  EXPECT_EQ(est.empty_fraction_stats().mean(), 0.0);
+  EXPECT_EQ(est.regret_stats().count(), 24U);
+
+  // The machine-readable report carries the same numbers.
+  const probe_report report = est.report();
+  ASSERT_NE(report.find_scalar("regret"), nullptr);
+  EXPECT_EQ(report.find_scalar("regret")->value, regret.mean);
+  EXPECT_EQ(report.find_scalar("regret")->half_width, regret.half_width);
+  EXPECT_EQ(report.find_scalar("replications")->value, 24.0);
 }
 
-TEST(probe_golden, infinite_regret_estimate_matches_pre_redesign_numbers) {
+TEST(probe_golden, infinite_regret_matches_pre_redesign_numbers) {
   run_config config;
   config.horizon = 50;
   config.replications = 16;
   config.seed = 7;
   config.threads = 2;
-  const regret_estimate est = estimate_infinite_regret(
-      theorem_params(4, 0.62), bernoulli_factory({0.8, 0.4, 0.4, 0.4}), config);
+  const auto merged = run_probe(make_infinite_engine_factory(theorem_params(4, 0.62)),
+                                bernoulli_factory({0.8, 0.4, 0.4, 0.4}), config,
+                                regret_probe{});
+  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
+  const mean_ci regret = confidence_interval(est.regret_stats());
+  const mean_ci best_mass = confidence_interval(est.best_mass_stats());
+  const mean_ci final_best_mass = confidence_interval(est.final_best_mass_stats());
 
-  EXPECT_EQ(est.regret.mean, 0.11550083862632068);
-  EXPECT_EQ(est.regret.half_width, 0.028754513917564894);
-  EXPECT_EQ(est.average_reward.mean, 0.68449916137367917);
-  EXPECT_EQ(est.best_mass.mean, 0.69211775996976077);
-  EXPECT_EQ(est.best_mass.half_width, 0.04161534184372806);
-  EXPECT_EQ(est.final_best_mass.mean, 0.85030293216284636);
-  EXPECT_EQ(est.final_best_mass.half_width, 0.031665777695948506);
-  EXPECT_EQ(est.replications, 16U);
+  EXPECT_EQ(regret.mean, 0.11550083862632068);
+  EXPECT_EQ(regret.half_width, 0.028754513917564894);
+  EXPECT_EQ(est.average_reward_stats().mean(), 0.68449916137367917);
+  EXPECT_EQ(best_mass.mean, 0.69211775996976077);
+  EXPECT_EQ(best_mass.half_width, 0.04161534184372806);
+  EXPECT_EQ(final_best_mass.mean, 0.85030293216284636);
+  EXPECT_EQ(final_best_mass.half_width, 0.031665777695948506);
+  EXPECT_EQ(est.regret_stats().count(), 16U);
 }
 
 TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
@@ -85,16 +103,17 @@ TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
   config.replications = 10;
   config.seed = 31;
   config.threads = 4;
-  const trajectory_estimate curves = collect_finite_trajectory(
-      theorem_params(2, 0.62), 250, bernoulli_factory({0.85, 0.35}), config);
+  const auto merged = run_probe(make_finite_engine_factory(theorem_params(2, 0.62), 250),
+                                bernoulli_factory({0.85, 0.35}), config, trajectory_probe{});
+  const auto& curves = dynamic_cast<const trajectory_probe&>(*merged[0]);
 
-  EXPECT_EQ(curves.running_regret.mean(0), 0.24999999999999997);
-  EXPECT_EQ(curves.running_regret.mean(39), 0.083470043833588622);
-  EXPECT_EQ(curves.running_regret.ci(39).half_width, 0.041483229633138073);
-  EXPECT_EQ(curves.best_mass.mean(39), 0.91374372553448369);
-  EXPECT_EQ(curves.best_mass.ci(39).half_width, 0.03073259684297832);
-  EXPECT_EQ(curves.min_popularity.mean(39), 0.086256274465516244);
-  EXPECT_EQ(curves.best_mass.replications(), 10U);
+  EXPECT_EQ(curves.running_regret().mean(0), 0.24999999999999997);
+  EXPECT_EQ(curves.running_regret().mean(39), 0.083470043833588622);
+  EXPECT_EQ(curves.running_regret().ci(39).half_width, 0.041483229633138073);
+  EXPECT_EQ(curves.best_mass().mean(39), 0.91374372553448369);
+  EXPECT_EQ(curves.best_mass().ci(39).half_width, 0.03073259684297832);
+  EXPECT_EQ(curves.min_popularity().mean(39), 0.086256274465516244);
+  EXPECT_EQ(curves.best_mass().replications(), 10U);
 }
 
 TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
@@ -104,42 +123,20 @@ TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
   config.seed = 5;
   config.threads = 2;
   const scenario::scenario_spec spec = scenario::get_scenario("ring");
-  const run_result result = scenario::run(spec, config);
+  const std::vector<std::string> regret_only{"regret"};
+  const auto merged = scenario::run_probes(spec, config, regret_only);
+  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
 
   // Rebased once when the ring's v2 loop gave way to the net2 kernel, its
   // only sampler (DESIGN.md, "The one-time golden rebase").
-  EXPECT_EQ(result.scalars.regret.mean, 0.17430349505358628);
-  EXPECT_EQ(result.scalars.regret.half_width, 0.030232891832417865);
-  EXPECT_EQ(result.scalars.average_reward.mean, 0.6756965049464141);
-  EXPECT_EQ(result.scalars.best_mass.mean, 0.6912914124455832);
-  EXPECT_EQ(result.scalars.final_best_mass.mean, 0.6879232231031276);
+  EXPECT_EQ(est.regret_stats().mean(), 0.17430349505358628);
+  EXPECT_EQ(confidence_interval(est.regret_stats()).half_width, 0.030232891832417865);
+  EXPECT_EQ(est.average_reward_stats().mean(), 0.6756965049464141);
+  EXPECT_EQ(est.best_mass_stats().mean(), 0.6912914124455832);
+  EXPECT_EQ(est.final_best_mass_stats().mean(), 0.6879232231031276);
 }
 
-// --- probe-vs-wrapper equivalence -------------------------------------------
-
-TEST(probe, regret_probe_report_equals_estimate_wrapper) {
-  const dynamics_params params = theorem_params(3, 0.65);
-  const auto envs = bernoulli_factory({0.8, 0.45, 0.4});
-  run_config config;
-  config.horizon = 50;
-  config.replications = 12;
-  config.seed = 9;
-
-  const regret_estimate est = estimate_finite_regret(params, 200, envs, config);
-  const auto merged = run_probe(make_finite_engine_factory(params, 200), envs, config,
-                                regret_probe{});
-  const auto& probe = dynamic_cast<const regret_probe&>(*merged[0]);
-  const regret_estimate from_probe = to_regret_estimate(probe);
-  EXPECT_EQ(est.regret.mean, from_probe.regret.mean);
-  EXPECT_EQ(est.regret.half_width, from_probe.regret.half_width);
-  EXPECT_EQ(est.final_best_mass.mean, from_probe.final_best_mass.mean);
-
-  const probe_report report = probe.report();
-  ASSERT_NE(report.find_scalar("regret"), nullptr);
-  EXPECT_EQ(report.find_scalar("regret")->value, est.regret.mean);
-  EXPECT_EQ(report.find_scalar("regret")->half_width, est.regret.half_width);
-  EXPECT_EQ(report.find_scalar("replications")->value, 12.0);
-}
+// --- determinism -------------------------------------------------------------
 
 TEST(probe, reports_are_thread_count_independent) {
   const dynamics_params params = theorem_params(2, 0.65);

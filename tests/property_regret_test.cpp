@@ -7,12 +7,14 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
 #include "core/params.h"
+#include "core/probe.h"
 #include "core/theory.h"
 #include "env/reward_model.h"
 #include "support/rng.h"
@@ -23,6 +25,28 @@ namespace {
 
 env_factory bernoulli_factory(std::vector<double> etas) {
   return [etas] { return std::make_unique<env::bernoulli_rewards>(etas); };
+}
+
+/// The merged regret probe of one Monte-Carlo run.
+regret_probe run_regret(const engine_factory& engines, const env_factory& envs,
+                        const run_config& config) {
+  const regret_probe prototype;
+  const probe* probes[] = {&prototype};
+  return dynamic_cast<const regret_probe&>(*run_with_probes(engines, envs, config, probes)[0]);
+}
+
+/// 95% CI of the regret of the infinite dynamics (optionally from `start`).
+mean_ci infinite_regret(const dynamics_params& params, const env_factory& envs,
+                        const run_config& config, std::span<const double> start = {}) {
+  return confidence_interval(
+      run_regret(make_infinite_engine_factory(params, start), envs, config).regret_stats());
+}
+
+/// 95% CI of the regret of the exact aggregate finite dynamics.
+mean_ci finite_regret(const dynamics_params& params, std::uint64_t num_agents,
+                      const env_factory& envs, const run_config& config) {
+  return confidence_interval(
+      run_regret(make_finite_engine_factory(params, num_agents), envs, config).regret_stats());
 }
 
 struct sweep_point {
@@ -54,10 +78,9 @@ TEST_P(theorem_43_sweep, infinite_regret_below_3delta) {
   config.horizon = horizon;
   config.replications = 120;
   config.seed = 1234;
-  const regret_estimate est =
-      estimate_infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
-  EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
-      << "measured " << est.regret.mean << " vs bound " << bound;
+  const mean_ci regret = infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
+  EXPECT_LE(regret.mean - regret.half_width, bound)
+      << "measured " << regret.mean << " vs bound " << bound;
 }
 
 TEST_P(theorem_43_sweep, infinite_regret_still_bounded_at_4x_horizon) {
@@ -70,9 +93,8 @@ TEST_P(theorem_43_sweep, infinite_regret_still_bounded_at_4x_horizon) {
       std::ceil(4.0 * std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 60;
   config.seed = 4321;
-  const regret_estimate est =
-      estimate_infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
-  EXPECT_LE(est.regret.mean - est.regret.half_width, bound);
+  const mean_ci regret = infinite_regret(params, bernoulli_factory(sweep_etas(m)), config);
+  EXPECT_LE(regret.mean - regret.half_width, bound);
 }
 
 INSTANTIATE_TEST_SUITE_P(grid, theorem_43_sweep,
@@ -97,10 +119,10 @@ TEST_P(theorem_44_sweep, finite_regret_below_6delta) {
       std::ceil(std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 120;
   config.seed = 77;
-  const regret_estimate est = estimate_finite_regret(
-      params, 20000, bernoulli_factory(sweep_etas(m)), config);
-  EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
-      << "measured " << est.regret.mean << " vs bound " << bound;
+  const mean_ci regret =
+      finite_regret(params, 20000, bernoulli_factory(sweep_etas(m)), config);
+  EXPECT_LE(regret.mean - regret.half_width, bound)
+      << "measured " << regret.mean << " vs bound " << bound;
 }
 
 TEST_P(theorem_44_sweep, finite_regret_bounded_even_for_modest_population) {
@@ -114,9 +136,9 @@ TEST_P(theorem_44_sweep, finite_regret_bounded_even_for_modest_population) {
       std::ceil(std::max(theory::min_horizon(m, beta), 8.0)));
   config.replications = 120;
   config.seed = 78;
-  const regret_estimate est =
-      estimate_finite_regret(params, 1000, bernoulli_factory(sweep_etas(m)), config);
-  EXPECT_LE(est.regret.mean - est.regret.half_width, bound);
+  const mean_ci regret =
+      finite_regret(params, 1000, bernoulli_factory(sweep_etas(m)), config);
+  EXPECT_LE(regret.mean - regret.half_width, bound);
 }
 
 INSTANTIATE_TEST_SUITE_P(grid, theorem_44_sweep,
@@ -145,10 +167,12 @@ TEST_P(best_mass_sweep, time_average_best_mass_above_bound) {
       std::ceil(2.0 * std::max(theory::min_horizon(3, beta), 8.0)));
   config.replications = 100;
   config.seed = 99;
-  const regret_estimate est = estimate_infinite_regret(
-      params, bernoulli_factory({eta1, eta1 - gap, eta1 - gap}), config);
-  EXPECT_GE(est.best_mass.mean + est.best_mass.half_width, bound)
-      << "measured " << est.best_mass.mean << " vs bound " << bound;
+  const mean_ci best_mass = confidence_interval(
+      run_regret(make_infinite_engine_factory(params),
+                 bernoulli_factory({eta1, eta1 - gap, eta1 - gap}), config)
+          .best_mass_stats());
+  EXPECT_GE(best_mass.mean + best_mass.half_width, bound)
+      << "measured " << best_mass.mean << " vs bound " << bound;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,10 +203,10 @@ TEST_P(theorem_46_sweep, regret_bounded_from_hostile_zeta_floor_start) {
       std::ceil(std::max(theory::nonuniform_min_horizon(zeta, beta), 8.0)));
   config.replications = 100;
   config.seed = 111;
-  const regret_estimate est = estimate_infinite_regret(
-      params, bernoulli_factory(sweep_etas(m)), config, start);
-  EXPECT_LE(est.regret.mean - est.regret.half_width, bound)
-      << "measured " << est.regret.mean << " vs bound " << bound;
+  const mean_ci regret =
+      infinite_regret(params, bernoulli_factory(sweep_etas(m)), config, start);
+  EXPECT_LE(regret.mean - regret.half_width, bound)
+      << "measured " << regret.mean << " vs bound " << bound;
 }
 
 INSTANTIATE_TEST_SUITE_P(grid, theorem_46_sweep,
@@ -254,12 +278,12 @@ TEST(monotonicity, bigger_quality_gap_gives_more_best_mass) {
   config.horizon = 150;
   config.replications = 120;
   config.seed = 41;
-  const regret_estimate wide =
-      estimate_finite_regret(params, 5000, bernoulli_factory({0.9, 0.2}), config);
-  const regret_estimate narrow =
-      estimate_finite_regret(params, 5000, bernoulli_factory({0.9, 0.7}), config);
-  EXPECT_GT(wide.best_mass.mean,
-            narrow.best_mass.mean + narrow.best_mass.half_width);
+  const auto engines = make_finite_engine_factory(params, 5000);
+  const mean_ci wide = confidence_interval(
+      run_regret(engines, bernoulli_factory({0.9, 0.2}), config).best_mass_stats());
+  const mean_ci narrow = confidence_interval(
+      run_regret(engines, bernoulli_factory({0.9, 0.7}), config).best_mass_stats());
+  EXPECT_GT(wide.mean, narrow.mean + narrow.half_width);
 }
 
 TEST(monotonicity, smaller_beta_gives_smaller_regret_bound_and_regret) {
@@ -269,14 +293,12 @@ TEST(monotonicity, smaller_beta_gives_smaller_regret_bound_and_regret) {
   config.replications = 100;
   config.seed = 43;
   const auto factory = bernoulli_factory({0.85, 0.35});
-  const regret_estimate gentle =
-      estimate_infinite_regret(theorem_params(2, 0.55), factory, config);
-  const regret_estimate aggressive =
-      estimate_infinite_regret(theorem_params(2, 0.73), factory, config);
+  const mean_ci gentle = infinite_regret(theorem_params(2, 0.55), factory, config);
+  const mean_ci aggressive = infinite_regret(theorem_params(2, 0.73), factory, config);
   // Bounds are ordered by construction...
   EXPECT_LT(theory::infinite_regret_bound(0.55), theory::infinite_regret_bound(0.73));
   // ...and at long horizons the measured steady-state regret follows suit.
-  EXPECT_LT(gentle.regret.mean, aggressive.regret.mean + aggressive.regret.half_width);
+  EXPECT_LT(gentle.mean, aggressive.mean + aggressive.half_width);
 }
 
 }  // namespace

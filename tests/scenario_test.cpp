@@ -9,12 +9,20 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "core/probe.h"
 #include "scenario/registry.h"
 #include "support/rng.h"
 
 namespace sgl::scenario {
 namespace {
+
+/// The merged regret probe of a run of `spec`.
+core::regret_probe run_regret(const scenario_spec& spec, const core::run_config& config) {
+  const std::vector<std::string> regret_only{"regret"};
+  return dynamic_cast<const core::regret_probe&>(*run_probes(spec, config, regret_only)[0]);
+}
 
 TEST(registry, names_are_unique_and_lookup_works) {
   std::set<std::string> names;
@@ -36,10 +44,10 @@ TEST(registry, every_scenario_runs_end_to_end) {
   config.seed = 3;
   config.threads = 1;
   for (const auto& spec : all_scenarios()) {
-    const core::run_result result = run(spec, config);
-    EXPECT_EQ(result.scalars.replications, 2U) << spec.name;
-    EXPECT_GE(result.scalars.average_reward.mean, 0.0) << spec.name;
-    EXPECT_LE(result.scalars.average_reward.mean, 1.0) << spec.name;
+    const core::regret_probe result = run_regret(spec, config);
+    EXPECT_EQ(result.regret_stats().count(), 2U) << spec.name;
+    EXPECT_GE(result.average_reward_stats().mean(), 0.0) << spec.name;
+    EXPECT_LE(result.average_reward_stats().mean(), 1.0) << spec.name;
   }
 }
 
@@ -49,11 +57,11 @@ TEST(registry, runs_are_deterministic_given_the_seed) {
   config.horizon = 40;
   config.replications = 6;
   config.seed = 11;
-  const auto a = run(spec, config).scalars;
+  const core::regret_probe a = run_regret(spec, config);
   config.threads = 1;
-  const auto b = run(spec, config).scalars;
-  EXPECT_DOUBLE_EQ(a.regret.mean, b.regret.mean);
-  EXPECT_DOUBLE_EQ(a.final_best_mass.mean, b.final_best_mass.mean);
+  const core::regret_probe b = run_regret(spec, config);
+  EXPECT_DOUBLE_EQ(a.regret_stats().mean(), b.regret_stats().mean());
+  EXPECT_DOUBLE_EQ(a.final_best_mass_stats().mean(), b.final_best_mass_stats().mean());
 }
 
 TEST(scenario, auto_select_resolves_by_spec_shape) {

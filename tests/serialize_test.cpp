@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/probe.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 
@@ -27,6 +28,7 @@ TEST(serialize, round_trip_is_field_exact_over_the_whole_registry) {
 }
 
 TEST(serialize, round_trip_runs_bit_identically_over_the_whole_registry) {
+  const std::vector<std::string> regret_only{"regret"};
   for (const auto& spec : all_scenarios()) {
     core::run_config config;
     config.seed = 19;
@@ -38,17 +40,19 @@ TEST(serialize, round_trip_runs_bit_identically_over_the_whole_registry) {
     config.replications = large ? 1 : 2;
 
     const scenario_spec parsed = parse_scenario(serialize_scenario(spec));
-    const core::run_result original = run(spec, config);
-    const core::run_result reparsed = run(parsed, config);
-    EXPECT_EQ(original.scalars.regret.mean, reparsed.scalars.regret.mean) << spec.name;
-    EXPECT_EQ(original.scalars.regret.half_width, reparsed.scalars.regret.half_width)
+    const auto original_run = run_probes(spec, config, regret_only);
+    const auto reparsed_run = run_probes(parsed, config, regret_only);
+    const auto& original = dynamic_cast<const core::regret_probe&>(*original_run[0]);
+    const auto& reparsed = dynamic_cast<const core::regret_probe&>(*reparsed_run[0]);
+    EXPECT_EQ(original.regret_stats().mean(), reparsed.regret_stats().mean()) << spec.name;
+    EXPECT_EQ(confidence_interval(original.regret_stats()).half_width,
+              confidence_interval(reparsed.regret_stats()).half_width)
         << spec.name;
-    EXPECT_EQ(original.scalars.average_reward.mean, reparsed.scalars.average_reward.mean)
+    EXPECT_EQ(original.average_reward_stats().mean(), reparsed.average_reward_stats().mean())
         << spec.name;
-    EXPECT_EQ(original.scalars.best_mass.mean, reparsed.scalars.best_mass.mean)
+    EXPECT_EQ(original.best_mass_stats().mean(), reparsed.best_mass_stats().mean())
         << spec.name;
-    EXPECT_EQ(original.scalars.final_best_mass.mean,
-              reparsed.scalars.final_best_mass.mean)
+    EXPECT_EQ(original.final_best_mass_stats().mean(), reparsed.final_best_mass_stats().mean())
         << spec.name;
   }
 }
@@ -368,7 +372,7 @@ TEST(validate_spec, engine_flip_cannot_strand_protocol_keys) {
   core::run_config config;
   config.horizon = 5;
   config.replications = 1;
-  EXPECT_THROW((void)run(spec, config), std::invalid_argument);
+  EXPECT_THROW((void)run_probes(spec, config), std::invalid_argument);
 
   // Default protocol knobs on a non-protocol spec stay legal (every
   // non-protocol spec carries them).
@@ -390,7 +394,7 @@ TEST(validate_spec, names_both_sides_of_an_etas_mismatch) {
   core::run_config config;
   config.horizon = 5;
   config.replications = 1;
-  EXPECT_THROW((void)run(spec, config), std::invalid_argument);
+  EXPECT_THROW((void)run_probes(spec, config), std::invalid_argument);
 }
 
 TEST(validate_spec, drifting_checks_end_etas_too) {

@@ -93,7 +93,7 @@ TEST(spec_digest, inert_fields_do_not_change_the_digest) {
   const digest128 reference = spec_digest(base, config, {});
 
   // name/description are labels; engine_threads and the run_config's
-  // threads/reuse/collect_curves are scheduling choices — all proven
+  // threads/reuse are scheduling choices — all proven
   // bit-identical by the determinism suite, so none may split the cache.
   scenario::scenario_spec relabeled = base;
   relabeled.name = "some other name";
@@ -104,7 +104,6 @@ TEST(spec_digest, inert_fields_do_not_change_the_digest) {
   core::run_config reconfigured = config;
   reconfigured.threads = 13;
   reconfigured.reuse = false;
-  reconfigured.collect_curves = true;
   EXPECT_EQ(spec_digest(base, reconfigured, {}), reference);
 }
 

@@ -16,15 +16,9 @@
 //       the cartesian product is taken, last axis fastest).
 //   sociolearn_cli simulate  --engine finite|aggregate|infinite --m ... --beta ...
 //       runs one trajectory and writes a per-step CSV to stdout.
-//   sociolearn_cli regret    --m ... --beta ... --agents ... --horizon ... --reps ...
-//       Monte-Carlo regret estimate with confidence intervals.
-//   sociolearn_cli gossip    --nodes ... --rounds ... --drop ...
-//       runs the sensor-network protocol standalone and writes the
-//       per-round CSV.  Protocol runs under the full Monte-Carlo harness
-//       (replications, probes, sweeps) go through the `scenario`/`sweep`
-//       subcommands instead: the gossip_* registry scenarios run the
-//       netsim-backed protocol engine, configured by `protocol.*` keys
-//       (e.g. --sweep protocol.drop_probability=0:0.3:0.1).
+//   sociolearn_cli sweep     --name gossip_lossy_sweep --sweep protocol.drop_probability=0:0.3:0.1
+//       the gossip_* registry scenarios run the netsim-backed protocol
+//       engine, configured by `protocol.*` and `faults.*` keys.
 //   sociolearn_cli scenario  --name gossip_partition_heal --trace-out t.jsonl --check-trace
 //       records one replication's structured netsim trace and replays it
 //       against the protocol invariants (analysis/trace_check.h).
@@ -61,7 +55,6 @@
 #include "core/theory.h"
 #include "env/reward_model.h"
 #include "netsim/trace.h"
-#include "protocol/gossip_learner.h"
 #include "protocol/protocol_engine.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -146,18 +139,19 @@ scenario::scenario_spec read_scenario(const flag_set& flags) {
   return spec;
 }
 
-void print_estimate(const core::regret_estimate& est, double bound, output_format format) {
+void print_estimate(const core::regret_probe& probe, double bound, output_format format) {
+  const auto pm = [](const running_stats& stats) {
+    const mean_ci ci = confidence_interval(stats);
+    return fmt_pm(ci.mean, ci.half_width);
+  };
   text_table table{{"measure", "value"}};
-  table.add_row({"regret", fmt_pm(est.regret.mean, est.regret.half_width)});
-  table.add_row({"average reward",
-                 fmt_pm(est.average_reward.mean, est.average_reward.half_width)});
-  table.add_row({"avg best-option mass",
-                 fmt_pm(est.best_mass.mean, est.best_mass.half_width)});
-  table.add_row({"final best-option mass",
-                 fmt_pm(est.final_best_mass.mean, est.final_best_mass.half_width)});
-  table.add_row({"empty-step fraction", fmt(est.empty_step_fraction, 4)});
+  table.add_row({"regret", pm(probe.regret_stats())});
+  table.add_row({"average reward", pm(probe.average_reward_stats())});
+  table.add_row({"avg best-option mass", pm(probe.best_mass_stats())});
+  table.add_row({"final best-option mass", pm(probe.final_best_mass_stats())});
+  table.add_row({"empty-step fraction", fmt(probe.empty_fraction_stats().mean(), 4)});
   table.add_row({"bound", fmt(bound, 4)});
-  table.add_row({"replications", std::to_string(est.replications)});
+  table.add_row({"replications", std::to_string(probe.regret_stats().count())});
   emit_table(table, format);
 }
 
@@ -550,8 +544,8 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
   config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-  config.collect_curves = flags.get_bool("curves");
   config.reuse = !flags.get_bool("no-reuse");
+  const bool curves = flags.get_bool("curves");
 
   // Probe selection: --probes > the spec's probes > regret; --curves
   // additionally wants the trajectory probe.
@@ -559,7 +553,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
       core::split_probe_specs(flags.get_string("probes"));
   if (probe_specs.empty()) probe_specs = spec.probes;
   if (probe_specs.empty()) probe_specs = {"regret"};
-  if (config.collect_curves) {
+  if (curves) {
     bool have_trajectory = false;
     for (const std::string& p : probe_specs) {
       if (p.rfind("trajectory", 0) == 0) have_trajectory = true;
@@ -579,7 +573,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
   // Per-step curves for several grid points cannot be one flat CSV (no
   // column identifies the run); JSON carries them per document.
-  if (config.collect_curves && format == output_format::csv && grid.size() > 1) {
+  if (curves && format == output_format::csv && grid.size() > 1) {
     std::fprintf(stderr,
                  "--curves with a multi-point sweep needs --format json (one "
                  "document per run); flat CSV cannot label the runs\n");
@@ -619,7 +613,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
     // --curves keeps its historical output shape outside JSON: the per-step
     // CSV, for the table and csv formats alike.
-    if (config.collect_curves && format != output_format::json) {
+    if (curves && format != output_format::json) {
       if (sweeping) {
         std::printf("# run %zu/%zu:", run_index + 1, results.size());
         for (const auto& [key, value] : assignments) {
@@ -678,7 +672,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
           if (const auto* regret = dynamic_cast<const core::regret_probe*>(probe.get())) {
             // The 3δ vs 6δ bound follows the engine actually run, not N.
             print_estimate(
-                core::to_regret_estimate(*regret),
+                *regret,
                 scenario::resolved_engine(run_spec) == scenario::engine_kind::infinite
                     ? core::theory::infinite_regret_bound(run_spec.params.beta)
                     : core::theory::finite_regret_bound(run_spec.params.beta),
@@ -797,87 +791,6 @@ int cmd_simulate(int argc, const char* const* argv) {
     table->add_row(std::move(row));
   }
   if (table) emit_table(*table, format);
-  return 0;
-}
-
-int cmd_regret(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli regret", "Monte-Carlo regret estimate"};
-  add_model_flags(flags);
-  add_format_flag(flags, "table");
-  flags.add_int64("agents", 1000, "population size N (0 = infinite dynamics)");
-  flags.add_int64("horizon", 200, "steps T");
-  flags.add_int64("reps", 200, "replications");
-  flags.add_int64("threads", 0, "worker threads (0 = all)");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-
-  scenario::scenario_spec spec = read_scenario(flags);
-  spec.num_agents = static_cast<std::uint64_t>(flags.get_int64("agents"));
-
-  core::run_config config;
-  config.horizon = static_cast<std::uint64_t>(flags.get_int64("horizon"));
-  config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-
-  const core::run_result result = scenario::run(spec, config);
-  print_estimate(result.scalars,
-                 spec.num_agents == 0
-                     ? core::theory::infinite_regret_bound(spec.params.beta)
-                     : core::theory::finite_regret_bound(spec.params.beta),
-                 format);
-  return 0;
-}
-
-int cmd_gossip(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli gossip", "run the sensor-network protocol, CSV out"};
-  add_model_flags(flags);
-  add_format_flag(flags, "csv");
-  flags.add_int64("nodes", 100, "number of nodes");
-  flags.add_int64("rounds", 200, "protocol rounds");
-  flags.add_double("drop", 0.0, "packet loss probability");
-  flags.add_bool("sticky", false, "keep previous choice instead of sitting out");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-
-  protocol::gossip_params gossip;
-  gossip.dynamics = read_params(flags);
-  gossip.sticky = flags.get_bool("sticky");
-  protocol::signal_oracle oracle{
-      env::two_level_etas(static_cast<std::size_t>(flags.get_int64("m")),
-                          flags.get_double("eta-best"), flags.get_double("eta-rest")),
-      static_cast<std::uint64_t>(flags.get_int64("seed")) + 1};
-  protocol::gossip_run_config config;
-  config.num_nodes = static_cast<std::size_t>(flags.get_int64("nodes"));
-  config.rounds = static_cast<std::uint64_t>(flags.get_int64("rounds"));
-  config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  config.links.drop_probability = flags.get_double("drop");
-
-  const protocol::gossip_run_result result =
-      protocol::run_gossip_experiment(gossip, oracle, config);
-  if (format == output_format::csv) {
-    // Default path streams: a long protocol run should not be buffered as
-    // row strings first.
-    std::printf("round,best_fraction,committed_fraction\n");
-    for (std::size_t t = 0; t < result.best_fraction.size(); ++t) {
-      std::printf("%zu,%.6f,%.6f\n", t + 1, result.best_fraction[t],
-                  result.committed_fraction[t]);
-    }
-  } else {
-    text_table table{{"round", "best_fraction", "committed_fraction"}};
-    for (std::size_t t = 0; t < result.best_fraction.size(); ++t) {
-      table.add_row({std::to_string(t + 1), fmt(result.best_fraction[t], 6),
-                     fmt(result.committed_fraction[t], 6)});
-    }
-    emit_table(table, format);
-  }
-  std::fprintf(stderr, "messages=%llu dropped=%llu bytes=%llu avg_regret=%.4f\n",
-               static_cast<unsigned long long>(result.net.messages_sent),
-               static_cast<unsigned long long>(result.net.messages_dropped),
-               static_cast<unsigned long long>(result.net.bytes_sent()),
-               result.average_regret);
   return 0;
 }
 
@@ -1184,10 +1097,6 @@ void print_usage() {
       "  scenario   run a scenario (--name or --file, --set overrides, --probes)\n"
       "  sweep      same as scenario, one run per --sweep grid point\n"
       "  simulate   run one trajectory (finite/aggregate/infinite), CSV to stdout\n"
-      "  regret     Monte-Carlo regret estimate with confidence intervals\n"
-      "  gossip     run the gossip protocol standalone, per-round CSV (the\n"
-      "             gossip_* scenarios run it under the full harness with\n"
-      "             probes/sweeps via protocol.* keys)\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
       "             against the protocol invariants; exit 1 on violations\n"
       "  submit     submit a scenario/sweep to a running sociolearnd\n"
@@ -1220,8 +1129,6 @@ int main(int argc, char** argv) {
       return cmd_scenario(sub_argc, sub_argv, command == "sweep");
     }
     if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
-    if (command == "regret") return cmd_regret(sub_argc, sub_argv);
-    if (command == "gossip") return cmd_gossip(sub_argc, sub_argv);
     if (command == "check-trace") return cmd_check_trace(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
     if (command == "status" || command == "cancel") {
