@@ -1,12 +1,19 @@
 #pragma once
 
 /// \file bench_common.h
-/// Shared scaffolding for the experiment binaries (bench/e01..e18): a
-/// standard flag set, a header banner tying the binary to its paper claim,
-/// and small helpers.  Every binary accepts --reps/--seed/--threads/--quick
-/// and prints the table or series its experiment reproduces; where the
-/// paper states a bound, the table prints it next to the measurement,
-/// usually with a yes/NO verdict column.
+/// Shared scaffolding for the experiment binaries whose math is not one
+/// probe scalar against a bound: e04 (coupling), e05 (per-step
+/// concentration), e09/e10 (Hedge and bandit baselines), e11 (topology
+/// table), e12 (Markov environment), e13 (Ellison–Fudenberg direct model),
+/// e16 (mean field and proof audit), e17/e18 (time-series analysis).  The
+/// claims that are one scalar against a bound are data instead:
+/// claims/*.scn, run by `sociolearn_cli claims`.
+///
+/// The helpers: a standard flag set, a header banner tying the binary to
+/// its paper claim, and table output.  Every binary accepts
+/// --reps/--seed/--threads/--quick and prints the table or series its
+/// experiment reproduces; where the paper states a bound, the table prints
+/// it next to the measurement, usually with a yes/NO verdict column.
 
 #include <cstdint>
 #include <cstdio>

@@ -79,8 +79,9 @@ namespace sgl::core::theory {
 /// makes that inequality unsatisfiable for every N; the δ² version is the
 /// evident intent (it is what bounds the epoch-coupling slack 5^Tδ″ by δ).
 /// Evaluated in log-space; returns true when both hold.  These constants
-/// are wildly conservative — experiment E3 shows the 6δ bound holds at far
-/// smaller N, which is itself a finding worth reporting.
+/// are wildly conservative — claims/thm44_finite_regret.scn shows the 6δ
+/// bound holding at far smaller N, which is itself a finding worth
+/// reporting.
 [[nodiscard]] bool theorem44_population_condition(const dynamics_params& params,
                                                   double num_agents);
 

@@ -29,7 +29,7 @@ std::vector<scenario_spec> build_catalog() {
     catalog.push_back(std::move(spec));
   }
   {
-    // Theorem 4.3's setting (bench e01).
+    // Theorem 4.3's setting (claims/thm43_regret_m10.scn).
     auto spec = base("theorem-infinite",
                      "Theorem 4.3: infinite-population stochastic MWU, m=10, "
                      "beta=0.62, canonical two-level qualities 0.85/0.35");
@@ -40,7 +40,8 @@ std::vector<scenario_spec> build_catalog() {
     catalog.push_back(std::move(spec));
   }
   {
-    // Theorem 4.4's setting (bench e03); N is the natural override.
+    // Theorem 4.4's setting (claims/thm44_finite_regret.scn); N is the
+    // natural override.
     auto spec = base("theorem-finite",
                      "Theorem 4.4: finite population via the exact aggregate "
                      "engine, m=10, beta=0.62, N=1000, qualities 0.85/0.35");

@@ -663,8 +663,8 @@ std::string serialize_scenario(const scenario_spec& spec) {
   return out;
 }
 
-scenario_spec parse_scenario(std::string_view text) {
-  scenario_spec spec;
+std::vector<text_line> split_lines(std::string_view text) {
+  std::vector<text_line> lines;
   std::size_t line_number = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -701,10 +701,19 @@ scenario_spec parse_scenario(std::string_view text) {
                                   ": expected 'key = value', got '" + std::string{line} +
                                   "'"};
     }
+    lines.push_back({line_number, trim_ascii(line.substr(0, eq)),
+                     trim_ascii(line.substr(eq + 1))});
+  }
+  return lines;
+}
+
+scenario_spec parse_scenario(std::string_view text) {
+  scenario_spec spec;
+  for (const text_line& line : split_lines(text)) {
     try {
-      apply_override(spec, line.substr(0, eq), line.substr(eq + 1));
+      apply_override(spec, line.key, line.value);
     } catch (const std::invalid_argument& error) {
-      throw std::invalid_argument{"line " + std::to_string(line_number) + ": " +
+      throw std::invalid_argument{"line " + std::to_string(line.number) + ": " +
                                   error.what()};
     }
   }

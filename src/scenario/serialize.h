@@ -39,6 +39,18 @@ namespace sgl::scenario {
 /// Canonical text form: a `key = value` line per scenario_fields entry.
 [[nodiscard]] std::string serialize_scenario(const scenario_spec& spec);
 
+/// One non-blank line of the text form: its 1-based line number and the
+/// trimmed key and value around the first '=', trailing `#` comment removed.
+struct text_line {
+  std::size_t number = 0;
+  std::string_view key;
+  std::string_view value;
+};
+
+/// Splits the text form into its `key = value` lines (views into `text`).
+/// Throws std::invalid_argument with the line number on a line without '='.
+[[nodiscard]] std::vector<text_line> split_lines(std::string_view text);
+
 /// Parses the text form into a spec.  Keys may appear in any order and be
 /// any subset (unset fields keep their defaults); later lines win.  Throws
 /// std::invalid_argument with the 1-based line number on malformed lines,

@@ -152,6 +152,8 @@ bool flag_set::assign(entry& e, const std::string& text) {
   }
 }
 
+void flag_set::allow_positional(std::string help) { positional_help_ = std::move(help); }
+
 parse_status flag_set::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -160,6 +162,10 @@ parse_status flag_set::parse(int argc, const char* const* argv) {
       return parse_status::help;
     }
     if (!arg.starts_with("--")) {
+      if (!positional_help_.empty()) {
+        positional_.push_back(std::move(arg));
+        continue;
+      }
       std::fprintf(stderr, "%s: unexpected positional argument '%s'\n", program_name_.c_str(),
                    arg.c_str());
       return parse_status::error;
@@ -207,7 +213,9 @@ parse_status flag_set::parse(int argc, const char* const* argv) {
 }
 
 void flag_set::print_usage() const {
-  std::printf("%s — %s\n\nflags:\n", program_name_.c_str(), description_.c_str());
+  std::printf("%s — %s\n\n", program_name_.c_str(), description_.c_str());
+  if (!positional_help_.empty()) std::printf("arguments: %s\n\n", positional_help_.c_str());
+  std::printf("flags:\n");
   for (const auto& [name, e] : entries_) {
     std::printf("  --%-18s %-7s %s (default: %s)\n", name.c_str(), type_name(e.default_value),
                 e.help.c_str(), value_to_string(e.default_value).c_str());

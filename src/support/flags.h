@@ -3,8 +3,9 @@
 /// \file flags.h
 /// A small command-line flag parser for the bench and example binaries.
 /// Supports `--name value`, `--name=value`, bare boolean `--name`,
-/// repeatable list flags, and `--help`.  Unknown flags are an error (with a
-/// nearest-name suggestion) so typos never silently fall back to defaults.
+/// repeatable list flags, opt-in positional arguments, and `--help`.
+/// Unknown flags are an error (with a nearest-name suggestion) so typos
+/// never silently fall back to defaults.
 
 #include <cstdint>
 #include <map>
@@ -35,6 +36,10 @@ class flag_set {
   /// A repeatable flag: every `--name value` occurrence appends to the list.
   void add_string_list(const std::string& name, const std::string& help);
 
+  /// Accepts bare (non-`--`) arguments, collected in order by positional();
+  /// without this call a positional argument is a parse error.
+  void allow_positional(std::string help);
+
   /// Parses argv.  Returns parse_status; on `error` / `help` the caller
   /// should exit.
   [[nodiscard]] parse_status parse(int argc, const char* const* argv);
@@ -44,6 +49,9 @@ class flag_set {
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& get_string_list(const std::string& name) const;
+  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
+    return positional_;
+  }
 
   /// The registered flag name closest to `name` by edit distance, or ""
   /// when nothing is close enough to be a plausible typo.
@@ -69,6 +77,8 @@ class flag_set {
   std::string program_name_;
   std::string description_;
   std::map<std::string, entry> entries_;
+  std::string positional_help_;  // empty: positional arguments are an error
+  std::vector<std::string> positional_;
 };
 
 }  // namespace sgl

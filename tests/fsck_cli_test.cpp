@@ -3,7 +3,8 @@
 // subcommand's exit codes — 2 for usage errors, 1 for findings (even when
 // repaired), 0 for a clean store.  The CLI half drives the real binary via
 // SGL_CLI_PATH (set by CMake when SGL_BUILD_TOOLS is on; skipped when the
-// tools are not built).
+// tools are not built), as do the usage checks on the run subcommands'
+// count flags at the end of the file.
 
 #include <gtest/gtest.h>
 
@@ -108,17 +109,28 @@ TEST_F(fsck_cli_test, quarantine_then_recompute_round_trip) {
 
 // --- the CLI subcommand ------------------------------------------------------
 
-/// Runs `sociolearn_cli fsck <args>` and returns its exit code, or nullopt
-/// when the binary is not available (tools not built).
-std::optional<int> run_fsck_cli(const std::string& args) {
+/// Runs `sociolearn_cli <args>` and returns its exit code, or nullopt when
+/// the binary is not available (tools not built).  With `error_text`, the
+/// command's stderr is captured into it.
+std::optional<int> run_cli(const std::string& args, std::string* error_text = nullptr) {
   const char* cli = std::getenv("SGL_CLI_PATH");
   if (cli == nullptr || *cli == '\0') return std::nullopt;
-  const std::string command =
-      std::string{cli} + " fsck " + args + " >/dev/null 2>&1";
+  const fs::path log = fs::temp_directory_path() /
+                       ("sgl-cli-stderr-" + std::to_string(::getpid()) + ".txt");
+  const std::string command = std::string{cli} + " " + args + " >/dev/null 2>" +
+                              (error_text != nullptr ? log.string() : "&1");
   const int status = std::system(command.c_str());
   if (status < 0) return std::nullopt;
+  if (error_text != nullptr) {
+    std::ifstream input{log};
+    error_text->assign(std::istreambuf_iterator<char>{input},
+                       std::istreambuf_iterator<char>{});
+    fs::remove(log);
+  }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+std::optional<int> run_fsck_cli(const std::string& args) { return run_cli("fsck " + args); }
 
 #define REQUIRE_CLI(result)                                              \
   if (!(result)) GTEST_SKIP() << "SGL_CLI_PATH not set (tools not built)"
@@ -164,6 +176,39 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
     store.put(test_digest(), payload);
   }
   EXPECT_EQ(*run_fsck_cli("--store " + store_dir().string()), 0);
+}
+
+// --- count flags of the run subcommands -------------------------------------
+
+/// A negative --reps/--horizon/--threads/--agents is a usage error (exit 2,
+/// the flag named) on every subcommand that takes it.  Cast to an unsigned
+/// count it used to wrap: an empty report, an endless run, or a bad_alloc.
+TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
+  struct usage_case {
+    std::string args;
+    std::string flag;
+  };
+  const usage_case cases[] = {
+      {"scenario --name mixed_baseline --reps -3", "--reps"},
+      {"scenario --name mixed_baseline --horizon -5", "--horizon"},
+      {"scenario --name mixed_baseline --threads -2", "--threads"},
+      {"scenario --name mixed_baseline --agents -5", "--agents"},
+      {"sweep --name mixed_baseline --sweep params.beta=0.6,0.7 --reps -1", "--reps"},
+      {"sweep --name mixed_baseline --horizon -1", "--horizon"},
+      {"simulate --horizon -5", "--horizon"},
+      {"simulate --agents -5", "--agents"},
+      {"submit --socket /nonexistent.sock --reps -3", "--reps"},
+      {"submit --socket /nonexistent.sock --horizon -3", "--horizon"},
+  };
+  for (const usage_case& c : cases) {
+    std::string error_text;
+    const std::optional<int> code = run_cli(c.args, &error_text);
+    REQUIRE_CLI(code);
+    EXPECT_EQ(*code, 2) << c.args << "\n" << error_text;
+    EXPECT_NE(error_text.find(c.flag), std::string::npos) << c.args << "\n" << error_text;
+  }
+  // The sentinel stays: --agents -1 keeps the scenario's population.
+  EXPECT_EQ(*run_cli("scenario --name mixed_baseline --agents -1 --horizon 5 --reps 2"), 0);
 }
 
 }  // namespace

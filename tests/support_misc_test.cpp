@@ -154,6 +154,21 @@ TEST(flag_set, string_list_flags_accumulate) {
   EXPECT_EQ(flags.get_string_list("set"), expected);
 }
 
+TEST(flag_set, positional_arguments_are_opt_in) {
+  const char* argv[] = {"prog", "a.scn", "--threads", "-1", "b.scn", "-"};
+  flag_set strict{"prog", "test"};
+  strict.add_int64("threads", 0, "");
+  EXPECT_EQ(strict.parse(6, argv), parse_status::error);
+
+  flag_set flags{"prog", "test"};
+  flags.add_int64("threads", 0, "");
+  flags.allow_positional("FILE...");
+  ASSERT_EQ(flags.parse(6, argv), parse_status::ok);
+  const std::vector<std::string> expected{"a.scn", "b.scn", "-"};
+  EXPECT_EQ(flags.positional(), expected);
+  EXPECT_EQ(flags.get_int64("threads"), -1) << "a flag's value is never positional";
+}
+
 TEST(flag_set, string_list_defaults_empty) {
   flag_set flags{"prog", "test"};
   flags.add_string_list("set", "override");

@@ -24,6 +24,10 @@
 //       against the protocol invariants (analysis/trace_check.h).
 //   sociolearn_cli check-trace t.jsonl
 //       checks a previously saved trace; exit 1 on any violation.
+//   sociolearn_cli claims claims/*.scn
+//       runs the paper's claims (scenario files with run.*, point.N and
+//       expect.N lines, scenario/claims.h) and prints one verdict row per
+//       (point, expect); exit 1 when any row fails.
 //   sociolearn_cli submit --socket /tmp/sgl.sock --name ring --sweep params.beta=0.6,0.7
 //       submits a job to a running sociolearnd and streams its JSONL
 //       events (job_accepted, cache_hit, point_done, job_done) until the
@@ -41,6 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -56,6 +61,7 @@
 #include "env/reward_model.h"
 #include "netsim/trace.h"
 #include "protocol/protocol_engine.h"
+#include "scenario/claims.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
@@ -103,6 +109,21 @@ void emit_table(const text_table& table, output_format format) {
     case output_format::json: table.write_json(std::cout); break;
     case output_format::csv: table.write_csv(std::cout); break;
   }
+}
+
+/// Rejects a negative count flag with the flag named: cast to an unsigned
+/// count, -3 replications or a -5 horizon wraps into an empty or endless
+/// run.  Returns false (the caller exits 2) on the first negative one.
+bool counts_non_negative(const flag_set& flags, std::initializer_list<const char*> names,
+                         const char* command) {
+  for (const char* name : names) {
+    if (flags.get_int64(name) < 0) {
+      std::fprintf(stderr, "%s: --%s must be >= 0, got %lld\n", command, name,
+                   static_cast<long long>(flags.get_int64(name)));
+      return false;
+    }
+  }
+  return true;
 }
 
 // --- shared model flags -----------------------------------------------------
@@ -385,32 +406,20 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
 }
 
 int cmd_check_trace(int argc, const char* const* argv) {
-  // The trace file is positional (`check-trace trace.jsonl`); everything
-  // else goes through the flag parser.
-  std::string file;
-  std::vector<const char*> rest;
-  rest.push_back(argc > 0 ? argv[0] : "check-trace");
-  for (int i = 1; i < argc; ++i) {
-    if (file.empty() && argv[i][0] != '-') {
-      file = argv[i];
-      continue;
-    }
-    rest.push_back(argv[i]);
-  }
   flag_set flags{"sociolearn_cli check-trace <file>",
                  "replay a recorded JSONL trace (scenario --trace-out) against "
                  "the protocol invariants; exit 1 on any violation"};
+  flags.allow_positional("FILE  the JSONL trace ('-' = stdin)");
   add_format_flag(flags, "table");
-  if (flags.parse(static_cast<int>(rest.size()), rest.data()) != parse_status::ok) {
-    return 2;
-  }
+  if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
-  if (file.empty()) {
-    std::fprintf(stderr, "check-trace: no trace file given "
+  if (flags.positional().size() != 1) {
+    std::fprintf(stderr, "check-trace: expected one trace file "
                          "(usage: sociolearn_cli check-trace trace.jsonl)\n");
     return 2;
   }
+  const std::string& file = flags.positional().front();
 
   analysis::parsed_trace trace;
   if (file == "-") {
@@ -465,6 +474,15 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
+  const char* command = sweep_command ? "sweep" : "scenario";
+  if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, command)) return 2;
+  for (const char* name : {"agents", "engine-threads"}) {
+    if (flags.get_int64(name) < -1) {
+      std::fprintf(stderr, "%s: --%s must be >= 0 (or -1 to keep the scenario's), got %lld\n",
+                   command, name, static_cast<long long>(flags.get_int64(name)));
+      return 2;
+    }
+  }
 
   // Base spec, by documented precedence: file < registry < --set.  A
   // registry spec is a complete value, so when --name is given the file
@@ -730,6 +748,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
+  if (!counts_non_negative(flags, {"agents", "horizon"}, "simulate")) return 2;
   const auto horizon = static_cast<std::uint64_t>(flags.get_int64("horizon"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   const std::string engine_name = flags.get_string("engine");
@@ -926,6 +945,7 @@ int cmd_submit(int argc, const char* const* argv) {
     std::fprintf(stderr, "submit: --socket is required\n");
     return 2;
   }
+  if (!counts_non_negative(flags, {"horizon", "reps"}, "submit")) return 2;
   if (flags.get_int64("retries") < 0 || flags.get_int64("retry-base-ms") < 0 ||
       flags.get_int64("timeout") < 0) {
     std::fprintf(stderr, "submit: --retries, --retry-base-ms and --timeout must be >= 0\n");
@@ -1088,6 +1108,83 @@ int cmd_fsck(int argc, const char* const* argv) {
   return report.clean() ? 0 : 1;
 }
 
+// --- paper claims -----------------------------------------------------------
+
+/// `sociolearn_cli claims FILE...` — load every claim file first (a refused
+/// file runs nothing, exit 2), then run each and print one row per
+/// (point, expect).  Exit 1 when any row fails.
+int cmd_claims(int argc, const char* const* argv) {
+  flag_set flags{"sociolearn_cli claims",
+                 "check the paper's claims: run each claim file's points and "
+                 "compare every expect with its bound; exit 1 on any FAIL"};
+  flags.allow_positional("FILE...  claim files (see claims/ and DESIGN.md)");
+  flags.add_int64("threads", 0, "worker threads (0 = all cores); verdicts do not depend on it");
+  add_format_flag(flags, "table");
+  if (flags.parse(argc, argv) != parse_status::ok) return 2;
+  output_format format = output_format::table;
+  if (!read_format(flags, format)) return 2;
+  if (!counts_non_negative(flags, {"threads"}, "claims")) return 2;
+  if (flags.positional().empty()) {
+    std::fprintf(stderr, "claims: no claim files (usage: sociolearn_cli claims claims/*.scn)\n");
+    return 2;
+  }
+  std::vector<scenario::claim_file> files;
+  try {
+    for (const std::string& path : flags.positional()) {
+      files.push_back(scenario::load_claims(path));
+    }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "claims: %s\n", error.what());
+    return 2;
+  }
+
+  const auto threads = static_cast<unsigned>(flags.get_int64("threads"));
+  text_table table{{"claim", "point", "expect", "measured", "bound", "verdict"}};
+  json_writer json{std::cout};
+  if (format == output_format::json) json.begin_array();
+  std::size_t rows = 0;
+  std::size_t failed = 0;
+  for (const scenario::claim_file& file : files) {
+    for (const scenario::claim_row& row : scenario::run_claims(file, threads)) {
+      const scenario::claim_point& point = file.points[row.point];
+      const scenario::claim_expect& expect = file.expects[row.expect];
+      ++rows;
+      if (!row.pass) ++failed;
+      if (format != output_format::json) {
+        table.add_row({file.source, "point." + std::to_string(row.point),
+                       "expect." + std::to_string(row.expect) + ": " + expect.text,
+                       row.measured.has_ci
+                           ? fmt_pm(row.measured.value, row.measured.half_width)
+                           : fmt(row.measured.value, 4),
+                       fmt(row.bound, 4), row.pass ? "pass" : "FAIL"});
+        continue;
+      }
+      json.begin_object();
+      json.key("claim").value(file.source);
+      json.key("point").value(static_cast<std::uint64_t>(row.point));
+      json.key("point_line").value(static_cast<std::uint64_t>(point.line));
+      json.key("overrides").value(point.text);
+      json.key("expect").value(static_cast<std::uint64_t>(row.expect));
+      json.key("expect_line").value(static_cast<std::uint64_t>(expect.line));
+      json.key("check").value(expect.text);
+      json.key("value").value(row.measured.value);
+      if (row.measured.has_ci) json.key("half_width").value(row.measured.half_width);
+      json.key("bound").value(row.bound);
+      json.key("pass").value(row.pass);
+      json.end_object();
+    }
+  }
+  if (format == output_format::json) {
+    json.end_array();
+    std::cout << '\n';
+  } else {
+    emit_table(table, format);
+  }
+  std::fprintf(stderr, "claims: %zu rows from %zu files, %zu FAIL\n", rows, files.size(),
+               failed);
+  return failed == 0 ? 0 : 1;
+}
+
 void print_usage() {
   std::printf(
       "sociolearn_cli — drive the distributed learning dynamics from the shell\n\n"
@@ -1099,6 +1196,8 @@ void print_usage() {
       "  simulate   run one trajectory (finite/aggregate/infinite), CSV to stdout\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
       "             against the protocol invariants; exit 1 on violations\n"
+      "  claims     check the paper's claims (claims/*.scn): one verdict row\n"
+      "             per (point, expect); exit 1 when any row fails\n"
       "  submit     submit a scenario/sweep to a running sociolearnd\n"
       "             (--socket) and stream its JSONL events\n"
       "  status     query a sociolearnd job by id (--socket --job N)\n"
@@ -1130,6 +1229,7 @@ int main(int argc, char** argv) {
     }
     if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
     if (command == "check-trace") return cmd_check_trace(sub_argc, sub_argv);
+    if (command == "claims") return cmd_claims(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
     if (command == "status" || command == "cancel") {
       return cmd_job_op(command.c_str(), sub_argc, sub_argv);
