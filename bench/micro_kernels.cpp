@@ -58,6 +58,32 @@ void BM_binomial_sample(benchmark::State& state) {
 }
 BENCHMARK(BM_binomial_sample)->Arg(16)->Arg(1024)->Arg(1 << 20);
 
+void BM_binomial_table(benchmark::State& state) {
+  // p = 0.38 fixed, n uniform within ±arg 1 of arg 0.  Stage-2-like: ±8
+  // around 20 (inversion) or 800 (BTRS), nearly all table hits; ±10^5
+  // around 10^6 is the N = 10^6 case, nearly all misses.  arg 2 = 0 draws
+  // through sample_binomial, 1 through a binomial_table — the same values
+  // from the same stream.
+  const auto center = static_cast<std::uint64_t>(state.range(0));
+  const auto spread = static_cast<std::uint64_t>(state.range(1));
+  const bool cached = state.range(2) != 0;
+  rng n_gen{11};
+  std::vector<std::uint64_t> ns(4096);
+  for (auto& n : ns) n = center - spread + n_gen.next_below(2 * spread + 1);
+  rng gen{12};
+  binomial_table table{0.38};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t n = ns[i++ & 4095];
+    benchmark::DoNotOptimize(cached ? table.sample(gen, n) : sample_binomial(gen, n, 0.38));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_binomial_table)
+    ->Args({20, 8, 0})->Args({20, 8, 1})
+    ->Args({800, 8, 0})->Args({800, 8, 1})
+    ->Args({1000000, 100000, 0})->Args({1000000, 100000, 1});
+
 void BM_multinomial_sample(benchmark::State& state) {
   rng gen{3};
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -104,8 +130,9 @@ void BM_aggregate_step(benchmark::State& state) {
 BENCHMARK(BM_aggregate_step)->Arg(1000)->Arg(100000)->Arg(10000000);
 
 void BM_agent_based_step(benchmark::State& state) {
-  // Homogeneous + fully mixed: the batched multinomial/binomial path — O(m)
-  // sampling plus an O(N) fill of the per-agent choices.
+  // Homogeneous + fully mixed: the batched multinomial/binomial path, O(m)
+  // per step — the per-agent choices are written only when read, and
+  // nothing reads them here.
   const auto n = static_cast<std::size_t>(state.range(0));
   core::finite_dynamics dyn{make_params(10), n};
   rng gen{8};
@@ -115,7 +142,7 @@ void BM_agent_based_step(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     static_cast<std::int64_t>(n)));
 }
-BENCHMARK(BM_agent_based_step)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_agent_based_step)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_agent_based_step_heterogeneous(benchmark::State& state) {
   // Per-agent rules force the O(N) loop — the price of heterogeneity.

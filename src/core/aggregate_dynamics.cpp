@@ -8,9 +8,27 @@
 
 namespace sgl::core {
 
+std::uint64_t sample_mixed_counts(rng& gen, std::uint64_t agents,
+                                  std::span<const double> weights,
+                                  std::span<const std::uint8_t> rewards,
+                                  adoption_binomials& rule,
+                                  std::span<std::uint64_t> stage,
+                                  std::span<std::uint64_t> adopt) {
+  sample_multinomial(gen, agents, weights, stage);
+  std::uint64_t adopters = 0;
+  for (std::size_t j = 0; j < stage.size(); ++j) {
+    binomial_table& table = rewards[j] != 0 ? rule.beta : rule.alpha;
+    adopt[j] = table.sample(gen, stage[j]);
+    adopters += adopt[j];
+  }
+  return adopters;
+}
+
 aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
                                        std::uint64_t num_agents)
-    : params_{params}, num_agents_{num_agents} {
+    : params_{params},
+      num_agents_{num_agents},
+      binomials_{params.resolved_alpha(), params.beta} {
   params_.validate();
   if (num_agents_ == 0) throw std::invalid_argument{"aggregate_dynamics: no agents"};
   popularity_.assign(params_.num_options, 0.0);
@@ -56,22 +74,11 @@ void aggregate_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
     throw std::invalid_argument{"aggregate_dynamics::step: reward width mismatch"};
   }
   const double mu = params_.mu;
-  const double alpha = params_.resolved_alpha();
-  const double beta = params_.beta;
-
-  // Stage 1: S ~ Multinomial(N, (1−μ)Q + μ/m).
   for (std::size_t j = 0; j < m; ++j) {
     stage_weights_[j] = (1.0 - mu) * popularity_[j] + mu / static_cast<double>(m);
   }
-  sample_multinomial(gen, num_agents_, stage_weights_, stage_counts_);
-
-  // Stage 2: D_j ~ Binomial(S_j, β^{R_j} α^{1−R_j}).
-  adopters_ = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double adopt_p = rewards[j] != 0 ? beta : alpha;
-    adopter_counts_[j] = sample_binomial(gen, stage_counts_[j], adopt_p);
-    adopters_ += adopter_counts_[j];
-  }
+  adopters_ = sample_mixed_counts(gen, num_agents_, stage_weights_, rewards, binomials_,
+                                  stage_counts_, adopter_counts_);
 
   if (adopters_ == 0) {
     const double uniform = 1.0 / static_cast<double>(m);

@@ -15,6 +15,12 @@
 /// experiment.  For heterogeneous rules or network sampling use
 /// finite_dynamics — for the homogeneous mixed case the two engines induce
 /// the *same* distribution over trajectories (tested).
+///
+/// The draw itself is sample_mixed_counts below, the one sampler of this
+/// law: aggregate_dynamics, finite_dynamics' batched step and every group
+/// of grouped_dynamics call it.  Its m stage-2 binomials come from two
+/// binomial_tables per rule (p = α and p = β never change), so a step
+/// re-uses the sampler set-up of earlier steps' stage counts.
 
 #include <cstdint>
 #include <span>
@@ -22,9 +28,28 @@
 
 #include "core/dynamics_engine.h"
 #include "core/params.h"
+#include "support/distributions.h"
 #include "support/rng.h"
 
 namespace sgl::core {
+
+/// The stage-2 samplers of one homogeneous adoption rule.
+struct adoption_binomials {
+  adoption_binomials(double alpha, double beta) noexcept : alpha{alpha}, beta{beta} {}
+  binomial_table alpha;  // Binomial(S_j, α): option j's signal was bad
+  binomial_table beta;   // Binomial(S_j, β): option j's signal was good
+};
+
+/// One fully mixed two-stage count draw (Propositions 4.1/4.2):
+/// `stage` ← S ~ Multinomial(agents, weights), then
+/// `adopt` ← D_j ~ Binomial(S_j, β^{R_j} α^{1−R_j}).  Returns Σ_j D_j.
+/// All spans have size m; weights as sample_multinomial takes them.
+std::uint64_t sample_mixed_counts(rng& gen, std::uint64_t agents,
+                                  std::span<const double> weights,
+                                  std::span<const std::uint8_t> rewards,
+                                  adoption_binomials& rule,
+                                  std::span<std::uint64_t> stage,
+                                  std::span<std::uint64_t> adopt);
 
 class aggregate_dynamics final : public dynamics_engine {
  public:
@@ -75,6 +100,7 @@ class aggregate_dynamics final : public dynamics_engine {
   std::vector<double> stage_weights_;
   std::vector<std::uint64_t> stage_counts_;
   std::vector<std::uint64_t> adopter_counts_;
+  adoption_binomials binomials_;
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;

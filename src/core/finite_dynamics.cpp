@@ -12,7 +12,7 @@
 namespace sgl::core {
 
 finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_agents)
-    : params_{params} {
+    : params_{params}, binomials_{params.resolved_alpha(), params.beta} {
   params_.validate();
   if (num_agents == 0) throw std::invalid_argument{"finite_dynamics: no agents"};
   choices_.assign(num_agents, -1);
@@ -49,6 +49,7 @@ void finite_dynamics::set_topology(const graph::graph* topology) {
   if (topology != nullptr && topology->num_vertices() != choices_.size()) {
     throw std::invalid_argument{"finite_dynamics::set_topology: vertex count != agents"};
   }
+  materialize_choices();  // the view below is built from them
   topology_ = topology;
   // The packed two-option view stores per-option counts in 16-bit halves,
   // so a vertex of degree >= 2^16 also takes the stateless rejection path.
@@ -86,6 +87,7 @@ void finite_dynamics::set_topology(const graph::graph* topology) {
 
 void finite_dynamics::reset() {
   std::fill(choices_.begin(), choices_.end(), -1);
+  choices_stale_ = false;
   std::fill(previous_choices_.begin(), previous_choices_.end(), -1);
   const double uniform = 1.0 / static_cast<double>(params_.num_options);
   std::fill(popularity_.begin(), popularity_.end(), uniform);
@@ -128,10 +130,13 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
     step_network(rewards, gen);
   } else if (rules_.empty()) {
     step_batched(rewards, gen);
-  } else if (params_.num_options <= 64) {
-    step_mixed_vec(rewards, gen);
   } else {
-    step_per_agent(rewards, gen);
+    choices_stale_ = false;  // both per-agent paths write every choice
+    if (params_.num_options <= 64) {
+      step_mixed_vec(rewards, gen);
+    } else {
+      step_per_agent(rewards, gen);
+    }
   }
   finish_step();
 }
@@ -139,37 +144,34 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
 void finite_dynamics::step_batched(std::span<const std::uint8_t> rewards, rng& gen) {
   // Homogeneous + fully mixed: conditioned on Q^t the agent-level randomness
   // factors exactly (Propositions 4.1/4.2) as
-  //   S ~ Multinomial(N, (1−μ)Q + μ/m),  D_j ~ Binomial(S_j, β^{R_j} α^{1−R_j}).
-  // The draws below mirror aggregate_dynamics::step word for word so the two
+  //   S ~ Multinomial(N, (1−μ)Q + μ/m),  D_j ~ Binomial(S_j, β^{R_j} α^{1−R_j}),
+  // drawn by the same function as aggregate_dynamics::step, so the two
   // engines consume a shared stream identically.
   const std::size_t m = params_.num_options;
   const double mu = params_.mu;
-  const double alpha = params_.resolved_alpha();
-  const double beta = params_.beta;
-
   for (std::size_t j = 0; j < m; ++j) {
     stage_weights_[j] = (1.0 - mu) * popularity_[j] + mu / static_cast<double>(m);
   }
-  sample_multinomial(gen, choices_.size(), stage_weights_, stage_counts_);
+  adopters_ = sample_mixed_counts(gen, choices_.size(), stage_weights_, rewards,
+                                  binomials_, stage_counts_, adopter_counts_);
+  choices_stale_ = true;
+}
 
-  adopters_ = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double adopt_p = rewards[j] != 0 ? beta : alpha;
-    adopter_counts_[j] = sample_binomial(gen, stage_counts_[j], adopt_p);
-    adopters_ += adopter_counts_[j];
-  }
-
-  // Materialize per-agent choices from the counts: agents are exchangeable
-  // under the homogeneous rule, so a block assignment realizes the same law
-  // for every count statistic (DESIGN.md §"Batched agent materialization").
+void finite_dynamics::materialize_choices() const noexcept {
+  if (!choices_stale_) return;
+  // Agents are exchangeable under the homogeneous rule, so a block
+  // assignment realizes the same law for every count statistic (DESIGN.md
+  // §"Batched agent materialization"): the first S_0 agents considered
+  // option 0, of which the first D_0 committed, and so on.
   auto* cursor = choices_.data();
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t j = 0; j < stage_counts_.size(); ++j) {
     const auto committed = static_cast<std::size_t>(adopter_counts_[j]);
     const auto considered = static_cast<std::size_t>(stage_counts_[j]);
     std::fill_n(cursor, committed, static_cast<std::int32_t>(j));
     std::fill_n(cursor + committed, considered - committed, -1);
     cursor += considered;
   }
+  choices_stale_ = false;
 }
 
 void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng& gen) {
@@ -262,6 +264,9 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   // choices_ is overwritten below.  The committed-neighbour view is
   // consistent with the swapped-in previous choices (maintained by delta
   // at the end of every network step, rebuilt on reset/set_topology).
+  // set_topology has written any batched choices already; the call keeps
+  // the swap from ever reading stale ones.
+  materialize_choices();
   previous_choices_.swap(choices_);
 
   // One word of the caller's stream seeds the step (DESIGN.md): the net2

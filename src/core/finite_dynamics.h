@@ -13,13 +13,15 @@
 ///
 /// In the homogeneous, fully mixed case the step factors exactly as in
 /// aggregate_dynamics (Propositions 4.1/4.2), and this engine takes the
-/// batched path: one multinomial for stage 1, m binomials for stage 2,
-/// agents materialized from the counts.  The batched path consumes the
-/// generator *identically* to aggregate_dynamics, so the two engines
-/// produce bit-identical popularity trajectories from the same stream
-/// (tested).  Heterogeneous rules without a topology take the O(N)
-/// per-agent step: the vectorized mixed kernel for m ≤ 64 (stream
-/// derivation v3, core/step_kernel.h), a scalar v2 loop above that.
+/// batched path: the same sample_mixed_counts draw — one multinomial for
+/// stage 1, m binomials for stage 2 — so the two engines consume a shared
+/// stream identically and produce bit-identical popularity trajectories
+/// (tested).  That step is O(m): it updates the counts only, and the
+/// per-agent choices are written from them the first time something reads
+/// them (choices(), set_topology, a network step).  Heterogeneous rules
+/// without a topology take the O(N) per-agent step: the vectorized mixed
+/// kernel for m ≤ 64 (stream derivation v3, core/step_kernel.h), a scalar
+/// v2 loop above that.
 ///
 /// Network mode has its own path: an **incremental committed-neighbour
 /// view** — per-vertex, per-option counts of committed neighbours, updated
@@ -46,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "core/aggregate_dynamics.h"  // sample_mixed_counts
 #include "core/dynamics_engine.h"
 #include "core/params.h"
 #include "graph/graph.h"
@@ -104,8 +107,15 @@ class finite_dynamics : public dynamics_engine {
     return popularity_;
   }
 
-  /// Current choice of each agent; -1 means sitting out.
-  [[nodiscard]] std::span<const std::int32_t> choices() const noexcept { return choices_; }
+  /// Current choice of each agent; -1 means sitting out.  After a batched
+  /// step the choices exist only as counts: the first read writes them
+  /// (O(N), DESIGN.md "Batched agent materialization").  So this const
+  /// accessor may write the engine's buffer — do not call it concurrently
+  /// with any other use of the same engine.
+  [[nodiscard]] std::span<const std::int32_t> choices() const noexcept {
+    if (choices_stale_) materialize_choices();
+    return choices_;
+  }
 
   /// D^t_j: number of agents committed to option j after the last step.
   [[nodiscard]] std::span<const std::uint64_t> adopter_counts() const noexcept final {
@@ -151,9 +161,13 @@ class finite_dynamics : public dynamics_engine {
   static constexpr std::size_t delta_bucket_shift = 14;
 
   /// O(m) step for the homogeneous, fully mixed case: the exact
-  /// multinomial/binomial factorization, same generator consumption as
-  /// aggregate_dynamics, agents filled in from the counts.
+  /// multinomial/binomial factorization (sample_mixed_counts, shared with
+  /// aggregate_dynamics).  Leaves choices_ stale.
   void step_batched(std::span<const std::uint8_t> rewards, rng& gen);
+
+  /// Writes choices_ from the last batched step's stage and adopter counts
+  /// in option-major blocks, and clears the stale mark.
+  void materialize_choices() const noexcept;
 
   /// O(N) per-agent loop (derivation v2): heterogeneous rules, fully mixed
   /// (no topology), m > 64 — beyond the mixed kernel's CDF ladder.
@@ -190,12 +204,16 @@ class finite_dynamics : public dynamics_engine {
   dynamics_params params_;
   const graph::graph* topology_ = nullptr;
   std::vector<adoption_rule> rules_;  // empty = homogeneous params_ rule
-  std::vector<std::int32_t> choices_;
+  // Written on demand after batched steps (materialize_choices), hence
+  // mutable: choices() is const.
+  mutable std::vector<std::int32_t> choices_;
+  mutable bool choices_stale_ = false;
   std::vector<std::int32_t> previous_choices_;  // network mode reads these
   std::vector<double> popularity_;
   std::vector<double> stage_weights_;  // batched path: (1−μ)Q + μ/m
   std::vector<std::uint64_t> adopter_counts_;
   std::vector<std::uint64_t> stage_counts_;
+  adoption_binomials binomials_;  // batched path: the stage-2 samplers
   // Network mode: neighbor_view_[v*m + j] = committed neighbours of v on
   // option j, always consistent with choices_; maintained by delta.  Empty
   // when the graph is above dense_degree_threshold (rejection mode).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "support/distributions.h"
-
 namespace sgl::core {
 
 grouped_dynamics::grouped_dynamics(const dynamics_params& params,
@@ -19,6 +17,7 @@ grouped_dynamics::grouped_dynamics(const dynamics_params& params,
       throw std::invalid_argument{"grouped_dynamics: need 0 <= alpha <= beta <= 1"};
     }
     num_agents_ += group.size;
+    binomials_.emplace_back(group.rule.alpha, group.rule.beta);
   }
   popularity_.assign(params_.num_options, 0.0);
   stage_weights_.assign(params_.num_options, 0.0);
@@ -60,17 +59,12 @@ void grouped_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
   std::fill(total_adopters_.begin(), total_adopters_.end(), 0);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     // Stage 1 restricted to this group's members (they sample the *global*
-    // popularity — heterogeneity only affects adoption).
-    sample_multinomial(gen, groups_[g].size, stage_weights_, stage_scratch_);
-    // Stage 2 with the group's rule.
-    for (std::size_t j = 0; j < m; ++j) {
-      const double adopt_p =
-          rewards[j] != 0 ? groups_[g].rule.beta : groups_[g].rule.alpha;
-      const std::uint64_t committed = sample_binomial(gen, stage_scratch_[j], adopt_p);
-      adopters_by_group_[g][j] = committed;
-      total_adopters_[j] += committed;
-      committed_ += committed;
-    }
+    // popularity — heterogeneity only affects adoption), stage 2 with the
+    // group's rule.
+    committed_ += sample_mixed_counts(gen, groups_[g].size, stage_weights_, rewards,
+                                      binomials_[g], stage_scratch_,
+                                      adopters_by_group_[g]);
+    for (std::size_t j = 0; j < m; ++j) total_adopters_[j] += adopters_by_group_[g][j];
   }
 
   if (committed_ == 0) {

@@ -15,12 +15,15 @@
 ///
 /// grouped_dynamics samples this directly: O(G·m) per step, independent of
 /// N — the heterogeneous analogue of aggregate_dynamics, distribution-equal
-/// to the agent-based engine with the same group assignment (tested).
+/// to the agent-based engine with the same group assignment (tested).  Each
+/// group's draw is aggregate_dynamics' sample_mixed_counts with the group's
+/// own pair of stage-2 binomial tables.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/aggregate_dynamics.h"  // sample_mixed_counts
 #include "core/dynamics_engine.h"
 #include "core/finite_dynamics.h"  // adoption_rule
 #include "core/params.h"
@@ -74,6 +77,7 @@ class grouped_dynamics final : public dynamics_engine {
  private:
   dynamics_params params_;
   std::vector<rule_group> groups_;
+  std::vector<adoption_binomials> binomials_;  // per group: its (α, β) tables
   std::uint64_t num_agents_ = 0;
   std::vector<double> popularity_;
   std::vector<double> stage_weights_;

@@ -20,51 +20,90 @@ namespace {
   return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / kp1_sq) / kp1_sq) / (k + 1.0);
 }
 
-/// Binomial(n, p) by sequential inversion; requires n * p = O(10) so the
-/// expected scan length (and the pmf ratio recurrence) stays well behaved.
-[[nodiscard]] std::uint64_t binomial_inversion(rng& gen, std::uint64_t n, double p) noexcept {
+/// Inversion set-up: the pmf recurrence and pmf(0), which is returned.
+/// Requires n * p = O(10) so the expected scan length (and the pmf ratio
+/// recurrence) stays well behaved.
+[[nodiscard, gnu::always_inline]] inline double inversion_prepare(
+    detail::inversion_setup& setup, std::uint64_t n, double p) noexcept {
   const double q = 1.0 - p;
-  const double s = p / q;
-  const double a = static_cast<double>(n + 1) * s;
-  double r = std::pow(q, static_cast<double>(n));  // pmf at 0
+  setup.s = p / q;
+  setup.a = static_cast<double>(n + 1) * setup.s;
+  setup.rungs = 1;
+  return std::pow(q, static_cast<double>(n));
+}
+
+/// Binomial(n, p) by sequential inversion over the pmf ladder: pmf[k] for
+/// k < setup.rungs is read, the rest is computed by the recurrence and
+/// kept while it fits in `pmf`.
+[[nodiscard, gnu::always_inline]] inline std::uint64_t inversion_draw(
+    rng& gen, std::uint64_t n, detail::inversion_setup& setup, std::span<double> pmf) noexcept {
+  double r = pmf[0];
   double u = gen.next_double();
   std::uint64_t k = 0;
   while (u > r && k < n) {
     u -= r;
     ++k;
-    r *= (a / static_cast<double>(k)) - s;
+    if (k < setup.rungs) {
+      r = pmf[k];
+      continue;
+    }
+    r *= (setup.a / static_cast<double>(k)) - setup.s;
+    if (k < pmf.size()) {
+      pmf[k] = r;
+      setup.rungs = static_cast<std::uint32_t>(k + 1);
+    }
   }
   return k;
 }
 
-/// Binomial(n, p) by Hormann's BTRS transformed rejection.
+/// Hormann's BTRS set-up: the constants of the acceptance fast path only.
 /// Preconditions: p <= 0.5 and n * p >= 10.
-[[nodiscard]] std::uint64_t binomial_btrs(rng& gen, std::uint64_t n, double p) noexcept {
+[[gnu::always_inline]] inline void btrs_prepare(detail::btrs_setup& setup, std::uint64_t n,
+                                                double p) noexcept {
   const double nd = static_cast<double>(n);
   const double q = 1.0 - p;
-  const double spq = std::sqrt(nd * p * q);
-  const double b = 1.15 + 2.53 * spq;
-  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
-  const double c = nd * p + 0.5;
-  const double v_r = 0.92 - 4.2 / b;
-  const double r = p / q;
-  const double alpha = (2.83 + 5.1 / b) * spq;
-  const double m = std::floor((nd + 1.0) * p);
+  setup.nd = nd;
+  setup.spq = std::sqrt(nd * p * q);
+  setup.b = 1.15 + 2.53 * setup.spq;
+  setup.a = -0.0873 + 0.0248 * setup.b + 0.01 * p;
+  setup.c = nd * p + 0.5;
+  setup.v_r = 0.92 - 4.2 / setup.b;
+  setup.tail_ready = false;
+}
 
+/// Binomial(n, p) by Hormann's BTRS transformed rejection.  The constants
+/// of the squeeze-failure test are computed on the first failure and kept
+/// in `setup`.
+[[nodiscard, gnu::always_inline]] inline std::uint64_t btrs_draw(
+    rng& gen, double p, detail::btrs_setup& setup) noexcept {
+  const double nd = setup.nd;
   for (;;) {
     const double u = gen.next_double() - 0.5;
     double v = gen.next_double();
     const double us = 0.5 - std::abs(u);
-    const double kd = std::floor((2.0 * a / us + b) * u + c);
+    const double kd = std::floor((2.0 * setup.a / us + setup.b) * u + setup.c);
     if (kd < 0.0 || kd > nd) continue;
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
+    if (us >= 0.07 && v <= setup.v_r) return static_cast<std::uint64_t>(kd);
 
-    v = std::log(v * alpha / (a / (us * us) + b));
+    if (!setup.tail_ready) {
+      const double q = 1.0 - p;
+      setup.r = p / q;
+      setup.alpha = (2.83 + 5.1 / setup.b) * setup.spq;
+      const double m = std::floor((nd + 1.0) * p);
+      setup.m = m;
+      setup.upper_m = (m + 0.5) * std::log((m + 1.0) / (setup.r * (nd - m + 1.0)));
+      setup.fc_m = stirling_correction(m);
+      setup.fc_nm = stirling_correction(nd - m);
+      setup.tail_ready = true;
+    }
+    const double m = setup.m;
+    const double r = setup.r;
+    v = std::log(v * setup.alpha / (setup.a / (us * us) + setup.b));
     const double upper =
-        (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
+        setup.upper_m +
         (nd + 1.0) * std::log((nd - m + 1.0) / (nd - kd + 1.0)) +
         (kd + 0.5) * std::log(r * (nd - kd + 1.0) / (kd + 1.0)) +
-        stirling_correction(m) + stirling_correction(nd - m) -
+        setup.fc_m + setup.fc_nm -
         stirling_correction(kd) - stirling_correction(nd - kd);
     if (v <= upper) return static_cast<std::uint64_t>(kd);
   }
@@ -100,8 +139,37 @@ std::uint64_t sample_binomial(rng& gen, std::uint64_t n, double p) noexcept {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
   if (p > 0.5) return n - sample_binomial(gen, n, 1.0 - p);
-  if (static_cast<double>(n) * p < 10.0) return binomial_inversion(gen, n, p);
-  return binomial_btrs(gen, n, p);
+  if (static_cast<double>(n) * p < 10.0) {
+    detail::inversion_setup setup;
+    double pmf0 = inversion_prepare(setup, n, p);
+    return inversion_draw(gen, n, setup, std::span<double>{&pmf0, 1});
+  }
+  detail::btrs_setup setup;
+  btrs_prepare(setup, n, p);
+  return btrs_draw(gen, p, setup);
+}
+
+binomial_table::binomial_table(double p) noexcept
+    : p_{p}, low_p_{p > 0.5 ? 1.0 - p : p}, folded_{p > 0.5} {}
+
+std::uint64_t binomial_table::sample(rng& gen, std::uint64_t n) {
+  // The same branches as sample_binomial, with p > 0.5 folded once.
+  if (n == 0 || p_ <= 0.0) return 0;
+  if (p_ >= 1.0) return n;
+  if (entries_.empty()) entries_.resize(slots);
+  entry& e = entries_[n & (slots - 1)];
+  if (e.n != n) {  // a fresh entry holds n = 0, which never gets here
+    e.n = n;
+    e.btrs = !(static_cast<double>(n) * low_p_ < 10.0);  // sample_binomial's test
+    if (e.btrs) {
+      btrs_prepare(e.btrs_setup, n, low_p_);
+    } else {
+      e.pmf[0] = inversion_prepare(e.inversion_setup, n, low_p_);
+    }
+  }
+  const std::uint64_t k = e.btrs ? btrs_draw(gen, low_p_, e.btrs_setup)
+                                 : inversion_draw(gen, n, e.inversion_setup, e.pmf);
+  return folded_ ? n - k : k;
 }
 
 double sample_gamma(rng& gen, double shape) noexcept {

@@ -10,6 +10,15 @@
 /// therefore has to be exact *and* O(1)-ish for n up to 10^7: we use
 /// inversion for small n·p and Hormann's BTRS transformed-rejection
 /// algorithm for the rest.
+///
+/// There is one implementation of each: a set-up function (the BTRS
+/// constants, or the inversion pmf recurrence) and a draw function.
+/// sample_binomial runs them once per call; binomial_table keeps the set-up
+/// per n for a fixed p, which is what the stage-2 draws need (p ∈ {α, β}
+/// never changes within an engine).  Both return the same value and consume
+/// the generator word for word the same — the floating-point expressions
+/// are the same source, built with -ffp-contract=off (CMakeLists.txt) so
+/// no build fuses them differently.
 
 #include <cstdint>
 #include <span>
@@ -36,6 +45,63 @@ namespace sgl {
 /// Binomial(n, p) draw, exact for all 0 <= p <= 1 and n >= 0.
 /// Uses inversion when n·min(p,1-p) < 10 and BTRS otherwise.
 [[nodiscard]] std::uint64_t sample_binomial(rng& gen, std::uint64_t n, double p) noexcept;
+
+namespace detail {
+
+/// BTRS set-up for one (n, p ≤ 0.5): the constants of the acceptance fast
+/// path, then those only a squeeze failure needs, filled on first need.
+struct btrs_setup {
+  double nd = 0.0, spq = 0.0, b = 0.0, a = 0.0, c = 0.0, v_r = 0.0;
+  bool tail_ready = false;
+  double r = 0.0, alpha = 0.0, m = 0.0, upper_m = 0.0, fc_m = 0.0, fc_nm = 0.0;
+};
+
+/// Inversion set-up for one (n, p ≤ 0.5): the pmf ratio recurrence
+/// pmf(k) = pmf(k−1)·(a/k − s), of which the first `rungs` values are kept.
+struct inversion_setup {
+  double s = 0.0, a = 0.0;
+  std::uint32_t rungs = 0;
+};
+
+}  // namespace detail
+
+/// Binomial(n, p) draws for one fixed p, with the per-n set-up cached.
+///
+/// sample(gen, n) returns exactly sample_binomial(gen, n, p) and consumes
+/// `gen` word for word the same.  The cache is direct-mapped on n (`slots`
+/// entries): a BTRS entry keeps its constants, an inversion entry its pmf
+/// ladder, extended only as far as a scan has reached.  A miss costs no
+/// more than a sample_binomial call, so widely spread n (N = 10^6 stage
+/// counts) lose nothing; the table is allocated on the first draw, so an
+/// engine that never samples pays nothing.
+class binomial_table {
+ public:
+  explicit binomial_table(double p) noexcept;
+
+  /// A Binomial(n, p) draw.  Precondition as sample_binomial's.
+  [[nodiscard]] std::uint64_t sample(rng& gen, std::uint64_t n);
+
+  /// Cache entries; n values `slots` apart share one.
+  static constexpr std::size_t slots = 64;
+
+ private:
+  /// Cached pmf values per inversion entry; a scan past them continues
+  /// the recurrence uncached.
+  static constexpr std::size_t ladder = 32;
+
+  struct entry {
+    std::uint64_t n = 0;  // the cached n; 0 = empty (n = 0 is never looked up)
+    bool btrs = false;    // n·min(p, 1 − p) >= 10, else inversion
+    detail::btrs_setup btrs_setup;
+    detail::inversion_setup inversion_setup;
+    double pmf[ladder] = {};
+  };
+
+  double p_;
+  double low_p_;  // min(p, 1 − p), exactly as sample_binomial folds it
+  bool folded_;   // p > 0.5: draw with 1 − p and return n − k
+  std::vector<entry> entries_;
+};
 
 /// Gamma(shape, 1) draw (Marsaglia–Tsang squeeze, with the standard boost
 /// for shape < 1).  Precondition: shape > 0.

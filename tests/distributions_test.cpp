@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
@@ -160,6 +162,114 @@ TEST(binomial_sampler, never_exceeds_n) {
   rng gen{10};
   for (int i = 0; i < 5000; ++i) {
     EXPECT_LE(sample_binomial(gen, 17, 0.9), 17U);
+  }
+}
+
+// --- binomial_table ---------------------------------------------------------------
+
+// The binomial sampler as it stood before the set-up/draw split: inversion
+// and BTRS each recomputing every constant per call.  Both production
+// entry points must still draw exactly this, word for word.
+namespace reference {
+
+double stirling_correction(double k) {
+  static constexpr double table[] = {
+      0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
+      0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
+      0.01189670994589177, 0.01041126526197209, 0.009255462182712733,
+      0.008330563433362871};
+  if (k < 10.0) return table[static_cast<int>(k)];
+  const double kp1_sq = (k + 1.0) * (k + 1.0);
+  return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / kp1_sq) / kp1_sq) / (k + 1.0);
+}
+
+std::uint64_t binomial(rng& gen, std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - binomial(gen, n, 1.0 - p);
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  if (nd * p < 10.0) {
+    const double s = p / q;
+    const double a = static_cast<double>(n + 1) * s;
+    double r = std::pow(q, nd);
+    double u = gen.next_double();
+    std::uint64_t k = 0;
+    while (u > r && k < n) {
+      u -= r;
+      ++k;
+      r *= (a / static_cast<double>(k)) - s;
+    }
+    return k;
+  }
+  const double spq = std::sqrt(nd * p * q);
+  const double b = 1.15 + 2.53 * spq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  const double r = p / q;
+  const double alpha = (2.83 + 5.1 / b) * spq;
+  const double m = std::floor((nd + 1.0) * p);
+  for (;;) {
+    const double u = gen.next_double() - 0.5;
+    double v = gen.next_double();
+    const double us = 0.5 - std::abs(u);
+    const double kd = std::floor((2.0 * a / us + b) * u + c);
+    if (kd < 0.0 || kd > nd) continue;
+    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
+    v = std::log(v * alpha / (a / (us * us) + b));
+    const double upper =
+        (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
+        (nd + 1.0) * std::log((nd - m + 1.0) / (nd - kd + 1.0)) +
+        (kd + 0.5) * std::log(r * (nd - kd + 1.0) / (kd + 1.0)) +
+        stirling_correction(m) + stirling_correction(nd - m) -
+        stirling_correction(kd) - stirling_correction(nd - kd);
+    if (v <= upper) return static_cast<std::uint64_t>(kd);
+  }
+}
+
+}  // namespace reference
+
+// The n of one fuzz draw: zero, the inversion/BTRS boundary n·min(p, 1−p)
+// just under and just over 10, log-uniform sizes up to 10^7, stage-2-like
+// repeats, and pairs `slots` apart that evict each other.
+std::uint64_t fuzz_n(rng& fuzz, double p, std::uint64_t& previous) {
+  const double low = std::min(p, 1.0 - p);
+  const auto boundary = low > 0.0 ? static_cast<std::uint64_t>(std::ceil(10.0 / low)) : 2;
+  switch (fuzz.next_below(6)) {
+    case 0:
+      return fuzz.next_below(4) == 0 ? 0 : 1 + fuzz.next_below(3);
+    case 1:
+      return boundary - 2 + fuzz.next_below(4);
+    case 2:
+      return static_cast<std::uint64_t>(std::exp(fuzz.next_double() * std::log(1e7)));
+    case 3:
+      return (fuzz.next_below(2) == 0 ? 20 : 800) + fuzz.next_below(17) - 8;
+    default:
+      // Alternate two n that are `slots` apart: both map to one entry.
+      previous ^= binomial_table::slots;
+      return previous;
+  }
+}
+
+TEST(binomial_table, draws_exactly_what_sample_binomial_draws) {
+  const double ps[] = {0.0, 1.0, 1e-9, 0.5, 0.5 + 1e-12, 0.38, 0.62, 0.03, 0.97};
+  for (std::size_t c = 0; c < std::size(ps); ++c) {
+    const double p = ps[c];
+    binomial_table table{p};
+    rng fuzz{100 + c};
+    rng by_table{200 + c};
+    rng by_call = by_table;
+    rng by_reference = by_table;
+    std::uint64_t previous = c % 2 == 0 ? 1000 : 30 + c;  // BTRS / inversion pairs
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t n = fuzz_n(fuzz, p, previous);
+      const std::uint64_t expected = reference::binomial(by_reference, n, p);
+      ASSERT_EQ(sample_binomial(by_call, n, p), expected) << "p=" << p << " n=" << n;
+      ASSERT_EQ(by_call, by_reference) << "p=" << p << " n=" << n;
+      ASSERT_EQ(table.sample(by_table, n), expected) << "p=" << p << " n=" << n;
+      ASSERT_EQ(by_table, by_reference) << "p=" << p << " n=" << n;
+    }
   }
 }
 

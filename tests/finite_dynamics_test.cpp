@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -168,6 +169,108 @@ TEST(finite_dynamics, reset_clears_everything) {
   EXPECT_EQ(dyn.steps(), 0U);
   EXPECT_EQ(dyn.adopters(), 0U);
   EXPECT_DOUBLE_EQ(dyn.popularity()[0], 0.5);
+  for (const std::int32_t c : dyn.choices()) EXPECT_EQ(c, -1);
+}
+
+// --- on-demand choices (batched path) -----------------------------------------------
+
+// The option-major block layout the batched step defines: the first S_0
+// agents considered option 0, of which the first D_0 committed, and so on.
+std::vector<std::int32_t> block_layout(const finite_dynamics& dyn) {
+  std::vector<std::int32_t> out;
+  const auto stage = dyn.stage_counts();
+  const auto adopt = dyn.adopter_counts();
+  for (std::size_t j = 0; j < stage.size(); ++j) {
+    out.insert(out.end(), adopt[j], static_cast<std::int32_t>(j));
+    out.insert(out.end(), stage[j] - adopt[j], -1);
+  }
+  return out;
+}
+
+std::vector<std::int32_t> copy_choices(const finite_dynamics& dyn) {
+  return {dyn.choices().begin(), dyn.choices().end()};
+}
+
+TEST(finite_dynamics, batched_choices_are_the_block_layout_of_the_counts) {
+  finite_dynamics read_every_step{make_params(4, 0.1, 0.65), 300};
+  finite_dynamics read_at_end{make_params(4, 0.1, 0.65), 300};
+  rng ga{31};
+  rng gb{31};
+  rng env_gen{32};
+  std::vector<std::uint8_t> r(4);
+  for (int t = 0; t < 40; ++t) {
+    for (auto& x : r) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
+    read_every_step.step(r, ga);
+    read_at_end.step(r, gb);
+    ASSERT_EQ(copy_choices(read_every_step), block_layout(read_every_step)) << "t=" << t;
+  }
+  // Reading the choices draws nothing and changes nothing.
+  EXPECT_EQ(ga, gb);
+  EXPECT_EQ(copy_choices(read_at_end), copy_choices(read_every_step));
+  EXPECT_EQ(copy_choices(read_at_end), block_layout(read_at_end));
+}
+
+TEST(finite_dynamics, set_topology_after_batched_steps_sees_the_counts) {
+  // Attaching a graph builds the committed-neighbour view from the choices,
+  // so they must be written first: the run must not depend on whether
+  // anything read them before set_topology.
+  const graph::graph g = graph::graph::ring(120);
+  finite_dynamics unread{make_params(3, 0.05, 0.7), 120};
+  finite_dynamics read{make_params(3, 0.05, 0.7), 120};
+  rng gu{33};
+  rng gr{33};
+  const std::vector<std::uint8_t> r{1, 0, 1};
+  for (int t = 0; t < 10; ++t) {
+    unread.step(r, gu);
+    read.step(r, gr);
+  }
+  const auto before = copy_choices(read);
+  EXPECT_EQ(before, block_layout(read));
+  unread.set_topology(&g);
+  read.set_topology(&g);
+  EXPECT_EQ(copy_choices(unread), before);
+  for (int t = 0; t < 10; ++t) {
+    unread.step(r, gu);
+    read.step(r, gr);
+    ASSERT_EQ(copy_choices(unread), copy_choices(read)) << "t=" << t;
+    ASSERT_EQ(unread.stage_counts()[0], read.stage_counts()[0]) << "t=" << t;
+  }
+  // Back to full mixing: the network step's choices stay readable.
+  unread.set_topology(nullptr);
+  EXPECT_EQ(copy_choices(unread), copy_choices(read));
+}
+
+TEST(finite_dynamics, set_agent_rules_mid_run_replaces_the_batched_choices) {
+  constexpr std::size_t n = 200;
+  // The first half never adopts, the second half always does — a pattern
+  // the block layout (adopters first) cannot produce.
+  std::vector<adoption_rule> rules(n, {1.0, 1.0});
+  std::fill(rules.begin(), rules.begin() + n / 2, adoption_rule{0.0, 0.0});
+  const std::vector<std::uint8_t> r{1, 0, 0};
+  for (const bool read_before_step : {false, true}) {
+    finite_dynamics dyn{make_params(3, 0.1, 0.6), n};
+    rng gen{34};
+    for (int t = 0; t < 5; ++t) dyn.step(r, gen);
+    dyn.set_agent_rules(rules);
+    // Until the next step the choices are still the last batched step's.
+    if (read_before_step) EXPECT_EQ(copy_choices(dyn), block_layout(dyn));
+    for (int t = 0; t < 3; ++t) {
+      dyn.step(r, gen);
+      ASSERT_EQ(dyn.adopters(), n / 2);
+      const auto choices = dyn.choices();
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(choices[i] >= 0, i >= n / 2) << "t=" << t << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(finite_dynamics, reset_after_unread_batched_steps_clears_choices) {
+  finite_dynamics dyn{make_params(2, 0.1, 0.7), 64};
+  rng gen{35};
+  for (int t = 0; t < 8; ++t) dyn.step(std::vector<std::uint8_t>{1, 0}, gen);
+  ASSERT_GT(dyn.adopters(), 0U);
+  dyn.reset();
   for (const std::int32_t c : dyn.choices()) EXPECT_EQ(c, -1);
 }
 
