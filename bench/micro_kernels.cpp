@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "algo/full_info.h"
 #include "core/aggregate_dynamics.h"
 #include "core/finite_dynamics.h"
 #include "core/grouped_dynamics.h"
@@ -373,15 +372,6 @@ void BM_kernel_mixed_generic(benchmark::State& state) {
   kernel_mixed_benchmark(state, core::kernel::mixed_step_generic);
 }
 BENCHMARK(BM_kernel_mixed_generic)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
-
-void BM_hedge_update(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  algo::hedge policy{m, 0.1};
-  rng gen{10};
-  const auto rewards = random_rewards(m, gen);
-  for (auto _ : state) policy.update(rewards);
-}
-BENCHMARK(BM_hedge_update)->Arg(10)->Arg(100);
 
 /// Minimal ping-pong node for event-loop throughput.
 class pong_node final : public netsim::node {

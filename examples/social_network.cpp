@@ -77,7 +77,8 @@ int main() {
   std::printf("\n(cells: share of the population on the best option)\n"
               "Dense mixing converges fastest; the bridged communities lag — the "
               "open problem of\nSection 6 is exactly to quantify this "
-              "topology-dependence.  Bench e11_topologies runs\nthe full sweep with "
-              "confidence intervals.\n");
+              "topology-dependence.  `sociolearn_cli claims\n"
+              "claims/sec6_topologies*.scn` checks the whole zoo with confidence "
+              "intervals.\n");
   return 0;
 }

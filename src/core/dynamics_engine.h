@@ -10,8 +10,8 @@
 /// fully mixed case.  The repo mirrors that: aggregate_dynamics,
 /// finite_dynamics, infinite_dynamics, and grouped_dynamics are all
 /// `dynamics_engine`s, and every harness (the Monte-Carlo runner in
-/// experiment.h, the scenario registry in scenario/, the CLI, and the bench
-/// drivers) drives them solely through this interface.
+/// experiment.h, the scenario registry in scenario/, the CLI, and the
+/// benchmarks) drives them solely through this interface.
 ///
 /// Contract (invariants tested in tests/dynamics_engine_test.cpp):
 ///   * popularity() is always a probability vector of size num_options()

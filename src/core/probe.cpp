@@ -4,8 +4,11 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
+#include "core/aggregate_dynamics.h"
+#include "core/theory.h"
 #include "support/text.h"  // trim_ascii / parse_full_double / closest_name
 
 namespace sgl::core {
@@ -568,7 +571,11 @@ double side_divergence(const partition_sample& sample) {
 
 }  // namespace
 
-partition_divergence_probe::partition_divergence_probe(double eps) : eps_{eps} {}
+partition_divergence_probe::partition_divergence_probe(double eps) : eps_{eps} {
+  if (!(eps > 0.0 && eps < 1.0)) {
+    throw std::invalid_argument{"partition_divergence: eps must be in (0,1)"};
+  }
+}
 
 std::unique_ptr<probe> partition_divergence_probe::clone() const {
   return std::make_unique<partition_divergence_probe>(eps_);
@@ -652,13 +659,208 @@ probe_report partition_divergence_probe::report() const {
   return out;
 }
 
+// --- concentration_probe ----------------------------------------------------
+
+std::unique_ptr<probe> concentration_probe::clone() const {
+  return std::make_unique<concentration_probe>();
+}
+
+void concentration_probe::begin_replication(std::uint64_t /*horizon*/) {
+  applies_ = false;
+  worst1_ = 0.0;
+  worst2_ = 0.0;
+  worst3_ = 0.0;
+}
+
+void concentration_probe::on_step(const probe_step_view& step) {
+  const auto* engine = dynamic_cast<const aggregate_dynamics*>(&step.engine);
+  if (engine == nullptr) return;
+  const dynamics_params& params = engine->params();
+  const double n = static_cast<double>(engine->num_agents());
+  if (step.t == 1) {
+    applies_ = params.mu > 0.0 && params.beta > 0.0 && params.beta < 1.0 && n >= 2.0;
+    if (!applies_) return;
+    const double dp = theory::delta_prime(params.num_options, params.mu, n);
+    const double ddp = theory::delta_double_prime(params.num_options, params.mu, params.beta, n);
+    radius1_ = 2.0 * dp;
+    radius2_ = 2.0 * ddp;
+    radius3_ = 6.0 * ddp;
+  }
+  if (!applies_) return;
+  const auto stage = engine->stage_counts();
+  const auto adopt = engine->adopter_counts();
+  const double m = static_cast<double>(params.num_options);
+  const double alpha = params.resolved_alpha();
+  for (std::size_t j = 0; j < stage.size(); ++j) {
+    const double expected = ((1.0 - params.mu) * step.popularity_before[j] + params.mu / m) * n;
+    const double s_j = static_cast<double>(stage[j]);
+    const double d_j = static_cast<double>(adopt[j]);
+    worst1_ = std::max(worst1_, std::abs(s_j / expected - 1.0) / radius1_);
+    const double g = step.rewards[j] != 0 ? params.beta : alpha;
+    if (g <= 0.0) continue;
+    if (stage[j] > 0) worst2_ = std::max(worst2_, std::abs(d_j / (s_j * g) - 1.0) / radius2_);
+    worst3_ = std::max(worst3_, std::abs(d_j / (expected * g) - 1.0) / radius3_);
+  }
+}
+
+void concentration_probe::end_replication(const dynamics_engine& /*engine*/,
+                                          const env::reward_model& /*environment*/,
+                                          std::uint64_t /*horizon*/) {
+  if (!applies_) return;
+  stage1_.add(worst1_);
+  stage2_.add(worst2_);
+  combined_.add(worst3_);
+}
+
+void concentration_probe::merge(const probe& other) {
+  const auto& o = dynamic_cast<const concentration_probe&>(other);
+  stage1_.merge(o.stage1_);
+  stage2_.merge(o.stage2_);
+  combined_.merge(o.combined_);
+}
+
+probe_report concentration_probe::report() const {
+  probe_report out;
+  out.probe = name();
+  out.scalars.push_back(plain_scalar("stage1", stage1_.max()));
+  out.scalars.push_back(plain_scalar("stage2", stage2_.max()));
+  out.scalars.push_back(plain_scalar("combined", combined_.max()));
+  out.scalars.push_back(plain_scalar("replications", static_cast<double>(stage1_.count())));
+  return out;
+}
+
+// --- coupling_probe ---------------------------------------------------------
+
+std::unique_ptr<probe> coupling_probe::clone() const {
+  return std::make_unique<coupling_probe>();
+}
+
+void coupling_probe::begin_replication(std::uint64_t /*horizon*/) {
+  shadow_.reset();
+  worst_ = 0.0;
+  within_ = 0;
+  steps_ = 0;
+}
+
+void coupling_probe::on_step(const probe_step_view& step) {
+  const auto* engine = dynamic_cast<const aggregate_dynamics*>(&step.engine);
+  if (engine == nullptr) return;
+  const dynamics_params& params = engine->params();
+  if (step.t == 1) {
+    shadow_ = std::make_unique<infinite_dynamics>(params);
+    shadow_->reset(step.popularity_before);
+    num_agents_ = static_cast<double>(engine->num_agents());
+  }
+  if (shadow_ == nullptr) return;
+  shadow_->step(step.rewards);  // the same reward realization: the coupling
+
+  const auto p = shadow_->distribution();
+  const auto q = step.engine.popularity();
+  double deviation = 0.0;
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double ratio = q[j] <= 0.0 || p[j] <= 0.0 ? std::numeric_limits<double>::infinity()
+                                                     : std::max(p[j] / q[j], q[j] / p[j]);
+    deviation = std::max(deviation, ratio - 1.0);
+  }
+  const bool in_regime = params.mu > 0.0 && params.beta > 0.0 && params.beta < 1.0 &&
+                         num_agents_ >= 2.0;
+  const double bound = in_regime ? theory::coupling_bound(step.t, params.num_options,
+                                                          params.mu, params.beta, num_agents_)
+                                 : std::numeric_limits<double>::infinity();
+  if (deviation <= bound) ++within_;
+  if (deviation > k_deviation_cap) {
+    ++capped_steps_;
+    deviation = k_deviation_cap;
+  }
+  worst_ = std::max(worst_, deviation);
+  ++steps_;
+
+  best_cache_.refresh(step);
+  sampling_.add(q[best_cache_.best] - p[best_cache_.best]);
+}
+
+void coupling_probe::end_replication(const dynamics_engine& /*engine*/,
+                                     const env::reward_model& /*environment*/,
+                                     std::uint64_t /*horizon*/) {
+  if (shadow_ == nullptr) return;
+  deviation_.add(worst_);
+  within_bound_.add(static_cast<double>(within_) / static_cast<double>(steps_));
+}
+
+void coupling_probe::merge(const probe& other) {
+  const auto& o = dynamic_cast<const coupling_probe&>(other);
+  deviation_.merge(o.deviation_);
+  within_bound_.merge(o.within_bound_);
+  sampling_.merge(o.sampling_);
+  capped_steps_ += o.capped_steps_;
+  num_agents_ = std::max(num_agents_, o.num_agents_);
+}
+
+probe_report coupling_probe::report() const {
+  probe_report out;
+  out.probe = name();
+  out.scalars.push_back(ci_scalar("deviation", deviation_));
+  out.scalars.push_back(plain_scalar("deviation_max", deviation_.max()));
+  out.scalars.push_back(plain_scalar("capped_steps", static_cast<double>(capped_steps_)));
+  out.scalars.push_back(ci_scalar("within_bound", within_bound_));
+  out.scalars.push_back(
+      plain_scalar("sampling_sd_sqrt_n", sampling_.stddev() * std::sqrt(num_agents_)));
+  out.scalars.push_back(
+      plain_scalar("replications", static_cast<double>(deviation_.count())));
+  return out;
+}
+
+// --- proof_audit_probe ------------------------------------------------------
+
+std::unique_ptr<probe> proof_audit_probe::clone() const {
+  return std::make_unique<proof_audit_probe>();
+}
+
+void proof_audit_probe::begin_replication(std::uint64_t /*horizon*/) { auditor_.reset(); }
+
+void proof_audit_probe::on_step(const probe_step_view& step) {
+  const auto* engine = dynamic_cast<const infinite_dynamics*>(&step.engine);
+  if (engine == nullptr) return;
+  if (step.t == 1) {
+    const auto start = step.popularity_before;
+    const bool uniform = std::all_of(start.begin(), start.end(),
+                                     [&](double p) { return p == start.front(); });
+    if (uniform && engine->params().satisfies_theorem_conditions()) {
+      auditor_ = std::make_unique<proof_auditor>(engine->params());
+    }
+  }
+  if (auditor_ != nullptr) {
+    auditor_->observe(step.popularity_before, step.rewards, engine->log_potential());
+  }
+}
+
+void proof_audit_probe::end_replication(const dynamics_engine& /*engine*/,
+                                        const env::reward_model& /*environment*/,
+                                        std::uint64_t /*horizon*/) {
+  if (auditor_ != nullptr) worst_slack_.add(auditor_->worst_slack());
+}
+
+void proof_audit_probe::merge(const probe& other) {
+  worst_slack_.merge(dynamic_cast<const proof_audit_probe&>(other).worst_slack_);
+}
+
+probe_report proof_audit_probe::report() const {
+  probe_report out;
+  out.probe = name();
+  out.scalars.push_back(plain_scalar("min_slack", worst_slack_.min()));
+  out.scalars.push_back(
+      plain_scalar("replications", static_cast<double>(worst_slack_.count())));
+  return out;
+}
+
 // --- probe spec grammar -----------------------------------------------------
 
 namespace {
 
-constexpr std::array<std::string_view, 10> k_probe_names{
+constexpr std::array<std::string_view, 13> k_probe_names{
     "regret",          "trajectory",      "hitting_time",
     "popularity_floor", "final_histogram", "recovery",
+    "concentration",   "coupling",        "proof_audit",
     "message_cost",    "commit_latency",  "adoption",
     "partition_divergence"};
 
@@ -742,6 +944,18 @@ std::unique_ptr<probe> make_probe(std::string_view spec) {
   if (name == "final_histogram") {
     no_args(trimmed, parsed);
     return std::make_unique<final_histogram_probe>();
+  }
+  if (name == "concentration") {
+    no_args(trimmed, parsed);
+    return std::make_unique<concentration_probe>();
+  }
+  if (name == "coupling") {
+    no_args(trimmed, parsed);
+    return std::make_unique<coupling_probe>();
+  }
+  if (name == "proof_audit") {
+    no_args(trimmed, parsed);
+    return std::make_unique<proof_audit_probe>();
   }
   if (name == "message_cost") {
     no_args(trimmed, parsed);

@@ -35,6 +35,17 @@
 ///   recovery(eps)     — steps from each best-option switch until
 ///                       Q^t_{best(t)} >= 1 - eps again (§6 "stocks").
 ///
+/// Analysis probes (each applies to one engine and reports zero
+/// replications for everything else; none takes an argument):
+///   concentration     — exact aggregate engine: the per-step stage and
+///                       adopter counts against Props 4.1–4.3's radii.
+///   coupling          — exact aggregate engine: Lemma 4.5's coupling with
+///                       a shadow infinite-population run on the same
+///                       rewards, and the 1/√N sampling noise it isolates.
+///   proof_audit       — infinite engine from the uniform start, inside the
+///                       theorem regime: the worst slack of §5's pathwise
+///                       potential and regret inequalities.
+///
 /// Protocol probes (meaningful for engines implementing
 /// core::net_instrumented — the netsim-backed gossip engine; they report
 /// zero replications for everything else):
@@ -57,7 +68,9 @@
 #include <vector>
 
 #include "core/dynamics_engine.h"
+#include "core/infinite_dynamics.h"
 #include "core/net_metrics.h"
+#include "core/proof_audit.h"
 #include "env/reward_model.h"
 #include "support/stats.h"
 
@@ -467,11 +480,114 @@ class partition_divergence_probe final : public probe {
   bool reconverged_ = false;
 };
 
+/// Propositions 4.1–4.3 (per-stage concentration), on the exact aggregate
+/// engine.  Conditioned on Q^{t−1}, each step's counts should satisfy
+///   |S_j / E[S_j] − 1|         <= 2δ′   (Prop 4.1),
+///   |D_j / (S_j g_j) − 1|      <= 2δ″   (Prop 4.2),
+///   |D_j / (E[S_j] g_j) − 1|   <= 6δ″   (Prop 4.3),
+/// with E[S_j | Q^{t−1}] = ((1−μ)Q^{t−1}_j + μ/m)·N and g_j = β^{R_j}α^{1−R_j}.
+/// Each deviation is the worst over options and steps of a replication,
+/// divided by its radius, so the claim reads `<= 1`; `stage1`, `stage2` and
+/// `combined` are the worst over replications.  Options with g_j = 0 (or
+/// S_j = 0, for stage 2) have no ratio and are skipped.  Outside μ > 0,
+/// 0 < β < 1, N >= 2 the radii are undefined and a replication is not
+/// counted.
+class concentration_probe final : public probe {
+ public:
+  [[nodiscard]] std::string name() const override { return "concentration"; }
+  [[nodiscard]] std::unique_ptr<probe> clone() const override;
+  void begin_replication(std::uint64_t horizon) override;
+  void on_step(const probe_step_view& step) override;
+  void end_replication(const dynamics_engine& engine,
+                       const env::reward_model& environment,
+                       std::uint64_t horizon) override;
+  void merge(const probe& other) override;
+  [[nodiscard]] probe_report report() const override;
+
+ private:
+  running_stats stage1_;  // per-replication worst, in units of 2δ′
+  running_stats stage2_;  // ... of 2δ″
+  running_stats combined_;  // ... of 6δ″
+  // per-replication accumulators
+  bool applies_ = false;
+  double radius1_ = 0.0;
+  double radius2_ = 0.0;
+  double radius3_ = 0.0;
+  double worst1_ = 0.0;
+  double worst2_ = 0.0;
+  double worst3_ = 0.0;
+};
+
+/// Lemma 4.5's coupling, on the exact aggregate engine: a shadow
+/// infinite_dynamics starts from step 1's Q^0 and steps on every step's
+/// rewards, so P^t and Q^t share the reward realization.  Reported:
+///   deviation / deviation_max — per replication the worst ratio deviation
+///       max_j max(P_j/Q_j, Q_j/P_j) − 1 over its steps, capped at 10 (a
+///       zero popularity makes the ratio infinite); `capped_steps` counts
+///       the steps that hit the cap;
+///   within_bound — the fraction of steps whose (uncapped) deviation is
+///       within the lemma's δ_t = 5^t δ″ (+inf outside μ > 0, 0 < β < 1,
+///       N >= 2);
+///   sampling_sd_sqrt_n — sd(Q^t_best − P^t_best)·√N over every step of
+///       every replication: the shared rewards cancel, leaving the sampling
+///       noise, whose 1/√N scale is what δ″ bounds.
+class coupling_probe final : public probe {
+ public:
+  static constexpr double k_deviation_cap = 10.0;
+
+  [[nodiscard]] std::string name() const override { return "coupling"; }
+  [[nodiscard]] std::unique_ptr<probe> clone() const override;
+  void begin_replication(std::uint64_t horizon) override;
+  void on_step(const probe_step_view& step) override;
+  void end_replication(const dynamics_engine& engine,
+                       const env::reward_model& environment,
+                       std::uint64_t horizon) override;
+  void merge(const probe& other) override;
+  [[nodiscard]] probe_report report() const override;
+
+ private:
+  running_stats deviation_;     // per-replication worst capped deviation
+  running_stats within_bound_;  // per-replication fraction of steps
+  running_stats sampling_;      // Q_best − P_best, every step
+  std::uint64_t capped_steps_ = 0;
+  double num_agents_ = 0.0;
+  // per-replication accumulators
+  std::unique_ptr<infinite_dynamics> shadow_;
+  best_option_cache best_cache_;
+  double worst_ = 0.0;
+  std::uint64_t within_ = 0;
+  std::uint64_t steps_ = 0;
+};
+
+/// §5's proof of Theorem 4.3, replayed pathwise by core::proof_auditor on
+/// the infinite engine: `min_slack` is the worst slack of the potential
+/// bounds and the combined regret inequality over every step of every
+/// replication (>= 0 means each inequality held on every path).  Applies
+/// only from the uniform start inside the theorem regime
+/// (dynamics_params::satisfies_theorem_conditions).
+class proof_audit_probe final : public probe {
+ public:
+  [[nodiscard]] std::string name() const override { return "proof_audit"; }
+  [[nodiscard]] std::unique_ptr<probe> clone() const override;
+  void begin_replication(std::uint64_t horizon) override;
+  void on_step(const probe_step_view& step) override;
+  void end_replication(const dynamics_engine& engine,
+                       const env::reward_model& environment,
+                       std::uint64_t horizon) override;
+  void merge(const probe& other) override;
+  [[nodiscard]] probe_report report() const override;
+
+ private:
+  running_stats worst_slack_;  // per-replication worst slack
+  std::unique_ptr<proof_auditor> auditor_;  // this replication's, when it applies
+};
+
 // --- probe spec grammar -----------------------------------------------------
 
 /// Builds a probe from a spec string: `name` or `name(key=value, ...)`.
 ///   regret | trajectory | final_histogram
 ///   hitting_time(eps=0.1) | recovery(eps=0.5) | popularity_floor(floor=0)
+///   concentration | coupling | proof_audit
 ///   message_cost | commit_latency | adoption | partition_divergence(eps=0.1)
 /// Throws std::invalid_argument on unknown names (listing the known ones,
 /// suggesting the nearest), unknown argument keys, or malformed values.

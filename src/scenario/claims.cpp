@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -198,6 +199,11 @@ claim_file parse_claims(std::string_view text, std::string source) {
         }
         claim_expect& expect = file.expects.emplace_back(parse_expect(unquote(line.value)));
         expect.line = line.number;
+        if (!std::isfinite(expect.value)) {
+          throw std::invalid_argument{"expect." + std::to_string(*index) + " '" + expect.text +
+                                      "': the bound must be a finite number (or k*delta "
+                                      "with a finite k)"};
+        }
       } else {
         apply_override(file.base, key, line.value);
       }

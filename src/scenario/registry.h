@@ -4,8 +4,8 @@
 /// The catalog of named scenarios.  Each entry is a complete scenario_spec
 /// keyed by a stable name; callers fetch a spec, override whatever fields
 /// their sweep varies (horizon, N, β, …), and hand it to scenario::run.
-/// The CLI lists and runs these by name; the bench drivers and examples
-/// start from them instead of hand-rolling setup.
+/// The CLI lists and runs these by name; the benchmarks and examples start
+/// from them instead of hand-rolling setup.
 
 #include <span>
 #include <string_view>

@@ -5,9 +5,9 @@
 /// topology, which parameters.  A scenario_spec is a value — buildable in
 /// code, overridable field by field — and the functions here turn it into
 /// the factories the generic Monte-Carlo runner (core/experiment.h)
-/// consumes.  The CLI, the bench drivers, and the examples all construct
-/// their runs through this layer instead of hand-rolling engine/environment
-/// setup; registry.h adds a catalog of named specs.
+/// consumes.  The CLI, the claim files, the benchmarks and the examples all
+/// construct their runs through this layer instead of hand-rolling
+/// engine/environment setup; registry.h adds a catalog of named specs.
 
 #include <cstdint>
 #include <memory>

@@ -154,32 +154,4 @@ mean_ci series_stats::ci(std::size_t i, double confidence) const {
   return confidence_interval(per_index_[i], confidence);
 }
 
-ols_fit fit_ols(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size() || x.size() < 2) {
-    throw std::invalid_argument{"fit_ols: need matching sizes >= 2"};
-  }
-  const double n = static_cast<double>(x.size());
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-  }
-  const double mx = sx / n;
-  const double my = sy / n;
-  double sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0) throw std::invalid_argument{"fit_ols: x is constant"};
-  ols_fit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r_squared = (syy <= 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-  return fit;
-}
-
 }  // namespace sgl

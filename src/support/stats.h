@@ -108,14 +108,4 @@ class series_stats {
   std::vector<running_stats> per_index_;
 };
 
-/// Ordinary least squares y = slope * x + intercept.
-struct ols_fit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r_squared = 0.0;
-};
-
-/// Fits OLS; requires x.size() == y.size() >= 2 and non-constant x.
-[[nodiscard]] ols_fit fit_ols(std::span<const double> x, std::span<const double> y);
-
 }  // namespace sgl

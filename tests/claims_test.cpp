@@ -150,6 +150,33 @@ TEST(claims_load, rejects_an_unknown_bound_name) {
   EXPECT_NE(message.find("unknown bound '3*epsilon'"), std::string::npos) << message;
 }
 
+// A non-finite bound is refused at load time: `<= inf` would pass every
+// row vacuously, and `<= nan` could only fail at run time.
+TEST(claims_load, rejects_an_infinite_bound) {
+  const std::string message =
+      rejection(replaced(k_tiny_claim, "regret.best_mass >= 0.5", "regret.regret <= inf"));
+  EXPECT_NE(message.find("claims/bad.scn:17: expect.1 'regret.regret <= inf': the bound "
+                         "must be a finite number"),
+            std::string::npos)
+      << message;
+}
+
+TEST(claims_load, rejects_an_infinite_delta_multiple) {
+  const std::string message = rejection(replaced(k_tiny_claim, "3*delta", "inf*delta"));
+  EXPECT_NE(message.find("claims/bad.scn:16: expect.0 'regret.regret <= inf*delta'"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("k*delta with a finite k"), std::string::npos) << message;
+}
+
+TEST(claims_load, rejects_a_nan_bound) {
+  const std::string message =
+      rejection(replaced(k_tiny_claim, "regret.best_mass >= 0.5", "regret.regret <= nan"));
+  EXPECT_NE(message.find("claims/bad.scn:17: expect.1 'regret.regret <= nan'"),
+            std::string::npos)
+      << message;
+}
+
 TEST(claims_load, rejects_a_theory_bound_on_a_point_outside_the_hypotheses) {
   // beta above e/(e+1).
   const std::string beta = rejection(replaced(k_tiny_claim, "beta=0.65", "beta=0.8"));
@@ -302,6 +329,11 @@ TEST_F(claims_cli_test, refused_file_runs_nothing_and_exits_2) {
   EXPECT_EQ(*code, 2) << out;
   EXPECT_NE(out.find("bad.scn:16: expect.0 on point.1"), std::string::npos) << out;
   EXPECT_EQ(out.find("rows from"), std::string::npos) << "no point may run: " << out;
+
+  const std::string inf = write("inf.scn", replaced(k_tiny_claim, "3*delta", "inf*delta"));
+  EXPECT_EQ(*run(inf, out), 2) << out;
+  EXPECT_NE(out.find("inf.scn:16: expect.0 'regret.regret <= inf*delta'"), std::string::npos)
+      << out;
 
   EXPECT_EQ(*run("", out), 2) << "no files";
   EXPECT_EQ(*run(tiny + " --reps 4", out), 2) << "claims takes only --threads/--format";

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "algo/full_info.h"
 #include "core/params.h"
 #include "support/rng.h"
 
@@ -106,18 +106,23 @@ TEST(infinite_dynamics, exploration_keeps_probability_floor) {
 
 TEST(infinite_dynamics, mu_zero_equals_hedge_with_rate_delta) {
   // With mu = 0 and alpha = 1-beta the update is P_j ∝ P_j e^{δ R_j}:
-  // exactly Hedge with learning rate δ.
+  // exactly Hedge with learning rate δ, whose distribution after any
+  // number of updates is the closed-form softmax P_j ∝ exp(δ·Σ_t R^t_j).
   const dynamics_params params = make_params(3, 0.0, 0.65);
   infinite_dynamics dyn{params};
-  algo::hedge reference{3, params.delta()};
+  std::vector<double> cumulative(3, 0.0);
   rng gen{2};
   std::vector<std::uint8_t> r(3);
   for (int t = 0; t < 200; ++t) {
     for (auto& x : r) x = gen.next_bernoulli(0.4) ? 1 : 0;
     dyn.step(r);
-    reference.update(r);
+    for (std::size_t j = 0; j < 3; ++j) cumulative[j] += r[j];
+    const double top = *std::max_element(cumulative.begin(), cumulative.end());
+    double norm = 0.0;
+    for (const double c : cumulative) norm += std::exp(params.delta() * (c - top));
     for (std::size_t j = 0; j < 3; ++j) {
-      ASSERT_NEAR(dyn.distribution()[j], reference.distribution()[j], 1e-9);
+      ASSERT_NEAR(dyn.distribution()[j],
+                  std::exp(params.delta() * (cumulative[j] - top)) / norm, 1e-9);
     }
   }
 }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/bandit.h"
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
 #include "core/finite_dynamics.h"
@@ -120,71 +119,6 @@ TEST(integration, ef_direct_and_reduced_models_agree) {
   EXPECT_GT(direct_mass.mean(), 0.55);
   EXPECT_GT(reduced_mass.mean(), 0.55);
   EXPECT_NEAR(direct_mass.mean(), reduced_mass.mean(), 0.06);
-}
-
-TEST(integration, group_learning_beats_population_of_random_bandits) {
-  // The group's per-step expected reward vs N independent uniform players.
-  const core::dynamics_params params = core::theorem_params(4, 0.62);
-  const std::vector<double> etas{0.85, 0.35, 0.35, 0.35};
-  core::run_config config;
-  config.horizon = 200;
-  config.replications = 60;
-  config.seed = 5;
-  const core::regret_probe group = finite_regret(
-      params, 2000, [&] { return std::make_unique<env::bernoulli_rewards>(etas); }, config);
-
-  // Uniform players earn mean(etas) per step forever.
-  double uniform_reward = 0.0;
-  for (const double eta : etas) uniform_reward += eta / 4.0;
-  EXPECT_GT(group.average_reward_stats().mean(), uniform_reward + 0.1);
-}
-
-TEST(integration, group_dynamics_competitive_with_individual_ucb_population) {
-  // A population of independent UCB1 learners (each on its own bandit) vs
-  // the social group on the same signals: over a short horizon the copying
-  // dynamics must reach a comparable average reward (the paper's pitch is
-  // that it does so with *no per-agent memory*).
-  const std::vector<double> etas{0.85, 0.35, 0.35, 0.35};
-  constexpr std::uint64_t horizon = 150;
-  constexpr int reps = 40;
-  constexpr std::size_t n = 200;
-
-  running_stats group_reward;
-  running_stats ucb_reward;
-  for (int rep = 0; rep < reps; ++rep) {
-    // Group.
-    const core::dynamics_params params = core::theorem_params(4, 0.62);
-    core::finite_dynamics group{params, n};
-    env::bernoulli_rewards environment{etas};
-    rng env_gen = rng::from_stream(6, static_cast<std::uint64_t>(2 * rep));
-    rng group_gen = rng::from_stream(6, static_cast<std::uint64_t>(2 * rep + 1));
-    std::vector<std::uint8_t> r(4);
-    double g_total = 0.0;
-    for (std::uint64_t t = 1; t <= horizon; ++t) {
-      const auto q = group.popularity();
-      environment.sample(t, env_gen, r);
-      for (std::size_t j = 0; j < 4; ++j) g_total += q[j] * r[j];
-      group.step(r, group_gen);
-    }
-    group_reward.add(g_total / static_cast<double>(horizon));
-
-    // Independent UCB1 players, same reward stream.
-    std::vector<algo::ucb1> players(n, algo::ucb1{4});
-    rng env_gen2 = rng::from_stream(6, static_cast<std::uint64_t>(2 * rep));
-    rng players_gen = rng::from_stream(7, static_cast<std::uint64_t>(rep));
-    double u_total = 0.0;
-    for (std::uint64_t t = 1; t <= horizon; ++t) {
-      environment.sample(t, env_gen2, r);
-      for (auto& player : players) {
-        const std::size_t arm = player.select(players_gen);
-        player.update(arm, r[arm]);
-        u_total += static_cast<double>(r[arm]) / static_cast<double>(n);
-      }
-    }
-    ucb_reward.add(u_total / static_cast<double>(horizon));
-  }
-  // Memoryless copying must land within 10% of the full-memory UCB fleet.
-  EXPECT_GT(group_reward.mean(), ucb_reward.mean() - 0.1);
 }
 
 TEST(integration, ablations_fail_where_the_paper_says_they_fail) {

@@ -2,20 +2,29 @@
 // reproduce the pre-redesign numbers EXACTLY (golden values captured from
 // the fixed-reduction implementation before probes existed), probes must
 // merge deterministically across thread counts, the
-// new probes must measure what they claim, and the probe spec grammar must
+// new probes must measure what they claim (the analysis probes by hand on
+// one step, and off their engine with zero replications; the coupling
+// probe's own suite is coupling_test), and the probe spec grammar must
 // parse and reject correctly.
 
 #include "core/probe.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
+#include "core/infinite_dynamics.h"
 #include "core/params.h"
+#include "core/theory.h"
 #include "env/reward_model.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -273,6 +282,137 @@ TEST(probe, deterministic_schedule_never_recovers_when_threshold_unreachable) {
   EXPECT_GT(probe.switches(), 0U);
 }
 
+// --- the analysis probes ----------------------------------------------------
+
+/// The report of `prototype` after one run.
+probe_report run_report(const engine_factory& engines, const env_factory& envs,
+                        const run_config& config, const probe& prototype) {
+  return run_probe(engines, envs, config, prototype)[0]->report();
+}
+
+double scalar(const probe_report& report, std::string_view key) {
+  const probe_scalar* found = report.find_scalar(key);
+  if (found == nullptr) throw std::logic_error{"no scalar " + std::string{key}};
+  return found->value;
+}
+
+/// Feeds `engine`'s next step, on `rewards`, to `target` as the runner would.
+void step_into(probe& target, dynamics_engine& engine, const env::reward_model& environment,
+               std::span<const std::uint8_t> rewards, std::uint64_t t, rng& gen) {
+  const std::vector<double> before(engine.popularity().begin(), engine.popularity().end());
+  engine.step(rewards, gen);
+  target.on_step({.t = t, .horizon = 1, .popularity_before = before, .rewards = rewards,
+                  .engine = engine, .environment = environment});
+}
+
+TEST(analysis_probes, report_zero_replications_off_their_engine_with_every_key) {
+  const dynamics_params params = theorem_params(2, 0.62);
+  run_config config;
+  config.horizon = 5;
+  config.replications = 3;
+  config.seed = 1;
+  const auto envs = bernoulli_factory({0.8, 0.4});
+  const probe_report concentration = run_report(make_infinite_engine_factory(params), envs,
+                                                config, concentration_probe{});
+  const probe_report coupling =
+      run_report(make_infinite_engine_factory(params), envs, config, coupling_probe{});
+  const probe_report audit =
+      run_report(make_finite_engine_factory(params, 1000), envs, config, proof_audit_probe{});
+  for (const auto& [report, keys] :
+       {std::pair{concentration, std::vector<std::string>{"stage1", "stage2", "combined"}},
+        std::pair{coupling,
+                  std::vector<std::string>{"deviation", "deviation_max", "capped_steps",
+                                           "within_bound", "sampling_sd_sqrt_n"}},
+        std::pair{audit, std::vector<std::string>{"min_slack"}}}) {
+    EXPECT_EQ(scalar(report, "replications"), 0.0) << report.probe;
+    for (const std::string& key : keys) {
+      EXPECT_NE(report.find_scalar(key), nullptr) << report.probe << "." << key;
+    }
+  }
+
+  // The proof audit also needs the uniform start and the theorem regime.
+  const std::vector<double> start{0.9, 0.1};
+  EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(params, start), envs, config,
+                              proof_audit_probe{}),
+                   "replications"),
+            0.0);
+  dynamics_params outside = params;
+  outside.beta = 0.8;  // above e/(e+1)
+  EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(outside), envs, config,
+                              proof_audit_probe{}),
+                   "replications"),
+            0.0);
+  EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(params), envs, config,
+                              proof_audit_probe{}),
+                   "replications"),
+            3.0);
+}
+
+TEST(analysis_probes, concentration_one_step_by_hand) {
+  const dynamics_params params = theorem_params(3, 0.62);
+  constexpr std::uint64_t n = 5000;
+  aggregate_dynamics engine{params, n};
+  const env::bernoulli_rewards environment{{0.8, 0.4, 0.4}};
+  const std::vector<std::uint8_t> rewards{1, 0, 1};
+  rng gen{7};
+  concentration_probe probe;
+  probe.begin_replication(1);
+  step_into(probe, engine, environment, rewards, 1, gen);
+  probe.end_replication(engine, environment, 1);
+
+  // From the uniform start E[S_j] = N/m; g_j = beta on a good signal,
+  // alpha = 1 - beta on a bad one.
+  const double expected = static_cast<double>(n) / 3.0;
+  const double dp = theory::delta_prime(3, params.mu, n);
+  const double ddp = theory::delta_double_prime(3, params.mu, params.beta, n);
+  double stage1 = 0.0;
+  double stage2 = 0.0;
+  double combined = 0.0;
+  for (std::size_t j = 0; j < 3; ++j) {
+    const double s = static_cast<double>(engine.stage_counts()[j]);
+    const double d = static_cast<double>(engine.adopter_counts()[j]);
+    const double g = rewards[j] != 0 ? 0.62 : 1.0 - 0.62;
+    stage1 = std::max(stage1, std::abs(s / expected - 1.0) / (2.0 * dp));
+    stage2 = std::max(stage2, std::abs(d / (s * g) - 1.0) / (2.0 * ddp));
+    combined = std::max(combined, std::abs(d / (expected * g) - 1.0) / (6.0 * ddp));
+  }
+  const probe_report report = probe.report();
+  EXPECT_NEAR(scalar(report, "stage1"), stage1, 1e-12);
+  EXPECT_NEAR(scalar(report, "stage2"), stage2, 1e-12);
+  EXPECT_NEAR(scalar(report, "combined"), combined, 1e-12);
+  EXPECT_EQ(scalar(report, "replications"), 1.0);
+  EXPECT_GT(stage1, 0.0);
+  EXPECT_LT(combined, 1.0);
+}
+
+TEST(analysis_probes, proof_audit_one_step_by_hand) {
+  constexpr double beta = 0.62;
+  const dynamics_params params = theorem_params(2, beta);
+  infinite_dynamics engine{params};
+  const env::bernoulli_rewards environment{{0.8, 0.4}};
+  const std::vector<std::uint8_t> rewards{1, 0};
+  rng gen{1};
+  proof_audit_probe probe;
+  probe.begin_replication(1);
+  step_into(probe, engine, environment, rewards, 1, gen);
+  probe.end_replication(engine, environment, 1);
+
+  // From W^0 = (1, 1) one step gives W^1 = (beta, 1 - beta): ln Phi^1 = 0.
+  // With <P^0, R^1> = 1/2 and R^1_1 = 1 the three slacks of §5 are:
+  const double mu = params.mu;
+  const double delta = params.delta();
+  const double delta_prime = (1.0 - mu) * std::expm1(delta) / (1.0 + mu * delta);
+  const double upper =
+      std::log(2.0) + std::log(1.0 - beta) + std::log1p(mu * std::expm1(delta)) +
+      delta_prime * 0.5;
+  const double lower = -(std::log(1.0 - beta) + std::log1p(-mu) + delta);
+  const double regret = std::log(2.0) + delta * delta + 6.0 * mu - delta * 0.5;
+  const probe_report report = probe.report();
+  EXPECT_NEAR(scalar(report, "min_slack"), std::min({upper, lower, regret}), 1e-12);
+  EXPECT_GT(scalar(report, "min_slack"), 0.0);
+  EXPECT_EQ(scalar(report, "replications"), 1.0);
+}
+
 // --- probes never consume the RNG stream ------------------------------------
 
 TEST(probe, adding_probes_does_not_change_results) {
@@ -334,6 +474,10 @@ TEST(probe_grammar, parses_names_and_arguments) {
   EXPECT_EQ(make_probe("recovery( eps = 0.3 )")->name(), "recovery");
   EXPECT_EQ(make_probe("popularity_floor(floor=0.001)")->name(), "popularity_floor");
 
+  EXPECT_EQ(make_probe("concentration")->name(), "concentration");
+  EXPECT_EQ(make_probe("coupling")->name(), "coupling");
+  EXPECT_EQ(make_probe("proof_audit")->name(), "proof_audit");
+
   const auto list = parse_probe_list("regret, hitting_time(eps=0.1), final_histogram");
   ASSERT_EQ(list.size(), 3U);
   EXPECT_EQ(list[0]->name(), "regret");
@@ -349,6 +493,23 @@ TEST(probe_grammar, rejects_bad_specs) {
   EXPECT_THROW((void)make_probe("hitting_time(eps=2.0)"), std::invalid_argument);
   EXPECT_THROW((void)make_probe("regret(eps=0.1)"), std::invalid_argument);
   EXPECT_THROW((void)parse_probe_list(""), std::invalid_argument);
+  for (const char* bad : {"concentration(eps=0.1)", "coupling(cap=5)", "proof_audit(x=1)"}) {
+    EXPECT_THROW((void)make_probe(bad), std::invalid_argument) << bad;
+  }
+
+  // partition_divergence's eps is checked like hitting_time's and recovery's.
+  for (const char* bad : {"partition_divergence(eps=nan)", "partition_divergence(eps=-3)",
+                          "partition_divergence(eps=0)", "partition_divergence(eps=1)"}) {
+    try {
+      (void)make_probe(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("partition_divergence: eps must be in (0,1)"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(make_probe("partition_divergence(eps=0.2)")->name(), "partition_divergence");
 
   // Typos suggest the nearest known probe.
   try {

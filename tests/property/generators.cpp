@@ -246,8 +246,11 @@ void fill_probes(prng& rng, scenario_spec& spec) {
       "recovery(eps=0.4)",
       "popularity_floor",
       "popularity_floor(floor=0.01)",
-      "message_cost",    // report zero replications off the protocol engine,
-      "commit_latency",  // which is itself part of the contract under test
+      "concentration",   // these six report zero replications off their
+      "coupling",        // engine (aggregate, aggregate, infinite; protocol
+      "proof_audit",     // for the last three), which is itself part of the
+      "message_cost",    // contract under test
+      "commit_latency",
       "adoption",
   };
   const std::size_t count = 1 + rng.below(3);

@@ -225,39 +225,5 @@ TEST(series_stats, rejects_mismatches) {
   EXPECT_THROW(series_stats{0}, std::invalid_argument);
 }
 
-// --- OLS ---------------------------------------------------------------------
-
-TEST(fit_ols, exact_line) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{5.0, 7.0, 9.0, 11.0};  // y = 2x + 3
-  const ols_fit fit = fit_ols(x, y);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-12);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-}
-
-TEST(fit_ols, noisy_line_recovers_slope) {
-  rng gen{4};
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 500; ++i) {
-    const double xv = static_cast<double>(i) / 100.0;
-    x.push_back(xv);
-    y.push_back(-1.5 * xv + 0.25 + 0.01 * (gen.next_double() - 0.5));
-  }
-  const ols_fit fit = fit_ols(x, y);
-  EXPECT_NEAR(fit.slope, -1.5, 0.01);
-  EXPECT_GT(fit.r_squared, 0.999);
-}
-
-TEST(fit_ols, rejects_degenerate_input) {
-  EXPECT_THROW(fit_ols(std::vector<double>{1.0}, std::vector<double>{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(fit_ols(std::vector<double>{1.0, 1.0}, std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-  EXPECT_THROW(fit_ols(std::vector<double>{1.0, 2.0}, std::vector<double>{1.0}),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sgl
