@@ -1,9 +1,9 @@
 // The protocol engine as a dynamics_engine: interface contract, the
 // reset()-reuse law, bit-identical replays (trajectories, net counters AND
-// the full netsim event-trace hash), schedule invariance through the
-// harness and the sweep scheduler, and the fault-injection edge cases that
-// must terminate with defined reports (total loss, all-crash, zero
-// retries, single-node populations).
+// the full netsim event-trace hash), absolute event-order goldens, schedule
+// invariance through the harness and the sweep scheduler, and the
+// fault-injection edge cases that must terminate with defined reports
+// (total loss, all-crash, zero retries, single-node populations).
 
 #include "protocol/protocol_engine.h"
 
@@ -187,6 +187,163 @@ TEST(protocol_engine, replay_is_bit_identical_including_event_trace) {
   protocol::protocol_engine c{config, 70};
   (void)drive(c, 60, 6);
   EXPECT_NE(a.simulation()->trace_hash(), c.simulation()->trace_hash());
+}
+
+// --- event-order goldens -----------------------------------------------------
+//
+// Replays compare runs against runs, so a queue that reordered events
+// self-consistently would pass them.  These values pin the absolute
+// (time, seq) dispatch order of each configuration: trace_hash() folds
+// every dispatched event, and the counters pin what the order implies.
+
+struct order_golden {
+  const char* name;
+  std::uint64_t trace_hash;
+  std::uint64_t messages_sent;
+  std::uint64_t messages_delivered;
+  std::uint64_t messages_dropped;
+  std::uint64_t timers_fired;
+};
+
+std::string describe(const netsim::simulation& sim) {
+  const netsim::network_stats& s = sim.stats();
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL, %llu, %llu, %llu, %llu",
+                static_cast<unsigned long long>(sim.trace_hash()),
+                static_cast<unsigned long long>(s.messages_sent),
+                static_cast<unsigned long long>(s.messages_delivered),
+                static_cast<unsigned long long>(s.messages_dropped),
+                static_cast<unsigned long long>(s.timers_fired));
+  return buf;
+}
+
+void expect_golden(const netsim::simulation& sim, const order_golden& golden) {
+  const netsim::network_stats& s = sim.stats();
+  EXPECT_EQ(sim.trace_hash(), golden.trace_hash) << golden.name << ": " << describe(sim);
+  EXPECT_EQ(s.messages_sent, golden.messages_sent) << golden.name;
+  EXPECT_EQ(s.messages_delivered, golden.messages_delivered) << golden.name;
+  EXPECT_EQ(s.messages_dropped, golden.messages_dropped) << golden.name;
+  EXPECT_EQ(s.timers_fired, golden.timers_fired) << golden.name;
+}
+
+protocol::engine_config bench_shape(double drop, double jitter) {
+  protocol::engine_config config;
+  config.dynamics = core::theorem_params(2, 0.65);
+  config.drop_probability = drop;
+  config.jitter_mean = jitter;
+  return config;
+}
+
+/// A node that pings its successor once per start and answers pings, so
+/// the queue drains between scripted faults.
+class pinger final : public netsim::node {
+ public:
+  void on_start(netsim::context& ctx) override {
+    netsim::message m;
+    m.kind = 1;
+    m.a = static_cast<std::int64_t>(ctx.self());
+    ctx.send(static_cast<netsim::node_id>((ctx.self() + 1) % ctx.num_nodes()), m);
+    ctx.set_timer(0.25, 3);
+  }
+  void on_message(netsim::context& ctx, const netsim::message& msg) override {
+    if (msg.kind != 1) return;
+    netsim::message reply;
+    reply.kind = 2;
+    reply.b = msg.a;
+    ctx.send(msg.src, reply);
+  }
+  void on_timer(netsim::context&, std::int32_t) override {}
+};
+
+TEST(protocol_engine, event_order_goldens) {
+  struct engine_case {
+    order_golden golden;
+    protocol::engine_config config;
+    std::size_t nodes;
+    std::shared_ptr<const graph::graph> topology;
+    std::uint64_t rounds;
+  };
+  std::vector<engine_case> cases;
+
+  // gossip_ring_300: C_300, m = 2, jitter 0.02.
+  cases.push_back({{"ring300", 0xf70152dd18559eb1ULL, 51362, 51263, 0, 12000},
+                   bench_shape(0.0, 0.02),
+                   300,
+                   std::make_shared<const graph::graph>(graph::graph::ring(300)),
+                   40});
+  // BM_protocol_round_mixed/1024: fully mixed, fixed latency, no jitter.
+  cases.push_back({{"mixed1024", 0xf83345c30d287f18ULL, 73421, 73316, 0, 20480}, bench_shape(0.0, 0.0), 1024, nullptr, 20});
+  // BM_protocol_round_lossy_jittery.
+  cases.push_back(
+      {{"lossy_jittery", 0x7cd557c0af4e361dULL, 45487, 31610, 13658, 20480}, bench_shape(0.3, 0.1), 1024, nullptr, 20});
+  // gossip_sync_ideal: zero latency, so pushes land at exactly now and
+  // ties resolve by seq.
+  protocol::engine_config sync = bench_shape(0.0, 0.0);
+  sync.base_latency = 0.0;
+  sync.lockstep = true;
+  sync.max_retries = 16;
+  cases.push_back({{"sync_ideal", 0x41c792a10fdccf86ULL, 54702, 54702, 0, 12000}, sync, 400, nullptr, 30});
+  // BM_protocol_round_nemesis/0: a partition window, a crash wave and a
+  // restart wave on the lossy, jittery fully mixed population.
+  protocol::engine_config nemesis = bench_shape(0.1, 0.05);
+  netsim::fault_action cut;
+  cut.which = netsim::fault_action::kind::partition;
+  cut.at = 10.0;
+  cut.until = 30.0;
+  for (netsim::node_id id = 0; id < 512; ++id) cut.targets.push_back(id);
+  nemesis.faults.actions.push_back(cut);
+  netsim::fault_action wave;
+  wave.which = netsim::fault_action::kind::crash_wave;
+  wave.at = 40.0;
+  wave.fraction = 0.2;
+  nemesis.faults.actions.push_back(wave);
+  netsim::fault_action back;
+  back.which = netsim::fault_action::kind::restart_wave;
+  back.at = 60.0;
+  nemesis.faults.actions.push_back(back);
+  cases.push_back({{"nemesis", 0x357278ca6f9c8b19ULL, 151543, 121317, 29989, 62640}, nemesis, 1024, nullptr, 65});
+
+  for (const engine_case& c : cases) {
+    protocol::protocol_engine engine{c.config, c.nodes, c.topology};
+    // The second pass runs on a reset engine: reuse must not move a thing.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) engine.reset();
+      (void)drive(engine, c.rounds, 2017);
+      ASSERT_NE(engine.simulation(), nullptr);
+      expect_golden(*engine.simulation(), c.golden);
+    }
+  }
+
+  // A scripted fault at t = 1e6 after the queue has sat empty through a
+  // long run_until gap; the restart re-pings, so traffic resumes there.
+  netsim::simulation sim{2017};
+  for (int i = 0; i < 5; ++i) sim.add_node(std::make_unique<pinger>());
+  netsim::link_model links;
+  links.base_latency = 0.1;
+  links.jitter_mean = 0.05;
+  sim.set_link_model(links);
+  netsim::fault_schedule schedule;
+  netsim::fault_action split;
+  split.which = netsim::fault_action::kind::partition;
+  split.at = 0.05;
+  split.until = 0.3;
+  split.targets = {0, 1};
+  schedule.actions.push_back(split);
+  netsim::fault_action crash;
+  crash.which = netsim::fault_action::kind::crash_wave;
+  crash.at = 1e6;
+  crash.targets = {2, 3};
+  schedule.actions.push_back(crash);
+  netsim::fault_action revive;
+  revive.which = netsim::fault_action::kind::restart_wave;
+  revive.at = 1e6 + 0.5;
+  schedule.actions.push_back(revive);
+  sim.set_fault_schedule(schedule);
+  sim.start();
+  sim.run_until(10.0);
+  sim.run_until(5e5);
+  sim.run_until(2e6);
+  expect_golden(sim, {"idle_gap_fault", 0xc151774bea5eb2bfULL, 12, 10, 2, 7});
 }
 
 TEST(protocol_engine, harness_results_invariant_to_threads_and_reuse) {
