@@ -72,6 +72,17 @@ void BM_protocol_round_torus(benchmark::State& state) {
 }
 BENCHMARK(BM_protocol_round_torus)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
+/// The service_mix protocol shape: exactly gossip_ring_300's engine
+/// config (C_300, m = 2, beta = 0.65, jitter 0.02, default latency).
+void BM_protocol_round_ring300(benchmark::State& state) {
+  const scenario::scenario_spec spec = scenario::get_scenario("gossip_ring_300");
+  protocol::engine_config config = bench_config(2, 0.0, spec.protocol.jitter_mean);
+  config.dynamics = spec.params;
+  auto ring = std::make_shared<const graph::graph>(graph::graph::ring(spec.num_agents));
+  protocol_rounds(state, config, spec.num_agents, std::move(ring));
+}
+BENCHMARK(BM_protocol_round_ring300)->Unit(benchmark::kMicrosecond);
+
 void BM_protocol_round_lossy_jittery(benchmark::State& state) {
   // Loss + jitter exercise the net RNG and the retry path.
   protocol_rounds(state, bench_config(2, 0.3, 0.1), 1024, nullptr);

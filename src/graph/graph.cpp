@@ -53,7 +53,7 @@ std::span<const graph::vertex> graph::neighbors(vertex v) const {
 
 bool graph::has_edge(vertex u, vertex v) const {
   const auto nbrs = neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
+  return row_contains(nbrs.data(), nbrs.size(), v);
 }
 
 bool graph::is_connected() const {

@@ -44,6 +44,20 @@ class graph {
   }
   [[nodiscard]] bool has_edge(vertex u, vertex v) const;
 
+  /// has_edge's search: binary search for `v` in the sorted row
+  /// [row, row + size).  The halving has no data-dependent branch, so a
+  /// short row costs no mispredicted jumps (netsim checks every send).
+  [[nodiscard]] static bool row_contains(const vertex* row, std::size_t size,
+                                         vertex v) noexcept {
+    if (size == 0) return false;
+    while (size > 1) {
+      const std::size_t half = size / 2;
+      row = row[half] <= v ? row + half : row;
+      size -= half;
+    }
+    return *row == v;
+  }
+
   /// True iff the graph is connected (BFS); the empty graph is connected.
   [[nodiscard]] bool is_connected() const;
 

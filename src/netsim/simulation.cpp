@@ -1,6 +1,8 @@
 #include "netsim/simulation.h"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -95,20 +97,6 @@ void fault_schedule::validate(std::size_t num_nodes) const {
 
 // --- context ----------------------------------------------------------------
 
-double context::now() const noexcept { return sim_.now_; }
-node_id context::self() const noexcept { return self_; }
-rng& context::gen() noexcept { return sim_.node_gens_[self_]; }
-
-void context::send(node_id dst, message msg) {
-  msg.src = self_;
-  msg.dst = dst;
-  sim_.enqueue_message(self_, dst, msg);
-}
-
-void context::set_timer(double delay, std::int32_t timer_id) {
-  sim_.enqueue_timer(self_, delay, timer_id);
-}
-
 void context::record(trace_kind kind, std::int32_t detail, std::int64_t a, std::int64_t b) {
   if (sim_.recorder_ == nullptr) return;
   trace_record rec;
@@ -121,24 +109,17 @@ void context::record(trace_kind kind, std::int32_t detail, std::int64_t a, std::
   sim_.recorder_->append(rec);
 }
 
-std::span<const node_id> context::neighbors() const noexcept {
-  if (sim_.topology_ != nullptr) {
-    const auto nbrs = sim_.topology_->neighbors(self_);
-    return {nbrs.data(), nbrs.size()};
-  }
-  return sim_.all_others_[self_];
-}
-
-std::size_t context::num_nodes() const noexcept { return sim_.nodes_.size(); }
-
 // --- simulation ---------------------------------------------------------------
 
-simulation::simulation(std::uint64_t seed)
+simulation::simulation(std::uint64_t seed, event_queue recycled)
     : net_gen_{rng::from_stream(seed, 0xfeedULL)},
       // 0xfa17 sits below 2^32 alongside 0xfeed (network) — disjoint from
       // both it and every node stream (those live above 2^32).
       fault_gen_{rng::from_stream(seed, 0xfa17ULL)},
-      seed_{seed} {}
+      queue_{std::move(recycled)},
+      seed_{seed} {
+  queue_.clear();
+}
 
 node_id simulation::add_node(std::unique_ptr<node> n) {
   require_started(false, "add_node");
@@ -149,7 +130,7 @@ node_id simulation::add_node(std::unique_ptr<node> n) {
   // network stream (0xfeed) or any other sub-2^32 auxiliary stream for
   // any 32-bit node id (the old 0x1000 + id base met 0xfeed at id 61165).
   node_gens_.push_back(rng::from_stream(seed_, (1ULL << 32) + id));
-  alive_.push_back(true);
+  alive_.push_back(1);
   epoch_.push_back(0);
   return id;
 }
@@ -164,11 +145,9 @@ void simulation::set_fault_schedule(fault_schedule schedule) {
   schedule_ = std::move(schedule);
 }
 
-void simulation::require_started(bool started, const char* who) const {
-  if (started_ != started) {
-    throw std::logic_error{std::string{"simulation::"} + who +
-                           (started ? ": not started yet" : ": already started")};
-  }
+void simulation::lifecycle_error(bool started, const char* who) {
+  throw std::logic_error{std::string{"simulation::"} + who +
+                         (started ? ": not started yet" : ": already started")};
 }
 
 void simulation::start() {
@@ -177,14 +156,9 @@ void simulation::start() {
   if (topology_ != nullptr && topology_->num_vertices() != nodes_.size()) {
     throw std::invalid_argument{"simulation::start: topology vertex count != node count"};
   }
-  if (topology_ == nullptr) {
-    all_others_.resize(nodes_.size());
-    for (node_id v = 0; v < nodes_.size(); ++v) {
-      all_others_[v].reserve(nodes_.size() - 1);
-      for (node_id w = 0; w < nodes_.size(); ++w) {
-        if (w != v) all_others_[v].push_back(w);
-      }
-    }
+  if (topology_ != nullptr) {
+    offsets_ = topology_->offsets().data();
+    adjacency_ = topology_->adjacency().data();
   }
   schedule_.validate(nodes_.size());
   // Expand the schedule before any node runs: fault events take the lowest
@@ -202,20 +176,16 @@ void simulation::start() {
       ov.in_set.assign(nodes_.size(), false);
       for (const node_id id : act.targets) ov.in_set[id] = true;
     }
-    event begin;
-    begin.time = act.at;
-    begin.seq = next_seq_++;
+    event& begin = queue_.push(act.at);
     begin.kind = event_kind::fault;
-    begin.fault_index = static_cast<std::int32_t>(i);
-    queue_.push(begin);
+    begin.tag = static_cast<std::int32_t>(i);
     const bool windowed = act.which == fault_action::kind::partition ||
                           act.which == fault_action::kind::degrade;
     if (windowed && act.until >= 0.0) {
-      event end = begin;
-      end.seq = next_seq_++;
-      end.time = act.until;
-      end.fault_end = true;
-      queue_.push(end);
+      event& end = queue_.push(act.until);
+      end.kind = event_kind::fault;
+      end.tag = static_cast<std::int32_t>(i);
+      end.a = 1;
     }
   }
   started_ = true;
@@ -226,8 +196,7 @@ void simulation::start() {
 }
 
 const link_model& simulation::resolve_link(node_id src, node_id dst) const noexcept {
-  // Most recently activated matching override wins; the common case
-  // (no active overrides) is one empty-vector check.
+  // Most recently activated matching override wins.
   for (auto it = override_order_.rbegin(); it != override_order_.rend(); ++it) {
     const link_override& ov = overrides_[static_cast<std::size_t>(*it)];
     bool match = false;
@@ -242,18 +211,17 @@ const link_model& simulation::resolve_link(node_id src, node_id dst) const noexc
   return links_;
 }
 
-void simulation::record(const trace_record& rec) {
-  if (recorder_ != nullptr) recorder_->append(rec);
-}
-
 void simulation::enqueue_message(node_id src, node_id dst, const message& msg) {
   require_started(true, "send");
   if (dst >= nodes_.size()) throw std::out_of_range{"simulation::send: bad destination"};
   if (dst == src) throw std::logic_error{"simulation::send: self-send"};
-  if (topology_ != nullptr && !topology_->has_edge(src, dst)) {
+  // graph::has_edge's binary search, on the arrays start() cached.
+  if (offsets_ != nullptr &&
+      !graph::graph::row_contains(adjacency_ + offsets_[src], offsets_[src + 1] - offsets_[src],
+                                  dst)) {
     throw std::logic_error{"simulation::send: destination is not a neighbour"};
   }
-  const link_model& link = resolve_link(src, dst);
+  const link_model& link = override_order_.empty() ? links_ : resolve_link(src, dst);
   ++stats_.messages_sent;
   record({now_, trace_kind::send, src, dst, msg.kind, msg.a, msg.b});
   if (net_gen_.next_bernoulli(link.drop_probability)) {
@@ -266,26 +234,23 @@ void simulation::enqueue_message(node_id src, node_id dst, const message& msg) {
   if (link.jitter_mean > 0.0) {
     latency += sample_exponential(net_gen_, 1.0 / link.jitter_mean);
   }
-  event ev;
-  ev.time = now_ + latency;
-  ev.seq = next_seq_++;
+  event& ev = queue_.push(now_ + latency);
   ev.kind = event_kind::deliver;
   ev.dst = dst;
-  ev.msg = msg;
-  queue_.push(ev);
+  ev.src = src;
+  ev.tag = msg.kind;
+  ev.a = msg.a;
+  ev.b = msg.b;
 }
 
 void simulation::enqueue_timer(node_id dst, double delay, std::int32_t timer_id) {
   require_started(true, "set_timer");
   if (!(delay > 0.0)) throw std::invalid_argument{"simulation::set_timer: delay must be > 0"};
-  event ev;
-  ev.time = now_ + delay;
-  ev.seq = next_seq_++;
+  event& ev = queue_.push(now_ + delay);
   ev.kind = event_kind::timer;
   ev.dst = dst;
-  ev.epoch = epoch_[dst];
-  ev.timer_id = timer_id;
-  queue_.push(ev);
+  ev.tag = timer_id;
+  ev.a = static_cast<std::int64_t>(epoch_[dst]);
 }
 
 void simulation::partition(std::span<const node_id> group_a) {
@@ -316,17 +281,13 @@ bool simulation::on_side_a(node_id id) const {
   return side_a_[id];
 }
 
-void simulation::trace(std::uint64_t word) noexcept {
-  trace_hash_ ^= word;
-  trace_hash_ *= 0x100000001b3ULL;
-}
-
 void simulation::dispatch_fault(const event& ev) {
-  const auto index = static_cast<std::size_t>(ev.fault_index);
+  const auto index = static_cast<std::size_t>(ev.tag);
+  const bool window_end = ev.a != 0;
   const fault_action& act = schedule_.actions[index];
   switch (act.which) {
     case fault_action::kind::partition:
-      if (ev.fault_end) {
+      if (window_end) {
         heal_partition();
       } else {
         partition(act.targets);
@@ -359,14 +320,14 @@ void simulation::dispatch_fault(const event& ev) {
       }
       break;
     case fault_action::kind::degrade:
-      if (ev.fault_end) {
+      if (window_end) {
         overrides_[index].active = false;
-        std::erase(override_order_, ev.fault_index);
-        record({now_, trace_kind::restore, 0, 0, ev.fault_index, 0, 0});
+        std::erase(override_order_, ev.tag);
+        record({now_, trace_kind::restore, 0, 0, ev.tag, 0, 0});
       } else {
         overrides_[index].active = true;
-        override_order_.push_back(ev.fault_index);
-        record({now_, trace_kind::degrade, 0, 0, ev.fault_index, 0, 0});
+        override_order_.push_back(ev.tag);
+        record({now_, trace_kind::degrade, 0, 0, ev.tag, 0, 0});
       }
       break;
   }
@@ -378,47 +339,46 @@ void simulation::dispatch(const event& ev) {
   trace((static_cast<std::uint64_t>(ev.dst) << 8) |
         static_cast<std::uint64_t>(ev.kind));
   if (ev.kind == event_kind::deliver) {
-    trace((static_cast<std::uint64_t>(ev.msg.src) << 32) |
-          static_cast<std::uint32_t>(ev.msg.kind));
-    trace(static_cast<std::uint64_t>(ev.msg.a));
-    trace(static_cast<std::uint64_t>(ev.msg.b));
+    trace((static_cast<std::uint64_t>(ev.src) << 32) | static_cast<std::uint32_t>(ev.tag));
+    trace(static_cast<std::uint64_t>(ev.a));
+    trace(static_cast<std::uint64_t>(ev.b));
     if (!alive_[ev.dst]) {
       ++stats_.messages_dropped;
-      record({now_, trace_kind::drop, ev.dst, ev.msg.src, ev.msg.kind,
+      record({now_, trace_kind::drop, ev.dst, ev.src, ev.tag,
               static_cast<std::int64_t>(drop_reason::dst_crashed), 0});
       return;
     }
-    if (partitioned_ && side_a_[ev.msg.src] != side_a_[ev.dst]) {
+    if (partitioned_ && side_a_[ev.src] != side_a_[ev.dst]) {
       ++stats_.messages_dropped;  // crosses the cut
-      record({now_, trace_kind::drop, ev.dst, ev.msg.src, ev.msg.kind,
+      record({now_, trace_kind::drop, ev.dst, ev.src, ev.tag,
               static_cast<std::int64_t>(drop_reason::partitioned), 0});
       return;
     }
     ++stats_.messages_delivered;
-    record({now_, trace_kind::deliver, ev.dst, ev.msg.src, ev.msg.kind, ev.msg.a, ev.msg.b});
+    record({now_, trace_kind::deliver, ev.dst, ev.src, ev.tag, ev.a, ev.b});
+    const message msg{ev.src, ev.dst, ev.tag, ev.a, ev.b};
     context ctx{*this, ev.dst};
-    nodes_[ev.dst]->on_message(ctx, ev.msg);
+    nodes_[ev.dst]->on_message(ctx, msg);
   } else if (ev.kind == event_kind::timer) {
-    trace(static_cast<std::uint32_t>(ev.timer_id));
+    trace(static_cast<std::uint32_t>(ev.tag));
     // Timers set before a crash are stale in the new epoch.
-    if (!alive_[ev.dst] || ev.epoch != epoch_[ev.dst]) return;
+    if (!alive_[ev.dst] || static_cast<std::uint64_t>(ev.a) != epoch_[ev.dst]) return;
     ++stats_.timers_fired;
     context ctx{*this, ev.dst};
-    nodes_[ev.dst]->on_timer(ctx, ev.timer_id);
+    nodes_[ev.dst]->on_timer(ctx, ev.tag);
   } else {
     // Pin *which* scheduled fault fired (and which phase) into the hash,
     // so a replay that re-timed or re-ordered any fault cannot collide.
-    trace((static_cast<std::uint64_t>(static_cast<std::uint32_t>(ev.fault_index)) << 1) |
-          static_cast<std::uint64_t>(ev.fault_end));
+    trace((static_cast<std::uint64_t>(static_cast<std::uint32_t>(ev.tag)) << 1) |
+          static_cast<std::uint64_t>(ev.a != 0));
     dispatch_fault(ev);
   }
 }
 
 bool simulation::step_one() {
   require_started(true, "step_one");
-  if (queue_.empty()) return false;
-  const event ev = queue_.top();
-  queue_.pop();
+  event ev;
+  if (!queue_.pop_due(std::numeric_limits<double>::infinity(), ev)) return false;
   dispatch(ev);
   return true;
 }
@@ -426,18 +386,15 @@ bool simulation::step_one() {
 void simulation::run_until(double t_end) {
   require_started(true, "run_until");
   if (t_end < now_) throw std::invalid_argument{"simulation::run_until: time moves forward"};
-  while (!queue_.empty() && queue_.top().time <= t_end) {
-    const event ev = queue_.top();
-    queue_.pop();
-    dispatch(ev);
-  }
+  event ev;
+  while (queue_.pop_due(t_end, ev)) dispatch(ev);
   now_ = t_end;
 }
 
 void simulation::crash_node(node_id id) {
   if (id >= nodes_.size()) throw std::out_of_range{"simulation::crash_node: bad id"};
   if (!alive_[id]) return;  // documented no-op: epoch bumps exactly once
-  alive_[id] = false;
+  alive_[id] = 0;
   ++epoch_[id];
   record({now_, trace_kind::crash, id, 0, 0, 0, 0});
 }
@@ -446,7 +403,7 @@ void simulation::restart_node(node_id id) {
   require_started(true, "restart_node");
   if (id >= nodes_.size()) throw std::out_of_range{"simulation::restart_node: bad id"};
   if (alive_[id]) return;  // documented no-op: on_start runs exactly once
-  alive_[id] = true;
+  alive_[id] = 1;
   record({now_, trace_kind::restart, id, 0, 0, 0, 0});
   context ctx{*this, id};
   nodes_[id]->on_start(ctx);
@@ -454,7 +411,7 @@ void simulation::restart_node(node_id id) {
 
 bool simulation::is_alive(node_id id) const {
   if (id >= nodes_.size()) throw std::out_of_range{"simulation::is_alive: bad id"};
-  return alive_[id];
+  return alive_[id] != 0;
 }
 
 node& simulation::get_node(node_id id) {

@@ -13,7 +13,9 @@
 /// timed partitions, churn waves, and per-link-class degradations executed
 /// as first-class events in the same (time, seq) queue).
 ///
-/// Determinism: events are ordered by (time, sequence number); every node
+/// Determinism: events are ordered by (time, sequence number) in a bucketed
+/// queue (netsim/event_queue.h) whose order does not depend on its bucket
+/// sizing; every node
 /// owns an RNG stream derived from (seed, 2^32 + node id) and the network
 /// owns its own sub-2^32 stream for latency/drops — disjoint for every
 /// 32-bit node id — so runs are reproducible bit-for-bit.  Scheduled fault
@@ -23,17 +25,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "netsim/event_queue.h"
 #include "netsim/trace.h"
 #include "support/rng.h"
 
 namespace sgl::netsim {
-
-using node_id = std::uint32_t;
 
 /// A small fixed-layout message.  Protocols define `kind` and the operand
 /// meanings; `wire_bytes` approximates the on-air cost of one message
@@ -138,8 +138,11 @@ class context {
   /// recorder is attached; free otherwise.  Protocol code uses it for the
   /// commit/adopt marks the offline invariant checker replays.
   void record(trace_kind kind, std::int32_t detail, std::int64_t a, std::int64_t b);
-  /// Neighbour list under the current topology (all other nodes if none).
-  [[nodiscard]] std::span<const node_id> neighbors() const noexcept;
+  /// Neighbours under the topology: num_neighbors() of them, the k-th
+  /// (k < num_neighbors()) in ascending id order.  Without a topology they
+  /// are all other nodes, mapped without a table: k -> k < self ? k : k + 1.
+  [[nodiscard]] std::size_t num_neighbors() const noexcept;
+  [[nodiscard]] node_id neighbor(std::size_t k) const noexcept;
   [[nodiscard]] std::size_t num_nodes() const noexcept;
 
  private:
@@ -161,7 +164,9 @@ class node {
 
 class simulation {
  public:
-  explicit simulation(std::uint64_t seed);
+  /// `recycled` lends the storage of a finished run's queue (see
+  /// release_queue()); its events are dropped.
+  explicit simulation(std::uint64_t seed, event_queue recycled = event_queue{});
 
   simulation(const simulation&) = delete;
   simulation& operator=(const simulation&) = delete;
@@ -170,7 +175,8 @@ class simulation {
   node_id add_node(std::unique_ptr<node> n);
 
   /// Restricts connectivity (borrowed; vertex count must match node count
-  /// at start()).  Without a topology every node can reach every other.
+  /// at start(), which caches its CSR arrays).  Without a topology every
+  /// node can reach every other.
   void set_topology(const graph::graph* topology) noexcept { topology_ = topology; }
 
   void set_link_model(const link_model& links);
@@ -240,29 +246,12 @@ class simulation {
   [[nodiscard]] node& get_node(node_id id);
   [[nodiscard]] const node& get_node(node_id id) const;
 
+  /// Ends the simulation and hands its event queue's storage to the next
+  /// one, so a replication loop does not reallocate it.
+  [[nodiscard]] event_queue release_queue() && { return std::move(queue_); }
+
  private:
   friend class context;
-
-  enum class event_kind : std::uint8_t { deliver, timer, fault };
-
-  struct event {
-    double time = 0.0;
-    std::uint64_t seq = 0;  ///< FIFO tie-break for simultaneous events
-    event_kind kind = event_kind::deliver;
-    node_id dst = 0;
-    std::uint64_t epoch = 0;  ///< timers die when the node's epoch changes
-    message msg;
-    std::int32_t timer_id = 0;
-    std::int32_t fault_index = -1;  ///< fault events: schedule action index
-    bool fault_end = false;         ///< fault events: window end (heal/restore)
-  };
-
-  struct event_later {
-    bool operator()(const event& x, const event& y) const noexcept {
-      if (x.time != y.time) return x.time > y.time;
-      return x.seq > y.seq;
-    }
-  };
 
   /// One activated degrade override: the link model plus a per-node
   /// membership bitmap precomputed from the action's targets.
@@ -275,31 +264,40 @@ class simulation {
 
   void dispatch(const event& ev);
   void dispatch_fault(const event& ev);
-  void trace(std::uint64_t word) noexcept;
-  void record(const trace_record& rec);
+  void trace(std::uint64_t word) noexcept {
+    trace_hash_ ^= word;
+    trace_hash_ *= 0x100000001b3ULL;
+  }
+  void record(const trace_record& rec) {
+    if (recorder_ != nullptr) recorder_->append(rec);
+  }
   void enqueue_message(node_id src, node_id dst, const message& msg);
   void enqueue_timer(node_id dst, double delay, std::int32_t timer_id);
-  void require_started(bool started, const char* who) const;
+  void require_started(bool started, const char* who) const {
+    if (started_ != started) [[unlikely]] lifecycle_error(started, who);
+  }
+  [[noreturn]] static void lifecycle_error(bool started, const char* who);
   /// The link model governing src->dst right now: the most recently
   /// activated matching override, else the base model.
   [[nodiscard]] const link_model& resolve_link(node_id src, node_id dst) const noexcept;
 
   std::vector<std::unique_ptr<node>> nodes_;
   std::vector<rng> node_gens_;
-  std::vector<bool> alive_;
+  std::vector<std::uint8_t> alive_;  ///< bytes, not bits: read on every dispatch
   std::vector<bool> side_a_;  ///< partition membership (meaningful when partitioned_)
   bool partitioned_ = false;
   std::vector<std::uint64_t> epoch_;  ///< bumped on crash; stale timers ignored
-  std::vector<std::vector<node_id>> all_others_;  ///< neighbour lists sans topology
   const graph::graph* topology_ = nullptr;
+  /// The topology's CSR arrays, cached by start(); nullptr = fully mixed.
+  const std::size_t* offsets_ = nullptr;
+  const node_id* adjacency_ = nullptr;
   link_model links_;
   rng net_gen_;
   rng fault_gen_;  ///< fraction-based wave draws (stream 0xfa17)
   fault_schedule schedule_;
   std::vector<link_override> overrides_;   ///< one per degrade action
   std::vector<std::int32_t> override_order_;  ///< activation order, most recent last
-  std::priority_queue<event, std::vector<event>, event_later> queue_;
-  std::uint64_t next_seq_ = 0;
+  event_queue queue_;
   double now_ = 0.0;
   bool started_ = false;
   network_stats stats_;
@@ -307,5 +305,32 @@ class simulation {
   std::uint64_t trace_hash_ = 0xcbf29ce484222325ULL;  ///< FNV-1a offset basis
   std::uint64_t seed_;
 };
+
+// --- context (inline: every send and neighbour draw goes through it) ---------
+
+inline double context::now() const noexcept { return sim_.now_; }
+inline node_id context::self() const noexcept { return self_; }
+inline rng& context::gen() noexcept { return sim_.node_gens_[self_]; }
+inline std::size_t context::num_nodes() const noexcept { return sim_.nodes_.size(); }
+
+inline std::size_t context::num_neighbors() const noexcept {
+  if (sim_.offsets_ != nullptr) return sim_.offsets_[self_ + 1] - sim_.offsets_[self_];
+  return sim_.nodes_.size() - 1;
+}
+
+inline node_id context::neighbor(std::size_t k) const noexcept {
+  if (sim_.offsets_ != nullptr) return sim_.adjacency_[sim_.offsets_[self_] + k];
+  return static_cast<node_id>(k < self_ ? k : k + 1);
+}
+
+inline void context::send(node_id dst, message msg) {
+  msg.src = self_;
+  msg.dst = dst;
+  sim_.enqueue_message(self_, dst, msg);
+}
+
+inline void context::set_timer(double delay, std::int32_t timer_id) {
+  sim_.enqueue_timer(self_, delay, timer_id);
+}
 
 }  // namespace sgl::netsim

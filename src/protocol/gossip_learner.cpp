@@ -41,7 +41,7 @@ void gossip_learner::on_timer(netsim::context& ctx, std::int32_t timer_id) {
   ctx.set_timer(params_.round_interval, k_round_timer);
 
   const std::size_t m = params_.dynamics.num_options;
-  if (ctx.gen().next_bernoulli(params_.dynamics.mu) || ctx.neighbors().empty()) {
+  if (ctx.gen().next_bernoulli(params_.dynamics.mu) || ctx.num_neighbors() == 0) {
     // Exploration (and the only move available to isolated nodes).
     consider(ctx, static_cast<std::size_t>(ctx.gen().next_below(m)));
     return;
@@ -51,8 +51,7 @@ void gossip_learner::on_timer(netsim::context& ctx, std::int32_t timer_id) {
 }
 
 void gossip_learner::send_sample_request(netsim::context& ctx) {
-  const auto nbrs = ctx.neighbors();
-  const netsim::node_id target = nbrs[ctx.gen().next_below(nbrs.size())];
+  const netsim::node_id target = ctx.neighbor(ctx.gen().next_below(ctx.num_neighbors()));
   netsim::message req;
   req.kind = k_sample_request;
   ctx.send(target, req);
@@ -72,7 +71,7 @@ void gossip_learner::on_message(netsim::context& ctx, const netsim::message& msg
       if (msg.a < 0) {
         // The sampled neighbour was uncommitted: popularity is defined over
         // adopters, so ask someone else (bounded), then fall back.
-        if (retries_left_ > 0 && !ctx.neighbors().empty()) {
+        if (retries_left_ > 0 && ctx.num_neighbors() != 0) {
           --retries_left_;
           send_sample_request(ctx);
         } else {

@@ -54,6 +54,8 @@ protocol_engine::protocol_engine(const engine_config& config, std::size_t num_no
 }
 
 void protocol_engine::reset() {
+  // The finished run's queue storage carries over to the next replication.
+  if (sim_ != nullptr) spare_queue_ = std::move(*sim_).release_queue();
   sim_.reset();
   recorder_.reset();
   learners_.clear();
@@ -76,7 +78,7 @@ void protocol_engine::build(rng& gen) {
   // churn) derives from it, so the replication is a pure function of the
   // stream — thread count, scheduling, and reuse cannot change it.
   const std::uint64_t sim_seed = gen.next_u64();
-  sim_ = std::make_unique<netsim::simulation>(sim_seed);
+  sim_ = std::make_unique<netsim::simulation>(sim_seed, std::move(spare_queue_));
   churn_gen_ = rng::from_stream(sim_seed, k_churn_stream);
 
   gossip_params node_params;

@@ -136,6 +136,7 @@ class protocol_engine final : public core::dynamics_engine,
   posted_signals board_;
 
   std::unique_ptr<netsim::simulation> sim_;
+  netsim::event_queue spare_queue_;  ///< storage between reset() and the next build()
   std::unique_ptr<netsim::trace_recorder> recorder_;  ///< owned; sim_ borrows it
   std::vector<gossip_learner*> learners_;  ///< borrowed from sim_
   rng churn_gen_;

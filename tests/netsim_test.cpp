@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "support/distributions.h"
 
 namespace sgl::netsim {
 namespace {
@@ -200,7 +205,7 @@ TEST(simulation, topology_neighbor_lists_are_exposed) {
   class checker : public node {
    public:
     void on_start(context& ctx) override {
-      neighbor_count = ctx.neighbors().size();
+      neighbor_count = ctx.num_neighbors();
     }
     void on_message(context&, const message&) override {}
     void on_timer(context&, std::int32_t) override {}
@@ -233,7 +238,7 @@ TEST(simulation, neighbors_without_topology_are_all_others) {
   class checker : public node {
    public:
     void on_start(context& ctx) override {
-      neighbor_count = ctx.neighbors().size();
+      neighbor_count = ctx.num_neighbors();
       total = ctx.num_nodes();
     }
     void on_message(context&, const message&) override {}
@@ -441,6 +446,149 @@ TEST(simulation, exponential_jitter_delays_messages) {
   sim.run_until(1000.0);
   ASSERT_EQ(pb->receive_times.size(), 1U);
   EXPECT_GT(pb->receive_times[0], 1.0);  // jitter strictly positive a.s.
+}
+
+// --- event_queue against a reference heap -------------------------------------
+//
+// Seeded random push / pop / run_until sequences, checked pop by pop
+// against a std::priority_queue keyed on (time, push order) — the queue
+// netsim used before the bucketed one.
+
+class reference_queue {
+ public:
+  void push(double time, std::int64_t id) { heap_.push({time, next_seq_++, id}); }
+  bool pop_due(double t_end, event& out) {
+    if (heap_.empty() || heap_.top().time > t_end) return false;
+    out.time = heap_.top().time;
+    out.seq = heap_.top().seq;
+    out.a = heap_.top().id;
+    heap_.pop();
+    return true;
+  }
+  void clear() {
+    heap_ = {};
+    next_seq_ = 0;
+  }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+
+ private:
+  struct entry {
+    double time;
+    std::uint64_t seq;
+    std::int64_t id;
+  };
+  struct later {
+    bool operator()(const entry& x, const entry& y) const {
+      return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+    }
+  };
+  std::priority_queue<entry, std::vector<entry>, later> heap_;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// One random workload on `queue` (and the reference) around `scale`
+/// seconds per event; returns the number of pops compared.
+std::size_t differential_run(event_queue& queue, rng& gen, double scale, int ops) {
+  reference_queue ref;
+  double now = 0.0;
+  std::int64_t next_id = 0;
+  std::vector<double> pushed;  // earlier push times, for exact ties
+  std::size_t compared = 0;
+  const auto push = [&](double time) {
+    event& ev = queue.push(time);
+    ev.a = next_id;
+    ev.kind = event_kind::timer;
+    ref.push(time, next_id);
+    ++next_id;
+    pushed.push_back(time);
+  };
+  const auto drain = [&](double t_end) {
+    event got;
+    event want;
+    for (;;) {
+      const bool have = queue.pop_due(t_end, got);
+      const bool expect = ref.pop_due(t_end, want);
+      EXPECT_EQ(have, expect) << "t_end " << t_end;
+      if (!have || !expect) return;
+      EXPECT_EQ(got.time, want.time);
+      EXPECT_EQ(got.seq, want.seq);
+      EXPECT_EQ(got.a, want.a);
+      EXPECT_EQ(got.kind, event_kind::timer);
+      if (got.a != want.a) return;
+      now = std::max(now, got.time);
+      ++compared;
+      if (t_end == std::numeric_limits<double>::infinity()) return;  // one step
+    }
+  };
+  for (int op = 0; op < ops; ++op) {
+    const double u = gen.next_double();
+    if (u < 0.30) {
+      push(now + sample_exponential(gen, 1.0 / scale));  // the common case
+    } else if (u < 0.38) {
+      push(now);  // time == now
+    } else if (u < 0.44 && !pushed.empty()) {
+      const double tie = pushed[gen.next_below(pushed.size())];
+      push(std::max(now, tie));  // equal times: push order decides
+    } else if (u < 0.46) {
+      // A burst far larger than one bucket, packed into a sliver of time.
+      const double at = now + scale * gen.next_double();
+      const int burst = 50 + static_cast<int>(gen.next_below(400));
+      for (int i = 0; i < burst; ++i) push(at + 1e-9 * scale * gen.next_double());
+    } else if (u < 0.48) {
+      push(now + 1e6 * scale * (1.0 + gen.next_double()));  // overflow tier
+    } else if (u < 0.49) {
+      push(std::max(0.0, now - scale * gen.next_double()));  // before the last pop
+    } else if (u < 0.75) {
+      drain(std::numeric_limits<double>::infinity());  // step_one
+    } else if (u < 0.97) {
+      const double t_end = now + 3.0 * scale * gen.next_double();
+      drain(t_end);  // run_until
+      now = t_end;
+    } else {
+      // An empty stretch: the clock jumps far past every near event.
+      const double t_end = now + 1e4 * scale * (1.0 + gen.next_double());
+      drain(t_end);
+      now = t_end;
+    }
+    EXPECT_EQ(queue.size(), ref.size());
+    EXPECT_EQ(queue.empty(), ref.size() == 0);
+    if (::testing::Test::HasFailure()) return compared;
+  }
+  drain(std::numeric_limits<double>::max());
+  EXPECT_TRUE(queue.empty());
+  return compared;
+}
+
+TEST(event_queue, matches_a_reference_heap_pop_for_pop) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    rng gen{seed};
+    event_queue queue;
+    EXPECT_GT(differential_run(queue, gen, 0.05, 4000), 1000U);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(event_queue, reuse_across_growth_and_shrink) {
+  rng gen{99};
+  event_queue queue;
+  // Grow: a large population on a coarse time scale.
+  reference_queue ref;
+  for (std::int64_t i = 0; i < 20000; ++i) {
+    queue.push(10.0 * gen.next_double()).a = i;
+  }
+  EXPECT_GE(queue.bucket_count(), 16384U);
+  const std::size_t capacity = queue.slab_capacity();
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.slab_capacity(), capacity) << "clear() keeps the slab";
+  // Shrink: a few events a thousand times denser, then a coarser run
+  // again, each on the reused storage and checked against the reference.
+  EXPECT_GT(differential_run(queue, gen, 1e-4, 3000), 500U);
+  queue.clear();
+  EXPECT_GT(differential_run(queue, gen, 5.0, 3000), 500U);
+  queue.clear();
+  EXPECT_GT(differential_run(queue, gen, 0.05, 3000), 500U);
 }
 
 }  // namespace
