@@ -73,16 +73,6 @@ double coupling_bound(std::uint64_t t, std::size_t num_options, double mu, doubl
   return std::exp(log_bound);
 }
 
-double coupling_failure_probability(std::uint64_t t, std::size_t num_options,
-                                    double num_agents) {
-  check_population(num_agents);
-  const double log_p = std::log(6.0 * static_cast<double>(t) *
-                                static_cast<double>(num_options)) -
-                       10.0 * std::log(num_agents);
-  if (log_p >= 0.0) return 1.0;
-  return std::exp(log_p);
-}
-
 double popularity_floor(std::size_t num_options, double mu, double beta) {
   check_beta(beta);
   return mu * (1.0 - beta) / (4.0 * static_cast<double>(num_options));

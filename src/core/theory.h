@@ -48,10 +48,6 @@ namespace sgl::core::theory {
 [[nodiscard]] double coupling_bound(std::uint64_t t, std::size_t num_options, double mu,
                                     double beta, double num_agents);
 
-/// The failure mass of Lemma 4.5 after t steps: 6 t m / N^10 (clamped to 1).
-[[nodiscard]] double coupling_failure_probability(std::uint64_t t, std::size_t num_options,
-                                                  double num_agents);
-
 /// §4.3.2's popularity floor ζ = μ(1−β)/(4m): w.h.p. every option keeps at
 /// least this popularity at every step.
 [[nodiscard]] double popularity_floor(std::size_t num_options, double mu, double beta);

@@ -97,18 +97,6 @@ void fault_schedule::validate(std::size_t num_nodes) const {
 
 // --- context ----------------------------------------------------------------
 
-void context::record(trace_kind kind, std::int32_t detail, std::int64_t a, std::int64_t b) {
-  if (sim_.recorder_ == nullptr) return;
-  trace_record rec;
-  rec.time = sim_.now_;
-  rec.kind = kind;
-  rec.node = self_;
-  rec.detail = detail;
-  rec.a = a;
-  rec.b = b;
-  sim_.recorder_->append(rec);
-}
-
 // --- simulation ---------------------------------------------------------------
 
 simulation::simulation(std::uint64_t seed, event_queue recycled)

@@ -333,4 +333,9 @@ inline void context::set_timer(double delay, std::int32_t timer_id) {
   sim_.enqueue_timer(self_, delay, timer_id);
 }
 
+inline void context::record(trace_kind kind, std::int32_t detail, std::int64_t a,
+                            std::int64_t b) {
+  sim_.record({sim_.now_, kind, self_, 0, detail, a, b});
+}
+
 }  // namespace sgl::netsim

@@ -106,30 +106,6 @@ double quantile(std::span<const double> values, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-histogram::histogram(double lo, double hi, std::size_t bins) : lo_{lo} {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument{"histogram: need hi > lo and bins > 0"};
-  }
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void histogram::add(double x) noexcept {
-  auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double histogram::bin_center(std::size_t i) const noexcept {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
-double histogram::bin_mass(std::size_t i) const noexcept {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[i]) / static_cast<double>(total_);
-}
-
 series_stats::series_stats(std::size_t length) : per_index_(length) {
   if (length == 0) throw std::invalid_argument{"series_stats: zero length"};
 }

@@ -63,28 +63,6 @@ struct mean_ci {
 /// Copies and sorts; intended for end-of-run reporting, not hot loops.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
 
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so mass is never silently dropped.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const noexcept { return counts_[i]; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Midpoint of bin i.
-  [[nodiscard]] double bin_center(std::size_t i) const noexcept;
-  /// Empirical probability mass of bin i.
-  [[nodiscard]] double bin_mass(std::size_t i) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Per-time-index statistics across replications: replication r contributes
 /// a whole series x_r[0..len), and we expose mean/CI at each index.  This is
 /// how E[Q^t_j], Regret(T) curves, and coupling ratios are aggregated.

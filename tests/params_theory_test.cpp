@@ -142,12 +142,6 @@ TEST(theory, coupling_bound_grows_like_powers_of_five) {
   EXPECT_TRUE(std::isinf(theory::coupling_bound(10000, 5, 0.05, 0.6, 1e6)));
 }
 
-TEST(theory, coupling_failure_probability) {
-  const double p = theory::coupling_failure_probability(10, 5, 100.0);
-  EXPECT_NEAR(p, 6.0 * 10.0 * 5.0 / 1e20, 1e-25);
-  EXPECT_DOUBLE_EQ(theory::coupling_failure_probability(1000000, 5, 2.0), 1.0);
-}
-
 TEST(theory, popularity_floor_and_epoch) {
   const double zeta = theory::popularity_floor(10, 0.05, 0.6);
   EXPECT_NEAR(zeta, 0.05 * 0.4 / 40.0, 1e-12);

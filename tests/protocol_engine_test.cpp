@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -23,6 +26,22 @@
 #include "scenario/serialize.h"
 #include "scenario/sweep.h"
 #include "support/rng.h"
+
+namespace {
+
+/// Every global operator new in this binary, for the steady-state
+/// allocation check below.
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -344,6 +363,37 @@ TEST(protocol_engine, event_order_goldens) {
   sim.run_until(5e5);
   sim.run_until(2e6);
   expect_golden(sim, {"idle_gap_fault", 0xc151774bea5eb2bfULL, 12, 10, 2, 7});
+}
+
+TEST(protocol_engine, steady_state_rounds_allocate_nothing) {
+  // Once the queue has sized itself, a round dispatches thousands of
+  // events without a heap allocation: events live in the reused slab.
+  struct shape {
+    protocol::engine_config config;
+    std::size_t nodes;
+    std::shared_ptr<const graph::graph> topology;
+  };
+  const shape shapes[] = {
+      {bench_shape(0.0, 0.02), 300,
+       std::make_shared<const graph::graph>(graph::graph::ring(300))},
+      {bench_shape(0.3, 0.1), 512, nullptr},
+  };
+  for (const shape& s : shapes) {
+    protocol::protocol_engine engine{s.config, s.nodes, s.topology};
+    rng reward_gen{5};
+    rng process_gen{6};
+    std::vector<std::uint8_t> rewards(engine.num_options());
+    const auto round = [&] {
+      for (auto& r : rewards) r = reward_gen.next_bernoulli(0.6) ? 1 : 0;
+      engine.step(rewards, process_gen);
+    };
+    for (int t = 0; t < 20; ++t) round();
+    const std::uint64_t sent = engine.simulation()->stats().messages_sent;
+    const std::uint64_t before = g_allocations.load();
+    for (int t = 0; t < 20; ++t) round();
+    EXPECT_EQ(g_allocations.load() - before, 0U) << s.nodes << " nodes";
+    EXPECT_GT(engine.simulation()->stats().messages_sent - sent, 20U * s.nodes);
+  }
 }
 
 TEST(protocol_engine, harness_results_invariant_to_threads_and_reuse) {

@@ -169,30 +169,6 @@ TEST(quantile, rejects_bad_input) {
   EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
 }
 
-// --- histogram ----------------------------------------------------------------
-
-TEST(histogram, bins_and_clamping) {
-  histogram h{0.0, 1.0, 4};
-  h.add(0.1);    // bin 0
-  h.add(0.3);    // bin 1
-  h.add(0.55);   // bin 2
-  h.add(0.99);   // bin 3
-  h.add(-5.0);   // clamped to bin 0
-  h.add(7.0);    // clamped to bin 3
-  EXPECT_EQ(h.total(), 6U);
-  EXPECT_EQ(h.bin_count(0), 2U);
-  EXPECT_EQ(h.bin_count(1), 1U);
-  EXPECT_EQ(h.bin_count(2), 1U);
-  EXPECT_EQ(h.bin_count(3), 2U);
-  EXPECT_NEAR(h.bin_center(0), 0.125, 1e-12);
-  EXPECT_NEAR(h.bin_mass(3), 2.0 / 6.0, 1e-12);
-}
-
-TEST(histogram, rejects_bad_construction) {
-  EXPECT_THROW(histogram(1.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // --- series_stats --------------------------------------------------------------
 
 TEST(series_stats, per_index_means) {
