@@ -77,9 +77,9 @@ class event_queue {
   /// bucket width stay, so a rerun of the same workload allocates nothing.
   void clear();
 
+  /// Inspection for tests: ring size, and the events the slab holds
+  /// before it has to grow.
   [[nodiscard]] std::size_t bucket_count() const noexcept { return heads_.size(); }
-  [[nodiscard]] double bucket_width() const noexcept { return width_; }
-  /// Events the slab holds before it has to grow.
   [[nodiscard]] std::size_t slab_capacity() const noexcept { return slab_.capacity(); }
 
  private:

@@ -1,6 +1,5 @@
 #include "netsim/simulation.h"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>

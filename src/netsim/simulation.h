@@ -15,10 +15,10 @@
 ///
 /// Determinism: events are ordered by (time, sequence number) in a bucketed
 /// queue (netsim/event_queue.h) whose order does not depend on its bucket
-/// sizing; every node
-/// owns an RNG stream derived from (seed, 2^32 + node id) and the network
-/// owns its own sub-2^32 stream for latency/drops — disjoint for every
-/// 32-bit node id — so runs are reproducible bit-for-bit.  Scheduled fault
+/// sizing; every node owns an RNG stream derived from (seed, 2^32 + node
+/// id) and the network owns its own sub-2^32 stream for latency/drops —
+/// disjoint for every 32-bit node id — so runs are reproducible
+/// bit-for-bit.  Scheduled fault
 /// events are enqueued before any node runs, so they carry the smallest
 /// sequence numbers and dispatch before same-time node events, in schedule
 /// order; fraction-based waves draw from a dedicated fault stream.
