@@ -39,6 +39,7 @@ void event_queue::clear() {
     active_ = false;
   }
   slab_.clear();
+  times_.clear();
   next_.clear();
   free_ = k_nil;
   overflow_.clear();
@@ -60,12 +61,12 @@ void event_queue::judge() {
 
 std::uint32_t event_queue::grow_slab() {
   slab_.emplace_back();
+  times_.push_back(0.0);
   next_.push_back(k_nil);
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-void event_queue::place_slow(std::uint32_t index) {
-  const double time = slab_[index].time;
+void event_queue::place_slow(std::uint32_t index, double time) {
   if (!(time * inv_width_ < static_cast<double>(cur_ + heads_.size()))) {
     overflow_push(index);
     strain_ += k_overflow_strain;
@@ -105,7 +106,7 @@ void event_queue::advance(std::uint64_t bucket) {
   // events that now fall inside join those buckets' lists.
   const double end = static_cast<double>(cur_ + heads_.size());
   while (!overflow_.empty()) {
-    const double x = slab_[overflow_.front()].time * inv_width_;
+    const double x = times_[overflow_.front()] * inv_width_;
     if (!(x < end)) break;
     link(overflow_pop(), bucket_from(x));
   }
@@ -113,8 +114,8 @@ void event_queue::advance(std::uint64_t bucket) {
 
 bool event_queue::take_next(double t_end, event& out) {
   if (ring_size_ == 0) {
-    if (overflow_.empty() || slab_[overflow_.front()].time > t_end) return false;
-    const double x = slab_[overflow_.front()].time * inv_width_;
+    if (overflow_.empty() || times_[overflow_.front()] > t_end) return false;
+    const double x = times_[overflow_.front()] * inv_width_;
     if (!(x < k_max_bucket)) {
       release(overflow_pop(), out);  // past bucket numbering
       return true;
@@ -131,7 +132,7 @@ bool event_queue::take_next(double t_end, event& out) {
   for (std::uint32_t at = heads_[slot]; at != k_nil; at = next_[at]) {
     // Insertion sort (a bucket holds a few events).  The list runs newest
     // first, so `at` is older than all placed so far: before equal times.
-    const pending item{slab_[at].time, at};
+    const pending item{times_[at], at};
     std::size_t hole = current_.size();
     current_.push_back(item);
     for (; hole > 0 && current_[hole - 1].time >= item.time; --hole) {
@@ -156,9 +157,8 @@ bool event_queue::take_next(double t_end, event& out) {
 }
 
 bool event_queue::later(std::uint32_t x, std::uint32_t y) const noexcept {
-  const event& ex = slab_[x];
-  const event& ey = slab_[y];
-  return ex.time != ey.time ? ex.time > ey.time : ex.seq > ey.seq;
+  if (times_[x] != times_[y]) return times_[x] > times_[y];
+  return slab_[x].seq > slab_[y].seq;
 }
 
 void event_queue::overflow_push(std::uint32_t index) {
@@ -196,10 +196,10 @@ void event_queue::rebuild() {
   // re-armed a round ahead lands inside), while a few far-future ones
   // cannot stretch it.
   const std::size_t count = std::max(k_min_buckets, std::bit_ceil(2 * n));
-  const double t0 = slab_[order_.front()].time;
+  const double t0 = times_[order_.front()];
   std::size_t quantile = n - 1 - (n - 1) / 8;
-  while (quantile + 1 < n && slab_[order_[quantile]].time == t0) ++quantile;
-  const double ahead = slab_[order_[quantile]].time - t0;
+  while (quantile + 1 < n && times_[order_[quantile]] == t0) ++quantile;
+  const double ahead = times_[order_[quantile]] - t0;
   if (ahead > 0.0 && std::isfinite(ahead)) {
     // Floor: bucket numbers of times near t0 stay below 2^40.
     width_ = std::max(2.0 * ahead / static_cast<double>(count),
@@ -213,7 +213,7 @@ void event_queue::rebuild() {
   overflow_.clear();
   const double end = static_cast<double>(cur_ + count);
   for (std::size_t i = 0; i < n; ++i) {
-    const double x = slab_[order_[i]].time * inv_width_;
+    const double x = times_[order_[i]] * inv_width_;
     if (!(x < end)) {
       // Past the window; the sorted tail is already a heap.
       overflow_.assign(order_.begin() + static_cast<std::ptrdiff_t>(i), order_.end());

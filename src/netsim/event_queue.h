@@ -95,8 +95,8 @@ class event_queue {
   /// strained it; restarts the strain count either way.
   void judge();
   std::uint32_t grow_slab();
-  void place(std::uint32_t index);
-  void place_slow(std::uint32_t index);
+  void place(std::uint32_t index, double time);
+  void place_slow(std::uint32_t index, double time);
   [[nodiscard]] std::uint64_t bucket_from(double x) const noexcept {
     // An event earlier than the window start joins the start bucket, which
     // is sorted before it pops, so the order stays exact.
@@ -128,6 +128,9 @@ class event_queue {
   void reset_ring(std::size_t count);
 
   std::vector<event> slab_;
+  /// Each slab slot's time, dense: bucket walks and window tests read
+  /// these, not the 48-byte events.
+  std::vector<double> times_;
   std::vector<std::uint32_t> next_;   ///< list link per slab slot (or free-list link)
   std::uint32_t free_ = k_nil;        ///< head of the free-slot list
   std::vector<std::uint32_t> heads_;  ///< first slab index per ring bucket
@@ -165,13 +168,14 @@ inline event& event_queue::push(double time) {
   event& ev = slab_[index];
   ev.time = time;
   ev.seq = next_seq_++;
+  times_[index] = time;
   ++size_;
-  place(index);
+  place(index, time);
   return ev;
 }
 
-inline void event_queue::place(std::uint32_t index) {
-  const double x = slab_[index].time * inv_width_;
+inline void event_queue::place(std::uint32_t index, double time) {
+  const double x = time * inv_width_;
   if (x < static_cast<double>(cur_ + heads_.size())) [[likely]] {
     const std::uint64_t bucket = bucket_from(x);
     if (!active_ || bucket != cur_) [[likely]] {
@@ -179,7 +183,7 @@ inline void event_queue::place(std::uint32_t index) {
       return;
     }
   }
-  place_slow(index);
+  place_slow(index, time);
 }
 
 inline bool event_queue::pop_due(double t_end, event& out) {
