@@ -44,6 +44,7 @@ void event_queue::clear() {
   free_ = k_nil;
   overflow_.clear();
   cur_ = 0;
+  last_pop_ = 0.0;
   size_ = 0;
   ring_size_ = 0;
   next_seq_ = 0;
@@ -54,7 +55,7 @@ void event_queue::clear() {
 void event_queue::judge() {
   // Crowded buckets, many overflow pushes or long empty scans mean the
   // width no longer fits the load.
-  if (size_ >= heads_.size() || strain_ > k_strain_per_push * pushes_) rebuild();
+  if (size_ > heads_.size() || strain_ > k_strain_per_push * pushes_) rebuild();
   strain_ = 0;
   pushes_ = 0;
 }
@@ -118,6 +119,7 @@ bool event_queue::take_next(double t_end, event& out) {
     const double x = times_[overflow_.front()] * inv_width_;
     if (!(x < k_max_bucket)) {
       release(overflow_pop(), out);  // past bucket numbering
+      last_pop_ = out.time;
       return true;
     }
     // Skip the empty stretch: the window restarts at the earliest event.
@@ -152,6 +154,7 @@ bool event_queue::take_next(double t_end, event& out) {
   if (bucket != cur_) advance(bucket);
   active_ = true;
   current_pos_ = 1;
+  last_pop_ = current_.front().time;
   release(current_.front().index, out);
   return true;
 }
@@ -191,23 +194,23 @@ void event_queue::rebuild() {
             [this](std::uint32_t x, std::uint32_t y) { return later(y, x); });
 
   // Twice the live events, so a bucket holds about one at a time.  The
-  // window spans twice the distance from the earliest event to the 7/8
-  // quantile: it covers the near events with room to spare (a timer
-  // re-armed a round ahead lands inside), while a few far-future ones
-  // cannot stretch it.
+  // window starts at the last pop (or the earliest event, if earlier) and
+  // spans twice the distance from there to the 7/8 quantile: it covers
+  // the near events with room to spare (a timer re-armed a round ahead
+  // lands inside), while a few far-future ones cannot stretch it.
   const std::size_t count = std::max(k_min_buckets, std::bit_ceil(2 * n));
-  const double t0 = times_[order_.front()];
+  const double from = std::min(times_[order_.front()], last_pop_);
   std::size_t quantile = n - 1 - (n - 1) / 8;
-  while (quantile + 1 < n && times_[order_[quantile]] == t0) ++quantile;
-  const double ahead = times_[order_[quantile]] - t0;
+  while (quantile + 1 < n && times_[order_[quantile]] <= from) ++quantile;
+  const double ahead = times_[order_[quantile]] - from;
   if (ahead > 0.0 && std::isfinite(ahead)) {
-    // Floor: bucket numbers of times near t0 stay below 2^40.
+    // Floor: bucket numbers of times near `from` stay below 2^40.
     width_ = std::max(2.0 * ahead / static_cast<double>(count),
-                      std::max(std::abs(t0), 1.0) * 0x1p-40);
+                      std::max(std::abs(from), 1.0) * 0x1p-40);
     inv_width_ = 1.0 / width_;
   }
   reset_ring(count);
-  const double x0 = t0 * inv_width_;
+  const double x0 = from * inv_width_;
   cur_ = x0 > 0.0 && x0 < k_max_bucket ? static_cast<std::uint64_t>(x0) : 0;
   ring_size_ = 0;
   overflow_.clear();

@@ -145,6 +145,7 @@ class event_queue {
   std::vector<std::uint32_t> order_;     ///< rebuild scratch
   std::uint64_t mask_ = 0;     ///< bucket_count() - 1
   std::uint64_t cur_ = 0;      ///< absolute bucket number of the window start
+  double last_pop_ = 0.0;      ///< a recent pop's time: pushes land ahead of it
   double width_ = 1.0 / 64.0;
   double inv_width_ = 64.0;
   std::size_t size_ = 0;
@@ -157,7 +158,6 @@ class event_queue {
 // --- the event path (inline; everything rarer lives in event_queue.cpp) -----
 
 inline event& event_queue::push(double time) {
-  if (size_ >= heads_.size() || ++pushes_ >= heads_.size()) [[unlikely]] judge();
   std::uint32_t index = free_;
   if (index != k_nil) [[likely]] {
     free_ = next_[index];
@@ -171,6 +171,7 @@ inline event& event_queue::push(double time) {
   times_[index] = time;
   ++size_;
   place(index, time);
+  if (size_ > heads_.size() || ++pushes_ >= heads_.size()) [[unlikely]] judge();
   return ev;
 }
 
