@@ -21,9 +21,9 @@
 /// in an earlier bucket is strictly earlier, and a bucket pops in (time,
 /// seq) order.  Width and count only decide speed.  They are re-derived
 /// from the queued events (count = 2n rounded up to a power of two, width
-/// from the 7/8 quantile of the distance ahead) when the queue outgrows
-/// the ring or its buckets or overflow get crowded; DESIGN.md "Event
-/// queue".
+/// from the 7/8 quantile of their distance ahead of the last pop) when the
+/// queue outgrows the ring or its buckets or overflow get crowded;
+/// DESIGN.md "Event queue".
 ///
 /// Events live by value in one slab reused through a free list, so a
 /// steady-state push or pop allocates nothing.  clear() keeps the slab,
@@ -120,7 +120,7 @@ class event_queue {
     free_ = index;
     --size_;
   }
-  /// Heap order of the overflow tier: x after y in (time, seq).
+  /// x after y in (time, seq): the overflow heap's and the rebuild's order.
   [[nodiscard]] bool later(std::uint32_t x, std::uint32_t y) const noexcept;
   void overflow_push(std::uint32_t index);
   std::uint32_t overflow_pop();

@@ -451,8 +451,8 @@ TEST(simulation, exponential_jitter_delays_messages) {
 // --- event_queue against a reference heap -------------------------------------
 //
 // Seeded random push / pop / run_until sequences, checked pop by pop
-// against a std::priority_queue keyed on (time, push order) — the queue
-// netsim used before the bucketed one.
+// against a std::priority_queue keyed on (time, push order): the order
+// the bucketed queue must reproduce exactly.
 
 class reference_queue {
  public:
@@ -464,10 +464,6 @@ class reference_queue {
     out.a = heap_.top().id;
     heap_.pop();
     return true;
-  }
-  void clear() {
-    heap_ = {};
-    next_seq_ = 0;
   }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
@@ -579,7 +575,6 @@ TEST(event_queue, reuse_across_growth_and_shrink) {
   rng gen{99};
   event_queue queue;
   // Grow: a large population on a coarse time scale.
-  reference_queue ref;
   for (std::int64_t i = 0; i < 20000; ++i) {
     queue.push(10.0 * gen.next_double()).a = i;
   }
