@@ -57,31 +57,6 @@ void finite_dynamics::set_topology(const graph::graph* topology) {
       topology != nullptr &&
       (topology->average_degree() > dense_degree_threshold ||
        (params_.num_options == 2 && topology->max_degree() > 0xFFFF));
-  // Locality heuristic for the delta pass (one O(E) sweep, amortized over
-  // the run): on scatter graphs — a quarter or more of the edges jumping
-  // further than a bucket span — the serial delta walk regroups its
-  // updates through vertex buckets so the read-modify-writes stay
-  // cache-resident; local graphs (ring, torus, unrewired lattices) keep
-  // the cheaper direct walk.  The packed item layout spends 4 bits on the
-  // transition code, so huge graphs fall back to the direct walk too.
-  scatter_topology_ = false;
-  if (topology != nullptr && !network_dense_ && params_.num_options == 2 &&
-      choices_.size() <= (std::size_t{1} << 28)) {
-    const auto adjacency = topology->adjacency();
-    const auto offsets = topology->offsets();
-    std::size_t nonlocal = 0;
-    for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
-      for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-        const auto d = u > adjacency[e] ? u - adjacency[e] : adjacency[e] - u;
-        nonlocal += d >= (std::size_t{1} << delta_bucket_shift);
-      }
-    }
-    scatter_topology_ = nonlocal * 4 >= adjacency.size();
-  }
-  if (!scatter_topology_) {
-    delta_buckets_.clear();
-    delta_buckets_.shrink_to_fit();
-  }
   rebuild_neighbor_view();
 }
 
@@ -110,14 +85,16 @@ void finite_dynamics::rebuild_neighbor_view() {
   // otherwise m uint32 counts per vertex.
   const std::size_t m = params_.num_options;
   neighbor_view_.assign(m == 2 ? choices_.size() : choices_.size() * m, 0);
+  const std::size_t slot_stride = m == 2 ? 1 : m;
+  const auto offsets = topology_->offsets();
+  const auto adjacency = topology_->adjacency();
   for (std::size_t u = 0; u < choices_.size(); ++u) {
     const std::int32_t c = choices_[u];
     if (c < 0) continue;
-    const std::size_t slot_stride = m == 2 ? 1 : m;
     const std::uint32_t bump = m == 2 ? (c == 0 ? 1U : 0x10000U) : 1U;
     const std::size_t offset = m == 2 ? 0 : static_cast<std::size_t>(c);
-    for (const auto v : topology_->neighbors(static_cast<graph::graph::vertex>(u))) {
-      neighbor_view_[static_cast<std::size_t>(v) * slot_stride + offset] += bump;
+    for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      neighbor_view_[static_cast<std::size_t>(adjacency[e]) * slot_stride + offset] += bump;
     }
   }
 }
@@ -473,70 +450,15 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   for (const std::uint64_t d : adopter_counts_) adopters_ += d;
 
   // Sparse mode: delta-update the view — only the recorded changed agents
-  // touch their neighbours' rows.  Increments commute, so every variant
-  // below produces exactly the same counts: the serial direct walk, the
-  // serial bucketed walk (regrouping updates by view region so the
-  // read-modify-writes hit cache instead of paying a miss each), and the
-  // concurrent walk (relaxed atomics).
+  // touch their neighbours' rows.  Increments commute, so the serial walk
+  // and the concurrent one (relaxed atomics) produce exactly the same
+  // counts.
   if (!network_dense_) {
-    if (threads <= 1 && scatter_topology_ && m == 2) {
-      // Bucketed serial walk.  Emit: every (changed agent, neighbour)
-      // pair becomes one u32 item v << 4 | (was+1) << 2 | (now+1) in
-      // bucket v >> delta_bucket_shift (the emit stream reads the CSR
-      // arrays forward and appends to ~N/2^14 cache-resident bucket
-      // tails).  Apply: draining one bucket touches only its 64 KiB view
-      // span, so the scattered read-modify-writes hit cache instead of
-      // paying a DRAM round-trip each.  Same adds as the direct walk, in
-      // a different commutative order — counts are bit-identical.
-      const std::size_t buckets = (n >> delta_bucket_shift) + 1;
-      delta_buckets_.resize(buckets);
-      const auto adjacency = topology_->adjacency();
-      const auto offsets = topology_->offsets();
-      for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t lo = s * shard_size;
-        for (std::size_t k = 0; k < changed_len_[s]; ++k) {
-          const std::uint64_t entry = changed_[lo + k];
-          const auto i = static_cast<std::uint32_t>(entry);
-          const std::uint32_t code = static_cast<std::uint32_t>(
-              ((entry >> 30) & 0xCU) | ((entry >> 48) & 0x3U));
-          for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-            const std::uint32_t v = adjacency[e];
-            delta_buckets_[v >> delta_bucket_shift].push_back(v << 4 | code);
-          }
-        }
-      }
-      // encoded[was+1][now+1] as a flat 4-bit-indexed table; unsigned
-      // wrap-around makes each entry the exact packed-word subtract.
-      static constexpr std::uint32_t encoded[3] = {0U, 1U, 0x10000U};
-      std::uint32_t delta_of[16] = {};
-      for (std::uint32_t was = 0; was < 3; ++was) {
-        for (std::uint32_t now = 0; now < 3; ++now) {
-          delta_of[was << 2 | now] = encoded[now] - encoded[was];
-        }
-      }
-      for (auto& bucket : delta_buckets_) {
-        for (const std::uint32_t item : bucket) {
-          neighbor_view_[item >> 4] += delta_of[item & 0xFU];
-        }
-        bucket.clear();
-      }
-    } else if (threads <= 1) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t lo = s * shard_size;
-        for (std::size_t k = 0; k < changed_len_[s]; ++k) {
-          apply_view_delta<false>(changed_[lo + k]);
-        }
-      }
+    if (threads <= 1) {
+      for (std::size_t s = 0; s < shards; ++s) apply_view_deltas<false>(s);
     } else {
       parallel_for(
-          0, shards,
-          [&](std::size_t s) {
-            const std::size_t lo = s * shard_size;
-            for (std::size_t k = 0; k < changed_len_[s]; ++k) {
-              apply_view_delta<true>(changed_[lo + k]);
-            }
-          },
-          threads);
+          0, shards, [&](std::size_t s) { apply_view_deltas<true>(s); }, threads);
     }
   }
 }
@@ -546,7 +468,9 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
 /// neighbourhood).
 std::int32_t finite_dynamics::sample_committed_neighbor(std::size_t i,
                                                         rng& shard_gen) const {
-  const auto nbrs = topology_->neighbors(static_cast<graph::graph::vertex>(i));
+  const auto offsets = topology_->offsets();
+  const std::span<const graph::graph::vertex> nbrs{
+      topology_->adjacency().data() + offsets[i], offsets[i + 1] - offsets[i]};
   if (nbrs.empty()) return -1;
   for (int attempt = 0; attempt < rejection_cap; ++attempt) {
     const std::int32_t seen =
@@ -565,17 +489,18 @@ std::int32_t finite_dynamics::sample_committed_neighbor(std::size_t i,
   return -1;  // unreachable: k < committed
 }
 
-/// Propagates a changed agent's choice delta (one packed changed-list
-/// entry) into its neighbours' view rows.  The was/now tests are hoisted
-/// out of the neighbour walk, which is the hottest loop of the sparse
-/// network step.
+/// Propagates shard s's recorded choice changes (packed changed-list
+/// entries) into the neighbours' view rows.  This is the hottest loop of
+/// the sparse network step, so it reads the CSR arrays directly and
+/// decodes each entry's was/now outside its neighbour walk.
 template <bool Atomic>
-void finite_dynamics::apply_view_delta(std::uint64_t entry) {
-  const auto i = static_cast<std::uint32_t>(entry);
-  const std::int32_t was = static_cast<std::int32_t>((entry >> 32) & 0xFFFF) - 1;
-  const std::int32_t now = static_cast<std::int32_t>(entry >> 48) - 1;
+void finite_dynamics::apply_view_deltas(std::size_t s) {
   const std::size_t m = params_.num_options;
-  const auto nbrs = topology_->neighbors(static_cast<graph::graph::vertex>(i));
+  const std::size_t* offsets = topology_->offsets().data();
+  const graph::graph::vertex* adjacency = topology_->adjacency().data();
+  std::uint32_t* view = neighbor_view_.data();
+  const std::uint64_t* entry = changed_.data() + s * shard_size;
+  const std::uint64_t* const end = entry + changed_len_[s];
   const auto bump = [](std::uint32_t& slot, std::uint32_t delta) {
     if constexpr (Atomic) {
       std::atomic_ref<std::uint32_t>{slot}.fetch_add(delta,
@@ -587,27 +512,41 @@ void finite_dynamics::apply_view_delta(std::uint64_t entry) {
   if (m == 2) {
     // Packed word per vertex: both option counts move in one add.  The
     // 16-bit halves cannot carry into each other — each stays within
-    // [0, degree] and the packed mode requires degree < 2^16.
+    // [0, degree] and the packed mode requires degree < 2^16.  Unsigned
+    // wrap-around makes encoded[now+1] - encoded[was+1] the exact delta.
     static constexpr std::uint32_t encoded[3] = {0U, 1U, 0x10000U};
-    const std::uint32_t delta =
-        encoded[now + 1] - encoded[was + 1];  // unsigned wrap = subtract
-    for (const auto v : nbrs) bump(neighbor_view_[v], delta);
+    for (; entry != end; ++entry) {
+      const auto i = static_cast<std::uint32_t>(*entry);
+      const std::uint32_t delta =
+          encoded[*entry >> 48] - encoded[(*entry >> 32) & 0xFFFF];
+      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+        bump(view[adjacency[e]], delta);
+      }
+    }
     return;
   }
-  if (was < 0) {
-    const auto j = static_cast<std::size_t>(now);
-    for (const auto v : nbrs) bump(neighbor_view_[v * m + j], 1);
-  } else if (now < 0) {
-    const auto j = static_cast<std::size_t>(was);
-    for (const auto v : nbrs) bump(neighbor_view_[v * m + j],
-                                   static_cast<std::uint32_t>(-1));
-  } else {
-    const auto from = static_cast<std::size_t>(was);
-    const auto to = static_cast<std::size_t>(now);
-    for (const auto v : nbrs) {
-      std::uint32_t* vrow = &neighbor_view_[v * m];
-      bump(vrow[from], static_cast<std::uint32_t>(-1));
-      bump(vrow[to], 1);
+  for (; entry != end; ++entry) {
+    const auto i = static_cast<std::uint32_t>(*entry);
+    const std::int32_t was = static_cast<std::int32_t>((*entry >> 32) & 0xFFFF) - 1;
+    const std::int32_t now = static_cast<std::int32_t>(*entry >> 48) - 1;
+    const std::size_t first = offsets[i];
+    const std::size_t last = offsets[i + 1];
+    if (was < 0) {
+      const auto j = static_cast<std::size_t>(now);
+      for (std::size_t e = first; e < last; ++e) bump(view[adjacency[e] * m + j], 1);
+    } else if (now < 0) {
+      const auto j = static_cast<std::size_t>(was);
+      for (std::size_t e = first; e < last; ++e) {
+        bump(view[adjacency[e] * m + j], static_cast<std::uint32_t>(-1));
+      }
+    } else {
+      const auto from = static_cast<std::size_t>(was);
+      const auto to = static_cast<std::size_t>(now);
+      for (std::size_t e = first; e < last; ++e) {
+        std::uint32_t* row = view + adjacency[e] * m;
+        bump(row[from], static_cast<std::uint32_t>(-1));
+        bump(row[to], 1);
+      }
     }
   }
 }

@@ -156,10 +156,6 @@ class finite_dynamics : public dynamics_engine {
   /// uniform fallback while committed neighbours exist).
   static constexpr int rejection_cap = 64;
 
-  /// Vertices per bucket of the regrouped (serial, m == 2) delta walk:
-  /// 2^14 packed view rows = 64 KiB, cache-resident while a bucket drains.
-  static constexpr std::size_t delta_bucket_shift = 14;
-
   /// O(m) step for the homogeneous, fully mixed case: the exact
   /// multinomial/binomial factorization (sample_mixed_counts, shared with
   /// aggregate_dynamics).  Leaves choices_ stale.
@@ -186,12 +182,13 @@ class finite_dynamics : public dynamics_engine {
   /// by set_topology and reset so engines stay reusable.
   void rebuild_neighbor_view();
 
-  /// Applies agent i's choice change (previous vs current) to its
-  /// neighbours' view rows; Atomic selects relaxed-atomic increments for
-  /// the concurrent delta pass (integer adds commute, so the result is
-  /// identical to the serial pass).
+  /// The view-delta walk: applies shard s's changed-list entries to the
+  /// neighbours' view rows, reading the CSR arrays directly.  Atomic
+  /// selects relaxed-atomic adds for a step that runs on several threads,
+  /// plain adds otherwise (integer adds commute, so the counts are
+  /// identical either way).
   template <bool Atomic>
-  void apply_view_delta(std::uint64_t entry);
+  void apply_view_deltas(std::size_t s);
 
   /// Dense-mode stage-1 sampler: the choice of a uniform committed
   /// neighbour of i, or -1 when there is none.
@@ -215,17 +212,17 @@ class finite_dynamics : public dynamics_engine {
   std::vector<std::uint64_t> stage_counts_;
   adoption_binomials binomials_;  // batched path: the stage-2 samplers
   // Network mode: neighbor_view_[v*m + j] = committed neighbours of v on
-  // option j, always consistent with choices_; maintained by delta.  Empty
-  // when the graph is above dense_degree_threshold (rejection mode).
+  // option j (m == 2: one word per vertex, option 1 in the high half),
+  // always consistent with choices_; maintained by apply_view_deltas.
+  // Empty when the graph is above dense_degree_threshold (rejection mode).
   std::vector<std::uint32_t> neighbor_view_;
   std::vector<std::uint64_t> shard_counts_;  // per-shard stage/adopter scratch
-  std::vector<std::uint64_t> changed_;       // per-shard packed (i, was, now)
+  // Per-shard packed (i, was, now) entries of the agents whose choice
+  // changed: the sampling pass writes them, the view-delta walk reads them.
+  std::vector<std::uint64_t> changed_;
   std::vector<std::uint32_t> changed_len_;   // entries used per shard
   std::vector<double> adopt_below_explore_;  // fused stage-2 threshold, μ-branch
   std::vector<double> adopt_below_copy_;     // fused stage-2 threshold, copy branch
-  // Bucketed delta walk (scatter graphs, serial, m == 2): per-bucket item
-  // streams of v << 4 | transition code.  Kept allocated across steps.
-  std::vector<std::vector<std::uint32_t>> delta_buckets_;
   // SoA u64 adoption thresholds (prob_to_u64 of each rule), built once in
   // set_agent_rules; the v3 kernels blend contiguous loads from these
   // instead of gathering adoption_rule structs.
@@ -239,7 +236,6 @@ class finite_dynamics : public dynamics_engine {
   std::uint64_t steps_ = 0;
   unsigned threads_ = 1;
   bool network_dense_ = false;  // topology above the degree threshold
-  bool scatter_topology_ = false;  // ≥¼ of edges leave their vertex bucket
 };
 
 }  // namespace sgl::core
