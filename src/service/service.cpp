@@ -180,10 +180,10 @@ void session::handle_submit(const json_value& request) {
     json.key("cached").value(static_cast<std::uint64_t>(event.cached));
     json.end_object();
     emit(out.str());
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      if (outstanding_ > 0) --outstanding_;
-    }
+    const std::lock_guard<std::mutex> lock{mutex_};
+    if (outstanding_ > 0) --outstanding_;
+    // Notify under the lock: once finish() sees 0 it returns and ~session
+    // destroys idle_, which must not happen while this call is still in it.
     idle_.notify_all();
   };
 
