@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/flags.h"
@@ -383,6 +385,9 @@ TEST(parallel_tasks, propagates_first_exception_and_stops_claiming) {
                    [&](std::size_t i) {
                      ran.fetch_add(1);
                      if (i == 3) throw std::runtime_error{"boom"};
+                     // Slow tasks: the other participant cannot drain all
+                     // 1000 while the one that claimed task 3 is descheduled.
+                     std::this_thread::sleep_for(std::chrono::milliseconds{1});
                    },
                    2),
                std::runtime_error);
