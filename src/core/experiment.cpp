@@ -1,7 +1,10 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -9,20 +12,6 @@
 #include "support/rng.h"
 
 namespace sgl::core {
-namespace {
-
-/// Per-shard accumulators: one clone of every probe prototype.
-struct replication_shard {
-  probe_list probes;
-};
-
-void merge_shards(replication_shard& into, const replication_shard& from) {
-  for (std::size_t i = 0; i < into.probes.size(); ++i) {
-    into.probes[i]->merge(*from.probes[i]);
-  }
-}
-
-}  // namespace
 
 void check_run_config(const run_config& config) {
   if (config.horizon == 0) throw std::invalid_argument{"run_config: horizon must be >= 1"};
@@ -117,47 +106,191 @@ void replication_context::run(const run_config& config, std::uint64_t replicatio
   }
 }
 
-context_pool::lease context_pool::borrow() {
-  {
-    const std::scoped_lock lock{mutex_};
-    if (!free_.empty()) {
-      auto context = std::move(free_.back());
-      free_.pop_back();
-      return lease{*this, std::move(context)};
+namespace {
+
+/// A checkout pool of replication_contexts: a shard borrows one and
+/// returns it, so the number of live engine/environment instances tracks
+/// the *concurrency*, not the shard count.  Thread-safe; the factories
+/// must outlive the pool.
+class context_pool {
+ public:
+  context_pool(const engine_factory& make_engine, const env_factory& make_env,
+               bool clamp_engine_threads)
+      : make_engine_{make_engine},
+        make_env_{make_env},
+        clamp_engine_threads_{clamp_engine_threads} {}
+
+  /// RAII borrow: releases the context back to the pool on destruction.
+  class lease {
+   public:
+    lease(context_pool& pool, std::unique_ptr<replication_context> context) noexcept
+        : pool_{pool}, context_{std::move(context)} {}
+    lease(const lease&) = delete;
+    lease& operator=(const lease&) = delete;
+    ~lease() { pool_.release(std::move(context_)); }
+    replication_context* operator->() const noexcept { return context_.get(); }
+
+   private:
+    context_pool& pool_;
+    std::unique_ptr<replication_context> context_;
+  };
+
+  /// Pops a pooled context, or builds (and validates) a fresh one.
+  [[nodiscard]] lease borrow() {
+    {
+      const std::scoped_lock lock{mutex_};
+      if (!free_.empty()) {
+        auto context = std::move(free_.back());
+        free_.pop_back();
+        return lease{*this, std::move(context)};
+      }
     }
+    return lease{*this, std::make_unique<replication_context>(make_engine_, make_env_,
+                                                              clamp_engine_threads_)};
   }
-  return lease{*this, std::make_unique<replication_context>(make_engine_, make_env_,
-                                                            clamp_engine_threads_)};
+
+ private:
+  void release(std::unique_ptr<replication_context> context) {
+    if (context == nullptr) return;
+    const std::scoped_lock lock{mutex_};
+    free_.push_back(std::move(context));
+  }
+
+  const engine_factory& make_engine_;
+  const env_factory& make_env_;
+  bool clamp_engine_threads_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<replication_context>> free_;
+};
+
+/// Everything one run needs while its shards are in flight.
+struct run_state {
+  run_request request;
+  std::optional<context_pool> contexts;
+  std::vector<probe_list> shard_probes;  // merged in shard order at the end
+  std::atomic<std::size_t> shards_left{0};
+  std::atomic<bool> skipped{false};  // a shard was cancelled: never merge/deliver
+  std::atomic<std::int64_t> start_ns{0};  // set by the first shard to start
+
+  /// Drops the engines, factories and (through them) any graph reference
+  /// as soon as the run's last shard completes, so a list of runs that
+  /// each carry O(N) state — e.g. a topology.seed sweep over 10^6-vertex
+  /// graphs — peaks at the *in-flight* runs, not the whole list.  Only the
+  /// shard probes (needed for the merge) survive.
+  void release_run_state() {
+    contexts.reset();
+    request = {};
+  }
+
+  /// The fixed-order fold of the shard accumulators.
+  probe_list merge_shards() {
+    probe_list merged = std::move(shard_probes[0]);
+    for (std::size_t s = 1; s < shard_probes.size(); ++s) {
+      for (std::size_t i = 0; i < merged.size(); ++i) merged[i]->merge(*shard_probes[s][i]);
+    }
+    return merged;
+  }
+};
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-void context_pool::release(std::unique_ptr<replication_context> context) {
-  if (context == nullptr) return;
-  const std::scoped_lock lock{mutex_};
-  free_.push_back(std::move(context));
+}  // namespace
+
+std::size_t run_points(std::vector<run_request> runs, const run_config& config,
+                       const run_sink& on_point, const std::atomic<bool>* cancel) {
+  check_run_config(config);
+  const auto replications = static_cast<std::size_t>(config.replications);
+  const shard_layout layout = reduce_layout(replications);
+
+  // Flatten the runs into (run, shard) work items.  Every shard gets its
+  // accumulator clones (the merge walks all of them), but only shards with
+  // a non-empty replication range become work items — an empty shard must
+  // not borrow (and possibly construct) an engine.
+  std::vector<run_state> states(runs.size());
+  std::vector<std::pair<std::size_t, std::size_t>> items;  // (run, shard)
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    run_state& state = states[r];
+    state.request = std::move(runs[r]);
+    state.shard_probes.resize(layout.shard_count);
+    std::size_t live_shards = 0;
+    for (std::size_t s = 0; s < layout.shard_count; ++s) {
+      for (const auto& prototype : state.request.prototypes) {
+        state.shard_probes[s].push_back(prototype->clone());
+      }
+      if (s * layout.chunk < replications) {
+        items.emplace_back(r, s);
+        ++live_shards;
+      }
+    }
+    state.shards_left.store(live_shards, std::memory_order_relaxed);
+  }
+
+  const unsigned workers = std::min<unsigned>(
+      config.threads == 0 ? default_thread_count() : config.threads,
+      static_cast<unsigned>(
+          std::min<std::size_t>(items.size(), std::numeric_limits<unsigned>::max())));
+  for (run_state& state : states) {
+    state.contexts.emplace(state.request.make_engine, state.request.make_env,
+                           /*clamp_engine_threads=*/workers > 1);
+  }
+
+  std::mutex deliver_mutex;  // serializes on_point across finishing workers
+  std::size_t delivered = 0;
+
+  parallel_tasks(
+      items.size(),
+      [&](std::size_t item) {
+        const auto [r, s] = items[item];
+        run_state& state = states[r];
+        if (cancel == nullptr || !cancel->load(std::memory_order_acquire)) {
+          std::int64_t unset = 0;
+          state.start_ns.compare_exchange_strong(unset, now_ns(), std::memory_order_relaxed);
+          const std::size_t lo = s * layout.chunk;
+          const std::size_t hi = std::min(replications, lo + layout.chunk);
+          auto context = state.contexts->borrow();
+          for (std::size_t replication = lo; replication < hi; ++replication) {
+            context->run(config, replication, state.shard_probes[s]);
+          }
+        } else {
+          // A skipped shard poisons the run: its accumulators are empty,
+          // so a merge would misreport a partial run as the real result.
+          state.skipped.store(true, std::memory_order_release);
+        }
+        // Last shard of the run: every other shard has returned its lease
+        // and decremented, so free the run's engines now, then merge and
+        // deliver unless a sibling shard was cancelled.
+        if (state.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          const std::int64_t end = now_ns();
+          state.release_run_state();
+          if (!state.skipped.load(std::memory_order_acquire)) {
+            const std::int64_t start = state.start_ns.load(std::memory_order_relaxed);
+            probe_list merged = state.merge_shards();
+            const std::lock_guard<std::mutex> lock{deliver_mutex};
+            ++delivered;
+            on_point(r, std::move(merged), static_cast<double>(end - start) * 1e-9);
+          }
+        }
+      },
+      config.threads);
+
+  return delivered;
 }
 
 probe_list run_with_probes(const engine_factory& make_engine, const env_factory& make_env,
                            const run_config& config,
                            std::span<const probe* const> prototypes) {
-  check_run_config(config);
-  const unsigned workers = std::min<unsigned>(
-      config.threads == 0 ? default_thread_count() : config.threads,
-      static_cast<unsigned>(std::min<std::uint64_t>(
-          config.replications, std::numeric_limits<unsigned>::max())));
-  context_pool contexts{make_engine, make_env, /*clamp_engine_threads=*/workers > 1};
-  auto shard = parallel_reduce<replication_shard>(
-      config.replications,
-      [&] {
-        replication_shard s;
-        s.probes.reserve(prototypes.size());
-        for (const probe* prototype : prototypes) s.probes.push_back(prototype->clone());
-        return s;
-      },
-      [&](replication_shard& s, std::size_t replication) {
-        contexts.borrow()->run(config, replication, s.probes);
-      },
-      merge_shards, config.threads);
-  return std::move(shard.probes);
+  std::vector<run_request> runs(1);
+  runs[0].make_engine = make_engine;
+  runs[0].make_env = make_env;
+  for (const probe* prototype : prototypes) runs[0].prototypes.push_back(prototype->clone());
+  probe_list result;
+  run_points(std::move(runs), config,
+             [&result](std::size_t, probe_list&& merged, double) { result = std::move(merged); });
+  return result;
 }
 
 engine_factory make_infinite_engine_factory(const dynamics_params& params,

@@ -16,20 +16,25 @@
 /// non-stationary environments the benchmark is the per-step best mean
 /// Σ_t η_best(t)/T, which coincides with η₁ in the stationary case.
 ///
-/// The whole harness is one generic runner, run_with_probes(): each worker
-/// borrows a replication_context (engine + environment built from the two
-/// factories, validated once, reset() between replications when both sides
-/// are reusable()), advances it through the horizon, and every installed
-/// probe (core/probe.h) observes each step and is reduced deterministically
-/// across replications.  The §2.2 estimates above are the regret probe's
-/// accumulators, the per-step curves the trajectory probe's; callers that
-/// start from a scenario_spec go through scenario::run_probes /
-/// scenario::run_sweep, which build the factories and call this runner.
+/// The whole harness is one replication scheduler, run_points(): it takes
+/// a list of runs (engine factory, environment factory, probe prototypes),
+/// splits each run's replications into the fixed shards of reduce_layout
+/// (support/parallel.h), and drains every (run × shard) work item in one
+/// job over the worker pool.  Each worker borrows a replication_context
+/// (engine + environment built from the two factories, validated once,
+/// reset() between replications when both sides are reusable()) and
+/// advances it through the horizon while every installed probe
+/// (core/probe.h) observes each step; a run's shards merge in shard order
+/// once its last shard finishes.  The §2.2 estimates above are the regret
+/// probe's accumulators, the per-step curves the trajectory probe's.
+/// run_with_probes() is the one-run call; callers that start from a
+/// scenario_spec go through scenario::run_sweep (scenario/sweep.h), which
+/// builds the factories and calls run_points().
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -71,9 +76,9 @@ struct run_config {
   bool reuse = true;
 };
 
-/// The runner's config validation, shared with external schedulers
-/// (scenario/sweep.cpp) so they reject exactly what run_with_probes would.
-/// Throws std::invalid_argument on a zero horizon or replication count.
+/// The runner's config validation, exposed so callers can reject a config
+/// before costly set-up.  Throws std::invalid_argument on a zero horizon
+/// or replication count.
 void check_run_config(const run_config& config);
 
 /// One worker's run state: engine + environment + per-step scratch
@@ -85,9 +90,8 @@ void check_run_config(const run_config& config);
 /// replications the context reset()s the engine and environment when both
 /// report reusable() (and config.reuse allows it), and reconstructs them
 /// otherwise — the trajectory is bit-identical either way.  The factories
-/// must outlive the context.  Exposed so schedulers outside this file (the
-/// sweep scheduler in scenario/sweep.h) drive replications through the
-/// exact same code path.
+/// must outlive the context.  run_points() pools these per run; exposed so
+/// a hand replay of the harness (perfbench/) can build one the same way.
 class replication_context {
  public:
   replication_context(const engine_factory& make_engine, const env_factory& make_env,
@@ -111,54 +115,43 @@ class replication_context {
   std::vector<double> q_prev_;         ///< hoisted per-step Q^{t-1} buffer
 };
 
-/// A checkout pool of replication_contexts: workers borrow one per
-/// replication (or per shard) and return it, so the number of live
-/// engine/environment instances tracks the *concurrency*, not the
-/// replication count.  Thread-safe; the factories must outlive the pool.
-class context_pool {
- public:
-  context_pool(const engine_factory& make_engine, const env_factory& make_env,
-               bool clamp_engine_threads)
-      : make_engine_{make_engine},
-        make_env_{make_env},
-        clamp_engine_threads_{clamp_engine_threads} {}
-
-  /// RAII borrow: releases the context back to the pool on destruction.
-  class lease {
-   public:
-    lease(context_pool& pool, std::unique_ptr<replication_context> context) noexcept
-        : pool_{pool}, context_{std::move(context)} {}
-    lease(const lease&) = delete;
-    lease& operator=(const lease&) = delete;
-    ~lease() { pool_.release(std::move(context_)); }
-    replication_context* operator->() const noexcept { return context_.get(); }
-
-   private:
-    context_pool& pool_;
-    std::unique_ptr<replication_context> context_;
-  };
-
-  /// Pops a pooled context, or builds (and validates) a fresh one.
-  [[nodiscard]] lease borrow();
-
- private:
-  void release(std::unique_ptr<replication_context> context);
-
-  const engine_factory& make_engine_;
-  const env_factory& make_env_;
-  bool clamp_engine_threads_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<replication_context>> free_;
+/// One run for run_points(): the factories its replication contexts are
+/// built from and the probes that observe it (cloned once per shard; the
+/// prototypes themselves are never run).
+struct run_request {
+  engine_factory make_engine;
+  env_factory make_env;
+  probe_list prototypes;
 };
 
-/// THE Monte-Carlo harness: `config.replications` independent replications,
-/// each built from the two factories and advanced `config.horizon` steps
-/// while every probe in `prototypes` observes it.  Each parallel shard
-/// works on clone()s of the prototypes; shards are merged in fixed shard
-/// order, so results are bit-identical for any thread count.  Returns the
-/// merged probes, one per prototype, in order (the prototypes themselves
-/// are not touched).  Throws std::invalid_argument on a zero horizon /
-/// replication count or an engine/environment option-count mismatch.
+/// Receives a completed run: its index in the request list, its merged
+/// probes (one per prototype, in order) and its wall-clock seconds in
+/// flight (first shard started to last shard finished).
+using run_sink = std::function<void(std::size_t index, probe_list&& merged, double seconds)>;
+
+/// THE Monte-Carlo scheduler: `config.replications` independent
+/// replications of every run, each advanced `config.horizon` steps.  Every
+/// run's replications split into reduce_layout's fixed shards; all (run ×
+/// shard) items drain over the worker pool together, so no worker idles
+/// until the last run is done.  Each shard folds its replications, on the
+/// streams rng::from_stream(config.seed, 2r[+1]), into its own probe
+/// clones, and a run's shards merge in shard order — so a run's result is
+/// bit-identical to scheduling it alone, for any thread count and any
+/// interleaving.  When a run's last shard finishes, its engines and
+/// factories are released and `on_point` receives the merge; calls are
+/// serialized but arrive in completion order, not request order, and must
+/// not throw.  `cancel` (nullptr = never) is polled before each item
+/// starts; once set, unstarted items are skipped and their runs are never
+/// delivered (running items finish, so there are no partial merges).
+/// Returns the number of runs delivered.  Throws std::invalid_argument on
+/// a zero horizon / replication count or an engine/environment
+/// option-count mismatch, and rethrows the first exception of any item.
+std::size_t run_points(std::vector<run_request> runs, const run_config& config,
+                       const run_sink& on_point, const std::atomic<bool>* cancel = nullptr);
+
+/// One run through run_points(): returns the merged probes, one per
+/// prototype, in order (the prototypes themselves are not touched).
+/// Throws as run_points.
 [[nodiscard]] probe_list run_with_probes(const engine_factory& make_engine,
                                          const env_factory& make_env,
                                          const run_config& config,

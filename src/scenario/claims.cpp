@@ -218,7 +218,6 @@ claim_file parse_claims(std::string_view text, std::string source) {
   if (file.expects.empty()) missing("no expect.N lines");
 
   // Pass 2: resolve each point, then check and evaluate every expect on it.
-  static const std::vector<std::string> k_default_probes{"regret"};
   for (std::size_t p = 0; p < file.points.size(); ++p) {
     claim_point& point = file.points[p];
     const std::string label = "point." + std::to_string(p);
@@ -252,8 +251,7 @@ claim_file parse_claims(std::string_view text, std::string source) {
       point.run.replications = *replications;
       point.run.seed = *seed;
       validate_spec(point.spec);
-      probes = core::make_probes(point.spec.probes.empty() ? k_default_probes
-                                                           : point.spec.probes);
+      probes = core::make_probes(resolved_probes(point.spec, {}));
     });
     for (std::size_t e = 0; e < file.expects.size(); ++e) {
       const claim_expect& expect = file.expects[e];

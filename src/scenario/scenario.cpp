@@ -13,6 +13,7 @@
 #include "core/finite_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "protocol/protocol_engine.h"
+#include "scenario/sweep.h"
 #include "support/rng.h"
 
 namespace sgl::scenario {
@@ -695,20 +696,16 @@ std::string validate_spec_error(const scenario_spec& spec) {
   return {};
 }
 
+std::vector<std::string> resolved_probes(const scenario_spec& spec,
+                                         std::span<const std::string> requested) {
+  if (!requested.empty()) return {requested.begin(), requested.end()};
+  if (!spec.probes.empty()) return spec.probes;
+  return {"regret"};
+}
+
 core::probe_list run_probes(const scenario_spec& spec, const core::run_config& config,
                             std::span<const std::string> probe_specs) {
-  validate_spec(spec);
-  static const std::vector<std::string> k_default{"regret"};
-  const std::span<const std::string> specs =
-      !probe_specs.empty() ? probe_specs
-      : !spec.probes.empty() ? std::span<const std::string>{spec.probes}
-                             : std::span<const std::string>{k_default};
-  const core::probe_list prototypes = core::make_probes(specs);
-  std::vector<const core::probe*> pointers;
-  pointers.reserve(prototypes.size());
-  for (const auto& p : prototypes) pointers.push_back(p.get());
-  return core::run_with_probes(make_engine(spec), make_environment(spec.environment),
-                               config, pointers);
+  return std::move(run_sweep(spec, {}, config, probe_specs).front().probes);
 }
 
 }  // namespace sgl::scenario

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -162,8 +163,8 @@ struct scenario_spec {
   std::vector<core::adoption_rule> agent_rules;///< per-agent rules (agent-based)
 
   /// Default probe specs for this scenario (core/probe.h grammar, e.g.
-  /// "regret", "hitting_time(eps=0.25)").  Used by run_probes and the CLI
-  /// when the caller does not choose probes; empty means just "regret".
+  /// "regret", "hitting_time(eps=0.25)").  Used when the caller does not
+  /// choose probes; empty means just "regret" (resolved_probes).
   std::vector<std::string> probes;
 
   /// Optional pre-built topology, shared by every engine the factory
@@ -243,10 +244,17 @@ void validate_spec(const scenario_spec& spec);
 [[nodiscard]] std::string topology_build_error(const topology_spec& spec,
                                                std::size_t num_agents);
 
+/// The probe specs a run of `spec` installs — the one fallback rule every
+/// runner, the claims loader, the CLI and the service digest share:
+/// `requested` when non-empty, else the spec's own `probes`, else
+/// {"regret"}.
+[[nodiscard]] std::vector<std::string> resolved_probes(const scenario_spec& spec,
+                                                       std::span<const std::string> requested);
+
 /// Runs the scenario with an explicit probe set (core/probe.h spec
-/// grammar).  Empty `probe_specs` falls back to the scenario's own
-/// `probes` list, and failing that to {"regret"}.  Calls validate_spec.
-/// Returns the merged probes in spec order.
+/// grammar), resolved by resolved_probes: a one-point run_sweep
+/// (scenario/sweep.h).  Calls validate_spec.  Returns the merged probes in
+/// spec order.
 [[nodiscard]] core::probe_list run_probes(const scenario_spec& spec,
                                           const core::run_config& config,
                                           std::span<const std::string> probe_specs = {});

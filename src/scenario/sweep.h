@@ -1,27 +1,26 @@
 #pragma once
 
 /// \file sweep.h
-/// The sweep scheduler: one flattened work queue for a whole parameter
-/// grid.
+/// The spec-level entry point of the harness: a parameter grid in, one
+/// merged probe list per grid point out.
 ///
-/// The naive way to run a sweep — the CLI's historical loop — executes one
-/// grid point at a time, paying a full harness spin-up per point (engine/
-/// environment construction, topology build, a parallel-reduce barrier)
-/// and idling the tail of the machine whenever a point has fewer
-/// replications than workers.  run_sweep flattens the grid into
-/// (point × replication-shard) work items scheduled together over the
-/// persistent worker pool (support/parallel.h): every worker stays busy
-/// until the whole grid drains, engines are reused through each point's
-/// context pool (core/experiment.h), and points that share a topology key
-/// share one built graph (scenario.h, shared_topology).
+/// run_sweep applies every point's overrides to the base spec, validates
+/// all points and builds their factories and probes before any
+/// replication runs, and hands the whole grid to core::run_points
+/// (core/experiment.h) as one list of runs.  That scheduler flattens the
+/// grid into (point × replication-shard) work items over the persistent
+/// worker pool (support/parallel.h): every worker stays busy until the
+/// whole grid drains, engines are reused through each point's context
+/// pool, and points that share a topology key share one built graph
+/// (scenario.h, shared_topology).  scenario::run_probes is a one-point
+/// run_sweep, so there is one way to run a scenario.
 ///
-/// Determinism is inherited, not re-proven: each point keeps the exact
-/// shard decomposition, per-replication RNG streams
-/// (rng::from_stream(seed, 2r[+1])) and fixed-order shard merge that
-/// run_with_probes uses, so every point's merged probes are bit-identical
-/// to running that point alone — for any thread count, any interleaving,
-/// and with engine reuse on or off (tested in
-/// tests/harness_determinism_test.cpp).
+/// Determinism comes from run_points: each point's shard decomposition,
+/// per-replication RNG streams (rng::from_stream(seed, 2r[+1])) and
+/// shard-order merge do not depend on the other points, so every point's
+/// merged probes are bit-identical to running that point alone — for any
+/// thread count, any interleaving, and with engine reuse on or off
+/// (tested in tests/harness_determinism_test.cpp).
 
 #include <atomic>
 #include <cstdint>
@@ -69,21 +68,21 @@ struct sweep_stream_hooks {
 /// Runs every grid point (a list of key=value override assignments, as
 /// produced by expand_sweep; an empty grid means one point with no
 /// overrides) of `base` under one flattened schedule.  `probe_specs`
-/// chooses the measurements for every point; when empty, each point falls
-/// back to its spec's own `probes` list, and failing that to {"regret"}.
+/// chooses the measurements for every point, resolved per point by
+/// resolved_probes (the spec's own `probes`, else {"regret"}, when empty).
 /// All points are overridden and validated (validate_spec + factory
 /// construction) before any replication runs, so errors surface before
 /// work — and before any caller output — starts.  Returns the results in
-/// grid order.  Throws as run_with_probes / apply_override / validate_spec.
+/// grid order.  Throws as core::run_points / apply_override / validate_spec.
 [[nodiscard]] std::vector<sweep_point_result> run_sweep(
     const scenario_spec& base,
     std::span<const std::vector<std::pair<std::string, std::string>>> grid,
     const core::run_config& config, std::span<const std::string> probe_specs = {});
 
-/// The streaming/cancellable core run_sweep wraps: identical validation,
-/// scheduling, per-point shard decomposition and shard-order merge (so
-/// per-point results are bit-identical to run_sweep's), but results flow
-/// through hooks.on_point as points complete instead of being collected.
+/// The streaming/cancellable form run_sweep wraps: identical validation
+/// and scheduling (so per-point results are bit-identical to run_sweep's),
+/// but results flow through hooks.on_point as points complete instead of
+/// being collected.
 /// Returns the number of points that completed (== the grid size unless
 /// hooks.cancel fired).  Throws as run_sweep.
 std::size_t run_sweep_streaming(

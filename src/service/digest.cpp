@@ -48,13 +48,6 @@ digest128 fnv1a_128(std::string_view bytes) noexcept {
   return {static_cast<std::uint64_t>(hash >> 64), static_cast<std::uint64_t>(hash)};
 }
 
-std::vector<std::string> resolved_probes(const scenario::scenario_spec& spec,
-                                         std::span<const std::string> requested) {
-  if (!requested.empty()) return {requested.begin(), requested.end()};
-  if (!spec.probes.empty()) return spec.probes;
-  return {"regret"};
-}
-
 std::vector<std::pair<std::string, std::string>> digest_fields(
     const scenario::scenario_spec& spec) {
   if (spec.prebuilt_graph != nullptr) {

@@ -66,11 +66,9 @@ struct digest128 {
 /// 128-bit FNV-1a of arbitrary bytes (the hash behind spec_digest).
 [[nodiscard]] digest128 fnv1a_128(std::string_view bytes) noexcept;
 
-/// The probe specs a run of `spec` would actually install, mirroring the
-/// fallback rule of run_sweep / run_probes: `requested` when non-empty,
-/// else the spec's own probes, else {"regret"}.
-[[nodiscard]] std::vector<std::string> resolved_probes(
-    const scenario::scenario_spec& spec, std::span<const std::string> requested);
+/// The probe specs a run of `spec` installs (the scenario layer's one
+/// fallback rule), which the digest and the payload echo name.
+using scenario::resolved_probes;
 
 /// The canonical digest-input fields, in order — the exact lines that get
 /// hashed, exposed for tests and for the cached payload's spec echo.

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <thread>
+#include <vector>
 
 namespace sgl {
 namespace {

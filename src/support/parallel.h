@@ -10,7 +10,7 @@
 /// only changes wall-clock time.
 ///
 /// Execution model (new in PR 4 — see DESIGN.md "Harness execution model"):
-/// instead of spawning and joining std::jthreads on every call, all three
+/// instead of spawning and joining std::jthreads on every call, both
 /// entry points below submit a *job* (a fixed list of tasks claimed via one
 /// atomic counter) to a lazily started process-wide pool of
 /// `default_thread_count() - 1` workers.  The submitting thread always
@@ -33,7 +33,6 @@
 #include <exception>
 #include <mutex>
 #include <type_traits>
-#include <vector>
 
 namespace sgl {
 
@@ -114,16 +113,18 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn, unsigned threads 
       threads);
 }
 
-/// The default shard count of parallel_reduce — and therefore of every
+/// The default shard count of reduce_layout — and therefore of every
 /// deterministic reduction in the repo.  Part of the output contract:
 /// changing it changes which replication folds into which accumulator.
 inline constexpr std::size_t default_shard_count = 64;
 
-/// parallel_reduce's fixed decomposition of [0, count) into contiguous
-/// blocks: `shard_count` blocks of `chunk` indices (the last ones may be
-/// short or empty).  A pure function of (count, shard_count) — never of
-/// the thread count — shared with the sweep scheduler (scenario/sweep.cpp)
-/// so its per-point shards are bit-identical to parallel_reduce's.
+/// The fixed decomposition of [0, count) into contiguous blocks that every
+/// replication reduction folds over: `shard_count` blocks of `chunk`
+/// indices (the last ones may be short or empty), each folded sequentially
+/// and merged in block order.  A pure function of (count, shard_count) —
+/// never of the thread count — so the merged result is bit-identical for
+/// any number of threads.  core::run_points (core/experiment.h) shards
+/// every run with it.
 struct shard_layout {
   std::size_t shard_count = 1;
   std::size_t chunk = 0;
@@ -133,38 +134,6 @@ struct shard_layout {
   if (shard_count == 0) shard_count = 1;
   shard_count = std::min(shard_count, std::max<std::size_t>(count, 1));
   return {shard_count, (count + shard_count - 1) / shard_count};
-}
-
-/// Sharded map-reduce over [0, count): the index range is split into
-/// `shard_count` contiguous blocks (independent of the thread count), each
-/// block is folded sequentially into its own Shard with fold(shard, i), and
-/// the shards are combined in block order with merge(accumulator, shard).
-/// Because the decomposition and merge order are fixed, the result is
-/// deterministic for any number of threads.
-template <typename Shard, typename MakeShard, typename Fold, typename Merge>
-[[nodiscard]] Shard parallel_reduce(std::size_t count, MakeShard make_shard, Fold fold,
-                                    Merge merge, unsigned threads = 0,
-                                    std::size_t shard_count = default_shard_count) {
-  const shard_layout layout = reduce_layout(count, shard_count);
-  shard_count = layout.shard_count;
-  if (threads == 0) threads = default_thread_count();
-
-  std::vector<Shard> shards;
-  shards.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) shards.push_back(make_shard());
-
-  parallel_tasks(
-      shard_count,
-      [&](std::size_t s) {
-        const std::size_t lo = s * layout.chunk;
-        const std::size_t hi = std::min(count, lo + layout.chunk);
-        for (std::size_t i = lo; i < hi; ++i) fold(shards[s], i);
-      },
-      threads);
-
-  Shard result = std::move(shards[0]);
-  for (std::size_t s = 1; s < shards.size(); ++s) merge(result, shards[s]);
-  return result;
 }
 
 }  // namespace sgl

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/finite_dynamics.h"
@@ -197,6 +200,103 @@ TEST(run_with_probes, rejects_bad_configs) {
   EXPECT_THROW(run_regret(make_infinite_engine_factory(params),
                           bernoulli_factory({0.5, 0.5, 0.5}), config),
                std::invalid_argument);  // m mismatch
+}
+
+/// Every scalar and series value of the probes' reports as hex floats, so
+/// equal text means bit-equal results.
+std::string dump(const probe_list& probes) {
+  std::string out;
+  const auto append = [&out](double value) {
+    char text[40];
+    std::snprintf(text, sizeof text, " %a", value);
+    out += text;
+  };
+  for (const auto& probe : probes) {
+    const probe_report report = probe->report();
+    out += report.probe;
+    for (const auto& scalar : report.scalars) {
+      out += ' ' + scalar.key;
+      append(scalar.value);
+      append(scalar.half_width);
+    }
+    for (const auto& series : report.series) {
+      out += ' ' + series.key;
+      for (const double value : series.values) append(value);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// Two runs that share nothing: engine, environment, option count, probes.
+std::vector<run_request> two_runs() {
+  const std::vector<std::string> first_probes{"regret", "trajectory"};
+  const std::vector<std::string> second_probes{"regret", "hitting_time(eps=0.25)"};
+  std::vector<run_request> runs(2);
+  runs[0].make_engine = make_finite_engine_factory(theorem_params(3, 0.65), 200);
+  runs[0].make_env = bernoulli_factory({0.8, 0.5, 0.3});
+  runs[0].prototypes = make_probes(first_probes);
+  runs[1].make_engine = make_infinite_engine_factory(theorem_params(2, 0.62));
+  runs[1].make_env = bernoulli_factory({0.7, 0.4});
+  runs[1].prototypes = make_probes(second_probes);
+  return runs;
+}
+
+TEST(run_points, runs_scheduled_together_equal_each_run_alone) {
+  run_config config;
+  config.horizon = 40;
+  config.replications = 9;
+  config.seed = 17;
+  config.threads = 1;
+
+  std::vector<std::string> alone;
+  for (run_request& run : two_runs()) {
+    std::vector<const probe*> prototypes;
+    for (const auto& prototype : run.prototypes) prototypes.push_back(prototype.get());
+    alone.push_back(dump(run_with_probes(run.make_engine, run.make_env, config, prototypes)));
+  }
+  ASSERT_NE(alone[0], alone[1]);
+
+  for (const unsigned threads : {1U, 4U}) {
+    config.threads = threads;
+    std::vector<std::string> together(2);
+    std::vector<int> deliveries(2, 0);
+    const std::size_t delivered =
+        run_points(two_runs(), config, [&](std::size_t index, probe_list&& merged, double) {
+          ++deliveries[index];
+          together[index] = dump(merged);
+        });
+    EXPECT_EQ(delivered, 2U);
+    EXPECT_EQ(deliveries, (std::vector<int>{1, 1})) << "threads=" << threads;
+    EXPECT_EQ(together, alone) << "threads=" << threads;
+  }
+}
+
+TEST(run_points, cancelled_before_start_delivers_nothing_and_builds_nothing) {
+  std::atomic<int> factory_calls{0};
+  std::vector<run_request> runs = two_runs();
+  for (run_request& run : runs) {
+    run.make_engine = [&factory_calls, inner = run.make_engine] {
+      ++factory_calls;
+      return inner();
+    };
+    run.make_env = [&factory_calls, inner = run.make_env] {
+      ++factory_calls;
+      return inner();
+    };
+  }
+  run_config config;
+  config.horizon = 10;
+  config.replications = 70;
+  config.threads = 4;
+  const std::atomic<bool> cancel{true};
+  bool called = false;
+  const std::size_t delivered = run_points(
+      std::move(runs), config, [&called](std::size_t, probe_list&&, double) { called = true; },
+      &cancel);
+  EXPECT_EQ(delivered, 0U);
+  EXPECT_FALSE(called);
+  EXPECT_EQ(factory_calls.load(), 0);
 }
 
 TEST(trajectories, curve_shapes_and_lengths) {

@@ -13,7 +13,6 @@
 #include "support/flags.h"
 #include "support/json.h"
 #include "support/parallel.h"
-#include "support/stats.h"
 #include "support/table.h"
 
 namespace sgl {
@@ -323,48 +322,6 @@ TEST(parallel_for, propagates_exceptions) {
                    },
                    4),
       std::runtime_error);
-}
-
-// --- parallel_reduce -------------------------------------------------------------
-
-TEST(parallel_reduce, deterministic_across_thread_counts) {
-  const auto run = [](unsigned threads) {
-    return parallel_reduce<running_stats>(
-        1000, [] { return running_stats{}; },
-        [](running_stats& s, std::size_t i) {
-          // A value that depends on i in a nonlinear way.
-          s.add(std::sin(static_cast<double>(i)) * 10.0);
-        },
-        [](running_stats& into, const running_stats& from) { into.merge(from); },
-        threads);
-  };
-  const running_stats one = run(1);
-  const running_stats two = run(2);
-  const running_stats eight = run(8);
-  EXPECT_DOUBLE_EQ(one.mean(), two.mean());
-  EXPECT_DOUBLE_EQ(one.mean(), eight.mean());
-  EXPECT_DOUBLE_EQ(one.variance(), eight.variance());
-  EXPECT_EQ(one.count(), eight.count());
-}
-
-TEST(parallel_reduce, handles_count_smaller_than_shards) {
-  const auto result = parallel_reduce<running_stats>(
-      3, [] { return running_stats{}; },
-      [](running_stats& s, std::size_t i) { s.add(static_cast<double>(i)); },
-      [](running_stats& into, const running_stats& from) { into.merge(from); }, 8, 64);
-  EXPECT_EQ(result.count(), 3U);
-  EXPECT_NEAR(result.mean(), 1.0, 1e-12);
-}
-
-TEST(parallel_reduce, propagates_exceptions) {
-  EXPECT_THROW(
-      (parallel_reduce<int>(
-          100, [] { return 0; },
-          [](int&, std::size_t i) {
-            if (i == 50) throw std::logic_error{"bad"};
-          },
-          [](int&, const int&) {}, 4)),
-      std::logic_error);
 }
 
 TEST(default_thread_count, is_positive) { EXPECT_GE(default_thread_count(), 1U); }

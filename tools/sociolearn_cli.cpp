@@ -567,10 +567,8 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
   // Probe selection: --probes > the spec's probes > regret; --curves
   // additionally wants the trajectory probe.
-  std::vector<std::string> probe_specs =
-      core::split_probe_specs(flags.get_string("probes"));
-  if (probe_specs.empty()) probe_specs = spec.probes;
-  if (probe_specs.empty()) probe_specs = {"regret"};
+  std::vector<std::string> probe_specs = scenario::resolved_probes(
+      spec, core::split_probe_specs(flags.get_string("probes")));
   if (curves) {
     bool have_trajectory = false;
     for (const std::string& p : probe_specs) {
