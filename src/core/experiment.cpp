@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -108,69 +107,38 @@ void replication_context::run(const run_config& config, std::uint64_t replicatio
 
 namespace {
 
-/// A checkout pool of replication_contexts: a shard borrows one and
-/// returns it, so the number of live engine/environment instances tracks
-/// the *concurrency*, not the shard count.  Thread-safe; the factories
-/// must outlive the pool.
-class context_pool {
- public:
-  context_pool(const engine_factory& make_engine, const env_factory& make_env,
-               bool clamp_engine_threads)
-      : make_engine_{make_engine},
-        make_env_{make_env},
-        clamp_engine_threads_{clamp_engine_threads} {}
-
-  /// RAII borrow: releases the context back to the pool on destruction.
-  class lease {
-   public:
-    lease(context_pool& pool, std::unique_ptr<replication_context> context) noexcept
-        : pool_{pool}, context_{std::move(context)} {}
-    lease(const lease&) = delete;
-    lease& operator=(const lease&) = delete;
-    ~lease() { pool_.release(std::move(context_)); }
-    replication_context* operator->() const noexcept { return context_.get(); }
-
-   private:
-    context_pool& pool_;
-    std::unique_ptr<replication_context> context_;
-  };
-
-  /// Pops a pooled context, or builds (and validates) a fresh one.
-  [[nodiscard]] lease borrow() {
-    {
-      const std::scoped_lock lock{mutex_};
-      if (!free_.empty()) {
-        auto context = std::move(free_.back());
-        free_.pop_back();
-        return lease{*this, std::move(context)};
-      }
-    }
-    return lease{*this, std::make_unique<replication_context>(make_engine_, make_env_,
-                                                              clamp_engine_threads_)};
-  }
-
- private:
-  void release(std::unique_ptr<replication_context> context) {
-    if (context == nullptr) return;
-    const std::scoped_lock lock{mutex_};
-    free_.push_back(std::move(context));
-  }
-
-  const engine_factory& make_engine_;
-  const env_factory& make_env_;
-  bool clamp_engine_threads_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<replication_context>> free_;
-};
-
 /// Everything one run needs while its shards are in flight.
 struct run_state {
   run_request request;
-  std::optional<context_pool> contexts;
+  bool clamp_engine_threads = false;
+  std::mutex contexts_mutex;
+  /// Contexts no shard is using.  A shard borrows one and returns it, so
+  /// the number of live engine/environment instances tracks the
+  /// *concurrency*, not the shard count.
+  std::vector<std::unique_ptr<replication_context>> free_contexts;
   std::vector<probe_list> shard_probes;  // merged in shard order at the end
   std::atomic<std::size_t> shards_left{0};
   std::atomic<bool> skipped{false};  // a shard was cancelled: never merge/deliver
   std::atomic<std::int64_t> start_ns{0};  // set by the first shard to start
+
+  /// Pops a pooled context, or builds (and validates) a fresh one.
+  std::unique_ptr<replication_context> borrow_context() {
+    {
+      const std::scoped_lock lock{contexts_mutex};
+      if (!free_contexts.empty()) {
+        auto context = std::move(free_contexts.back());
+        free_contexts.pop_back();
+        return context;
+      }
+    }
+    return std::make_unique<replication_context>(request.make_engine, request.make_env,
+                                                 clamp_engine_threads);
+  }
+
+  void return_context(std::unique_ptr<replication_context> context) {
+    const std::scoped_lock lock{contexts_mutex};
+    free_contexts.push_back(std::move(context));
+  }
 
   /// Drops the engines, factories and (through them) any graph reference
   /// as soon as the run's last shard completes, so a list of runs that
@@ -178,7 +146,7 @@ struct run_state {
   /// graphs — peaks at the *in-flight* runs, not the whole list.  Only the
   /// shard probes (needed for the merge) survive.
   void release_run_state() {
-    contexts.reset();
+    free_contexts.clear();
     request = {};
   }
 
@@ -233,10 +201,7 @@ std::size_t run_points(std::vector<run_request> runs, const run_config& config,
       config.threads == 0 ? default_thread_count() : config.threads,
       static_cast<unsigned>(
           std::min<std::size_t>(items.size(), std::numeric_limits<unsigned>::max())));
-  for (run_state& state : states) {
-    state.contexts.emplace(state.request.make_engine, state.request.make_env,
-                           /*clamp_engine_threads=*/workers > 1);
-  }
+  for (run_state& state : states) state.clamp_engine_threads = workers > 1;
 
   std::mutex deliver_mutex;  // serializes on_point across finishing workers
   std::size_t delivered = 0;
@@ -251,16 +216,17 @@ std::size_t run_points(std::vector<run_request> runs, const run_config& config,
           state.start_ns.compare_exchange_strong(unset, now_ns(), std::memory_order_relaxed);
           const std::size_t lo = s * layout.chunk;
           const std::size_t hi = std::min(replications, lo + layout.chunk);
-          auto context = state.contexts->borrow();
+          auto context = state.borrow_context();
           for (std::size_t replication = lo; replication < hi; ++replication) {
             context->run(config, replication, state.shard_probes[s]);
           }
+          state.return_context(std::move(context));
         } else {
           // A skipped shard poisons the run: its accumulators are empty,
           // so a merge would misreport a partial run as the real result.
           state.skipped.store(true, std::memory_order_release);
         }
-        // Last shard of the run: every other shard has returned its lease
+        // Last shard of the run: every other shard has returned its context
         // and decremented, so free the run's engines now, then merge and
         // deliver unless a sibling shard was cancelled.
         if (state.shards_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
