@@ -211,8 +211,7 @@ const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
 }
 
 void network_step_benchmark(benchmark::State& state, const std::string& kind,
-                            double beta, std::vector<std::uint8_t> rewards,
-                            bool serial = false) {
+                            double beta, std::vector<std::uint8_t> rewards) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::graph& g = cached_topology(kind, n);
 
@@ -221,7 +220,6 @@ void network_step_benchmark(benchmark::State& state, const std::string& kind,
   p.mu = 0.05;
   p.beta = beta;
   core::finite_dynamics dyn{p, n};
-  if (serial) dyn.set_threads(1);
   dyn.set_topology(&g);
 
   rng gen{8};
@@ -237,15 +235,6 @@ void BM_network_step_ring(benchmark::State& state) {
 }
 BENCHMARK(BM_network_step_ring)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 
-// The *_serial rows pin one engine thread: the path run_sweep and
-// sociolearnd take whenever replications run concurrently (they clamp
-// network engines to one thread).  The unsuffixed rows follow the engine's
-// default thread count, whatever it is.
-void BM_network_step_ring_serial(benchmark::State& state) {
-  network_step_benchmark(state, "ring", 0.62, {1, 0}, /*serial=*/true);
-}
-BENCHMARK(BM_network_step_ring_serial)->Arg(100000)->Unit(benchmark::kMicrosecond);
-
 void BM_network_step_torus(benchmark::State& state) {
   network_step_benchmark(state, "torus", 0.62, {1, 0});
 }
@@ -260,11 +249,6 @@ void BM_network_step_ba(benchmark::State& state) {
   network_step_benchmark(state, "ba", 0.62, {1, 0});
 }
 BENCHMARK(BM_network_step_ba)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMicrosecond);
-
-void BM_network_step_ba_serial(benchmark::State& state) {
-  network_step_benchmark(state, "ba", 0.62, {1, 0}, /*serial=*/true);
-}
-BENCHMARK(BM_network_step_ba_serial)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 
 void BM_network_step_two_cliques(benchmark::State& state) {
   network_step_benchmark(state, "two_cliques", 0.62, {1, 0});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -20,11 +19,8 @@ void check_run_config(const run_config& config) {
 }
 
 replication_context::replication_context(const engine_factory& make_engine,
-                                         const env_factory& make_env,
-                                         bool clamp_engine_threads)
-    : make_engine_{make_engine},
-      make_env_{make_env},
-      clamp_engine_threads_{clamp_engine_threads} {
+                                         const env_factory& make_env, bool /*unused*/)
+    : make_engine_{make_engine}, make_env_{make_env} {
   rebuild();
 }
 
@@ -37,17 +33,6 @@ void replication_context::rebuild() {
   engine_ = make_engine_();
   if (environment_->num_options() != engine_->num_options()) {
     throw std::invalid_argument{"run_with_probes: engine/environment option-count mismatch"};
-  }
-  if (clamp_engine_threads_) {
-    // When the runner itself spreads replications across workers, an engine
-    // that also fans out internally (finite_dynamics::set_threads) would
-    // oversubscribe the machine quadratically; intra-replication
-    // parallelism only pays when replications don't already saturate the
-    // cores.  The clamp is a pure scheduling decision: network-mode
-    // trajectories are bit-identical for every thread count.
-    if (auto* agents = dynamic_cast<finite_dynamics*>(engine_.get())) {
-      agents->set_threads(1);
-    }
   }
   reusable_ = engine_->reusable() && environment_->reusable();
   fresh_ = true;
@@ -110,7 +95,6 @@ namespace {
 /// Everything one run needs while its shards are in flight.
 struct run_state {
   run_request request;
-  bool clamp_engine_threads = false;
   std::mutex contexts_mutex;
   /// Contexts no shard is using.  A shard borrows one and returns it, so
   /// the number of live engine/environment instances tracks the
@@ -131,8 +115,7 @@ struct run_state {
         return context;
       }
     }
-    return std::make_unique<replication_context>(request.make_engine, request.make_env,
-                                                 clamp_engine_threads);
+    return std::make_unique<replication_context>(request.make_engine, request.make_env);
   }
 
   void return_context(std::unique_ptr<replication_context> context) {
@@ -196,12 +179,6 @@ std::size_t run_points(std::vector<run_request> runs, const run_config& config,
     }
     state.shards_left.store(live_shards, std::memory_order_relaxed);
   }
-
-  const unsigned workers = std::min<unsigned>(
-      config.threads == 0 ? default_thread_count() : config.threads,
-      static_cast<unsigned>(
-          std::min<std::size_t>(items.size(), std::numeric_limits<unsigned>::max())));
-  for (run_state& state : states) state.clamp_engine_threads = workers > 1;
 
   std::mutex deliver_mutex;  // serializes on_point across finishing workers
   std::size_t delivered = 0;

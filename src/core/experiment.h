@@ -83,8 +83,7 @@ void check_run_config(const run_config& config);
 
 /// One worker's run state: engine + environment + per-step scratch
 /// buffers, built from the borrowed factories and validated once (engine/
-/// environment option-count match; network engines clamped to one internal
-/// thread when replications run concurrently).  run() advances one
+/// environment option-count match).  run() advances one
 /// replication through the horizon on the streams derived from
 /// (config.seed, replication) while `probes` observe each step; between
 /// replications the context reset()s the engine and environment when both
@@ -94,8 +93,10 @@ void check_run_config(const run_config& config);
 /// a hand replay of the harness (perfbench/) can build one the same way.
 class replication_context {
  public:
+  /// The trailing bool is ignored (perfbench only; drop with the next
+  /// [benchmark] PR).
   replication_context(const engine_factory& make_engine, const env_factory& make_env,
-                      bool clamp_engine_threads);
+                      bool unused = false);
 
   /// Runs replication `replication` of the configured horizon, observed by
   /// `probes` (begin_replication / on_step / end_replication).
@@ -106,7 +107,6 @@ class replication_context {
 
   const engine_factory& make_engine_;
   const env_factory& make_env_;
-  bool clamp_engine_threads_;
   bool reusable_ = false;  ///< engine && environment both report reusable()
   bool fresh_ = true;      ///< just (re)built: the state is already initial
   std::unique_ptr<env::reward_model> environment_;

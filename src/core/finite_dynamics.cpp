@@ -1,13 +1,11 @@
 #include "core/finite_dynamics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <type_traits>
 
 #include "core/step_kernel.h"
 #include "support/distributions.h"
-#include "support/parallel.h"
 
 namespace sgl::core {
 
@@ -249,12 +247,9 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   // One word of the caller's stream seeds the step (DESIGN.md): the net2
   // kernel addresses per-agent counter draws from it (v3), the other
   // samplers give shard s its own derived stream (v2).  The decomposition
-  // depends only on N, never on the thread count, so the trajectory is
-  // bit-identical for any parallelism.
+  // depends only on N, so the shard streams are stable.
   const std::uint64_t step_seed = gen.next_u64();
   const std::size_t shards = (n + shard_size - 1) / shard_size;
-  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads_ == 0 ? default_thread_count() : threads_, shards));
 
   shard_counts_.assign(shards * 2 * m, 0);
   if (!network_dense_) {
@@ -299,19 +294,16 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
       base.p_reward1 = rewards[1] != 0 ? beta_thr_.data() : alpha_thr_.data();
     }
     const kernel::net2_fn fn = kernel::net2_step();
-    parallel_for(
-        0, shards,
-        [&](std::size_t s) {
-          kernel::net2_args args = base;
-          args.lo = s * shard_size;
-          args.hi = std::min(n, args.lo + shard_size);
-          args.changed = changed_.data() + args.lo;
-          args.changed_len = &changed_len_[s];
-          args.stage = &shard_counts_[s * 2 * m];
-          args.adopt = args.stage + m;
-          fn(args);
-        },
-        threads);
+    for (std::size_t s = 0; s < shards; ++s) {
+      kernel::net2_args args = base;
+      args.lo = s * shard_size;
+      args.hi = std::min(n, args.lo + shard_size);
+      args.changed = changed_.data() + args.lo;
+      args.changed_len = &changed_len_[s];
+      args.stage = &shard_counts_[s * 2 * m];
+      args.adopt = args.stage + m;
+      fn(args);
+    }
   } else if (!network_dense_) {
     // Sparse mode, m != 2 (derivation v2): exact draw from the incremental
     // committed-neighbour view.  The loop has a fixed shape — every agent
@@ -335,106 +327,100 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
         adopt_below_copy_[j] = mu + (1.0 - mu) * p;
       }
     }
-    parallel_for(
-        0, shards,
-        [&](std::size_t s) {
-          rng shard_gen = rng::from_stream(step_seed, s);
-          std::uint64_t* stage = &shard_counts_[s * 2 * m];
-          std::uint64_t* adopt = stage + m;
-          const std::size_t lo = s * shard_size;
-          const std::size_t hi = std::min(n, lo + shard_size);
-          std::uint64_t* changed = changed_.data() + lo;
-          std::size_t changed_len = 0;
-          const std::uint32_t* row = &neighbor_view_[lo * m];
-          const bool heterogeneous = !rules_.empty();
-          for (std::size_t i = lo; i < hi; ++i, row += m) {
-            // --- Stage 1: explore, or copy a uniform committed neighbour
-            // (uniform option when there is none). ---
-            const double u = shard_gen.next_double();
-            const bool explore = u < mu;
-            std::uint64_t total = 0;
-            for (std::size_t j = 0; j < m; ++j) total += row[j];
-            const bool by_view = !explore && total != 0;
-            std::uint64_t r = shard_gen.next_below_mul(by_view ? total : m);
-            std::size_t considered;
-            if (by_view) {
-              considered = 0;
-              while (r >= row[considered]) r -= row[considered++];
-            } else {
-              considered = static_cast<std::size_t>(r);
-            }
-            ++stage[considered];
+    for (std::size_t s = 0; s < shards; ++s) {
+      rng shard_gen = rng::from_stream(step_seed, s);
+      std::uint64_t* stage = &shard_counts_[s * 2 * m];
+      std::uint64_t* adopt = stage + m;
+      const std::size_t lo = s * shard_size;
+      const std::size_t hi = std::min(n, lo + shard_size);
+      std::uint64_t* changed = changed_.data() + lo;
+      std::size_t changed_len = 0;
+      const std::uint32_t* row = &neighbor_view_[lo * m];
+      const bool heterogeneous = !rules_.empty();
+      for (std::size_t i = lo; i < hi; ++i, row += m) {
+        // --- Stage 1: explore, or copy a uniform committed neighbour
+        // (uniform option when there is none). ---
+        const double u = shard_gen.next_double();
+        const bool explore = u < mu;
+        std::uint64_t total = 0;
+        for (std::size_t j = 0; j < m; ++j) total += row[j];
+        const bool by_view = !explore && total != 0;
+        std::uint64_t r = shard_gen.next_below_mul(by_view ? total : m);
+        std::size_t considered;
+        if (by_view) {
+          considered = 0;
+          while (r >= row[considered]) r -= row[considered++];
+        } else {
+          considered = static_cast<std::size_t>(r);
+        }
+        ++stage[considered];
 
-            // --- Stage 2: adopt or sit out, reusing the explore word
-            // (selects, not branches; see the threshold comment above). ---
-            double threshold;
-            if (heterogeneous) {
-              const double p = rewards[considered] != 0 ? rules_[i].beta
-                                                        : rules_[i].alpha;
-              threshold = explore ? mu * p : mu + (1.0 - mu) * p;
-            } else {
-              threshold = explore ? adopt_below_explore_[considered]
-                                  : adopt_below_copy_[considered];
-            }
-            const bool adopted = u < threshold;
-            const std::int32_t now =
-                adopted ? static_cast<std::int32_t>(considered) : -1;
-            const std::int32_t was = previous_choices_[i];
-            choices_[i] = now;
-            adopt[considered] += adopted;
-            // Entry layout: agent index | was+1 << 32 | now+1 << 48 (16 bits
-            // each, -1 mapping to 0) so the delta pass never re-reads the
-            // choice buffers.
-            changed[changed_len] =
-                static_cast<std::uint64_t>(i) |
-                (static_cast<std::uint64_t>(static_cast<std::uint16_t>(was + 1))
-                 << 32) |
-                (static_cast<std::uint64_t>(static_cast<std::uint16_t>(now + 1))
-                 << 48);
-            changed_len += now != was;
-          }
-          changed_len_[s] = static_cast<std::uint32_t>(changed_len);
-        },
-        threads);
+        // --- Stage 2: adopt or sit out, reusing the explore word
+        // (selects, not branches; see the threshold comment above). ---
+        double threshold;
+        if (heterogeneous) {
+          const double p = rewards[considered] != 0 ? rules_[i].beta
+                                                    : rules_[i].alpha;
+          threshold = explore ? mu * p : mu + (1.0 - mu) * p;
+        } else {
+          threshold = explore ? adopt_below_explore_[considered]
+                              : adopt_below_copy_[considered];
+        }
+        const bool adopted = u < threshold;
+        const std::int32_t now =
+            adopted ? static_cast<std::int32_t>(considered) : -1;
+        const std::int32_t was = previous_choices_[i];
+        choices_[i] = now;
+        adopt[considered] += adopted;
+        // Entry layout: agent index | was+1 << 32 | now+1 << 48 (16 bits
+        // each, -1 mapping to 0) so the delta pass never re-reads the
+        // choice buffers.
+        changed[changed_len] =
+            static_cast<std::uint64_t>(i) |
+            (static_cast<std::uint64_t>(static_cast<std::uint16_t>(was + 1))
+             << 32) |
+            (static_cast<std::uint64_t>(static_cast<std::uint16_t>(now + 1))
+             << 48);
+        changed_len += now != was;
+      }
+      changed_len_[s] = static_cast<std::uint32_t>(changed_len);
+    }
   } else {
     // Dense mode (average degree above the threshold): rejection over
     // uniform neighbour draws — expected O(1/committed-fraction) attempts —
     // with an exact neighbourhood scan once the attempt budget is spent,
     // so the law is still exactly "uniform committed neighbour" with a
     // uniform-option fallback only when there is none.
-    parallel_for(
-        0, shards,
-        [&](std::size_t s) {
-          rng shard_gen = rng::from_stream(step_seed, s);
-          std::uint64_t* stage = &shard_counts_[s * 2 * m];
-          std::uint64_t* adopt = stage + m;
-          const std::size_t lo = s * shard_size;
-          const std::size_t hi = std::min(n, lo + shard_size);
-          for (std::size_t i = lo; i < hi; ++i) {
-            std::size_t considered;
-            if (m == 1) {
-              considered = 0;
-            } else if (shard_gen.next_bernoulli(mu)) {
-              considered = static_cast<std::size_t>(shard_gen.next_below_mul(m));
-            } else {
-              const std::int32_t copied = sample_committed_neighbor(i, shard_gen);
-              considered = copied >= 0
-                               ? static_cast<std::size_t>(copied)
-                               : static_cast<std::size_t>(shard_gen.next_below_mul(m));
-            }
-            ++stage[considered];
+    for (std::size_t s = 0; s < shards; ++s) {
+      rng shard_gen = rng::from_stream(step_seed, s);
+      std::uint64_t* stage = &shard_counts_[s * 2 * m];
+      std::uint64_t* adopt = stage + m;
+      const std::size_t lo = s * shard_size;
+      const std::size_t hi = std::min(n, lo + shard_size);
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::size_t considered;
+        if (m == 1) {
+          considered = 0;
+        } else if (shard_gen.next_bernoulli(mu)) {
+          considered = static_cast<std::size_t>(shard_gen.next_below_mul(m));
+        } else {
+          const std::int32_t copied = sample_committed_neighbor(i, shard_gen);
+          considered = copied >= 0
+                           ? static_cast<std::size_t>(copied)
+                           : static_cast<std::size_t>(shard_gen.next_below_mul(m));
+        }
+        ++stage[considered];
 
-            const adoption_rule& rule = rules_.empty() ? homogeneous : rules_[i];
-            const double adopt_p = rewards[considered] != 0 ? rule.beta : rule.alpha;
-            if (shard_gen.next_bernoulli(adopt_p)) {
-              choices_[i] = static_cast<std::int32_t>(considered);
-              ++adopt[considered];
-            } else {
-              choices_[i] = -1;
-            }
-          }
-        },
-        threads);
+        const adoption_rule& rule = rules_.empty() ? homogeneous : rules_[i];
+        const double adopt_p = rewards[considered] != 0 ? rule.beta : rule.alpha;
+        if (shard_gen.next_bernoulli(adopt_p)) {
+          choices_[i] = static_cast<std::int32_t>(considered);
+          ++adopt[considered];
+        } else {
+          choices_[i] = -1;
+        }
+      }
+    }
   }
 
   // Merge the shard tallies in shard order.
@@ -450,16 +436,9 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   for (const std::uint64_t d : adopter_counts_) adopters_ += d;
 
   // Sparse mode: delta-update the view — only the recorded changed agents
-  // touch their neighbours' rows.  Increments commute, so the serial walk
-  // and the concurrent one (relaxed atomics) produce exactly the same
-  // counts.
+  // touch their neighbours' rows.
   if (!network_dense_) {
-    if (threads <= 1) {
-      for (std::size_t s = 0; s < shards; ++s) apply_view_deltas<false>(s);
-    } else {
-      parallel_for(
-          0, shards, [&](std::size_t s) { apply_view_deltas<true>(s); }, threads);
-    }
+    for (std::size_t s = 0; s < shards; ++s) apply_view_deltas(s);
   }
 }
 
@@ -493,7 +472,6 @@ std::int32_t finite_dynamics::sample_committed_neighbor(std::size_t i,
 /// entries) into the neighbours' view rows.  This is the hottest loop of
 /// the sparse network step, so it reads the CSR arrays directly and
 /// decodes each entry's was/now outside its neighbour walk.
-template <bool Atomic>
 void finite_dynamics::apply_view_deltas(std::size_t s) {
   const std::size_t m = params_.num_options;
   const std::size_t* offsets = topology_->offsets().data();
@@ -501,14 +479,6 @@ void finite_dynamics::apply_view_deltas(std::size_t s) {
   std::uint32_t* view = neighbor_view_.data();
   const std::uint64_t* entry = changed_.data() + s * shard_size;
   const std::uint64_t* const end = entry + changed_len_[s];
-  const auto bump = [](std::uint32_t& slot, std::uint32_t delta) {
-    if constexpr (Atomic) {
-      std::atomic_ref<std::uint32_t>{slot}.fetch_add(delta,
-                                                     std::memory_order_relaxed);
-    } else {
-      slot += delta;
-    }
-  };
   if (m == 2) {
     // Packed word per vertex: both option counts move in one add.  The
     // 16-bit halves cannot carry into each other — each stays within
@@ -520,7 +490,7 @@ void finite_dynamics::apply_view_deltas(std::size_t s) {
       const std::uint32_t delta =
           encoded[*entry >> 48] - encoded[(*entry >> 32) & 0xFFFF];
       for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        bump(view[adjacency[e]], delta);
+        view[adjacency[e]] += delta;
       }
     }
     return;
@@ -533,19 +503,17 @@ void finite_dynamics::apply_view_deltas(std::size_t s) {
     const std::size_t last = offsets[i + 1];
     if (was < 0) {
       const auto j = static_cast<std::size_t>(now);
-      for (std::size_t e = first; e < last; ++e) bump(view[adjacency[e] * m + j], 1);
+      for (std::size_t e = first; e < last; ++e) ++view[adjacency[e] * m + j];
     } else if (now < 0) {
       const auto j = static_cast<std::size_t>(was);
-      for (std::size_t e = first; e < last; ++e) {
-        bump(view[adjacency[e] * m + j], static_cast<std::uint32_t>(-1));
-      }
+      for (std::size_t e = first; e < last; ++e) --view[adjacency[e] * m + j];
     } else {
       const auto from = static_cast<std::size_t>(was);
       const auto to = static_cast<std::size_t>(now);
       for (std::size_t e = first; e < last; ++e) {
         std::uint32_t* row = view + adjacency[e] * m;
-        bump(row[from], static_cast<std::uint32_t>(-1));
-        bump(row[to], 1);
+        --row[from];
+        ++row[to];
       }
     }
   }

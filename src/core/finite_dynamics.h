@@ -27,12 +27,11 @@
 /// view** — per-vertex, per-option counts of committed neighbours, updated
 /// by delta only for agents whose choice changed between steps — makes
 /// stage 1 an *exact* O(active options) draw from the neighbour-adopter
-/// distribution.  Agents step in a fixed shard decomposition, so any
-/// thread count produces the same trajectory bit for bit.  The two-option
-/// sparse step runs the net2 kernel (v3, counter-addressed per agent); the
-/// m > 2 sparse step and the dense rejection sampler draw from
-/// per-(step, shard) streams (DESIGN.md, "stream derivation v2 — network
-/// mode").  Each path has exactly one sampler, whatever the host ISA.
+/// distribution.  Agents step in a fixed decomposition of 8192-agent
+/// shards.  The two-option sparse step runs the net2 kernel (v3,
+/// counter-addressed per agent); the m > 2 sparse step and the dense
+/// rejection sampler draw from per-(step, shard) streams (DESIGN.md,
+/// "stream derivation v2 — network mode").  Each path has exactly one sampler, whatever the host ISA.
 ///
 /// Semantics pinned down beyond the paper's text (documented in DESIGN.md):
 ///   * If nobody adopted at step t, popularity Q^t is *uniform* (matching
@@ -81,21 +80,17 @@ class finite_dynamics : public dynamics_engine {
   /// and out of network mode mid-run.
   void set_topology(const graph::graph* topology);
 
-  /// Worker threads for the sharded network-mode step: 0 = hardware
-  /// concurrency, 1 (the default) = serial.  The shard decomposition and
-  /// the per-shard RNG streams are fixed by (N, step), so the trajectory
-  /// is bit-identical for every setting; threads only change wall-clock
-  /// time.  Ignored outside network mode.
-  void set_threads(unsigned threads) noexcept { threads_ = threads; }
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
+  /// No-op kept so perfbench builds (perfbench only; drop with the next
+  /// [benchmark] PR).  The step is serial.
+  void set_threads(unsigned /*threads*/) noexcept {}
 
   /// Everybody back to the initial state (no choices, uniform popularity).
   void reset() final;
 
-  /// reset() restores the factory-fresh state exactly (rules, topology and
-  /// thread settings are configuration and survive), so the harness may
-  /// reuse one instance across replications — which is what spares the
-  /// per-replication allocation of the agent/view buffers at large N.
+  /// reset() restores the factory-fresh state exactly (rules and topology
+  /// are configuration and survive), so the harness may reuse one instance
+  /// across replications — which is what spares the per-replication
+  /// allocation of the agent/view buffers at large N.
   [[nodiscard]] bool reusable() const noexcept final { return true; }
 
   /// Advances one step given the realized signals R^{t+1} (size m).
@@ -140,7 +135,7 @@ class finite_dynamics : public dynamics_engine {
 
  private:
   /// Agents per shard of the fixed network-mode decomposition.  A function
-  /// of N only — never of the thread count — so shard streams are stable.
+  /// of N only, so shard streams are stable.
   static constexpr std::size_t shard_size = 8192;
 
   /// Average-degree cutoff between the two exact network samplers: at or
@@ -183,11 +178,7 @@ class finite_dynamics : public dynamics_engine {
   void rebuild_neighbor_view();
 
   /// The view-delta walk: applies shard s's changed-list entries to the
-  /// neighbours' view rows, reading the CSR arrays directly.  Atomic
-  /// selects relaxed-atomic adds for a step that runs on several threads,
-  /// plain adds otherwise (integer adds commute, so the counts are
-  /// identical either way).
-  template <bool Atomic>
+  /// neighbours' view rows, reading the CSR arrays directly.
   void apply_view_deltas(std::size_t s);
 
   /// Dense-mode stage-1 sampler: the choice of a uniform committed
@@ -234,7 +225,6 @@ class finite_dynamics : public dynamics_engine {
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;
-  unsigned threads_ = 1;
   bool network_dense_ = false;  // topology above the degree threshold
 };
 

@@ -152,15 +152,13 @@ std::vector<scenario_spec> build_catalog() {
   {
     // Large-N topology scenarios: the sharded network step (incremental
     // committed-neighbour view, per-(step, shard) streams) makes these
-    // tractable; engine_threads = 0 puts every core on one replication.
+    // tractable.
     auto spec = base("network_ring_1e5",
                      "Network-restricted sampling on the cycle C_100000 — "
-                     "large-N low-conductance scaling run (sharded engine, "
-                     "all cores)");
+                     "large-N low-conductance scaling run (sharded engine)");
     spec.params = core::theorem_params(2, 0.65);
     spec.engine = engine_kind::agent_based;
     spec.num_agents = 100000;
-    spec.engine_threads = 0;
     spec.environment.etas = {0.85, 0.35};
     spec.topology.family = topology_spec::family_kind::ring;
     catalog.push_back(std::move(spec));
@@ -169,11 +167,10 @@ std::vector<scenario_spec> build_catalog() {
     auto spec = base("network_ba_1e6",
                      "Network-restricted sampling on a Barabasi-Albert graph "
                      "(N=10^6, attach=5) — heavy-tailed degrees at scale "
-                     "(sharded engine, all cores)");
+                     "(sharded engine)");
     spec.params = core::theorem_params(2, 0.65);
     spec.engine = engine_kind::agent_based;
     spec.num_agents = 1000000;
-    spec.engine_threads = 0;
     spec.environment.etas = {0.85, 0.35};
     spec.topology.family = topology_spec::family_kind::barabasi_albert;
     spec.topology.degree = 5;
@@ -183,11 +180,10 @@ std::vector<scenario_spec> build_catalog() {
     auto spec = base("network_smallworld_1e6",
                      "Network-restricted sampling on a Watts-Strogatz small "
                      "world (N=10^6, k=5, rewire 0.1) — high clustering, "
-                     "short paths, at scale (sharded engine, all cores)");
+                     "short paths, at scale (sharded engine)");
     spec.params = core::theorem_params(2, 0.65);
     spec.engine = engine_kind::agent_based;
     spec.num_agents = 1000000;
-    spec.engine_threads = 0;
     spec.environment.etas = {0.85, 0.35};
     spec.topology.family = topology_spec::family_kind::watts_strogatz;
     spec.topology.degree = 5;

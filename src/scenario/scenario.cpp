@@ -364,8 +364,7 @@ core::engine_factory make_engine(const scenario_spec& spec) {
         topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
       }
       return [params = spec.params, num_agents = spec.num_agents, topology,
-              rules = spec.agent_rules,
-              threads = spec.engine_threads]() -> std::unique_ptr<core::dynamics_engine> {
+              rules = spec.agent_rules]() -> std::unique_ptr<core::dynamics_engine> {
         std::unique_ptr<core::finite_dynamics> engine;
         if (topology != nullptr) {
           engine = std::make_unique<networked_dynamics>(
@@ -375,7 +374,6 @@ core::engine_factory make_engine(const scenario_spec& spec) {
               params, static_cast<std::size_t>(num_agents));
         }
         if (!rules.empty()) engine->set_agent_rules(rules);
-        engine->set_threads(threads);
         return engine;
       };
     }

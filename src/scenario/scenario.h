@@ -147,12 +147,6 @@ struct scenario_spec {
   engine_kind engine = engine_kind::auto_select;
   std::uint64_t num_agents = 1000;  ///< population N; 0 = infinite dynamics
 
-  /// Worker threads for the agent-based engine's sharded network step
-  /// (0 = hardware concurrency, 1 = serial).  Trajectories are
-  /// bit-identical for every setting (finite_dynamics::set_threads); large-N
-  /// single-replication scenarios set 0 to use the whole machine.
-  unsigned engine_threads = 1;
-
   environment_spec environment;
   topology_spec topology;
   protocol_spec protocol;  ///< read only by the protocol engine

@@ -282,12 +282,11 @@ constexpr std::array<std::pair<std::string_view, fault_action_spec::link_class_k
 /// indexed families.  The `protocol.*` and `faults.*` families are
 /// serialized only for protocol-engine specs and rejected for every other
 /// engine (engine-family gating below).
-constexpr std::array<std::string_view, 35> k_keys{
+constexpr std::array<std::string_view, 34> k_keys{
     "name",
     "description",
     "engine",
     "num_agents",
-    "engine_threads",
     "params.num_options",
     "params.mu",
     "params.beta",
@@ -406,8 +405,6 @@ void apply_override(scenario_spec& spec, std::string_view key, std::string_view 
     spec.engine = enum_value(k, v, k_engine_names);
   } else if (k == "num_agents") {
     spec.num_agents = parse_unsigned(k, v);
-  } else if (k == "engine_threads") {
-    spec.engine_threads = static_cast<unsigned>(parse_unsigned(k, v));
   } else if (k == "params.num_options") {
     spec.params.num_options = static_cast<std::size_t>(parse_unsigned(k, v));
   } else if (k == "params.mu") {
@@ -585,7 +582,6 @@ std::vector<std::pair<std::string, std::string>> scenario_fields(
   add("description", quote(spec.description));
   add("engine", quote(enum_name("engine", spec.engine, k_engine_names)));
   add("num_agents", std::to_string(spec.num_agents));
-  add("engine_threads", std::to_string(spec.engine_threads));
   add("params.num_options", std::to_string(spec.params.num_options));
   add("params.mu", json_number(spec.params.mu));
   add("params.beta", json_number(spec.params.beta));

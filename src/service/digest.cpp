@@ -65,8 +65,7 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
   std::vector<std::pair<std::string, std::string>> fields;
   fields.emplace_back("engine", quoted(engine_name(resolved)));
   for (auto& [key, value] : scenario::scenario_fields(spec)) {
-    if (key == "name" || key == "description" || key == "engine_threads" ||
-        key == "engine") {
+    if (key == "name" || key == "description" || key == "engine") {
       continue;  // handled above / semantically inert
     }
     fields.emplace_back(std::move(key), std::move(value));

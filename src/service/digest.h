@@ -17,9 +17,9 @@
 /// spec_digest therefore keys a result by exactly the semantically
 /// meaningful inputs and nothing else:
 ///
-///   * the canonical spec fields, minus `name`, `description` and
-///     `engine_threads` (documentation and thread counts never change a
-///     trajectory), with `engine` pre-resolved (auto_select hashes as what
+///   * the canonical spec fields, minus `name` and `description`
+///     (documentation never changes a trajectory), with `engine`
+///     pre-resolved (auto_select hashes as what
 ///     it resolves to).  There is no kernel or ISA field: every step path
 ///     has one sampler whose bits do not depend on the host;
 ///   * the run shape: horizon, replications, master seed (config.threads

@@ -10,14 +10,14 @@
 /// only changes wall-clock time.
 ///
 /// Execution model (new in PR 4 — see DESIGN.md "Harness execution model"):
-/// instead of spawning and joining std::jthreads on every call, both
-/// entry points below submit a *job* (a fixed list of tasks claimed via one
+/// instead of spawning and joining std::jthreads on every call,
+/// parallel_tasks submits a *job* (a fixed list of tasks claimed via one
 /// atomic counter) to a lazily started process-wide pool of
 /// `default_thread_count() - 1` workers.  The submitting thread always
 /// participates, so a machine with one hardware thread never pays any
-/// queueing at all (jobs run inline), and nested submissions — an engine
-/// fanning out inside a replication that is itself a pool task — cannot
-/// deadlock: the inner caller helps drain its own job while it waits.
+/// queueing at all (jobs run inline), and nested submissions — a pool task
+/// that itself calls parallel_tasks — cannot deadlock: the inner caller
+/// helps drain its own job while it waits.
 /// The `threads` argument caps the number of *participants* (caller +
 /// helpers) per job, preserving the old oversubscription semantics.
 ///
@@ -86,31 +86,6 @@ void parallel_tasks(std::size_t task_count, Fn&& fn, unsigned threads = 0) {
   const std::size_t cap = std::min<std::size_t>(threads, task_count);
   job.max_helpers = cap > 0 ? static_cast<unsigned>(cap - 1) : 0U;
   detail::run_on_pool(job);
-}
-
-/// Runs fn(i) for every i in [begin, end), statically partitioned into (at
-/// most) `threads` contiguous chunks executed over the worker pool
-/// (0 = auto).  Rethrows the first exception thrown by any invocation.
-/// fn must be safe to call concurrently for distinct i.
-template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn, unsigned threads = 0) {
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  if (threads == 0) threads = default_thread_count();
-  const auto chunks = std::min<std::size_t>(threads, count);
-  if (chunks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  const std::size_t chunk = (count + chunks - 1) / chunks;
-  parallel_tasks(
-      chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = begin + c * chunk;
-        const std::size_t hi = std::min(end, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      threads);
 }
 
 /// The default shard count of reduce_layout — and therefore of every

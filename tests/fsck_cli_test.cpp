@@ -4,7 +4,8 @@
 // repaired), 0 for a clean store.  The CLI half drives the real binary via
 // SGL_CLI_PATH (set by CMake when SGL_BUILD_TOOLS is on; skipped when the
 // tools are not built), as do the usage checks on the run subcommands'
-// count flags at the end of the file.
+// count flags at the end of the file (which also run sociolearnd, via
+// SGL_DAEMON_PATH).
 
 #include <gtest/gtest.h>
 
@@ -109,15 +110,17 @@ TEST_F(fsck_cli_test, quarantine_then_recompute_round_trip) {
 
 // --- the CLI subcommand ------------------------------------------------------
 
-/// Runs `sociolearn_cli <args>` and returns its exit code, or nullopt when
-/// the binary is not available (tools not built).  With `error_text`, the
-/// command's stderr is captured into it.
-std::optional<int> run_cli(const std::string& args, std::string* error_text = nullptr) {
-  const char* cli = std::getenv("SGL_CLI_PATH");
-  if (cli == nullptr || *cli == '\0') return std::nullopt;
+/// Runs the binary named by the environment variable `path_variable` with
+/// `args` and returns its exit code, or nullopt when the binary is not
+/// available (tools not built).  With `error_text`, the command's stderr is
+/// captured into it.
+std::optional<int> run_tool(const char* path_variable, const std::string& args,
+                            std::string* error_text) {
+  const char* tool = std::getenv(path_variable);
+  if (tool == nullptr || *tool == '\0') return std::nullopt;
   const fs::path log = fs::temp_directory_path() /
                        ("sgl-cli-stderr-" + std::to_string(::getpid()) + ".txt");
-  const std::string command = std::string{cli} + " " + args + " >/dev/null 2>" +
+  const std::string command = std::string{tool} + " " + args + " </dev/null >/dev/null 2>" +
                               (error_text != nullptr ? log.string() : "&1");
   const int status = std::system(command.c_str());
   if (status < 0) return std::nullopt;
@@ -128,6 +131,11 @@ std::optional<int> run_cli(const std::string& args, std::string* error_text = nu
     fs::remove(log);
   }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Runs `sociolearn_cli <args>` (see run_tool).
+std::optional<int> run_cli(const std::string& args, std::string* error_text = nullptr) {
+  return run_tool("SGL_CLI_PATH", args, error_text);
 }
 
 std::optional<int> run_fsck_cli(const std::string& args) { return run_cli("fsck " + args); }
@@ -181,13 +189,17 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
 // --- count flags of the run subcommands -------------------------------------
 
 /// A negative --reps/--horizon/--threads/--agents is a usage error (exit 2,
-/// the flag named) on every subcommand that takes it.  Cast to an unsigned
-/// count it used to wrap: an empty report, an endless run, or a bad_alloc.
+/// the flag named) on every subcommand that takes it, and so is the
+/// daemon's --threads.  Cast to an unsigned count it used to wrap: an empty
+/// report, an endless run, a bad_alloc, or a daemon that exited 0.
 TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
   struct usage_case {
     std::string args;
     std::string flag;
+    const char* tool = "SGL_CLI_PATH";  ///< the variable naming the binary
   };
+  const std::string daemon_store =
+      (fs::temp_directory_path() / ("sgl-usage-store-" + std::to_string(::getpid()))).string();
   const usage_case cases[] = {
       {"scenario --name mixed_baseline --reps -3", "--reps"},
       {"scenario --name mixed_baseline --horizon -5", "--horizon"},
@@ -199,11 +211,12 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
       {"simulate --agents -5", "--agents"},
       {"submit --socket /nonexistent.sock --reps -3", "--reps"},
       {"submit --socket /nonexistent.sock --horizon -3", "--horizon"},
+      {"--once --store " + daemon_store + " --threads -1", "--threads", "SGL_DAEMON_PATH"},
   };
   for (const usage_case& c : cases) {
     std::string error_text;
-    const std::optional<int> code = run_cli(c.args, &error_text);
-    REQUIRE_CLI(code);
+    const std::optional<int> code = run_tool(c.tool, c.args, &error_text);
+    if (!code) GTEST_SKIP() << c.tool << " not set (tools not built)";
     EXPECT_EQ(*code, 2) << c.args << "\n" << error_text;
     EXPECT_NE(error_text.find(c.flag), std::string::npos) << c.args << "\n" << error_text;
   }

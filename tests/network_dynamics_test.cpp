@@ -240,13 +240,12 @@ TEST(network_dynamics, law_matches_naive_reference_dense_mode) {
   check_law_against_reference(graph::graph::two_cliques(26, 1), 0.7);
 }
 
-TEST(network_dynamics, sharded_step_bit_identical_across_thread_counts) {
-  // Sizes span several 8192-agent shards, so threads 2 and 0 really run
-  // the concurrent view-delta walk.  On BA 40 000 over a third of the
-  // edges join vertices at least 2^14 apart: changed agents in one shard
-  // update view rows owned by another, and the scattered adds collide.
-  // The control engine rebuilds its view from its choices before every
-  // step, so a view-delta slip shows even if every walk shares it.
+TEST(network_dynamics, sharded_step_matches_rebuilt_view) {
+  // Sizes span several 8192-agent shards.  On BA 40 000 over a third of
+  // the edges join vertices at least 2^14 apart: changed agents in one
+  // shard update view rows owned by another.  The control engine rebuilds
+  // its view from its choices before every step, so a slip in the
+  // incremental view-delta walk shows as a diverging trajectory.
   rng topo_gen{5};
   const graph::graph ba = graph::graph::barabasi_albert(40000, 3, topo_gen);
   const graph::graph ring = graph::graph::ring(20000);
@@ -266,42 +265,24 @@ TEST(network_dynamics, sharded_step_bit_identical_across_thread_counts) {
       {&ring, 2}  // packed two-option layout, local rows
   };
   for (const auto& [g, m] : cases) {
-    finite_dynamics serial{make_params(m, 0.1, 0.65), g->num_vertices()};
-    finite_dynamics two_threads{make_params(m, 0.1, 0.65), g->num_vertices()};
-    finite_dynamics many_threads{make_params(m, 0.1, 0.65), g->num_vertices()};
+    finite_dynamics incremental{make_params(m, 0.1, 0.65), g->num_vertices()};
     finite_dynamics rebuilt{make_params(m, 0.1, 0.65), g->num_vertices()};
-    serial.set_threads(1);
-    two_threads.set_threads(2);
-    many_threads.set_threads(0);  // hardware concurrency
-    serial.set_topology(g);
-    two_threads.set_topology(g);
-    many_threads.set_topology(g);
+    incremental.set_topology(g);
 
-    rng g1{42}, g2{42}, g3{42}, g4{42};
+    rng g1{42}, g2{42};
     rng env_gen{43};
     std::vector<std::uint8_t> rewards(m);
     for (int t = 0; t < 40; ++t) {
       for (auto& x : rewards) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
       rebuilt.set_topology(nullptr);
       rebuilt.set_topology(g);
-      serial.step(rewards, g1);
-      two_threads.step(rewards, g2);
-      many_threads.step(rewards, g3);
-      rebuilt.step(rewards, g4);
+      incremental.step(rewards, g1);
+      rebuilt.step(rewards, g2);
       ASSERT_EQ(g1, g2);
-      ASSERT_EQ(g1, g3);
-      ASSERT_EQ(g1, g4);
-      const auto expected = serial.choices();
-      ASSERT_TRUE(std::ranges::equal(expected, two_threads.choices()))
-          << "N=" << g->num_vertices() << " m=" << m << " t=" << t;
-      ASSERT_TRUE(std::ranges::equal(expected, many_threads.choices()))
-          << "N=" << g->num_vertices() << " m=" << m << " t=" << t;
-      ASSERT_TRUE(std::ranges::equal(expected, rebuilt.choices()))
+      ASSERT_TRUE(std::ranges::equal(incremental.choices(), rebuilt.choices()))
           << "N=" << g->num_vertices() << " m=" << m << " t=" << t;
       for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_DOUBLE_EQ(serial.popularity()[j], two_threads.popularity()[j]);
-        ASSERT_DOUBLE_EQ(serial.popularity()[j], many_threads.popularity()[j]);
-        ASSERT_DOUBLE_EQ(serial.popularity()[j], rebuilt.popularity()[j]);
+        ASSERT_DOUBLE_EQ(incremental.popularity()[j], rebuilt.popularity()[j]);
       }
     }
   }

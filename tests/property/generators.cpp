@@ -411,14 +411,12 @@ scenario_spec random_scenario(prng& rng) {
     case 2:  // agent-based, homogeneous fully mixed
       spec.num_agents = rng.pick<std::uint64_t>({1, 2, 3, 16, 60, 200});
       spec.engine = engine_kind::agent_based;
-      spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 3:  // agent-based, heterogeneous per-agent rules
       spec.num_agents = rng.pick<std::uint64_t>({1, 2, 3, 16, 60});
       spec.engine = engine_kind::agent_based;
       spec.agent_rules.resize(spec.num_agents);
       for (auto& rule : spec.agent_rules) rule = random_rule(rng);
-      spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 4:  // agent-based on a topology
       spec.engine =
@@ -429,7 +427,6 @@ scenario_spec random_scenario(prng& rng) {
         for (auto& rule : spec.agent_rules) rule = random_rule(rng);
         spec.engine = engine_kind::agent_based;
       }
-      spec.engine_threads = rng.pick<unsigned>({1, 2});
       break;
     case 5: {  // grouped rule mixture
       spec.engine = rng.chance(0.5) ? engine_kind::grouped : engine_kind::auto_select;

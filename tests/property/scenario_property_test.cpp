@@ -161,32 +161,9 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
   });
 }
 
-// Law 5: the documented-inert engine knob really is inert.  engine_threads
-// only reshards the agent-based network step (finite_dynamics::set_threads
-// promises bit-identity).
-TEST(scenario_property, engine_threads_are_inert) {
-  check_scenario_property(
-      [](const scenario::scenario_spec& spec) {
-        return guarded([&]() -> std::string {
-          const core::run_config config = property_run_config();
-          const std::string reference = run_fingerprint(spec, config);
-          if (scenario::resolved_engine(spec) != scenario::engine_kind::agent_based) {
-            return std::string{};  // the knob is read only by agent_based
-          }
-          scenario::scenario_spec threaded = spec;
-          threaded.engine_threads = spec.engine_threads == 2 ? 1 : 2;
-          if (run_fingerprint(threaded, config) != reference) {
-            return "engine_threads changed the trajectory";
-          }
-          return {};
-        });
-      },
-      /*default_iterations=*/40);
-}
-
 // Law 6: the service digest keys exactly the semantically meaningful
 // inputs — stable under every documented-inert mutation (name,
-// description, engine_threads, config.threads, config.reuse), changed by
+// description, config.threads, config.reuse), changed by
 // meaningful ones (master seed, horizon, mu).
 TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
   check_scenario_property([](const scenario::scenario_spec& spec) {
@@ -198,13 +175,12 @@ TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
       scenario::scenario_spec renamed = spec;
       renamed.name += "-renamed";
       renamed.description += " (documentation only)";
-      renamed.engine_threads = spec.engine_threads == 2 ? 1 : 2;
       core::run_config reshaped = config;
       reshaped.threads = 4;
       reshaped.reuse = !config.reuse;
       if (service::spec_digest(renamed, reshaped, no_probes) != base) {
         return "digest moved under inert mutations (name/description/"
-               "engine_threads/config.threads/config.reuse)";
+               "config.threads/config.reuse)";
       }
 
       core::run_config reseeded = config;

@@ -183,16 +183,19 @@ TEST(apply_override, rejects_bad_keys_and_values) {
   }
 }
 
-TEST(parse_scenario, retired_kernel_key_is_rejected) {
-  // Every step path has one sampler, so the old `kernel` knob is gone; a
-  // spec that still sets it fails like any other unknown key.
-  try {
-    (void)parse_scenario("engine = \"agent_based\"\nkernel = \"scalar\"\n");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string{error.what()}.find("unknown scenario key 'kernel'"),
-              std::string::npos)
-        << error.what();
+TEST(parse_scenario, retired_keys_are_rejected) {
+  // Every step path has one sampler, so the old `kernel` knob is gone, and
+  // the network step is serial, so `engine_threads` is gone too; a spec
+  // that still sets either fails like any other unknown key.
+  for (const std::string key : {"kernel", "engine_threads"}) {
+    try {
+      (void)parse_scenario("engine = \"agent_based\"\n" + key + " = 1\n");
+      ADD_FAILURE() << key << ": expected invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("unknown scenario key '" + key + "'"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

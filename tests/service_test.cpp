@@ -92,13 +92,12 @@ TEST(spec_digest, inert_fields_do_not_change_the_digest) {
   const core::run_config config = test_config();
   const digest128 reference = spec_digest(base, config, {});
 
-  // name/description are labels; engine_threads and the run_config's
-  // threads/reuse are scheduling choices — all proven
-  // bit-identical by the determinism suite, so none may split the cache.
+  // name/description are labels; the run_config's threads/reuse are
+  // scheduling choices — proven bit-identical by the determinism suite, so
+  // none may split the cache.
   scenario::scenario_spec relabeled = base;
   relabeled.name = "some other name";
   relabeled.description = "same experiment, different words";
-  relabeled.engine_threads = 7;
   EXPECT_EQ(spec_digest(relabeled, config, {}), reference);
 
   core::run_config reconfigured = config;

@@ -293,37 +293,6 @@ TEST(text_table, json_is_an_array_of_row_objects) {
   EXPECT_EQ(out.str(), "[\n  {\n    \"a\": \"1\",\n    \"b\": \"x\\\"y\"\n  }\n]\n");
 }
 
-// --- parallel_for ---------------------------------------------------------------
-
-TEST(parallel_for, visits_every_index_once) {
-  constexpr std::size_t n = 10000;
-  std::vector<std::atomic<int>> visits(n);
-  parallel_for(0, n, [&](std::size_t i) { visits[i].fetch_add(1); }, 4);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
-}
-
-TEST(parallel_for, empty_range_is_noop) {
-  bool touched = false;
-  parallel_for(5, 5, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(parallel_for, single_thread_fallback) {
-  std::vector<int> order;
-  parallel_for(0, 5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, 1);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(parallel_for, propagates_exceptions) {
-  EXPECT_THROW(
-      parallel_for(0, 100,
-                   [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error{"boom"};
-                   },
-                   4),
-      std::runtime_error);
-}
-
 TEST(default_thread_count, is_positive) { EXPECT_GE(default_thread_count(), 1U); }
 
 // --- the persistent worker pool --------------------------------------------------
@@ -354,17 +323,17 @@ TEST(parallel_tasks, propagates_first_exception_and_stops_claiming) {
 }
 
 TEST(parallel_tasks, nested_submissions_do_not_deadlock) {
-  // An engine fanning out inside a replication that is itself a pool task:
-  // the inner job must drain even when every worker is busy with the outer
-  // one.  (On a single-core host everything runs inline, which is the same
-  // contract.)
+  // A task that submits its own job (say, a run_points call from inside a
+  // pool task): the inner job must drain even when every worker is busy
+  // with the outer one.  (On a single-core host everything runs inline,
+  // which is the same contract.)
   constexpr std::size_t outer = 6;
   constexpr std::size_t inner = 8;
   std::atomic<int> total{0};
   parallel_tasks(
       outer,
       [&](std::size_t) {
-        parallel_for(0, inner, [&](std::size_t) { total.fetch_add(1); }, 4);
+        parallel_tasks(inner, [&](std::size_t) { total.fetch_add(1); }, 4);
       },
       4);
   EXPECT_EQ(total.load(), static_cast<int>(outer * inner));

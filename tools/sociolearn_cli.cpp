@@ -455,10 +455,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   flags.add_int64("reps", 100, "replications");
   flags.add_int64("seed", 1, "master RNG seed");
   flags.add_int64("threads", 0, "replication worker threads (0 = all)");
-  flags.add_int64("engine-threads", -1,
-                  "threads inside one network-mode replication (0 = all, "
-                  "-1 = keep the scenario's setting); bit-identical results "
-                  "for any value");
   flags.add_int64("agents", -1, "override the scenario's population (-1 = keep)");
   flags.add_bool("curves", false, "emit per-step curves as CSV instead of the table");
   flags.add_bool("no-reuse", false,
@@ -476,12 +472,10 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   if (!read_format(flags, format)) return 2;
   const char* command = sweep_command ? "sweep" : "scenario";
   if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, command)) return 2;
-  for (const char* name : {"agents", "engine-threads"}) {
-    if (flags.get_int64(name) < -1) {
-      std::fprintf(stderr, "%s: --%s must be >= 0 (or -1 to keep the scenario's), got %lld\n",
-                   command, name, static_cast<long long>(flags.get_int64(name)));
-      return 2;
-    }
+  if (flags.get_int64("agents") < -1) {
+    std::fprintf(stderr, "%s: --agents must be >= 0 (or -1 to keep the scenario's), got %lld\n",
+                 command, static_cast<long long>(flags.get_int64("agents")));
+    return 2;
   }
 
   // Base spec, by documented precedence: file < registry < --set.  A
@@ -507,10 +501,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     scenario::apply_override(spec, assignment);
   }
 
-  // Legacy convenience overrides, kept on top of --set.
-  if (flags.get_int64("engine-threads") >= 0) {
-    spec.engine_threads = static_cast<unsigned>(flags.get_int64("engine-threads"));
-  }
+  // Legacy convenience override, kept on top of --set.
   if (flags.get_int64("agents") >= 0) {
     const scenario::engine_kind kind = scenario::resolved_engine(spec);
     if (kind == scenario::engine_kind::infinite ||

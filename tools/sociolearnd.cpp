@@ -221,8 +221,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sociolearnd: pass either --socket PATH or --once\n");
     return 2;
   }
-  if (flags.get_int64("max-queued") < 0 || flags.get_int64("job-timeout") < 0) {
-    std::fprintf(stderr, "sociolearnd: --max-queued and --job-timeout must be >= 0\n");
+  if (flags.get_int64("threads") < 0 || flags.get_int64("max-queued") < 0 ||
+      flags.get_int64("job-timeout") < 0) {
+    std::fprintf(stderr,
+                 "sociolearnd: --threads, --max-queued and --job-timeout must be >= 0\n");
     return 2;
   }
 
