@@ -2,8 +2,8 @@
 // replications per second the runner sustains around the engines, and how
 // fast a sweep grid drains through the flattened scheduler.  The engine
 // step kernels themselves are covered by micro_kernels.cpp; everything
-// here measures what wraps them — context reuse vs per-replication
-// reconstruction, probe overhead, scheduling, and the topology cache.
+// here measures what wraps them — context reset, probe overhead,
+// scheduling, and the topology cache.
 //
 // `bench-report` writes this suite to BENCH_PR6.json, checked in as a
 // record of the perf trajectory.  The CI perf-smoke job runs the suite and
@@ -29,8 +29,7 @@ namespace {
 
 using namespace sgl;
 
-core::run_config harness_config(std::uint64_t horizon, std::uint64_t replications,
-                                bool reuse) {
+core::run_config harness_config(std::uint64_t horizon, std::uint64_t replications) {
   core::run_config config;
   config.horizon = horizon;
   config.replications = replications;
@@ -43,23 +42,19 @@ core::run_config harness_config(std::uint64_t horizon, std::uint64_t replication
   // makes baseline and measurement the same quantity on every machine;
   // scaling behaviour is the scheduler tests' concern, not this gate's.
   config.threads = 1;
-  config.reuse = reuse;
   return config;
 }
 
-/// replications/sec through run_probes on a registry scenario.  state.range
-/// selects reuse (1) vs rebuild-every-replication (0); the gap is the
-/// amortized construction cost.
+/// replications/sec through run_probes on a registry scenario.
 void replication_throughput(benchmark::State& state, const std::string& name,
                             std::uint64_t horizon, std::uint64_t replications) {
   const scenario::scenario_spec spec = scenario::get_scenario(name);
-  const core::run_config config =
-      harness_config(horizon, replications, state.range(0) != 0);
+  const core::run_config config = harness_config(horizon, replications);
   // Warm the topology cache and the worker pool outside the timed region:
   // several benchmarks here run a single long iteration, which would
   // otherwise charge all process cold-start costs to whichever variant
   // happens to run first and destabilize the CI regression gate.
-  (void)scenario::run_probes(spec, harness_config(1, 1, true));
+  (void)scenario::run_probes(spec, harness_config(1, 1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(scenario::run_probes(spec, config));
   }
@@ -74,21 +69,21 @@ void BM_harness_mixed_baseline(benchmark::State& state) {
   // The issue's headline: small-N fully mixed scenario at horizon 1e3.
   replication_throughput(state, "mixed_baseline", 1000, 20);
 }
-BENCHMARK(BM_harness_mixed_baseline)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_harness_mixed_baseline)->Unit(benchmark::kMillisecond);
 
 void BM_harness_network_ring900(benchmark::State& state) {
-  // Small-N network mode: reuse spares the per-replication buffer
+  // Small-N network mode: reset() spares the per-replication buffer
   // allocations and the committed-neighbour-view rebuild.
   replication_throughput(state, "ring", 200, 8);
 }
-BENCHMARK(BM_harness_network_ring900)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_harness_network_ring900)->Unit(benchmark::kMillisecond);
 
 void BM_harness_network_ring1e5_short(benchmark::State& state) {
-  // Large-N, short-horizon network runs: the regime where reconstruction
-  // (O(N) allocation + view rebuild) rivals the stepping itself.
+  // Large-N, short-horizon network runs: the regime where the O(N)
+  // per-replication reset is a large share of the stepping itself.
   replication_throughput(state, "network_ring_1e5", 10, 6);
 }
-BENCHMARK(BM_harness_network_ring1e5_short)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_harness_network_ring1e5_short)->Unit(benchmark::kMillisecond);
 
 /// Wall clock of a 16-point sweep through the flattened scheduler.
 void sweep_wall_clock(benchmark::State& state, const std::string& name,
@@ -98,11 +93,11 @@ void sweep_wall_clock(benchmark::State& state, const std::string& name,
   if (agents_override != 0) base.num_agents = agents_override;
   const scenario::sweep_axis parsed = scenario::parse_sweep_axis(axis);
   const auto grid = scenario::expand_sweep(std::span{&parsed, 1});
-  const core::run_config config = harness_config(horizon, replications, true);
+  const core::run_config config = harness_config(horizon, replications);
   // Warm the topology cache (same reasoning as replication_throughput):
   // the steady cached-graph state is the stable object to gate CI on; the
   // cold-build win is recorded in bench/PERF.md instead.
-  (void)scenario::run_probes(base, harness_config(1, 1, true));
+  (void)scenario::run_probes(base, harness_config(1, 1));
   std::uint64_t points = 0;
   for (auto _ : state) {
     const auto results = scenario::run_sweep(base, grid, config);

@@ -44,11 +44,11 @@ void replication_context::rebuild() {
 void replication_context::run(const run_config& config, std::uint64_t replication,
                               const probe_list& probes) {
   // Bring the pair back to its initial state.  reset() and reconstruction
-  // are state-identical by the reusable() contract (dynamics_engine.h),
-  // so config.reuse cannot change a trajectory — only the wall clock.
+  // are state-identical by the reusable() contract (dynamics_engine.h);
+  // reset() spares the per-replication allocation.
   if (fresh_) {
     fresh_ = false;
-  } else if (config.reuse && reusable_) {
+  } else if (reusable_) {
     engine_->reset();
     environment_->reset();
   } else {

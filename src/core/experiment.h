@@ -65,15 +65,6 @@ struct run_config {
   std::uint64_t replications = 100;
   std::uint64_t seed = 1;
   unsigned threads = 0;             ///< 0 = hardware concurrency
-
-  /// Reuse one engine/environment instance per worker across replications
-  /// (reset() between) instead of reconstructing, whenever both sides
-  /// report reusable().  Trajectories are bit-identical either way — the
-  /// switch exists for A/B verification and for exotic factories; leave it
-  /// on.  At large N reconstruction is the dominant per-replication cost
-  /// (buffer allocation + the committed-neighbour-view rebuild), so
-  /// turning this off is a measurable slowdown (bench/harness_bench.cpp).
-  bool reuse = true;
 };
 
 /// The runner's config validation, exposed so callers can reject a config
@@ -87,10 +78,10 @@ void check_run_config(const run_config& config);
 /// replication through the horizon on the streams derived from
 /// (config.seed, replication) while `probes` observe each step; between
 /// replications the context reset()s the engine and environment when both
-/// report reusable() (and config.reuse allows it), and reconstructs them
-/// otherwise — the trajectory is bit-identical either way.  The factories
-/// must outlive the context.  run_points() pools these per run; exposed so
-/// a hand replay of the harness (perfbench/) can build one the same way.
+/// report reusable(), and reconstructs them otherwise — the trajectory is
+/// bit-identical either way.  The factories must outlive the context.
+/// run_points() pools these per run; exposed so a hand replay of the
+/// harness (perfbench/) can build one the same way.
 class replication_context {
  public:
   /// The trailing bool is ignored (perfbench only; drop with the next

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "support/json.h"  // json_number / json_escape
 #include "support/text.h"  // trim_ascii / parse_full_double / closest_name
@@ -137,31 +139,6 @@ std::vector<std::string_view> parse_array_elements(std::string_view key,
   return out;
 }
 
-std::vector<double> parse_double_array(std::string_view key, std::string_view text) {
-  std::vector<double> out;
-  for (const std::string_view element : parse_array_elements(key, text)) {
-    out.push_back(parse_double(key, element));
-  }
-  return out;
-}
-
-std::vector<std::string> parse_string_array(std::string_view key, std::string_view text) {
-  std::vector<std::string> out;
-  for (const std::string_view element : parse_array_elements(key, text)) {
-    out.push_back(parse_string(key, element));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> parse_unsigned_array(std::string_view key,
-                                                std::string_view text) {
-  std::vector<std::uint64_t> out;
-  for (const std::string_view element : parse_array_elements(key, text)) {
-    out.push_back(parse_unsigned(key, element));
-  }
-  return out;
-}
-
 std::string quote(std::string_view s) { return '"' + json_escape(s) + '"'; }
 
 /// A boolean value: bare or quoted `true` / `false`.
@@ -170,36 +147,6 @@ bool parse_bool(std::string_view key, std::string_view text) {
   if (parsed == "true") return true;
   if (parsed == "false") return false;
   fail(key, "expected true or false, got '" + parsed + "'");
-}
-
-std::string format_double_array(std::span<const double> values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json_number(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string format_string_array(std::span<const std::string> values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += quote(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string format_unsigned_array(std::span<const std::uint64_t> values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(values[i]);
-  }
-  out += ']';
-  return out;
 }
 
 // --- enum names -------------------------------------------------------------
@@ -275,112 +222,174 @@ constexpr std::array<std::pair<std::string_view, fault_action_spec::link_class_k
         {"nodes", fault_action_spec::link_class_kind::nodes},
     }};
 
-// --- the key table ----------------------------------------------------------
+// --- value codecs -----------------------------------------------------------
 
-/// Non-indexed keys, in canonical serialization order.  `groups.N.size/
-/// alpha/beta`, `agent_rules.N.alpha/beta`, and `faults.N.*` are the
-/// indexed families.  The `protocol.*` and `faults.*` families are
-/// serialized only for protocol-engine specs and rejected for every other
-/// engine (engine-family gating below).
-constexpr std::array<std::string_view, 34> k_keys{
-    "name",
-    "description",
-    "engine",
-    "num_agents",
-    "params.num_options",
-    "params.mu",
-    "params.beta",
-    "params.alpha",
-    "environment.family",
-    "environment.etas",
-    "environment.end_etas",
-    "environment.period",
-    "environment.horizon",
-    "topology.family",
-    "topology.rows",
-    "topology.cols",
-    "topology.edge_probability",
-    "topology.degree",
-    "topology.rewire_probability",
-    "topology.bridges",
-    "topology.seed",
-    "protocol.round_interval",
-    "protocol.base_latency",
-    "protocol.jitter_mean",
-    "protocol.drop_probability",
-    "protocol.max_retries",
-    "protocol.crash_rate",
-    "protocol.restart_rate",
-    "protocol.sticky",
-    "protocol.lockstep",
-    "faults.record",
-    "faults.record_capacity",
-    "start",
-    "probes",
-};
+constexpr const auto& names_of(engine_kind) { return k_engine_names; }
+constexpr const auto& names_of(topology_spec::family_kind) { return k_topology_names; }
+constexpr const auto& names_of(environment_spec::family_kind) { return k_environment_names; }
+constexpr const auto& names_of(fault_action_spec::action_kind) { return k_fault_kind_names; }
+constexpr const auto& names_of(fault_action_spec::link_class_kind) { return k_link_class_names; }
 
-[[noreturn]] void unknown_key(std::string_view key) {
-  std::string message{"unknown scenario key '"};
-  message += key;
-  message += "'";
-  std::vector<std::string_view> candidates{k_keys.begin(), k_keys.end()};
-  candidates.insert(candidates.end(),
-                    {"groups.0.size", "groups.0.alpha", "groups.0.beta",
-                     "agent_rules.0.alpha", "agent_rules.0.beta",
-                     "faults.0.kind", "faults.0.at", "faults.0.until",
-                     "faults.0.targets", "faults.0.fraction",
-                     "faults.0.link_class", "faults.0.base_latency",
-                     "faults.0.jitter_mean", "faults.0.drop_probability"});
-  const std::string suggestion = closest_name(key, candidates);
-  if (!suggestion.empty()) {
-    message += " (did you mean '";
-    message += suggestion;
-    message += "'?)";
+/// Parses a value of field type `T`; a vector is an array of element values.
+template <typename T>
+T parse_value(std::string_view key, std::string_view text) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return parse_bool(key, text);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_double(key, text);
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(parse_unsigned(key, text));
+  } else if constexpr (std::is_enum_v<T>) {
+    return enum_value(key, text, names_of(T{}));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return parse_string(key, text);
+  } else {
+    T out;
+    for (const std::string_view element : parse_array_elements(key, text)) {
+      out.push_back(parse_value<typename T::value_type>(key, element));
+    }
+    return out;
   }
-  throw std::invalid_argument{message};
+}
+
+/// The canonical text of a value, which parse_value reads back exactly.
+template <typename T>
+std::string format_value(std::string_view key, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return json_number(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return quote(enum_name(key, value, names_of(value)));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return quote(value);
+  } else {
+    std::string out = "[";
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += format_value(key, value[i]);
+    }
+    out += ']';
+    return out;
+  }
+}
+
+// --- engine gating ----------------------------------------------------------
+
+/// A set of engines, one bit per engine_kind.
+using engine_set = unsigned;
+
+constexpr engine_set engines(std::initializer_list<engine_kind> kinds) {
+  engine_set set = 0;
+  for (const engine_kind kind : kinds) set |= 1U << static_cast<unsigned>(kind);
+  return set;
+}
+
+constexpr engine_set k_every_engine = ~0U;
+constexpr engine_set k_protocol = engines({engine_kind::protocol});
+
+constexpr bool reads(engine_set readers, engine_kind engine) {
+  return ((readers >> static_cast<unsigned>(engine)) & 1U) != 0;
 }
 
 /// Rejects a key whose family the spec's chosen engine does not read.  A
 /// plausible-but-irrelevant key silently accepted would make the run claim
 /// a configuration it never used; rejecting here keeps `--set` and spec
-/// files honest.  Keys that can flip auto-selection (groups, agent_rules,
-/// topology) stay legal while the engine is `auto`; `protocol.*` keys are
-/// never auto-selected, so they require engine = "protocol" to have been
-/// set first (canonical serialization emits `engine` before every family
-/// key, so round trips are unaffected).
-[[noreturn]] void family_mismatch(std::string_view key, std::string_view readers,
+/// files honest.  A gated key needs its engine set before it (canonical
+/// serialization emits `engine` before every gated key, so round trips are
+/// unaffected).
+[[noreturn]] void family_mismatch(std::string_view key, engine_set readers,
                                   engine_kind actual) {
   std::string message{"scenario key '"};
   message += key;
   message += "' is read only by the ";
-  message += readers;
+  std::string_view separator;
+  for (const auto& [name, kind] : k_engine_names) {
+    if (kind == engine_kind::auto_select || !reads(readers, kind)) continue;
+    message += separator;
+    message += name;
+    separator = " or ";
+  }
   message += " engine, but this spec's engine is '";
-  message += enum_name("engine", actual, k_engine_names);
+  message += enum_name(key, actual, k_engine_names);
   message += "' — set a matching engine before it, or drop the key";
   throw std::invalid_argument{message};
 }
 
-/// Parses "<family>.<index>.<field>" tails; returns false when `key` does
-/// not start with `family.`.
-bool split_indexed(std::string_view key, std::string_view family, std::size_t& index,
-                   std::string_view& field) {
-  if (!key.starts_with(family) || key.size() <= family.size() ||
-      key[family.size()] != '.') {
-    return false;
+// --- the key table ----------------------------------------------------------
+
+using field_list = std::vector<std::pair<std::string, std::string>>;
+
+/// One row of a key table: a key, the engines that read it, and its codec.
+/// `Owner` is scenario_spec for the spec's table and the entry type for an
+/// indexed family's own table.  When `readers` include `auto` (the key can
+/// steer auto-selection) only a non-default value needs a reading engine,
+/// and the key is always emitted.  Otherwise every value needs one, and the
+/// key is emitted only for a reading engine, so that parsing the canonical
+/// form never trips the gate.
+template <typename Owner>
+struct key_row {
+  std::string_view key;  ///< for an indexed family, the "<family>" prefix
+  engine_set readers;
+  bool indexed;  ///< matches "<key>.<index>.<field>" keys
+  /// Parses `value` and stores it; `owner` is unchanged when this throws.
+  void (*set)(const key_row& row, Owner& owner, std::string_view key,
+              std::string_view value, engine_kind engine);
+  /// Appends the row's (key, value) fields, each key behind `prefix`.
+  void (*emit)(const key_row& row, const Owner& owner, std::string_view prefix,
+               field_list& fields);
+  /// Appends the keys the row accepts (an indexed family's as index 0).
+  void (*names)(const key_row& row, std::string_view prefix, std::vector<std::string>& names);
+};
+
+template <typename Owner, std::size_t N>
+const key_row<Owner>* find_row(const std::array<key_row<Owner>, N>& rows,
+                               std::string_view key) {
+  for (const key_row<Owner>& row : rows) {
+    if (row.indexed ? key.size() > row.key.size() && key.starts_with(row.key) &&
+                          key[row.key.size()] == '.'
+                    : key == row.key) {
+      return &row;
+    }
   }
-  const std::string_view tail = key.substr(family.size() + 1);
-  const std::size_t dot = tail.find('.');
-  if (dot == std::string_view::npos) unknown_key(key);
-  const std::string_view index_text = tail.substr(0, dot);
-  const auto [ptr, ec] =
-      std::from_chars(index_text.data(), index_text.data() + index_text.size(), index);
-  if (ec != std::errc{} || ptr != index_text.data() + index_text.size()) unknown_key(key);
-  field = tail.substr(dot + 1);
-  return true;
+  return nullptr;
+}
+
+[[noreturn]] void unknown_key(std::string_view key);
+
+/// A row for one field.  `Ref` is a captureless lambda that returns a
+/// pointer to the field of the owner it is given, const or not, so one
+/// lambda serves both parsing and emitting.
+template <typename Owner = scenario_spec, typename Ref>
+constexpr key_row<Owner> field(std::string_view key, Ref, engine_set readers = k_every_engine) {
+  return {
+      key, readers, false,
+      [](const key_row<Owner>& row, Owner& owner, std::string_view k, std::string_view v,
+         engine_kind engine) {
+        using T = std::remove_cvref_t<decltype(*Ref{}(owner))>;
+        const bool read = reads(row.readers, engine);
+        if (!read && !reads(row.readers, engine_kind::auto_select)) {
+          family_mismatch(k, row.readers, engine);
+        }
+        T value = parse_value<T>(k, v);
+        if (!read && value != T{}) family_mismatch(k, row.readers, engine);
+        *Ref{}(owner) = std::move(value);
+      },
+      [](const key_row<Owner>& row, const Owner& owner, std::string_view prefix,
+         field_list& fields) {
+        std::string key = std::string{prefix}.append(row.key);
+        std::string value = format_value(key, *Ref{}(owner));
+        fields.emplace_back(std::move(key), std::move(value));
+      },
+      [](const key_row<Owner>& row, std::string_view prefix, std::vector<std::string>& names) {
+        names.push_back(std::string{prefix}.append(row.key));
+      }};
 }
 
 /// Fetches entry `index` of `entries`, appending one default entry when the
-/// key addresses one past the end (how the text format builds lists).
+/// key addresses one past the end.
 template <typename T>
 T& addressed_entry(std::string_view key, std::vector<T>& entries, std::size_t index) {
   if (index == entries.size()) entries.emplace_back();
@@ -391,176 +400,144 @@ T& addressed_entry(std::string_view key, std::vector<T>& entries, std::size_t in
   return entries[index];
 }
 
+/// A row for the indexed family "<key>.<index>.<field>".  `Ref` points at
+/// the entry vector and `Fields` is the entries' key table.  A key may
+/// address one past the end to append an entry (how the text format builds
+/// lists); the entry is decoded into a copy first, so a rejected key leaves
+/// the list as it was.  Addressing an entry always leaves the list
+/// non-empty, so every value needs a reading engine.
+template <const auto& Fields, typename Ref>
+constexpr key_row<scenario_spec> family(std::string_view key, Ref, engine_set readers) {
+  return {
+      key, readers, true,
+      [](const key_row<scenario_spec>& row, scenario_spec& spec, std::string_view k,
+         std::string_view v, engine_kind engine) {
+        const std::string_view tail = k.substr(row.key.size() + 1);
+        const std::size_t dot = tail.find('.');
+        if (dot == std::string_view::npos) unknown_key(k);
+        std::size_t index = 0;
+        const auto [ptr, ec] = std::from_chars(tail.data(), tail.data() + dot, index);
+        if (ec != std::errc{} || ptr != tail.data() + dot) unknown_key(k);
+        const auto* field = find_row(Fields, tail.substr(dot + 1));
+        if (field == nullptr) unknown_key(k);
+        if (!reads(row.readers, engine)) family_mismatch(k, row.readers, engine);
+
+        auto& entries = *Ref{}(spec);
+        using entry_type = typename std::remove_reference_t<decltype(entries)>::value_type;
+        entry_type entry = index < entries.size() ? entries[index] : entry_type{};
+        field->set(*field, entry, k, v, engine);
+        addressed_entry(k, entries, index) = std::move(entry);
+      },
+      [](const key_row<scenario_spec>& row, const scenario_spec& spec, std::string_view,
+         field_list& fields) {
+        const auto& entries = *Ref{}(spec);
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          const std::string prefix = std::string{row.key} + '.' + std::to_string(i) + '.';
+          for (const auto& entry_field : Fields) {
+            entry_field.emit(entry_field, entries[i], prefix, fields);
+          }
+        }
+      },
+      [](const key_row<scenario_spec>& row, std::string_view, std::vector<std::string>& names) {
+        const std::string prefix = std::string{row.key} + ".0.";
+        for (const auto& entry_field : Fields) entry_field.names(entry_field, prefix, names);
+      }};
+}
+
+constexpr std::array k_fault_fields{
+    field<fault_action_spec>("kind", [](auto& f) { return &f.kind; }),
+    field<fault_action_spec>("at", [](auto& f) { return &f.at; }),
+    field<fault_action_spec>("until", [](auto& f) { return &f.until; }),
+    field<fault_action_spec>("targets", [](auto& f) { return &f.targets; }),
+    field<fault_action_spec>("fraction", [](auto& f) { return &f.fraction; }),
+    field<fault_action_spec>("link_class", [](auto& f) { return &f.link_class; }),
+    field<fault_action_spec>("base_latency", [](auto& f) { return &f.base_latency; }),
+    field<fault_action_spec>("jitter_mean", [](auto& f) { return &f.jitter_mean; }),
+    field<fault_action_spec>("drop_probability", [](auto& f) { return &f.drop_probability; }),
+};
+
+constexpr std::array k_group_fields{
+    field<core::rule_group>("size", [](auto& g) { return &g.size; }),
+    field<core::rule_group>("alpha", [](auto& g) { return &g.rule.alpha; }),
+    field<core::rule_group>("beta", [](auto& g) { return &g.rule.beta; }),
+};
+
+constexpr std::array k_rule_fields{
+    field<core::adoption_rule>("alpha", [](auto& r) { return &r.alpha; }),
+    field<core::adoption_rule>("beta", [](auto& r) { return &r.beta; }),
+};
+
+/// Every key of the text format, in canonical serialization order.
+constexpr std::array k_spec_keys{
+    field("name", [](auto& s) { return &s.name; }),
+    field("description", [](auto& s) { return &s.description; }),
+    field("engine", [](auto& s) { return &s.engine; }),
+    field("num_agents", [](auto& s) { return &s.num_agents; }),
+    field("params.num_options", [](auto& s) { return &s.params.num_options; }),
+    field("params.mu", [](auto& s) { return &s.params.mu; }),
+    field("params.beta", [](auto& s) { return &s.params.beta; }),
+    field("params.alpha", [](auto& s) { return &s.params.alpha; }),
+    field("environment.family", [](auto& s) { return &s.environment.family; }),
+    field("environment.etas", [](auto& s) { return &s.environment.etas; }),
+    field("environment.end_etas", [](auto& s) { return &s.environment.end_etas; }),
+    field("environment.period", [](auto& s) { return &s.environment.period; }),
+    field("environment.horizon", [](auto& s) { return &s.environment.horizon; }),
+    field("topology.family", [](auto& s) { return &s.topology.family; },
+          engines({engine_kind::auto_select, engine_kind::agent_based, engine_kind::protocol})),
+    field("topology.rows", [](auto& s) { return &s.topology.rows; }),
+    field("topology.cols", [](auto& s) { return &s.topology.cols; }),
+    field("topology.edge_probability", [](auto& s) { return &s.topology.edge_probability; }),
+    field("topology.degree", [](auto& s) { return &s.topology.degree; }),
+    field("topology.rewire_probability", [](auto& s) { return &s.topology.rewire_probability; }),
+    field("topology.bridges", [](auto& s) { return &s.topology.bridges; }),
+    field("topology.seed", [](auto& s) { return &s.topology.seed; }),
+    field("protocol.round_interval", [](auto& s) { return &s.protocol.round_interval; },
+          k_protocol),
+    field("protocol.base_latency", [](auto& s) { return &s.protocol.base_latency; }, k_protocol),
+    field("protocol.jitter_mean", [](auto& s) { return &s.protocol.jitter_mean; }, k_protocol),
+    field("protocol.drop_probability", [](auto& s) { return &s.protocol.drop_probability; },
+          k_protocol),
+    field("protocol.max_retries", [](auto& s) { return &s.protocol.max_retries; }, k_protocol),
+    field("protocol.crash_rate", [](auto& s) { return &s.protocol.crash_rate; }, k_protocol),
+    field("protocol.restart_rate", [](auto& s) { return &s.protocol.restart_rate; }, k_protocol),
+    field("protocol.sticky", [](auto& s) { return &s.protocol.sticky; }, k_protocol),
+    field("protocol.lockstep", [](auto& s) { return &s.protocol.lockstep; }, k_protocol),
+    field("faults.record", [](auto& s) { return &s.faults.record; }, k_protocol),
+    field("faults.record_capacity", [](auto& s) { return &s.faults.record_capacity; },
+          k_protocol),
+    family<k_fault_fields>("faults", [](auto& s) { return &s.faults.actions; }, k_protocol),
+    field("start", [](auto& s) { return &s.start; },
+          engines({engine_kind::auto_select, engine_kind::infinite})),
+    field("probes", [](auto& s) { return &s.probes; }),
+    family<k_group_fields>("groups", [](auto& s) { return &s.groups; },
+                           engines({engine_kind::auto_select, engine_kind::grouped})),
+    family<k_rule_fields>("agent_rules", [](auto& s) { return &s.agent_rules; },
+                          engines({engine_kind::auto_select, engine_kind::agent_based})),
+};
+
+[[noreturn]] void unknown_key(std::string_view key) {
+  std::string message{"unknown scenario key '"};
+  message += key;
+  message += "'";
+  std::vector<std::string> names;
+  for (const key_row<scenario_spec>& row : k_spec_keys) row.names(row, "", names);
+  const std::vector<std::string_view> candidates{names.begin(), names.end()};
+  const std::string suggestion = closest_name(key, candidates);
+  if (!suggestion.empty()) {
+    message += " (did you mean '";
+    message += suggestion;
+    message += "'?)";
+  }
+  throw std::invalid_argument{message};
+}
+
 }  // namespace
 
 void apply_override(scenario_spec& spec, std::string_view key, std::string_view value) {
   const std::string_view k = trim_ascii(key);
-  const std::string_view v = trim_ascii(value);
-
-  if (k == "name") {
-    spec.name = parse_string(k, v);
-  } else if (k == "description") {
-    spec.description = parse_string(k, v);
-  } else if (k == "engine") {
-    spec.engine = enum_value(k, v, k_engine_names);
-  } else if (k == "num_agents") {
-    spec.num_agents = parse_unsigned(k, v);
-  } else if (k == "params.num_options") {
-    spec.params.num_options = static_cast<std::size_t>(parse_unsigned(k, v));
-  } else if (k == "params.mu") {
-    spec.params.mu = parse_double(k, v);
-  } else if (k == "params.beta") {
-    spec.params.beta = parse_double(k, v);
-  } else if (k == "params.alpha") {
-    spec.params.alpha = parse_double(k, v);
-  } else if (k == "environment.family") {
-    spec.environment.family = enum_value(k, v, k_environment_names);
-  } else if (k == "environment.etas") {
-    spec.environment.etas = parse_double_array(k, v);
-  } else if (k == "environment.end_etas") {
-    spec.environment.end_etas = parse_double_array(k, v);
-  } else if (k == "environment.period") {
-    spec.environment.period = parse_unsigned(k, v);
-  } else if (k == "environment.horizon") {
-    spec.environment.horizon = parse_unsigned(k, v);
-  } else if (k == "topology.family") {
-    const auto family = enum_value(k, v, k_topology_names);
-    if (family != topology_spec::family_kind::none &&
-        spec.engine != engine_kind::auto_select &&
-        spec.engine != engine_kind::agent_based &&
-        spec.engine != engine_kind::protocol) {
-      family_mismatch(k, "agent_based or protocol", spec.engine);
-    }
-    spec.topology.family = family;
-  } else if (k == "topology.rows") {
-    spec.topology.rows = static_cast<std::size_t>(parse_unsigned(k, v));
-  } else if (k == "topology.cols") {
-    spec.topology.cols = static_cast<std::size_t>(parse_unsigned(k, v));
-  } else if (k == "topology.edge_probability") {
-    spec.topology.edge_probability = parse_double(k, v);
-  } else if (k == "topology.degree") {
-    spec.topology.degree = static_cast<std::size_t>(parse_unsigned(k, v));
-  } else if (k == "topology.rewire_probability") {
-    spec.topology.rewire_probability = parse_double(k, v);
-  } else if (k == "topology.bridges") {
-    spec.topology.bridges = static_cast<std::size_t>(parse_unsigned(k, v));
-  } else if (k == "topology.seed") {
-    spec.topology.seed = parse_unsigned(k, v);
-  } else if (k.starts_with("protocol.")) {
-    const std::string_view field = k.substr(9);
-    const bool known = field == "round_interval" || field == "base_latency" ||
-                       field == "jitter_mean" || field == "drop_probability" ||
-                       field == "max_retries" || field == "crash_rate" ||
-                       field == "restart_rate" || field == "sticky" ||
-                       field == "lockstep";
-    if (!known) unknown_key(k);
-    if (spec.engine != engine_kind::protocol) family_mismatch(k, "protocol", spec.engine);
-    protocol_spec& p = spec.protocol;
-    if (field == "round_interval") {
-      p.round_interval = parse_double(k, v);
-    } else if (field == "base_latency") {
-      p.base_latency = parse_double(k, v);
-    } else if (field == "jitter_mean") {
-      p.jitter_mean = parse_double(k, v);
-    } else if (field == "drop_probability") {
-      p.drop_probability = parse_double(k, v);
-    } else if (field == "max_retries") {
-      p.max_retries = parse_unsigned(k, v);
-    } else if (field == "crash_rate") {
-      p.crash_rate = parse_double(k, v);
-    } else if (field == "restart_rate") {
-      p.restart_rate = parse_double(k, v);
-    } else if (field == "sticky") {
-      p.sticky = parse_bool(k, v);
-    } else if (field == "lockstep") {
-      p.lockstep = parse_bool(k, v);
-    } else {
-      // Unreachable while the chain matches the `known` list above; a new
-      // field added only to that list must fail loudly, not silently land
-      // in the last branch.
-      unknown_key(k);
-    }
-  } else if (k == "faults.record") {
-    if (spec.engine != engine_kind::protocol) family_mismatch(k, "protocol", spec.engine);
-    spec.faults.record = parse_bool(k, v);
-  } else if (k == "faults.record_capacity") {
-    if (spec.engine != engine_kind::protocol) family_mismatch(k, "protocol", spec.engine);
-    spec.faults.record_capacity = parse_unsigned(k, v);
-  } else if (k == "start") {
-    std::vector<double> start = parse_double_array(k, v);
-    if (!start.empty() && spec.engine != engine_kind::auto_select &&
-        spec.engine != engine_kind::infinite) {
-      family_mismatch(k, "infinite", spec.engine);
-    }
-    spec.start = std::move(start);
-  } else if (k == "probes") {
-    spec.probes = parse_string_array(k, v);
-  } else {
-    std::size_t index = 0;
-    std::string_view field;
-    if (split_indexed(k, "faults", index, field)) {
-      const bool known = field == "kind" || field == "at" || field == "until" ||
-                         field == "targets" || field == "fraction" ||
-                         field == "link_class" || field == "base_latency" ||
-                         field == "jitter_mean" || field == "drop_probability";
-      if (!known) unknown_key(k);
-      if (spec.engine != engine_kind::protocol) family_mismatch(k, "protocol", spec.engine);
-      fault_action_spec& action = addressed_entry(k, spec.faults.actions, index);
-      if (field == "kind") {
-        action.kind = enum_value(k, v, k_fault_kind_names);
-      } else if (field == "at") {
-        action.at = parse_double(k, v);
-      } else if (field == "until") {
-        action.until = parse_double(k, v);
-      } else if (field == "targets") {
-        action.targets = parse_unsigned_array(k, v);
-      } else if (field == "fraction") {
-        action.fraction = parse_double(k, v);
-      } else if (field == "link_class") {
-        action.link_class = enum_value(k, v, k_link_class_names);
-      } else if (field == "base_latency") {
-        action.base_latency = parse_double(k, v);
-      } else if (field == "jitter_mean") {
-        action.jitter_mean = parse_double(k, v);
-      } else if (field == "drop_probability") {
-        action.drop_probability = parse_double(k, v);
-      } else {
-        // Unreachable while the chain matches `known`; a field added only
-        // there must fail loudly.
-        unknown_key(k);
-      }
-    } else if (split_indexed(k, "groups", index, field)) {
-      if (spec.engine != engine_kind::auto_select &&
-          spec.engine != engine_kind::grouped) {
-        family_mismatch(k, "grouped", spec.engine);
-      }
-      core::rule_group& group = addressed_entry(k, spec.groups, index);
-      if (field == "size") {
-        group.size = parse_unsigned(k, v);
-      } else if (field == "alpha") {
-        group.rule.alpha = parse_double(k, v);
-      } else if (field == "beta") {
-        group.rule.beta = parse_double(k, v);
-      } else {
-        unknown_key(k);
-      }
-    } else if (split_indexed(k, "agent_rules", index, field)) {
-      if (spec.engine != engine_kind::auto_select &&
-          spec.engine != engine_kind::agent_based) {
-        family_mismatch(k, "agent_based", spec.engine);
-      }
-      core::adoption_rule& rule = addressed_entry(k, spec.agent_rules, index);
-      if (field == "alpha") {
-        rule.alpha = parse_double(k, v);
-      } else if (field == "beta") {
-        rule.beta = parse_double(k, v);
-      } else {
-        unknown_key(k);
-      }
-    } else {
-      unknown_key(k);
-    }
-  }
+  const key_row<scenario_spec>* row = find_row(k_spec_keys, k);
+  if (row == nullptr) unknown_key(k);
+  row->set(*row, spec, k, trim_ascii(value), spec.engine);
 }
 
 void apply_override(scenario_spec& spec, std::string_view assignment) {
@@ -574,76 +551,11 @@ void apply_override(scenario_spec& spec, std::string_view assignment) {
 
 std::vector<std::pair<std::string, std::string>> scenario_fields(
     const scenario_spec& spec) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  const auto add = [&fields](std::string_view key, std::string value) {
-    fields.emplace_back(std::string{key}, std::move(value));
-  };
-  add("name", quote(spec.name));
-  add("description", quote(spec.description));
-  add("engine", quote(enum_name("engine", spec.engine, k_engine_names)));
-  add("num_agents", std::to_string(spec.num_agents));
-  add("params.num_options", std::to_string(spec.params.num_options));
-  add("params.mu", json_number(spec.params.mu));
-  add("params.beta", json_number(spec.params.beta));
-  add("params.alpha", json_number(spec.params.alpha));
-  add("environment.family",
-      quote(enum_name("environment.family", spec.environment.family, k_environment_names)));
-  add("environment.etas", format_double_array(spec.environment.etas));
-  add("environment.end_etas", format_double_array(spec.environment.end_etas));
-  add("environment.period", std::to_string(spec.environment.period));
-  add("environment.horizon", std::to_string(spec.environment.horizon));
-  add("topology.family",
-      quote(enum_name("topology.family", spec.topology.family, k_topology_names)));
-  add("topology.rows", std::to_string(spec.topology.rows));
-  add("topology.cols", std::to_string(spec.topology.cols));
-  add("topology.edge_probability", json_number(spec.topology.edge_probability));
-  add("topology.degree", std::to_string(spec.topology.degree));
-  add("topology.rewire_probability", json_number(spec.topology.rewire_probability));
-  add("topology.bridges", std::to_string(spec.topology.bridges));
-  add("topology.seed", std::to_string(spec.topology.seed));
-  if (spec.engine == engine_kind::protocol) {
-    // Only the protocol engine reads these keys, and only it may set them
-    // (apply_override's engine-family gating); emitting them for other
-    // engines would break the parse(serialize(s)) round trip.
-    add("protocol.round_interval", json_number(spec.protocol.round_interval));
-    add("protocol.base_latency", json_number(spec.protocol.base_latency));
-    add("protocol.jitter_mean", json_number(spec.protocol.jitter_mean));
-    add("protocol.drop_probability", json_number(spec.protocol.drop_probability));
-    add("protocol.max_retries", std::to_string(spec.protocol.max_retries));
-    add("protocol.crash_rate", json_number(spec.protocol.crash_rate));
-    add("protocol.restart_rate", json_number(spec.protocol.restart_rate));
-    add("protocol.sticky", spec.protocol.sticky ? "true" : "false");
-    add("protocol.lockstep", spec.protocol.lockstep ? "true" : "false");
-    add("faults.record", spec.faults.record ? "true" : "false");
-    add("faults.record_capacity", std::to_string(spec.faults.record_capacity));
-    for (std::size_t i = 0; i < spec.faults.actions.size(); ++i) {
-      const fault_action_spec& action = spec.faults.actions[i];
-      const std::string prefix = "faults." + std::to_string(i) + ".";
-      add(prefix + "kind",
-          quote(enum_name(prefix + "kind", action.kind, k_fault_kind_names)));
-      add(prefix + "at", json_number(action.at));
-      add(prefix + "until", json_number(action.until));
-      add(prefix + "targets", format_unsigned_array(action.targets));
-      add(prefix + "fraction", json_number(action.fraction));
-      add(prefix + "link_class",
-          quote(enum_name(prefix + "link_class", action.link_class, k_link_class_names)));
-      add(prefix + "base_latency", json_number(action.base_latency));
-      add(prefix + "jitter_mean", json_number(action.jitter_mean));
-      add(prefix + "drop_probability", json_number(action.drop_probability));
+  field_list fields;
+  for (const key_row<scenario_spec>& row : k_spec_keys) {
+    if (reads(row.readers, spec.engine) || reads(row.readers, engine_kind::auto_select)) {
+      row.emit(row, spec, "", fields);
     }
-  }
-  add("start", format_double_array(spec.start));
-  add("probes", format_string_array(spec.probes));
-  for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-    const std::string prefix = "groups." + std::to_string(g) + ".";
-    add(prefix + "size", std::to_string(spec.groups[g].size));
-    add(prefix + "alpha", json_number(spec.groups[g].rule.alpha));
-    add(prefix + "beta", json_number(spec.groups[g].rule.beta));
-  }
-  for (std::size_t i = 0; i < spec.agent_rules.size(); ++i) {
-    const std::string prefix = "agent_rules." + std::to_string(i) + ".";
-    add(prefix + "alpha", json_number(spec.agent_rules[i].alpha));
-    add(prefix + "beta", json_number(spec.agent_rules[i].beta));
   }
   return fields;
 }

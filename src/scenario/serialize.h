@@ -58,9 +58,10 @@ struct text_line {
 [[nodiscard]] scenario_spec parse_scenario(std::string_view text);
 
 /// Applies one dotted-key override.  Same keys and value syntax as the
-/// file format; `groups.N.*` / `agent_rules.N.*` may address one past the
-/// end to append an entry.  Throws std::invalid_argument on unknown keys
-/// (with a suggestion) or bad values.
+/// file format; `groups.N.*` / `agent_rules.N.*` / `faults.N.*` may address
+/// one past the end to append an entry.  Throws std::invalid_argument on
+/// unknown keys (with a suggestion), keys the spec's engine does not read,
+/// or bad values; a rejected override leaves `spec` unchanged.
 void apply_override(scenario_spec& spec, std::string_view key, std::string_view value);
 
 /// `--set` form: "key=value".

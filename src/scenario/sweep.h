@@ -19,8 +19,8 @@
 /// per-replication RNG streams (rng::from_stream(seed, 2r[+1])) and
 /// shard-order merge do not depend on the other points, so every point's
 /// merged probes are bit-identical to running that point alone — for any
-/// thread count, any interleaving, and with engine reuse on or off
-/// (tested in tests/harness_determinism_test.cpp).
+/// thread count and any interleaving (tested in
+/// tests/harness_determinism_test.cpp).
 
 #include <atomic>
 #include <cstdint>

@@ -23,7 +23,7 @@
 ///     it resolves to).  There is no kernel or ISA field: every step path
 ///     has one sampler whose bits do not depend on the host;
 ///   * the run shape: horizon, replications, master seed (config.threads
-///     and config.reuse are excluded — bit-identity makes them free);
+///     is excluded — bit-identity makes it free);
 ///   * the resolved probe list, in order (probes never consume RNG, but
 ///     they ARE the result payload);
 ///   * the stream-derivation version tag k_stream_derivation_id — bump it

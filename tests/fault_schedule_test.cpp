@@ -4,7 +4,7 @@
 //     execute as first-class (time, seq) events with the documented effects;
 //   * the whole fault timeline is deterministic: equal seeds give equal
 //     trace hashes, recorder attachment costs nothing, and a scheduled run
-//     is bit-identical across engine reuse;
+//     is bit-identical across harness thread counts;
 //   * the scenario layer round-trips faults.* through the text format,
 //     gates the family on the protocol engine, and reports range errors by
 //     key name.
@@ -404,19 +404,16 @@ TEST(fault_spec, unknown_field_suggests_the_nearest_key) {
 
 // --- scheduled runs under the harness ---------------------------------------
 
-TEST(fault_spec, scheduled_runs_are_bit_identical_across_threads_and_reuse) {
+TEST(fault_spec, scheduled_runs_are_bit_identical_across_threads) {
   const scenario::scenario_spec spec = scenario::get_scenario("gossip_partition_heal");
   core::run_config config;
   config.horizon = 40;
   config.replications = 3;
   config.seed = 11;
-  config.threads = 1;
-  config.reuse = true;
 
-  const auto fingerprint = [&](unsigned threads, bool reuse) {
+  const auto fingerprint = [&](unsigned threads) {
     core::run_config c = config;
     c.threads = threads;
-    c.reuse = reuse;
     std::string out;
     for (const auto& probe : scenario::run_probes(spec, c)) {
       const core::probe_report report = probe->report();
@@ -428,10 +425,7 @@ TEST(fault_spec, scheduled_runs_are_bit_identical_across_threads_and_reuse) {
     }
     return out;
   };
-  const std::string reference = fingerprint(1, true);
-  EXPECT_EQ(fingerprint(4, true), reference);
-  EXPECT_EQ(fingerprint(1, false), reference);
-  EXPECT_EQ(fingerprint(4, false), reference);
+  EXPECT_EQ(fingerprint(4), fingerprint(1));
 }
 
 }  // namespace

@@ -207,8 +207,7 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
       {"scenario --name mixed_baseline --agents -5", "--agents"},
       {"sweep --name mixed_baseline --sweep params.beta=0.6,0.7 --reps -1", "--reps"},
       {"sweep --name mixed_baseline --horizon -1", "--horizon"},
-      {"simulate --horizon -5", "--horizon"},
-      {"simulate --agents -5", "--agents"},
+      {"simulate --horizon 5", "unknown subcommand"},
       {"submit --socket /nonexistent.sock --reps -3", "--reps"},
       {"submit --socket /nonexistent.sock --horizon -3", "--horizon"},
       {"--once --store " + daemon_store + " --threads -1", "--threads", "SGL_DAEMON_PATH"},

@@ -3,20 +3,20 @@
 // Three laws are pinned here:
 //   1. Registry-wide golden run — every named scenario (shrunk to
 //      unit-test size), 2 replications, must hash to the values captured
-//      from the PRE-PR-4 harness, for threads 1 and 4 and with engine
-//      reuse on and off.  This is the proof that the persistent pool, the
-//      context reuse and the sweep scheduler changed wall clock only.
+//      from the PRE-PR-4 harness, for threads 1 and 4.  This is the proof
+//      that the persistent pool, the context reuse and the sweep scheduler
+//      changed wall clock only.
 //   2. The reset()-reuse law — for every engine kind, a fresh engine and a
 //      used-then-reset() engine produce identical trajectories from the
 //      same stream, and engines report reusable() exactly when that holds.
 //   3. The flattened sweep scheduler returns, per grid point, bit-identical
 //      probes to running each point alone through run_probes — again for
-//      any thread count and reuse setting — and shares built topologies
+//      any thread count — and shares built topologies
 //      across points via the keyed cache.
 //
 // Regenerating the golden table (ONLY when an intentional
 // bit-compatibility break ships): run every registry scenario through
-// shrink() + run_probes with golden_config(1, true) below, hash
+// shrink() + run_probes with golden_config(1) below, hash
 // dump_reports() with fnv1a(), and replace the table — ideally with a
 // binary built from the commit *before* the behavioural change, so the
 // table keeps pinning the old outputs unless the break is deliberate.
@@ -126,7 +126,7 @@ const std::map<std::string, std::uint64_t>& golden_hashes() {
       {"network_ba_1e6", 0x708c0ff7c29e024cULL},
       {"network_smallworld_1e6", 0x74f21c2de623aff0ULL},
       // Protocol scenarios (captured at their introduction, same recipe;
-      // pinned for threads 1/4 x reuse on/off like every other entry).
+      // pinned for threads 1/4 like every other entry).
       {"gossip_sensor_1e4", 0x9da69ff016826b51ULL},
       {"gossip_lossy_sweep", 0xb11ed27a37aa3254ULL},
       {"gossip_crash_recovery", 0xb685e7730fef8668ULL},
@@ -148,17 +148,16 @@ const std::map<std::string, std::uint64_t>& golden_hashes() {
   return golden;
 }
 
-core::run_config golden_config(unsigned threads, bool reuse) {
+core::run_config golden_config(unsigned threads) {
   core::run_config config;
   config.horizon = 40;
   config.replications = 2;
   config.seed = 7;
   config.threads = threads;
-  config.reuse = reuse;
   return config;
 }
 
-TEST(harness_golden, registry_bit_identical_across_threads_and_reuse) {
+TEST(harness_golden, registry_bit_identical_across_threads) {
   const auto& golden = golden_hashes();
   std::size_t covered = 0;
   for (const auto& spec : scenario::all_scenarios()) {
@@ -170,13 +169,10 @@ TEST(harness_golden, registry_bit_identical_across_threads_and_reuse) {
     ++covered;
     const scenario::scenario_spec small = shrink(spec);
     for (const unsigned threads : {1U, 4U}) {
-      for (const bool reuse : {true, false}) {
-        const core::probe_list merged =
-            scenario::run_probes(small, golden_config(threads, reuse));
-        EXPECT_EQ(fnv1a(dump_reports(merged)), it->second)
-            << "scenario '" << spec.name << "' diverged from the pre-PR-4 "
-            << "harness with threads=" << threads << " reuse=" << reuse;
-      }
+      const core::probe_list merged = scenario::run_probes(small, golden_config(threads));
+      EXPECT_EQ(fnv1a(dump_reports(merged)), it->second)
+          << "scenario '" << spec.name << "' diverged from the pre-PR-4 "
+          << "harness with threads=" << threads;
     }
   }
   // The table must shrink when scenarios are retired, too.
@@ -318,16 +314,13 @@ TEST(run_sweep, bit_identical_to_sequential_run_probes) {
   }
 
   for (const unsigned threads : {1U, 4U}) {
-    for (const bool reuse : {true, false}) {
-      config.threads = threads;
-      config.reuse = reuse;
-      const auto results = scenario::run_sweep(base, grid, config, probes);
-      ASSERT_EQ(results.size(), grid.size());
-      for (std::size_t p = 0; p < results.size(); ++p) {
-        EXPECT_EQ(results[p].assignments, grid[p]);
-        EXPECT_EQ(dump_reports(results[p].probes), reference[p])
-            << "point " << p << " threads=" << threads << " reuse=" << reuse;
-      }
+    config.threads = threads;
+    const auto results = scenario::run_sweep(base, grid, config, probes);
+    ASSERT_EQ(results.size(), grid.size());
+    for (std::size_t p = 0; p < results.size(); ++p) {
+      EXPECT_EQ(results[p].assignments, grid[p]);
+      EXPECT_EQ(dump_reports(results[p].probes), reference[p])
+          << "point " << p << " threads=" << threads;
     }
   }
 }
@@ -393,21 +386,6 @@ TEST(run_sweep, topology_cache_shares_graphs_across_points) {
   // Four points, one topology key: at most one build, at least three hits.
   EXPECT_LE(after.misses - before.misses, 1U);
   EXPECT_GE(after.hits - before.hits, 3U);
-}
-
-// --- the harness reuses contexts, not streams --------------------------------
-
-TEST(run_config_reuse, off_matches_on_bit_for_bit) {
-  const scenario::scenario_spec spec = scenario::get_scenario("ring");
-  core::run_config config;
-  config.horizon = 80;
-  config.replications = 6;
-  config.seed = 9;
-  config.reuse = true;
-  const std::string with_reuse = dump_reports(scenario::run_probes(spec, config));
-  config.reuse = false;
-  const std::string without_reuse = dump_reports(scenario::run_probes(spec, config));
-  EXPECT_EQ(with_reuse, without_reuse);
 }
 
 }  // namespace

@@ -268,7 +268,6 @@ core::run_config property_run_config() {
   config.replications = 2;
   config.seed = 7;
   config.threads = 1;
-  config.reuse = true;
   return config;
 }
 

@@ -70,9 +70,9 @@ TEST(scenario_property, serialize_parse_serialize_fixpoint_and_run_identity) {
 }
 
 // Law 2: probe merging is schedule-invariant — the merged probe reports
-// are bit-identical across harness thread counts and engine-reuse
-// settings, for every drawn spec (the registry-wide version of this law is
-// pinned golden in harness_determinism_test.cpp).
+// are bit-identical across harness thread counts, for every drawn spec
+// (the registry-wide version of this law is pinned golden in
+// harness_determinism_test.cpp).
 TEST(scenario_property, probe_merge_is_schedule_invariant) {
   check_scenario_property(
       [](const scenario::scenario_spec& spec) {
@@ -81,14 +81,9 @@ TEST(scenario_property, probe_merge_is_schedule_invariant) {
           config.replications = 3;  // an odd count shards unevenly
           const std::string reference = run_fingerprint(spec, config);
           for (const unsigned threads : {2U, 3U}) {
-            for (const bool reuse : {true, false}) {
-              config.threads = threads;
-              config.reuse = reuse;
-              if (run_fingerprint(spec, config) != reference) {
-                return "merged probes diverge at threads=" +
-                       std::to_string(threads) +
-                       " reuse=" + (reuse ? std::string{"on"} : "off");
-              }
+            config.threads = threads;
+            if (run_fingerprint(spec, config) != reference) {
+              return "merged probes diverge at threads=" + std::to_string(threads);
             }
           }
           return {};
@@ -122,10 +117,11 @@ TEST(scenario_property, state_invariants_hold_at_every_step) {
 }
 
 // Law 4: reset() restores the exact initial state — a used-then-reset()
-// engine replays the trajectory of a fresh one bit for bit whenever the
-// engine reports reusable(); and factory-fresh engines are deterministic
-// (two builds, same streams, same trajectory) for every kind, including
-// the non-reusable ones.
+// engine or environment replays the draws of a fresh one bit for bit
+// whenever it reports reusable(), which is what lets the harness reset
+// instead of rebuilding between replications; and factory-fresh engines
+// are deterministic (two builds, same streams, same trajectory) for every
+// kind, including the non-reusable ones.
 TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
   const auto trajectory = [](core::dynamics_engine& engine) {
     rng reward_gen = rng::from_stream(11, 0);
@@ -141,8 +137,27 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
     out.push_back(static_cast<double>(engine.steps()));
     return out;
   };
-  check_scenario_property([&trajectory](const scenario::scenario_spec& spec) {
+  const auto samples = [](env::reward_model& environment) {
+    rng gen = rng::from_stream(11, 0);
+    std::vector<std::uint8_t> rewards(environment.num_options());
+    std::vector<std::uint8_t> out;
+    for (std::uint64_t t = 1; t <= 20; ++t) {
+      environment.sample(t, gen, rewards);
+      out.insert(out.end(), rewards.begin(), rewards.end());
+    }
+    return out;
+  };
+  check_scenario_property([&trajectory, &samples](const scenario::scenario_spec& spec) {
     return guarded([&]() -> std::string {
+      auto environment = scenario::make_environment(spec.environment)();
+      const std::vector<std::uint8_t> fresh_samples = samples(*environment);
+      if (environment->reusable()) {
+        environment->reset();
+        if (samples(*environment) != fresh_samples) {
+          return "reset() environment diverges from a fresh one";
+        }
+      }
+
       const core::engine_factory make_engine = scenario::make_engine(spec);
       auto first = make_engine();
       const std::vector<double> reference = trajectory(*first);
@@ -163,7 +178,7 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
 
 // Law 6: the service digest keys exactly the semantically meaningful
 // inputs — stable under every documented-inert mutation (name,
-// description, config.threads, config.reuse), changed by
+// description, config.threads), changed by
 // meaningful ones (master seed, horizon, mu).
 TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
   check_scenario_property([](const scenario::scenario_spec& spec) {
@@ -177,10 +192,9 @@ TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
       renamed.description += " (documentation only)";
       core::run_config reshaped = config;
       reshaped.threads = 4;
-      reshaped.reuse = !config.reuse;
       if (service::spec_digest(renamed, reshaped, no_probes) != base) {
         return "digest moved under inert mutations (name/description/"
-               "config.threads/config.reuse)";
+               "config.threads)";
       }
 
       core::run_config reseeded = config;

@@ -164,16 +164,31 @@ TEST(apply_override, indexed_keys_append_in_order) {
 }
 
 TEST(apply_override, rejects_bad_keys_and_values) {
-  scenario_spec spec;
-  EXPECT_THROW(apply_override(spec, "params.beta"), std::invalid_argument);  // no '='
-  EXPECT_THROW(apply_override(spec, "params.beta=abc"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "num_agents=-5"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "num_agents=2.5"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "engine=warp_drive"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "environment.etas=0.5"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "groups.0.gamma=1"), std::invalid_argument);
-  EXPECT_THROW(apply_override(spec, "no.such.key=1"), std::invalid_argument);
+  // Each rejected override must leave the spec as it was, including one
+  // that addresses a new entry of an indexed family ("" = default spec).
+  const std::vector<std::pair<std::string, std::string>> rejected{
+      {"", "params.beta"},  // no '='
+      {"", "params.beta=abc"},
+      {"", "num_agents=-5"},
+      {"", "num_agents=2.5"},
+      {"", "engine=warp_drive"},
+      {"", "environment.etas=0.5"},
+      {"", "groups.0.gamma=1"},
+      {"", "no.such.key=1"},
+      {"mixture-discernment", "groups.3.gamma=1"},
+      {"mixture-discernment", "groups.3.size=abc"},
+      {"quickstart", "agent_rules.0.gamma=1"},
+      {"quickstart", "agent_rules.0.beta=abc"},
+      {"gossip_ring_300", "faults.0.at=abc"},
+  };
+  for (const auto& [name, assignment] : rejected) {
+    scenario_spec spec = name.empty() ? scenario_spec{} : get_scenario(name);
+    const std::string before = serialize_scenario(spec);
+    EXPECT_THROW(apply_override(spec, assignment), std::invalid_argument) << assignment;
+    EXPECT_EQ(serialize_scenario(spec), before) << name << ": " << assignment;
+  }
 
+  scenario_spec spec;
   try {
     apply_override(spec, "params.bta=0.7");
     FAIL() << "expected invalid_argument";

@@ -92,8 +92,8 @@ TEST(spec_digest, inert_fields_do_not_change_the_digest) {
   const core::run_config config = test_config();
   const digest128 reference = spec_digest(base, config, {});
 
-  // name/description are labels; the run_config's threads/reuse are
-  // scheduling choices — proven bit-identical by the determinism suite, so
+  // name/description are labels; the run_config's thread count is a
+  // scheduling choice — proven bit-identical by the determinism suite, so
   // none may split the cache.
   scenario::scenario_spec relabeled = base;
   relabeled.name = "some other name";
@@ -102,7 +102,6 @@ TEST(spec_digest, inert_fields_do_not_change_the_digest) {
 
   core::run_config reconfigured = config;
   reconfigured.threads = 13;
-  reconfigured.reuse = false;
   EXPECT_EQ(spec_digest(base, reconfigured, {}), reference);
 }
 

@@ -14,8 +14,6 @@
 //   sociolearn_cli sweep     --name mixed_baseline --sweep params.beta=0.55:0.75:0.05
 //       the same command with one run per grid point (axes are repeatable;
 //       the cartesian product is taken, last axis fastest).
-//   sociolearn_cli simulate  --engine finite|aggregate|infinite --m ... --beta ...
-//       runs one trajectory and writes a per-step CSV to stdout.
 //   sociolearn_cli sweep     --name gossip_lossy_sweep --sweep protocol.drop_probability=0:0.3:0.1
 //       the gossip_* registry scenarios run the netsim-backed protocol
 //       engine, configured by `protocol.*` and `faults.*` keys.
@@ -58,7 +56,6 @@
 #include "core/experiment.h"
 #include "core/probe.h"
 #include "core/theory.h"
-#include "env/reward_model.h"
 #include "netsim/trace.h"
 #include "protocol/protocol_engine.h"
 #include "scenario/claims.h"
@@ -126,16 +123,13 @@ bool counts_non_negative(const flag_set& flags, std::initializer_list<const char
   return true;
 }
 
-// --- shared model flags -----------------------------------------------------
+// --- model flags (bounds) ------------------------------------------------
 
 void add_model_flags(flag_set& flags) {
   flags.add_int64("m", 4, "number of options");
   flags.add_double("beta", 0.65, "adopt probability on a good signal");
   flags.add_double("alpha", -1.0, "adopt probability on a bad signal (-1 = 1-beta)");
   flags.add_double("mu", -1.0, "exploration weight (-1 = delta^2/6)");
-  flags.add_double("eta-best", 0.85, "quality of the best option");
-  flags.add_double("eta-rest", 0.35, "quality of every other option");
-  flags.add_int64("seed", 1, "master RNG seed");
 }
 
 core::dynamics_params read_params(const flag_set& flags) {
@@ -147,17 +141,6 @@ core::dynamics_params read_params(const flag_set& flags) {
   if (params.mu < 0.0) params.mu = core::theory::mu_cap(params.beta);
   params.validate();
   return params;
-}
-
-/// The ad-hoc two-level scenario the model flags describe.
-scenario::scenario_spec read_scenario(const flag_set& flags) {
-  scenario::scenario_spec spec;
-  spec.name = "cli";
-  spec.params = read_params(flags);
-  spec.environment.etas =
-      env::two_level_etas(static_cast<std::size_t>(flags.get_int64("m")),
-                          flags.get_double("eta-best"), flags.get_double("eta-rest"));
-  return spec;
 }
 
 void print_estimate(const core::regret_probe& probe, double bound, output_format format) {
@@ -457,10 +440,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   flags.add_int64("threads", 0, "replication worker threads (0 = all)");
   flags.add_int64("agents", -1, "override the scenario's population (-1 = keep)");
   flags.add_bool("curves", false, "emit per-step curves as CSV instead of the table");
-  flags.add_bool("no-reuse", false,
-                 "rebuild the engine/environment every replication instead of "
-                 "reset()-reusing one per worker (A/B check; bit-identical "
-                 "results, slower)");
   flags.add_string("trace-out", "",
                    "record replication 0's structured netsim trace to this "
                    "JSONL file ('-' = stdout; protocol engine only)");
@@ -553,7 +532,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
   config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-  config.reuse = !flags.get_bool("no-reuse");
   const bool curves = flags.get_bool("curves");
 
   // Probe selection: --probes > the spec's probes > regret; --curves
@@ -724,81 +702,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     json.end_array();
     std::cout << '\n';
   }
-  return 0;
-}
-
-int cmd_simulate(int argc, const char* const* argv) {
-  flag_set flags{"sociolearn_cli simulate", "run one trajectory, CSV to stdout"};
-  add_model_flags(flags);
-  add_format_flag(flags, "csv");
-  flags.add_string("engine", "finite", "finite | aggregate | infinite");
-  flags.add_int64("agents", 1000, "population size N (finite engines)");
-  flags.add_int64("horizon", 200, "steps T");
-  if (flags.parse(argc, argv) != parse_status::ok) return 2;
-  output_format format = output_format::table;
-  if (!read_format(flags, format)) return 2;
-  if (!counts_non_negative(flags, {"agents", "horizon"}, "simulate")) return 2;
-  const auto horizon = static_cast<std::uint64_t>(flags.get_int64("horizon"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
-  const std::string engine_name = flags.get_string("engine");
-
-  scenario::scenario_spec spec = read_scenario(flags);
-  spec.num_agents = static_cast<std::uint64_t>(flags.get_int64("agents"));
-  if (engine_name == "infinite") {
-    spec.engine = scenario::engine_kind::infinite;
-    spec.num_agents = 0;
-  } else if (engine_name == "aggregate") {
-    spec.engine = scenario::engine_kind::aggregate;
-  } else if (engine_name == "finite") {
-    spec.engine = scenario::engine_kind::agent_based;
-  } else {
-    std::fprintf(stderr, "unknown engine '%s' (finite | aggregate | infinite)\n",
-                 engine_name.c_str());
-    return 2;
-  }
-
-  // One loop for every engine: the dynamics_engine interface is the point.
-  const auto engine = scenario::make_engine(spec)();
-  const auto environment = scenario::make_environment(spec.environment)();
-  rng reward_gen = rng::from_stream(seed, 0);
-  rng process_gen = rng::from_stream(seed, 1);
-  std::vector<std::uint8_t> r(spec.params.num_options);
-
-  // The default CSV path streams row by row — a trajectory can be millions
-  // of steps; only the aligned/JSON renderings buffer the table.
-  const bool streaming = format == output_format::csv;
-  std::vector<std::string> header{"t"};
-  for (std::size_t j = 0; j < spec.params.num_options; ++j) {
-    header.push_back("q" + std::to_string(j));
-  }
-  header.emplace_back("group_reward");
-  std::optional<text_table> table;
-  if (streaming) {
-    for (std::size_t c = 0; c < header.size(); ++c) {
-      std::printf("%s%s", c == 0 ? "" : ",", header[c].c_str());
-    }
-    std::printf("\n");
-  } else {
-    table.emplace(header);
-  }
-  for (std::uint64_t t = 1; t <= horizon; ++t) {
-    environment->sample(t, reward_gen, r);
-    engine->step(r, process_gen);
-    const auto q = engine->popularity();
-    double reward = 0.0;
-    for (std::size_t j = 0; j < q.size(); ++j) reward += q[j] * r[j];
-    if (streaming) {
-      std::printf("%llu", static_cast<unsigned long long>(t));
-      for (const double x : q) std::printf(",%.6f", x);
-      std::printf(",%.6f\n", reward);
-      continue;
-    }
-    std::vector<std::string> row{std::to_string(t)};
-    for (const double x : q) row.push_back(fmt(x, 6));
-    row.push_back(fmt(reward, 6));
-    table->add_row(std::move(row));
-  }
-  if (table) emit_table(*table, format);
   return 0;
 }
 
@@ -1182,7 +1085,6 @@ void print_usage() {
       "  scenarios  list the named scenarios of the registry\n"
       "  scenario   run a scenario (--name or --file, --set overrides, --probes)\n"
       "  sweep      same as scenario, one run per --sweep grid point\n"
-      "  simulate   run one trajectory (finite/aggregate/infinite), CSV to stdout\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
       "             against the protocol invariants; exit 1 on violations\n"
       "  claims     check the paper's claims (claims/*.scn): one verdict row\n"
@@ -1216,7 +1118,6 @@ int main(int argc, char** argv) {
     if (command == "scenario" || command == "sweep") {
       return cmd_scenario(sub_argc, sub_argv, command == "sweep");
     }
-    if (command == "simulate") return cmd_simulate(sub_argc, sub_argv);
     if (command == "check-trace") return cmd_check_trace(sub_argc, sub_argv);
     if (command == "claims") return cmd_claims(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
