@@ -15,7 +15,6 @@
 
 #include "core/aggregate_dynamics.h"
 #include "core/finite_dynamics.h"
-#include "core/grouped_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "core/params.h"
 #include "core/step_kernel.h"
@@ -161,7 +160,7 @@ void BM_grouped_step(benchmark::State& state) {
   // Exact aggregate of a G-group rule mixture: O(G·m), independent of N.
   const auto groups = static_cast<std::size_t>(state.range(0));
   std::vector<core::rule_group> mixture(groups, {1000000, {0.35, 0.65}});
-  core::grouped_dynamics dyn{make_params(10), mixture};
+  core::aggregate_dynamics dyn{make_params(10), mixture};
   rng gen{8};
   rng reward_gen{9};
   const auto rewards = random_rewards(10, reward_gen);

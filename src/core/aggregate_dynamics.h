@@ -1,26 +1,30 @@
 #pragma once
 
 /// \file aggregate_dynamics.h
-/// The exact aggregate simulator for the homogeneous, fully mixed dynamics.
+/// The exact aggregate simulator of the fully mixed dynamics, for a
+/// homogeneous population or a mixture of G rule groups.
 ///
 /// Conditioned on the current popularity Q^t, the agent-level randomness of
 /// a step factors exactly as
 ///
-///   S^{t+1}            ~ Multinomial(N, p)    with p_j = (1−μ)Q^t_j + μ/m,
-///   D^{t+1}_j | S, R   ~ Binomial(S^{t+1}_j, β^{R_j} α^{1−R_j}),
+///   S^{t+1}_g          ~ Multinomial(N_g, p)   with p_j = (1−μ)Q^t_j + μ/m,
+///   D^{t+1}_{g,j} | S, R ~ Binomial(S^{t+1}_{g,j}, β_g^{R_j} α_g^{1−R_j}),
+///   Q^{t+1}_j          = Σ_g D_{g,j} / Σ_{g,j} D_{g,j},
 ///
-/// which is the very decomposition the paper's Propositions 4.1/4.2 analyze.
-/// Sampling those laws directly advances the whole population in O(m) work
-/// per step (independent of N), enabling the N = 10⁶ sweeps of Theorem 4.4's
-/// experiment.  For heterogeneous rules or network sampling use
-/// finite_dynamics — for the homogeneous mixed case the two engines induce
-/// the *same* distribution over trajectories (tested).
+/// which is the very decomposition the paper's Propositions 4.1/4.2 analyze
+/// (G = 1 is the homogeneous case; every group samples the *shared*
+/// popularity, so heterogeneity only enters at adoption).  Sampling those
+/// laws directly advances the whole population in O(G·m) work per step,
+/// independent of N, enabling the N = 10⁶ sweeps of Theorem 4.4's
+/// experiment.  For per-agent rules or network sampling use finite_dynamics
+/// — with the same group assignment the two engines induce the *same*
+/// distribution over trajectories (tested).
 ///
 /// The draw itself is sample_mixed_counts below, the one sampler of this
-/// law: aggregate_dynamics, finite_dynamics' batched step and every group
-/// of grouped_dynamics call it.  Its m stage-2 binomials come from two
-/// binomial_tables per rule (p = α and p = β never change), so a step
-/// re-uses the sampler set-up of earlier steps' stage counts.
+/// law: each group of aggregate_dynamics and finite_dynamics' batched step
+/// call it.  Its m stage-2 binomials come from two binomial_tables per rule
+/// (p = α and p = β never change), so a step re-uses the sampler set-up of
+/// earlier steps' stage counts.
 
 #include <cstdint>
 #include <span>
@@ -53,8 +57,15 @@ std::uint64_t sample_mixed_counts(rng& gen, std::uint64_t agents,
 
 class aggregate_dynamics final : public dynamics_engine {
  public:
+  /// Homogeneous population: the one group {num_agents, (resolved α, β)}.
   /// Throws std::invalid_argument on invalid parameters or num_agents == 0.
   aggregate_dynamics(const dynamics_params& params, std::uint64_t num_agents);
+
+  /// Rule-group mixture: `params` supplies m and μ (its β/α are ignored —
+  /// the groups carry the adoption rules).  Throws std::invalid_argument on
+  /// invalid parameters, no groups, an empty group, or a rule outside
+  /// 0 ≤ α ≤ β ≤ 1.
+  aggregate_dynamics(const dynamics_params& params, std::vector<rule_group> groups);
 
   /// Back to the initial state (nobody committed, uniform popularity).
   void reset() override;
@@ -62,7 +73,8 @@ class aggregate_dynamics final : public dynamics_engine {
   /// Restart from given adopter counts (sum may be anything <= N; the
   /// popularity becomes counts/sum, uniform when the sum is 0).  An engine
   /// seeded this way stops reporting reusable(): the plain reset() returns
-  /// to the uniform start, not to these counts.
+  /// to the uniform start, not to these counts.  One group only: throws
+  /// std::invalid_argument on a mixture.
   void reset(std::span<const std::uint64_t> adopter_counts);
 
   /// reset() restores the constructed state exactly — unless a custom
@@ -77,15 +89,22 @@ class aggregate_dynamics final : public dynamics_engine {
     return popularity_;
   }
 
-  /// D^t_j.
+  /// D^t_j = Σ_g D^t_{g,j}.
   [[nodiscard]] std::span<const std::uint64_t> adopter_counts() const noexcept override {
     return adopter_counts_;
   }
 
-  /// S^t_j (stage-1 counts of the last step).
+  /// S^t_j = Σ_g S^t_{g,j} (stage-1 counts of the last step).
   [[nodiscard]] std::span<const std::uint64_t> stage_counts() const noexcept {
     return stage_counts_;
   }
+
+  /// D^t_{g,j}: adopters of option j within group g after the last step.
+  /// Throws std::out_of_range past the last group.
+  [[nodiscard]] std::span<const std::uint64_t> group_adopters(std::size_t group) const;
+
+  /// The rule groups, as constructed (one group for a homogeneous engine).
+  [[nodiscard]] std::span<const rule_group> groups() const noexcept { return groups_; }
 
   [[nodiscard]] std::uint64_t adopters() const noexcept { return adopters_; }
   [[nodiscard]] std::uint64_t empty_steps() const noexcept override { return empty_steps_; }
@@ -95,12 +114,16 @@ class aggregate_dynamics final : public dynamics_engine {
 
  private:
   dynamics_params params_;
-  std::uint64_t num_agents_;
+  std::vector<rule_group> groups_;
+  std::vector<adoption_binomials> binomials_;  // per group: its (α, β) tables
+  std::uint64_t num_agents_ = 0;
   std::vector<double> popularity_;
   std::vector<double> stage_weights_;
   std::vector<std::uint64_t> stage_counts_;
   std::vector<std::uint64_t> adopter_counts_;
-  adoption_binomials binomials_;
+  // Mixtures only: one group's stage counts, and D_{g,j} row-major by group.
+  std::vector<std::uint64_t> group_stage_;
+  std::vector<std::uint64_t> group_adopters_;
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;

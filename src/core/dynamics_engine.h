@@ -7,8 +7,8 @@
 /// equivalent formulations — finite agent-based (§2.1), exact aggregate
 /// (Propositions 4.1/4.2), and infinite mean-field (§4.2, eq. (1)) — all
 /// inducing the same law on the popularity trajectory in the homogeneous,
-/// fully mixed case.  The repo mirrors that: aggregate_dynamics,
-/// finite_dynamics, infinite_dynamics, and grouped_dynamics are all
+/// fully mixed case.  The repo mirrors that: aggregate_dynamics (which also
+/// runs rule-group mixtures), finite_dynamics and infinite_dynamics are all
 /// `dynamics_engine`s, and every harness (the Monte-Carlo runner in
 /// experiment.h, the scenario registry in scenario/, the CLI, and the
 /// benchmarks) drives them solely through this interface.

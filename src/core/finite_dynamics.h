@@ -6,7 +6,9 @@
 /// engine supports the full generality of the model:
 ///
 ///   * heterogeneous adoption functions f_i = (α_i, β_i)  (§2.1 keeps them
-///     identical "for simplicity in the exposition ... not essential");
+///     identical "for simplicity in the exposition ... not essential"; a
+///     fully mixed mixture of a few rule groups also runs exactly, in
+///     O(G·m) a step, on aggregate_dynamics);
 ///   * sampling restricted to a social network's neighbours (§6, open
 ///     problem 1) instead of the whole group;
 ///   * individuals sitting out (adopting nothing) for a step.
@@ -55,12 +57,6 @@
 #include "support/rng.h"
 
 namespace sgl::core {
-
-/// Per-agent adoption probabilities (α_i ≤ β_i enforced at set time).
-struct adoption_rule {
-  double alpha = 0.0;
-  double beta = 1.0;
-};
 
 class finite_dynamics : public dynamics_engine {
  public:

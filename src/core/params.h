@@ -8,8 +8,24 @@
 /// (pure copying β = α = 1, deterministic adoption α = 0) stay in-model.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace sgl::core {
+
+/// One adoption function f = (α, β): adopt the sampled option with
+/// probability β on a good signal and α on a bad one (0 ≤ α ≤ β ≤ 1,
+/// checked by the engines that take it).
+struct adoption_rule {
+  double alpha = 0.0;
+  double beta = 1.0;
+};
+
+/// One rule group of a heterogeneous population: how many agents follow
+/// which (α, β).
+struct rule_group {
+  std::uint64_t size = 0;
+  adoption_rule rule;
+};
 
 struct dynamics_params {
   /// Number of options m (>= 1).

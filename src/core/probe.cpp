@@ -672,16 +672,28 @@ void concentration_probe::begin_replication(std::uint64_t /*horizon*/) {
   worst3_ = 0.0;
 }
 
+namespace {
+
+/// The one rule of a homogeneous aggregate engine, or null: the analysis
+/// probes apply to the exact aggregate engine with exactly one rule group.
+const adoption_rule* single_rule(const aggregate_dynamics* engine) {
+  if (engine == nullptr || engine->groups().size() != 1) return nullptr;
+  return &engine->groups().front().rule;
+}
+
+}  // namespace
+
 void concentration_probe::on_step(const probe_step_view& step) {
   const auto* engine = dynamic_cast<const aggregate_dynamics*>(&step.engine);
-  if (engine == nullptr) return;
+  const adoption_rule* rule = single_rule(engine);
+  if (rule == nullptr) return;
   const dynamics_params& params = engine->params();
   const double n = static_cast<double>(engine->num_agents());
   if (step.t == 1) {
-    applies_ = params.mu > 0.0 && params.beta > 0.0 && params.beta < 1.0 && n >= 2.0;
+    applies_ = params.mu > 0.0 && rule->beta > 0.0 && rule->beta < 1.0 && n >= 2.0;
     if (!applies_) return;
     const double dp = theory::delta_prime(params.num_options, params.mu, n);
-    const double ddp = theory::delta_double_prime(params.num_options, params.mu, params.beta, n);
+    const double ddp = theory::delta_double_prime(params.num_options, params.mu, rule->beta, n);
     radius1_ = 2.0 * dp;
     radius2_ = 2.0 * ddp;
     radius3_ = 6.0 * ddp;
@@ -690,13 +702,12 @@ void concentration_probe::on_step(const probe_step_view& step) {
   const auto stage = engine->stage_counts();
   const auto adopt = engine->adopter_counts();
   const double m = static_cast<double>(params.num_options);
-  const double alpha = params.resolved_alpha();
   for (std::size_t j = 0; j < stage.size(); ++j) {
     const double expected = ((1.0 - params.mu) * step.popularity_before[j] + params.mu / m) * n;
     const double s_j = static_cast<double>(stage[j]);
     const double d_j = static_cast<double>(adopt[j]);
     worst1_ = std::max(worst1_, std::abs(s_j / expected - 1.0) / radius1_);
-    const double g = step.rewards[j] != 0 ? params.beta : alpha;
+    const double g = step.rewards[j] != 0 ? rule->beta : rule->alpha;
     if (g <= 0.0) continue;
     if (stage[j] > 0) worst2_ = std::max(worst2_, std::abs(d_j / (s_j * g) - 1.0) / radius2_);
     worst3_ = std::max(worst3_, std::abs(d_j / (expected * g) - 1.0) / radius3_);
@@ -744,8 +755,11 @@ void coupling_probe::begin_replication(std::uint64_t /*horizon*/) {
 
 void coupling_probe::on_step(const probe_step_view& step) {
   const auto* engine = dynamic_cast<const aggregate_dynamics*>(&step.engine);
-  if (engine == nullptr) return;
-  const dynamics_params& params = engine->params();
+  const adoption_rule* rule = single_rule(engine);
+  if (rule == nullptr) return;
+  dynamics_params params = engine->params();
+  params.alpha = rule->alpha;
+  params.beta = rule->beta;
   if (step.t == 1) {
     shadow_ = std::make_unique<infinite_dynamics>(params);
     shadow_->reset(step.popularity_before);
@@ -857,13 +871,6 @@ probe_report proof_audit_probe::report() const {
 
 namespace {
 
-constexpr std::array<std::string_view, 13> k_probe_names{
-    "regret",          "trajectory",      "hitting_time",
-    "popularity_floor", "final_histogram", "recovery",
-    "concentration",   "coupling",        "proof_audit",
-    "message_cost",    "commit_latency",  "adoption",
-    "partition_divergence"};
-
 double parse_probe_number(std::string_view spec, std::string_view text) {
   const std::optional<double> parsed = parse_full_double(text);
   if (!parsed) {
@@ -917,6 +924,42 @@ double only_arg(std::string_view spec,
   return value;
 }
 
+template <class P>
+std::unique_ptr<probe> make_plain(double /*arg*/) {
+  return std::make_unique<P>();
+}
+
+template <class P>
+std::unique_ptr<probe> make_with_arg(double arg) {
+  return std::make_unique<P>(arg);
+}
+
+/// One row per probe make_probe knows, in the order the error lists them:
+/// the name, its one numeric argument's key and default (an empty key: it
+/// takes no arguments), and the factory.
+struct probe_entry {
+  std::string_view name;
+  std::string_view arg_key;
+  double arg_default;
+  std::unique_ptr<probe> (*make)(double arg);
+};
+
+constexpr std::array<probe_entry, 13> k_probes{{
+    {"regret", {}, 0.0, make_plain<regret_probe>},
+    {"trajectory", {}, 0.0, make_plain<trajectory_probe>},
+    {"hitting_time", "eps", 0.1, make_with_arg<hitting_time_probe>},
+    {"popularity_floor", "floor", 0.0, make_with_arg<popularity_floor_probe>},
+    {"final_histogram", {}, 0.0, make_plain<final_histogram_probe>},
+    {"recovery", "eps", 0.5, make_with_arg<recovery_probe>},
+    {"concentration", {}, 0.0, make_plain<concentration_probe>},
+    {"coupling", {}, 0.0, make_plain<coupling_probe>},
+    {"proof_audit", {}, 0.0, make_plain<proof_audit_probe>},
+    {"message_cost", {}, 0.0, make_plain<message_cost_probe>},
+    {"commit_latency", {}, 0.0, make_plain<commit_latency_probe>},
+    {"adoption", {}, 0.0, make_plain<adoption_probe>},
+    {"partition_divergence", "eps", 0.1, make_with_arg<partition_divergence_probe>},
+}};
+
 }  // namespace
 
 std::unique_ptr<probe> make_probe(std::string_view spec) {
@@ -933,68 +976,29 @@ std::unique_ptr<probe> make_probe(std::string_view spec) {
   }
   const auto parsed = parse_probe_args(trimmed, args);
 
-  if (name == "regret") {
-    no_args(trimmed, parsed);
-    return std::make_unique<regret_probe>();
-  }
-  if (name == "trajectory") {
-    no_args(trimmed, parsed);
-    return std::make_unique<trajectory_probe>();
-  }
-  if (name == "final_histogram") {
-    no_args(trimmed, parsed);
-    return std::make_unique<final_histogram_probe>();
-  }
-  if (name == "concentration") {
-    no_args(trimmed, parsed);
-    return std::make_unique<concentration_probe>();
-  }
-  if (name == "coupling") {
-    no_args(trimmed, parsed);
-    return std::make_unique<coupling_probe>();
-  }
-  if (name == "proof_audit") {
-    no_args(trimmed, parsed);
-    return std::make_unique<proof_audit_probe>();
-  }
-  if (name == "message_cost") {
-    no_args(trimmed, parsed);
-    return std::make_unique<message_cost_probe>();
-  }
-  if (name == "commit_latency") {
-    no_args(trimmed, parsed);
-    return std::make_unique<commit_latency_probe>();
-  }
-  if (name == "adoption") {
-    no_args(trimmed, parsed);
-    return std::make_unique<adoption_probe>();
-  }
-  if (name == "hitting_time") {
-    return std::make_unique<hitting_time_probe>(only_arg(trimmed, parsed, "eps", 0.1));
-  }
-  if (name == "recovery") {
-    return std::make_unique<recovery_probe>(only_arg(trimmed, parsed, "eps", 0.5));
-  }
-  if (name == "popularity_floor") {
-    return std::make_unique<popularity_floor_probe>(
-        only_arg(trimmed, parsed, "floor", 0.0));
-  }
-  if (name == "partition_divergence") {
-    return std::make_unique<partition_divergence_probe>(
-        only_arg(trimmed, parsed, "eps", 0.1));
+  for (const probe_entry& entry : k_probes) {
+    if (entry.name != name) continue;
+    if (entry.arg_key.empty()) {
+      no_args(trimmed, parsed);
+      return entry.make(0.0);
+    }
+    return entry.make(only_arg(trimmed, parsed, entry.arg_key, entry.arg_default));
   }
 
+  std::array<std::string_view, k_probes.size()> names;
+  std::transform(k_probes.begin(), k_probes.end(), names.begin(),
+                 [](const probe_entry& entry) { return entry.name; });
   std::string message{"unknown probe '"};
   message += name;
   message += "'";
-  const std::string suggestion = closest_name(name, k_probe_names);
+  const std::string suggestion = closest_name(name, names);
   if (!suggestion.empty()) {
     message += " (did you mean '";
     message += suggestion;
     message += "'?)";
   }
   message += "; known:";
-  for (const std::string_view known : k_probe_names) {
+  for (const std::string_view known : names) {
     message += ' ';
     message += known;
   }
@@ -1017,23 +1021,12 @@ std::vector<std::string> split_probe_specs(std::string_view text) {
   return out;
 }
 
-probe_list parse_probe_list(std::string_view text) {
-  probe_list out;
-  for (const std::string& spec : split_probe_specs(text)) {
-    out.push_back(make_probe(spec));
-  }
-  if (out.empty()) throw std::invalid_argument{"empty probe list"};
-  return out;
-}
-
 probe_list make_probes(std::span<const std::string> specs) {
   probe_list out;
   out.reserve(specs.size());
   for (const std::string& spec : specs) out.push_back(make_probe(spec));
   return out;
 }
-
-std::span<const std::string_view> known_probe_names() { return k_probe_names; }
 
 std::vector<probe_report> collect_reports(const probe_list& probes) {
   std::vector<probe_report> out;

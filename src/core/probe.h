@@ -305,10 +305,6 @@ class final_histogram_probe final : public probe {
   void merge(const probe& other) override;
   [[nodiscard]] probe_report report() const override;
 
-  [[nodiscard]] std::span<const running_stats> per_option() const noexcept {
-    return per_option_;
-  }
-
  private:
   std::vector<running_stats> per_option_;
 };
@@ -390,11 +386,6 @@ class commit_latency_probe final : public probe {
   void merge(const probe& other) override;
   [[nodiscard]] probe_report report() const override;
 
-  [[nodiscard]] const running_stats& latency_stats() const noexcept { return latency_; }
-  [[nodiscard]] const running_stats& commits_per_round_stats() const noexcept {
-    return commits_per_round_;
-  }
-
  private:
   running_stats latency_;  // per-replication mean latency (rounds); only
                            // replications with >= 1 commit event contribute
@@ -454,14 +445,6 @@ class partition_divergence_probe final : public probe {
   void merge(const probe& other) override;
   [[nodiscard]] probe_report report() const override;
 
-  [[nodiscard]] const running_stats& divergence_stats() const noexcept {
-    return divergence_;
-  }
-  [[nodiscard]] const running_stats& reconvergence_stats() const noexcept {
-    return reconvergence_;
-  }
-  [[nodiscard]] std::uint64_t unrecovered() const noexcept { return unrecovered_; }
-
  private:
   double eps_;
   running_stats partition_steps_;  // steps spent partitioned, per rep
@@ -481,7 +464,9 @@ class partition_divergence_probe final : public probe {
 };
 
 /// Propositions 4.1–4.3 (per-stage concentration), on the exact aggregate
-/// engine.  Conditioned on Q^{t−1}, each step's counts should satisfy
+/// engine with exactly one rule group (α and β are that group's rule; an
+/// `engine = "grouped"` spec with one group qualifies, a mixture reports
+/// zero replications).  Conditioned on Q^{t−1}, each step's counts should satisfy
 ///   |S_j / E[S_j] − 1|         <= 2δ′   (Prop 4.1),
 ///   |D_j / (S_j g_j) − 1|      <= 2δ″   (Prop 4.2),
 ///   |D_j / (E[S_j] g_j) − 1|   <= 6δ″   (Prop 4.3),
@@ -518,8 +503,9 @@ class concentration_probe final : public probe {
   double worst3_ = 0.0;
 };
 
-/// Lemma 4.5's coupling, on the exact aggregate engine: a shadow
-/// infinite_dynamics starts from step 1's Q^0 and steps on every step's
+/// Lemma 4.5's coupling, on the exact aggregate engine with exactly one
+/// rule group (as concentration_probe): a shadow infinite_dynamics with
+/// that group's (α, β) starts from step 1's Q^0 and steps on every step's
 /// rewards, so P^t and Q^t share the reward realization.  Reported:
 ///   deviation / deviation_max — per replication the worst ratio deviation
 ///       max_j max(P_j/Q_j, Q_j/P_j) − 1 over its steps, capped at 10 (a
@@ -597,15 +583,8 @@ class proof_audit_probe final : public probe {
 /// (commas inside parentheses belong to the spec); blank items are dropped.
 [[nodiscard]] std::vector<std::string> split_probe_specs(std::string_view text);
 
-/// split_probe_specs + make_probe on each.  Throws as make_probe, and on an
-/// empty list.
-[[nodiscard]] probe_list parse_probe_list(std::string_view text);
-
 /// Builds one probe per spec string.
 [[nodiscard]] probe_list make_probes(std::span<const std::string> specs);
-
-/// The names accepted by make_probe, in a stable order.
-[[nodiscard]] std::span<const std::string_view> known_probe_names();
 
 /// report() of every probe in the list, in order.
 [[nodiscard]] std::vector<probe_report> collect_reports(const probe_list& probes);

@@ -382,7 +382,7 @@ core::engine_factory make_engine(const scenario_spec& spec) {
         throw std::invalid_argument{"make_engine: grouped engine needs groups"};
       }
       return [params = spec.params, groups = spec.groups] {
-        return std::make_unique<core::grouped_dynamics>(params, groups);
+        return std::make_unique<core::aggregate_dynamics>(params, groups);
       };
     case engine_kind::protocol: {
       if (spec.num_agents == 0) {

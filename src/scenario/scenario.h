@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/grouped_dynamics.h"
 #include "core/params.h"
 #include "env/reward_model.h"
 #include "graph/graph.h"

@@ -1,6 +1,8 @@
 #include "service/service.h"
 
+#include <cstdint>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -138,7 +140,14 @@ void session::handle_submit(const json_value& request) {
   }
   job.probe_specs = string_list(request, "probes");
   if (const json_value* field = request.find("priority")) {
-    job.priority = static_cast<int>(field->as_int64("priority"));
+    const std::int64_t priority = field->as_int64("priority");
+    if (priority < std::numeric_limits<int>::min() ||
+        priority > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument{"submit: 'priority' must be in [" +
+                                  std::to_string(std::numeric_limits<int>::min()) + ", " +
+                                  std::to_string(std::numeric_limits<int>::max()) + "]"};
+    }
+    job.priority = static_cast<int>(priority);
   }
   job.timeout_seconds = options_.default_timeout_seconds;
   if (const json_value* field = request.find("timeout")) {

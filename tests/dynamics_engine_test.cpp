@@ -18,7 +18,6 @@
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
 #include "core/finite_dynamics.h"
-#include "core/grouped_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "core/params.h"
 #include "core/probe.h"
@@ -45,7 +44,7 @@ std::vector<std::unique_ptr<dynamics_engine>> all_engines(const dynamics_params&
   engines.push_back(std::make_unique<finite_dynamics>(
       params, static_cast<std::size_t>(num_agents)));
   engines.push_back(std::make_unique<infinite_dynamics>(params));
-  engines.push_back(std::make_unique<grouped_dynamics>(
+  engines.push_back(std::make_unique<aggregate_dynamics>(
       params, std::vector<rule_group>{{num_agents / 2, {0.1, 0.9}},
                                       {num_agents - num_agents / 2, {0.35, 0.65}}}));
   return engines;
@@ -112,7 +111,7 @@ TEST(dynamics_engine, empty_steps_counted_and_uniform) {
   engines.push_back(std::make_unique<aggregate_dynamics>(params, 50));
   engines.push_back(std::make_unique<finite_dynamics>(params, 50));
   engines.push_back(std::make_unique<infinite_dynamics>(params));
-  engines.push_back(std::make_unique<grouped_dynamics>(
+  engines.push_back(std::make_unique<aggregate_dynamics>(
       params, std::vector<rule_group>{{50, {0.0, 1.0}}}));
   for (auto& engine : engines) {
     rng gen{13};
@@ -213,7 +212,7 @@ TEST(dynamics_engine, run_with_probes_accepts_any_engine_factory) {
       [&] { return std::make_unique<aggregate_dynamics>(params, 500); },
       [&] { return std::make_unique<finite_dynamics>(params, 500); },
       [&] {
-        return std::make_unique<grouped_dynamics>(
+        return std::make_unique<aggregate_dynamics>(
             params, std::vector<rule_group>{{500, {0.35, 0.65}}});
       },
   };

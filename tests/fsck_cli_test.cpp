@@ -189,8 +189,8 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
 // --- count flags of the run subcommands -------------------------------------
 
 /// A negative --reps/--horizon/--threads/--agents is a usage error (exit 2,
-/// the flag named) on every subcommand that takes it, and so is the
-/// daemon's --threads.  Cast to an unsigned count it used to wrap: an empty
+/// the flag named) on every subcommand that takes it, and so are the
+/// daemon's --threads and status/cancel's --retries/--retry-base-ms.  Cast to an unsigned count it used to wrap: an empty
 /// report, an endless run, a bad_alloc, or a daemon that exited 0.
 TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
   struct usage_case {
@@ -210,6 +210,8 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
       {"simulate --horizon 5", "unknown subcommand"},
       {"submit --socket /nonexistent.sock --reps -3", "--reps"},
       {"submit --socket /nonexistent.sock --horizon -3", "--horizon"},
+      {"status --socket /nonexistent.sock --job 1 --retries -3", "--retries"},
+      {"cancel --socket /nonexistent.sock --job 1 --retry-base-ms -5", "--retry-base-ms"},
       {"--once --store " + daemon_store + " --threads -1", "--threads", "SGL_DAEMON_PATH"},
   };
   for (const usage_case& c : cases) {

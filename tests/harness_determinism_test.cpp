@@ -34,7 +34,6 @@
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
 #include "core/finite_dynamics.h"
-#include "core/grouped_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "core/params.h"
 #include "core/probe.h"
@@ -234,7 +233,7 @@ TEST(reset_reuse_law, infinite) {
 
 TEST(reset_reuse_law, grouped) {
   expect_reset_reuse_law([] {
-    return std::make_unique<core::grouped_dynamics>(
+    return std::make_unique<core::aggregate_dynamics>(
         test_params(3),
         std::vector<core::rule_group>{{200, {0.1, 0.9}}, {300, {0.35, 0.65}}});
   });

@@ -12,7 +12,6 @@
 
 #include "core/aggregate_dynamics.h"
 #include "core/finite_dynamics.h"
-#include "core/grouped_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "graph/graph.h"
 #include "support/rng.h"
@@ -103,9 +102,10 @@ TEST_P(randomized_invariants, every_engine_keeps_its_invariants) {
     core::finite_dynamics agent{params, static_cast<std::size_t>(n)};
     core::aggregate_dynamics aggregate{params, n};
     core::infinite_dynamics infinite{params};
-    core::grouped_dynamics grouped{
-        params, {{(n + 1) / 2, {params.resolved_alpha(), params.beta}},
-                 {n / 2 + 1, {0.0, 1.0}}}};
+    core::aggregate_dynamics grouped{
+        params, std::vector<core::rule_group>{
+                    {(n + 1) / 2, {params.resolved_alpha(), params.beta}},
+                    {n / 2 + 1, {0.0, 1.0}}}};
 
     rng gen = meta.split();
     rng env_gen = meta.split();

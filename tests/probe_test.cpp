@@ -348,6 +348,43 @@ TEST(analysis_probes, report_zero_replications_off_their_engine_with_every_key) 
             3.0);
 }
 
+// The analysis probes read the one rule group's (alpha, beta), so they
+// measure a one-group `engine = "grouped"` spec exactly as its aggregate
+// twin, and a mixture (which has no single rule) not at all.
+TEST(analysis_probes, single_group_grouped_spec_reports_like_its_aggregate_twin) {
+  const scenario::scenario_spec aggregate = scenario::get_scenario("theorem-finite");
+  scenario::scenario_spec grouped = aggregate;
+  grouped.engine = scenario::engine_kind::grouped;
+  grouped.groups = {
+      {aggregate.num_agents, {aggregate.params.resolved_alpha(), aggregate.params.beta}}};
+  run_config config;
+  config.horizon = 20;
+  config.replications = 4;
+  config.seed = 3;
+  const std::vector<std::string> probes{"concentration", "coupling"};
+
+  const auto expected = collect_reports(scenario::run_probes(aggregate, config, probes));
+  const auto actual = collect_reports(scenario::run_probes(grouped, config, probes));
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(scalar(actual[i], "replications"), 4.0) << actual[i].probe;
+    ASSERT_EQ(actual[i].scalars.size(), expected[i].scalars.size()) << actual[i].probe;
+    for (std::size_t k = 0; k < expected[i].scalars.size(); ++k) {
+      const probe_scalar& want = expected[i].scalars[k];
+      const probe_scalar& got = actual[i].scalars[k];
+      EXPECT_EQ(got.key, want.key) << actual[i].probe;
+      EXPECT_EQ(got.value, want.value) << actual[i].probe << "." << want.key;
+      EXPECT_EQ(got.half_width, want.half_width) << actual[i].probe << "." << want.key;
+    }
+  }
+
+  grouped.groups = {{600, {0.38, 0.62}}, {400, {0.1, 0.9}}};
+  for (const probe_report& report :
+       collect_reports(scenario::run_probes(grouped, config, probes))) {
+    EXPECT_EQ(scalar(report, "replications"), 0.0) << report.probe;
+  }
+}
+
 TEST(analysis_probes, concentration_one_step_by_hand) {
   const dynamics_params params = theorem_params(3, 0.62);
   constexpr std::uint64_t n = 5000;
@@ -478,7 +515,8 @@ TEST(probe_grammar, parses_names_and_arguments) {
   EXPECT_EQ(make_probe("coupling")->name(), "coupling");
   EXPECT_EQ(make_probe("proof_audit")->name(), "proof_audit");
 
-  const auto list = parse_probe_list("regret, hitting_time(eps=0.1), final_histogram");
+  const auto list =
+      make_probes(split_probe_specs("regret, hitting_time(eps=0.1), final_histogram"));
   ASSERT_EQ(list.size(), 3U);
   EXPECT_EQ(list[0]->name(), "regret");
   EXPECT_EQ(list[1]->name(), "hitting_time");
@@ -492,7 +530,7 @@ TEST(probe_grammar, rejects_bad_specs) {
   EXPECT_THROW((void)make_probe("hitting_time(eps=zero)"), std::invalid_argument);
   EXPECT_THROW((void)make_probe("hitting_time(eps=2.0)"), std::invalid_argument);
   EXPECT_THROW((void)make_probe("regret(eps=0.1)"), std::invalid_argument);
-  EXPECT_THROW((void)parse_probe_list(""), std::invalid_argument);
+  EXPECT_TRUE(make_probes(split_probe_specs("")).empty());
   for (const char* bad : {"concentration(eps=0.1)", "coupling(cap=5)", "proof_audit(x=1)"}) {
     EXPECT_THROW((void)make_probe(bad), std::invalid_argument) << bad;
   }

@@ -3,9 +3,10 @@
 // `statistical` tier: protocol_law_test, kernel_law_test).
 //
 // The one exact cross-engine identity the implementation promises is that
-// the grouped engine with a single rule group IS the aggregate engine: an
-// aggregate population is the G = 1 case of the rule mixture, and both
-// consume the process stream identically.  It is asserted here at both
+// the grouped engine with a single rule group IS the aggregate engine: one
+// class, aggregate_dynamics, runs both, and a homogeneous population is the
+// G = 1 case of the rule mixture, so both consume the process stream
+// identically.  It is asserted here at both
 // levels — raw engines fed shared streams, and whole specs through the
 // Monte-Carlo harness — over randomly drawn parameters and populations.
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/aggregate_dynamics.h"
-#include "core/grouped_dynamics.h"
 #include "property/generators.h"
 #include "property/property_harness.h"
 #include "scenario/scenario.h"
@@ -49,9 +49,10 @@ std::vector<double> trajectory(core::dynamics_engine& engine, std::uint64_t seed
   return out;
 }
 
-// Engine level: aggregate_dynamics(params, N) and grouped_dynamics with the
-// single group (N, resolved rule) must walk identical trajectories from
-// identical streams, for random parameters and populations.
+// Engine level: aggregate_dynamics(params, N) and aggregate_dynamics with
+// the explicit single group (N, resolved rule) must walk identical
+// trajectories from identical streams, for random parameters and
+// populations.
 TEST(engine_law_property, grouped_single_group_is_aggregate_bitwise) {
   const testgen::property_plan plan = testgen::property_run_plan(120);
   for (std::uint64_t i = 0; i < plan.iterations; ++i) {
@@ -69,7 +70,8 @@ TEST(engine_law_property, grouped_single_group_is_aggregate_bitwise) {
                  std::to_string(plan.seed) + "), N=" + std::to_string(population));
 
     core::aggregate_dynamics aggregate{params, population};
-    core::grouped_dynamics grouped{params, {{population, resolved_rule(params)}}};
+    core::aggregate_dynamics grouped{
+        params, std::vector<core::rule_group>{{population, resolved_rule(params)}}};
     EXPECT_EQ(trajectory(aggregate, 17 + i), trajectory(grouped, 17 + i));
   }
 }
@@ -78,10 +80,9 @@ TEST(engine_law_property, grouped_single_group_is_aggregate_bitwise) {
 // bit-identically when rewritten as an explicit single-group mixture —
 // through run_probes, whole merged reports compared.  (Draws resolving to
 // other engines pass vacuously; the corner table guarantees aggregate
-// coverage on every run.)  The concentration and coupling probes read the
-// aggregate engine's own stage counts and parameters, so by their contract
-// they report nothing on the grouped engine; the law compares every other
-// probe.
+// coverage on every run.)  Every probe is compared, the concentration and
+// coupling probes included: they read the one group's rule, so a
+// single-group mixture is measured exactly as its aggregate twin.
 TEST(engine_law_property, aggregate_spec_equals_single_group_spec) {
   testgen::check_scenario_property(
       [](scenario::scenario_spec spec) -> std::string {
@@ -89,9 +90,6 @@ TEST(engine_law_property, aggregate_spec_equals_single_group_spec) {
           if (scenario::resolved_engine(spec) != scenario::engine_kind::aggregate) {
             return {};
           }
-          std::erase_if(spec.probes, [](const std::string& probe) {
-            return probe == "concentration" || probe == "coupling";
-          });
           scenario::scenario_spec mixture = spec;
           mixture.engine = scenario::engine_kind::grouped;
           mixture.groups = {{spec.num_agents, resolved_rule(spec.params)}};

@@ -699,10 +699,23 @@ TEST(session, malformed_and_unknown_requests_produce_error_events) {
   s.handle_line(R"({"no_op":1})");
   s.handle_line(R"({"op":"status","job":999})");
   s.handle_line("");  // blank lines are ignored
+  // A priority outside int's range is refused, not wrapped into another
+  // priority, and nothing is enqueued.
+  for (const char* priority : {"3000000000", "-3000000000"}) {
+    std::string line = submit_line();
+    line.pop_back();
+    line += R"(,"priority":)";
+    line += priority;
+    line += '}';
+    s.handle_line(line);
+  }
   s.finish();
   const std::vector<std::string> events = out.events();
-  ASSERT_EQ(events.size(), 4U);
+  ASSERT_EQ(events.size(), 6U);
   for (const std::string& kind : events) EXPECT_EQ(kind, "error");
+  for (std::size_t i = 4; i < 6; ++i) {
+    EXPECT_NE(out.lines[i].find("priority"), std::string::npos) << out.lines[i];
+  }
 }
 
 TEST(session, cancel_round_trip_over_the_wire) {

@@ -210,6 +210,50 @@ int cmd_scenarios(int argc, const char* const* argv) {
 
 // --- scenario / sweep -------------------------------------------------------
 
+/// The flags that pick a run's base spec and what runs on it, shared by
+/// `scenario`, `sweep` and `submit`.
+void add_spec_flags(flag_set& flags) {
+  flags.add_string("name", "",
+                   "registry scenario name (see 'scenarios'); takes precedence "
+                   "over --file");
+  flags.add_string("file", "", "scenario spec file ('key = value' lines, see DESIGN.md)");
+  flags.add_string_list("set", "field override key=value, applied last (repeatable)");
+  flags.add_string_list("sweep",
+                        "sweep axis key=lo:hi:step or key=v1,v2,... (repeatable; "
+                        "cartesian product, last axis fastest)");
+  flags.add_string("probes", "",
+                   "comma-separated probe specs, e.g. 'regret,hitting_time(eps=0.1)' "
+                   "(default: the scenario's probes, else regret)");
+}
+
+/// The base spec, by documented precedence: file < registry < --set, with
+/// `quickstart` when neither --name nor --file is given.  A registry spec
+/// is a complete value, so when --name is given the file could never
+/// contribute and is not even opened.  Prints the error and returns
+/// nullopt (the caller exits 2) when the file cannot be opened.
+std::optional<scenario::scenario_spec> read_base_spec(const flag_set& flags) {
+  scenario::scenario_spec spec;
+  const std::string& file = flags.get_string("file");
+  std::string name = flags.get_string("name");
+  if (file.empty() && name.empty()) name = "quickstart";
+  if (!name.empty()) {
+    spec = scenario::get_scenario(name);
+  } else {
+    std::ifstream input{file};
+    if (!input) {
+      std::fprintf(stderr, "cannot open scenario file '%s'\n", file.c_str());
+      return std::nullopt;
+    }
+    std::ostringstream buffer;
+    buffer << input.rdbuf();
+    spec = scenario::parse_scenario(buffer.str());
+  }
+  for (const std::string& assignment : flags.get_string_list("set")) {
+    scenario::apply_override(spec, assignment);
+  }
+  return spec;
+}
+
 /// One run's JSON document: spec echo, run config, sweep assignments,
 /// probe reports, timing.
 void write_run_json(json_writer& json, const scenario::scenario_spec& spec,
@@ -422,17 +466,7 @@ int cmd_check_trace(int argc, const char* const* argv) {
 int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   flag_set flags{sweep_command ? "sociolearn_cli sweep" : "sociolearn_cli scenario",
                  "run a scenario: registry or file base, overrides, sweeps, probes"};
-  flags.add_string("name", "",
-                   "registry scenario name (see 'scenarios'); takes precedence "
-                   "over --file");
-  flags.add_string("file", "", "scenario spec file ('key = value' lines, see DESIGN.md)");
-  flags.add_string_list("set", "field override key=value, applied last (repeatable)");
-  flags.add_string_list("sweep",
-                        "sweep axis key=lo:hi:step or key=v1,v2,... (repeatable; "
-                        "cartesian product, last axis fastest)");
-  flags.add_string("probes", "",
-                   "comma-separated probe specs, e.g. 'regret,hitting_time(eps=0.1)' "
-                   "(default: the scenario's probes, else regret)");
+  add_spec_flags(flags);
   add_format_flag(flags, "table");
   flags.add_int64("horizon", 400, "steps T");
   flags.add_int64("reps", 100, "replications");
@@ -457,28 +491,9 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     return 2;
   }
 
-  // Base spec, by documented precedence: file < registry < --set.  A
-  // registry spec is a complete value, so when --name is given the file
-  // could never contribute and is not even opened.
-  scenario::scenario_spec spec;
-  const std::string& file = flags.get_string("file");
-  std::string name = flags.get_string("name");
-  if (file.empty() && name.empty()) name = "quickstart";
-  if (!name.empty()) {
-    spec = scenario::get_scenario(name);
-  } else {
-    std::ifstream input{file};
-    if (!input) {
-      std::fprintf(stderr, "cannot open scenario file '%s'\n", file.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << input.rdbuf();
-    spec = scenario::parse_scenario(buffer.str());
-  }
-  for (const std::string& assignment : flags.get_string_list("set")) {
-    scenario::apply_override(spec, assignment);
-  }
+  std::optional<scenario::scenario_spec> base = read_base_spec(flags);
+  if (!base) return 2;
+  scenario::scenario_spec spec = std::move(*base);
 
   // Legacy convenience override, kept on top of --set.
   if (flags.get_int64("agents") >= 0) {
@@ -808,17 +823,7 @@ int cmd_submit(int argc, const char* const* argv) {
                  "submit a scenario or sweep to a running sociolearnd and "
                  "stream its JSONL events until the job finishes"};
   flags.add_string("socket", "", "sociolearnd socket path (required)");
-  flags.add_string("name", "",
-                   "registry scenario name (see 'scenarios'); takes precedence "
-                   "over --file");
-  flags.add_string("file", "", "scenario spec file ('key = value' lines, see DESIGN.md)");
-  flags.add_string_list("set", "field override key=value, applied last (repeatable)");
-  flags.add_string_list("sweep",
-                        "sweep axis key=lo:hi:step or key=v1,v2,... (repeatable; "
-                        "cartesian product, last axis fastest)");
-  flags.add_string("probes", "",
-                   "comma-separated probe specs (default: the scenario's probes, "
-                   "else regret)");
+  add_spec_flags(flags);
   flags.add_int64("horizon", 400, "steps T");
   flags.add_int64("reps", 100, "replications");
   flags.add_int64("seed", 1, "master RNG seed");
@@ -844,35 +849,17 @@ int cmd_submit(int argc, const char* const* argv) {
     return 2;
   }
 
-  // Base spec, by the same precedence as `scenario`: file < registry <
-  // --set.  Overrides are applied locally and the *canonical serialized
-  // form* is sent, so what the daemon digests is exactly what a local run
-  // of the same flags would execute.
-  scenario::scenario_spec spec;
-  const std::string& file = flags.get_string("file");
-  std::string name = flags.get_string("name");
-  if (file.empty() && name.empty()) name = "quickstart";
-  if (!name.empty()) {
-    spec = scenario::get_scenario(name);
-  } else {
-    std::ifstream input{file};
-    if (!input) {
-      std::fprintf(stderr, "cannot open scenario file '%s'\n", file.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << input.rdbuf();
-    spec = scenario::parse_scenario(buffer.str());
-  }
-  for (const std::string& assignment : flags.get_string_list("set")) {
-    scenario::apply_override(spec, assignment);
-  }
+  // Overrides are applied locally and the *canonical serialized form* is
+  // sent, so what the daemon digests is exactly what a local run of the
+  // same flags would execute.
+  const std::optional<scenario::scenario_spec> spec = read_base_spec(flags);
+  if (!spec) return 2;
 
   std::ostringstream request;
   json_writer json{request, /*indent=*/0};
   json.begin_object();
   json.key("op").value("submit");
-  json.key("spec").value(scenario::serialize_scenario(spec));
+  json.key("spec").value(scenario::serialize_scenario(*spec));
   if (!flags.get_string_list("sweep").empty()) {
     json.key("sweep").begin_array();
     for (const std::string& axis : flags.get_string_list("sweep")) json.value(axis);
@@ -912,6 +899,7 @@ int cmd_job_op(const char* op, int argc, const char* const* argv) {
     std::fprintf(stderr, "%s: --socket is required\n", op);
     return 2;
   }
+  if (!counts_non_negative(flags, {"retries", "retry-base-ms"}, op)) return 2;
   if (flags.get_int64("job") <= 0) {
     std::fprintf(stderr, "%s: --job must be a positive job id\n", op);
     return 2;
@@ -923,9 +911,8 @@ int cmd_job_op(const char* op, int argc, const char* const* argv) {
   json.key("job").value(static_cast<std::uint64_t>(flags.get_int64("job")));
   json.end_object();
   return service_exchange(socket_path, request.str(),
-                          static_cast<int>(std::max<std::int64_t>(flags.get_int64("retries"), 0)),
-                          static_cast<std::uint64_t>(
-                              std::max<std::int64_t>(flags.get_int64("retry-base-ms"), 0)));
+                          static_cast<int>(flags.get_int64("retries")),
+                          static_cast<std::uint64_t>(flags.get_int64("retry-base-ms")));
 }
 
 // --- store audit ------------------------------------------------------------
