@@ -36,8 +36,7 @@ aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
   if (groups_.empty()) throw std::invalid_argument{"aggregate_dynamics: no groups"};
   for (const auto& group : groups_) {
     if (group.size == 0) throw std::invalid_argument{"aggregate_dynamics: empty group"};
-    if (!(group.rule.alpha >= 0.0 && group.rule.alpha <= group.rule.beta &&
-          group.rule.beta <= 1.0)) {
+    if (!group.rule.valid()) {
       throw std::invalid_argument{"aggregate_dynamics: need 0 <= alpha <= beta <= 1"};
     }
     num_agents_ += group.size;

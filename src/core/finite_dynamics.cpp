@@ -27,7 +27,7 @@ void finite_dynamics::set_agent_rules(std::vector<adoption_rule> rules) {
     throw std::invalid_argument{"finite_dynamics::set_agent_rules: size mismatch"};
   }
   for (const auto& rule : rules) {
-    if (!(rule.alpha >= 0.0 && rule.alpha <= rule.beta && rule.beta <= 1.0)) {
+    if (!rule.valid()) {
       throw std::invalid_argument{
           "finite_dynamics::set_agent_rules: need 0 <= alpha <= beta <= 1"};
     }

@@ -27,8 +27,7 @@ void dynamics_params::validate() const {
   if (!(beta >= 0.0 && beta <= 1.0)) {
     throw std::invalid_argument{"dynamics_params: beta outside [0,1]"};
   }
-  const double a = resolved_alpha();
-  if (!(a >= 0.0 && a <= beta)) {
+  if (!adoption_rule{resolved_alpha(), beta}.valid()) {
     throw std::invalid_argument{"dynamics_params: need 0 <= alpha <= beta"};
   }
 }

@@ -13,11 +13,16 @@
 namespace sgl::core {
 
 /// One adoption function f = (α, β): adopt the sampled option with
-/// probability β on a good signal and α on a bad one (0 ≤ α ≤ β ≤ 1,
-/// checked by the engines that take it).
+/// probability β on a good signal and α on a bad one.
 struct adoption_rule {
   double alpha = 0.0;
   double beta = 1.0;
+
+  /// 0 ≤ α ≤ β ≤ 1 (false on NaN): the one range check every engine,
+  /// dynamics_params::validate and validate_spec apply to a rule.
+  [[nodiscard]] bool valid() const noexcept {
+    return alpha >= 0.0 && alpha <= beta && beta <= 1.0;
+  }
 };
 
 /// One rule group of a heterogeneous population: how many agents follow

@@ -10,84 +10,102 @@
 namespace sgl::netsim {
 namespace {
 
-[[noreturn]] void bad_action(std::size_t index, const std::string& what) {
-  throw std::invalid_argument{"fault_schedule: action " + std::to_string(index) + ": " + what};
-}
+constexpr const char* k_link_ranges =
+    "out of range (latencies must be >= 0, drop_probability in [0, 1])";
 
 }  // namespace
 
+fault_error::fault_error(std::size_t action, const char* field, const std::string& reason)
+    : std::invalid_argument{"fault_schedule: action " + std::to_string(action) + ": " +
+                            field + " " + reason},
+      action_{action},
+      field_{field},
+      reason_{reason} {}
+
+const char* link_model::invalid_field() const noexcept {
+  if (!(base_latency >= 0.0)) return "base_latency";
+  if (!(jitter_mean >= 0.0)) return "jitter_mean";
+  if (!(drop_probability >= 0.0 && drop_probability <= 1.0)) return "drop_probability";
+  return nullptr;
+}
+
 void link_model::validate() const {
-  if (!(base_latency >= 0.0)) throw std::invalid_argument{"link_model: negative latency"};
-  if (!(jitter_mean >= 0.0)) throw std::invalid_argument{"link_model: negative jitter"};
-  if (!(drop_probability >= 0.0 && drop_probability <= 1.0)) {
-    throw std::invalid_argument{"link_model: drop probability outside [0,1]"};
+  if (const char* field = invalid_field()) {
+    throw std::invalid_argument{std::string{"link_model: "} + field + " " + k_link_ranges};
   }
 }
 
 void fault_schedule::validate(std::size_t num_nodes) const {
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const fault_action& act = actions[i];
-    if (!(act.at >= 0.0)) bad_action(i, "'at' must be >= 0");
+    if (!(act.at >= 0.0)) throw fault_error{i, "at", "must be >= 0"};
     if (act.until >= 0.0 && !(act.until > act.at)) {
-      bad_action(i, "'until' (" + std::to_string(act.until) + ") must be > 'at' (" +
-                        std::to_string(act.at) + ")");
+      throw fault_error{i, "until", "must be > at"};
     }
     for (const node_id id : act.targets) {
       if (id >= num_nodes) {
-        bad_action(i, "target id " + std::to_string(id) + " >= num nodes (" +
-                          std::to_string(num_nodes) + ")");
+        throw fault_error{i, "targets",
+                          "names node " + std::to_string(id) + " (ids must be < the " +
+                              std::to_string(num_nodes) + " nodes)"};
       }
     }
     if (act.fraction != -1.0 && !(act.fraction >= 0.0 && act.fraction <= 1.0)) {
-      bad_action(i, "'fraction' (" + std::to_string(act.fraction) + ") outside [0,1]");
+      throw fault_error{i, "fraction", "outside [0, 1]"};
     }
     switch (act.which) {
       case fault_action::kind::partition: {
-        if (act.until < 0.0) bad_action(i, "partition needs 'until' (it heals automatically)");
-        if (act.targets.empty()) bad_action(i, "partition needs a non-empty target side");
-        if (act.targets.size() >= num_nodes) {
-          bad_action(i, "partition side must leave at least one node on the other side");
+        if (act.until < 0.0) {
+          throw fault_error{i, "until", "is required for a partition (it heals automatically)"};
         }
-        if (act.fraction != -1.0) bad_action(i, "partition does not take 'fraction'");
+        if (act.targets.empty()) {
+          throw fault_error{i, "targets", "must name the partition's side A (non-empty)"};
+        }
+        if (act.targets.size() >= num_nodes) {
+          throw fault_error{i, "targets",
+                            "names all " + std::to_string(num_nodes) +
+                                " nodes; a partition needs a non-empty other side"};
+        }
+        if (act.fraction != -1.0) {
+          throw fault_error{i, "fraction", "does not apply to a partition"};
+        }
         // Overlapping cuts are ill-defined (netsim supports one cut at a
         // time); catch the conflict here instead of mid-run.
         for (std::size_t j = 0; j < i; ++j) {
           const fault_action& other = actions[j];
           if (other.which != fault_action::kind::partition) continue;
           if (act.at < other.until && other.at < act.until) {
-            bad_action(i, "partition window [" + std::to_string(act.at) + ", " +
-                              std::to_string(act.until) + ") overlaps action " +
-                              std::to_string(j) + "'s window [" + std::to_string(other.at) +
-                              ", " + std::to_string(other.until) + ")");
+            throw fault_error{i, "at",
+                              "opens a window that overlaps partition action " +
+                                  std::to_string(j) + "'s (one cut at a time)"};
           }
         }
         break;
       }
       case fault_action::kind::crash_wave:
-        if (act.until >= 0.0) bad_action(i, "crash_wave is a point event; 'until' not allowed");
-        if (act.targets.empty() && act.fraction == -1.0) {
-          bad_action(i, "crash_wave needs 'targets' or 'fraction'");
+      case fault_action::kind::restart_wave: {
+        const bool crash = act.which == fault_action::kind::crash_wave;
+        const std::string kind_name = crash ? "a crash_wave" : "a restart_wave";
+        if (act.until >= 0.0) {
+          throw fault_error{i, "until", "does not apply to " + kind_name + " (a point event)"};
         }
-        if (!act.targets.empty() && act.fraction != -1.0) {
-          bad_action(i, "crash_wave takes 'targets' or 'fraction', not both");
-        }
-        break;
-      case fault_action::kind::restart_wave:
         // No targets and no fraction = restart every crashed node.
-        if (act.until >= 0.0) bad_action(i, "restart_wave is a point event; 'until' not allowed");
+        if (crash && act.targets.empty() && act.fraction == -1.0) {
+          throw fault_error{i, "targets", "or fraction must be set for a crash_wave"};
+        }
         if (!act.targets.empty() && act.fraction != -1.0) {
-          bad_action(i, "restart_wave takes 'targets' or 'fraction', not both");
+          throw fault_error{i, "fraction", "cannot be set along with targets on " + kind_name};
         }
         break;
+      }
       case fault_action::kind::degrade:
         if (act.degrade_class != link_class::all && act.targets.empty()) {
-          bad_action(i, "degrade with a non-'all' link class needs targets");
+          throw fault_error{i, "link_class", "other than all needs non-empty targets"};
         }
-        if (act.fraction != -1.0) bad_action(i, "degrade does not take 'fraction'");
-        try {
-          act.link.validate();
-        } catch (const std::invalid_argument& e) {
-          bad_action(i, e.what());
+        if (act.fraction != -1.0) {
+          throw fault_error{i, "fraction", "does not apply to a degrade"};
+        }
+        if (const char* field = act.link.invalid_field()) {
+          throw fault_error{i, field, k_link_ranges};
         }
         break;
     }

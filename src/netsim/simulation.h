@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -55,7 +57,11 @@ struct link_model {
   double jitter_mean = 0.0;
   double drop_probability = 0.0;
 
-  /// Throws std::invalid_argument on negative latencies or p outside [0,1].
+  /// The first field out of range — "base_latency" or "jitter_mean" below
+  /// 0, "drop_probability" outside [0, 1] — or nullptr when all are valid.
+  [[nodiscard]] const char* invalid_field() const noexcept;
+
+  /// Throws std::invalid_argument naming invalid_field().
   void validate() const;
 };
 
@@ -89,6 +95,27 @@ struct fault_action {
   link_model link;                             ///< degrade override model
 };
 
+/// What fault_schedule::validate throws: the offending action's index, the
+/// field at fault, and why.  Fields are named as the scenario layer's
+/// `faults.N.*` keys name them (`at`, `until`, `targets`, `fraction`,
+/// `link_class`, `base_latency`, `jitter_mean`, `drop_probability`), so a
+/// caller can re-key the message; the reason prints no time, because the
+/// caller may have converted its times into seconds.
+class fault_error : public std::invalid_argument {
+ public:
+  /// `field` must outlive the error (validate passes string literals).
+  fault_error(std::size_t action, const char* field, const std::string& reason);
+
+  [[nodiscard]] std::size_t action() const noexcept { return action_; }
+  [[nodiscard]] const char* field() const noexcept { return field_; }
+  [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
+
+ private:
+  std::size_t action_;
+  const char* field_;
+  std::string reason_;
+};
+
 /// A declarative nemesis schedule, validated against the node count and
 /// expanded into queue events at start().  Empty schedules are free: no
 /// events, no extra RNG draws, bit-identical traces to a run without one.
@@ -97,11 +124,13 @@ struct fault_schedule {
 
   [[nodiscard]] bool empty() const noexcept { return actions.empty(); }
 
-  /// Throws std::invalid_argument naming the offending action index on:
-  /// negative times, a window with until <= at, a partition without a
-  /// window or with an empty/complete/out-of-range side, overlapping
-  /// partition windows, fractions outside [0,1], waves with neither
-  /// targets nor fraction (crash only), target ids >= num_nodes, or an
+  /// The one check of a schedule's shape.  Throws fault_error naming the
+  /// offending action and field on: negative times, a window with until
+  /// <= at, a partition without a window or with an empty/complete side,
+  /// overlapping partition windows, target ids >= num_nodes, fractions
+  /// outside [0,1] or where they do not apply, a window on a wave (a point
+  /// event), a wave with both targets and fraction or a crash wave with
+  /// neither, a degrade of a non-`all` link class without targets, or an
   /// invalid degrade link model.
   void validate(std::size_t num_nodes) const;
 };

@@ -134,10 +134,40 @@ netsim::link_class to_netsim_class(fault_action_spec::link_class_kind kind) {
   throw std::invalid_argument{"faults: unknown link class"};
 }
 
+/// The spec's fault schedule as netsim actions, its round-denominated
+/// times multiplied by `seconds_per_round`; everything else passes through.
+netsim::fault_schedule to_netsim_faults(const scenario_spec& spec, double seconds_per_round) {
+  netsim::fault_schedule faults;
+  faults.actions.reserve(spec.faults.actions.size());
+  for (std::size_t i = 0; i < spec.faults.actions.size(); ++i) {
+    const fault_action_spec& action = spec.faults.actions[i];
+    netsim::fault_action out;
+    out.which = to_netsim_kind(action.kind);
+    out.at = action.at * seconds_per_round;
+    out.until = action.until < 0.0 ? -1.0 : action.until * seconds_per_round;
+    out.targets.reserve(action.targets.size());
+    for (const std::uint64_t id : action.targets) {
+      if (id > std::numeric_limits<netsim::node_id>::max()) {
+        throw std::invalid_argument{"faults." + std::to_string(i) +
+                                    ".targets: id " + std::to_string(id) +
+                                    " exceeds the 32-bit node-id range"};
+      }
+      out.targets.push_back(static_cast<netsim::node_id>(id));
+    }
+    out.fraction = action.fraction;
+    out.degrade_class = to_netsim_class(action.link_class);
+    out.link.base_latency = action.base_latency;
+    out.link.jitter_mean = action.jitter_mean;
+    out.link.drop_probability = action.drop_probability;
+    faults.actions.push_back(std::move(out));
+  }
+  return faults;
+}
+
 /// The protocol engine's configuration, assembled from the spec's params
 /// and protocol.* / faults.* fields.  Shared by make_engine and
-/// validate_spec so the ranges are checked exactly where the values are
-/// read.
+/// validate_spec, so validate_spec checks what the engine constructor
+/// would check.
 protocol::engine_config to_engine_config(const scenario_spec& spec) {
   protocol::engine_config config;
   config.dynamics = spec.params;
@@ -154,33 +184,7 @@ protocol::engine_config to_engine_config(const scenario_spec& spec) {
   config.restart_rate = spec.protocol.restart_rate;
   config.sticky = spec.protocol.sticky;
   config.lockstep = spec.protocol.lockstep;
-  // The fault schedule's round-denominated times become netsim seconds
-  // here; everything else passes through and is re-validated by
-  // netsim::fault_schedule::validate against the node count.
-  config.faults.actions.reserve(spec.faults.actions.size());
-  for (std::size_t i = 0; i < spec.faults.actions.size(); ++i) {
-    const fault_action_spec& action = spec.faults.actions[i];
-    netsim::fault_action out;
-    out.which = to_netsim_kind(action.kind);
-    out.at = action.at * spec.protocol.round_interval;
-    out.until =
-        action.until < 0.0 ? -1.0 : action.until * spec.protocol.round_interval;
-    out.targets.reserve(action.targets.size());
-    for (const std::uint64_t id : action.targets) {
-      if (id > std::numeric_limits<netsim::node_id>::max()) {
-        throw std::invalid_argument{"faults." + std::to_string(i) +
-                                    ".targets: id " + std::to_string(id) +
-                                    " exceeds the 32-bit node-id range"};
-      }
-      out.targets.push_back(static_cast<netsim::node_id>(id));
-    }
-    out.fraction = action.fraction;
-    out.degrade_class = to_netsim_class(action.link_class);
-    out.link.base_latency = action.base_latency;
-    out.link.jitter_mean = action.jitter_mean;
-    out.link.drop_probability = action.drop_probability;
-    config.faults.actions.push_back(std::move(out));
-  }
+  config.faults = to_netsim_faults(spec, spec.protocol.round_interval);
   config.record_trace = spec.faults.record;
   config.trace_capacity = static_cast<std::size_t>(spec.faults.record_capacity);
   return config;
@@ -340,25 +344,14 @@ core::env_factory make_environment(const environment_spec& spec) {
 }
 
 core::engine_factory make_engine(const scenario_spec& spec) {
-  const engine_kind kind = resolved_engine(spec);
+  validate_spec(spec);
   const bool networked = spec.topology.family != topology_spec::family_kind::none;
-  if (networked && kind != engine_kind::agent_based && kind != engine_kind::protocol) {
-    throw std::invalid_argument{
-        "make_engine: a topology requires the agent-based or protocol engine"};
-  }
-  if (!spec.agent_rules.empty() && kind != engine_kind::agent_based) {
-    throw std::invalid_argument{
-        "make_engine: per-agent rules require the agent-based engine"};
-  }
-  switch (kind) {
+  switch (resolved_engine(spec)) {
     case engine_kind::infinite:
       return core::make_infinite_engine_factory(spec.params, spec.start);
     case engine_kind::aggregate:
       return core::make_finite_engine_factory(spec.params, spec.num_agents);
     case engine_kind::agent_based: {
-      if (spec.num_agents == 0) {
-        throw std::invalid_argument{"make_engine: agent-based engine needs N >= 1"};
-      }
       std::shared_ptr<const graph::graph> topology = spec.prebuilt_graph;
       if (networked && topology == nullptr) {
         topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
@@ -378,16 +371,10 @@ core::engine_factory make_engine(const scenario_spec& spec) {
       };
     }
     case engine_kind::grouped:
-      if (spec.groups.empty()) {
-        throw std::invalid_argument{"make_engine: grouped engine needs groups"};
-      }
       return [params = spec.params, groups = spec.groups] {
         return std::make_unique<core::aggregate_dynamics>(params, groups);
       };
     case engine_kind::protocol: {
-      if (spec.num_agents == 0) {
-        throw std::invalid_argument{"make_engine: protocol engine needs N >= 1"};
-      }
       std::shared_ptr<const graph::graph> topology = spec.prebuilt_graph;
       if (networked && topology == nullptr) {
         topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
@@ -403,142 +390,6 @@ core::engine_factory make_engine(const scenario_spec& spec) {
   }
   throw std::invalid_argument{"make_engine: unknown engine kind"};
 }
-
-namespace {
-
-/// Key-named validation of the faults.* family, in the PR 5 error style:
-/// every failure names the offending `faults.N.field` key and the violated
-/// bound.  netsim::fault_schedule::validate re-checks the same ground at
-/// engine construction as a backstop, but with action indices instead of
-/// scenario keys — this is the version users see.
-template <typename Where>
-void validate_faults(const scenario_spec& spec, const Where& where) {
-  using action_kind = fault_action_spec::action_kind;
-  const auto key = [](std::size_t i, const char* field) {
-    return "faults." + std::to_string(i) + "." + field;
-  };
-  for (std::size_t i = 0; i < spec.faults.actions.size(); ++i) {
-    const fault_action_spec& action = spec.faults.actions[i];
-    if (!(action.at >= 0.0)) {
-      throw std::invalid_argument{where("") + key(i, "at") + " = " +
-                                  std::to_string(action.at) + " must be >= 0"};
-    }
-    if (action.until >= 0.0 && !(action.until > action.at)) {
-      throw std::invalid_argument{
-          where("") + key(i, "until") + " = " + std::to_string(action.until) +
-          " must be > " + key(i, "at") + " = " + std::to_string(action.at)};
-    }
-    if (action.fraction != -1.0 &&
-        !(action.fraction >= 0.0 && action.fraction <= 1.0)) {
-      throw std::invalid_argument{where("") + key(i, "fraction") + " = " +
-                                  std::to_string(action.fraction) +
-                                  " outside [0, 1]"};
-    }
-    for (const std::uint64_t id : action.targets) {
-      if (id >= spec.num_agents) {
-        throw std::invalid_argument{
-            where("") + key(i, "targets") + " names node " + std::to_string(id) +
-            " but num_agents = " + std::to_string(spec.num_agents) +
-            " (ids must be < num_agents)"};
-      }
-    }
-    switch (action.kind) {
-      case action_kind::partition:
-        if (action.until < 0.0) {
-          throw std::invalid_argument{
-              where("") + key(i, "until") +
-              " is required for a partition (it heals automatically)"};
-        }
-        if (action.targets.empty()) {
-          throw std::invalid_argument{
-              where("") + key(i, "targets") +
-              " must name the partition's side A (non-empty)"};
-        }
-        if (action.targets.size() >= spec.num_agents) {
-          throw std::invalid_argument{
-              where("") + key(i, "targets") + " names all " +
-              std::to_string(spec.num_agents) +
-              " nodes; a partition needs a non-empty other side"};
-        }
-        if (action.fraction != -1.0) {
-          throw std::invalid_argument{
-              where("") + key(i, "fraction") + " does not apply to a partition"};
-        }
-        for (std::size_t j = 0; j < i; ++j) {
-          const fault_action_spec& other = spec.faults.actions[j];
-          if (other.kind != action_kind::partition) continue;
-          if (action.at < other.until && other.at < action.until) {
-            throw std::invalid_argument{
-                where("") + "faults." + std::to_string(i) + " window [" +
-                std::to_string(action.at) + ", " + std::to_string(action.until) +
-                ") overlaps faults." + std::to_string(j) + " window [" +
-                std::to_string(other.at) + ", " + std::to_string(other.until) +
-                ") — netsim supports one cut at a time"};
-          }
-        }
-        break;
-      case action_kind::crash_wave:
-        if (action.until >= 0.0) {
-          throw std::invalid_argument{
-              where("") + key(i, "until") +
-              " does not apply to a crash_wave (a point event)"};
-        }
-        if (action.targets.empty() && action.fraction == -1.0) {
-          throw std::invalid_argument{where("") + "faults." + std::to_string(i) +
-                                      ": a crash_wave needs " + key(i, "targets") +
-                                      " or " + key(i, "fraction")};
-        }
-        if (!action.targets.empty() && action.fraction != -1.0) {
-          throw std::invalid_argument{
-              where("") + "faults." + std::to_string(i) + ": set " +
-              key(i, "targets") + " or " + key(i, "fraction") + ", not both"};
-        }
-        break;
-      case action_kind::restart_wave:
-        if (action.until >= 0.0) {
-          throw std::invalid_argument{
-              where("") + key(i, "until") +
-              " does not apply to a restart_wave (a point event)"};
-        }
-        if (!action.targets.empty() && action.fraction != -1.0) {
-          throw std::invalid_argument{
-              where("") + "faults." + std::to_string(i) + ": set " +
-              key(i, "targets") + " or " + key(i, "fraction") + ", not both"};
-        }
-        break;
-      case action_kind::degrade:
-        if (action.link_class != fault_action_spec::link_class_kind::all &&
-            action.targets.empty()) {
-          throw std::invalid_argument{
-              where("") + key(i, "targets") +
-              " must be non-empty when faults." + std::to_string(i) +
-              ".link_class is not \"all\""};
-        }
-        if (action.fraction != -1.0) {
-          throw std::invalid_argument{
-              where("") + key(i, "fraction") + " does not apply to a degrade"};
-        }
-        if (!(action.base_latency >= 0.0)) {
-          throw std::invalid_argument{where("") + key(i, "base_latency") +
-                                      " = " + std::to_string(action.base_latency) +
-                                      " must be >= 0"};
-        }
-        if (!(action.jitter_mean >= 0.0)) {
-          throw std::invalid_argument{where("") + key(i, "jitter_mean") + " = " +
-                                      std::to_string(action.jitter_mean) +
-                                      " must be >= 0"};
-        }
-        if (!(action.drop_probability >= 0.0 && action.drop_probability <= 1.0)) {
-          throw std::invalid_argument{
-              where("") + key(i, "drop_probability") + " = " +
-              std::to_string(action.drop_probability) + " outside [0, 1]"};
-        }
-        break;
-    }
-  }
-}
-
-}  // namespace
 
 void validate_spec(const scenario_spec& spec) {
   const auto where = [&spec](const char* what) {
@@ -592,10 +443,10 @@ void validate_spec(const scenario_spec& spec) {
               "engine = \"agent_based\" or drop agent_rules)")};
   }
 
-  // Everything make_engine / the factories would reject is rejected here
-  // too, so "validate_spec passes" means the run cannot die later inside a
-  // graph/engine/environment constructor (the contract validate_spec_error
-  // and the property-test generator build on).
+  // Everything the factories would reject is rejected here (make_engine
+  // starts with this call), so "validate_spec passes" means the run cannot
+  // die later inside a graph/engine/environment constructor (the contract
+  // validate_spec_error and the property-test generator build on).
   const bool networked = spec.topology.family != topology_spec::family_kind::none;
   if (networked && kind != engine_kind::agent_based && kind != engine_kind::protocol) {
     throw std::invalid_argument{
@@ -616,8 +467,7 @@ void validate_spec(const scenario_spec& spec) {
         " (they must match)"};
   }
   for (std::size_t i = 0; i < spec.agent_rules.size(); ++i) {
-    const core::adoption_rule& rule = spec.agent_rules[i];
-    if (!(rule.alpha >= 0.0 && rule.alpha <= rule.beta && rule.beta <= 1.0)) {
+    if (!spec.agent_rules[i].valid()) {
       throw std::invalid_argument{where("agent_rules.") + std::to_string(i) +
                                   " needs 0 <= alpha <= beta <= 1"};
     }
@@ -631,8 +481,7 @@ void validate_spec(const scenario_spec& spec) {
       throw std::invalid_argument{where("groups.") + std::to_string(i) +
                                   ".size must be >= 1"};
     }
-    if (!(group.rule.alpha >= 0.0 && group.rule.alpha <= group.rule.beta &&
-          group.rule.beta <= 1.0)) {
+    if (!group.rule.valid()) {
       throw std::invalid_argument{where("groups.") + std::to_string(i) +
                                   " needs 0 <= alpha <= beta <= 1"};
     }
@@ -660,9 +509,21 @@ void validate_spec(const scenario_spec& spec) {
     if (spec.num_agents == 0) {
       throw std::invalid_argument{where("the protocol engine needs num_agents >= 1")};
     }
-    validate_faults(spec, where);
+    // The engine constructor's own checks, with the keys named:
+    // config.validate() first, so a bad round_interval is reported as
+    // itself and not as a fault time; then netsim's fault check, on the
+    // spec's schedule in rounds and on the engine's in seconds (scaling
+    // by round_interval can merge two distinct times, which can change
+    // both `until > at` and the partition-overlap test).
+    const auto num_nodes = static_cast<std::size_t>(spec.num_agents);
     try {
-      to_engine_config(spec).validate();
+      const protocol::engine_config config = to_engine_config(spec);
+      config.validate();
+      to_netsim_faults(spec, 1.0).validate(num_nodes);
+      config.faults.validate(num_nodes);
+    } catch (const netsim::fault_error& error) {
+      throw std::invalid_argument{where("faults.") + std::to_string(error.action()) + "." +
+                                  error.field() + " " + error.reason()};
     } catch (const std::invalid_argument& error) {
       throw std::invalid_argument{where(error.what())};
     }

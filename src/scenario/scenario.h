@@ -200,21 +200,25 @@ struct topology_cache_stats {
 /// Environment factory for the runner (fresh instance per replication).
 [[nodiscard]] core::env_factory make_environment(const environment_spec& spec);
 
-/// Engine factory for the runner.  Resolves auto_select, owns any generated
-/// topology (shared by the engines the factory builds), and validates the
-/// combination (e.g. topology requires the agent-based engine).
+/// Engine factory for the runner.  Starts with validate_spec(spec), so it
+/// throws exactly what validate_spec throws; then resolves auto_select and
+/// owns any generated topology (shared by the engines the factory builds).
 [[nodiscard]] core::engine_factory make_engine(const scenario_spec& spec);
 
-/// Validates the cross-field consistency a single factory cannot see:
-/// params.validate(), environment.etas (and drifting end_etas) sized to
-/// params.num_options, a `start` override sized to num_options, the
-/// protocol knobs' ranges, and field families the resolved engine does not
-/// read (a non-empty `start` needs the infinite engine, `groups` the
-/// grouped engine, and the protocol engine takes neither — silently
-/// ignoring them would misreport what ran).  Throws std::invalid_argument
-/// with a message naming both sides — this is where an etas/num_options
-/// mismatch is reported, instead of the late engine/environment mismatch
-/// throw inside the runner.
+/// Validates the spec up front, so no factory throws later: params.validate(),
+/// environment.etas (and drifting end_etas) sized to params.num_options, a
+/// `start` override sized to num_options, field families the resolved
+/// engine does not read (a non-empty `start` needs the infinite engine,
+/// `groups` the grouped engine, and the protocol engine takes neither —
+/// silently ignoring them would misreport what ran), the topology's
+/// build preconditions, and the protocol engine's config and fault
+/// schedule.  Range rules are not restated here: each is the owning
+/// layer's own check (adoption_rule::valid, the env constructors,
+/// protocol::engine_config::validate, netsim::fault_schedule::validate),
+/// rethrown with the spec's name and the offending key (`faults.N.field`
+/// for a fault action).  Throws std::invalid_argument — this is where an
+/// etas/num_options mismatch is reported, instead of the late
+/// engine/environment mismatch throw inside the runner.
 void validate_spec(const scenario_spec& spec);
 
 /// Non-throwing validate_spec: the validation error message, or an empty

@@ -549,6 +549,10 @@ void apply_override(scenario_spec& spec, std::string_view assignment) {
   apply_override(spec, assignment.substr(0, eq), assignment.substr(eq + 1));
 }
 
+std::string_view engine_name(engine_kind kind) {
+  return enum_name("engine", kind, k_engine_names);
+}
+
 std::vector<std::pair<std::string, std::string>> scenario_fields(
     const scenario_spec& spec) {
   field_list fields;

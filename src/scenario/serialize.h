@@ -36,6 +36,10 @@ namespace sgl::scenario {
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> scenario_fields(
     const scenario_spec& spec);
 
+/// The `engine` key's value naming `kind` ("auto", "infinite", "aggregate",
+/// "agent_based", "grouped", "protocol").
+[[nodiscard]] std::string_view engine_name(engine_kind kind);
+
 /// Canonical text form: a `key = value` line per scenario_fields entry.
 [[nodiscard]] std::string serialize_scenario(const scenario_spec& spec);
 

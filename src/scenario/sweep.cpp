@@ -15,9 +15,8 @@ std::size_t run_sweep_streaming(
   const std::size_t points = grid.empty() ? 1 : grid.size();
 
   // Resolve and validate every point before any work runs: overrides
-  // applied, cross-field validation, factories built (this is where bad
-  // engine/topology combinations throw, and where topology sharing
-  // happens: identical keys resolve to one cached graph).
+  // applied, factories built (make_engine runs validate_spec, and is where
+  // topology sharing happens: identical keys resolve to one cached graph).
   std::vector<sweep_point_result> results(points);
   std::vector<core::run_request> runs(points);
   for (std::size_t p = 0; p < points; ++p) {
@@ -25,7 +24,6 @@ std::size_t run_sweep_streaming(
     result.spec = base;
     if (!grid.empty()) result.assignments = grid[p];
     for (const auto& [key, value] : result.assignments) apply_override(result.spec, key, value);
-    validate_spec(result.spec);
     runs[p].make_engine = make_engine(result.spec);
     runs[p].make_env = make_environment(result.spec.environment);
     runs[p].prototypes = core::make_probes(resolved_probes(result.spec, probe_specs));

@@ -70,8 +70,8 @@ struct sweep_stream_hooks {
 /// overrides) of `base` under one flattened schedule.  `probe_specs`
 /// chooses the measurements for every point, resolved per point by
 /// resolved_probes (the spec's own `probes`, else {"regret"}, when empty).
-/// All points are overridden and validated (validate_spec + factory
-/// construction) before any replication runs, so errors surface before
+/// All points are overridden and their factories built (make_engine runs
+/// validate_spec) before any replication runs, so errors surface before
 /// work — and before any caller output — starts.  Returns the results in
 /// grid order.  Throws as core::run_points / apply_override / validate_spec.
 [[nodiscard]] std::vector<sweep_point_result> run_sweep(

@@ -6,25 +6,6 @@
 #include "support/json.h"
 
 namespace sgl::service {
-namespace {
-
-/// The stable name of a resolved engine (matches the text format's
-/// `engine` values; auto_select is resolved before naming).
-std::string_view engine_name(scenario::engine_kind kind) {
-  using scenario::engine_kind;
-  switch (kind) {
-    case engine_kind::infinite: return "infinite";
-    case engine_kind::aggregate: return "aggregate";
-    case engine_kind::agent_based: return "agent_based";
-    case engine_kind::grouped: return "grouped";
-    case engine_kind::protocol: return "protocol";
-    case engine_kind::auto_select: break;  // resolved away by the caller
-  }
-  throw std::logic_error{"digest: unresolved engine kind"};
-}
-
-}  // namespace
-
 std::string digest128::hex() const {
   static constexpr char k_digits[] = "0123456789abcdef";
   std::string out(32, '0');
@@ -63,7 +44,7 @@ std::vector<std::pair<std::string, std::string>> digest_fields(
     return out;
   };
   std::vector<std::pair<std::string, std::string>> fields;
-  fields.emplace_back("engine", quoted(engine_name(resolved)));
+  fields.emplace_back("engine", quoted(scenario::engine_name(resolved)));
   for (auto& [key, value] : scenario::scenario_fields(spec)) {
     if (key == "name" || key == "description" || key == "engine") {
       continue;  // handled above / semantically inert

@@ -2,9 +2,34 @@
 
 #include <sstream>
 
-#include "support/json.h"
-
 namespace sgl::service {
+
+void write_probe_reports(json_writer& json, const std::vector<core::probe_report>& reports) {
+  json.begin_array();
+  for (const auto& report : reports) {
+    json.begin_object();
+    json.key("probe").value(report.probe);
+    json.key("scalars").begin_object();
+    for (const auto& scalar : report.scalars) {
+      json.key(scalar.key).begin_object();
+      json.key("value").value(scalar.value);
+      if (scalar.has_ci) json.key("half_width").value(scalar.half_width);
+      json.end_object();
+    }
+    json.end_object();
+    if (!report.series.empty()) {
+      json.key("series").begin_object();
+      for (const auto& series : report.series) {
+        json.key(series.key).begin_array();
+        for (const double v : series.values) json.value(v);
+        json.end_array();
+      }
+      json.end_object();
+    }
+    json.end_object();
+  }
+  json.end_array();
+}
 
 std::string build_point_payload(const digest128& digest,
                                 const scenario::scenario_spec& spec,
@@ -35,30 +60,8 @@ std::string build_point_payload(const digest128& digest,
   }
   json.end_array();
 
-  json.key("probes").begin_array();
-  for (const auto& report : reports) {
-    json.begin_object();
-    json.key("probe").value(report.probe);
-    json.key("scalars").begin_object();
-    for (const auto& scalar : report.scalars) {
-      json.key(scalar.key).begin_object();
-      json.key("value").value(scalar.value);
-      if (scalar.has_ci) json.key("half_width").value(scalar.half_width);
-      json.end_object();
-    }
-    json.end_object();
-    if (!report.series.empty()) {
-      json.key("series").begin_object();
-      for (const auto& series : report.series) {
-        json.key(series.key).begin_array();
-        for (const double v : series.values) json.value(v);
-        json.end_array();
-      }
-      json.end_object();
-    }
-    json.end_object();
-  }
-  json.end_array();
+  json.key("probes");
+  write_probe_reports(json, reports);
 
   json.end_object();
   return std::move(out).str();

@@ -21,8 +21,14 @@
 #include "core/probe.h"
 #include "scenario/scenario.h"
 #include "service/digest.h"
+#include "support/json.h"
 
 namespace sgl::service {
+
+/// Writes `reports` as the JSON array of probe objects both the payload
+/// and the CLI's JSON output carry: the probe name, its scalars (`value`,
+/// plus `half_width` when the scalar has a CI) and any series.
+void write_probe_reports(json_writer& json, const std::vector<core::probe_report>& reports);
 
 /// Serializes one completed point.  `digest` must be
 /// spec_digest(spec, config, probe_specs); `reports` are the point's merged

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -372,23 +373,77 @@ TEST(fault_spec, family_is_gated_on_the_protocol_engine) {
   }
 }
 
+/// Applies `overrides` ("key=value" each) to gossip_partition_heal and
+/// expects validate_spec to reject the result with `needle` in the message.
+void expect_rejected(std::initializer_list<const char*> overrides, const char* needle) {
+  scenario::scenario_spec spec = scenario::get_scenario("gossip_partition_heal");
+  std::string what;
+  for (const char* assignment : overrides) {
+    what += assignment;
+    what += ' ';
+  }
+  try {
+    for (const char* assignment : overrides) scenario::apply_override(spec, assignment);
+    scenario::validate_spec(spec);
+    FAIL() << what << "should not validate";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(needle), std::string::npos)
+        << what << "raised: " << error.what();
+  }
+}
+
 TEST(fault_spec, validate_names_the_offending_key) {
-  const auto expect_message = [](const char* key, const char* value,
-                                 const char* needle) {
-    scenario::scenario_spec spec = scenario::get_scenario("gossip_partition_heal");
-    try {
-      scenario::apply_override(spec, std::string{key} + "=" + value);
-      scenario::validate_spec(spec);
-      FAIL() << key << "=" << value << " should not validate";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string{error.what()}.find(needle), std::string::npos)
-          << key << "=" << value << " raised: " << error.what();
-    }
-  };
-  expect_message("faults.0.until", "5", "faults.0.until");  // until <= at
-  expect_message("faults.0.fraction", "0.5", "faults.0.fraction");  // on a partition
-  expect_message("faults.0.targets", "[500]", "faults.0.targets");  // >= N
-  expect_message("faults.1.kind", "\"crash_wave\"", "faults.1");  // no target/fraction
+  expect_rejected({"faults.0.until=5"}, "faults.0.until");  // until <= at
+  expect_rejected({"faults.0.fraction=0.5"}, "faults.0.fraction");  // on a partition
+  expect_rejected({"faults.0.targets=[500]"}, "faults.0.targets");  // >= N
+  expect_rejected({"faults.1.kind=\"crash_wave\""}, "faults.1");  // no target/fraction
+  expect_rejected({"faults.0.at=-1"}, "faults.0.at");
+  expect_rejected({"faults.1.kind=\"partition\"", "faults.1.at=20", "faults.1.until=30",
+                   "faults.1.targets=[0]"},
+                  "faults.1");  // overlaps faults.0's [10, 25)
+  expect_rejected({"faults.1.kind=\"crash_wave\"", "faults.1.fraction=0.5",
+                   "faults.1.until=5"},
+                  "faults.1.until");  // a window on a point event
+  expect_rejected({"faults.1.kind=\"restart_wave\"", "faults.1.targets=[0]",
+                   "faults.1.fraction=0.5"},
+                  "faults.1.fraction");  // both targets and fraction
+  expect_rejected({"faults.1.kind=\"degrade\"", "faults.1.link_class=\"intra\""},
+                  "faults.1.link_class");  // a link class without targets
+  expect_rejected({"faults.1.kind=\"degrade\"", "faults.1.drop_probability=1.5"},
+                  "faults.1.drop_probability");
+}
+
+/// validate_spec checks the schedule the engine runs — times in seconds,
+/// scaled by protocol.round_interval — as well as the spec's own in rounds:
+/// scaling can merge two distinct times, and either schedule may then be
+/// the one that is malformed.
+TEST(fault_spec, validate_checks_the_schedule_the_engine_runs) {
+  // 3 and 3.0000000000000004 rounds are both 0.30000000000000004 s.
+  expect_rejected({"protocol.round_interval=0.1", "faults.0.at=3",
+                   "faults.0.until=3.0000000000000004"},
+                  "faults.0.until");
+  // In rounds the windows [1, 3.0000000000000004) and [3, 5) overlap; in
+  // seconds they only touch.
+  expect_rejected({"protocol.round_interval=0.1", "faults.0.at=1",
+                   "faults.0.until=3.0000000000000004", "faults.1.kind=\"partition\"",
+                   "faults.1.at=3", "faults.1.until=5", "faults.1.targets=[0]"},
+                  "faults.1.at");
+
+  std::vector<scenario::scenario_spec> valid;
+  for (const scenario::scenario_spec& spec : scenario::all_scenarios()) {
+    if (spec.name.starts_with("gossip_")) valid.push_back(spec);
+  }
+  ASSERT_FALSE(valid.empty());
+  scenario::scenario_spec window = scenario::get_scenario("gossip_partition_heal");
+  for (const char* assignment :
+       {"protocol.round_interval=0.1", "faults.0.at=3", "faults.0.until=4"}) {
+    scenario::apply_override(window, assignment);
+  }
+  valid.push_back(window);
+  for (const scenario::scenario_spec& spec : valid) {
+    EXPECT_NO_THROW(scenario::validate_spec(spec)) << spec.name;
+    EXPECT_NO_THROW((void)scenario::make_engine(spec)()) << spec.name;
+  }
 }
 
 TEST(fault_spec, unknown_field_suggests_the_nearest_key) {

@@ -45,6 +45,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -63,6 +64,7 @@
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "scenario/sweep.h"
+#include "service/payload.h"
 #include "service/result_store.h"
 #include "service/socket.h"
 #include "support/failpoint.h"
@@ -121,6 +123,15 @@ bool counts_non_negative(const flag_set& flags, std::initializer_list<const char
     }
   }
   return true;
+}
+
+/// Rejects a count flag above INT_MAX with the flag named: cast to the
+/// retry loop's int, --retries 4294967296 wrapped to no re-attempt at all.
+bool count_fits_int(const flag_set& flags, const char* name, const char* command) {
+  if (flags.get_int64(name) <= std::numeric_limits<int>::max()) return true;
+  std::fprintf(stderr, "%s: --%s must be <= %d, got %lld\n", command, name,
+               std::numeric_limits<int>::max(), static_cast<long long>(flags.get_int64(name)));
+  return false;
 }
 
 // --- model flags (bounds) ------------------------------------------------
@@ -285,30 +296,8 @@ void write_run_json(json_writer& json, const scenario::scenario_spec& spec,
   }
   json.end_object();
 
-  json.key("probes").begin_array();
-  for (const auto& report : reports) {
-    json.begin_object();
-    json.key("probe").value(report.probe);
-    json.key("scalars").begin_object();
-    for (const auto& scalar : report.scalars) {
-      json.key(scalar.key).begin_object();
-      json.key("value").value(scalar.value);
-      if (scalar.has_ci) json.key("half_width").value(scalar.half_width);
-      json.end_object();
-    }
-    json.end_object();
-    if (!report.series.empty()) {
-      json.key("series").begin_object();
-      for (const auto& series : report.series) {
-        json.key(series.key).begin_array();
-        for (const double v : series.values) json.value(v);
-        json.end_array();
-      }
-      json.end_object();
-    }
-    json.end_object();
-  }
-  json.end_array();
+  json.key("probes");
+  service::write_probe_reports(json, reports);
 
   json.key("timing").begin_object();
   json.key("seconds").value(seconds);
@@ -379,7 +368,6 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
                            std::uint64_t seed, const std::string& trace_out,
                            bool check, output_format format) {
   spec.faults.record = true;  // force recording whatever the spec says
-  scenario::validate_spec(spec);
   if (scenario::resolved_engine(spec) != scenario::engine_kind::protocol) {
     std::fprintf(stderr,
                  "scenario '%s' does not run the protocol engine; structured "
@@ -812,8 +800,8 @@ int service_exchange(const std::string& socket_path, const std::string& request,
     }
     const std::uint64_t delay =
         (base_ms << std::min(attempt, 16)) + backoff_jitter_ms(request, attempt, base_ms);
-    std::fprintf(stderr, "retrying in %llu ms (attempt %d of %d)\n",
-                 static_cast<unsigned long long>(delay), attempt + 2, retries + 1);
+    std::fprintf(stderr, "retrying in %llu ms (attempt %lld of %lld)\n",
+                 static_cast<unsigned long long>(delay), attempt + 2LL, retries + 1LL);
     std::this_thread::sleep_for(std::chrono::milliseconds{delay});
   }
 }
@@ -842,10 +830,9 @@ int cmd_submit(int argc, const char* const* argv) {
     std::fprintf(stderr, "submit: --socket is required\n");
     return 2;
   }
-  if (!counts_non_negative(flags, {"horizon", "reps"}, "submit")) return 2;
-  if (flags.get_int64("retries") < 0 || flags.get_int64("retry-base-ms") < 0 ||
-      flags.get_int64("timeout") < 0) {
-    std::fprintf(stderr, "submit: --retries, --retry-base-ms and --timeout must be >= 0\n");
+  if (!counts_non_negative(flags, {"horizon", "reps", "retries", "retry-base-ms", "timeout"},
+                           "submit") ||
+      !count_fits_int(flags, "retries", "submit")) {
     return 2;
   }
 
@@ -899,7 +886,10 @@ int cmd_job_op(const char* op, int argc, const char* const* argv) {
     std::fprintf(stderr, "%s: --socket is required\n", op);
     return 2;
   }
-  if (!counts_non_negative(flags, {"retries", "retry-base-ms"}, op)) return 2;
+  if (!counts_non_negative(flags, {"retries", "retry-base-ms"}, op) ||
+      !count_fits_int(flags, "retries", op)) {
+    return 2;
+  }
   if (flags.get_int64("job") <= 0) {
     std::fprintf(stderr, "%s: --job must be a positive job id\n", op);
     return 2;
