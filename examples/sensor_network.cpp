@@ -56,15 +56,16 @@ int main() {
               "nodes die at round 120).  Per-node state: one int.\n\n",
               static_cast<unsigned long long>(spec.num_agents));
 
-  const core::probe_list merged = scenario::run_probes(spec, config, probes);
-  const auto& scalars = dynamic_cast<const core::regret_probe&>(*merged[0]);
-  const auto& curves = dynamic_cast<const core::trajectory_probe&>(*merged[1]);
-  const core::probe_report adoption = merged[2]->report();
-  const core::probe_report cost = merged[3]->report();
+  const std::vector<core::probe_report> reports =
+      core::collect_reports(scenario::run_probes(spec, config, probes));
+  const core::probe_report& regret = reports[0];
+  const std::vector<double>& best_mass = reports[1].find_series("best_mass_mean")->values;
+  const core::probe_report& adoption = reports[2];
+  const core::probe_report& cost = reports[3];
 
   text_table table{{"round", "share on best channel"}};
   for (const std::size_t round : {1U, 30U, 60U, 120U, 121U, 180U, 240U}) {
-    table.add_row({std::to_string(round), fmt(curves.best_mass().mean(round - 1), 3)});
+    table.add_row({std::to_string(round), fmt(best_mass[round - 1], 3)});
   }
   table.print(std::cout);
 
@@ -80,7 +81,8 @@ int main() {
               cost.find_scalar("bytes_per_round")->value * rounds / 1024.0,
               cost.find_scalar("messages_per_node_round")->value,
               100.0 * cost.find_scalar("drop_rate")->value);
-  std::printf("average regret vs always-best-channel: %.4f\n", scalars.regret_stats().mean());
+  std::printf("average regret vs always-best-channel: %.4f\n",
+              regret.find_scalar("regret")->value);
   std::printf("\nThe fleet herds onto the clear channel and re-converges after the "
               "crash wave,\nwith two tiny message types and no routing, tables, or "
               "weight vectors anywhere.\n");

@@ -8,9 +8,9 @@
 /// simulated network (protocol/protocol_engine.h).  Instead of making the
 /// core probe layer depend on the protocol layer, an engine that can
 /// account for its network opts in by implementing net_instrumented; the
-/// message_cost / commit_latency / adoption probes (core/probe.h) discover
-/// the capability with a dynamic_cast and report nothing for engines
-/// without it.
+/// message_cost / commit_latency / adoption probes (core/probe.cpp)
+/// discover the capability with a dynamic_cast and report nothing for
+/// engines without it.
 
 #include <cstdint>
 #include <vector>
@@ -63,7 +63,8 @@ struct partition_sample {
 
 /// Implemented by engines that can report per-partition-side state (the
 /// gossip protocol engine under a fault schedule).  Discovered by the
-/// partition_divergence probe via dynamic_cast, like net_instrumented.
+/// partition_divergence probe (core/probe.cpp) via dynamic_cast, like
+/// net_instrumented.
 /// Purely observational.
 class partition_instrumented {
  public:

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 namespace sgl::core {
 
@@ -21,14 +22,19 @@ bool dynamics_params::satisfies_theorem_conditions() const noexcept {
   return mu > 0.0 && 6.0 * mu <= d * d + 1e-12;
 }
 
+const char* dynamics_params::invalid_field() const noexcept {
+  if (num_options == 0) return "num_options";
+  if (!(mu >= 0.0 && mu <= 1.0)) return "mu";
+  if (!(beta >= 0.0 && beta <= 1.0)) return "beta";
+  if (!adoption_rule{resolved_alpha(), beta}.valid()) return "alpha";
+  return nullptr;
+}
+
 void dynamics_params::validate() const {
-  if (num_options == 0) throw std::invalid_argument{"dynamics_params: need m >= 1"};
-  if (!(mu >= 0.0 && mu <= 1.0)) throw std::invalid_argument{"dynamics_params: mu outside [0,1]"};
-  if (!(beta >= 0.0 && beta <= 1.0)) {
-    throw std::invalid_argument{"dynamics_params: beta outside [0,1]"};
-  }
-  if (!adoption_rule{resolved_alpha(), beta}.valid()) {
-    throw std::invalid_argument{"dynamics_params: need 0 <= alpha <= beta"};
+  if (const char* field = invalid_field()) {
+    throw std::invalid_argument{
+        std::string{"dynamics_params: "} + field +
+        " out of range (num_options >= 1, mu and beta in [0, 1], 0 <= alpha <= beta)"};
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sgl::protocol {
 namespace {
@@ -20,17 +21,21 @@ netsim::link_model engine_config::links() const noexcept {
   return model;
 }
 
+const char* engine_config::invalid_field() const noexcept {
+  if (const char* field = links().invalid_field()) return field;
+  if (!(round_interval > 0.0)) return "round_interval";
+  if (!(crash_rate >= 0.0 && crash_rate <= 1.0)) return "crash_rate";
+  if (!(restart_rate >= 0.0 && restart_rate <= 1.0)) return "restart_rate";
+  return nullptr;
+}
+
 void engine_config::validate() const {
   dynamics.validate();
-  if (!(round_interval > 0.0)) {
-    throw std::invalid_argument{"protocol engine: round interval must be > 0"};
-  }
-  links().validate();
-  if (!(crash_rate >= 0.0 && crash_rate <= 1.0)) {
-    throw std::invalid_argument{"protocol engine: crash rate outside [0,1]"};
-  }
-  if (!(restart_rate >= 0.0 && restart_rate <= 1.0)) {
-    throw std::invalid_argument{"protocol engine: restart rate outside [0,1]"};
+  links().validate();  // a link field first, in netsim's own words
+  if (const char* field = invalid_field()) {
+    throw std::invalid_argument{
+        std::string{"protocol engine: "} + field +
+        " out of range (round_interval > 0, crash_rate and restart_rate in [0, 1])"};
   }
 }
 

@@ -80,10 +80,17 @@ struct engine_config {
   /// by both validate() and the simulation setup).
   [[nodiscard]] netsim::link_model links() const noexcept;
 
-  /// Throws std::invalid_argument on a non-positive round interval, link
-  /// parameters link_model rejects, or rates outside [0,1].  The fault
-  /// schedule is checked against the node count in the engine constructor
-  /// (validate() has no population to check against).
+  /// The first invalid field of this config's own, spelled as its
+  /// `protocol.*` key suffix — a link field link_model rejects,
+  /// "round_interval" not > 0, "crash_rate" or "restart_rate" outside
+  /// [0, 1] — or nullptr when all are valid.  `dynamics` is not covered:
+  /// its fields are dynamics_params::invalid_field()'s.
+  [[nodiscard]] const char* invalid_field() const noexcept;
+
+  /// Throws std::invalid_argument on invalid dynamics or naming
+  /// invalid_field().  The fault schedule is checked against the node
+  /// count in the engine constructor (validate() has no population to
+  /// check against).
   void validate() const;
 };
 

@@ -403,7 +403,12 @@ void validate_spec(const scenario_spec& spec) {
     message += what;
     return message;
   };
-  spec.params.validate();
+  try {
+    spec.params.validate();
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument{where("params.") + spec.params.invalid_field() + ": " +
+                                error.what()};
+  }
   const std::size_t m = spec.params.num_options;
   if (spec.environment.etas.size() != m) {
     throw std::invalid_argument{
@@ -518,7 +523,15 @@ void validate_spec(const scenario_spec& spec) {
     const auto num_nodes = static_cast<std::size_t>(spec.num_agents);
     try {
       const protocol::engine_config config = to_engine_config(spec);
-      config.validate();
+      // The dynamics passed above, so a rejection names one of the
+      // config's own fields.
+      if (const char* field = config.invalid_field()) {
+        try {
+          config.validate();
+        } catch (const std::invalid_argument& error) {
+          throw std::invalid_argument{std::string{"protocol."} + field + ": " + error.what()};
+        }
+      }
       to_netsim_faults(spec, 1.0).validate(num_nodes);
       config.faults.validate(num_nodes);
     } catch (const netsim::fault_error& error) {

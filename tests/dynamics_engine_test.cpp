@@ -221,25 +221,25 @@ TEST(dynamics_engine, run_with_probes_accepts_any_engine_factory) {
   config.horizon = 60;
   config.replications = 8;
   config.seed = 5;
-  const regret_probe scalars;
-  const trajectory_probe curves;
-  const probe* plain_probes[] = {&scalars};
-  const probe* curved_probes[] = {&scalars, &curves};
+  const std::unique_ptr<probe> scalars = make_probe("regret");
+  const std::unique_ptr<probe> curves = make_probe("trajectory");
+  const probe* plain_probes[] = {scalars.get()};
+  const probe* curved_probes[] = {scalars.get(), curves.get()};
   for (const auto& factory : factories) {
-    const probe_list plain = run_with_probes(factory, env, config, plain_probes);
+    const auto plain = collect_reports(run_with_probes(factory, env, config, plain_probes));
     ASSERT_EQ(plain.size(), 1U);
-    const auto& plain_scalars = dynamic_cast<const regret_probe&>(*plain[0]);
-    EXPECT_EQ(plain_scalars.regret_stats().count(), 8U);
-    EXPECT_NEAR(plain_scalars.average_reward_stats().mean() +
-                    plain_scalars.regret_stats().mean(),
+    const probe_report& plain_scalars = plain[0];
+    EXPECT_EQ(plain_scalars.find_scalar("replications")->value, 8.0);
+    EXPECT_NEAR(plain_scalars.find_scalar("average_reward")->value +
+                    plain_scalars.find_scalar("regret")->value,
                 0.8, 1e-9);
 
-    const probe_list curved = run_with_probes(factory, env, config, curved_probes);
+    const auto curved = collect_reports(run_with_probes(factory, env, config, curved_probes));
     ASSERT_EQ(curved.size(), 2U);
-    EXPECT_EQ(dynamic_cast<const trajectory_probe&>(*curved[1]).best_mass().length(), 60U);
+    EXPECT_EQ(curved[1].find_series("best_mass_mean")->values.size(), 60U);
     // Same seed => identical scalar estimates with or without curves.
-    EXPECT_DOUBLE_EQ(dynamic_cast<const regret_probe&>(*curved[0]).regret_stats().mean(),
-                     plain_scalars.regret_stats().mean());
+    EXPECT_DOUBLE_EQ(curved[0].find_scalar("regret")->value,
+                     plain_scalars.find_scalar("regret")->value);
   }
 }
 

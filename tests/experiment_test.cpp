@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/finite_dynamics.h"
@@ -35,22 +37,28 @@ dynamics_params make_params(std::size_t m, double mu, double beta) {
   return p;
 }
 
-/// The merged probe of a run with `prototype` as its only probe.
-template <typename Probe>
-Probe run_one(const engine_factory& engines, const env_factory& envs,
-              const run_config& config, const Probe& prototype = {}) {
-  const probe* probes[] = {&prototype};
-  return dynamic_cast<const Probe&>(*run_with_probes(engines, envs, config, probes)[0]);
+/// The report of a run with the probe `spec` as its only probe.
+probe_report run_report(const engine_factory& engines, const env_factory& envs,
+                        const run_config& config, std::string_view spec) {
+  const std::unique_ptr<probe> prototype = make_probe(spec);
+  const probe* probes[] = {prototype.get()};
+  return run_with_probes(engines, envs, config, probes)[0]->report();
 }
 
-regret_probe run_regret(const engine_factory& engines, const env_factory& envs,
+probe_report run_regret(const engine_factory& engines, const env_factory& envs,
                         const run_config& config) {
-  return run_one<regret_probe>(engines, envs, config);
+  return run_report(engines, envs, config, "regret");
 }
 
-trajectory_probe run_curves(const engine_factory& engines, const env_factory& envs,
-                            const run_config& config) {
-  return run_one<trajectory_probe>(engines, envs, config);
+probe_report run_curves(const engine_factory& engines, const env_factory& envs,
+                        const run_config& config) {
+  return run_report(engines, envs, config, "trajectory");
+}
+
+double scalar(const probe_report& report, std::string_view key) {
+  const probe_scalar* found = report.find_scalar(key);
+  if (found == nullptr) throw std::logic_error{"no scalar " + std::string{key}};
+  return found->value;
 }
 
 /// The agent-based engine (fully mixed, or on `topology` when given).
@@ -73,7 +81,7 @@ TEST(infinite_regret, deterministic_schedule_matches_direct_simulation) {
   config.replications = 3;  // identical replications — CI must collapse
   config.seed = 42;
 
-  const regret_probe est =
+  const probe_report est =
       run_regret(make_infinite_engine_factory(params), schedule_factory(table), config);
 
   // Direct simulation.
@@ -93,9 +101,9 @@ TEST(infinite_regret, deterministic_schedule_matches_direct_simulation) {
   const double expected_regret =
       (best_mean_sum - reward_sum) / static_cast<double>(config.horizon);
 
-  EXPECT_NEAR(est.regret_stats().mean(), expected_regret, 1e-12);
-  EXPECT_NEAR(confidence_interval(est.regret_stats()).half_width, 0.0, 1e-12);
-  EXPECT_EQ(est.regret_stats().count(), 3U);
+  EXPECT_NEAR(scalar(est, "regret"), expected_regret, 1e-12);
+  EXPECT_NEAR(est.find_scalar("regret")->half_width, 0.0, 1e-12);
+  EXPECT_EQ(scalar(est, "replications"), 3.0);
 }
 
 TEST(infinite_regret, thread_count_does_not_change_result) {
@@ -108,13 +116,13 @@ TEST(infinite_regret, thread_count_does_not_change_result) {
   const auto engines = make_infinite_engine_factory(params);
   const auto envs = bernoulli_factory({0.8, 0.4, 0.4, 0.4});
   config.threads = 1;
-  const regret_probe one = run_regret(engines, envs, config);
+  const probe_report one = run_regret(engines, envs, config);
   config.threads = 8;
-  const regret_probe eight = run_regret(engines, envs, config);
+  const probe_report eight = run_regret(engines, envs, config);
 
-  EXPECT_DOUBLE_EQ(one.regret_stats().mean(), eight.regret_stats().mean());
-  EXPECT_DOUBLE_EQ(one.best_mass_stats().mean(), eight.best_mass_stats().mean());
-  EXPECT_DOUBLE_EQ(one.average_reward_stats().mean(), eight.average_reward_stats().mean());
+  EXPECT_DOUBLE_EQ(scalar(one, "regret"), scalar(eight, "regret"));
+  EXPECT_DOUBLE_EQ(scalar(one, "best_mass"), scalar(eight, "best_mass"));
+  EXPECT_DOUBLE_EQ(scalar(one, "average_reward"), scalar(eight, "average_reward"));
 }
 
 TEST(infinite_regret, nonuniform_start_biases_early_mass) {
@@ -126,12 +134,11 @@ TEST(infinite_regret, nonuniform_start_biases_early_mass) {
   const auto factory = bernoulli_factory({0.8, 0.4});
 
   const std::vector<double> hostile{0.02, 0.98};  // nearly all mass on the bad option
-  const regret_probe uniform =
-      run_regret(make_infinite_engine_factory(params), factory, config);
-  const regret_probe biased =
+  const probe_report uniform = run_regret(make_infinite_engine_factory(params), factory, config);
+  const probe_report biased =
       run_regret(make_infinite_engine_factory(params, hostile), factory, config);
-  EXPECT_GT(biased.regret_stats().mean(), uniform.regret_stats().mean());
-  EXPECT_LT(biased.best_mass_stats().mean(), uniform.best_mass_stats().mean());
+  EXPECT_GT(scalar(biased, "regret"), scalar(uniform, "regret"));
+  EXPECT_LT(scalar(biased, "best_mass"), scalar(uniform, "best_mass"));
 }
 
 TEST(finite_regret, engines_agree_within_noise) {
@@ -142,11 +149,11 @@ TEST(finite_regret, engines_agree_within_noise) {
   config.seed = 13;
   const auto factory = bernoulli_factory({0.8, 0.4, 0.4});
 
-  const mean_ci agg = confidence_interval(
-      run_regret(make_finite_engine_factory(params, 300), factory, config).regret_stats());
-  const mean_ci agent = confidence_interval(
-      run_regret(agent_based(params, 300), factory, config).regret_stats());
-  EXPECT_NEAR(agg.mean, agent.mean, agg.half_width + agent.half_width + 0.01);
+  const probe_scalar agg =
+      *run_regret(make_finite_engine_factory(params, 300), factory, config).find_scalar("regret");
+  const probe_scalar agent =
+      *run_regret(agent_based(params, 300), factory, config).find_scalar("regret");
+  EXPECT_NEAR(agg.value, agent.value, agg.half_width + agent.half_width + 0.01);
 }
 
 TEST(finite_regret, learning_beats_no_learning) {
@@ -162,12 +169,12 @@ TEST(finite_regret, learning_beats_no_learning) {
   dynamics_params blind = learning;
   blind.alpha = blind.beta;  // adopt regardless of the signal
 
-  const mean_ci with_signal = confidence_interval(
-      run_regret(make_finite_engine_factory(learning, 500), factory, config).regret_stats());
-  const mean_ci without_signal = confidence_interval(
-      run_regret(make_finite_engine_factory(blind, 500), factory, config).regret_stats());
-  EXPECT_LT(with_signal.mean + with_signal.half_width,
-            without_signal.mean - without_signal.half_width);
+  const probe_scalar with_signal =
+      *run_regret(make_finite_engine_factory(learning, 500), factory, config).find_scalar("regret");
+  const probe_scalar without_signal =
+      *run_regret(make_finite_engine_factory(blind, 500), factory, config).find_scalar("regret");
+  EXPECT_LT(with_signal.value + with_signal.half_width,
+            without_signal.value - without_signal.half_width);
 }
 
 TEST(finite_regret, topology_runs_and_converges) {
@@ -178,10 +185,10 @@ TEST(finite_regret, topology_runs_and_converges) {
   config.horizon = 200;
   config.replications = 30;
   config.seed = 19;
-  const regret_probe est =
+  const probe_report est =
       run_regret(agent_based(params, 150, &g), bernoulli_factory({0.85, 0.35}), config);
-  EXPECT_GT(est.final_best_mass_stats().mean(), 0.5);
-  EXPECT_LT(est.regret_stats().mean(), 0.5);
+  EXPECT_GT(scalar(est, "final_best_mass"), 0.5);
+  EXPECT_LT(scalar(est, "regret"), 0.5);
 }
 
 TEST(run_with_probes, rejects_bad_configs) {
@@ -307,21 +314,28 @@ TEST(trajectories, curve_shapes_and_lengths) {
   config.seed = 23;
   const auto factory = bernoulli_factory({0.8, 0.4, 0.4});
 
-  const trajectory_probe inf = run_curves(make_infinite_engine_factory(params), factory, config);
-  EXPECT_EQ(inf.running_regret().length(), 120U);
-  EXPECT_EQ(inf.best_mass().length(), 120U);
-  EXPECT_EQ(inf.running_regret().replications(), 60U);
+  const probe_report inf = run_curves(make_infinite_engine_factory(params), factory, config);
+  const probe_series* inf_regret = inf.find_series("running_regret_mean");
+  const probe_series* inf_best = inf.find_series("best_mass_mean");
+  ASSERT_NE(inf_regret, nullptr);
+  ASSERT_NE(inf_best, nullptr);
+  EXPECT_EQ(inf_regret->values.size(), 120U);
+  EXPECT_EQ(inf_best->values.size(), 120U);
+  EXPECT_EQ(scalar(inf, "replications"), 60.0);
   // Learning: late best-mass above early best-mass.
-  EXPECT_GT(inf.best_mass().mean(119), inf.best_mass().mean(0) + 0.2);
+  EXPECT_GT(inf_best->values[119], inf_best->values[0] + 0.2);
   // Regret curve settles below its early value.
-  EXPECT_LT(inf.running_regret().mean(119), inf.running_regret().mean(5));
+  EXPECT_LT(inf_regret->values[119], inf_regret->values[5]);
 
-  const trajectory_probe fin =
-      run_curves(make_finite_engine_factory(params, 400), factory, config);
-  EXPECT_EQ(fin.best_mass().length(), 120U);
-  EXPECT_GT(fin.best_mass().mean(119), 0.5);
+  const probe_report fin = run_curves(make_finite_engine_factory(params, 400), factory, config);
+  const probe_series* fin_best = fin.find_series("best_mass_mean");
+  const probe_series* fin_min_popularity = fin.find_series("min_popularity_mean");
+  ASSERT_NE(fin_best, nullptr);
+  ASSERT_NE(fin_min_popularity, nullptr);
+  EXPECT_EQ(fin_best->values.size(), 120U);
+  EXPECT_GT(fin_best->values[119], 0.5);
   // min popularity stays strictly positive thanks to exploration.
-  EXPECT_GT(fin.min_popularity().mean(119), 0.0);
+  EXPECT_GT(fin_min_popularity->values[119], 0.0);
 }
 
 TEST(trajectories, switching_environment_tracks_new_best) {
@@ -334,13 +348,16 @@ TEST(trajectories, switching_environment_tracks_new_best) {
   const env_factory factory = [] {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 150);
   };
-  const trajectory_probe curves =
+  const probe_report curves =
       run_curves(make_finite_engine_factory(params, 400), factory, config);
+  const probe_series* best = curves.find_series("best_mass_mean");
+  ASSERT_NE(best, nullptr);
+  ASSERT_EQ(best->values.size(), 300U);
   // At t=150 the best option flips; best_mass (computed against the
   // *current* best) dips right after the switch and then recovers.
-  EXPECT_GT(curves.best_mass().mean(140), 0.6);
-  EXPECT_LT(curves.best_mass().mean(149), 0.5);
-  EXPECT_GT(curves.best_mass().mean(295), 0.6);
+  EXPECT_GT(best->values[140], 0.6);
+  EXPECT_LT(best->values[149], 0.5);
+  EXPECT_GT(best->values[295], 0.6);
 }
 
 }  // namespace

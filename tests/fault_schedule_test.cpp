@@ -411,6 +411,10 @@ TEST(fault_spec, validate_names_the_offending_key) {
                   "faults.1.link_class");  // a link class without targets
   expect_rejected({"faults.1.kind=\"degrade\"", "faults.1.drop_probability=1.5"},
                   "faults.1.drop_probability");
+  // The range checks of the params and protocol layers name their keys too.
+  expect_rejected({"params.mu=2"}, "params.mu");
+  expect_rejected({"protocol.base_latency=-1"}, "protocol.base_latency");
+  expect_rejected({"protocol.crash_rate=2"}, "protocol.crash_rate");
 }
 
 /// validate_spec checks the schedule the engine runs — times in seconds,

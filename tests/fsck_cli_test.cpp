@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "service/digest.h"
@@ -110,32 +111,39 @@ TEST_F(fsck_cli_test, quarantine_then_recompute_round_trip) {
 
 // --- the CLI subcommand ------------------------------------------------------
 
+/// Reads the file at `path` into `text` and removes the file.
+void take_text(const fs::path& path, std::string* text) {
+  std::ifstream input{path};
+  text->assign(std::istreambuf_iterator<char>{input}, std::istreambuf_iterator<char>{});
+  fs::remove(path);
+}
+
 /// Runs the binary named by the environment variable `path_variable` with
 /// `args` and returns its exit code, or nullopt when the binary is not
 /// available (tools not built).  With `error_text`, the command's stderr is
-/// captured into it.
+/// captured into it; with `output_text`, its stdout.
 std::optional<int> run_tool(const char* path_variable, const std::string& args,
-                            std::string* error_text) {
+                            std::string* error_text, std::string* output_text = nullptr) {
   const char* tool = std::getenv(path_variable);
   if (tool == nullptr || *tool == '\0') return std::nullopt;
-  const fs::path log = fs::temp_directory_path() /
-                       ("sgl-cli-stderr-" + std::to_string(::getpid()) + ".txt");
-  const std::string command = std::string{tool} + " " + args + " </dev/null >/dev/null 2>" +
-                              (error_text != nullptr ? log.string() : "&1");
+  const std::string stem =
+      (fs::temp_directory_path() / ("sgl-cli-" + std::to_string(::getpid()))).string();
+  const std::string out_log = stem + "-stdout.txt";
+  const std::string err_log = stem + "-stderr.txt";
+  const std::string command = std::string{tool} + " " + args + " </dev/null >" +
+                              (output_text != nullptr ? out_log : "/dev/null") + " 2>" +
+                              (error_text != nullptr ? err_log : "/dev/null");
   const int status = std::system(command.c_str());
   if (status < 0) return std::nullopt;
-  if (error_text != nullptr) {
-    std::ifstream input{log};
-    error_text->assign(std::istreambuf_iterator<char>{input},
-                       std::istreambuf_iterator<char>{});
-    fs::remove(log);
-  }
+  if (error_text != nullptr) take_text(err_log, error_text);
+  if (output_text != nullptr) take_text(out_log, output_text);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /// Runs `sociolearn_cli <args>` (see run_tool).
-std::optional<int> run_cli(const std::string& args, std::string* error_text = nullptr) {
-  return run_tool("SGL_CLI_PATH", args, error_text);
+std::optional<int> run_cli(const std::string& args, std::string* error_text = nullptr,
+                           std::string* output_text = nullptr) {
+  return run_tool("SGL_CLI_PATH", args, error_text, output_text);
 }
 
 std::optional<int> run_fsck_cli(const std::string& args) { return run_cli("fsck " + args); }
@@ -227,6 +235,71 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
   }
   // The sentinel stays: --agents -1 keeps the scenario's population.
   EXPECT_EQ(*run_cli("scenario --name mixed_baseline --agents -1 --horizon 5 --reps 2"), 0);
+}
+
+// --- hand-formatted run output ----------------------------------------------
+
+/// `scenario`'s regret table, its --curves CSV and its --format csv row are
+/// formatted by hand, so their bytes are pinned here: stdout only (the
+/// `elapsed` line goes to stderr) and without the CSV's wall-clock
+/// `seconds` column.
+TEST(cli_output, regret_table_curves_and_csv_are_pinned) {
+  const std::string run = "scenario --name quickstart --horizon 20 --reps 4 --threads 1";
+  std::string table;
+  const std::optional<int> code = run_cli(run, nullptr, &table);
+  REQUIRE_CLI(code);
+  EXPECT_EQ(*code, 0);
+  EXPECT_EQ(table, R"(scenario: quickstart
+4 options, N=1000 agents, theorem-regime parameters (beta=0.65), Bernoulli qualities (0.85, 0.45, 0.40, 0.35)
+
+               measure            value
+---------------------------------------
+                regret  0.1908 ± 0.0296
+        average reward  0.6592 ± 0.0296
+  avg best-option mass  0.4728 ± 0.1176
+final best-option mass  0.7219 ± 0.1686
+   empty-step fraction           0.0000
+                 bound           3.7142
+          replications                4
+)");
+
+  std::string curves;
+  EXPECT_EQ(*run_cli(run + " --curves", nullptr, &curves), 0);
+  EXPECT_EQ(curves, R"(t,running_regret,best_mass,min_popularity
+1,0.537500,0.254478,0.193377
+2,0.280923,0.270280,0.179669
+3,0.276896,0.276757,0.160208
+4,0.271771,0.239003,0.138259
+5,0.271741,0.296438,0.159279
+6,0.255512,0.369135,0.108146
+7,0.287394,0.374130,0.102659
+8,0.278486,0.450030,0.092468
+9,0.238822,0.451561,0.095239
+10,0.232521,0.533521,0.075231
+11,0.227735,0.603313,0.066175
+12,0.235997,0.557203,0.074008
+13,0.222648,0.591421,0.063180
+14,0.210956,0.629512,0.062416
+15,0.192082,0.632557,0.061125
+16,0.193232,0.637708,0.055810
+17,0.196921,0.652647,0.065945
+18,0.196069,0.655359,0.068972
+19,0.192774,0.731357,0.053767
+20,0.190798,0.721866,0.054262
+)");
+
+  std::string csv;
+  EXPECT_EQ(*run_cli(run + " --format csv", nullptr, &csv), 0);
+  std::string without_seconds;  // each line minus its last (seconds) field
+  std::istringstream lines{csv};
+  for (std::string line; std::getline(lines, line);) {
+    without_seconds += line.substr(0, line.rfind(',')) + "\n";
+  }
+  EXPECT_EQ(without_seconds,
+            "scenario,regret.regret,regret.average_reward,regret.best_mass,"
+            "regret.final_best_mass,regret.empty_step_fraction,regret.replications\n"
+            "quickstart,0.1907984757050338,0.659201524294966,0.4728204496979196,"
+            "0.7218664279727687,0,4\n");
 }
 
 }  // namespace

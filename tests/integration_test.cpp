@@ -24,14 +24,15 @@
 namespace sgl {
 namespace {
 
-/// The merged regret probe of the exact aggregate finite dynamics.
-core::regret_probe finite_regret(const core::dynamics_params& params,
+/// The regret probe's report on the exact aggregate finite dynamics.
+core::probe_report finite_regret(const core::dynamics_params& params,
                                  std::uint64_t num_agents, const core::env_factory& envs,
                                  const core::run_config& config) {
-  const core::regret_probe prototype;
-  const core::probe* probes[] = {&prototype};
-  return dynamic_cast<const core::regret_probe&>(*core::run_with_probes(
-      core::make_finite_engine_factory(params, num_agents), envs, config, probes)[0]);
+  const std::unique_ptr<core::probe> prototype = core::make_probe("regret");
+  const core::probe* probes[] = {prototype.get()};
+  return core::run_with_probes(core::make_finite_engine_factory(params, num_agents), envs,
+                               config, probes)[0]
+      ->report();
 }
 
 TEST(integration, epoch_restart_preserves_learning) {
@@ -132,8 +133,8 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
     return std::make_unique<env::bernoulli_rewards>(etas);
   };
 
-  const mean_ci full = confidence_interval(
-      finite_regret(core::theorem_params(2, 0.65), 2000, factory, config).regret_stats());
+  const core::probe_scalar full =
+      *finite_regret(core::theorem_params(2, 0.65), 2000, factory, config).find_scalar("regret");
 
   // Pure copying: adoption blind to signals (β = α = 1).
   core::dynamics_params copy_only;
@@ -141,23 +142,23 @@ TEST(integration, ablations_fail_where_the_paper_says_they_fail) {
   copy_only.mu = 0.0;
   copy_only.beta = 1.0;
   copy_only.alpha = 1.0;
-  const core::regret_probe copying = finite_regret(copy_only, 2000, factory, config);
-  const mean_ci copying_regret = confidence_interval(copying.regret_stats());
+  const core::probe_report copying = finite_regret(copy_only, 2000, factory, config);
+  const core::probe_scalar& copying_regret = *copying.find_scalar("regret");
 
   // No social sampling: μ = 1 (uniform consideration forever).
   core::dynamics_params no_social;
   no_social.num_options = 2;
   no_social.mu = 1.0;
   no_social.beta = 0.65;
-  const mean_ci solo = confidence_interval(
-      finite_regret(no_social, 2000, factory, config).regret_stats());
+  const core::probe_scalar solo =
+      *finite_regret(no_social, 2000, factory, config).find_scalar("regret");
 
-  EXPECT_LT(full.mean, copying_regret.mean - copying_regret.half_width)
+  EXPECT_LT(full.value, copying_regret.value - copying_regret.half_width)
       << "signal-blind copying cannot identify the best option";
-  EXPECT_LT(full.mean, solo.mean - solo.half_width)
+  EXPECT_LT(full.value, solo.value - solo.half_width)
       << "without social sampling the population never concentrates";
   // Pure copying fixates at the uniform average reward in expectation.
-  EXPECT_NEAR(copying.average_reward_stats().mean(), 0.6, 0.05);
+  EXPECT_NEAR(copying.find_scalar("average_reward")->value, 0.6, 0.05);
 }
 
 TEST(integration, gossip_protocol_matches_synchronous_dynamics) {
@@ -173,19 +174,20 @@ TEST(integration, gossip_protocol_matches_synchronous_dynamics) {
   config.replications = 40;
   config.seed = 10;
   const std::vector<std::string> regret_only{"regret"};
-  const auto sync = scenario::run_probes(spec, config, regret_only);
-  const double sync_final =
-      dynamic_cast<const core::regret_probe&>(*sync[0]).final_best_mass_stats().mean();
+  const double sync_final = scenario::run_probes(spec, config, regret_only)[0]
+                                ->report()
+                                .find_scalar("final_best_mass")
+                                ->value;
 
   spec.name = "async";
   spec.engine = scenario::engine_kind::protocol;
   config.replications = 4;
   config.seed = 9;
   const std::vector<std::string> curves_only{"trajectory"};
-  const auto async = scenario::run_probes(spec, config, curves_only);
-  const series_stats& best = dynamic_cast<const core::trajectory_probe&>(*async[0]).best_mass();
+  const core::probe_report async = scenario::run_probes(spec, config, curves_only)[0]->report();
+  const std::vector<double>& best = async.find_series("best_mass_mean")->values;
   running_stats async_late;
-  for (std::size_t t = 150; t < 200; ++t) async_late.add(best.mean(t));
+  for (std::size_t t = 150; t < 200; ++t) async_late.add(best[t]);
 
   EXPECT_NEAR(async_late.mean(), sync_final, 0.15);
   EXPECT_GT(async_late.mean(), 0.6);
@@ -202,15 +204,15 @@ TEST(integration, measured_regret_consistent_with_theory_kit) {
         std::ceil(std::max(core::theory::min_horizon(6, beta), 10.0)));
     config.replications = 80;
     config.seed = 11;
-    const mean_ci regret = confidence_interval(
-        finite_regret(params, 20000,
-                      [] {
-                        return std::make_unique<env::bernoulli_rewards>(
-                            env::two_level_etas(6, 0.85, 0.35));
-                      },
-                      config)
-            .regret_stats());
-    EXPECT_LE(regret.mean - regret.half_width, core::theory::finite_regret_bound(beta));
+    const core::probe_scalar regret =
+        *finite_regret(params, 20000,
+                       [] {
+                         return std::make_unique<env::bernoulli_rewards>(
+                             env::two_level_etas(6, 0.85, 0.35));
+                       },
+                       config)
+             .find_scalar("regret");
+    EXPECT_LE(regret.value - regret.half_width, core::theory::finite_regret_bound(beta));
   }
 }
 

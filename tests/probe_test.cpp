@@ -5,7 +5,8 @@
 // new probes must measure what they claim (the analysis probes by hand on
 // one step, and off their engine with zero replications; the coupling
 // probe's own suite is coupling_test), and the probe spec grammar must
-// parse and reject correctly.
+// parse and reject correctly.  Every probe is built by name and read
+// through its report.
 
 #include "core/probe.h"
 
@@ -36,10 +37,18 @@ env_factory bernoulli_factory(std::vector<double> etas) {
   return [etas] { return std::make_unique<env::bernoulli_rewards>(etas); };
 }
 
-probe_list run_probe(const engine_factory& engines, const env_factory& envs,
-                     const run_config& config, const probe& prototype) {
-  const probe* pointers[] = {&prototype};
-  return run_with_probes(engines, envs, config, pointers);
+/// The report of a run with the probe `spec` as its only probe.
+probe_report run_report(const engine_factory& engines, const env_factory& envs,
+                        const run_config& config, std::string_view spec) {
+  const std::unique_ptr<probe> prototype = make_probe(spec);
+  const probe* pointers[] = {prototype.get()};
+  return run_with_probes(engines, envs, config, pointers)[0]->report();
+}
+
+double scalar(const probe_report& report, std::string_view key) {
+  const probe_scalar* found = report.find_scalar(key);
+  if (found == nullptr) throw std::logic_error{"no scalar " + std::string{key}};
+  return found->value;
 }
 
 // --- golden equivalence with the pre-redesign fixed reduction ---------------
@@ -47,7 +56,8 @@ probe_list run_probe(const engine_factory& engines, const env_factory& envs,
 // These constants were printed with %.17g by the seed implementation (the
 // hand-rolled reduction of the original fixed-result runner, commit 9959ddf)
 // and parse back to the exact doubles it produced.  The probe-based runner
-// must match them bit for bit.
+// must match them bit for bit.  A scalar's value is its running mean and its
+// half_width the 95% CI's.
 
 TEST(probe_golden, finite_regret_matches_pre_redesign_numbers) {
   run_config config;
@@ -55,31 +65,19 @@ TEST(probe_golden, finite_regret_matches_pre_redesign_numbers) {
   config.replications = 24;
   config.seed = 123;
   config.threads = 3;
-  const auto merged = run_probe(make_finite_engine_factory(theorem_params(3, 0.65), 400),
-                                bernoulli_factory({0.8, 0.45, 0.4}), config, regret_probe{});
-  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
-  const mean_ci regret = confidence_interval(est.regret_stats());
-  const mean_ci average_reward = confidence_interval(est.average_reward_stats());
-  const mean_ci best_mass = confidence_interval(est.best_mass_stats());
-  const mean_ci final_best_mass = confidence_interval(est.final_best_mass_stats());
+  const probe_report est = run_report(make_finite_engine_factory(theorem_params(3, 0.65), 400),
+                                      bernoulli_factory({0.8, 0.45, 0.4}), config, "regret");
 
-  EXPECT_EQ(regret.mean, 0.11268049156909628);
-  EXPECT_EQ(regret.half_width, 0.021475501421871532);
-  EXPECT_EQ(average_reward.mean, 0.68731950843090306);
-  EXPECT_EQ(average_reward.half_width, 0.021475501421871535);
-  EXPECT_EQ(best_mass.mean, 0.72277625267115508);
-  EXPECT_EQ(best_mass.half_width, 0.026129920786873245);
-  EXPECT_EQ(final_best_mass.mean, 0.74980178302420897);
-  EXPECT_EQ(final_best_mass.half_width, 0.057725300701185804);
-  EXPECT_EQ(est.empty_fraction_stats().mean(), 0.0);
-  EXPECT_EQ(est.regret_stats().count(), 24U);
-
-  // The machine-readable report carries the same numbers.
-  const probe_report report = est.report();
-  ASSERT_NE(report.find_scalar("regret"), nullptr);
-  EXPECT_EQ(report.find_scalar("regret")->value, regret.mean);
-  EXPECT_EQ(report.find_scalar("regret")->half_width, regret.half_width);
-  EXPECT_EQ(report.find_scalar("replications")->value, 24.0);
+  EXPECT_EQ(scalar(est, "regret"), 0.11268049156909628);
+  EXPECT_EQ(est.find_scalar("regret")->half_width, 0.021475501421871532);
+  EXPECT_EQ(scalar(est, "average_reward"), 0.68731950843090306);
+  EXPECT_EQ(est.find_scalar("average_reward")->half_width, 0.021475501421871535);
+  EXPECT_EQ(scalar(est, "best_mass"), 0.72277625267115508);
+  EXPECT_EQ(est.find_scalar("best_mass")->half_width, 0.026129920786873245);
+  EXPECT_EQ(scalar(est, "final_best_mass"), 0.74980178302420897);
+  EXPECT_EQ(est.find_scalar("final_best_mass")->half_width, 0.057725300701185804);
+  EXPECT_EQ(scalar(est, "empty_step_fraction"), 0.0);
+  EXPECT_EQ(scalar(est, "replications"), 24.0);
 }
 
 TEST(probe_golden, infinite_regret_matches_pre_redesign_numbers) {
@@ -88,22 +86,17 @@ TEST(probe_golden, infinite_regret_matches_pre_redesign_numbers) {
   config.replications = 16;
   config.seed = 7;
   config.threads = 2;
-  const auto merged = run_probe(make_infinite_engine_factory(theorem_params(4, 0.62)),
-                                bernoulli_factory({0.8, 0.4, 0.4, 0.4}), config,
-                                regret_probe{});
-  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
-  const mean_ci regret = confidence_interval(est.regret_stats());
-  const mean_ci best_mass = confidence_interval(est.best_mass_stats());
-  const mean_ci final_best_mass = confidence_interval(est.final_best_mass_stats());
+  const probe_report est = run_report(make_infinite_engine_factory(theorem_params(4, 0.62)),
+                                      bernoulli_factory({0.8, 0.4, 0.4, 0.4}), config, "regret");
 
-  EXPECT_EQ(regret.mean, 0.11550083862632068);
-  EXPECT_EQ(regret.half_width, 0.028754513917564894);
-  EXPECT_EQ(est.average_reward_stats().mean(), 0.68449916137367917);
-  EXPECT_EQ(best_mass.mean, 0.69211775996976077);
-  EXPECT_EQ(best_mass.half_width, 0.04161534184372806);
-  EXPECT_EQ(final_best_mass.mean, 0.85030293216284636);
-  EXPECT_EQ(final_best_mass.half_width, 0.031665777695948506);
-  EXPECT_EQ(est.regret_stats().count(), 16U);
+  EXPECT_EQ(scalar(est, "regret"), 0.11550083862632068);
+  EXPECT_EQ(est.find_scalar("regret")->half_width, 0.028754513917564894);
+  EXPECT_EQ(scalar(est, "average_reward"), 0.68449916137367917);
+  EXPECT_EQ(scalar(est, "best_mass"), 0.69211775996976077);
+  EXPECT_EQ(est.find_scalar("best_mass")->half_width, 0.04161534184372806);
+  EXPECT_EQ(scalar(est, "final_best_mass"), 0.85030293216284636);
+  EXPECT_EQ(est.find_scalar("final_best_mass")->half_width, 0.031665777695948506);
+  EXPECT_EQ(scalar(est, "replications"), 16.0);
 }
 
 TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
@@ -112,17 +105,26 @@ TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
   config.replications = 10;
   config.seed = 31;
   config.threads = 4;
-  const auto merged = run_probe(make_finite_engine_factory(theorem_params(2, 0.62), 250),
-                                bernoulli_factory({0.85, 0.35}), config, trajectory_probe{});
-  const auto& curves = dynamic_cast<const trajectory_probe&>(*merged[0]);
+  const probe_report curves =
+      run_report(make_finite_engine_factory(theorem_params(2, 0.62), 250),
+                 bernoulli_factory({0.85, 0.35}), config, "trajectory");
+  const probe_series* regret = curves.find_series("running_regret_mean");
+  const probe_series* regret_width = curves.find_series("running_regret_half_width");
+  const probe_series* best = curves.find_series("best_mass_mean");
+  const probe_series* best_width = curves.find_series("best_mass_half_width");
+  const probe_series* min_popularity = curves.find_series("min_popularity_mean");
+  for (const probe_series* series : {regret, regret_width, best, best_width, min_popularity}) {
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(series->values.size(), 40U);
+  }
 
-  EXPECT_EQ(curves.running_regret().mean(0), 0.24999999999999997);
-  EXPECT_EQ(curves.running_regret().mean(39), 0.083470043833588622);
-  EXPECT_EQ(curves.running_regret().ci(39).half_width, 0.041483229633138073);
-  EXPECT_EQ(curves.best_mass().mean(39), 0.91374372553448369);
-  EXPECT_EQ(curves.best_mass().ci(39).half_width, 0.03073259684297832);
-  EXPECT_EQ(curves.min_popularity().mean(39), 0.086256274465516244);
-  EXPECT_EQ(curves.best_mass().replications(), 10U);
+  EXPECT_EQ(regret->values[0], 0.24999999999999997);
+  EXPECT_EQ(regret->values[39], 0.083470043833588622);
+  EXPECT_EQ(regret_width->values[39], 0.041483229633138073);
+  EXPECT_EQ(best->values[39], 0.91374372553448369);
+  EXPECT_EQ(best_width->values[39], 0.03073259684297832);
+  EXPECT_EQ(min_popularity->values[39], 0.086256274465516244);
+  EXPECT_EQ(scalar(curves, "replications"), 10.0);
 }
 
 TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
@@ -133,16 +135,15 @@ TEST(probe_golden, ring_scenario_matches_pre_redesign_numbers) {
   config.threads = 2;
   const scenario::scenario_spec spec = scenario::get_scenario("ring");
   const std::vector<std::string> regret_only{"regret"};
-  const auto merged = scenario::run_probes(spec, config, regret_only);
-  const auto& est = dynamic_cast<const regret_probe&>(*merged[0]);
+  const probe_report est = scenario::run_probes(spec, config, regret_only)[0]->report();
 
   // Rebased once when the ring's v2 loop gave way to the net2 kernel, its
   // only sampler (DESIGN.md, "The one-time golden rebase").
-  EXPECT_EQ(est.regret_stats().mean(), 0.17430349505358628);
-  EXPECT_EQ(confidence_interval(est.regret_stats()).half_width, 0.030232891832417865);
-  EXPECT_EQ(est.average_reward_stats().mean(), 0.6756965049464141);
-  EXPECT_EQ(est.best_mass_stats().mean(), 0.6912914124455832);
-  EXPECT_EQ(est.final_best_mass_stats().mean(), 0.6879232231031276);
+  EXPECT_EQ(scalar(est, "regret"), 0.17430349505358628);
+  EXPECT_EQ(est.find_scalar("regret")->half_width, 0.030232891832417865);
+  EXPECT_EQ(scalar(est, "average_reward"), 0.6756965049464141);
+  EXPECT_EQ(scalar(est, "best_mass"), 0.6912914124455832);
+  EXPECT_EQ(scalar(est, "final_best_mass"), 0.6879232231031276);
 }
 
 // --- determinism -------------------------------------------------------------
@@ -158,11 +159,8 @@ TEST(probe, reports_are_thread_count_independent) {
   const auto run_at = [&](unsigned threads) {
     run_config c = config;
     c.threads = threads;
-    std::vector<std::unique_ptr<probe>> prototypes;
-    prototypes.push_back(std::make_unique<regret_probe>());
-    prototypes.push_back(std::make_unique<hitting_time_probe>(0.3));
-    prototypes.push_back(std::make_unique<popularity_floor_probe>(0.01));
-    prototypes.push_back(std::make_unique<final_histogram_probe>());
+    const probe_list prototypes = make_probes(split_probe_specs(
+        "regret, hitting_time(eps=0.3), popularity_floor(floor=0.01), final_histogram"));
     std::vector<const probe*> pointers;
     for (const auto& p : prototypes) pointers.push_back(p.get());
     return collect_reports(
@@ -191,17 +189,15 @@ TEST(probe, hitting_time_on_learning_run) {
   config.horizon = 120;
   config.replications = 10;
   config.seed = 3;
-  const auto merged =
-      run_probe(make_finite_engine_factory(params, 400),
-                bernoulli_factory({0.9, 0.2}), config, hitting_time_probe{0.3});
-  const auto& probe = dynamic_cast<const hitting_time_probe&>(*merged[0]);
+  const probe_report report =
+      run_report(make_finite_engine_factory(params, 400), bernoulli_factory({0.9, 0.2}), config,
+                 "hitting_time(eps=0.3)");
   // A strongly separated two-option instance concentrates well past 70%.
-  EXPECT_EQ(probe.hit_fraction_stats().mean(), 1.0);
-  EXPECT_GE(probe.hitting_time_stats().mean(), 1.0);
-  EXPECT_LT(probe.hitting_time_stats().mean(), 120.0);
-  const probe_report report = probe.report();
-  EXPECT_EQ(report.find_scalar("hits")->value, 10.0);
-  EXPECT_EQ(report.find_scalar("threshold")->value, 0.7);
+  EXPECT_EQ(scalar(report, "hit_fraction"), 1.0);
+  EXPECT_GE(scalar(report, "hitting_time"), 1.0);
+  EXPECT_LT(scalar(report, "hitting_time"), 120.0);
+  EXPECT_EQ(scalar(report, "hits"), 10.0);
+  EXPECT_EQ(scalar(report, "threshold"), 0.7);
 }
 
 TEST(probe, popularity_floor_stays_positive_with_exploration) {
@@ -210,14 +206,13 @@ TEST(probe, popularity_floor_stays_positive_with_exploration) {
   config.horizon = 80;
   config.replications = 8;
   config.seed = 11;
-  const auto merged =
-      run_probe(make_finite_engine_factory(params, 500),
-                bernoulli_factory({0.85, 0.35}), config, popularity_floor_probe{0.0});
-  const auto& probe = dynamic_cast<const popularity_floor_probe&>(*merged[0]);
-  EXPECT_GT(probe.min_popularity_stats().min(), 0.0);
-  EXPECT_LE(probe.min_popularity_stats().min(), probe.min_popularity_stats().mean());
+  const probe_report report =
+      run_report(make_finite_engine_factory(params, 500), bernoulli_factory({0.85, 0.35}),
+                 config, "popularity_floor(floor=0)");
+  EXPECT_GT(scalar(report, "min_popularity_worst"), 0.0);
+  EXPECT_LE(scalar(report, "min_popularity_worst"), scalar(report, "min_popularity"));
   // floor = 0 can never be violated.
-  EXPECT_EQ(probe.violation_rate_stats().mean(), 0.0);
+  EXPECT_EQ(scalar(report, "violation_rate"), 0.0);
 }
 
 TEST(probe, final_histogram_masses_sum_to_one) {
@@ -226,10 +221,9 @@ TEST(probe, final_histogram_masses_sum_to_one) {
   config.horizon = 60;
   config.replications = 6;
   config.seed = 21;
-  const auto merged =
-      run_probe(make_finite_engine_factory(params, 300),
-                bernoulli_factory({0.8, 0.5, 0.3}), config, final_histogram_probe{});
-  const probe_report report = merged[0]->report();
+  const probe_report report =
+      run_report(make_finite_engine_factory(params, 300), bernoulli_factory({0.8, 0.5, 0.3}),
+                 config, "final_histogram");
   const probe_series* means = report.find_series("final_popularity_mean");
   ASSERT_NE(means, nullptr);
   ASSERT_EQ(means->values.size(), 3U);
@@ -250,15 +244,15 @@ TEST(probe, recovery_counts_switches_and_measures_recovery) {
   const env_factory envs = [] {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 80);
   };
-  const auto merged = run_probe(make_finite_engine_factory(params, 500), envs, config,
-                                recovery_probe{0.4});
-  const auto& probe = dynamic_cast<const recovery_probe&>(*merged[0]);
+  const probe_report report =
+      run_report(make_finite_engine_factory(params, 500), envs, config, "recovery(eps=0.4)");
   // The best option rotates at t = 80, 160, 240: three switches per
   // replication, every one either recovered or counted unrecovered.
-  EXPECT_EQ(probe.switches(), 6U * 3U);
-  EXPECT_EQ(probe.switches(), probe.recovery_time_stats().count() + probe.unrecovered());
-  EXPECT_GT(probe.recovery_time_stats().count(), 0U);
-  EXPECT_GT(probe.recovery_time_stats().mean(), 0.0);
+  EXPECT_EQ(scalar(report, "switches"), 6.0 * 3.0);
+  EXPECT_EQ(scalar(report, "switches"),
+            scalar(report, "recovered") + scalar(report, "unrecovered"));
+  EXPECT_GT(scalar(report, "recovered"), 0.0);
+  EXPECT_GT(scalar(report, "recovery_time"), 0.0);
 }
 
 TEST(probe, deterministic_schedule_never_recovers_when_threshold_unreachable) {
@@ -274,27 +268,14 @@ TEST(probe, deterministic_schedule_never_recovers_when_threshold_unreachable) {
   const env_factory envs = [] {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 40);
   };
-  const auto merged = run_probe(make_finite_engine_factory(params, 100), envs, config,
-                                recovery_probe{0.01});
-  const auto& probe = dynamic_cast<const recovery_probe&>(*merged[0]);
-  EXPECT_EQ(probe.recovery_time_stats().count(), 0U);
-  EXPECT_EQ(probe.unrecovered(), probe.switches());
-  EXPECT_GT(probe.switches(), 0U);
+  const probe_report report =
+      run_report(make_finite_engine_factory(params, 100), envs, config, "recovery(eps=0.01)");
+  EXPECT_EQ(scalar(report, "recovered"), 0.0);
+  EXPECT_EQ(scalar(report, "unrecovered"), scalar(report, "switches"));
+  EXPECT_GT(scalar(report, "switches"), 0.0);
 }
 
 // --- the analysis probes ----------------------------------------------------
-
-/// The report of `prototype` after one run.
-probe_report run_report(const engine_factory& engines, const env_factory& envs,
-                        const run_config& config, const probe& prototype) {
-  return run_probe(engines, envs, config, prototype)[0]->report();
-}
-
-double scalar(const probe_report& report, std::string_view key) {
-  const probe_scalar* found = report.find_scalar(key);
-  if (found == nullptr) throw std::logic_error{"no scalar " + std::string{key}};
-  return found->value;
-}
 
 /// Feeds `engine`'s next step, on `rewards`, to `target` as the runner would.
 void step_into(probe& target, dynamics_engine& engine, const env::reward_model& environment,
@@ -312,12 +293,12 @@ TEST(analysis_probes, report_zero_replications_off_their_engine_with_every_key) 
   config.replications = 3;
   config.seed = 1;
   const auto envs = bernoulli_factory({0.8, 0.4});
-  const probe_report concentration = run_report(make_infinite_engine_factory(params), envs,
-                                                config, concentration_probe{});
+  const probe_report concentration =
+      run_report(make_infinite_engine_factory(params), envs, config, "concentration");
   const probe_report coupling =
-      run_report(make_infinite_engine_factory(params), envs, config, coupling_probe{});
+      run_report(make_infinite_engine_factory(params), envs, config, "coupling");
   const probe_report audit =
-      run_report(make_finite_engine_factory(params, 1000), envs, config, proof_audit_probe{});
+      run_report(make_finite_engine_factory(params, 1000), envs, config, "proof_audit");
   for (const auto& [report, keys] :
        {std::pair{concentration, std::vector<std::string>{"stage1", "stage2", "combined"}},
         std::pair{coupling,
@@ -333,17 +314,17 @@ TEST(analysis_probes, report_zero_replications_off_their_engine_with_every_key) 
   // The proof audit also needs the uniform start and the theorem regime.
   const std::vector<double> start{0.9, 0.1};
   EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(params, start), envs, config,
-                              proof_audit_probe{}),
+                              "proof_audit"),
                    "replications"),
             0.0);
   dynamics_params outside = params;
   outside.beta = 0.8;  // above e/(e+1)
   EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(outside), envs, config,
-                              proof_audit_probe{}),
+                              "proof_audit"),
                    "replications"),
             0.0);
   EXPECT_EQ(scalar(run_report(make_infinite_engine_factory(params), envs, config,
-                              proof_audit_probe{}),
+                              "proof_audit"),
                    "replications"),
             3.0);
 }
@@ -392,10 +373,10 @@ TEST(analysis_probes, concentration_one_step_by_hand) {
   const env::bernoulli_rewards environment{{0.8, 0.4, 0.4}};
   const std::vector<std::uint8_t> rewards{1, 0, 1};
   rng gen{7};
-  concentration_probe probe;
-  probe.begin_replication(1);
-  step_into(probe, engine, environment, rewards, 1, gen);
-  probe.end_replication(engine, environment, 1);
+  const std::unique_ptr<probe> audited = make_probe("concentration");
+  audited->begin_replication(1);
+  step_into(*audited, engine, environment, rewards, 1, gen);
+  audited->end_replication(engine, environment, 1);
 
   // From the uniform start E[S_j] = N/m; g_j = beta on a good signal,
   // alpha = 1 - beta on a bad one.
@@ -413,7 +394,7 @@ TEST(analysis_probes, concentration_one_step_by_hand) {
     stage2 = std::max(stage2, std::abs(d / (s * g) - 1.0) / (2.0 * ddp));
     combined = std::max(combined, std::abs(d / (expected * g) - 1.0) / (6.0 * ddp));
   }
-  const probe_report report = probe.report();
+  const probe_report report = audited->report();
   EXPECT_NEAR(scalar(report, "stage1"), stage1, 1e-12);
   EXPECT_NEAR(scalar(report, "stage2"), stage2, 1e-12);
   EXPECT_NEAR(scalar(report, "combined"), combined, 1e-12);
@@ -429,10 +410,10 @@ TEST(analysis_probes, proof_audit_one_step_by_hand) {
   const env::bernoulli_rewards environment{{0.8, 0.4}};
   const std::vector<std::uint8_t> rewards{1, 0};
   rng gen{1};
-  proof_audit_probe probe;
-  probe.begin_replication(1);
-  step_into(probe, engine, environment, rewards, 1, gen);
-  probe.end_replication(engine, environment, 1);
+  const std::unique_ptr<probe> audited = make_probe("proof_audit");
+  audited->begin_replication(1);
+  step_into(*audited, engine, environment, rewards, 1, gen);
+  audited->end_replication(engine, environment, 1);
 
   // From W^0 = (1, 1) one step gives W^1 = (beta, 1 - beta): ln Phi^1 = 0.
   // With <P^0, R^1> = 1/2 and R^1_1 = 1 the three slacks of §5 are:
@@ -444,7 +425,7 @@ TEST(analysis_probes, proof_audit_one_step_by_hand) {
       delta_prime * 0.5;
   const double lower = -(std::log(1.0 - beta) + std::log1p(-mu) + delta);
   const double regret = std::log(2.0) + delta * delta + 6.0 * mu - delta * 0.5;
-  const probe_report report = probe.report();
+  const probe_report report = audited->report();
   EXPECT_NEAR(scalar(report, "min_slack"), std::min({upper, lower, regret}), 1e-12);
   EXPECT_GT(scalar(report, "min_slack"), 0.0);
   EXPECT_EQ(scalar(report, "replications"), 1.0);
@@ -460,20 +441,18 @@ TEST(probe, adding_probes_does_not_change_results) {
   config.replications = 8;
   config.seed = 41;
 
-  const auto bare = run_probe(make_finite_engine_factory(params, 200), envs, config,
-                              regret_probe{});
-  const regret_probe scalars;
-  const hitting_time_probe hitting{0.2};
-  const trajectory_probe curves;
-  const final_histogram_probe histogram;
-  const probe* pointers[] = {&scalars, &hitting, &curves, &histogram};
-  const auto full =
-      run_with_probes(make_finite_engine_factory(params, 200), envs, config, pointers);
+  const probe_report bare =
+      run_report(make_finite_engine_factory(params, 200), envs, config, "regret");
+  const probe_list prototypes = make_probes(
+      split_probe_specs("regret, hitting_time(eps=0.2), trajectory, final_histogram"));
+  std::vector<const probe*> pointers;
+  for (const auto& p : prototypes) pointers.push_back(p.get());
+  const probe_report full =
+      run_with_probes(make_finite_engine_factory(params, 200), envs, config, pointers)[0]
+          ->report();
 
-  const auto& a = dynamic_cast<const regret_probe&>(*bare[0]);
-  const auto& b = dynamic_cast<const regret_probe&>(*full[0]);
-  EXPECT_EQ(a.regret_stats().mean(), b.regret_stats().mean());
-  EXPECT_EQ(a.final_best_mass_stats().mean(), b.final_best_mass_stats().mean());
+  EXPECT_EQ(scalar(bare, "regret"), scalar(full, "regret"));
+  EXPECT_EQ(scalar(bare, "final_best_mass"), scalar(full, "final_best_mass"));
 }
 
 // --- scenario-level probe selection -----------------------------------------
@@ -505,15 +484,20 @@ TEST(probe, scenario_run_probes_uses_spec_defaults_then_fallback) {
 // --- the spec grammar -------------------------------------------------------
 
 TEST(probe_grammar, parses_names_and_arguments) {
-  EXPECT_EQ(make_probe("regret")->name(), "regret");
+  // Every known probe round-trips its name, through name() and its report.
+  for (const std::string_view name :
+       {"regret", "trajectory", "hitting_time", "popularity_floor", "final_histogram",
+        "recovery", "concentration", "coupling", "proof_audit", "message_cost",
+        "commit_latency", "adoption", "partition_divergence"}) {
+    const std::unique_ptr<probe> built = make_probe(name);
+    EXPECT_EQ(built->name(), name);
+    EXPECT_EQ(built->report().probe, name);
+  }
+
   EXPECT_EQ(make_probe(" trajectory ")->name(), "trajectory");
   EXPECT_EQ(make_probe("hitting_time(eps=0.25)")->name(), "hitting_time");
   EXPECT_EQ(make_probe("recovery( eps = 0.3 )")->name(), "recovery");
   EXPECT_EQ(make_probe("popularity_floor(floor=0.001)")->name(), "popularity_floor");
-
-  EXPECT_EQ(make_probe("concentration")->name(), "concentration");
-  EXPECT_EQ(make_probe("coupling")->name(), "coupling");
-  EXPECT_EQ(make_probe("proof_audit")->name(), "proof_audit");
 
   const auto list =
       make_probes(split_probe_specs("regret, hitting_time(eps=0.1), final_histogram"));

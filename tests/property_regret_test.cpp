@@ -9,6 +9,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/aggregate_dynamics.h"
@@ -27,26 +28,26 @@ env_factory bernoulli_factory(std::vector<double> etas) {
   return [etas] { return std::make_unique<env::bernoulli_rewards>(etas); };
 }
 
-/// The merged regret probe of one Monte-Carlo run.
-regret_probe run_regret(const engine_factory& engines, const env_factory& envs,
-                        const run_config& config) {
-  const regret_probe prototype;
-  const probe* probes[] = {&prototype};
-  return dynamic_cast<const regret_probe&>(*run_with_probes(engines, envs, config, probes)[0]);
+/// 95% CI of the regret probe's scalar `key` after one Monte-Carlo run.
+mean_ci run_regret(const engine_factory& engines, const env_factory& envs,
+                   const run_config& config, std::string_view key) {
+  const std::unique_ptr<probe> prototype = make_probe("regret");
+  const probe* probes[] = {prototype.get()};
+  const probe_report report = run_with_probes(engines, envs, config, probes)[0]->report();
+  const probe_scalar& found = *report.find_scalar(key);
+  return {.mean = found.value, .half_width = found.half_width};
 }
 
 /// 95% CI of the regret of the infinite dynamics (optionally from `start`).
 mean_ci infinite_regret(const dynamics_params& params, const env_factory& envs,
                         const run_config& config, std::span<const double> start = {}) {
-  return confidence_interval(
-      run_regret(make_infinite_engine_factory(params, start), envs, config).regret_stats());
+  return run_regret(make_infinite_engine_factory(params, start), envs, config, "regret");
 }
 
 /// 95% CI of the regret of the exact aggregate finite dynamics.
 mean_ci finite_regret(const dynamics_params& params, std::uint64_t num_agents,
                       const env_factory& envs, const run_config& config) {
-  return confidence_interval(
-      run_regret(make_finite_engine_factory(params, num_agents), envs, config).regret_stats());
+  return run_regret(make_finite_engine_factory(params, num_agents), envs, config, "regret");
 }
 
 struct sweep_point {
@@ -167,10 +168,9 @@ TEST_P(best_mass_sweep, time_average_best_mass_above_bound) {
       std::ceil(2.0 * std::max(theory::min_horizon(3, beta), 8.0)));
   config.replications = 100;
   config.seed = 99;
-  const mean_ci best_mass = confidence_interval(
+  const mean_ci best_mass =
       run_regret(make_infinite_engine_factory(params),
-                 bernoulli_factory({eta1, eta1 - gap, eta1 - gap}), config)
-          .best_mass_stats());
+                 bernoulli_factory({eta1, eta1 - gap, eta1 - gap}), config, "best_mass");
   EXPECT_GE(best_mass.mean + best_mass.half_width, bound)
       << "measured " << best_mass.mean << " vs bound " << bound;
 }
@@ -279,10 +279,8 @@ TEST(monotonicity, bigger_quality_gap_gives_more_best_mass) {
   config.replications = 120;
   config.seed = 41;
   const auto engines = make_finite_engine_factory(params, 5000);
-  const mean_ci wide = confidence_interval(
-      run_regret(engines, bernoulli_factory({0.9, 0.2}), config).best_mass_stats());
-  const mean_ci narrow = confidence_interval(
-      run_regret(engines, bernoulli_factory({0.9, 0.7}), config).best_mass_stats());
+  const mean_ci wide = run_regret(engines, bernoulli_factory({0.9, 0.2}), config, "best_mass");
+  const mean_ci narrow = run_regret(engines, bernoulli_factory({0.9, 0.7}), config, "best_mass");
   EXPECT_GT(wide.mean, narrow.mean + narrow.half_width);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -47,27 +49,23 @@ core::run_config gossip_run(std::uint64_t rounds, std::uint64_t seed) {
 
 const std::vector<std::string> k_probes{"regret", "trajectory", "message_cost", "adoption"};
 
-const core::regret_probe& regret_of(const core::probe_list& merged) {
-  return dynamic_cast<const core::regret_probe&>(*merged[0]);
+/// The reports of a run of `spec` with k_probes, in k_probes' order.
+std::vector<core::probe_report> run_reports(const scenario::scenario_spec& spec,
+                                            const core::run_config& config) {
+  return core::collect_reports(scenario::run_probes(spec, config, k_probes));
 }
 
-const core::trajectory_probe& curves_of(const core::probe_list& merged) {
-  return dynamic_cast<const core::trajectory_probe&>(*merged[1]);
-}
-
-const core::message_cost_probe& cost_of(const core::probe_list& merged) {
-  return dynamic_cast<const core::message_cost_probe&>(*merged[2]);
-}
-
-const core::adoption_probe& adoption_of(const core::probe_list& merged) {
-  return dynamic_cast<const core::adoption_probe&>(*merged[3]);
+double scalar(const core::probe_report& report, std::string_view key) {
+  const core::probe_scalar* found = report.find_scalar(key);
+  if (found == nullptr) throw std::logic_error{"no scalar " + std::string{key}};
+  return found->value;
 }
 
 /// Mean best-option share over rounds [from, horizon).
-double late_best_mass(const core::probe_list& merged, std::size_t from) {
-  const series_stats& best = curves_of(merged).best_mass();
+double late_best_mass(const std::vector<core::probe_report>& reports, std::size_t from) {
+  const std::vector<double>& best = reports[1].find_series("best_mass_mean")->values;
   running_stats late;
-  for (std::size_t t = from; t < best.length(); ++t) late.add(best.mean(t));
+  for (std::size_t t = from; t < best.size(); ++t) late.add(best[t]);
   return late.mean();
 }
 
@@ -87,19 +85,19 @@ TEST(gossip_learner, validates_construction) {
 // --- the protocol under the harness ---------------------------------------------------
 
 TEST(gossip_protocol, converges_to_best_channel) {
-  const auto merged = scenario::run_probes(gossip_spec({0.9, 0.3, 0.3}, 0.05, 0.65, 150),
-                                           gossip_run(150, 1), k_probes);
-  EXPECT_GT(late_best_mass(merged, 100), 0.6);
-  EXPECT_GT(cost_of(merged).messages_per_round_stats().mean(), 0.0);
-  EXPECT_LT(regret_of(merged).regret_stats().mean(), 0.45);
+  const auto reports =
+      run_reports(gossip_spec({0.9, 0.3, 0.3}, 0.05, 0.65, 150), gossip_run(150, 1));
+  EXPECT_GT(late_best_mass(reports, 100), 0.6);
+  EXPECT_GT(scalar(reports[2], "messages_per_round"), 0.0);
+  EXPECT_LT(scalar(reports[0], "regret"), 0.45);
 }
 
 TEST(gossip_protocol, survives_heavy_packet_loss) {
   scenario::scenario_spec spec = gossip_spec({0.9, 0.3}, 0.08, 0.65, 120);
   spec.protocol.drop_probability = 0.4;
-  const auto merged = scenario::run_probes(spec, gossip_run(200, 2), k_probes);
-  EXPECT_GT(cost_of(merged).drop_rate_stats().mean(), 0.3);
-  EXPECT_GT(late_best_mass(merged, 150), 0.55) << "loss slows but must not stop convergence";
+  const auto reports = run_reports(spec, gossip_run(200, 2));
+  EXPECT_GT(scalar(reports[2], "drop_rate"), 0.3);
+  EXPECT_GT(late_best_mass(reports, 150), 0.55) << "loss slows but must not stop convergence";
 }
 
 TEST(gossip_protocol, tolerates_crashes) {
@@ -109,22 +107,21 @@ TEST(gossip_protocol, tolerates_crashes) {
   wave.at = 40.0;
   wave.fraction = 0.3;
   spec.faults.actions.push_back(wave);
-  const auto merged = scenario::run_probes(spec, gossip_run(160, 4), k_probes);
-  EXPECT_LT(adoption_of(merged).final_alive_fraction_stats().mean(), 0.9);
-  EXPECT_GT(late_best_mass(merged, 120), 0.55);
+  const auto reports = run_reports(spec, gossip_run(160, 4));
+  EXPECT_LT(scalar(reports[3], "final_alive_fraction"), 0.9);
+  EXPECT_GT(late_best_mass(reports, 120), 0.55);
 }
 
 TEST(gossip_protocol, works_on_ring_topology) {
   scenario::scenario_spec spec = gossip_spec({0.9, 0.3}, 0.05, 0.65, 60);
   spec.topology.family = scenario::topology_spec::family_kind::ring;
-  const auto merged = scenario::run_probes(spec, gossip_run(250, 5), k_probes);
-  EXPECT_GT(late_best_mass(merged, 200), 0.55);
+  const auto reports = run_reports(spec, gossip_run(250, 5));
+  EXPECT_GT(late_best_mass(reports, 200), 0.55);
 }
 
 TEST(gossip_protocol, non_sticky_mode_has_sitters) {
-  const auto merged = scenario::run_probes(gossip_spec({0.8, 0.4}, 0.05, 0.6, 80),
-                                           gossip_run(60, 3), k_probes);
-  const double committed = adoption_of(merged).committed_fraction_stats().mean();
+  const auto reports = run_reports(gossip_spec({0.8, 0.4}, 0.05, 0.6, 80), gossip_run(60, 3));
+  const double committed = scalar(reports[3], "committed_fraction");
   EXPECT_LT(committed, 0.999);
   EXPECT_GT(committed, 0.3);
 }
@@ -162,20 +159,20 @@ TEST(gossip_protocol, retries_recover_adopter_conditioned_sampling) {
   // flattening convergence.  Measured as late best-option share.
   scenario::scenario_spec spec = gossip_spec({0.9, 0.3}, 0.05, 0.65, 150);
   spec.protocol.max_retries = 4;
-  const auto with_retries = scenario::run_probes(spec, gossip_run(150, 7), k_probes);
+  const auto with_retries = run_reports(spec, gossip_run(150, 7));
   spec.protocol.max_retries = 0;
-  const auto without_retries = scenario::run_probes(spec, gossip_run(150, 7), k_probes);
+  const auto without_retries = run_reports(spec, gossip_run(150, 7));
 
   EXPECT_GT(late_best_mass(with_retries, 100), late_best_mass(without_retries, 100) + 0.05);
   // Retries cost extra messages.
-  EXPECT_GT(cost_of(with_retries).messages_per_round_stats().mean(),
-            cost_of(without_retries).messages_per_round_stats().mean());
+  EXPECT_GT(scalar(with_retries[2], "messages_per_round"),
+            scalar(without_retries[2], "messages_per_round"));
 }
 
 TEST(gossip_protocol, same_seed_gives_identical_reports) {
   const scenario::scenario_spec spec = gossip_spec({0.8, 0.4}, 0.1, 0.6, 40);
-  const auto a = core::collect_reports(scenario::run_probes(spec, gossip_run(50, 6), k_probes));
-  const auto b = core::collect_reports(scenario::run_probes(spec, gossip_run(50, 6), k_probes));
+  const auto a = run_reports(spec, gossip_run(50, 6));
+  const auto b = run_reports(spec, gossip_run(50, 6));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].scalars.size(), b[i].scalars.size());

@@ -18,10 +18,10 @@
 namespace sgl::scenario {
 namespace {
 
-/// The merged regret probe of a run of `spec`.
-core::regret_probe run_regret(const scenario_spec& spec, const core::run_config& config) {
+/// The regret probe's report after a run of `spec`.
+core::probe_report run_regret(const scenario_spec& spec, const core::run_config& config) {
   const std::vector<std::string> regret_only{"regret"};
-  return dynamic_cast<const core::regret_probe&>(*run_probes(spec, config, regret_only)[0]);
+  return run_probes(spec, config, regret_only)[0]->report();
 }
 
 TEST(registry, names_are_unique_and_lookup_works) {
@@ -44,10 +44,10 @@ TEST(registry, every_scenario_runs_end_to_end) {
   config.seed = 3;
   config.threads = 1;
   for (const auto& spec : all_scenarios()) {
-    const core::regret_probe result = run_regret(spec, config);
-    EXPECT_EQ(result.regret_stats().count(), 2U) << spec.name;
-    EXPECT_GE(result.average_reward_stats().mean(), 0.0) << spec.name;
-    EXPECT_LE(result.average_reward_stats().mean(), 1.0) << spec.name;
+    const core::probe_report result = run_regret(spec, config);
+    EXPECT_EQ(result.find_scalar("replications")->value, 2.0) << spec.name;
+    EXPECT_GE(result.find_scalar("average_reward")->value, 0.0) << spec.name;
+    EXPECT_LE(result.find_scalar("average_reward")->value, 1.0) << spec.name;
   }
 }
 
@@ -57,11 +57,12 @@ TEST(registry, runs_are_deterministic_given_the_seed) {
   config.horizon = 40;
   config.replications = 6;
   config.seed = 11;
-  const core::regret_probe a = run_regret(spec, config);
+  const core::probe_report a = run_regret(spec, config);
   config.threads = 1;
-  const core::regret_probe b = run_regret(spec, config);
-  EXPECT_DOUBLE_EQ(a.regret_stats().mean(), b.regret_stats().mean());
-  EXPECT_DOUBLE_EQ(a.final_best_mass_stats().mean(), b.final_best_mass_stats().mean());
+  const core::probe_report b = run_regret(spec, config);
+  EXPECT_DOUBLE_EQ(a.find_scalar("regret")->value, b.find_scalar("regret")->value);
+  EXPECT_DOUBLE_EQ(a.find_scalar("final_best_mass")->value,
+                   b.find_scalar("final_best_mass")->value);
 }
 
 TEST(scenario, auto_select_resolves_by_spec_shape) {

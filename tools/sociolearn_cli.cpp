@@ -50,6 +50,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -154,19 +155,21 @@ core::dynamics_params read_params(const flag_set& flags) {
   return params;
 }
 
-void print_estimate(const core::regret_probe& probe, double bound, output_format format) {
-  const auto pm = [](const running_stats& stats) {
-    const mean_ci ci = confidence_interval(stats);
-    return fmt_pm(ci.mean, ci.half_width);
+void print_estimate(const core::probe_report& regret, double bound, output_format format) {
+  const auto pm = [&regret](std::string_view key) {
+    const core::probe_scalar& scalar = *regret.find_scalar(key);
+    return fmt_pm(scalar.value, scalar.half_width);
   };
+  const auto value = [&regret](std::string_view key) { return regret.find_scalar(key)->value; };
   text_table table{{"measure", "value"}};
-  table.add_row({"regret", pm(probe.regret_stats())});
-  table.add_row({"average reward", pm(probe.average_reward_stats())});
-  table.add_row({"avg best-option mass", pm(probe.best_mass_stats())});
-  table.add_row({"final best-option mass", pm(probe.final_best_mass_stats())});
-  table.add_row({"empty-step fraction", fmt(probe.empty_fraction_stats().mean(), 4)});
+  table.add_row({"regret", pm("regret")});
+  table.add_row({"average reward", pm("average_reward")});
+  table.add_row({"avg best-option mass", pm("best_mass")});
+  table.add_row({"final best-option mass", pm("final_best_mass")});
+  table.add_row({"empty-step fraction", fmt(value("empty_step_fraction"), 4)});
   table.add_row({"bound", fmt(bound, 4)});
-  table.add_row({"replications", std::to_string(probe.regret_stats().count())});
+  table.add_row(
+      {"replications", std::to_string(static_cast<std::uint64_t>(value("replications")))});
   emit_table(table, format);
 }
 
@@ -306,12 +309,15 @@ void write_run_json(json_writer& json, const scenario::scenario_spec& spec,
   json.end_object();
 }
 
-/// Legacy per-step CSV (the --curves output shape predating probes).
-void print_curves_csv(const core::trajectory_probe& curves) {
+/// Legacy per-step CSV (the --curves output shape predating probes), from
+/// the trajectory probe's report.
+void print_curves_csv(const core::probe_report& curves) {
   std::printf("t,running_regret,best_mass,min_popularity\n");
-  for (std::size_t t = 0; t < curves.best_mass().length(); ++t) {
-    std::printf("%zu,%.6f,%.6f,%.6f\n", t + 1, curves.running_regret().mean(t),
-                curves.best_mass().mean(t), curves.min_popularity().mean(t));
+  const std::vector<double>& regret = curves.find_series("running_regret_mean")->values;
+  const std::vector<double>& best = curves.find_series("best_mass_mean")->values;
+  const std::vector<double>& min_pop = curves.find_series("min_popularity_mean")->values;
+  for (std::size_t t = 0; t < best.size(); ++t) {
+    std::printf("%zu,%.6f,%.6f,%.6f\n", t + 1, regret[t], best[t], min_pop[t]);
   }
 }
 
@@ -593,11 +599,10 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     const scenario::sweep_point_result& point = results[run_index];
     const auto& assignments = point.assignments;
     const scenario::scenario_spec& run_spec = point.spec;
-    const core::probe_list& merged = point.probes;
     // In-flight wall clock of this point; under the flattened schedule
     // points overlap, so the values can sum past the sweep's elapsed time.
     const double seconds = point.seconds;
-    const std::vector<core::probe_report> reports = core::collect_reports(merged);
+    const std::vector<core::probe_report> reports = core::collect_reports(point.probes);
 
     // --curves keeps its historical output shape outside JSON: the per-step
     // CSV, for the table and csv formats alike.
@@ -609,10 +614,8 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
         }
         std::printf("\n");
       }
-      for (const auto& probe : merged) {
-        if (const auto* curves = dynamic_cast<const core::trajectory_probe*>(probe.get())) {
-          print_curves_csv(*curves);
-        }
+      for (const auto& report : reports) {
+        if (report.probe == "trajectory") print_curves_csv(report);
       }
       continue;
     }
@@ -656,21 +659,18 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
         }
         std::printf("scenario: %s\n%s\n\n", run_spec.name.c_str(),
                     run_spec.description.c_str());
-        for (const auto& probe : merged) {
-          if (const auto* regret = dynamic_cast<const core::regret_probe*>(probe.get())) {
+        for (const auto& report : reports) {
+          if (report.probe == "regret") {
             // The 3δ vs 6δ bound follows the engine actually run, not N.
             print_estimate(
-                *regret,
+                report,
                 scenario::resolved_engine(run_spec) == scenario::engine_kind::infinite
                     ? core::theory::infinite_regret_bound(run_spec.params.beta)
                     : core::theory::finite_regret_bound(run_spec.params.beta),
                 format);
             continue;
           }
-          if (dynamic_cast<const core::trajectory_probe*>(probe.get()) != nullptr) {
-            continue;  // curves are CSV-only in table mode
-          }
-          const core::probe_report report = probe->report();
+          if (report.probe == "trajectory") continue;  // curves are CSV-only in table mode
           text_table table{{"probe metric", "value"}};
           for (const auto& scalar : report.scalars) {
             table.add_row({report.probe + "." + scalar.key,
