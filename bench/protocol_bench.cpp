@@ -28,8 +28,8 @@ using namespace sgl;
 protocol::engine_config bench_config(std::size_t m, double drop, double jitter) {
   protocol::engine_config config;
   config.dynamics = core::theorem_params(m, 0.65);
-  config.drop_probability = drop;
-  config.jitter_mean = jitter;
+  config.protocol.drop_probability = drop;
+  config.protocol.jitter_mean = jitter;
   return config;
 }
 

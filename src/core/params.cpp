@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "support/field_error.h"
+
 namespace sgl::core {
 
 double dynamics_params::delta() const {
@@ -22,19 +24,21 @@ bool dynamics_params::satisfies_theorem_conditions() const noexcept {
   return mu > 0.0 && 6.0 * mu <= d * d + 1e-12;
 }
 
-const char* dynamics_params::invalid_field() const noexcept {
-  if (num_options == 0) return "num_options";
-  if (!(mu >= 0.0 && mu <= 1.0)) return "mu";
-  if (!(beta >= 0.0 && beta <= 1.0)) return "beta";
-  if (!adoption_rule{resolved_alpha(), beta}.valid()) return "alpha";
-  return nullptr;
-}
-
 void dynamics_params::validate() const {
-  if (const char* field = invalid_field()) {
-    throw std::invalid_argument{
-        std::string{"dynamics_params: "} + field +
-        " out of range (num_options >= 1, mu and beta in [0, 1], 0 <= alpha <= beta)"};
+  const char* field = nullptr;
+  if (num_options == 0) {
+    field = "num_options";
+  } else if (!(mu >= 0.0 && mu <= 1.0)) {
+    field = "mu";
+  } else if (!(beta >= 0.0 && beta <= 1.0)) {
+    field = "beta";
+  } else if (!adoption_rule{resolved_alpha(), beta}.valid()) {
+    field = "alpha";
+  }
+  if (field != nullptr) {
+    throw field_error{field, std::string{"dynamics_params: "} + field +
+                                " out of range (num_options >= 1, mu and beta in [0, 1], "
+                                "0 <= alpha <= beta)"};
   }
 }
 

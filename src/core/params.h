@@ -62,12 +62,9 @@ struct dynamics_params {
   /// ½ < β ≤ e/(e+1), α = 1 − β, 6μ ≤ δ², μ > 0.
   [[nodiscard]] bool satisfies_theorem_conditions() const noexcept;
 
-  /// The first structurally invalid field — "num_options" at 0, "mu" or
-  /// "beta" outside [0, 1], "alpha" unless 0 ≤ α ≤ β — or nullptr when all
-  /// are valid.
-  [[nodiscard]] const char* invalid_field() const noexcept;
-
-  /// Throws std::invalid_argument naming invalid_field().
+  /// Throws field_error (support/field_error.h) naming the first
+  /// structurally invalid field: "num_options" at 0, "mu" or "beta" outside
+  /// [0, 1], "alpha" unless 0 ≤ α ≤ β.
   void validate() const;
 };
 

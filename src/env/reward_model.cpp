@@ -5,15 +5,18 @@
 #include <stdexcept>
 
 #include "support/distributions.h"
+#include "support/field_error.h"
 
 namespace sgl::env {
 namespace {
 
-void validate_etas(std::span<const double> etas, const char* who) {
-  if (etas.empty()) throw std::invalid_argument{std::string{who} + ": no options"};
+/// Rejects `etas` (the scenario field `field`) unless it is a non-empty
+/// list of qualities in [0, 1].
+void validate_etas(std::span<const double> etas, const char* who, const char* field) {
+  if (etas.empty()) throw field_error{field, std::string{who} + ": no options"};
   for (const double eta : etas) {
     if (!(eta >= 0.0 && eta <= 1.0)) {
-      throw std::invalid_argument{std::string{who} + ": quality outside [0,1]"};
+      throw field_error{field, std::string{who} + ": quality outside [0,1]"};
     }
   }
 }
@@ -38,7 +41,7 @@ double reward_model::best_mean(std::uint64_t t) const { return mean(t, best_opti
 // --- bernoulli_rewards ------------------------------------------------------
 
 bernoulli_rewards::bernoulli_rewards(std::vector<double> etas) : etas_{std::move(etas)} {
-  validate_etas(etas_, "bernoulli_rewards");
+  validate_etas(etas_, "bernoulli_rewards", "etas");
 }
 
 void bernoulli_rewards::sample(std::uint64_t /*t*/, rng& gen, std::span<std::uint8_t> out) {
@@ -55,10 +58,10 @@ double bernoulli_rewards::mean(std::uint64_t /*t*/, std::size_t option) const {
 
 exclusive_rewards::exclusive_rewards(std::vector<double> win_probabilities)
     : p_{std::move(win_probabilities)} {
-  validate_etas(p_, "exclusive_rewards");
+  validate_etas(p_, "exclusive_rewards", "etas");
   const double total = std::accumulate(p_.begin(), p_.end(), 0.0);
   if (std::abs(total - 1.0) > 1e-9) {
-    throw std::invalid_argument{"exclusive_rewards: win probabilities must sum to 1"};
+    throw field_error{"etas", "exclusive_rewards: win probabilities must sum to 1"};
   }
 }
 
@@ -75,8 +78,8 @@ double exclusive_rewards::mean(std::uint64_t /*t*/, std::size_t option) const {
 
 switching_rewards::switching_rewards(std::vector<double> base_etas, std::uint64_t period)
     : base_{std::move(base_etas)}, period_{period} {
-  validate_etas(base_, "switching_rewards");
-  if (period_ == 0) throw std::invalid_argument{"switching_rewards: period must be positive"};
+  validate_etas(base_, "switching_rewards", "etas");
+  if (period_ == 0) throw field_error{"period", "switching_rewards: period must be positive"};
 }
 
 void switching_rewards::sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) {
@@ -96,12 +99,12 @@ double switching_rewards::mean(std::uint64_t t, std::size_t option) const {
 drifting_rewards::drifting_rewards(std::vector<double> start_etas,
                                    std::vector<double> end_etas, std::uint64_t horizon)
     : start_{std::move(start_etas)}, end_{std::move(end_etas)}, horizon_{horizon} {
-  validate_etas(start_, "drifting_rewards");
-  validate_etas(end_, "drifting_rewards");
+  validate_etas(start_, "drifting_rewards", "etas");
+  validate_etas(end_, "drifting_rewards", "end_etas");
   if (start_.size() != end_.size()) {
-    throw std::invalid_argument{"drifting_rewards: start/end size mismatch"};
+    throw field_error{"end_etas", "drifting_rewards: start/end size mismatch"};
   }
-  if (horizon_ < 2) throw std::invalid_argument{"drifting_rewards: horizon must be >= 2"};
+  if (horizon_ < 2) throw field_error{"horizon", "drifting_rewards: horizon must be >= 2"};
 }
 
 void drifting_rewards::sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) {
@@ -151,7 +154,7 @@ std::vector<double> two_level_etas(std::size_t num_options, double eta_best, dou
   if (num_options == 0) throw std::invalid_argument{"two_level_etas: no options"};
   std::vector<double> etas(num_options, eta_rest);
   etas[0] = eta_best;
-  validate_etas(etas, "two_level_etas");
+  validate_etas(etas, "two_level_etas", "etas");
   return etas;
 }
 

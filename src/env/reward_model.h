@@ -67,8 +67,8 @@ class reward_model {
 /// The paper's base model: independent R^t_j ~ Bernoulli(η_j).
 class bernoulli_rewards final : public reward_model {
  public:
-  /// Throws std::invalid_argument unless every η_j is in [0, 1] and the list
-  /// is non-empty.  The qualities need not be sorted.
+  /// Throws field_error naming "etas" unless every η_j is in [0, 1] and the
+  /// list is non-empty.  The qualities need not be sorted.
   explicit bernoulli_rewards(std::vector<double> etas);
 
   [[nodiscard]] std::size_t num_options() const noexcept override { return etas_.size(); }
@@ -86,7 +86,7 @@ class bernoulli_rewards final : public reward_model {
 class exclusive_rewards final : public reward_model {
  public:
   /// `win_probabilities` must be a probability vector (each in [0,1], sum 1
-  /// to within 1e-9).
+  /// to within 1e-9); throws field_error naming "etas" otherwise.
   explicit exclusive_rewards(std::vector<double> win_probabilities);
 
   [[nodiscard]] std::size_t num_options() const noexcept override { return p_.size(); }
@@ -103,6 +103,8 @@ class exclusive_rewards final : public reward_model {
 /// best option hops one index every period — the "stocks" setting of §6.
 class switching_rewards final : public reward_model {
  public:
+  /// Throws field_error naming "etas" (as bernoulli_rewards) or "period"
+  /// (must be positive).
   switching_rewards(std::vector<double> base_etas, std::uint64_t period);
 
   [[nodiscard]] std::size_t num_options() const noexcept override { return base_.size(); }
@@ -120,6 +122,8 @@ class switching_rewards final : public reward_model {
 /// stay at `end` afterwards.
 class drifting_rewards final : public reward_model {
  public:
+  /// Throws field_error naming "etas", "end_etas" (as bernoulli_rewards,
+  /// and the same length as start) or "horizon" (must be >= 2).
   drifting_rewards(std::vector<double> start_etas, std::vector<double> end_etas,
                    std::uint64_t horizon);
 

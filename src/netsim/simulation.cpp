@@ -6,6 +6,7 @@
 #include <string>
 
 #include "support/distributions.h"
+#include "support/field_error.h"
 
 namespace sgl::netsim {
 namespace {
@@ -13,60 +14,64 @@ namespace {
 constexpr const char* k_link_ranges =
     "out of range (latencies must be >= 0, drop_probability in [0, 1])";
 
-}  // namespace
-
-fault_error::fault_error(std::size_t action, const char* field, const std::string& reason)
-    : std::invalid_argument{"fault_schedule: action " + std::to_string(action) + ": " +
-                            field + " " + reason},
-      action_{action},
-      field_{field},
-      reason_{reason} {}
-
-const char* link_model::invalid_field() const noexcept {
-  if (!(base_latency >= 0.0)) return "base_latency";
-  if (!(jitter_mean >= 0.0)) return "jitter_mean";
-  if (!(drop_probability >= 0.0 && drop_probability <= 1.0)) return "drop_probability";
+/// The first field of `link` out of range, or nullptr when all are valid.
+const char* invalid_link_field(const link_model& link) noexcept {
+  if (!(link.base_latency >= 0.0)) return "base_latency";
+  if (!(link.jitter_mean >= 0.0)) return "jitter_mean";
+  if (!(link.drop_probability >= 0.0 && link.drop_probability <= 1.0)) {
+    return "drop_probability";
+  }
   return nullptr;
 }
 
+/// Rejects field `field` of fault action `action`.
+[[noreturn]] void reject_action(std::size_t action, const char* field,
+                                const std::string& reason) {
+  const std::string index = std::to_string(action);
+  throw field_error{index + "." + field,
+                    "fault_schedule: action " + index + ": " + field + " " + reason};
+}
+
+}  // namespace
+
 void link_model::validate() const {
-  if (const char* field = invalid_field()) {
-    throw std::invalid_argument{std::string{"link_model: "} + field + " " + k_link_ranges};
+  if (const char* field = invalid_link_field(*this)) {
+    throw field_error{field, std::string{"link_model: "} + field + " " + k_link_ranges};
   }
 }
 
 void fault_schedule::validate(std::size_t num_nodes) const {
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const fault_action& act = actions[i];
-    if (!(act.at >= 0.0)) throw fault_error{i, "at", "must be >= 0"};
+    if (!(act.at >= 0.0)) reject_action(i, "at", "must be >= 0");
     if (act.until >= 0.0 && !(act.until > act.at)) {
-      throw fault_error{i, "until", "must be > at"};
+      reject_action(i, "until", "must be > at");
     }
     for (const node_id id : act.targets) {
       if (id >= num_nodes) {
-        throw fault_error{i, "targets",
-                          "names node " + std::to_string(id) + " (ids must be < the " +
-                              std::to_string(num_nodes) + " nodes)"};
+        reject_action(i, "targets",
+                      "names node " + std::to_string(id) + " (ids must be < the " +
+                          std::to_string(num_nodes) + " nodes)");
       }
     }
     if (act.fraction != -1.0 && !(act.fraction >= 0.0 && act.fraction <= 1.0)) {
-      throw fault_error{i, "fraction", "outside [0, 1]"};
+      reject_action(i, "fraction", "outside [0, 1]");
     }
     switch (act.which) {
       case fault_action::kind::partition: {
         if (act.until < 0.0) {
-          throw fault_error{i, "until", "is required for a partition (it heals automatically)"};
+          reject_action(i, "until", "is required for a partition (it heals automatically)");
         }
         if (act.targets.empty()) {
-          throw fault_error{i, "targets", "must name the partition's side A (non-empty)"};
+          reject_action(i, "targets", "must name the partition's side A (non-empty)");
         }
         if (act.targets.size() >= num_nodes) {
-          throw fault_error{i, "targets",
-                            "names all " + std::to_string(num_nodes) +
-                                " nodes; a partition needs a non-empty other side"};
+          reject_action(i, "targets",
+                        "names all " + std::to_string(num_nodes) +
+                            " nodes; a partition needs a non-empty other side");
         }
         if (act.fraction != -1.0) {
-          throw fault_error{i, "fraction", "does not apply to a partition"};
+          reject_action(i, "fraction", "does not apply to a partition");
         }
         // Overlapping cuts are ill-defined (netsim supports one cut at a
         // time); catch the conflict here instead of mid-run.
@@ -74,9 +79,9 @@ void fault_schedule::validate(std::size_t num_nodes) const {
           const fault_action& other = actions[j];
           if (other.which != fault_action::kind::partition) continue;
           if (act.at < other.until && other.at < act.until) {
-            throw fault_error{i, "at",
-                              "opens a window that overlaps partition action " +
-                                  std::to_string(j) + "'s (one cut at a time)"};
+            reject_action(i, "at",
+                          "opens a window that overlaps partition action " +
+                              std::to_string(j) + "'s (one cut at a time)");
           }
         }
         break;
@@ -86,26 +91,26 @@ void fault_schedule::validate(std::size_t num_nodes) const {
         const bool crash = act.which == fault_action::kind::crash_wave;
         const std::string kind_name = crash ? "a crash_wave" : "a restart_wave";
         if (act.until >= 0.0) {
-          throw fault_error{i, "until", "does not apply to " + kind_name + " (a point event)"};
+          reject_action(i, "until", "does not apply to " + kind_name + " (a point event)");
         }
         // No targets and no fraction = restart every crashed node.
         if (crash && act.targets.empty() && act.fraction == -1.0) {
-          throw fault_error{i, "targets", "or fraction must be set for a crash_wave"};
+          reject_action(i, "targets", "or fraction must be set for a crash_wave");
         }
         if (!act.targets.empty() && act.fraction != -1.0) {
-          throw fault_error{i, "fraction", "cannot be set along with targets on " + kind_name};
+          reject_action(i, "fraction", "cannot be set along with targets on " + kind_name);
         }
         break;
       }
       case fault_action::kind::degrade:
         if (act.degrade_class != link_class::all && act.targets.empty()) {
-          throw fault_error{i, "link_class", "other than all needs non-empty targets"};
+          reject_action(i, "link_class", "other than all needs non-empty targets");
         }
         if (act.fraction != -1.0) {
-          throw fault_error{i, "fraction", "does not apply to a degrade"};
+          reject_action(i, "fraction", "does not apply to a degrade");
         }
-        if (const char* field = act.link.invalid_field()) {
-          throw fault_error{i, field, k_link_ranges};
+        if (const char* field = invalid_link_field(act.link)) {
+          reject_action(i, field, k_link_ranges);
         }
         break;
     }

@@ -57,11 +57,9 @@ struct link_model {
   double jitter_mean = 0.0;
   double drop_probability = 0.0;
 
-  /// The first field out of range — "base_latency" or "jitter_mean" below
-  /// 0, "drop_probability" outside [0, 1] — or nullptr when all are valid.
-  [[nodiscard]] const char* invalid_field() const noexcept;
-
-  /// Throws std::invalid_argument naming invalid_field().
+  /// Throws field_error (support/field_error.h) naming the first field out
+  /// of range: "base_latency" or "jitter_mean" below 0, "drop_probability"
+  /// outside [0, 1].
   void validate() const;
 };
 
@@ -95,27 +93,6 @@ struct fault_action {
   link_model link;                             ///< degrade override model
 };
 
-/// What fault_schedule::validate throws: the offending action's index, the
-/// field at fault, and why.  Fields are named as the scenario layer's
-/// `faults.N.*` keys name them (`at`, `until`, `targets`, `fraction`,
-/// `link_class`, `base_latency`, `jitter_mean`, `drop_probability`), so a
-/// caller can re-key the message; the reason prints no time, because the
-/// caller may have converted its times into seconds.
-class fault_error : public std::invalid_argument {
- public:
-  /// `field` must outlive the error (validate passes string literals).
-  fault_error(std::size_t action, const char* field, const std::string& reason);
-
-  [[nodiscard]] std::size_t action() const noexcept { return action_; }
-  [[nodiscard]] const char* field() const noexcept { return field_; }
-  [[nodiscard]] const std::string& reason() const noexcept { return reason_; }
-
- private:
-  std::size_t action_;
-  const char* field_;
-  std::string reason_;
-};
-
 /// A declarative nemesis schedule, validated against the node count and
 /// expanded into queue events at start().  Empty schedules are free: no
 /// events, no extra RNG draws, bit-identical traces to a run without one.
@@ -124,14 +101,18 @@ struct fault_schedule {
 
   [[nodiscard]] bool empty() const noexcept { return actions.empty(); }
 
-  /// The one check of a schedule's shape.  Throws fault_error naming the
-  /// offending action and field on: negative times, a window with until
-  /// <= at, a partition without a window or with an empty/complete side,
-  /// overlapping partition windows, target ids >= num_nodes, fractions
-  /// outside [0,1] or where they do not apply, a window on a wave (a point
-  /// event), a wave with both targets and fraction or a crash wave with
-  /// neither, a degrade of a non-`all` link class without targets, or an
-  /// invalid degrade link model.
+  /// The one check of a schedule's shape.  Throws field_error on: negative
+  /// times, a window with until <= at, a partition without a window or
+  /// with an empty/complete side, overlapping partition windows, target
+  /// ids >= num_nodes, fractions outside [0,1] or where they do not apply,
+  /// a window on a wave (a point event), a wave with both targets and
+  /// fraction or a crash wave with neither, a degrade of a non-`all` link
+  /// class without targets, or an invalid degrade link model.  The field
+  /// is `N.name` for action N, named as the scenario layer's `faults.N.*`
+  /// keys name it (`at`, `until`, `targets`, `fraction`, `link_class`,
+  /// `base_latency`, `jitter_mean`, `drop_probability`); the message reads
+  /// "fault_schedule: action N: name reason" and prints no time, because
+  /// the caller may have converted its times into seconds.
   void validate(std::size_t num_nodes) const;
 };
 

@@ -1,52 +1,72 @@
 #include "protocol/gossip_learner.h"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "support/field_error.h"
 
 namespace sgl::protocol {
 
-// --- gossip_params --------------------------------------------------------------
+// --- protocol_config --------------------------------------------------------------
 
-void gossip_params::validate() const {
-  dynamics.validate();
-  if (!(round_interval > 0.0)) {
-    throw std::invalid_argument{"gossip_params: round interval must be > 0"};
+netsim::link_model protocol_config::links() const noexcept {
+  netsim::link_model model;
+  model.base_latency = base_latency;
+  model.jitter_mean = jitter_mean;
+  model.drop_probability = drop_probability;
+  return model;
+}
+
+void protocol_config::validate() const {
+  links().validate();  // a link field first, in netsim's own words
+  const auto reject = [](const char* field, const char* rule) {
+    throw field_error{field, std::string{"protocol engine: "} + field + " " + rule};
+  };
+  constexpr const char* k_ranges =
+      "out of range (round_interval > 0, crash_rate and restart_rate in [0, 1])";
+  if (!(round_interval > 0.0)) reject("round_interval", k_ranges);
+  if (max_retries > std::numeric_limits<std::uint32_t>::max()) {
+    reject("max_retries", "exceeds the 32-bit retry budget");
   }
+  if (!(crash_rate >= 0.0 && crash_rate <= 1.0)) reject("crash_rate", k_ranges);
+  if (!(restart_rate >= 0.0 && restart_rate <= 1.0)) reject("restart_rate", k_ranges);
 }
 
 // --- gossip_learner --------------------------------------------------------------
 
-gossip_learner::gossip_learner(const gossip_params& params, const posted_signals* signals)
-    : params_{params}, signals_{signals} {
-  params_.validate();
+gossip_learner::gossip_learner(const core::dynamics_params& dynamics,
+                               const protocol_config& protocol, const posted_signals* signals)
+    : dynamics_{dynamics}, protocol_{protocol}, signals_{signals} {
   if (signals_ == nullptr) throw std::invalid_argument{"gossip_learner: null signal source"};
-  if (signals_->num_options() != params_.dynamics.num_options) {
+  if (signals_->num_options() != dynamics_.num_options) {
     throw std::invalid_argument{"gossip_learner: signal/model option-count mismatch"};
   }
 }
 
 std::uint64_t gossip_learner::current_round(const netsim::context& ctx) const noexcept {
-  return static_cast<std::uint64_t>(ctx.now() / params_.round_interval);
+  return static_cast<std::uint64_t>(ctx.now() / protocol_.round_interval);
 }
 
 void gossip_learner::on_start(netsim::context& ctx) {
   choice_ = -1;
   latched_choice_ = -1;
   // Random phase so wakeups are spread across the round, then periodic.
-  const double phase = (0.05 + 0.9 * ctx.gen().next_double()) * params_.round_interval;
+  const double phase = (0.05 + 0.9 * ctx.gen().next_double()) * protocol_.round_interval;
   ctx.set_timer(phase, k_round_timer);
 }
 
 void gossip_learner::on_timer(netsim::context& ctx, std::int32_t timer_id) {
   if (timer_id != k_round_timer) return;
-  ctx.set_timer(params_.round_interval, k_round_timer);
+  ctx.set_timer(protocol_.round_interval, k_round_timer);
 
-  const std::size_t m = params_.dynamics.num_options;
-  if (ctx.gen().next_bernoulli(params_.dynamics.mu) || ctx.num_neighbors() == 0) {
+  const std::size_t m = dynamics_.num_options;
+  if (ctx.gen().next_bernoulli(dynamics_.mu) || ctx.num_neighbors() == 0) {
     // Exploration (and the only move available to isolated nodes).
     consider(ctx, static_cast<std::size_t>(ctx.gen().next_below(m)));
     return;
   }
-  retries_left_ = params_.max_retries;
+  retries_left_ = static_cast<std::uint32_t>(protocol_.max_retries);
   send_sample_request(ctx);
 }
 
@@ -62,12 +82,12 @@ void gossip_learner::on_message(netsim::context& ctx, const netsim::message& msg
     case k_sample_request: {
       netsim::message reply;
       reply.kind = k_sample_reply;
-      reply.a = params_.lockstep ? latched_choice_ : choice_;
+      reply.a = protocol_.lockstep ? latched_choice_ : choice_;
       ctx.send(msg.src, reply);
       break;
     }
     case k_sample_reply: {
-      const std::size_t m = params_.dynamics.num_options;
+      const std::size_t m = dynamics_.num_options;
       if (msg.a < 0) {
         // The sampled neighbour was uncommitted: popularity is defined over
         // adopters, so ask someone else (bounded), then fall back.
@@ -92,7 +112,7 @@ void gossip_learner::on_message(netsim::context& ctx, const netsim::message& msg
 void gossip_learner::consider(netsim::context& ctx, std::size_t option) {
   const std::uint8_t signal = signals_->signal(option);
   const double adopt_p =
-      signal != 0 ? params_.dynamics.beta : params_.dynamics.resolved_alpha();
+      signal != 0 ? dynamics_.beta : dynamics_.resolved_alpha();
   if (ctx.gen().next_bernoulli(adopt_p)) {
     const bool was_uncommitted = choice_ < 0;
     choice_ = static_cast<std::int32_t>(option);
@@ -103,7 +123,7 @@ void gossip_learner::consider(netsim::context& ctx, std::size_t option) {
     const auto opt = static_cast<std::int64_t>(option);
     if (was_uncommitted) ctx.record(netsim::trace_kind::commit, 0, opt, round);
     ctx.record(netsim::trace_kind::adopt, 0, opt, round);
-  } else if (!params_.sticky) {
+  } else if (!protocol_.sticky) {
     choice_ = -1;
   }
 }

@@ -54,12 +54,26 @@ class posted_signals {
   std::vector<std::uint8_t> row_;
 };
 
-/// Protocol knobs.
-struct gossip_params {
-  core::dynamics_params dynamics;  ///< m, μ, α, β (validated at node start)
-  double round_interval = 1.0;     ///< seconds between a node's wakeups
+/// The protocol's knobs: the `protocol.*` key family of the scenario text
+/// format, declared once.  scenario_spec::protocol is this struct, the
+/// engine runs it, and every gossip_learner keeps a copy.
+struct protocol_config {
+  double round_interval = 1.0;    ///< simulated seconds per protocol round
+  double base_latency = 0.05;     ///< per-message delivery latency
+  double jitter_mean = 0.0;       ///< Exponential latency jitter (0 = none)
+  double drop_probability = 0.0;  ///< i.i.d. Bernoulli packet loss
+  /// Re-asks after an uncommitted reply.  64 bits so the text codec cannot
+  /// wrap an out-of-range value; validate() caps it at 2^32 − 1.
+  std::uint64_t max_retries = 4;
+
+  /// Per-node, per-round fault injection: an alive node crashes with
+  /// probability crash_rate at the round boundary; a crashed node restarts
+  /// (rejoining uncommitted, on_start re-run) with probability
+  /// restart_rate.
+  double crash_rate = 0.0;
+  double restart_rate = 0.0;
+
   bool sticky = false;  ///< keep the previous choice instead of sitting out
-  std::uint32_t max_retries = 4;   ///< re-asks after an uncommitted reply
 
   /// Reply with the choice latched at the last round boundary instead of
   /// the live one, so all of a round's samples read the previous round's
@@ -68,8 +82,18 @@ struct gossip_params {
   /// does); without latching the protocol is asynchronous within a round.
   bool lockstep = false;
 
-  /// Throws std::invalid_argument on a non-positive round interval.
+  /// The netsim link model the three link knobs describe.
+  [[nodiscard]] netsim::link_model links() const noexcept;
+
+  /// Throws field_error (support/field_error.h) naming the first field out
+  /// of range: a link field link_model rejects, round_interval not > 0,
+  /// max_retries above 2^32 − 1, crash_rate or restart_rate outside [0, 1].
   void validate() const;
+
+  /// Field-wise equality; validate_spec compares against protocol_config{}
+  /// to catch non-default knobs stranded on a non-protocol engine, so a new
+  /// knob is covered there automatically.
+  friend bool operator==(const protocol_config&, const protocol_config&) = default;
 };
 
 /// One protocol participant.  State: a single int (plus borrowed config).
@@ -82,8 +106,11 @@ class gossip_learner final : public netsim::node {
   static constexpr std::int32_t k_sample_reply = 2;
   static constexpr std::int32_t k_round_timer = 7;
 
-  /// `signals` is borrowed and must outlive the simulation.
-  gossip_learner(const gossip_params& params, const posted_signals* signals);
+  /// `signals` is borrowed and must outlive the simulation.  The dynamics
+  /// and the protocol config are copied unchecked: protocol_engine
+  /// validates them once, not once per node.
+  gossip_learner(const core::dynamics_params& dynamics, const protocol_config& protocol,
+                 const posted_signals* signals);
 
   void on_start(netsim::context& ctx) override;
   void on_message(netsim::context& ctx, const netsim::message& msg) override;
@@ -93,7 +120,7 @@ class gossip_learner final : public netsim::node {
   [[nodiscard]] std::int32_t choice() const noexcept { return choice_; }
 
   /// Lockstep support: snapshots the current choice as the one SAMPLE_REQ
-  /// replies carry until the next latch (gossip_params::lockstep).
+  /// replies carry until the next latch (protocol_config::lockstep).
   void latch() noexcept { latched_choice_ = choice_; }
 
  private:
@@ -101,7 +128,8 @@ class gossip_learner final : public netsim::node {
   void send_sample_request(netsim::context& ctx);
   [[nodiscard]] std::uint64_t current_round(const netsim::context& ctx) const noexcept;
 
-  gossip_params params_;
+  core::dynamics_params dynamics_;
+  protocol_config protocol_;
   const posted_signals* signals_;
   std::int32_t choice_ = -1;
   std::int32_t latched_choice_ = -1;

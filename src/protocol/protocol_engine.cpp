@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace sgl::protocol {
 namespace {
@@ -13,39 +12,14 @@ constexpr std::uint64_t k_churn_stream = 0x5ca1ab1eULL;
 
 }  // namespace
 
-netsim::link_model engine_config::links() const noexcept {
-  netsim::link_model model;
-  model.base_latency = base_latency;
-  model.jitter_mean = jitter_mean;
-  model.drop_probability = drop_probability;
-  return model;
-}
-
-const char* engine_config::invalid_field() const noexcept {
-  if (const char* field = links().invalid_field()) return field;
-  if (!(round_interval > 0.0)) return "round_interval";
-  if (!(crash_rate >= 0.0 && crash_rate <= 1.0)) return "crash_rate";
-  if (!(restart_rate >= 0.0 && restart_rate <= 1.0)) return "restart_rate";
-  return nullptr;
-}
-
-void engine_config::validate() const {
-  dynamics.validate();
-  links().validate();  // a link field first, in netsim's own words
-  if (const char* field = invalid_field()) {
-    throw std::invalid_argument{
-        std::string{"protocol engine: "} + field +
-        " out of range (round_interval > 0, crash_rate and restart_rate in [0, 1])"};
-  }
-}
-
 protocol_engine::protocol_engine(const engine_config& config, std::size_t num_nodes,
                                  std::shared_ptr<const graph::graph> topology)
     : config_{config},
       num_nodes_{num_nodes},
       topology_{std::move(topology)},
       board_{config.dynamics.num_options} {
-  config_.validate();
+  config_.dynamics.validate();
+  config_.protocol.validate();
   if (num_nodes_ == 0) {
     throw std::invalid_argument{"protocol engine: need at least one node"};
   }
@@ -86,21 +60,15 @@ void protocol_engine::build(rng& gen) {
   sim_ = std::make_unique<netsim::simulation>(sim_seed, std::move(spare_queue_));
   churn_gen_ = rng::from_stream(sim_seed, k_churn_stream);
 
-  gossip_params node_params;
-  node_params.dynamics = config_.dynamics;
-  node_params.round_interval = config_.round_interval;
-  node_params.sticky = config_.sticky;
-  node_params.max_retries = config_.max_retries;
-  node_params.lockstep = config_.lockstep;
-
   learners_.reserve(num_nodes_);
   for (std::size_t i = 0; i < num_nodes_; ++i) {
-    auto learner = std::make_unique<gossip_learner>(node_params, &board_);
+    auto learner =
+        std::make_unique<gossip_learner>(config_.dynamics, config_.protocol, &board_);
     learners_.push_back(learner.get());
     sim_->add_node(std::move(learner));
   }
   if (topology_ != nullptr) sim_->set_topology(topology_.get());
-  sim_->set_link_model(config_.links());
+  sim_->set_link_model(config_.protocol.links());
   if (!config_.faults.empty()) sim_->set_fault_schedule(config_.faults);
   if (config_.record_trace) {
     recorder_ = std::make_unique<netsim::trace_recorder>(config_.trace_capacity);
@@ -131,20 +99,20 @@ void protocol_engine::step(std::span<const std::uint8_t> rewards, rng& gen) {
                        static_cast<std::int64_t>(round), bits});
   }
 
-  if (config_.crash_rate > 0.0 || config_.restart_rate > 0.0) {
+  if (config_.protocol.crash_rate > 0.0 || config_.protocol.restart_rate > 0.0) {
     for (netsim::node_id id = 0; id < num_nodes_; ++id) {
       if (sim_->is_alive(id)) {
-        if (churn_gen_.next_bernoulli(config_.crash_rate)) sim_->crash_node(id);
-      } else if (churn_gen_.next_bernoulli(config_.restart_rate)) {
+        if (churn_gen_.next_bernoulli(config_.protocol.crash_rate)) sim_->crash_node(id);
+      } else if (churn_gen_.next_bernoulli(config_.protocol.restart_rate)) {
         sim_->restart_node(id);
       }
     }
   }
-  if (config_.lockstep) {
+  if (config_.protocol.lockstep) {
     for (gossip_learner* learner : learners_) learner->latch();
   }
 
-  sim_->run_until(static_cast<double>(round) * config_.round_interval);
+  sim_->run_until(static_cast<double>(round) * config_.protocol.round_interval);
 
   std::fill(counts_.begin(), counts_.end(), 0);
   alive_ = 0;

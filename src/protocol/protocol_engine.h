@@ -43,27 +43,11 @@
 
 namespace sgl::protocol {
 
-/// Everything a protocol run needs beyond the dynamics parameters: the
-/// round cadence, the link model, the retry budget, fault injection, and
-/// the synchrony mode.  Mirrors the scenario layer's `protocol.*` keys.
+/// Everything a protocol run needs: the dynamics parameters, the
+/// protocol's knobs, fault injection and trace recording.
 struct engine_config {
   core::dynamics_params dynamics;  ///< m, μ, α, β
-
-  double round_interval = 1.0;  ///< simulated seconds per protocol round
-  double base_latency = 0.05;   ///< per-message delivery latency
-  double jitter_mean = 0.0;     ///< Exponential latency jitter (0 = none)
-  double drop_probability = 0.0;  ///< i.i.d. Bernoulli packet loss
-  std::uint32_t max_retries = 4;  ///< re-asks after an uncommitted reply
-
-  /// Per-node, per-round fault injection: an alive node crashes with
-  /// probability crash_rate at the round boundary; a crashed node restarts
-  /// (rejoining uncommitted, on_start re-run) with probability
-  /// restart_rate.
-  double crash_rate = 0.0;
-  double restart_rate = 0.0;
-
-  bool sticky = false;    ///< keep the previous choice instead of sitting out
-  bool lockstep = false;  ///< replies carry round-boundary choices (§2.1 sync)
+  protocol_config protocol;        ///< round cadence, links, retries, churn, mode
 
   /// Scripted nemesis schedule (times in simulated seconds), installed on
   /// every replication's simulation.  Empty = no scheduled faults; validated
@@ -75,23 +59,6 @@ struct engine_config {
   /// default; the recorder-off path costs nothing.
   bool record_trace = false;
   std::size_t trace_capacity = 0;
-
-  /// The netsim link model these knobs describe (the single source used
-  /// by both validate() and the simulation setup).
-  [[nodiscard]] netsim::link_model links() const noexcept;
-
-  /// The first invalid field of this config's own, spelled as its
-  /// `protocol.*` key suffix — a link field link_model rejects,
-  /// "round_interval" not > 0, "crash_rate" or "restart_rate" outside
-  /// [0, 1] — or nullptr when all are valid.  `dynamics` is not covered:
-  /// its fields are dynamics_params::invalid_field()'s.
-  [[nodiscard]] const char* invalid_field() const noexcept;
-
-  /// Throws std::invalid_argument on invalid dynamics or naming
-  /// invalid_field().  The fault schedule is checked against the node
-  /// count in the engine constructor (validate() has no population to
-  /// check against).
-  void validate() const;
 };
 
 class protocol_engine final : public core::dynamics_engine,
@@ -100,8 +67,9 @@ class protocol_engine final : public core::dynamics_engine,
  public:
   /// `topology` restricts gossip partners (shared so generated graphs stay
   /// alive across every engine a factory builds); nullptr = fully mixed.
-  /// Throws std::invalid_argument on invalid config, num_nodes == 0, or a
-  /// topology whose vertex count differs from num_nodes.
+  /// Throws std::invalid_argument on invalid dynamics, protocol config or
+  /// fault schedule (field_error for those), num_nodes == 0, or a topology
+  /// whose vertex count differs from num_nodes.
   protocol_engine(const engine_config& config, std::size_t num_nodes,
                   std::shared_ptr<const graph::graph> topology = nullptr);
 

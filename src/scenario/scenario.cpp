@@ -14,6 +14,7 @@
 #include "core/infinite_dynamics.h"
 #include "protocol/protocol_engine.h"
 #include "scenario/sweep.h"
+#include "support/field_error.h"
 #include "support/rng.h"
 
 namespace sgl::scenario {
@@ -136,6 +137,7 @@ netsim::link_class to_netsim_class(fault_action_spec::link_class_kind kind) {
 
 /// The spec's fault schedule as netsim actions, its round-denominated
 /// times multiplied by `seconds_per_round`; everything else passes through.
+/// Throws field_error (`N.targets`) on an id beyond netsim's 32-bit range.
 netsim::fault_schedule to_netsim_faults(const scenario_spec& spec, double seconds_per_round) {
   netsim::fault_schedule faults;
   faults.actions.reserve(spec.faults.actions.size());
@@ -148,9 +150,8 @@ netsim::fault_schedule to_netsim_faults(const scenario_spec& spec, double second
     out.targets.reserve(action.targets.size());
     for (const std::uint64_t id : action.targets) {
       if (id > std::numeric_limits<netsim::node_id>::max()) {
-        throw std::invalid_argument{"faults." + std::to_string(i) +
-                                    ".targets: id " + std::to_string(id) +
-                                    " exceeds the 32-bit node-id range"};
+        throw field_error{std::to_string(i) + ".targets",
+                          "id " + std::to_string(id) + " exceeds the 32-bit node-id range"};
       }
       out.targets.push_back(static_cast<netsim::node_id>(id));
     }
@@ -164,30 +165,14 @@ netsim::fault_schedule to_netsim_faults(const scenario_spec& spec, double second
   return faults;
 }
 
-/// The protocol engine's configuration, assembled from the spec's params
-/// and protocol.* / faults.* fields.  Shared by make_engine and
-/// validate_spec, so validate_spec checks what the engine constructor
-/// would check.
+/// The protocol engine's configuration: the spec's params and protocol
+/// knobs as they are, its fault times scaled from rounds to seconds.
 protocol::engine_config to_engine_config(const scenario_spec& spec) {
-  protocol::engine_config config;
-  config.dynamics = spec.params;
-  config.round_interval = spec.protocol.round_interval;
-  config.base_latency = spec.protocol.base_latency;
-  config.jitter_mean = spec.protocol.jitter_mean;
-  config.drop_probability = spec.protocol.drop_probability;
-  if (spec.protocol.max_retries > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument{
-        "protocol.max_retries exceeds the engine's 32-bit retry budget"};
-  }
-  config.max_retries = static_cast<std::uint32_t>(spec.protocol.max_retries);
-  config.crash_rate = spec.protocol.crash_rate;
-  config.restart_rate = spec.protocol.restart_rate;
-  config.sticky = spec.protocol.sticky;
-  config.lockstep = spec.protocol.lockstep;
-  config.faults = to_netsim_faults(spec, spec.protocol.round_interval);
-  config.record_trace = spec.faults.record;
-  config.trace_capacity = static_cast<std::size_t>(spec.faults.record_capacity);
-  return config;
+  return {.dynamics = spec.params,
+          .protocol = spec.protocol,
+          .faults = to_netsim_faults(spec, spec.protocol.round_interval),
+          .record_trace = spec.faults.record,
+          .trace_capacity = static_cast<std::size_t>(spec.faults.record_capacity)};
 }
 
 }  // namespace
@@ -403,12 +388,17 @@ void validate_spec(const scenario_spec& spec) {
     message += what;
     return message;
   };
-  try {
-    spec.params.validate();
-  } catch (const std::invalid_argument& error) {
-    throw std::invalid_argument{where("params.") + spec.params.invalid_field() + ": " +
-                                error.what()};
-  }
+  // Range rules are the owning layers' own checks, each throwing a
+  // field_error that names its field below the key family; this is the one
+  // place that rekeys one as `family.field`.
+  const auto keyed = [&where](const char* family, const auto& check) {
+    try {
+      check();
+    } catch (const field_error& error) {
+      throw std::invalid_argument{where(family) + error.field() + ": " + error.what()};
+    }
+  };
+  keyed("params.", [&] { spec.params.validate(); });
   const std::size_t m = spec.params.num_options;
   if (spec.environment.etas.size() != m) {
     throw std::invalid_argument{
@@ -505,43 +495,25 @@ void validate_spec(const scenario_spec& spec) {
   // drift-horizon minimums) live in the env constructors; building one
   // instance here is O(m) and surfaces them with the scenario's name
   // attached instead of exploding mid-run inside a worker.
-  try {
-    (void)make_environment(spec.environment)();
-  } catch (const std::invalid_argument& error) {
-    throw std::invalid_argument{where("environment: ") + error.what()};
-  }
+  keyed("environment.", [&] { (void)make_environment(spec.environment)(); });
   if (kind == engine_kind::protocol) {
     if (spec.num_agents == 0) {
       throw std::invalid_argument{where("the protocol engine needs num_agents >= 1")};
     }
-    // The engine constructor's own checks, with the keys named:
-    // config.validate() first, so a bad round_interval is reported as
-    // itself and not as a fault time; then netsim's fault check, on the
-    // spec's schedule in rounds and on the engine's in seconds (scaling
-    // by round_interval can merge two distinct times, which can change
-    // both `until > at` and the partition-overlap test).
-    const auto num_nodes = static_cast<std::size_t>(spec.num_agents);
-    try {
-      const protocol::engine_config config = to_engine_config(spec);
-      // The dynamics passed above, so a rejection names one of the
-      // config's own fields.
-      if (const char* field = config.invalid_field()) {
-        try {
-          config.validate();
-        } catch (const std::invalid_argument& error) {
-          throw std::invalid_argument{std::string{"protocol."} + field + ": " + error.what()};
-        }
-      }
+    // The engine constructor's own checks: the protocol knobs first, so a
+    // bad round_interval is reported as itself and not as a fault time;
+    // then netsim's fault check, on the spec's schedule in rounds and on
+    // the engine's in seconds (scaling by round_interval can merge two
+    // distinct times, which can change both `until > at` and the
+    // partition-overlap test).
+    keyed("protocol.", [&] { spec.protocol.validate(); });
+    keyed("faults.", [&] {
+      const auto num_nodes = static_cast<std::size_t>(spec.num_agents);
       to_netsim_faults(spec, 1.0).validate(num_nodes);
-      config.faults.validate(num_nodes);
-    } catch (const netsim::fault_error& error) {
-      throw std::invalid_argument{where("faults.") + std::to_string(error.action()) + "." +
-                                  error.field() + " " + error.reason()};
-    } catch (const std::invalid_argument& error) {
-      throw std::invalid_argument{where(error.what())};
-    }
+      to_netsim_faults(spec, spec.protocol.round_interval).validate(num_nodes);
+    });
   } else {
-    if (spec.protocol != protocol_spec{}) {
+    if (spec.protocol != protocol::protocol_config{}) {
       // apply_override gates protocol.* keys at assignment time, but the
       // engine can legally be changed afterwards (later lines win); catch
       // the flip here so non-default protocol knobs are never silently

@@ -19,6 +19,7 @@
 #include "core/params.h"
 #include "env/reward_model.h"
 #include "graph/graph.h"
+#include "protocol/gossip_learner.h"
 
 namespace sgl::scenario {
 
@@ -75,30 +76,11 @@ struct environment_spec {
   std::uint64_t horizon = 1000;   ///< drifting ramp length
 };
 
-/// Gossip-protocol knobs (engine_kind::protocol only; the `protocol.*` key
-/// family of the text format).  Mirrors protocol::engine_config minus the
-/// dynamics parameters, which come from `params`.
-struct protocol_spec {
-  double round_interval = 1.0;    ///< simulated seconds per protocol round
-  double base_latency = 0.05;     ///< per-message delivery latency
-  double jitter_mean = 0.0;       ///< Exponential latency jitter (0 = none)
-  double drop_probability = 0.0;  ///< i.i.d. Bernoulli packet loss
-  std::uint64_t max_retries = 4;  ///< re-asks after an uncommitted reply
-  double crash_rate = 0.0;        ///< per-node per-round crash probability
-  double restart_rate = 0.0;      ///< per-node per-round restart probability
-  bool sticky = false;    ///< keep the previous choice instead of sitting out
-  bool lockstep = false;  ///< replies carry round-boundary choices (§2.1 sync)
-
-  /// Field-wise equality; validate_spec compares against protocol_spec{}
-  /// to catch non-default protocol knobs stranded on a non-protocol
-  /// engine, so a new knob is covered here automatically.
-  friend bool operator==(const protocol_spec&, const protocol_spec&) = default;
-};
-
 /// One scripted fault (engine_kind::protocol only; an indexed entry of the
 /// `faults.*` key family).  Times are protocol ROUNDS (the scenario layer's
 /// natural unit); the engine factory multiplies by protocol.round_interval
-/// to get netsim's simulated seconds.  Mirrors netsim::fault_action.
+/// to get netsim's simulated seconds; netsim::fault_action is the engine's
+/// form.
 struct fault_action_spec {
   enum class action_kind {
     partition,     ///< cut `targets` off from the rest during [at, until)
@@ -125,8 +107,9 @@ struct fault_action_spec {
 };
 
 /// The `faults.*` family: a nemesis schedule plus trace-recording knobs.
-/// Like protocol_spec, compared against a default-constructed value by
-/// validate_spec to catch fault keys stranded on a non-protocol engine.
+/// Like protocol::protocol_config, compared against a default-constructed
+/// value by validate_spec to catch fault keys stranded on a non-protocol
+/// engine.
 struct fault_schedule_spec {
   std::vector<fault_action_spec> actions;
   bool record = false;  ///< attach a trace recorder to every replication
@@ -148,7 +131,7 @@ struct scenario_spec {
 
   environment_spec environment;
   topology_spec topology;
-  protocol_spec protocol;  ///< read only by the protocol engine
+  protocol::protocol_config protocol;  ///< `protocol.*`; read only by the protocol engine
   fault_schedule_spec faults;  ///< read only by the protocol engine
 
   std::vector<double> start;                   ///< nonuniform P⁰ (infinite only)
@@ -213,10 +196,12 @@ struct topology_cache_stats {
 /// silently ignoring them would misreport what ran), the topology's
 /// build preconditions, and the protocol engine's config and fault
 /// schedule.  Range rules are not restated here: each is the owning
-/// layer's own check (adoption_rule::valid, the env constructors,
-/// protocol::engine_config::validate, netsim::fault_schedule::validate),
-/// rethrown with the spec's name and the offending key (`faults.N.field`
-/// for a fault action).  Throws std::invalid_argument — this is where an
+/// layer's own check (adoption_rule::valid, dynamics_params::validate, the
+/// env constructors, protocol::protocol_config::validate,
+/// netsim::fault_schedule::validate).  Those checks throw field_error,
+/// which one catch site rethrows with the spec's name and the offending
+/// key (`params.mu`, `environment.period`, `protocol.max_retries`,
+/// `faults.N.until`).  Throws std::invalid_argument — this is where an
 /// etas/num_options mismatch is reported, instead of the late
 /// engine/environment mismatch throw inside the runner.
 void validate_spec(const scenario_spec& spec);

@@ -13,6 +13,30 @@
 
 namespace sgl::service {
 
+namespace {
+
+/// Per-point digests of a submission, in grid order.  Validates every point
+/// (apply_override + validate_spec) on the way; throws as they do.
+std::vector<digest128> point_digests(const job_request& request) {
+  core::check_run_config(request.config);
+  const std::size_t points = request.grid.empty() ? 1 : request.grid.size();
+  std::vector<digest128> digests;
+  digests.reserve(points);
+  for (std::size_t p = 0; p < points; ++p) {
+    scenario::scenario_spec spec = request.base;
+    if (!request.grid.empty()) {
+      for (const auto& [key, value] : request.grid[p]) {
+        scenario::apply_override(spec, key, value);
+      }
+    }
+    scenario::validate_spec(spec);
+    digests.push_back(spec_digest(spec, request.config, request.probe_specs));
+  }
+  return digests;
+}
+
+}  // namespace
+
 std::string_view job_state_name(job_state state) noexcept {
   switch (state) {
     case job_state::queued: return "queued";
@@ -43,26 +67,9 @@ job_queue::~job_queue() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-std::vector<digest128> job_queue::point_digests(const job_request& request) const {
-  core::check_run_config(request.config);
-  const std::size_t points = request.grid.empty() ? 1 : request.grid.size();
-  std::vector<digest128> digests;
-  digests.reserve(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    scenario::scenario_spec spec = request.base;
-    if (!request.grid.empty()) {
-      for (const auto& [key, value] : request.grid[p]) {
-        scenario::apply_override(spec, key, value);
-      }
-    }
-    scenario::validate_spec(spec);
-    digests.push_back(spec_digest(spec, request.config, request.probe_specs));
-  }
-  return digests;
-}
-
-std::uint64_t job_queue::submit(job_request request, job_sinks sinks,
-                                const std::function<void(std::uint64_t)>& on_accepted) {
+std::uint64_t job_queue::submit(
+    job_request request, job_sinks sinks,
+    const std::function<void(std::uint64_t, std::span<const digest128>)>& on_accepted) {
   request.config.threads = worker_threads_;  // capacity is the daemon's call
 
   // Validate (and digest) every point before touching the queue: a bad
@@ -97,7 +104,7 @@ std::uint64_t job_queue::submit(job_request request, job_sinks sinks,
     job->id = id;
     jobs_.emplace(id, job);
   }
-  if (on_accepted) on_accepted(id);
+  if (on_accepted) on_accepted(id, job->digests);
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     // cancel() may have reached the job during on_accepted; a terminal

@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -154,14 +155,16 @@ class job_queue {
   /// (as validate_spec / apply_override / spec_digest) without enqueuing
   /// anything on a bad request.
   ///
-  /// `on_accepted`, when set, is invoked with the assigned id after the
-  /// job is registered (status() works) but strictly before the job can
-  /// run — an acceptance acknowledgement is guaranteed to precede every
-  /// point and done event, no matter how fast the job is.  It is called
-  /// without queue locks held and may block (e.g. on a socket write), but
-  /// must not call back into submit() for re-entrancy reasons.
-  std::uint64_t submit(job_request request, job_sinks sinks,
-                       const std::function<void(std::uint64_t)>& on_accepted = {});
+  /// `on_accepted`, when set, is invoked with the assigned id and the
+  /// per-point digests (grid order, the keys the cache is read and written
+  /// under) after the job is registered (status() works) but strictly
+  /// before the job can run — an acceptance acknowledgement is guaranteed
+  /// to precede every point and done event, no matter how fast the job is.
+  /// It is called without queue locks held and may block (e.g. on a socket
+  /// write), but must not call back into submit() for re-entrancy reasons.
+  std::uint64_t submit(
+      job_request request, job_sinks sinks,
+      const std::function<void(std::uint64_t, std::span<const digest128>)>& on_accepted = {});
 
   /// The job's current status, or nullopt for an unknown id.
   [[nodiscard]] std::optional<job_status> status(std::uint64_t job) const;
@@ -183,11 +186,6 @@ class job_queue {
   /// Blocks until every submitted job has reached a terminal state.
   /// Unpauses first — draining a paused queue would deadlock.
   void drain();
-
-  /// Per-point digests of a would-be submission, in grid order — what
-  /// submit() would key the cache with.  Same validation and exceptions
-  /// as submit(), but nothing is enqueued.
-  [[nodiscard]] std::vector<digest128> point_digests(const job_request& request) const;
 
  private:
   struct job_record {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -157,10 +158,6 @@ void session::handle_submit(const json_value& request) {
     }
   }
 
-  // The digests are the submission's cache identity; echoing them in
-  // job_accepted lets a client correlate results with its own store scans.
-  const std::vector<digest128> digests = queue_.point_digests(job);
-
   job_sinks sinks;
   sinks.on_point = [this](const job_point_event& event) {
     std::ostringstream out;
@@ -199,8 +196,10 @@ void session::handle_submit(const json_value& request) {
   // The acceptance callback runs after the id is assigned but before the
   // job can produce events, so job_accepted is always the first line a
   // client sees for its job — even when the whole job finishes faster
-  // than submit() returns.
-  const auto on_accepted = [this, &digests](std::uint64_t id) {
+  // than submit() returns.  The digests are the submission's cache
+  // identity; echoing them lets a client correlate results with its own
+  // store scans.
+  const auto on_accepted = [this](std::uint64_t id, std::span<const digest128> digests) {
     {
       const std::lock_guard<std::mutex> lock{mutex_};
       jobs_.push_back(id);

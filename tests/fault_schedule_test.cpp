@@ -373,10 +373,11 @@ TEST(fault_spec, family_is_gated_on_the_protocol_engine) {
   }
 }
 
-/// Applies `overrides` ("key=value" each) to gossip_partition_heal and
+/// Applies `overrides` ("key=value" each) to the registry spec `base` and
 /// expects validate_spec to reject the result with `needle` in the message.
-void expect_rejected(std::initializer_list<const char*> overrides, const char* needle) {
-  scenario::scenario_spec spec = scenario::get_scenario("gossip_partition_heal");
+void expect_rejected(std::initializer_list<const char*> overrides, const char* needle,
+                     const char* base = "gossip_partition_heal") {
+  scenario::scenario_spec spec = scenario::get_scenario(base);
   std::string what;
   for (const char* assignment : overrides) {
     what += assignment;
@@ -415,6 +416,13 @@ TEST(fault_spec, validate_names_the_offending_key) {
   expect_rejected({"params.mu=2"}, "params.mu");
   expect_rejected({"protocol.base_latency=-1"}, "protocol.base_latency");
   expect_rejected({"protocol.crash_rate=2"}, "protocol.crash_rate");
+  expect_rejected({"protocol.max_retries=4294967296"}, "protocol.max_retries");
+  // So do the environment constructors'.
+  expect_rejected({"environment.period=0"}, "environment.period", "switching-stocks");
+  expect_rejected({"environment.horizon=0"}, "environment.horizon", "drifting-crossover");
+  expect_rejected({"environment.end_etas=[0.3, 0.5, 2]"}, "environment.end_etas",
+                  "drifting-crossover");
+  expect_rejected({"environment.etas=[0.7, 0.7]"}, "environment.etas", "ef-exclusive");
 }
 
 /// validate_spec checks the schedule the engine runs — times in seconds,

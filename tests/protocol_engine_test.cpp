@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -109,16 +111,16 @@ TEST(protocol_engine, validates_construction_and_inputs) {
   EXPECT_THROW(protocol::protocol_engine(make_config(), 0), std::invalid_argument);
 
   protocol::engine_config bad = make_config();
-  bad.round_interval = 0.0;
+  bad.protocol.round_interval = 0.0;
   EXPECT_THROW(protocol::protocol_engine(bad, 10), std::invalid_argument);
   bad = make_config();
-  bad.drop_probability = 1.5;
+  bad.protocol.drop_probability = 1.5;
   EXPECT_THROW(protocol::protocol_engine(bad, 10), std::invalid_argument);
   bad = make_config();
-  bad.crash_rate = -0.1;
+  bad.protocol.crash_rate = -0.1;
   EXPECT_THROW(protocol::protocol_engine(bad, 10), std::invalid_argument);
   bad = make_config();
-  bad.restart_rate = 2.0;
+  bad.protocol.restart_rate = 2.0;
   EXPECT_THROW(protocol::protocol_engine(bad, 10), std::invalid_argument);
 
   auto ring = std::make_shared<const graph::graph>(graph::graph::ring(8));
@@ -163,8 +165,8 @@ TEST(protocol_engine, contract_basics) {
 
 TEST(protocol_engine, reset_reuse_law) {
   protocol::engine_config config = make_config(2, 0.1, 0.7);
-  config.drop_probability = 0.2;
-  config.jitter_mean = 0.1;
+  config.protocol.drop_probability = 0.2;
+  config.protocol.jitter_mean = 0.1;
   auto reused = std::make_unique<protocol::protocol_engine>(config, 80);
   const std::vector<double> first = drive(*reused, 50, 11);
   reused->reset();
@@ -177,10 +179,10 @@ TEST(protocol_engine, reset_reuse_law) {
 
 TEST(protocol_engine, replay_is_bit_identical_including_event_trace) {
   protocol::engine_config config = make_config(2, 0.1, 0.7);
-  config.drop_probability = 0.15;
-  config.jitter_mean = 0.05;
-  config.crash_rate = 0.01;
-  config.restart_rate = 0.2;
+  config.protocol.drop_probability = 0.15;
+  config.protocol.jitter_mean = 0.05;
+  config.protocol.crash_rate = 0.01;
+  config.protocol.restart_rate = 0.2;
 
   protocol::protocol_engine a{config, 70};
   protocol::protocol_engine b{config, 70};
@@ -206,6 +208,56 @@ TEST(protocol_engine, replay_is_bit_identical_including_event_trace) {
   protocol::protocol_engine c{config, 70};
   (void)drive(c, 60, 6);
   EXPECT_NE(a.simulation()->trace_hash(), c.simulation()->trace_hash());
+}
+
+/// Every `protocol.*` key reaches the engine: a non-default value, set
+/// through the text key, changes a short replication's event trace.  A knob
+/// that is parsed but dropped on the way to the nodes leaves it unchanged.
+TEST(protocol_engine, every_protocol_key_changes_the_trace) {
+  struct key_case {
+    const char* base;
+    const char* assignment;
+  };
+  const key_case cases[] = {
+      {"gossip_lossy_sweep", "protocol.round_interval=0.5"},
+      {"gossip_lossy_sweep", "protocol.base_latency=0.2"},
+      {"gossip_lossy_sweep", "protocol.jitter_mean=0.05"},
+      {"gossip_lossy_sweep", "protocol.drop_probability=0.3"},
+      {"gossip_lossy_sweep", "protocol.max_retries=0"},
+      {"gossip_lossy_sweep", "protocol.crash_rate=0.05"},
+      // restart_rate acts only on crashed nodes, so its base churns.
+      {"gossip_crash_recovery", "protocol.restart_rate=0.9"},
+      {"gossip_lossy_sweep", "protocol.sticky=true"},
+      {"gossip_lossy_sweep", "protocol.lockstep=true"},
+  };
+  const auto trace_of = [](scenario::scenario_spec spec) {
+    spec.num_agents = 60;
+    const std::unique_ptr<core::dynamics_engine> engine = scenario::make_engine(spec)();
+    (void)drive(*engine, 10, 3);
+    const auto& protocol_engine = dynamic_cast<const protocol::protocol_engine&>(*engine);
+    return protocol_engine.simulation()->trace_hash();
+  };
+  for (const key_case& c : cases) {
+    const scenario::scenario_spec base = scenario::get_scenario(c.base);
+    scenario::scenario_spec changed = base;
+    scenario::apply_override(changed, c.assignment);
+    ASSERT_NE(changed.protocol, base.protocol) << c.assignment;
+    EXPECT_NE(trace_of(changed), trace_of(base)) << c.assignment << " did not reach the engine";
+  }
+  // The table covers every protocol.* key the text format knows.
+  std::vector<std::string> table_keys;
+  for (const key_case& c : cases) {
+    const std::string_view assignment{c.assignment};
+    table_keys.emplace_back(assignment.substr(0, assignment.find('=')));
+  }
+  std::vector<std::string> format_keys;
+  for (const auto& [key, value] :
+       scenario::scenario_fields(scenario::get_scenario("gossip_lossy_sweep"))) {
+    if (key.starts_with("protocol.")) format_keys.push_back(key);
+  }
+  std::ranges::sort(table_keys);
+  std::ranges::sort(format_keys);
+  EXPECT_EQ(table_keys, format_keys);
 }
 
 // --- event-order goldens -----------------------------------------------------
@@ -248,8 +300,8 @@ void expect_golden(const netsim::simulation& sim, const order_golden& golden) {
 protocol::engine_config bench_shape(double drop, double jitter) {
   protocol::engine_config config;
   config.dynamics = core::theorem_params(2, 0.65);
-  config.drop_probability = drop;
-  config.jitter_mean = jitter;
+  config.protocol.drop_probability = drop;
+  config.protocol.jitter_mean = jitter;
   return config;
 }
 
@@ -298,9 +350,9 @@ TEST(protocol_engine, event_order_goldens) {
   // gossip_sync_ideal: zero latency, so pushes land at exactly now and
   // ties resolve by seq.
   protocol::engine_config sync = bench_shape(0.0, 0.0);
-  sync.base_latency = 0.0;
-  sync.lockstep = true;
-  sync.max_retries = 16;
+  sync.protocol.base_latency = 0.0;
+  sync.protocol.lockstep = true;
+  sync.protocol.max_retries = 16;
   cases.push_back({{"sync_ideal", 0x41c792a10fdccf86ULL, 54702, 54702, 0, 12000}, sync, 400, nullptr, 30});
   // BM_protocol_round_nemesis/0: a partition window, a crash wave and a
   // restart wave on the lossy, jittery fully mixed population.
@@ -447,7 +499,7 @@ TEST(protocol_engine, sweep_points_bit_identical_to_individual_runs) {
 
 TEST(protocol_engine, total_packet_loss_terminates_with_defined_reports) {
   protocol::engine_config config = make_config(2, 0.1, 0.7);
-  config.drop_probability = 1.0;
+  config.protocol.drop_probability = 1.0;
   protocol::protocol_engine engine{config, 50};
   rng gen{3};
   const std::vector<std::uint8_t> rewards{1, 0};
@@ -466,7 +518,7 @@ TEST(protocol_engine, total_packet_loss_terminates_with_defined_reports) {
 
 TEST(protocol_engine, all_crash_terminates_with_defined_reports) {
   protocol::engine_config config = make_config(2, 0.1, 0.7);
-  config.crash_rate = 1.0;
+  config.protocol.crash_rate = 1.0;
   protocol::protocol_engine engine{config, 40};
   rng gen{4};
   const std::vector<std::uint8_t> rewards{1, 0};
@@ -479,7 +531,7 @@ TEST(protocol_engine, all_crash_terminates_with_defined_reports) {
   EXPECT_EQ(engine.empty_steps(), 20U);
 
   // All-crash with certain restart keeps oscillating instead of hanging.
-  config.restart_rate = 1.0;
+  config.protocol.restart_rate = 1.0;
   protocol::protocol_engine churned{config, 40};
   for (int t = 0; t < 20; ++t) churned.step(rewards, gen);
   EXPECT_EQ(churned.steps(), 20U);
@@ -487,7 +539,7 @@ TEST(protocol_engine, all_crash_terminates_with_defined_reports) {
 
 TEST(protocol_engine, zero_retries_and_single_node_terminate) {
   protocol::engine_config config = make_config(3, 0.2, 0.7);
-  config.max_retries = 0;
+  config.protocol.max_retries = 0;
   protocol::protocol_engine engine{config, 30};
   rng gen{5};
   const std::vector<std::uint8_t> rewards{1, 0, 1};

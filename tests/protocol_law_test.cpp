@@ -56,11 +56,11 @@ protocol::engine_config degenerate_sync(std::size_t m, double mu, double beta,
   config.dynamics.mu = mu;
   config.dynamics.beta = beta;
   config.dynamics.alpha = alpha;
-  config.base_latency = 0.0;
-  config.jitter_mean = 0.0;
-  config.drop_probability = 0.0;
-  config.lockstep = true;
-  config.max_retries = 16;
+  config.protocol.base_latency = 0.0;
+  config.protocol.jitter_mean = 0.0;
+  config.protocol.drop_probability = 0.0;
+  config.protocol.lockstep = true;
+  config.protocol.max_retries = 16;
   return config;
 }
 

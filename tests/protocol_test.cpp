@@ -16,15 +16,6 @@
 namespace sgl::protocol {
 namespace {
 
-gossip_params make_gossip(std::size_t m, double mu, double beta) {
-  gossip_params p;
-  p.dynamics.num_options = m;
-  p.dynamics.mu = mu;
-  p.dynamics.beta = beta;
-  p.round_interval = 1.0;
-  return p;
-}
-
 /// A fully mixed protocol-engine spec over `etas` with `nodes` gossipers.
 scenario::scenario_spec gossip_spec(std::vector<double> etas, double mu, double beta,
                                     std::uint64_t nodes) {
@@ -73,13 +64,12 @@ double late_best_mass(const std::vector<core::probe_report>& reports, std::size_
 
 TEST(gossip_learner, validates_construction) {
   const posted_signals board{2};
-  gossip_params params = make_gossip(2, 0.1, 0.6);
-  EXPECT_NO_THROW(gossip_learner(params, &board));
-  EXPECT_THROW(gossip_learner(params, nullptr), std::invalid_argument);
-  params.round_interval = 0.0;
-  EXPECT_THROW(gossip_learner(params, &board), std::invalid_argument);
-  params = make_gossip(3, 0.1, 0.6);  // option-count mismatch with the board
-  EXPECT_THROW(gossip_learner(params, &board), std::invalid_argument);
+  const protocol_config protocol;
+  core::dynamics_params dynamics;
+  EXPECT_NO_THROW(gossip_learner(dynamics, protocol, &board));
+  EXPECT_THROW(gossip_learner(dynamics, protocol, nullptr), std::invalid_argument);
+  dynamics.num_options = 3;  // option-count mismatch with the board
+  EXPECT_THROW(gossip_learner(dynamics, protocol, &board), std::invalid_argument);
 }
 
 // --- the protocol under the harness ---------------------------------------------------

@@ -689,6 +689,35 @@ TEST(session, submit_streams_accept_points_done_in_order) {
   }
 }
 
+TEST(session, accepted_digests_key_each_resolved_point) {
+  result_store store{fresh_store_root("session_digests")};
+  job_queue queue{store, 1};
+  wire out;
+  session s{queue, out.options()};
+  std::string line = submit_line();
+  line.insert(line.size() - 1, R"(,"set":["params.mu=0.1"])");
+  s.handle_line(line);
+  s.finish();
+
+  const std::vector<std::string> events = out.events();
+  ASSERT_EQ(events.size(), 4U);
+  ASSERT_EQ(events[0], "job_accepted");
+  ASSERT_EQ(events[3], "job_done");
+  const json_value accepted = parse_json(out.lines[0]);
+  const json_value* digests = accepted.find("digests");
+  ASSERT_NE(digests, nullptr);
+  ASSERT_EQ(digests->items.size(), 2U);
+  const char* betas[] = {"0.6", "0.65"};
+  for (std::size_t point = 0; point < 2; ++point) {
+    scenario::scenario_spec spec = test_spec();
+    scenario::apply_override(spec, "params.mu=0.1");
+    scenario::apply_override(spec, "params.beta", betas[point]);
+    const digest128 digest = spec_digest(spec, test_config(), {});
+    EXPECT_EQ(digests->items[point].as_string("digest"), digest.hex()) << "point " << point;
+    EXPECT_TRUE(store.get(digest).has_value()) << "point " << point;
+  }
+}
+
 TEST(session, malformed_and_unknown_requests_produce_error_events) {
   result_store store{fresh_store_root("session_err")};
   job_queue queue{store, 1};

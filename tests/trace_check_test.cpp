@@ -82,8 +82,8 @@ TEST(trace_check, clean_fault_scheduled_protocol_run_passes) {
   analysis::trace_metadata meta;
   meta.num_nodes = 50;
   meta.num_options = 2;
-  meta.max_retries = config.max_retries;
-  meta.round_interval = config.round_interval;
+  meta.max_retries = static_cast<std::uint32_t>(config.protocol.max_retries);
+  meta.round_interval = config.protocol.round_interval;
   meta.rounds = rounds;
   meta.seed = 3;
   meta.evicted = engine.recorder()->evicted();
