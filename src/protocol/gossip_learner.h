@@ -90,9 +90,6 @@ struct protocol_config {
   /// max_retries above 2^32 − 1, crash_rate or restart_rate outside [0, 1].
   void validate() const;
 
-  /// Field-wise equality; validate_spec compares against protocol_config{}
-  /// to catch non-default knobs stranded on a non-protocol engine, so a new
-  /// knob is covered there automatically.
   friend bool operator==(const protocol_config&, const protocol_config&) = default;
 };
 

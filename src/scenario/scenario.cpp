@@ -1,6 +1,5 @@
 #include "scenario/scenario.h"
 
-#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -13,6 +12,7 @@
 #include "core/finite_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "protocol/protocol_engine.h"
+#include "scenario/serialize.h"
 #include "scenario/sweep.h"
 #include "support/field_error.h"
 #include "support/rng.h"
@@ -33,12 +33,17 @@ class networked_dynamics final : public core::finite_dynamics {
   std::shared_ptr<const graph::graph> topology_;
 };
 
+/// rows × cols == n, tested by division so that no product can wrap.
+bool lattice_fits(std::size_t rows, std::size_t cols, std::size_t n) {
+  return rows != 0 && n % rows == 0 && n / rows == cols;
+}
+
 /// rows × cols for lattice families: taken from the spec, or the most
 /// square factorization of N when unset.
 std::pair<std::size_t, std::size_t> lattice_shape(const topology_spec& spec,
                                                   std::size_t num_agents) {
   if (spec.rows != 0 || spec.cols != 0) {
-    if (spec.rows * spec.cols != num_agents) {
+    if (!lattice_fits(spec.rows, spec.cols, num_agents)) {
       throw std::invalid_argument{"build_topology: rows * cols != num_agents"};
     }
     return {spec.rows, spec.cols};
@@ -48,49 +53,15 @@ std::pair<std::size_t, std::size_t> lattice_shape(const topology_spec& spec,
   return {rows, num_agents / rows};
 }
 
-/// The cache key: family, N, and exactly the fields build_topology reads
-/// for that family — nothing else, so sweeps over unrelated keys hit.
-/// Doubles are keyed by their bit pattern (the cache must distinguish what
-/// the generator would distinguish, no more).
-std::string topology_cache_key(const topology_spec& spec, std::size_t num_agents) {
-  using family = topology_spec::family_kind;
-  std::string key = std::to_string(static_cast<int>(spec.family));
-  key += ':';
-  key += std::to_string(num_agents);
-  const auto add_u64 = [&key](std::uint64_t v) {
-    key += ':';
-    key += std::to_string(v);
-  };
-  const auto add_double = [&add_u64](double v) {
-    add_u64(std::bit_cast<std::uint64_t>(v));
-  };
-  switch (spec.family) {
-    case family::none:
-    case family::complete:
-    case family::ring:
-    case family::star:
-      break;
-    case family::grid:
-    case family::torus:
-      add_u64(spec.rows);
-      add_u64(spec.cols);
-      break;
-    case family::erdos_renyi:
-      add_double(spec.edge_probability);
-      add_u64(spec.seed);
-      break;
-    case family::watts_strogatz:
-      add_u64(spec.degree);
-      add_double(spec.rewire_probability);
-      add_u64(spec.seed);
-      break;
-    case family::barabasi_albert:
-      add_u64(spec.degree);
-      add_u64(spec.seed);
-      break;
-    case family::two_cliques:
-      add_u64(spec.bridges);
-      break;
+/// The cache key: N and the `topology.*` fields as a run reads them
+/// (read_fields writes those the family does not read at their defaults),
+/// in the canonical text, which round-trips every double exactly.
+std::string topology_cache_key(const topology_spec& topology, std::size_t num_agents) {
+  scenario_spec spec;
+  spec.topology = topology;
+  std::string key = std::to_string(num_agents);
+  for (const auto& [field, value] : read_fields(spec)) {
+    if (field.starts_with("topology.")) key += ' ' + value;
   }
   return key;
 }
@@ -238,7 +209,7 @@ std::string topology_build_error(const topology_spec& spec, std::size_t num_agen
       break;
     case family::grid:
     case family::torus:
-      if ((spec.rows != 0 || spec.cols != 0) && spec.rows * spec.cols != num_agents) {
+      if ((spec.rows != 0 || spec.cols != 0) && !lattice_fits(spec.rows, spec.cols, num_agents)) {
         return "topology.rows * topology.cols != num_agents";
       }
       break;
@@ -330,17 +301,18 @@ core::env_factory make_environment(const environment_spec& spec) {
 
 core::engine_factory make_engine(const scenario_spec& spec) {
   validate_spec(spec);
-  const bool networked = spec.topology.family != topology_spec::family_kind::none;
+  // Built once for every engine: validate_spec has refused a topology on an
+  // engine that does not read it.
+  std::shared_ptr<const graph::graph> topology = spec.prebuilt_graph;
+  if (topology == nullptr && spec.topology.family != topology_spec::family_kind::none) {
+    topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
+  }
   switch (resolved_engine(spec)) {
     case engine_kind::infinite:
       return core::make_infinite_engine_factory(spec.params, spec.start);
     case engine_kind::aggregate:
       return core::make_finite_engine_factory(spec.params, spec.num_agents);
-    case engine_kind::agent_based: {
-      std::shared_ptr<const graph::graph> topology = spec.prebuilt_graph;
-      if (networked && topology == nullptr) {
-        topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
-      }
+    case engine_kind::agent_based:
       return [params = spec.params, num_agents = spec.num_agents, topology,
               rules = spec.agent_rules]() -> std::unique_ptr<core::dynamics_engine> {
         std::unique_ptr<core::finite_dynamics> engine;
@@ -354,22 +326,16 @@ core::engine_factory make_engine(const scenario_spec& spec) {
         if (!rules.empty()) engine->set_agent_rules(rules);
         return engine;
       };
-    }
     case engine_kind::grouped:
       return [params = spec.params, groups = spec.groups] {
         return std::make_unique<core::aggregate_dynamics>(params, groups);
       };
-    case engine_kind::protocol: {
-      std::shared_ptr<const graph::graph> topology = spec.prebuilt_graph;
-      if (networked && topology == nullptr) {
-        topology = shared_topology(spec.topology, static_cast<std::size_t>(spec.num_agents));
-      }
+    case engine_kind::protocol:
       return [config = to_engine_config(spec), num_agents = spec.num_agents,
               topology] {
         return std::make_unique<protocol::protocol_engine>(
             config, static_cast<std::size_t>(num_agents), topology);
       };
-    }
     case engine_kind::auto_select:
       break;  // unreachable: resolve() never returns auto_select
   }
@@ -405,37 +371,17 @@ void validate_spec(const scenario_spec& spec) {
         where("environment.etas has ") + std::to_string(spec.environment.etas.size()) +
         " entries but params.num_options = " + std::to_string(m) + " (they must match)"};
   }
-  if (spec.environment.family == environment_spec::family_kind::drifting &&
-      spec.environment.end_etas.size() != m) {
-    throw std::invalid_argument{
-        where("environment.end_etas has ") +
-        std::to_string(spec.environment.end_etas.size()) +
-        " entries but params.num_options = " + std::to_string(m) + " (they must match)"};
-  }
   if (!spec.start.empty() && spec.start.size() != m) {
     throw std::invalid_argument{
         where("start has ") + std::to_string(spec.start.size()) +
         " entries but params.num_options = " + std::to_string(m) + " (they must match)"};
   }
 
-  // Field families the resolved engine would silently ignore are errors:
+  // A key the resolved engine does not read would be silently dropped, and
   // the run would not be what the spec claims.
   const engine_kind kind = resolved_engine(spec);
-  if (!spec.start.empty() && kind != engine_kind::infinite) {
-    throw std::invalid_argument{
-        where("a nonuniform start seeds the infinite engine only; this spec "
-              "resolves to another engine (drop start or set engine = "
-              "\"infinite\" with num_agents = 0)")};
-  }
-  if (!spec.groups.empty() && kind != engine_kind::grouped) {
-    throw std::invalid_argument{
-        where("groups configure the grouped engine only; this spec resolves "
-              "to another engine (drop groups or set engine = \"grouped\")")};
-  }
-  if (!spec.agent_rules.empty() && kind != engine_kind::agent_based) {
-    throw std::invalid_argument{
-        where("per-agent rules configure the agent-based engine only (set "
-              "engine = \"agent_based\" or drop agent_rules)")};
+  if (const std::string stranded = stranded_key_error(spec, kind); !stranded.empty()) {
+    throw std::invalid_argument{where(stranded.c_str())};
   }
 
   // Everything the factories would reject is rejected here (make_engine
@@ -443,17 +389,15 @@ void validate_spec(const scenario_spec& spec) {
   // die later inside a graph/engine/environment constructor (the contract
   // validate_spec_error and the property-test generator build on).
   const bool networked = spec.topology.family != topology_spec::family_kind::none;
-  if (networked && kind != engine_kind::agent_based && kind != engine_kind::protocol) {
-    throw std::invalid_argument{
-        where("a topology requires the agent-based or protocol engine")};
-  }
   if (networked && spec.prebuilt_graph == nullptr) {
     const std::string error =
         topology_build_error(spec.topology, static_cast<std::size_t>(spec.num_agents));
     if (!error.empty()) throw std::invalid_argument{where(error.c_str())};
   }
-  if (kind == engine_kind::agent_based && spec.num_agents == 0) {
-    throw std::invalid_argument{where("the agent-based engine needs num_agents >= 1")};
+  if ((kind == engine_kind::agent_based || kind == engine_kind::protocol) &&
+      spec.num_agents == 0) {
+    throw std::invalid_argument{where("the ") + std::string{engine_name(kind)} +
+                                " engine needs num_agents >= 1"};
   }
   if (!spec.agent_rules.empty() && spec.agent_rules.size() != spec.num_agents) {
     throw std::invalid_argument{
@@ -497,9 +441,6 @@ void validate_spec(const scenario_spec& spec) {
   // attached instead of exploding mid-run inside a worker.
   keyed("environment.", [&] { (void)make_environment(spec.environment)(); });
   if (kind == engine_kind::protocol) {
-    if (spec.num_agents == 0) {
-      throw std::invalid_argument{where("the protocol engine needs num_agents >= 1")};
-    }
     // The engine constructor's own checks: the protocol knobs first, so a
     // bad round_interval is reported as itself and not as a fault time;
     // then netsim's fault check, on the spec's schedule in rounds and on
@@ -512,21 +453,6 @@ void validate_spec(const scenario_spec& spec) {
       to_netsim_faults(spec, 1.0).validate(num_nodes);
       to_netsim_faults(spec, spec.protocol.round_interval).validate(num_nodes);
     });
-  } else {
-    if (spec.protocol != protocol::protocol_config{}) {
-      // apply_override gates protocol.* keys at assignment time, but the
-      // engine can legally be changed afterwards (later lines win); catch
-      // the flip here so non-default protocol knobs are never silently
-      // dropped by a non-protocol run.
-      throw std::invalid_argument{
-          where("protocol.* fields are set but the spec does not run the "
-                "protocol engine (set engine = \"protocol\" or drop them)")};
-    }
-    if (spec.faults != fault_schedule_spec{}) {
-      throw std::invalid_argument{
-          where("faults.* fields are set but the spec does not run the "
-                "protocol engine (set engine = \"protocol\" or drop them)")};
-    }
   }
 }
 

@@ -107,9 +107,6 @@ struct fault_action_spec {
 };
 
 /// The `faults.*` family: a nemesis schedule plus trace-recording knobs.
-/// Like protocol::protocol_config, compared against a default-constructed
-/// value by validate_spec to catch fault keys stranded on a non-protocol
-/// engine.
 struct fault_schedule_spec {
   std::vector<fault_action_spec> actions;
   bool record = false;  ///< attach a trace recorder to every replication
@@ -162,8 +159,8 @@ struct scenario_spec {
 [[nodiscard]] graph::graph build_topology(const topology_spec& spec,
                                           std::size_t num_agents);
 
-/// build_topology behind a small process-wide MRU cache, keyed by the
-/// family, N, and only the spec fields that family actually reads (so two
+/// build_topology behind a small process-wide MRU cache, keyed by N and the
+/// `topology.*` fields as the key table says the family reads them (so two
 /// sweep points that differ in, say, params.beta — or even in an unused
 /// topology field — share one built graph).  Graph generation is the
 /// dominant per-point cost of sweeps over large random topologies; the
@@ -189,11 +186,11 @@ struct topology_cache_stats {
 [[nodiscard]] core::engine_factory make_engine(const scenario_spec& spec);
 
 /// Validates the spec up front, so no factory throws later: params.validate(),
-/// environment.etas (and drifting end_etas) sized to params.num_options, a
-/// `start` override sized to num_options, field families the resolved
-/// engine does not read (a non-empty `start` needs the infinite engine,
-/// `groups` the grouped engine, and the protocol engine takes neither —
-/// silently ignoring them would misreport what ran), the topology's
+/// environment.etas sized to params.num_options, a `start` override sized to
+/// num_options, keys the resolved engine does not read (the key table in
+/// serialize.cpp says who reads each key, and any key off its
+/// scenario_spec{} default that the engine does not read is refused by
+/// name — silently ignoring it would misreport what ran), the topology's
 /// build preconditions, and the protocol engine's config and fault
 /// schedule.  Range rules are not restated here: each is the owning
 /// layer's own check (adoption_rule::valid, dynamics_params::validate, the

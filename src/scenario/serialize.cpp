@@ -1,13 +1,10 @@
 #include "scenario/serialize.h"
 
-#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <initializer_list>
-#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -276,7 +273,7 @@ std::string format_value(std::string_view key, const T& value) {
   }
 }
 
-// --- engine gating ----------------------------------------------------------
+// --- who reads a key ---------------------------------------------------------
 
 /// A set of engines, one bit per engine_kind.
 using engine_set = unsigned;
@@ -294,15 +291,28 @@ constexpr bool reads(engine_set readers, engine_kind engine) {
   return ((readers >> static_cast<unsigned>(engine)) & 1U) != 0;
 }
 
-/// Rejects a key whose family the spec's chosen engine does not read.  A
-/// plausible-but-irrelevant key silently accepted would make the run claim
-/// a configuration it never used; rejecting here keeps `--set` and spec
-/// files honest.  A gated key needs its engine set before it (canonical
-/// serialization emits `engine` before every gated key, so round trips are
-/// unaffected).
-[[noreturn]] void family_mismatch(std::string_view key, engine_set readers,
-                                  engine_kind actual) {
-  std::string message{"scenario key '"};
+/// Whether a spec running `engine` is inside a row's scope (the families
+/// that read it).  Outside it a value is ignored, not refused.
+using read_scope = bool (*)(const scenario_spec& spec, engine_kind engine);
+
+bool always(const scenario_spec&, engine_kind) { return true; }
+
+template <topology_spec::family_kind... Families>
+bool topologies(const scenario_spec& spec, engine_kind) {
+  return ((spec.topology.family == Families) || ...);
+}
+
+template <environment_spec::family_kind... Families>
+bool environments(const scenario_spec& spec, engine_kind) {
+  return ((spec.environment.family == Families) || ...);
+}
+
+/// num_agents' scope: N = 0 auto-selects the infinite engine, which ignores N.
+bool finite(const scenario_spec&, engine_kind engine) { return engine != engine_kind::infinite; }
+
+/// "key 'K' is read only by the A or B engine, but this spec's engine is 'E'".
+std::string readers_message(std::string_view key, engine_set readers, engine_kind actual) {
+  std::string message{"key '"};
   message += key;
   message += "' is read only by the ";
   std::string_view separator;
@@ -314,25 +324,37 @@ constexpr bool reads(engine_set readers, engine_kind engine) {
   }
   message += " engine, but this spec's engine is '";
   message += enum_name(key, actual, k_engine_names);
-  message += "' — set a matching engine before it, or drop the key";
-  throw std::invalid_argument{message};
+  message += "'";
+  return message;
+}
+
+/// Rejects a key the spec's chosen engine does not read, so that `--set`
+/// and spec files never claim a configuration the run ignores.  A gated
+/// key needs its engine set before it (canonical serialization emits
+/// `engine` first, so round trips are unaffected).
+[[noreturn]] void family_mismatch(std::string_view key, engine_set readers,
+                                  engine_kind actual) {
+  throw std::invalid_argument{"scenario " + readers_message(key, readers, actual) +
+                              " — set a matching engine before it, or drop the key"};
 }
 
 // --- the key table ----------------------------------------------------------
 
 using field_list = std::vector<std::pair<std::string, std::string>>;
 
-/// One row of a key table: a key, the engines that read it, and its codec.
-/// `Owner` is scenario_spec for the spec's table and the entry type for an
-/// indexed family's own table.  When `readers` include `auto` (the key can
-/// steer auto-selection) only a non-default value needs a reading engine,
-/// and the key is always emitted.  Otherwise every value needs one, and the
-/// key is emitted only for a reading engine, so that parsing the canonical
-/// form never trips the gate.
+/// One row of a key table: a key, who reads it, and its codec.  `Owner` is
+/// scenario_spec for the spec's table and the entry type for an indexed
+/// family's own table.  A row is read when the resolved engine is among its
+/// `readers` and the spec is inside its `scope`.  When `readers` include
+/// `auto` (the key can steer auto-selection) only a non-default value needs
+/// a reading engine, and the key is always emitted.  Otherwise every value
+/// needs one, and the key is emitted only for a reading engine, so that
+/// parsing the canonical form never trips the gate.
 template <typename Owner>
 struct key_row {
   std::string_view key;  ///< for an indexed family, the "<family>" prefix
   engine_set readers;
+  read_scope scope;
   bool indexed;  ///< matches "<key>.<index>.<field>" keys
   /// Parses `value` and stores it; `owner` is unchanged when this throws.
   void (*set)(const key_row& row, Owner& owner, std::string_view key,
@@ -342,6 +364,8 @@ struct key_row {
                field_list& fields);
   /// Appends the keys the row accepts (an indexed family's as index 0).
   void (*names)(const key_row& row, std::string_view prefix, std::vector<std::string>& names);
+  /// Whether the row holds its scenario_spec{} (or entry{}) default.
+  bool (*is_default)(const Owner& owner);
 };
 
 template <typename Owner, std::size_t N>
@@ -365,7 +389,7 @@ const key_row<Owner>* find_row(const std::array<key_row<Owner>, N>& rows,
 template <typename Owner = scenario_spec, typename Ref>
 constexpr key_row<Owner> field(std::string_view key, Ref, engine_set readers = k_every_engine) {
   return {
-      key, readers, false,
+      key, readers, always, false,
       [](const key_row<Owner>& row, Owner& owner, std::string_view k, std::string_view v,
          engine_kind engine) {
         using T = std::remove_cvref_t<decltype(*Ref{}(owner))>;
@@ -385,7 +409,19 @@ constexpr key_row<Owner> field(std::string_view key, Ref, engine_set readers = k
       },
       [](const key_row<Owner>& row, std::string_view prefix, std::vector<std::string>& names) {
         names.push_back(std::string{prefix}.append(row.key));
+      },
+      [](const Owner& owner) {
+        static const Owner defaults{};
+        return *Ref{}(owner) == *Ref{}(defaults);
       }};
+}
+
+/// A row that every engine may set and only specs inside `scope` read.
+template <typename Ref>
+constexpr key_row<scenario_spec> field(std::string_view key, Ref ref, read_scope scope) {
+  key_row<scenario_spec> row = field(key, ref);
+  row.scope = scope;
+  return row;
 }
 
 /// Fetches entry `index` of `entries`, appending one default entry when the
@@ -409,7 +445,7 @@ T& addressed_entry(std::string_view key, std::vector<T>& entries, std::size_t in
 template <const auto& Fields, typename Ref>
 constexpr key_row<scenario_spec> family(std::string_view key, Ref, engine_set readers) {
   return {
-      key, readers, true,
+      key, readers, always, true,
       [](const key_row<scenario_spec>& row, scenario_spec& spec, std::string_view k,
          std::string_view v, engine_kind engine) {
         const std::string_view tail = k.substr(row.key.size() + 1);
@@ -441,7 +477,8 @@ constexpr key_row<scenario_spec> family(std::string_view key, Ref, engine_set re
       [](const key_row<scenario_spec>& row, std::string_view, std::vector<std::string>& names) {
         const std::string prefix = std::string{row.key} + ".0.";
         for (const auto& entry_field : Fields) entry_field.names(entry_field, prefix, names);
-      }};
+      },
+      [](const scenario_spec& spec) { return Ref{}(spec)->empty(); }};
 }
 
 constexpr std::array k_fault_fields{
@@ -467,30 +504,40 @@ constexpr std::array k_rule_fields{
     field<core::adoption_rule>("beta", [](auto& r) { return &r.beta; }),
 };
 
+using enum topology_spec::family_kind;
+using enum environment_spec::family_kind;
+
 /// Every key of the text format, in canonical serialization order.
 constexpr std::array k_spec_keys{
     field("name", [](auto& s) { return &s.name; }),
     field("description", [](auto& s) { return &s.description; }),
     field("engine", [](auto& s) { return &s.engine; }),
-    field("num_agents", [](auto& s) { return &s.num_agents; }),
+    field("num_agents", [](auto& s) { return &s.num_agents; }, finite),
     field("params.num_options", [](auto& s) { return &s.params.num_options; }),
     field("params.mu", [](auto& s) { return &s.params.mu; }),
     field("params.beta", [](auto& s) { return &s.params.beta; }),
     field("params.alpha", [](auto& s) { return &s.params.alpha; }),
     field("environment.family", [](auto& s) { return &s.environment.family; }),
     field("environment.etas", [](auto& s) { return &s.environment.etas; }),
-    field("environment.end_etas", [](auto& s) { return &s.environment.end_etas; }),
-    field("environment.period", [](auto& s) { return &s.environment.period; }),
-    field("environment.horizon", [](auto& s) { return &s.environment.horizon; }),
+    field("environment.end_etas", [](auto& s) { return &s.environment.end_etas; },
+          environments<drifting>),
+    field("environment.period", [](auto& s) { return &s.environment.period; },
+          environments<switching>),
+    field("environment.horizon", [](auto& s) { return &s.environment.horizon; },
+          environments<drifting>),
     field("topology.family", [](auto& s) { return &s.topology.family; },
           engines({engine_kind::auto_select, engine_kind::agent_based, engine_kind::protocol})),
-    field("topology.rows", [](auto& s) { return &s.topology.rows; }),
-    field("topology.cols", [](auto& s) { return &s.topology.cols; }),
-    field("topology.edge_probability", [](auto& s) { return &s.topology.edge_probability; }),
-    field("topology.degree", [](auto& s) { return &s.topology.degree; }),
-    field("topology.rewire_probability", [](auto& s) { return &s.topology.rewire_probability; }),
-    field("topology.bridges", [](auto& s) { return &s.topology.bridges; }),
-    field("topology.seed", [](auto& s) { return &s.topology.seed; }),
+    field("topology.rows", [](auto& s) { return &s.topology.rows; }, topologies<grid, torus>),
+    field("topology.cols", [](auto& s) { return &s.topology.cols; }, topologies<grid, torus>),
+    field("topology.edge_probability", [](auto& s) { return &s.topology.edge_probability; },
+          topologies<erdos_renyi>),
+    field("topology.degree", [](auto& s) { return &s.topology.degree; },
+          topologies<watts_strogatz, barabasi_albert>),
+    field("topology.rewire_probability", [](auto& s) { return &s.topology.rewire_probability; },
+          topologies<watts_strogatz>),
+    field("topology.bridges", [](auto& s) { return &s.topology.bridges; }, topologies<two_cliques>),
+    field("topology.seed", [](auto& s) { return &s.topology.seed; },
+          topologies<erdos_renyi, watts_strogatz, barabasi_albert>),
     field("protocol.round_interval", [](auto& s) { return &s.protocol.round_interval; },
           k_protocol),
     field("protocol.base_latency", [](auto& s) { return &s.protocol.base_latency; }, k_protocol),
@@ -562,6 +609,29 @@ std::vector<std::pair<std::string, std::string>> scenario_fields(
     }
   }
   return fields;
+}
+
+std::vector<std::pair<std::string, std::string>> read_fields(const scenario_spec& spec) {
+  // Unread rows are written from the defaults, with the infinite engine's N.
+  static const scenario_spec canonical = parse_scenario("num_agents = 0");
+  const engine_kind engine = resolved_engine(spec);
+  field_list fields;
+  for (const key_row<scenario_spec>& row : k_spec_keys) {
+    if (reads(row.readers, spec.engine) || reads(row.readers, engine_kind::auto_select)) {
+      const bool read = reads(row.readers, engine) && row.scope(spec, engine);
+      row.emit(row, read ? spec : canonical, "", fields);
+    }
+  }
+  return fields;
+}
+
+std::string stranded_key_error(const scenario_spec& spec, engine_kind engine) {
+  for (const key_row<scenario_spec>& row : k_spec_keys) {
+    if (reads(row.readers, engine) || row.is_default(spec)) continue;
+    return readers_message(row.key, row.readers, engine) +
+           " (set a matching engine or drop the key)";
+  }
+  return {};
 }
 
 std::string serialize_scenario(const scenario_spec& spec) {

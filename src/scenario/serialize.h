@@ -36,6 +36,17 @@ namespace sgl::scenario {
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> scenario_fields(
     const scenario_spec& spec);
 
+/// scenario_fields as a run of `spec` reads them: a row that the resolved
+/// engine or the spec's family does not read is written at its canonical
+/// value, the scenario_spec{} default except num_agents = 0.  The service
+/// digest and the topology cache key are built from this list.
+[[nodiscard]] std::vector<std::pair<std::string, std::string>> read_fields(
+    const scenario_spec& spec);
+
+/// The error naming the first key that `spec` sets off its scenario_spec{}
+/// default although `engine` does not read it; empty when there is none.
+[[nodiscard]] std::string stranded_key_error(const scenario_spec& spec, engine_kind engine);
+
 /// The `engine` key's value naming `kind` ("auto", "infinite", "aggregate",
 /// "agent_based", "grouped", "protocol").
 [[nodiscard]] std::string_view engine_name(engine_kind kind);

@@ -30,25 +30,21 @@ digest128 fnv1a_128(std::string_view bytes) noexcept {
 }
 
 std::vector<std::pair<std::string, std::string>> digest_fields(
-    const scenario::scenario_spec& spec) {
+    const scenario::scenario_spec& spec, std::span<const std::string> probe_specs) {
   if (spec.prebuilt_graph != nullptr) {
     throw std::invalid_argument{
         "spec_digest: the spec carries a prebuilt_graph, a runtime-only handle "
         "the canonical form cannot capture — build from a topology spec instead"};
   }
-  const scenario::engine_kind resolved = scenario::resolved_engine(spec);
-  const auto quoted = [](std::string_view name) {
-    std::string out = "\"";
-    out += name;
-    out += '"';
-    return out;
-  };
   std::vector<std::pair<std::string, std::string>> fields;
-  fields.emplace_back("engine", quoted(scenario::engine_name(resolved)));
-  for (auto& [key, value] : scenario::scenario_fields(spec)) {
+  fields.emplace_back(
+      "engine", '"' + std::string{scenario::engine_name(scenario::resolved_engine(spec))} + '"');
+  for (auto& [key, value] : scenario::read_fields(spec)) {
     if (key == "name" || key == "description" || key == "engine") {
       continue;  // handled above / semantically inert
     }
+    // A requested probe list replaces the spec's own (resolved_probes).
+    if (key == "probes" && !probe_specs.empty()) value = "[]";
     fields.emplace_back(std::move(key), std::move(value));
   }
   return fields;
@@ -61,7 +57,7 @@ std::string digest_input(const scenario::scenario_spec& spec,
   out += "streams = \"";
   out += k_stream_derivation_id;
   out += "\"\n";
-  for (const auto& [key, value] : digest_fields(spec)) {
+  for (const auto& [key, value] : digest_fields(spec, probe_specs)) {
     out += key;
     out += " = ";
     out += value;

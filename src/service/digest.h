@@ -17,10 +17,10 @@
 /// spec_digest therefore keys a result by exactly the semantically
 /// meaningful inputs and nothing else:
 ///
-///   * the canonical spec fields, minus `name` and `description`
-///     (documentation never changes a trajectory), with `engine`
-///     pre-resolved (auto_select hashes as what
-///     it resolves to).  There is no kernel or ISA field: every step path
+///   * the canonical spec fields as the run reads them (read_fields:
+///     the key table decides), minus `name` and `description`, with
+///     `engine` resolved and `probes = []` when the request names its
+///     own probes.  There is no kernel or ISA field: every step path
 ///     has one sampler whose bits do not depend on the host;
 ///   * the run shape: horizon, replications, master seed (config.threads
 ///     is excluded — bit-identity makes it free);
@@ -70,12 +70,13 @@ struct digest128 {
 /// fallback rule), which the digest and the payload echo name.
 using scenario::resolved_probes;
 
-/// The canonical digest-input fields, in order — the exact lines that get
-/// hashed, exposed for tests and for the cached payload's spec echo.
-/// Throws std::invalid_argument when spec.prebuilt_graph is set (a runtime
-/// handle the canonical form cannot capture — hashing it would be unsound).
+/// The canonical digest-input fields of `spec` run with `probe_specs`, in
+/// order — the exact lines that get hashed, exposed for tests and for the
+/// cached payload's spec echo.  Throws std::invalid_argument when
+/// spec.prebuilt_graph is set (a runtime handle the canonical form cannot
+/// capture — hashing it would be unsound).
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> digest_fields(
-    const scenario::scenario_spec& spec);
+    const scenario::scenario_spec& spec, std::span<const std::string> probe_specs);
 
 /// The full canonical input text: a header with the format and
 /// stream-derivation tags, the digest_fields, the run shape, and the

@@ -43,7 +43,7 @@ std::string build_point_payload(const digest128& digest,
   json.key("stream_derivation").value(k_stream_derivation_id);
 
   json.key("spec").begin_object();
-  for (const auto& [key, value] : digest_fields(spec)) {
+  for (const auto& [key, value] : digest_fields(spec, probe_specs)) {
     json.key(key).raw(value);  // canonical values are JSON-compatible
   }
   json.end_object();

@@ -423,6 +423,16 @@ TEST(fault_spec, validate_names_the_offending_key) {
   expect_rejected({"environment.end_etas=[0.3, 0.5, 2]"}, "environment.end_etas",
                   "drifting-crossover");
   expect_rejected({"environment.etas=[0.7, 0.7]"}, "environment.etas", "ef-exclusive");
+  // rows * cols wraps to N in 64 bits; never build this spec.
+  expect_rejected({"topology.family=grid", "num_agents=4",
+                   "topology.rows=4611686018427387905", "topology.cols=4"},
+                  "topology.rows", "quickstart");
+  // A key the resolved engine does not read is refused by name.
+  expect_rejected({"engine=\"agent_based\""}, "protocol.jitter_mean", "gossip_ring_300");
+  expect_rejected({"engine=\"auto\"", "start=[0.25, 0.25, 0.25, 0.25]",
+                   "engine=\"agent_based\""},
+                  "start", "quickstart");
+  expect_rejected({"engine=\"agent_based\""}, "faults");
 }
 
 /// validate_spec checks the schedule the engine runs — times in seconds,

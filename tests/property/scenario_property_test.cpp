@@ -20,11 +20,13 @@
 #include <vector>
 
 #include "core/invariants.h"
+#include "core/probe.h"
 #include "property/generators.h"
 #include "property/property_harness.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
 #include "service/digest.h"
+#include "service/payload.h"
 #include "support/rng.h"
 
 namespace {
@@ -178,8 +180,10 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
 
 // Law 6: the service digest keys exactly the semantically meaningful
 // inputs — stable under every documented-inert mutation (name,
-// description, config.threads), changed by
-// meaningful ones (master seed, horizon, mu).
+// description, config.threads) and under keys the spec's engine or
+// family does not read, which leave the payload bytes unchanged too;
+// changed by meaningful ones (master seed, horizon, mu, the graph seed of
+// a random topology).
 TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
   check_scenario_property([](const scenario::scenario_spec& spec) {
     return guarded([&]() -> std::string {
@@ -211,6 +215,51 @@ TEST(scenario_property, spec_digest_keys_meaningful_inputs_only) {
       mixed.params.mu = spec.params.mu == 1.0 ? 0.5 : (spec.params.mu + 1.0) / 2.0;
       if (service::spec_digest(mixed, config, no_probes) == base) {
         return "digest ignored params.mu";
+      }
+
+      // Every key below is either read by this spec's engine and family, so
+      // changing it must move the digest, or unread, so changing it must
+      // leave the digest and the payload bytes alone.
+      using topology = scenario::topology_spec::family_kind;
+      const topology family = spec.topology.family;
+      scenario::scenario_spec unread = spec;
+      const auto check = [&](bool read, const char* key, auto mutate) -> std::string {
+        scenario::scenario_spec changed = spec;
+        mutate(changed);
+        if (read) {
+          if (service::spec_digest(changed, config, no_probes) == base) {
+            return std::string{"digest ignored "} + key + ", which the spec reads";
+          }
+        } else {
+          mutate(unread);
+        }
+        return {};
+      };
+      const bool random_graph = family == topology::erdos_renyi ||
+                                family == topology::watts_strogatz ||
+                                family == topology::barabasi_albert;
+      for (const std::string& failure : {
+               check(random_graph, "topology.seed",
+                     [](scenario::scenario_spec& s) { ++s.topology.seed; }),
+               check(family == topology::watts_strogatz || family == topology::barabasi_albert,
+                     "topology.degree", [](scenario::scenario_spec& s) { ++s.topology.degree; }),
+               check(spec.environment.family == scenario::environment_spec::family_kind::switching,
+                     "environment.period",
+                     [](scenario::scenario_spec& s) { ++s.environment.period; }),
+               check(spec.engine != scenario::engine_kind::infinite, "num_agents",
+                     [](scenario::scenario_spec& s) { ++s.num_agents; }),
+           }) {
+        if (!failure.empty()) return failure;
+      }
+      if (service::spec_digest(unread, config, no_probes) != base) {
+        return "digest moved under keys the spec does not read";
+      }
+      const auto payload = [&](const scenario::scenario_spec& s) {
+        const auto reports = core::collect_reports(scenario::run_probes(s, config, no_probes));
+        return service::build_point_payload(base, s, config, no_probes, reports);
+      };
+      if (payload(unread) != payload(spec)) {
+        return "payload moved under keys the spec does not read";
       }
       return {};
     });

@@ -148,6 +148,21 @@ TEST(spec_digest, probe_fallback_matches_explicit_probes) {
   EXPECT_EQ(spec_digest(base, config, {}), spec_digest(base, config, regret));
 }
 
+TEST(spec_digest, requested_probes_make_the_spec_probes_inert) {
+  // A requested probe list replaces the spec's own, so the spec's list may
+  // not split the cache or change the payload's spec echo.
+  const scenario::scenario_spec plain = scenario::get_scenario("quickstart");
+  scenario::scenario_spec listed = plain;
+  scenario::apply_override(listed, "probes", "[\"final_histogram\"]");
+  const core::run_config config = test_config();
+  const std::vector<std::string> regret{"regret"};
+  const digest128 digest = spec_digest(plain, config, regret);
+  EXPECT_EQ(spec_digest(listed, config, regret), digest);
+  EXPECT_EQ(build_point_payload(digest, listed, config, regret, {}),
+            build_point_payload(digest, plain, config, regret, {}));
+  EXPECT_NE(spec_digest(listed, config, {}), spec_digest(plain, config, {}));
+}
+
 TEST(spec_digest, prebuilt_graph_is_rejected) {
   scenario::scenario_spec spec = scenario::get_scenario("ring");
   spec.prebuilt_graph = scenario::shared_topology(spec.topology, spec.num_agents);
@@ -520,6 +535,33 @@ TEST(job_queue, partial_store_resumes_by_recomputing_only_missing_points) {
   EXPECT_EQ(resumed.payloads[static_cast<std::size_t>(hit - resumed.points.begin())],
             warmup.payloads.at(0));
   EXPECT_EQ(store.object_count(), 3U);
+}
+
+TEST(job_queue, a_key_the_topology_does_not_read_is_a_cache_hit) {
+  // Only watts_strogatz and barabasi_albert read topology.degree, so on the
+  // ring it cannot change the result and must not split the cache.
+  result_store store{fresh_store_root("unread_key")};
+  job_queue queue{store, 1};
+  job_request ring;
+  ring.base = scenario::get_scenario("network_ring_1e5");
+  ring.config = test_config();
+  ring.config.horizon = 3;
+  ring.config.replications = 1;
+  job_request rewired = ring;
+  scenario::apply_override(rewired.base, "topology.degree", "7");
+
+  event_log first;
+  queue.submit(std::move(ring), first.sinks());
+  queue.drain();
+  event_log second;
+  queue.submit(std::move(rewired), second.sinks());
+  queue.drain();
+  ASSERT_EQ(first.points.size(), 1U);
+  ASSERT_EQ(second.points.size(), 1U);
+  EXPECT_FALSE(first.points[0].cache_hit);
+  EXPECT_TRUE(second.points[0].cache_hit);
+  EXPECT_EQ(second.payloads[0], first.payloads[0]);
+  EXPECT_EQ(store.object_count(), 1U);
 }
 
 TEST(job_queue, queued_jobs_cancel_without_running) {
