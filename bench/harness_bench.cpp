@@ -50,7 +50,7 @@ void replication_throughput(benchmark::State& state, const std::string& name,
                             std::uint64_t horizon, std::uint64_t replications) {
   const scenario::scenario_spec spec = scenario::get_scenario(name);
   const core::run_config config = harness_config(horizon, replications);
-  // Warm the topology cache and the worker pool outside the timed region:
+  // Warm the topology cache outside the timed region:
   // several benchmarks here run a single long iteration, which would
   // otherwise charge all process cold-start costs to whichever variant
   // happens to run first and destabilize the CI regression gate.

@@ -20,7 +20,7 @@
 /// a list of runs (engine factory, environment factory, probe prototypes),
 /// splits each run's replications into the fixed shards of reduce_layout
 /// (support/parallel.h), and drains every (run × shard) work item in one
-/// job over the worker pool.  Each worker borrows a replication_context
+/// parallel_tasks call.  Each participant borrows a replication_context
 /// (engine + environment built from the two factories, validated once,
 /// reset() between replications when both sides are reusable()) and
 /// advances it through the horizon while every installed probe
@@ -123,7 +123,7 @@ using run_sink = std::function<void(std::size_t index, probe_list&& merged, doub
 /// THE Monte-Carlo scheduler: `config.replications` independent
 /// replications of every run, each advanced `config.horizon` steps.  Every
 /// run's replications split into reduce_layout's fixed shards; all (run ×
-/// shard) items drain over the worker pool together, so no worker idles
+/// shard) items drain in one parallel_tasks call, so no thread idles
 /// until the last run is done.  Each shard folds its replications, on the
 /// streams rng::from_stream(config.seed, 2r[+1]), into its own probe
 /// clones, and a run's shards merge in shard order — so a run's result is

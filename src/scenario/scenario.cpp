@@ -39,15 +39,11 @@ bool lattice_fits(std::size_t rows, std::size_t cols, std::size_t n) {
 }
 
 /// rows × cols for lattice families: taken from the spec, or the most
-/// square factorization of N when unset.
+/// square factorization of N when unset.  topology_build_error has checked
+/// that a set shape fits N and that N >= 1.
 std::pair<std::size_t, std::size_t> lattice_shape(const topology_spec& spec,
                                                   std::size_t num_agents) {
-  if (spec.rows != 0 || spec.cols != 0) {
-    if (!lattice_fits(spec.rows, spec.cols, num_agents)) {
-      throw std::invalid_argument{"build_topology: rows * cols != num_agents"};
-    }
-    return {spec.rows, spec.cols};
-  }
+  if (spec.rows != 0 || spec.cols != 0) return {spec.rows, spec.cols};
   auto rows = static_cast<std::size_t>(std::sqrt(static_cast<double>(num_agents)));
   while (rows > 1 && num_agents % rows != 0) --rows;
   return {rows, num_agents / rows};
@@ -245,11 +241,14 @@ std::string topology_build_error(const topology_spec& spec, std::size_t num_agen
 }
 
 graph::graph build_topology(const topology_spec& spec, std::size_t num_agents) {
+  if (std::string error = topology_build_error(spec, num_agents); !error.empty()) {
+    throw std::invalid_argument{std::move(error)};
+  }
   using family = topology_spec::family_kind;
   rng gen{spec.seed};
   switch (spec.family) {
     case family::none:
-      throw std::invalid_argument{"build_topology: family is none"};
+      break;  // refused above
     case family::complete:
       return graph::graph::complete(num_agents);
     case family::ring:
@@ -272,9 +271,6 @@ graph::graph build_topology(const topology_spec& spec, std::size_t num_agents) {
     case family::barabasi_albert:
       return graph::graph::barabasi_albert(num_agents, spec.degree, gen);
     case family::two_cliques:
-      if (num_agents % 2 != 0) {
-        throw std::invalid_argument{"build_topology: two_cliques needs even N"};
-      }
       return graph::graph::two_cliques(num_agents / 2, spec.bridges);
   }
   throw std::invalid_argument{"build_topology: unknown family"};

@@ -154,8 +154,8 @@ struct scenario_spec {
 [[nodiscard]] engine_kind resolved_engine(const scenario_spec& spec) noexcept;
 
 /// Materializes the topology for a population of `num_agents` vertices.
-/// Throws std::invalid_argument for family none (nothing to build) or
-/// inconsistent dimensions.
+/// Throws topology_build_error's message as std::invalid_argument when the
+/// (spec, N) cannot build: family none, N = 0, inconsistent dimensions.
 [[nodiscard]] graph::graph build_topology(const topology_spec& spec,
                                           std::size_t num_agents);
 

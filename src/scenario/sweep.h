@@ -8,8 +8,8 @@
 /// all points and builds their factories and probes before any
 /// replication runs, and hands the whole grid to core::run_points
 /// (core/experiment.h) as one list of runs.  That scheduler flattens the
-/// grid into (point × replication-shard) work items over the persistent
-/// worker pool (support/parallel.h): every worker stays busy until the
+/// grid into (point × replication-shard) work items of one parallel_tasks
+/// call (support/parallel.h): every thread stays busy until the
 /// whole grid drains, engines are reused through each point's context
 /// pool, and points that share a topology key share one built graph
 /// (scenario.h, shared_topology).  scenario::run_probes is a one-point

@@ -306,7 +306,7 @@ void job_queue::run_job_points(job_record& job) {
 
   // Pass 1 — serve everything the store already has.  Hits are emitted in
   // grid order before any computation starts, so a resubmission of a
-  // finished sweep streams its whole result without touching the pool.
+  // finished sweep streams its whole result without starting a thread.
   std::vector<std::size_t> missing;
   for (std::size_t p = 0; p < points; ++p) {
     if (job.stop.load(std::memory_order_acquire)) return;

@@ -11,10 +11,11 @@
 /// jobs one at a time, highest priority first (FIFO within a priority);
 /// each job's points are first checked against the result store (hits are
 /// served without recomputation), and only the missing points enter the
-/// sweep scheduler (scenario/sweep.h), which spreads their shards over the
-/// process-wide worker pool.  Completed points are persisted *before*
-/// their event is delivered, so an acknowledged point is always a cached
-/// point — that ordering is what makes kill-and-resume exact.
+/// sweep scheduler (scenario/sweep.h), which spreads their shards over
+/// helper threads that live for that one job.  Completed points are
+/// persisted *before* their event is delivered, so an acknowledged point
+/// is always a cached point — that ordering is what makes kill-and-resume
+/// exact.
 ///
 /// Cancellation: cancel() takes effect between work items.  A queued job
 /// goes straight to `cancelled`; a running job stops scheduling new shards

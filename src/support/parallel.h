@@ -1,38 +1,33 @@
 #pragma once
 
 /// \file parallel.h
-/// Deterministic replication-level parallelism over a persistent worker
-/// pool.  The experiment harnesses run thousands of short Monte-Carlo
-/// replications and sweep points; each replication derives its own RNG
-/// stream from (master seed, replication index), and reductions run over a
-/// *fixed* shard decomposition merged in shard order — so results are
-/// bit-identical regardless of thread count or scheduling.  Parallelism
-/// only changes wall-clock time.
+/// Deterministic replication-level parallelism.  The experiment harnesses
+/// run thousands of short Monte-Carlo replications and sweep points; each
+/// replication derives its own RNG stream from (master seed, replication
+/// index), and reductions run over a *fixed* shard decomposition merged in
+/// shard order — so results are bit-identical regardless of thread count
+/// or scheduling.  Parallelism only changes wall-clock time.
 ///
-/// Execution model (new in PR 4 — see DESIGN.md "Harness execution model"):
-/// instead of spawning and joining std::jthreads on every call,
-/// parallel_tasks submits a *job* (a fixed list of tasks claimed via one
-/// atomic counter) to a lazily started process-wide pool of
-/// `default_thread_count() - 1` workers.  The submitting thread always
-/// participates, so a machine with one hardware thread never pays any
-/// queueing at all (jobs run inline), and nested submissions — a pool task
-/// that itself calls parallel_tasks — cannot deadlock: the inner caller
-/// helps drain its own job while it waits.
-/// The `threads` argument caps the number of *participants* (caller +
-/// helpers) per job, preserving the old oversubscription semantics.
+/// Execution model (see DESIGN.md "Harness execution model"): each
+/// parallel_tasks call starts its own helper std::jthreads and joins them
+/// before it returns.  A sweep is one call (core::run_points puts every
+/// (point × shard) item into it), so a thread start costs tens of
+/// microseconds against milliseconds of work.  The calling thread always
+/// participates, so one participant starts no thread at all, and a nested
+/// call simply starts its own helpers.
 ///
-/// The callables are templated end to end: the only type erasure is one
-/// indirect call per *task* (a whole chunk / shard), never per item, so the
-/// per-item fold stays inlineable.
+/// The callable is templated end to end: no type erasure, so the per-item
+/// fold stays inlineable.
 
 #include <cstddef>
-#include <utility>
 
 #include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <type_traits>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace sgl {
 
@@ -40,52 +35,45 @@ namespace sgl {
 /// at least 1).
 [[nodiscard]] unsigned default_thread_count() noexcept;
 
-namespace detail {
-
-/// One submission to the worker pool: `task_count` tasks claimed via a
-/// shared atomic cursor and executed by at most `max_helpers` pool workers
-/// plus the submitting thread.  POD-ish by design; lives on the submitting
-/// thread's stack for the duration of the call.
-struct pool_job {
-  void (*invoke)(void*, std::size_t) = nullptr;  ///< run task i on ctx
-  void* ctx = nullptr;
-  std::size_t task_count = 0;
-  unsigned max_helpers = 0;  ///< pool workers allowed to join (caller always runs)
-
-  std::atomic<std::size_t> next{0};        ///< next unclaimed task
-  std::atomic<std::size_t> unfinished{0};  ///< tasks not yet executed/skipped
-  std::atomic<unsigned> helpers{0};        ///< pool workers currently inside
-  std::exception_ptr error;                ///< first failure (under error_mutex)
-  std::mutex error_mutex;
-  pool_job* queue_next = nullptr;  ///< intrusive pending-queue link
-};
-
-/// Runs the job to completion: enqueues it for the pool (when helpers are
-/// allowed and the pool has workers), executes tasks on the calling thread,
-/// waits for stragglers, and rethrows the first task exception.  After an
-/// exception no further tasks start; tasks already running complete.
-void run_on_pool(pool_job& job);
-
-}  // namespace detail
-
-/// Executes fn(i) exactly once for every task index i in [0, task_count),
-/// dynamically distributed over the worker pool; at most `threads`
-/// participants run concurrently (0 = hardware concurrency).  Tasks should
-/// be coarse (a chunk of work, not one item).  Rethrows the first
-/// exception; remaining unstarted tasks are skipped.
+/// Executes fn(i) exactly once for every task index i in [0, task_count);
+/// participants claim indices through one atomic cursor.  The caller plus
+/// `min(threads, cores, task_count) - 1` helper threads participate
+/// (threads 0 = all cores); a helper that cannot start leaves its share to
+/// the others.  Tasks should be coarse (a chunk of work, not one item).
+/// Rethrows the first exception; remaining unstarted tasks are skipped.
 template <typename Fn>
 void parallel_tasks(std::size_t task_count, Fn&& fn, unsigned threads = 0) {
   if (task_count == 0) return;
-  if (threads == 0) threads = default_thread_count();
-  using body = std::remove_reference_t<Fn>;
-  detail::pool_job job;
-  job.invoke = [](void* ctx, std::size_t i) { (*static_cast<body*>(ctx))(i); };
-  job.ctx = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
-  job.task_count = task_count;
-  job.unfinished.store(task_count, std::memory_order_relaxed);
-  const std::size_t cap = std::min<std::size_t>(threads, task_count);
-  job.max_helpers = cap > 0 ? static_cast<unsigned>(cap - 1) : 0U;
-  detail::run_on_pool(job);
+  const unsigned cores = default_thread_count();
+  const std::size_t participants =
+      std::min<std::size_t>({threads == 0 ? cores : threads, cores, task_count});
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  auto claim_loop = [&]() noexcept {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= task_count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        const std::scoped_lock lock{error_mutex};
+        if (!error) error = std::current_exception();
+        next.store(task_count, std::memory_order_relaxed);  // no further task starts
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(participants - 1);
+    try {
+      while (helpers.size() + 1 < participants) helpers.emplace_back(claim_loop);
+    } catch (const std::system_error&) {
+      // No thread to spare: the participants already running share the rest.
+    }
+    claim_loop();  // the caller always participates
+  }  // the helpers join here
+  if (error) std::rethrow_exception(error);
 }
 
 /// The default shard count of reduce_layout — and therefore of every

@@ -199,9 +199,10 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
 /// A negative --reps/--horizon/--threads/--agents is a usage error (exit 2,
 /// the flag named) on every subcommand that takes it, and so are the
 /// daemon's --threads and status/cancel's --retries/--retry-base-ms, and a
-/// --retries above INT_MAX.  Cast to an unsigned count it used to wrap: an
-/// empty report, an endless run, a bad_alloc, or a daemon that exited 0;
-/// cast to int, --retries 4294967296 gave up after one attempt.
+/// --retries or --threads above INT_MAX.  Cast to an unsigned count it used
+/// to wrap: an empty report, an endless run, a bad_alloc, a daemon that
+/// exited 0, or --threads 4294967297 running on one thread; cast to int,
+/// --retries 4294967296 gave up after one attempt.
 TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
   struct usage_case {
     std::string args;
@@ -224,6 +225,8 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
       {"cancel --socket /nonexistent.sock --job 1 --retry-base-ms -5", "--retry-base-ms"},
       {"status --socket /nonexistent.sock --job 1 --retries 4294967296", "--retries"},
       {"submit --socket /nonexistent.sock --retries 4294967297", "--retries"},
+      {"scenario --name quickstart --horizon 5 --reps 2 --threads 4294967297", "--threads"},
+      {"claims claims/sec3_two_stages.scn --threads 4294967297", "--threads"},
       {"--once --store " + daemon_store + " --threads -1", "--threads", "SGL_DAEMON_PATH"},
   };
   for (const usage_case& c : cases) {

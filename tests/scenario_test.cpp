@@ -124,6 +124,8 @@ TEST(scenario, build_topology_families) {
   const auto torus = build_topology(spec, 36);  // 6x6 auto-factorization
   EXPECT_EQ(torus.num_vertices(), 36U);
   EXPECT_EQ(torus.min_degree(), 4U);
+  // N = 0 is refused before the square-ish factorization (rows = 0).
+  EXPECT_THROW((void)build_topology(spec, 0), std::invalid_argument);
 
   spec.family = topology_spec::family_kind::two_cliques;
   EXPECT_TRUE(build_topology(spec, 20).is_connected());
@@ -134,6 +136,9 @@ TEST(scenario, build_topology_families) {
   spec.cols = 5;
   EXPECT_EQ(build_topology(spec, 15).num_vertices(), 15U);
   EXPECT_THROW((void)build_topology(spec, 16), std::invalid_argument);
+  spec.rows = 0;
+  spec.cols = 0;
+  EXPECT_THROW((void)build_topology(spec, 0), std::invalid_argument);
 
   spec.family = topology_spec::family_kind::none;
   EXPECT_THROW((void)build_topology(spec, 10), std::invalid_argument);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -295,7 +296,7 @@ TEST(text_table, json_is_an_array_of_row_objects) {
 
 TEST(default_thread_count, is_positive) { EXPECT_GE(default_thread_count(), 1U); }
 
-// --- the persistent worker pool --------------------------------------------------
+// --- parallel_tasks ---------------------------------------------------------------
 
 TEST(parallel_tasks, runs_every_task_exactly_once) {
   constexpr std::size_t n = 257;
@@ -323,8 +324,8 @@ TEST(parallel_tasks, propagates_first_exception_and_stops_claiming) {
 }
 
 TEST(parallel_tasks, nested_submissions_do_not_deadlock) {
-  // A task that submits its own job (say, a run_points call from inside a
-  // pool task): the inner job must drain even when every worker is busy
+  // A task that makes its own call (say, a run_points call from inside a
+  // task): the inner call must drain even when every participant is busy
   // with the outer one.  (On a single-core host everything runs inline,
   // which is the same contract.)
   constexpr std::size_t outer = 6;
@@ -340,13 +341,48 @@ TEST(parallel_tasks, nested_submissions_do_not_deadlock) {
 }
 
 TEST(parallel_tasks, reentrant_after_many_submissions) {
-  // The pool is a process-wide singleton: thousands of short jobs must not
-  // leak or wedge it (this is the sweep scheduler's usage pattern).
+  // Thousands of short calls must not leak threads or wedge (each call
+  // starts and joins its own helpers).
   std::atomic<std::size_t> sum{0};
   for (int round = 0; round < 2000; ++round) {
     parallel_tasks(4, [&](std::size_t i) { sum.fetch_add(i); }, 2);
   }
   EXPECT_EQ(sum.load(), 2000U * (0 + 1 + 2 + 3));
+}
+
+TEST(parallel_tasks, participants_never_exceed_threads_or_cores) {
+  // 48 sleeping tasks overlap on every participant, so the peak number
+  // running at once is the participant count.  Few tasks: a missing clamp
+  // starts at most 47 threads.
+  for (const unsigned threads : {1U, 2U, 64U}) {
+    std::atomic<unsigned> running{0};
+    std::atomic<unsigned> peak{0};
+    parallel_tasks(
+        48,
+        [&](std::size_t) {
+          const unsigned now = running.fetch_add(1) + 1;
+          unsigned seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds{2});
+          running.fetch_sub(1);
+        },
+        threads);
+    EXPECT_GE(peak.load(), 1U) << threads;
+    EXPECT_LE(peak.load(), std::min(threads, default_thread_count())) << threads;
+  }
+}
+
+TEST(parallel_tasks, one_participant_runs_on_the_caller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  const auto check = [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  };
+  parallel_tasks(16, check, 1);  // threads = 1
+  parallel_tasks(1, check, 8);   // task_count = 1
+  parallel_tasks(1, check);      // task_count = 1, all cores
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 }  // namespace

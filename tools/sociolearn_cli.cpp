@@ -127,7 +127,8 @@ bool counts_non_negative(const flag_set& flags, std::initializer_list<const char
 }
 
 /// Rejects a count flag above INT_MAX with the flag named: cast to the
-/// retry loop's int, --retries 4294967296 wrapped to no re-attempt at all.
+/// retry loop's int, --retries 4294967296 wrapped to no re-attempt at all,
+/// and cast to unsigned, --threads 4294967297 ran on one thread.
 bool count_fits_int(const flag_set& flags, const char* name, const char* command) {
   if (flags.get_int64(name) <= std::numeric_limits<int>::max()) return true;
   std::fprintf(stderr, "%s: --%s must be <= %d, got %lld\n", command, name,
@@ -478,7 +479,10 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
   const char* command = sweep_command ? "sweep" : "scenario";
-  if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, command)) return 2;
+  if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, command) ||
+      !count_fits_int(flags, "threads", command)) {
+    return 2;
+  }
   if (flags.get_int64("agents") < -1) {
     std::fprintf(stderr, "%s: --agents must be >= 0 (or -1 to keep the scenario's), got %lld\n",
                  command, static_cast<long long>(flags.get_int64("agents")));
@@ -576,7 +580,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
 
   // Run the whole grid through the flattened sweep scheduler: every point
   // is overridden and validated before any replication starts, all
-  // (point × shard) work items drain over the shared worker pool, engines
+  // (point × shard) work items drain in one parallel_tasks call, engines
   // are reset()-reused per point, and points with the same topology key
   // share one built graph.  Per-point results are bit-identical to the
   // historical one-point-at-a-time loop (tests/harness_determinism_test).
@@ -992,7 +996,10 @@ int cmd_claims(int argc, const char* const* argv) {
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
-  if (!counts_non_negative(flags, {"threads"}, "claims")) return 2;
+  if (!counts_non_negative(flags, {"threads"}, "claims") ||
+      !count_fits_int(flags, "threads", "claims")) {
+    return 2;
+  }
   if (flags.positional().empty()) {
     std::fprintf(stderr, "claims: no claim files (usage: sociolearn_cli claims claims/*.scn)\n");
     return 2;

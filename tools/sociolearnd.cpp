@@ -10,8 +10,8 @@
 //       submitted job has finished.  The same protocol, usable from CI
 //       and shell pipelines without managing a daemon.
 //
-// Jobs are decomposed into (point × shard) work items on the process-wide
-// worker pool; every point result is keyed by its content digest and
+// Jobs are decomposed into (point × shard) work items run by helper
+// threads that each job starts and joins; every point result is keyed by its content digest and
 // persisted to the store before its event is sent, so points already in
 // the store are served as cache_hit events without recomputation, and a
 // killed daemon resumes a resubmitted sweep from exactly the points it
@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -221,10 +222,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sociolearnd: pass either --socket PATH or --once\n");
     return 2;
   }
-  if (flags.get_int64("threads") < 0 || flags.get_int64("max-queued") < 0 ||
-      flags.get_int64("job-timeout") < 0) {
+  if (flags.get_int64("threads") < 0 ||
+      flags.get_int64("threads") > std::numeric_limits<int>::max() ||
+      flags.get_int64("max-queued") < 0 || flags.get_int64("job-timeout") < 0) {
     std::fprintf(stderr,
-                 "sociolearnd: --threads, --max-queued and --job-timeout must be >= 0\n");
+                 "sociolearnd: --threads must be in [0, %d]; --max-queued and "
+                 "--job-timeout must be >= 0\n",
+                 std::numeric_limits<int>::max());
     return 2;
   }
 
