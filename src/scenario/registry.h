@@ -1,11 +1,13 @@
 #pragma once
 
 /// \file registry.h
-/// The catalog of named scenarios.  Each entry is a complete scenario_spec
-/// keyed by a stable name; callers fetch a spec, override whatever fields
-/// their sweep varies (horizon, N, β, …), and hand it to scenario::run.
-/// The CLI lists and runs these by name; the benchmarks and examples start
-/// from them instead of hand-rolling setup.
+/// The catalog of named scenarios.  Each entry is a file,
+/// scenarios/<name>.scn, in the scenario text format (serialize.h); the
+/// build embeds the files, so a lookup reads no file at run time.  Callers
+/// fetch a spec, override whatever fields their sweep varies (horizon, N,
+/// β, …), and run it with run_probes or run_sweep.  The CLI lists and runs
+/// these by name; the benchmarks, the service tests and the quickstart
+/// example start from them instead of hand-rolling setup.
 
 #include <span>
 #include <string_view>
@@ -14,14 +16,13 @@
 
 namespace sgl::scenario {
 
-/// Every registered scenario, in a stable, documented order.
+/// Every catalog scenario, in file-name order.  Parses every file once, on
+/// the first call.
 [[nodiscard]] std::span<const scenario_spec> all_scenarios();
 
-/// Looks a scenario up by name; nullptr when unknown.
-[[nodiscard]] const scenario_spec* find_scenario(std::string_view name) noexcept;
-
-/// Looks a scenario up by name; throws std::invalid_argument (listing the
-/// known names) when unknown.  Returns a copy, ready to override.
+/// Looks a scenario up by name and parses only its file; throws
+/// std::invalid_argument (listing the known names) when unknown.  Returns
+/// a fresh spec, ready to override.
 [[nodiscard]] scenario_spec get_scenario(std::string_view name);
 
 }  // namespace sgl::scenario

@@ -17,7 +17,7 @@
 ///
 /// serialize_scenario emits every field in a canonical order with exact
 /// round-trip number formatting, so `parse_scenario(serialize_scenario(s))`
-/// runs bit-identically to `s` (tested over the whole registry).  The only
+/// runs bit-identically to `s` (tested over the whole catalog).  The only
 /// field outside the format is `prebuilt_graph` (a runtime-only handle).
 
 #include <span>

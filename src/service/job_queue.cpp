@@ -262,10 +262,19 @@ void job_queue::dispatch_loop() {
 }
 
 void job_queue::run_job(job_record& job) {
-  if (job.request.timeout_seconds <= 0.0) {
+  using clock = std::chrono::steady_clock;
+  const clock::time_point start = clock::now();
+  // A deadline past the clock's range saturates to "none": casting such a
+  // timeout to clock::duration would overflow into a deadline in the past.
+  // The second of slack covers the rounding of the double comparison.
+  const std::chrono::duration<double> timeout{job.request.timeout_seconds};
+  if (!(timeout.count() > 0.0) ||
+      timeout >= clock::time_point::max() - start - std::chrono::seconds{1}) {
     run_job_points(job);
     return;
   }
+  const clock::time_point deadline =
+      start + std::chrono::duration_cast<clock::duration>(timeout);
   // Wall-clock watchdog: on expiry, raise the same stop flag cancel()
   // uses — the sweep scheduler checks it between work items, so every
   // point already completed stays persisted and the job finishes `failed`
@@ -274,10 +283,6 @@ void job_queue::run_job(job_record& job) {
   std::condition_variable watchdog_cv;
   bool finished = false;
   std::thread watchdog{[&] {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>{job.request.timeout_seconds});
     std::unique_lock<std::mutex> lock{watchdog_mutex};
     if (watchdog_cv.wait_until(lock, deadline, [&] { return finished; })) return;
     {

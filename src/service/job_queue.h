@@ -91,7 +91,8 @@ struct job_request {
   core::run_config config;
   std::vector<std::string> probe_specs;
   int priority = 0;
-  /// Wall-clock budget in seconds; 0 = none.  Scheduling latency does not
+  /// Wall-clock budget in seconds; 0 = none, and so is a budget past
+  /// steady_clock's range (~292 years).  Scheduling latency does not
   /// count — the clock starts when the job starts running.  Not part of
   /// the point digests (it changes when results arrive, never what they
   /// are), so a timed-out sweep resubmitted with a bigger budget resumes

@@ -303,6 +303,39 @@ final best-option mass  0.7219 ± 0.1686
             "regret.final_best_mass,regret.empty_step_fraction,regret.replications\n"
             "quickstart,0.1907984757050338,0.659201524294966,0.4728204496979196,"
             "0.7218664279727687,0,4\n");
+
+  // The catalog listing: one row per scenarios/*.scn, in file-name order.
+  std::string listing;
+  EXPECT_EQ(*run_cli("scenarios --format csv", nullptr, &listing), 0);
+  EXPECT_EQ(listing, R"csv(name,description
+drift_tracking_1e5,Drifting qualities at N=1e5 (exact aggregate engine): the ranking inverts over 400 steps (the default horizon); the final-histogram probe shows the end-state mass per option
+drifting-crossover,"Non-stationary: qualities drift linearly over 2000 steps, the initially-worst option ends up best"
+ef-exclusive,"Ellison-Fudenberg reduction: two options, exactly one good per step (win probabilities 0.7/0.3)"
+gossip_crash_recovery,"Gossip under churn (N=400): 2% of nodes crash per round, crashed nodes restart at 10% per round; the adoption probe tracks committed/alive fractions"
+gossip_crash_waves,"Crash-wave nemesis (N=300): 30% of nodes crash at rounds 8 and 24, all crashed nodes restart at rounds 16 and 32; adoption tracks the committed fraction through both waves"
+gossip_degraded_links,"Degraded-links nemesis (N=250): cross links into nodes 0..124 run at 4x latency and 50% loss during rounds 12..30, then recover; message-cost accounting rides along"
+gossip_lossy_sweep,"Fully mixed gossip over lossy links (N=500, 10% drop by default) — the canonical base for --sweep protocol.drop_probability grids"
+gossip_partition_heal,"Scheduled partition nemesis (N=200): nodes 0..99 are cut off during rounds 10..25, then healed; the partition-divergence probe measures per-side disagreement and post-heal re-convergence"
+gossip_ring_300,Gossip restricted to the cycle C_300 with exponential link jitter — the protocol analogue of the Section 6 low-conductance stress case
+gossip_sensor_1e4,"Gossip protocol on a 100x100 sensor torus (N=10^4): asynchronous rounds over 5%-latency links, with message-cost and commit-latency accounting"
+gossip_sync_ideal,"Degenerate synchronous gossip (N=400): zero latency, zero loss, lockstep rounds, fully mixed — the configuration whose adoption law matches finite_dynamics (statistical test tier)"
+mixed_baseline,"Fully mixed homogeneous baseline: m=10, beta=0.62, N=1000 via the exact aggregate engine — the canonical spec to override (--set) and sweep"
+mixture-discernment,"Heterogeneous mixture: 300 discerning (0.05/0.95), 400 paper-rule (0.35/0.65), 300 indiscriminate (0.5/0.5) agents via the exact grouped engine"
+network_ba_1e6,"Network-restricted sampling on a Barabasi-Albert graph (N=10^6, attach=5) — heavy-tailed degrees at scale (sharded engine)"
+network_ring_1e5,Network-restricted sampling on the cycle C_100000 — large-N low-conductance scaling run (sharded engine)
+network_smallworld_1e6,"Network-restricted sampling on a Watts-Strogatz small world (N=10^6, k=5, rewire 0.1) — high clustering, short paths, at scale (sharded engine)"
+nonuniform-start,Theorem 4.6: infinite dynamics started with 99% of the mass on the worst option
+quickstart,"4 options, N=1000 agents, theorem-regime parameters (beta=0.65), Bernoulli qualities (0.85, 0.45, 0.40, 0.35)"
+ring,Network-restricted sampling on the cycle C_900 — the low-conductance stress case of Section 6's open problem
+small-world,"Network-restricted sampling on a Watts-Strogatz small world (N=900, k=5, rewire 0.1)"
+switching-stocks,"Non-stationary: qualities rotate one index every 400 steps (m=5), the group must re-learn after each switch"
+switching_recovery,"Switching qualities (m=5, period 300) with the recovery-time probe: steps until the new best option regains 60% of the mass after each switch"
+theorem-finite,"Theorem 4.4: finite population via the exact aggregate engine, m=10, beta=0.62, N=1000, qualities 0.85/0.35"
+theorem-infinite,"Theorem 4.3: infinite-population stochastic MWU, m=10, beta=0.62, canonical two-level qualities 0.85/0.35"
+torus,Network-restricted sampling on the 30x30 torus (N=900)
+two-cliques,Network-restricted sampling on two 450-cliques joined by one bridge — the information-bottleneck topology
+two_cliques_consensus,Two 300-cliques joined by two bridges with the hitting-time probe: first step at which the best option holds 75% of the mass across the bottleneck
+)csv");
 }
 
 }  // namespace

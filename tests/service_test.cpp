@@ -883,6 +883,37 @@ TEST(job_queue, timeout_fails_the_job_but_keeps_persisted_points) {
   EXPECT_EQ(store.object_count(), 3U);
 }
 
+TEST(job_queue, timeout_past_the_clock_range_means_no_timeout) {
+  // 1e10 s is past steady_clock's ~292-year range: the deadline saturates
+  // instead of overflowing into the past and failing the job before it
+  // computes a point.  The same holds when the daemon's --job-timeout
+  // supplies it as the session default.
+  for (const double huge : {1e10, 1e300}) {
+    result_store store{fresh_store_root("huge_timeout")};
+    job_queue queue{store, 1};
+    job_request timed = sweep_request();
+    timed.timeout_seconds = huge;
+    event_log log;
+    (void)queue.submit(std::move(timed), log.sinks());
+    queue.drain();
+    ASSERT_EQ(log.done.size(), 1U);
+    EXPECT_EQ(log.done[0].state, job_state::done) << huge << ": " << log.done[0].error;
+    EXPECT_EQ(log.done[0].computed, 3U) << huge;
+  }
+
+  result_store store{fresh_store_root("huge_default_timeout")};
+  job_queue queue{store, 1};
+  wire out;
+  session_options options = out.options();
+  options.default_timeout_seconds = 1e10;
+  session s{queue, options};
+  s.handle_line(submit_line());
+  s.finish();
+  const json_value done = parse_json(out.lines.back());
+  EXPECT_EQ(done.find("event")->as_string("event"), "job_done");
+  EXPECT_EQ(done.find("status")->as_string("status"), "done") << out.lines.back();
+}
+
 TEST(job_queue, injected_point_failure_resumes_byte_identically) {
   const failpoint_guard guard;
   // Control: the same sweep, undisturbed, in its own store.

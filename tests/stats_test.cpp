@@ -101,8 +101,8 @@ TEST(confidence_interval, rejects_bad_confidence) {
   running_stats s;
   s.add(1.0);
   s.add(2.0);
-  EXPECT_THROW(confidence_interval(s, 0.0), std::invalid_argument);
-  EXPECT_THROW(confidence_interval(s, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)confidence_interval(s, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)confidence_interval(s, 1.0), std::invalid_argument);
 }
 
 TEST(confidence_interval, coverage_is_near_nominal) {
@@ -138,9 +138,9 @@ TEST(normal_quantile, inverts_cdf) {
 }
 
 TEST(normal_quantile, rejects_boundary) {
-  EXPECT_THROW(normal_quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(normal_quantile(1.0), std::invalid_argument);
-  EXPECT_THROW(normal_quantile(-0.5), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(1.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(-0.5), std::invalid_argument);
 }
 
 TEST(normal_cdf, symmetry_and_known_values) {
@@ -165,8 +165,8 @@ TEST(quantile, unsorted_input_is_fine) {
 }
 
 TEST(quantile, rejects_bad_input) {
-  EXPECT_THROW(quantile(std::vector<double>{}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(std::vector<double>{}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
 }
 
 // --- series_stats --------------------------------------------------------------

@@ -238,7 +238,7 @@ TEST(flag_set, duplicate_registration_throws) {
 
 TEST(flag_set, unregistered_get_throws) {
   flag_set flags{"prog", "test"};
-  EXPECT_THROW(flags.get_int64("ghost"), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_int64("ghost"), std::invalid_argument);
 }
 
 // --- json -----------------------------------------------------------------------
