@@ -1,4 +1,4 @@
-// Quickstart: the distributed learning dynamics in ~40 lines.
+// Quickstart: the distributed learning dynamics through the library API.
 //
 // A group of 1000 individuals repeatedly picks between 4 options with
 // unknown qualities.  Each step every individual (1) copies a random group
@@ -7,9 +7,14 @@
 // was good, alpha if bad.  Nobody stores anything but their current choice,
 // yet the group finds the best option.
 //
-// The run is the registered "quickstart" scenario, driven through the
-// dynamics_engine interface — swap the spec's engine/topology fields and
-// this loop works unchanged.
+// The run is the catalog's "quickstart" scenario (scenarios/quickstart.scn)
+// under the Monte-Carlo runner: 50 replications of 200 steps, measuring the
+// regret and the consensus hitting time in one pass.  The CLI runs the
+// same thing as
+//   sociolearn_cli scenario --name quickstart --horizon 200 --reps 50 \
+//       --probes 'regret,hitting_time(eps=0.3)'
+// Every other run is a spec too: claims/*.scn states the paper's claims
+// (and the §2.1 instantiations) as scenario files with checked bounds.
 //
 // Build & run:  cmake --build build && ./build/quickstart
 
@@ -20,13 +25,13 @@
 #include "core/probe.h"
 #include "core/theory.h"
 #include "scenario/registry.h"
-#include "support/rng.h"
 
 int main() {
   using namespace sgl;
 
   const scenario::scenario_spec spec = scenario::get_scenario("quickstart");
   const core::dynamics_params& params = spec.params;
+  std::printf("%s\n", spec.description.c_str());
   std::printf("m=%zu options, beta=%.2f, alpha=%.2f, mu=%.4f, delta=%.3f\n",
               params.num_options, params.beta, params.resolved_alpha(), params.mu,
               params.delta());
@@ -34,55 +39,21 @@ int main() {
               core::theory::infinite_regret_bound(params.beta),
               core::theory::finite_regret_bound(params.beta));
 
-  const auto group = scenario::make_engine(spec)();
-  const auto environment = scenario::make_environment(spec.environment)();
-  rng process_gen{2024};
-  rng reward_gen{7};
-
-  std::vector<std::uint8_t> signals(params.num_options);
-  double reward_sum = 0.0;
-  const std::uint64_t horizon = 200;
-  for (std::uint64_t t = 1; t <= horizon; ++t) {
-    const auto popularity = group->popularity();  // Q^{t-1}
-    environment->sample(t, reward_gen, signals);  // shared R^t
-    for (std::size_t j = 0; j < signals.size(); ++j) {
-      reward_sum += popularity[j] * signals[j];
-    }
-    group->step(signals, process_gen);
-
-    if (t % 25 == 0 || t == 1) {
-      std::printf("t=%3llu  popularity = [", static_cast<unsigned long long>(t));
-      for (std::size_t j = 0; j < params.num_options; ++j) {
-        std::printf("%s%.3f", j ? ", " : "", group->popularity()[j]);
-      }
-      std::uint64_t committed = 0;
-      for (const std::uint64_t d : group->adopter_counts()) committed += d;
-      std::printf("]  committed = %llu/%llu\n",
-                  static_cast<unsigned long long>(committed),
-                  static_cast<unsigned long long>(spec.num_agents));
-    }
-  }
-
-  const double regret = environment->best_mean(1) - reward_sum / static_cast<double>(horizon);
-  std::printf("\naverage regret over %llu steps: %.4f  (bound: %.3f)\n",
-              static_cast<unsigned long long>(horizon), regret,
-              core::theory::finite_regret_bound(params.beta));
-
-  // The same scenario under the Monte-Carlo harness with composable probes:
-  // 50 replications, measuring regret AND the consensus hitting time in one
-  // pass.  `sociolearn_cli scenario --name quickstart --probes ...` is this.
   core::run_config config;
-  config.horizon = horizon;
+  config.horizon = 200;
   config.replications = 50;
   const std::vector<std::string> probes{"regret", "hitting_time(eps=0.3)"};
-  const auto merged = scenario::run_probes(spec, config, probes);
-  for (const auto& probe : merged) {
-    const core::probe_report report = probe->report();
-    std::printf("probe %s:", report.probe.c_str());
-    for (const auto& scalar : report.scalars) {
-      std::printf("  %s=%.4f", scalar.key.c_str(), scalar.value);
+  for (const core::probe_report& report :
+       core::collect_reports(scenario::run_probes(spec, config, probes))) {
+    std::printf("probe %s\n", report.probe.c_str());
+    for (const core::probe_scalar& scalar : report.scalars) {
+      if (scalar.has_ci) {
+        std::printf("  %-20s %.4f +- %.4f\n", scalar.key.c_str(), scalar.value,
+                    scalar.half_width);
+      } else {
+        std::printf("  %-20s %.4f\n", scalar.key.c_str(), scalar.value);
+      }
     }
-    std::printf("\n");
   }
   return 0;
 }

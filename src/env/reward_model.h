@@ -53,8 +53,8 @@ class reward_model {
   [[nodiscard]] virtual bool is_stationary() const noexcept { return true; }
 
   /// Restores any cross-replication mutable state to its initial value.
-  /// Every built-in model is immutable after construction (markov_rewards
-  /// pre-draws its regime path), so the default is a no-op.
+  /// Every built-in model is immutable after construction, so the default
+  /// is a no-op.
   virtual void reset() {}
 
   /// True when the model may be reused across Monte-Carlo replications:

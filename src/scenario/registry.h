@@ -6,8 +6,8 @@
 /// build embeds the files, so a lookup reads no file at run time.  Callers
 /// fetch a spec, override whatever fields their sweep varies (horizon, N,
 /// β, …), and run it with run_probes or run_sweep.  The CLI lists and runs
-/// these by name; the benchmarks, the service tests and the quickstart
-/// example start from them instead of hand-rolling setup.
+/// these by name; the benchmarks, the service tests and
+/// examples/quickstart.cpp start from them instead of hand-rolling setup.
 
 #include <span>
 #include <string_view>

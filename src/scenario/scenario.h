@@ -5,11 +5,10 @@
 /// topology, which parameters.  A scenario_spec is a value — buildable in
 /// code, overridable field by field — and the functions here turn it into
 /// the factories the generic Monte-Carlo runner (core/experiment.h)
-/// consumes.  The CLI, the claim files, the service and the benchmarks
-/// construct their runs through this layer, as do the quickstart,
-/// sensor_network and social_network examples; the other four examples
-/// (copy_trading, nest_choice, regime_stocks, word_of_mouth) step an
-/// engine directly.  registry.h adds the catalog of named specs.
+/// consumes.  The CLI, the claim files, the service, the benchmarks and
+/// the quickstart example construct their runs through this layer; none
+/// of them steps an engine by hand.  registry.h adds the catalog of named
+/// specs.
 
 #include <cstdint>
 #include <memory>

@@ -129,12 +129,6 @@ double sample_exponential(rng& gen, double rate) noexcept {
   return -std::log(1.0 - gen.next_double()) / rate;
 }
 
-std::uint64_t sample_geometric(rng& gen, double p) noexcept {
-  if (p >= 1.0) return 0;
-  const double u = 1.0 - gen.next_double();  // (0, 1]
-  return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
 std::uint64_t sample_binomial(rng& gen, std::uint64_t n, double p) noexcept {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
@@ -170,36 +164,6 @@ std::uint64_t binomial_table::sample(rng& gen, std::uint64_t n) {
   const std::uint64_t k = e.btrs ? btrs_draw(gen, low_p_, e.btrs_setup)
                                  : inversion_draw(gen, n, e.inversion_setup, e.pmf);
   return folded_ ? n - k : k;
-}
-
-double sample_gamma(rng& gen, double shape) noexcept {
-  if (shape < 1.0) {
-    // Boost: Gamma(a) = Gamma(a + 1) * U^{1/a}.
-    const double u = 1.0 - gen.next_double();  // (0, 1]
-    return sample_gamma(gen, shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = 0.0;
-    double v = 0.0;
-    do {
-      x = sample_standard_normal(gen);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = 1.0 - gen.next_double();  // (0, 1]
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v;
-  }
-}
-
-double sample_beta(rng& gen, double a, double b) noexcept {
-  const double x = sample_gamma(gen, a);
-  const double y = sample_gamma(gen, b);
-  const double total = x + y;
-  if (total <= 0.0) return 0.5;  // degenerate numerical corner
-  return x / total;
 }
 
 void sample_multinomial(rng& gen, std::uint64_t n, std::span<const double> weights,

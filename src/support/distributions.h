@@ -38,10 +38,6 @@ namespace sgl {
 /// Exponential(rate) draw by inversion.  Precondition: rate > 0.
 [[nodiscard]] double sample_exponential(rng& gen, double rate) noexcept;
 
-/// Geometric: number of failures before the first success, support {0,1,...}.
-/// Precondition: 0 < p <= 1.
-[[nodiscard]] std::uint64_t sample_geometric(rng& gen, double p) noexcept;
-
 /// Binomial(n, p) draw, exact for all 0 <= p <= 1 and n >= 0.
 /// Uses inversion when n·min(p,1-p) < 10 and BTRS otherwise.
 [[nodiscard]] std::uint64_t sample_binomial(rng& gen, std::uint64_t n, double p) noexcept;
@@ -103,14 +99,6 @@ class binomial_table {
   std::vector<entry> entries_;
 };
 
-/// Gamma(shape, 1) draw (Marsaglia–Tsang squeeze, with the standard boost
-/// for shape < 1).  Precondition: shape > 0.
-[[nodiscard]] double sample_gamma(rng& gen, double shape) noexcept;
-
-/// Beta(a, b) draw via two gammas.  Preconditions: a > 0, b > 0.
-/// Used by the Thompson-sampling baseline's Beta-Bernoulli posterior.
-[[nodiscard]] double sample_beta(rng& gen, double a, double b) noexcept;
-
 /// Multinomial(n, weights): fills `out[j]` with the number of the n trials
 /// that landed in category j.  `weights` need not be normalized but must be
 /// non-negative with a positive sum.  out.size() must equal weights.size().
@@ -156,16 +144,5 @@ class discrete_sampler {
   std::vector<std::uint32_t> small_;  // rebuild worklists
   std::vector<std::uint32_t> large_;
 };
-
-/// Fisher–Yates shuffle driven by our rng (std::shuffle's draw pattern is
-/// implementation-defined).
-template <typename T>
-void shuffle(rng& gen, std::span<T> items) noexcept {
-  for (std::size_t i = items.size(); i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(gen.next_below(i));
-    using std::swap;
-    swap(items[i - 1], items[j]);
-  }
-}
 
 }  // namespace sgl

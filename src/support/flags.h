@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file flags.h
-/// A small command-line flag parser for the bench and example binaries.
+/// A small command-line flag parser for the tools (sociolearn_cli, sociolearnd).
 /// Supports `--name value`, `--name=value`, bare boolean `--name`,
 /// repeatable list flags, opt-in positional arguments, and `--help`.
 /// Unknown flags are an error (with a nearest-name suggestion) so typos

@@ -71,32 +71,6 @@ TEST(exponential_sampler, ks_fit) {
   EXPECT_GT(ks_test_from_cdf(cdf).p_value, k_reject_level);
 }
 
-// --- geometric -----------------------------------------------------------------
-
-TEST(geometric_sampler, pmf_chi_square) {
-  rng gen{6};
-  constexpr double p = 0.3;
-  constexpr int cap = 30;
-  std::vector<std::uint64_t> counts(cap + 1, 0);
-  constexpr int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    ++counts[std::min<std::uint64_t>(sample_geometric(gen, p), cap)];
-  }
-  std::vector<double> expected(cap + 1, 0.0);
-  double tail = 1.0;
-  for (int k = 0; k < cap; ++k) {
-    expected[k] = p * std::pow(1.0 - p, k);
-    tail -= expected[k];
-  }
-  expected[cap] = tail;
-  EXPECT_GT(chi_square_test(counts, expected).p_value, k_reject_level);
-}
-
-TEST(geometric_sampler, p_one_is_always_zero) {
-  rng gen{7};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(sample_geometric(gen, 1.0), 0U);
-}
-
 // --- binomial ------------------------------------------------------------------
 
 struct binomial_case {
@@ -386,87 +360,6 @@ TEST(discrete_sampler, rejects_bad_weights) {
   EXPECT_THROW((discrete_sampler{std::vector<double>{}}), std::invalid_argument);
   EXPECT_THROW((discrete_sampler{std::vector<double>{-1.0, 1.0}}), std::invalid_argument);
   EXPECT_THROW((discrete_sampler{std::vector<double>{0.0, 0.0}}), std::invalid_argument);
-}
-
-// --- gamma / beta ----------------------------------------------------------------
-
-TEST(gamma_sampler, moments_shape_above_one) {
-  rng gen{21};
-  constexpr double shape = 4.5;
-  running_stats s;
-  for (int i = 0; i < 100000; ++i) s.add(sample_gamma(gen, shape));
-  EXPECT_NEAR(s.mean(), shape, 0.05);
-  EXPECT_NEAR(s.variance(), shape, 0.15);
-}
-
-TEST(gamma_sampler, moments_shape_below_one) {
-  rng gen{22};
-  constexpr double shape = 0.4;
-  running_stats s;
-  for (int i = 0; i < 100000; ++i) {
-    const double x = sample_gamma(gen, shape);
-    EXPECT_GE(x, 0.0);
-    s.add(x);
-  }
-  EXPECT_NEAR(s.mean(), shape, 0.02);
-}
-
-TEST(beta_sampler, moments) {
-  rng gen{23};
-  constexpr double a = 2.0;
-  constexpr double b = 5.0;
-  running_stats s;
-  for (int i = 0; i < 100000; ++i) {
-    const double x = sample_beta(gen, a, b);
-    EXPECT_GE(x, 0.0);
-    EXPECT_LE(x, 1.0);
-    s.add(x);
-  }
-  EXPECT_NEAR(s.mean(), a / (a + b), 0.005);
-  EXPECT_NEAR(s.variance(), a * b / ((a + b) * (a + b) * (a + b + 1)), 0.002);
-}
-
-TEST(beta_sampler, uniform_special_case) {
-  rng gen{24};
-  running_stats s;
-  for (int i = 0; i < 50000; ++i) s.add(sample_beta(gen, 1.0, 1.0));
-  EXPECT_NEAR(s.mean(), 0.5, 0.01);
-  EXPECT_NEAR(s.variance(), 1.0 / 12.0, 0.005);
-}
-
-// --- shuffle ------------------------------------------------------------------
-
-TEST(shuffle, permutes_uniformly) {
-  rng gen{25};
-  // 3 elements -> 6 permutations; chi-square over permutation ids.
-  std::vector<std::uint64_t> counts(6, 0);
-  constexpr int n = 60000;
-  for (int i = 0; i < n; ++i) {
-    std::vector<int> items{0, 1, 2};
-    shuffle(gen, std::span<int>{items});
-    const std::size_t id = static_cast<std::size_t>(items[0] * 2 +
-                                                    (items[1] > items[2] ? 1 : 0));
-    ++counts[id];
-  }
-  const std::vector<double> expected(6, 1.0 / 6.0);
-  EXPECT_GT(chi_square_test(counts, expected).p_value, k_reject_level);
-}
-
-TEST(shuffle, preserves_elements) {
-  rng gen{26};
-  std::vector<int> items{5, 6, 7, 8, 9};
-  shuffle(gen, std::span<int>{items});
-  std::sort(items.begin(), items.end());
-  EXPECT_EQ(items, (std::vector<int>{5, 6, 7, 8, 9}));
-}
-
-TEST(shuffle, empty_and_singleton_are_fine) {
-  rng gen{27};
-  std::vector<int> empty;
-  shuffle(gen, std::span<int>{empty});
-  std::vector<int> one{42};
-  shuffle(gen, std::span<int>{one});
-  EXPECT_EQ(one[0], 42);
 }
 
 }  // namespace
