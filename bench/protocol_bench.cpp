@@ -1,10 +1,8 @@
 // Google-benchmark suite for the netsim/gossip protocol workload: how fast
 // the discrete-event simulator drains a protocol round at different
 // population scales and link models, and what a whole harness replication
-// of a protocol scenario costs end to end.  The CI perf-smoke job runs it
-// at a tiny min_time only to prove it still builds and runs; its uploaded
-// JSON is not compared with anything.  Speed claims are A/B runs of two
-// builds on one host, recorded in bench/PERF.md.
+// of a protocol scenario costs end to end.  Speed claims are A/B runs of
+// two builds on one host, recorded in bench/PERF.md.
 
 #include <benchmark/benchmark.h>
 
@@ -120,9 +118,9 @@ void BM_protocol_round_nemesis(benchmark::State& state) {
 }
 BENCHMARK(BM_protocol_round_nemesis)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Replications/sec of a protocol scenario through the full probe harness
-/// (single-threaded, same reasoning as harness_bench.cpp: cpu_time must
-/// see the whole workload).
+/// Replications/sec of a protocol scenario through the full probe harness.
+/// Single-threaded: google-benchmark's cpu_time counts only the benchmark
+/// thread, so worker threads would hide most of the work.
 void BM_protocol_replication(benchmark::State& state) {
   const scenario::scenario_spec spec = scenario::get_scenario("gossip_lossy_sweep");
   core::run_config config;

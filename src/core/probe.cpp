@@ -36,7 +36,11 @@ namespace {
 
 probe_scalar ci_scalar(std::string key, const running_stats& s) {
   const mean_ci ci = confidence_interval(s);
-  return {.key = std::move(key), .value = ci.mean, .half_width = ci.half_width, .has_ci = true};
+  return {.key = std::move(key),
+          .value = ci.mean,
+          .half_width = ci.half_width,
+          .has_ci = true,
+          .samples = s.count()};
 }
 
 probe_scalar plain_scalar(std::string key, double value) {

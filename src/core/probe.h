@@ -74,12 +74,15 @@
 namespace sgl::core {
 
 /// One named number in a probe report; `half_width` is a 95% CI when
-/// `has_ci` is set.
+/// `has_ci` is set, and `samples` the count behind that mean (0: no
+/// replication produced one, so `value` is no estimate).  `samples` is not
+/// part of the payload.
 struct probe_scalar {
   std::string key;
   double value = 0.0;
   double half_width = 0.0;
   bool has_ci = false;
+  std::uint64_t samples = 0;
 };
 
 /// One named per-index series in a probe report.

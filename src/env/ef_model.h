@@ -13,8 +13,10 @@
 ///   β = P[ξ > r₂ − r₁ | r₁ > r₂],   α = P[ξ > r₂ − r₁ | r₂ > r₁],
 /// where ξ = ε_{i1} + ε_{i'1} − ε_{i2} − ε_{i'2} ~ Normal(0, 4·shock_sd²).
 /// We compute p in closed form and (α, β) by numerically integrating the
-/// conditional orthant probability, so experiment E13 can pit the *direct*
-/// shock-level simulation against the *reduced* (η, α, β) binary dynamics.
+/// conditional orthant probability.  The reduced (η, α, β) are the literals
+/// of claims/ex_word_of_mouth.scn, and integration_test's
+/// ef_direct_and_reduced_models_agree pits the *direct* shock-level
+/// simulation against the *reduced* binary dynamics.
 
 #include <cstdint>
 #include <vector>

@@ -273,6 +273,7 @@ claim_file load_claims(const std::string& path) {
 }
 
 bool claim_holds(const core::probe_scalar& measured, bool at_most, double bound) noexcept {
+  if (measured.has_ci && measured.samples == 0) return false;
   const double slack = measured.has_ci ? measured.half_width : 0.0;
   return at_most ? measured.value - slack <= bound : measured.value + slack >= bound;
 }

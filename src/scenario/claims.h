@@ -84,8 +84,9 @@ struct claim_row {
 [[nodiscard]] claim_file load_claims(const std::string& path);
 
 /// The comparison rule.  A scalar with a confidence interval fails only
-/// when the whole 95% interval lies on the wrong side of the bound; a
-/// scalar without one is compared directly.
+/// when the whole 95% interval lies on the wrong side of the bound, or when
+/// it is the mean of no samples (e.g. hitting_time when no replication
+/// hit); a scalar without one is compared directly.
 [[nodiscard]] bool claim_holds(const core::probe_scalar& measured, bool at_most,
                                double bound) noexcept;
 

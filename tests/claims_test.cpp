@@ -1,8 +1,9 @@
 // Tests for paper claims as checked data (scenario/claims.h): every
 // load-time rejection names the file, the line and the point; the
 // comparison rule on interval and plain scalars; a tiny claim that passes;
-// and the same claim with its bound tightened, which must FAIL — in the
-// library and, through the real binary (SGL_CLI_PATH), as exit code 1.
+// a bound on a mean of no samples, and the tiny claim with its bound
+// tightened, which must FAIL — the latter in the library and, through the
+// real binary (SGL_CLI_PATH), as exit code 1.
 
 #include "scenario/claims.h"
 
@@ -210,7 +211,8 @@ TEST(claims_load, rejects_missing_or_misnumbered_claim_keys) {
 }
 
 TEST(claims_rule, interval_scalars_fail_only_when_the_whole_interval_is_wrong) {
-  const core::probe_scalar ci{.key = "x", .value = 0.5, .half_width = 0.1, .has_ci = true};
+  const core::probe_scalar ci{
+      .key = "x", .value = 0.5, .half_width = 0.1, .has_ci = true, .samples = 8};
   EXPECT_TRUE(claim_holds(ci, /*at_most=*/true, 0.45)) << "interval straddles the bound";
   EXPECT_TRUE(claim_holds(ci, true, 0.4)) << "touching counts as holding";
   EXPECT_FALSE(claim_holds(ci, true, 0.39));
@@ -249,6 +251,34 @@ TEST(claims_run, tiny_claim_passes_and_matches_running_each_point_alone) {
     EXPECT_EQ(serial[i].measured.value, rows[i].measured.value);
     EXPECT_EQ(serial[i].measured.half_width, rows[i].measured.half_width);
   }
+}
+
+// The quickstart point cannot reach a 99% share in 5 steps, so no
+// replication records a hitting time and the reported 0.0 is the mean of
+// nothing: the row fails instead of passing `<= 20` vacuously.
+TEST(claims_run, hitting_time_bound_fails_when_no_replication_hits) {
+  const claim_file file = parse_claims(R"scn(name = "quickstart_no_hit"
+engine = "agent_based"
+params.num_options = 4
+params.mu = 0.06386825692403399
+params.beta = 0.65
+environment.etas = [0.85, 0.45, 0.4, 0.35]
+probes = ["hitting_time(eps=0.01)"]
+
+run.horizon = 5
+run.replications = 20
+run.seed = 1
+
+point.0 = "params.beta=0.65"
+
+expect.0 = "hitting_time.hitting_time <= 20"
+expect.1 = "hitting_time.hit_fraction <= 0"
+)scn",
+                                       "no_hit.scn");
+  const std::vector<claim_row> rows = run_claims(file, 2);
+  ASSERT_EQ(rows.size(), 2U);
+  EXPECT_FALSE(rows[0].pass) << "hitting_time " << rows[0].measured.value;
+  EXPECT_TRUE(rows[1].pass) << "every replication counts toward hit_fraction";
 }
 
 TEST(claims_run, tightened_bound_fails) {

@@ -68,9 +68,10 @@ TEST(integration, epoch_restart_preserves_learning) {
 }
 
 TEST(integration, ef_direct_and_reduced_models_agree) {
-  // E13's claim in miniature: simulate the continuous-shock EF model
-  // directly, and the reduced binary (η, α, β) dynamics, and compare the
-  // long-run popularity of the better option.
+  // The reduction behind claims/ex_word_of_mouth.scn's literals: simulate
+  // the continuous-shock EF model directly, and the reduced binary
+  // (η, α, β) dynamics, and compare the long-run popularity of the better
+  // option.
   env::ef_params ef;
   ef.mean1 = 0.65;
   ef.mean2 = 0.45;
