@@ -25,9 +25,27 @@ std::uint64_t sample_mixed_counts(rng& gen, std::uint64_t agents,
 }
 
 aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
-                                       std::uint64_t num_agents)
+                                       std::uint64_t num_agents,
+                                       std::span<const std::uint64_t> start_counts)
     : aggregate_dynamics{params, {rule_group{num_agents,
-                                             {params.resolved_alpha(), params.beta}}}} {}
+                                             {params.resolved_alpha(), params.beta}}}} {
+  if (start_counts.empty()) return;
+  if (start_counts.size() != params_.num_options) {
+    throw std::invalid_argument{"aggregate_dynamics: start counts size mismatch"};
+  }
+  const std::uint64_t total = std::accumulate(start_counts.begin(), start_counts.end(),
+                                              std::uint64_t{0});
+  if (total > num_agents_) {
+    throw std::invalid_argument{"aggregate_dynamics: more start adopters than agents"};
+  }
+  std::copy(start_counts.begin(), start_counts.end(), start_counts_.begin());
+  if (total > 0) {
+    for (std::size_t j = 0; j < start_popularity_.size(); ++j) {
+      start_popularity_[j] = static_cast<double>(start_counts_[j]) / static_cast<double>(total);
+    }
+  }
+  reset();
+}
 
 aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
                                        std::vector<rule_group> groups)
@@ -43,6 +61,8 @@ aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
     binomials_.emplace_back(group.rule.alpha, group.rule.beta);
   }
   const std::size_t m = params_.num_options;
+  start_counts_.assign(m, 0);
+  start_popularity_.assign(m, 1.0 / static_cast<double>(m));
   popularity_.assign(m, 0.0);
   stage_weights_.assign(m, 0.0);
   stage_counts_.assign(m, 0);
@@ -55,37 +75,13 @@ aggregate_dynamics::aggregate_dynamics(const dynamics_params& params,
 }
 
 void aggregate_dynamics::reset() {
-  const double uniform = 1.0 / static_cast<double>(params_.num_options);
-  std::fill(popularity_.begin(), popularity_.end(), uniform);
+  std::copy(start_popularity_.begin(), start_popularity_.end(), popularity_.begin());
+  std::copy(start_counts_.begin(), start_counts_.end(), adopter_counts_.begin());
   std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
-  std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
   std::fill(group_adopters_.begin(), group_adopters_.end(), 0);
-  adopters_ = 0;
+  adopters_ = std::accumulate(start_counts_.begin(), start_counts_.end(), std::uint64_t{0});
   empty_steps_ = 0;
   steps_ = 0;
-}
-
-void aggregate_dynamics::reset(std::span<const std::uint64_t> adopter_counts) {
-  if (groups_.size() != 1) {
-    throw std::invalid_argument{"aggregate_dynamics::reset: counts need a single group"};
-  }
-  if (adopter_counts.size() != params_.num_options) {
-    throw std::invalid_argument{"aggregate_dynamics::reset: size mismatch"};
-  }
-  const std::uint64_t total = std::accumulate(adopter_counts.begin(), adopter_counts.end(),
-                                              std::uint64_t{0});
-  if (total > num_agents_) {
-    throw std::invalid_argument{"aggregate_dynamics::reset: more adopters than agents"};
-  }
-  reset();
-  custom_start_ = true;
-  std::copy(adopter_counts.begin(), adopter_counts.end(), adopter_counts_.begin());
-  adopters_ = total;
-  if (total > 0) {
-    for (std::size_t j = 0; j < popularity_.size(); ++j) {
-      popularity_[j] = static_cast<double>(adopter_counts_[j]) / static_cast<double>(total);
-    }
-  }
 }
 
 std::span<const std::uint64_t> aggregate_dynamics::group_adopters(std::size_t group) const {

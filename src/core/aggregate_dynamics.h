@@ -57,29 +57,23 @@ std::uint64_t sample_mixed_counts(rng& gen, std::uint64_t agents,
 
 class aggregate_dynamics final : public dynamics_engine {
  public:
-  /// Homogeneous population: the one group {num_agents, (resolved α, β)}.
-  /// Throws std::invalid_argument on invalid parameters or num_agents == 0.
-  aggregate_dynamics(const dynamics_params& params, std::uint64_t num_agents);
+  /// Homogeneous population: the one group {num_agents, (resolved α, β)},
+  /// starting from `start_counts` adopters per option (sum may be anything
+  /// <= N; the popularity becomes counts/sum, uniform when the sum is 0) or,
+  /// when empty, with nobody committed.  Throws std::invalid_argument on
+  /// invalid parameters, num_agents == 0, or start counts of the wrong size
+  /// or with more adopters than agents.
+  aggregate_dynamics(const dynamics_params& params, std::uint64_t num_agents,
+                     std::span<const std::uint64_t> start_counts = {});
 
   /// Rule-group mixture: `params` supplies m and μ (its β/α are ignored —
-  /// the groups carry the adoption rules).  Throws std::invalid_argument on
-  /// invalid parameters, no groups, an empty group, or a rule outside
-  /// 0 ≤ α ≤ β ≤ 1.
+  /// the groups carry the adoption rules).  Starts with nobody committed.
+  /// Throws std::invalid_argument on invalid parameters, no groups, an
+  /// empty group, or a rule outside 0 ≤ α ≤ β ≤ 1.
   aggregate_dynamics(const dynamics_params& params, std::vector<rule_group> groups);
 
-  /// Back to the initial state (nobody committed, uniform popularity).
+  /// Back to the constructed start.
   void reset() override;
-
-  /// Restart from given adopter counts (sum may be anything <= N; the
-  /// popularity becomes counts/sum, uniform when the sum is 0).  An engine
-  /// seeded this way stops reporting reusable(): the plain reset() returns
-  /// to the uniform start, not to these counts.  One group only: throws
-  /// std::invalid_argument on a mixture.
-  void reset(std::span<const std::uint64_t> adopter_counts);
-
-  /// reset() restores the constructed state exactly — unless a custom
-  /// start was installed via reset(counts) (dynamics_engine.h contract).
-  [[nodiscard]] bool reusable() const noexcept override { return !custom_start_; }
 
   /// Advances one step given the realized signals R^{t+1} (size m).
   void step(std::span<const std::uint8_t> rewards, rng& gen) override;
@@ -117,6 +111,8 @@ class aggregate_dynamics final : public dynamics_engine {
   std::vector<rule_group> groups_;
   std::vector<adoption_binomials> binomials_;  // per group: its (α, β) tables
   std::uint64_t num_agents_ = 0;
+  std::vector<std::uint64_t> start_counts_;  // D⁰ (all zero unless constructed from counts)
+  std::vector<double> start_popularity_;     // Q⁰ read off start_counts_
   std::vector<double> popularity_;
   std::vector<double> stage_weights_;
   std::vector<std::uint64_t> stage_counts_;
@@ -127,7 +123,6 @@ class aggregate_dynamics final : public dynamics_engine {
   std::uint64_t adopters_ = 0;
   std::uint64_t empty_steps_ = 0;
   std::uint64_t steps_ = 0;
-  bool custom_start_ = false;  // reset(counts) was used: reset() != initial state
 };
 
 }  // namespace sgl::core

@@ -34,20 +34,17 @@ class dynamics_engine {
  public:
   virtual ~dynamics_engine() = default;
 
-  /// Back to the initial state: nobody committed, uniform popularity,
-  /// step/empty-step counters cleared.
+  /// Back to the constructed state: the start the engine was built with
+  /// (nobody committed and uniform popularity unless a start was given),
+  /// step/empty-step counters cleared.  Configuration installed through
+  /// setters (topology, per-agent rules) survives.  A reset() engine
+  /// replays a freshly constructed one's trajectory bit for bit from the
+  /// same streams, so the Monte-Carlo harness keeps one instance per
+  /// worker and reset()s it between replications (core/experiment.h).
   virtual void reset() = 0;
 
-  /// True when reset() restores the engine to the exact state its factory
-  /// delivered it in, so the Monte-Carlo harness may keep one instance per
-  /// worker and reset() it between replications instead of reconstructing
-  /// (core/experiment.h).  Configuration installed through setters
-  /// (topology, per-agent rules, thread counts) survives reset() and stays
-  /// reusable; an engine put into a state reset() does *not* restore — e.g.
-  /// a nonuniform start installed via an overloaded reset(span) — must
-  /// report false from then on.  Defaults to false: unknown engines are
-  /// reconstructed every replication, which is always correct.
-  [[nodiscard]] virtual bool reusable() const noexcept { return false; }
+  /// Always true (perfbench only; drop with the next [benchmark] PR).
+  [[nodiscard]] bool reusable() const noexcept { return true; }
 
   /// Advances one step given the realized signals R^{t+1} (size must be
   /// num_options()).  Deterministic engines may ignore `gen`.

@@ -20,22 +20,10 @@ void check_run_config(const run_config& config) {
 
 replication_context::replication_context(const engine_factory& make_engine,
                                          const env_factory& make_env, bool /*unused*/)
-    : make_engine_{make_engine}, make_env_{make_env} {
-  rebuild();
-}
-
-/// (Re)constructs the engine/environment pair.  This is also where the
-/// per-replication checks of the old harness ran; they are now paid once
-/// per context build — once per worker in the steady reusable state —
-/// instead of once per replication.
-void replication_context::rebuild() {
-  environment_ = make_env_();
-  engine_ = make_engine_();
+    : environment_{make_env()}, engine_{make_engine()} {
   if (environment_->num_options() != engine_->num_options()) {
     throw std::invalid_argument{"run_with_probes: engine/environment option-count mismatch"};
   }
-  reusable_ = engine_->reusable() && environment_->reusable();
-  fresh_ = true;
   const std::size_t m = environment_->num_options();
   rewards_.assign(m, 0);
   q_prev_.assign(m, 0.0);
@@ -43,17 +31,13 @@ void replication_context::rebuild() {
 
 void replication_context::run(const run_config& config, std::uint64_t replication,
                               const probe_list& probes) {
-  // Bring the pair back to its initial state.  reset() and reconstruction
-  // are state-identical by the reusable() contract (dynamics_engine.h);
-  // reset() spares the per-replication allocation.
+  // Back to the constructed state; a new context is already there, and a
+  // reset costs O(N + E) on a network engine.
   if (fresh_) {
     fresh_ = false;
-  } else if (reusable_) {
+  } else {
     engine_->reset();
     environment_->reset();
-  } else {
-    rebuild();
-    fresh_ = false;
   }
 
   env::reward_model& environment = *environment_;
@@ -239,9 +223,7 @@ probe_list run_with_probes(const engine_factory& make_engine, const env_factory&
 engine_factory make_infinite_engine_factory(const dynamics_params& params,
                                             std::span<const double> start) {
   return [params, start = std::vector<double>{start.begin(), start.end()}] {
-    auto engine = std::make_unique<infinite_dynamics>(params);
-    if (!start.empty()) engine->reset(std::span<const double>{start});
-    return engine;
+    return std::make_unique<infinite_dynamics>(params, start);
   };
 }
 

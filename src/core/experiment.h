@@ -21,12 +21,12 @@
 /// splits each run's replications into the fixed shards of reduce_layout
 /// (support/parallel.h), and drains every (run × shard) work item in one
 /// parallel_tasks call.  Each participant borrows a replication_context
-/// (engine + environment built from the two factories, validated once,
-/// reset() between replications when both sides are reusable()) and
-/// advances it through the horizon while every installed probe
-/// (core/probe.h) observes each step; a run's shards merge in shard order
-/// once its last shard finishes.  The §2.2 estimates above are the regret
-/// probe's accumulators, the per-step curves the trajectory probe's.
+/// (engine + environment built once from the two factories and validated,
+/// reset() between replications) and advances it through the horizon
+/// while every installed probe (core/probe.h) observes each step; a run's
+/// shards merge in shard order once its last shard finishes.  The §2.2
+/// estimates above are the regret probe's accumulators, the per-step
+/// curves the trajectory probe's.
 /// run_with_probes() is the one-run call; callers that start from a
 /// scenario_spec go through scenario::run_sweep (scenario/sweep.h), which
 /// builds the factories and calls run_points().
@@ -50,9 +50,8 @@
 
 namespace sgl::core {
 
-/// Builds a fresh environment instance.  Invoked once per worker context —
-/// and again per replication only when the instance is not reusable() — so
-/// every concurrent worker owns an independent instance.
+/// Builds a fresh environment instance.  Invoked once per worker context,
+/// so every concurrent worker owns an independent instance.
 using env_factory = std::function<std::unique_ptr<env::reward_model>()>;
 
 /// Builds a fresh engine instance in its initial state (same independence
@@ -73,15 +72,15 @@ struct run_config {
 void check_run_config(const run_config& config);
 
 /// One worker's run state: engine + environment + per-step scratch
-/// buffers, built from the borrowed factories and validated once (engine/
-/// environment option-count match).  run() advances one
-/// replication through the horizon on the streams derived from
+/// buffers, built from the two factories and validated once in the
+/// constructor (engine/environment option-count match).  run() advances
+/// one replication through the horizon on the streams derived from
 /// (config.seed, replication) while `probes` observe each step; between
-/// replications the context reset()s the engine and environment when both
-/// report reusable(), and reconstructs them otherwise — the trajectory is
-/// bit-identical either way.  The factories must outlive the context.
-/// run_points() pools these per run; exposed so a hand replay of the
-/// harness (perfbench/) can build one the same way.
+/// replications the context reset()s the engine and environment, which
+/// returns both to their constructed state (dynamics_engine.h), so the
+/// trajectory is bit-identical to a fresh build's.  run_points() pools
+/// these per run; exposed so a hand replay of the harness (perfbench/) can
+/// build one the same way.
 class replication_context {
  public:
   /// The trailing bool is ignored (perfbench only; drop with the next
@@ -94,12 +93,7 @@ class replication_context {
   void run(const run_config& config, std::uint64_t replication, const probe_list& probes);
 
  private:
-  void rebuild();
-
-  const engine_factory& make_engine_;
-  const env_factory& make_env_;
-  bool reusable_ = false;  ///< engine && environment both report reusable()
-  bool fresh_ = true;      ///< just (re)built: the state is already initial
+  bool fresh_ = true;  ///< just built: the state is already initial
   std::unique_ptr<env::reward_model> environment_;
   std::unique_ptr<dynamics_engine> engine_;
   std::vector<std::uint8_t> rewards_;  ///< hoisted per-step R^t buffer
@@ -149,8 +143,9 @@ std::size_t run_points(std::vector<run_request> runs, const run_config& config,
                                          std::span<const probe* const> prototypes);
 
 /// Engine factory for the infinite dynamics (optionally from a nonuniform
-/// start, copied).  Used by the scenario layer and by callers that pair the
-/// engine with a custom environment factory.
+/// start, copied; each construction validates it).  Used by the scenario
+/// layer and by callers that pair the engine with a custom environment
+/// factory.
 [[nodiscard]] engine_factory make_infinite_engine_factory(const dynamics_params& params,
                                                           std::span<const double> start = {});
 

@@ -80,14 +80,11 @@ class finite_dynamics : public dynamics_engine {
   /// [benchmark] PR).  The step is serial.
   void set_threads(unsigned /*threads*/) noexcept {}
 
-  /// Everybody back to the initial state (no choices, uniform popularity).
+  /// Everybody back to the initial state (no choices, uniform popularity);
+  /// rules and topology are configuration and survive, so the harness
+  /// reuses one instance across replications instead of reallocating the
+  /// agent/view buffers at large N.
   void reset() final;
-
-  /// reset() restores the factory-fresh state exactly (rules and topology
-  /// are configuration and survive), so the harness may reuse one instance
-  /// across replications — which is what spares the per-replication
-  /// allocation of the agent/view buffers at large N.
-  [[nodiscard]] bool reusable() const noexcept final { return true; }
 
   /// Advances one step given the realized signals R^{t+1} (size m).
   void step(std::span<const std::uint8_t> rewards, rng& gen) final;
@@ -170,7 +167,7 @@ class finite_dynamics : public dynamics_engine {
   void step_network(std::span<const std::uint8_t> rewards, rng& gen);
 
   /// Recomputes the committed-neighbour view from `choices_` (O(E)); used
-  /// by set_topology and reset so engines stay reusable.
+  /// by set_topology and reset.
   void rebuild_neighbor_view();
 
   /// The view-delta walk: applies shard s's changed-list entries to the

@@ -1,41 +1,41 @@
 #include "core/infinite_dynamics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace sgl::core {
 
-infinite_dynamics::infinite_dynamics(const dynamics_params& params) : params_{params} {
+infinite_dynamics::infinite_dynamics(const dynamics_params& params,
+                                     std::span<const double> start)
+    : params_{params} {
   params_.validate();
-  p_.assign(params_.num_options, 0.0);
-  scratch_.assign(params_.num_options, 0.0);
+  const std::size_t m = params_.num_options;
+  if (start.empty()) {
+    start_.assign(m, 1.0 / static_cast<double>(m));
+  } else {
+    if (start.size() != m) {
+      throw std::invalid_argument{"infinite_dynamics: start size mismatch"};
+    }
+    double total = 0.0;
+    for (const double x : start) {
+      if (!(x >= 0.0)) {
+        throw std::invalid_argument{"infinite_dynamics: start has negative mass"};
+      }
+      total += x;
+    }
+    if (std::abs(total - 1.0) > 1e-9) {
+      throw std::invalid_argument{"infinite_dynamics: start is not a probability vector"};
+    }
+    for (const double x : start) start_.push_back(x / total);
+  }
+  p_.assign(m, 0.0);
+  scratch_.assign(m, 0.0);
   reset();
 }
 
 void infinite_dynamics::reset() {
-  const double uniform = 1.0 / static_cast<double>(p_.size());
-  for (double& x : p_) x = uniform;
-  log_potential_ = std::log(static_cast<double>(p_.size()));
-  steps_ = 0;
-  degenerate_steps_ = 0;
-}
-
-void infinite_dynamics::reset(std::span<const double> start) {
-  if (start.size() != p_.size()) {
-    throw std::invalid_argument{"infinite_dynamics::reset: size mismatch"};
-  }
-  double total = 0.0;
-  for (const double x : start) {
-    if (!(x >= 0.0)) {
-      throw std::invalid_argument{"infinite_dynamics::reset: negative mass"};
-    }
-    total += x;
-  }
-  if (std::abs(total - 1.0) > 1e-9) {
-    throw std::invalid_argument{"infinite_dynamics::reset: not a probability vector"};
-  }
-  for (std::size_t j = 0; j < p_.size(); ++j) p_[j] = start[j] / total;
-  custom_start_ = true;
+  std::copy(start_.begin(), start_.end(), p_.begin());
   log_potential_ = std::log(static_cast<double>(p_.size()));
   steps_ = 0;
   degenerate_steps_ = 0;

@@ -23,22 +23,15 @@ namespace sgl::core {
 
 class infinite_dynamics final : public dynamics_engine {
  public:
-  /// Starts from the uniform distribution (the paper's P⁰).
-  /// Throws std::invalid_argument on invalid parameters.
-  explicit infinite_dynamics(const dynamics_params& params);
+  /// Starts from `start` (Theorem 4.6's nonuniform start), or from the
+  /// uniform distribution (the paper's P⁰) when `start` is empty.  A
+  /// non-empty start must be a probability vector of size m (validated,
+  /// then normalized and stored).  Throws std::invalid_argument on invalid
+  /// parameters or an invalid start.
+  explicit infinite_dynamics(const dynamics_params& params, std::span<const double> start = {});
 
-  /// Back to the uniform start; steps() and log_potential() reset too.
+  /// Back to the constructed start; steps() and log_potential() reset too.
   void reset() override;
-
-  /// Restart from an arbitrary distribution (Theorem 4.6's nonuniform
-  /// start).  Must be a probability vector of size m (validated).  An
-  /// engine started this way stops reporting reusable(): the plain reset()
-  /// returns to the uniform start, not to `start`.
-  void reset(std::span<const double> start);
-
-  /// reset() restores the constructed state exactly — unless a nonuniform
-  /// start was installed via reset(span) (dynamics_engine.h contract).
-  [[nodiscard]] bool reusable() const noexcept override { return !custom_start_; }
 
   /// Advances one step given the realized signal vector R^{t+1}
   /// (size m, entries 0/1).  The process is deterministic given the signals.
@@ -81,12 +74,12 @@ class infinite_dynamics final : public dynamics_engine {
 
  private:
   dynamics_params params_;
+  std::vector<double> start_;  // P⁰, normalized
   std::vector<double> p_;
   std::vector<double> scratch_;
   double log_potential_ = 0.0;
   std::uint64_t steps_ = 0;
   std::uint64_t degenerate_steps_ = 0;
-  bool custom_start_ = false;  // reset(start) was used: reset() != initial state
 };
 
 }  // namespace sgl::core

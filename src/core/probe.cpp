@@ -985,8 +985,7 @@ class coupling_probe final : public probe {
     params.alpha = rule->alpha;
     params.beta = rule->beta;
     if (step.t == 1) {
-      shadow_ = std::make_unique<infinite_dynamics>(params);
-      shadow_->reset(step.popularity_before);
+      shadow_ = std::make_unique<infinite_dynamics>(params, step.popularity_before);
       num_agents_ = static_cast<double>(engine->num_agents());
     }
     if (shadow_ == nullptr) return;

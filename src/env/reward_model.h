@@ -52,16 +52,15 @@ class reward_model {
   /// True if mean(t, j) is the same for every t (the theorems' setting).
   [[nodiscard]] virtual bool is_stationary() const noexcept { return true; }
 
-  /// Restores any cross-replication mutable state to its initial value.
-  /// Every built-in model is immutable after construction, so the default
-  /// is a no-op.
+  /// Restores any cross-replication mutable state to its initial value, so
+  /// the harness (core/experiment.h) may reuse one model across
+  /// replications: sample()/mean() depend only on (t, gen) and on state
+  /// reset() restores.  Every built-in model is immutable after
+  /// construction, so the default is a no-op.
   virtual void reset() {}
 
-  /// True when the model may be reused across Monte-Carlo replications:
-  /// sample()/mean() depend only on (t, gen) and on state reset() restores.
-  /// The harness (core/experiment.h) reconstructs non-reusable models every
-  /// replication, which is always correct.  All built-ins return true.
-  [[nodiscard]] virtual bool reusable() const noexcept { return false; }
+  /// Always true (perfbench only; drop with the next [benchmark] PR).
+  [[nodiscard]] bool reusable() const noexcept { return true; }
 };
 
 /// The paper's base model: independent R^t_j ~ Bernoulli(η_j).
@@ -74,7 +73,6 @@ class bernoulli_rewards final : public reward_model {
   [[nodiscard]] std::size_t num_options() const noexcept override { return etas_.size(); }
   void sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) override;
   [[nodiscard]] double mean(std::uint64_t t, std::size_t option) const override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
 
  private:
   std::vector<double> etas_;
@@ -92,7 +90,6 @@ class exclusive_rewards final : public reward_model {
   [[nodiscard]] std::size_t num_options() const noexcept override { return p_.size(); }
   void sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) override;
   [[nodiscard]] double mean(std::uint64_t t, std::size_t option) const override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
 
  private:
   std::vector<double> p_;
@@ -110,7 +107,6 @@ class switching_rewards final : public reward_model {
   [[nodiscard]] std::size_t num_options() const noexcept override { return base_.size(); }
   void sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) override;
   [[nodiscard]] double mean(std::uint64_t t, std::size_t option) const override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
   [[nodiscard]] bool is_stationary() const noexcept override { return false; }
 
  private:
@@ -130,7 +126,6 @@ class drifting_rewards final : public reward_model {
   [[nodiscard]] std::size_t num_options() const noexcept override { return start_.size(); }
   void sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) override;
   [[nodiscard]] double mean(std::uint64_t t, std::size_t option) const override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
   [[nodiscard]] bool is_stationary() const noexcept override { return false; }
 
  private:
@@ -150,7 +145,6 @@ class schedule_rewards final : public reward_model {
   void sample(std::uint64_t t, rng& gen, std::span<std::uint8_t> out) override;
   /// The long-run frequency of 1s for the option (the empirical η).
   [[nodiscard]] double mean(std::uint64_t t, std::size_t option) const override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
   [[nodiscard]] bool is_stationary() const noexcept override { return false; }
 
  private:

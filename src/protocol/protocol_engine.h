@@ -22,7 +22,7 @@
 ///     documented in DESIGN.md "Protocol RNG stream derivation";
 ///   * reset() discards the simulation; the next step() draws a fresh seed
 ///     from its stream, so reset()-reuse is bit-identical to
-///     reconstruction (reusable() returns true).
+///     reconstruction.
 ///
 /// The engine also implements core::net_instrumented, so the message_cost /
 /// commit_latency / adoption probes can account for wire traffic, commit
@@ -74,7 +74,6 @@ class protocol_engine final : public core::dynamics_engine,
                   std::shared_ptr<const graph::graph> topology = nullptr);
 
   void reset() override;
-  [[nodiscard]] bool reusable() const noexcept override { return true; }
   void step(std::span<const std::uint8_t> rewards, rng& gen) override;
   [[nodiscard]] std::span<const double> popularity() const noexcept override {
     return popularity_;

@@ -77,9 +77,10 @@ std::uint64_t job_queue::submit(
   std::vector<digest128> digests = point_digests(request);
 
   auto job = std::make_shared<job_record>();
+  job->priority = request.priority;
+  job->total = digests.size();
   job->request = std::move(request);
   job->sinks = std::move(sinks);
-  job->digests = std::move(digests);
 
   // Two-phase enqueue: register the job (so status() resolves the id),
   // run the acceptance callback, and only then make the job runnable.
@@ -90,27 +91,26 @@ std::uint64_t job_queue::submit(
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (shutdown_) throw std::runtime_error{"job_queue: shutting down"};
-    if (max_queued_ != 0) {
-      // Bound the *waiting* jobs (pending_ may hold tombstones, so count
-      // real queued state).  Nothing has been registered yet, so refusal
-      // leaves no trace — the client just retries later.
-      const std::size_t queued = static_cast<std::size_t>(
-          std::count_if(jobs_.begin(), jobs_.end(), [](const auto& entry) {
-            return entry.second->state == job_state::queued;
-          }));
-      if (queued >= max_queued_) throw queue_full_error{max_queued_};
-    }
+    // Bound the *waiting* jobs.  Nothing has been registered yet, so
+    // refusal leaves no trace — the client just retries later.
+    if (max_queued_ != 0 && queued_ >= max_queued_) throw queue_full_error{max_queued_};
     id = next_id_++;
     job->id = id;
     jobs_.emplace(id, job);
+    ++queued_;
   }
-  if (on_accepted) on_accepted(id, job->digests);
+  // The digests stay local until the job turns runnable: a cancel() during
+  // on_accepted releases the record, never the span on_accepted reads.
+  if (on_accepted) on_accepted(id, digests);
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     // cancel() may have reached the job during on_accepted; a terminal
     // job must not enter pending_ (it would sit there as a tombstone the
     // sleeping dispatcher never clears, wedging drain()).
-    if (job->state == job_state::queued) pending_.push_back(id);
+    if (job->state == job_state::queued) {
+      job->digests = std::move(digests);
+      pending_.push_back(id);
+    }
   }
   wake_.notify_all();
   return id;
@@ -123,8 +123,8 @@ std::optional<job_status> job_queue::status(std::uint64_t id) const {
   const job_record& job = *it->second;
   job_status out;
   out.state = job.state;
-  out.priority = job.request.priority;
-  out.total = job.total();
+  out.priority = job.priority;
+  out.total = job.total;
   out.computed = job.computed.load(std::memory_order_relaxed);
   out.cached = job.cached.load(std::memory_order_relaxed);
   return out;
@@ -146,6 +146,7 @@ bool job_queue::cancel(std::uint64_t id) {
         // Never started: transition here so status() is immediately
         // truthful; the done event fires outside the lock below.
         job.state = job_state::cancelled;
+        --queued_;
         job.user_cancelled.store(true, std::memory_order_release);
         job.stop.store(true, std::memory_order_release);
         std::erase(pending_, id);
@@ -162,9 +163,10 @@ bool job_queue::cancel(std::uint64_t id) {
       job_done_event event;
       event.job = to_finish->id;
       event.state = job_state::cancelled;
-      event.total = to_finish->total();
+      event.total = to_finish->total;
       to_finish->sinks.on_done(event);
     }
+    release(*to_finish);
     settled_.notify_all();
   }
   return true;
@@ -200,14 +202,7 @@ void job_queue::resume() {
 void job_queue::drain() {
   resume();
   std::unique_lock<std::mutex> lock{mutex_};
-  settled_.wait(lock, [this] {
-    if (running_ || !pending_.empty()) return false;
-    return std::all_of(jobs_.begin(), jobs_.end(), [](const auto& entry) {
-      const job_state s = entry.second->state;
-      return s == job_state::done || s == job_state::cancelled ||
-             s == job_state::failed;
-    });
-  });
+  settled_.wait(lock, [this] { return !running_ && queued_ == 0; });
 }
 
 std::shared_ptr<job_queue::job_record> job_queue::take_next_locked() {
@@ -218,9 +213,9 @@ std::shared_ptr<job_queue::job_record> job_queue::take_next_locked() {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const auto it = jobs_.find(pending_[i]);
     if (it == jobs_.end() || it->second->state != job_state::queued) continue;
-    if (best == pending_.size() || it->second->request.priority > best_priority) {
+    if (best == pending_.size() || it->second->priority > best_priority) {
       best = i;
-      best_priority = it->second->request.priority;
+      best_priority = it->second->priority;
     }
   }
   if (best == pending_.size()) {
@@ -249,6 +244,7 @@ void job_queue::dispatch_loop() {
       job = take_next_locked();
       if (!job) continue;
       job->state = job_state::running;
+      --queued_;
       running_ = true;
     }
     run_job(*job);
@@ -305,7 +301,7 @@ void job_queue::run_job(job_record& job) {
 }
 
 void job_queue::run_job_points(job_record& job) {
-  const std::size_t points = job.total();
+  const std::size_t points = job.total;
   const core::run_config& config = job.request.config;
   const std::span<const std::string> probe_specs{job.request.probe_specs};
 
@@ -389,7 +385,7 @@ void job_queue::run_job_points(job_record& job) {
 void job_queue::finish_job(job_record& job) {
   job_done_event event;
   event.job = job.id;
-  event.total = job.total();
+  event.total = job.total;
   event.computed = job.computed.load(std::memory_order_relaxed);
   event.cached = job.cached.load(std::memory_order_relaxed);
   {
@@ -408,6 +404,17 @@ void job_queue::finish_job(job_record& job) {
     job.state = event.state;
   }
   if (job.sinks.on_done) job.sinks.on_done(event);
+  release(job);
+}
+
+/// The sinks may capture a session that must not live as long as the
+/// queue.  Called on the one thread that finished the job, after on_done
+/// returned, so nothing else reads these fields any more.
+void job_queue::release(job_record& job) {
+  job.request = {};
+  job.sinks = {};
+  job.digests = {};
+  job.error = {};
 }
 
 }  // namespace sgl::service

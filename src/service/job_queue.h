@@ -190,22 +190,24 @@ class job_queue {
   void drain();
 
  private:
+  /// A job's record stays in jobs_ for status() for the queue's lifetime;
+  /// once its done event has been delivered, release() empties the
+  /// request, sinks, digests and error, so only the fields status()
+  /// reports keep their values.
   struct job_record {
     std::uint64_t id = 0;
+    int priority = 0;
+    std::size_t total = 0;                // grid points
+    job_state state = job_state::queued;  // guarded by queue mutex
+    std::atomic<std::size_t> computed{0};
+    std::atomic<std::size_t> cached{0};
     job_request request;
     job_sinks sinks;
     std::vector<digest128> digests;  // one per grid point
-    job_state state = job_state::queued;  // guarded by queue mutex
-    std::atomic<bool> stop{false};        // user cancel or internal failure
+    std::atomic<bool> stop{false};   // user cancel or internal failure
     std::atomic<bool> user_cancelled{false};
-    std::atomic<std::size_t> computed{0};
-    std::atomic<std::size_t> cached{0};
     std::mutex error_mutex;
     std::string error;  // first failure, guarded by error_mutex
-
-    [[nodiscard]] std::size_t total() const {
-      return request.grid.empty() ? 1 : request.grid.size();
-    }
   };
 
   void dispatch_loop();
@@ -213,6 +215,7 @@ class job_queue {
   void run_job(job_record& job);
   void run_job_points(job_record& job);
   void finish_job(job_record& job);
+  static void release(job_record& job);
 
   result_store& store_;
   unsigned worker_threads_ = 0;
@@ -223,6 +226,7 @@ class job_queue {
   std::condition_variable settled_;   // drain(): a job reached terminal state
   std::map<std::uint64_t, std::shared_ptr<job_record>> jobs_;
   std::vector<std::uint64_t> pending_;  // submission order; filtered on take
+  std::size_t queued_ = 0;              // jobs in state queued
   std::uint64_t next_id_ = 1;
   bool paused_ = false;
   bool shutdown_ = false;

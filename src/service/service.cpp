@@ -187,6 +187,7 @@ void session::handle_submit(const json_value& request) {
     json.end_object();
     emit(out.str());
     const std::lock_guard<std::mutex> lock{mutex_};
+    std::erase(jobs_, event.job);
     if (outstanding_ > 0) --outstanding_;
     // Notify under the lock: once finish() sees 0 it returns and ~session
     // destroys idle_, which must not happen while this call is still in it.

@@ -103,7 +103,7 @@ class session {
 
   mutable std::mutex mutex_;  // write serialization + bookkeeping
   std::condition_variable idle_;
-  std::vector<std::uint64_t> jobs_;  // submitted through this session
+  std::vector<std::uint64_t> jobs_;  // submitted here, job_done not yet written
   std::size_t outstanding_ = 0;      // jobs whose job_done is not yet written
   bool peer_closed_ = false;
 };

@@ -74,21 +74,23 @@ TEST(aggregate_dynamics, empty_population_rule) {
   EXPECT_DOUBLE_EQ(dyn.popularity()[0], 0.5);
 }
 
-TEST(aggregate_dynamics, reset_from_counts) {
-  aggregate_dynamics dyn{make_params(3, 0.1, 0.6), 100};
+TEST(aggregate_dynamics, start_from_counts) {
   const std::vector<std::uint64_t> counts{10, 30, 20};
-  dyn.reset(counts);
+  const aggregate_dynamics dyn{make_params(3, 0.1, 0.6), 100, counts};
   EXPECT_EQ(dyn.adopters(), 60U);
   EXPECT_DOUBLE_EQ(dyn.popularity()[1], 0.5);
   EXPECT_EQ(dyn.steps(), 0U);
 
-  EXPECT_THROW(dyn.reset(std::vector<std::uint64_t>{200, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(dyn.reset(std::vector<std::uint64_t>{1, 2}), std::invalid_argument);
+  EXPECT_THROW((aggregate_dynamics{make_params(3, 0.1, 0.6), 100,
+                                   std::vector<std::uint64_t>{200, 0, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW((aggregate_dynamics{make_params(3, 0.1, 0.6), 100,
+                                   std::vector<std::uint64_t>{1, 2}}),
+               std::invalid_argument);
 }
 
-TEST(aggregate_dynamics, reset_from_zero_counts_is_uniform) {
-  aggregate_dynamics dyn{make_params(2, 0.1, 0.6), 100};
-  dyn.reset(std::vector<std::uint64_t>{0, 0});
+TEST(aggregate_dynamics, start_from_zero_counts_is_uniform) {
+  const aggregate_dynamics dyn{make_params(2, 0.1, 0.6), 100, std::vector<std::uint64_t>{0, 0}};
   EXPECT_DOUBLE_EQ(dyn.popularity()[0], 0.5);
   EXPECT_EQ(dyn.adopters(), 0U);
 }

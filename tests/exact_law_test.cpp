@@ -102,8 +102,7 @@ TEST(exact_law, aggregate_one_step_matches_enumerated_pmf) {
   constexpr int reps = 40000;
   for (int rep = 0; rep < reps; ++rep) {
     rng gen = rng::from_stream(777, static_cast<std::uint64_t>(rep));
-    core::aggregate_dynamics dyn{params, n};
-    dyn.reset(start);
+    core::aggregate_dynamics dyn{params, n, start};
     dyn.step(rewards, gen);
     const std::uint64_t key =
         (dyn.stage_counts()[0] * 8 + dyn.adopter_counts()[0]) * 8 +

@@ -304,6 +304,26 @@ final best-option mass  0.7219 ± 0.1686
             "quickstart,0.1907984757050338,0.659201524294966,0.4728204496979196,"
             "0.7218664279727687,0,4\n");
 
+  // An interval scalar no replication produced (no run hits 99% mass in 5
+  // steps) is marked in the table, not printed as a measured 0 ± 0.
+  std::string empty_mean;
+  EXPECT_EQ(*run_cli("scenario --name quickstart --horizon 5 --reps 20 --probes "
+                     "'hitting_time(eps=0.01)'",
+                     nullptr, &empty_mean),
+            0);
+  EXPECT_EQ(empty_mean, R"(scenario: quickstart
+4 options, N=1000 agents, theorem-regime parameters (beta=0.65), Bernoulli qualities (0.85, 0.45, 0.40, 0.35)
+
+
+             probe metric            value
+------------------------------------------
+   hitting_time.threshold           0.9900
+hitting_time.hit_fraction  0.0000 ± 0.0000
+hitting_time.hitting_time  n/a (0 samples)
+        hitting_time.hits           0.0000
+hitting_time.replications          20.0000
+)");
+
   // The catalog listing: one row per scenarios/*.scn, in file-name order.
   std::string listing;
   EXPECT_EQ(*run_cli("scenarios --format csv", nullptr, &listing), 0);

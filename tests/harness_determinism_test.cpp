@@ -8,7 +8,7 @@
 //      changed wall clock only.
 //   2. The reset()-reuse law — for every engine kind, a fresh engine and a
 //      used-then-reset() engine produce identical trajectories from the
-//      same stream, and engines report reusable() exactly when that holds.
+//      same stream, also when the engine was constructed from a start.
 //   3. The flattened sweep scheduler returns, per grid point, bit-identical
 //      probes to running each point alone through run_probes — again for
 //      any thread count — and shares built topologies
@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -211,7 +212,6 @@ std::vector<double> trajectory_of(core::dynamics_engine& engine, std::uint64_t h
 template <typename MakeEngine>
 void expect_reset_reuse_law(MakeEngine make_engine, std::uint64_t horizon = 60) {
   auto reused = make_engine();
-  ASSERT_TRUE(reused->reusable());
   const std::vector<double> first = trajectory_of(*reused, horizon, 11);
   reused->reset();
   const std::vector<double> again = trajectory_of(*reused, horizon, 11);
@@ -229,6 +229,20 @@ TEST(reset_reuse_law, aggregate) {
 TEST(reset_reuse_law, infinite) {
   expect_reset_reuse_law(
       [] { return std::make_unique<core::infinite_dynamics>(test_params(4)); });
+}
+
+TEST(reset_reuse_law, infinite_nonuniform_start) {
+  expect_reset_reuse_law([] {
+    const std::vector<double> start{0.1, 0.2, 0.3, 0.4};
+    return std::make_unique<core::infinite_dynamics>(test_params(4), start);
+  });
+}
+
+TEST(reset_reuse_law, aggregate_counts_start) {
+  expect_reset_reuse_law([] {
+    const std::vector<std::uint64_t> counts{40, 30, 20, 10};
+    return std::make_unique<core::aggregate_dynamics>(test_params(4), 500, counts);
+  });
 }
 
 TEST(reset_reuse_law, grouped) {
@@ -271,18 +285,33 @@ TEST(reset_reuse_law, finite_network_sparse_and_dense) {
   });
 }
 
-TEST(reset_reuse_law, custom_starts_disable_reuse) {
-  core::infinite_dynamics infinite{test_params(4)};
-  EXPECT_TRUE(infinite.reusable());
-  const std::vector<double> start{0.7, 0.1, 0.1, 0.1};
-  infinite.reset(std::span<const double>{start});
-  EXPECT_FALSE(infinite.reusable()) << "reset() returns to uniform, not to `start`";
+TEST(reset_reuse_law, reset_returns_to_the_constructed_start) {
+  const std::vector<double> start{0.5, 0.25, 0.125, 0.125};
+  core::infinite_dynamics infinite{test_params(4), start};
+  const std::vector<double> p0(infinite.popularity().begin(), infinite.popularity().end());
+  EXPECT_EQ(p0, start);
+  trajectory_of(infinite, 30, 5);
+  infinite.reset();
+  EXPECT_EQ(std::vector<double>(infinite.popularity().begin(), infinite.popularity().end()),
+            p0)
+      << "reset() returns to `start`, not to uniform";
+  EXPECT_EQ(infinite.steps(), 0U);
+  EXPECT_EQ(infinite.log_potential(), std::log(4.0));
 
-  core::aggregate_dynamics aggregate{test_params(4), 100};
-  EXPECT_TRUE(aggregate.reusable());
   const std::vector<std::uint64_t> counts{40, 30, 20, 10};
-  aggregate.reset(std::span<const std::uint64_t>{counts});
-  EXPECT_FALSE(aggregate.reusable());
+  core::aggregate_dynamics aggregate{test_params(4), 100, counts};
+  const std::vector<double> q0(aggregate.popularity().begin(), aggregate.popularity().end());
+  EXPECT_EQ(q0, (std::vector<double>{0.4, 0.3, 0.2, 0.1}));
+  trajectory_of(aggregate, 30, 5);
+  aggregate.reset();
+  EXPECT_EQ(std::vector<double>(aggregate.popularity().begin(), aggregate.popularity().end()),
+            q0);
+  EXPECT_EQ(std::vector<std::uint64_t>(aggregate.adopter_counts().begin(),
+                                       aggregate.adopter_counts().end()),
+            counts);
+  EXPECT_EQ(aggregate.adopters(), 100U);
+  EXPECT_EQ(aggregate.steps(), 0U);
+  EXPECT_EQ(aggregate.empty_steps(), 0U);
 }
 
 // --- the sweep scheduler -----------------------------------------------------

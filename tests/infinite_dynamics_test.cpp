@@ -136,20 +136,22 @@ TEST(infinite_dynamics, reset_uniform) {
   EXPECT_NEAR(dyn.log_potential(), std::log(2.0), 1e-12);
 }
 
-TEST(infinite_dynamics, nonuniform_reset) {
-  infinite_dynamics dyn{make_params(3, 0.1, 0.6)};
+TEST(infinite_dynamics, nonuniform_start) {
   const std::vector<double> start{0.2, 0.3, 0.5};
-  dyn.reset(start);
+  infinite_dynamics dyn{make_params(3, 0.1, 0.6), start};
   EXPECT_DOUBLE_EQ(dyn.distribution()[2], 0.5);
   dyn.step(std::vector<std::uint8_t>{0, 0, 1});
   EXPECT_GT(dyn.distribution()[2], 0.5);  // winner gains
 }
 
-TEST(infinite_dynamics, nonuniform_reset_validation) {
-  infinite_dynamics dyn{make_params(3, 0.1, 0.6)};
-  EXPECT_THROW(dyn.reset(std::vector<double>{0.5, 0.5}), std::invalid_argument);
-  EXPECT_THROW(dyn.reset(std::vector<double>{0.5, 0.5, 0.5}), std::invalid_argument);
-  EXPECT_THROW(dyn.reset(std::vector<double>{-0.1, 0.6, 0.5}), std::invalid_argument);
+TEST(infinite_dynamics, nonuniform_start_validation) {
+  const dynamics_params params = make_params(3, 0.1, 0.6);
+  EXPECT_THROW((infinite_dynamics{params, std::vector<double>{0.5, 0.5}}),
+               std::invalid_argument);
+  EXPECT_THROW((infinite_dynamics{params, std::vector<double>{0.5, 0.5, 0.5}}),
+               std::invalid_argument);
+  EXPECT_THROW((infinite_dynamics{params, std::vector<double>{-0.1, 0.6, 0.5}}),
+               std::invalid_argument);
 }
 
 TEST(infinite_dynamics, rejects_mismatched_rewards) {

@@ -52,10 +52,7 @@ TEST(integration, epoch_restart_preserves_learning) {
   const double mass_at_boundary = first_epoch.popularity()[0];
   EXPECT_GT(mass_at_boundary, 0.5);
 
-  core::aggregate_dynamics second_epoch{params, 10000};
-  const std::vector<std::uint64_t> counts(first_epoch.adopter_counts().begin(),
-                                          first_epoch.adopter_counts().end());
-  second_epoch.reset(counts);
+  core::aggregate_dynamics second_epoch{params, 10000, first_epoch.adopter_counts()};
   EXPECT_NEAR(second_epoch.popularity()[0], mass_at_boundary, 1e-12);
 
   running_stats late;

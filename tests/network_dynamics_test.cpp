@@ -3,7 +3,7 @@
 // (dense mode) must both realize the law "copy a uniform committed
 // neighbour, uniform option when there is none" exactly; the sharded step
 // must be bit-identical for every thread count; and reset()/set_topology()
-// must rebuild the view so engines stay reusable.
+// must rebuild the view so a reset() engine replays a fresh one.
 
 #include "core/finite_dynamics.h"
 

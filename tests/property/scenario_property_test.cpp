@@ -118,12 +118,11 @@ TEST(scenario_property, state_invariants_hold_at_every_step) {
   });
 }
 
-// Law 4: reset() restores the exact initial state — a used-then-reset()
-// engine or environment replays the draws of a fresh one bit for bit
-// whenever it reports reusable(), which is what lets the harness reset
-// instead of rebuilding between replications; and factory-fresh engines
-// are deterministic (two builds, same streams, same trajectory) for every
-// kind, including the non-reusable ones.
+// Law 4: reset() restores the exact constructed state — a used-then-
+// reset() engine or environment replays the draws of a fresh one bit for
+// bit, for every kind and every start, which is what lets the harness
+// reset instead of rebuilding between replications; and factory-fresh
+// engines are deterministic (two builds, same streams, same trajectory).
 TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
   const auto trajectory = [](core::dynamics_engine& engine) {
     rng reward_gen = rng::from_stream(11, 0);
@@ -153,11 +152,9 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
     return guarded([&]() -> std::string {
       auto environment = scenario::make_environment(spec.environment)();
       const std::vector<std::uint8_t> fresh_samples = samples(*environment);
-      if (environment->reusable()) {
-        environment->reset();
-        if (samples(*environment) != fresh_samples) {
-          return "reset() environment diverges from a fresh one";
-        }
+      environment->reset();
+      if (samples(*environment) != fresh_samples) {
+        return "reset() environment diverges from a fresh one";
       }
 
       const core::engine_factory make_engine = scenario::make_engine(spec);
@@ -167,11 +164,9 @@ TEST(scenario_property, reset_reuse_and_fresh_build_determinism) {
       if (trajectory(*second) != reference) {
         return "two factory-fresh engines disagree from identical streams";
       }
-      if (first->reusable()) {
-        first->reset();
-        if (trajectory(*first) != reference) {
-          return "reset() engine diverges from a fresh one";
-        }
+      first->reset();
+      if (trajectory(*first) != reference) {
+        return "reset() engine diverges from a fresh one";
       }
       return {};
     });

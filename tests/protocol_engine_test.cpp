@@ -135,7 +135,6 @@ TEST(protocol_engine, validates_construction_and_inputs) {
 TEST(protocol_engine, contract_basics) {
   protocol::protocol_engine engine{make_config(3), 60};
   EXPECT_EQ(engine.num_options(), 3U);
-  EXPECT_TRUE(engine.reusable());
   EXPECT_EQ(engine.steps(), 0U);
   for (const double q : engine.popularity()) EXPECT_DOUBLE_EQ(q, 1.0 / 3.0);
 

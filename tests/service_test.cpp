@@ -14,6 +14,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -583,6 +584,56 @@ TEST(job_queue, queued_jobs_cancel_without_running) {
   EXPECT_EQ(log.done[0].state, job_state::cancelled);
   EXPECT_TRUE(log.points.empty());
   EXPECT_EQ(store.object_count(), 0U);
+}
+
+TEST(job_queue, finished_jobs_release_their_sinks_and_keep_their_status) {
+  result_store store{fresh_store_root("release")};
+  job_queue queue{store, 1};
+  queue.pause();
+
+  // Each job's sinks hold the only other reference to a token; once the
+  // job's done event is delivered, the queue must drop the sinks (and the
+  // request with them), keeping only what status() reports.
+  const auto sinks_holding = [](event_log& log, const std::shared_ptr<int>& token) {
+    job_sinks sinks = log.sinks();
+    const auto inner = sinks.on_done;
+    sinks.on_done = [inner, token](const job_done_event& event) { inner(event); };
+    return sinks;
+  };
+  event_log ran_log;
+  event_log cancelled_log;
+  auto ran_token = std::make_shared<int>(1);
+  auto cancelled_token = std::make_shared<int>(2);
+  const std::weak_ptr<int> ran_watch = ran_token;
+  const std::weak_ptr<int> cancelled_watch = cancelled_token;
+  const std::uint64_t ran = queue.submit(sweep_request(), sinks_holding(ran_log, ran_token));
+  job_request second = sweep_request();
+  second.priority = 3;
+  const std::uint64_t cancelled =
+      queue.submit(std::move(second), sinks_holding(cancelled_log, cancelled_token));
+  ran_token.reset();
+  cancelled_token.reset();
+
+  EXPECT_TRUE(queue.cancel(cancelled));  // the cancel-while-queued path
+  ASSERT_EQ(cancelled_log.done.size(), 1U);
+  EXPECT_TRUE(cancelled_watch.expired());
+  EXPECT_FALSE(ran_watch.expired()) << "a queued job keeps its sinks";
+
+  queue.drain();
+  ASSERT_EQ(ran_log.done.size(), 1U);
+  EXPECT_TRUE(ran_watch.expired());
+
+  const std::optional<job_status> done = queue.status(ran);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->state, job_state::done);
+  EXPECT_EQ(done->total, 3U);
+  EXPECT_EQ(done->computed, 3U);
+  EXPECT_EQ(done->cached, 0U);
+  const std::optional<job_status> gone = queue.status(cancelled);
+  ASSERT_TRUE(gone.has_value());
+  EXPECT_EQ(gone->state, job_state::cancelled);
+  EXPECT_EQ(gone->priority, 3);
+  EXPECT_EQ(gone->total, 3U);
 }
 
 TEST(job_queue, higher_priority_jobs_run_first) {

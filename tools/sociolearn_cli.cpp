@@ -156,10 +156,18 @@ core::dynamics_params read_params(const flag_set& flags) {
   return params;
 }
 
+/// A scalar's table cell: mean ± half-width for an interval scalar, and
+/// "n/a (0 samples)" when no replication produced a value to average (the
+/// stored 0 is no estimate; JSON and CSV keep printing it).
+std::string fmt_scalar(const core::probe_scalar& scalar) {
+  if (!scalar.has_ci) return fmt(scalar.value, 4);
+  if (scalar.samples == 0) return "n/a (0 samples)";
+  return fmt_pm(scalar.value, scalar.half_width);
+}
+
 void print_estimate(const core::probe_report& regret, double bound, output_format format) {
   const auto pm = [&regret](std::string_view key) {
-    const core::probe_scalar& scalar = *regret.find_scalar(key);
-    return fmt_pm(scalar.value, scalar.half_width);
+    return fmt_scalar(*regret.find_scalar(key));
   };
   const auto value = [&regret](std::string_view key) { return regret.find_scalar(key)->value; };
   text_table table{{"measure", "value"}};
@@ -677,9 +685,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
           if (report.probe == "trajectory") continue;  // curves are CSV-only in table mode
           text_table table{{"probe metric", "value"}};
           for (const auto& scalar : report.scalars) {
-            table.add_row({report.probe + "." + scalar.key,
-                           scalar.has_ci ? fmt_pm(scalar.value, scalar.half_width)
-                                         : fmt(scalar.value, 4)});
+            table.add_row({report.probe + "." + scalar.key, fmt_scalar(scalar)});
           }
           // Short series (per-option histograms etc.) render inline; long
           // ones (per-step curves) only fit the JSON output.
@@ -1029,10 +1035,7 @@ int cmd_claims(int argc, const char* const* argv) {
       if (format != output_format::json) {
         table.add_row({file.source, "point." + std::to_string(row.point),
                        "expect." + std::to_string(row.expect) + ": " + expect.text,
-                       row.measured.has_ci
-                           ? fmt_pm(row.measured.value, row.measured.half_width)
-                           : fmt(row.measured.value, 4),
-                       fmt(row.bound, 4), row.pass ? "pass" : "FAIL"});
+                       fmt_scalar(row.measured), fmt(row.bound, 4), row.pass ? "pass" : "FAIL"});
         continue;
       }
       json.begin_object();
