@@ -25,6 +25,14 @@ struct pair_counts {
   std::uint64_t dropped = 0;
 };
 
+/// What the checker tracks per node; only nodes that records name get one.
+struct node_state {
+  bool crashed = false;
+  std::uint64_t restarts = 0;
+  std::int64_t last_commit_round = -1;  // -1 = none yet this crash epoch
+  std::uint64_t requests_sent = 0;
+};
+
 }  // namespace
 
 trace_check_result check_trace(const trace_metadata& meta,
@@ -41,12 +49,8 @@ trace_check_result check_trace(const trace_metadata& meta,
         {std::move(invariant), time, node, index, std::move(detail)});
   };
 
-  const std::size_t n = meta.num_nodes;
-  std::vector<std::uint8_t> crashed(n, 0);
-  std::vector<std::uint64_t> restarts(n, 0);
-  // Commit-round baseline per node; -1 = none yet this crash epoch.
-  std::vector<std::int64_t> last_commit_round(n, -1);
-  std::vector<std::uint64_t> requests_sent(n, 0);
+  // Keyed by the ids records name, never sized by the header's num_nodes.
+  std::map<std::uint32_t, node_state> nodes;
 
   bool partition_active = false;
   std::unordered_set<std::uint32_t> side_a;
@@ -65,17 +69,19 @@ trace_check_result check_trace(const trace_metadata& meta,
   for (std::size_t i = 0; i < records.size(); ++i) {
     const trace_record& rec = records[i];
     horizon = rec.time;
-    const bool node_known = rec.node < n;
+    // Records naming a node outside the header's population carry no
+    // per-node state.
+    node_state* node = rec.node < meta.num_nodes ? &nodes[rec.node] : nullptr;
     switch (rec.kind) {
       case trace_kind::send:
         ++total_sent;
         ++pairs[{rec.node, rec.peer}].sent;
-        if (node_known && rec.detail == k_sample_request_kind) ++requests_sent[rec.node];
+        if (node != nullptr && rec.detail == k_sample_request_kind) ++node->requests_sent;
         break;
       case trace_kind::deliver: {
         ++total_delivered;
         ++pairs[{rec.peer, rec.node}].delivered;
-        if (node_known && crashed[rec.node] != 0) {
+        if (node != nullptr && node->crashed) {
           report("deliver_to_crashed", rec.time, rec.node, i,
                  node_str(rec.node) + " received a message from node " +
                      std::to_string(rec.peer) + " while crashed");
@@ -94,15 +100,15 @@ trace_check_result check_trace(const trace_metadata& meta,
         ++pairs[{rec.peer, rec.node}].dropped;
         break;
       case trace_kind::crash:
-        if (node_known) {
-          crashed[rec.node] = 1;
-          last_commit_round[rec.node] = -1;  // restart rejoins uncommitted
+        if (node != nullptr) {
+          node->crashed = true;
+          node->last_commit_round = -1;  // restart rejoins uncommitted
         }
         break;
       case trace_kind::restart:
-        if (node_known) {
-          crashed[rec.node] = 0;
-          ++restarts[rec.node];
+        if (node != nullptr) {
+          node->crashed = false;
+          ++node->restarts;
         }
         break;
       case trace_kind::partition:
@@ -137,15 +143,15 @@ trace_check_result check_trace(const trace_metadata& meta,
                        std::to_string(posted_options) + ")");
           }
         }
-        if (node_known) {
-          if (rec.b < last_commit_round[rec.node]) {
+        if (node != nullptr) {
+          if (rec.b < node->last_commit_round) {
             report("commit_monotone", rec.time, rec.node, i,
                    node_str(rec.node) + " adopted at round " + std::to_string(rec.b) +
                        " after already reaching round " +
-                       std::to_string(last_commit_round[rec.node]) +
+                       std::to_string(node->last_commit_round) +
                        " in the same crash epoch");
           }
-          last_commit_round[rec.node] = rec.b;
+          node->last_commit_round = rec.b;
         }
         break;
       }
@@ -153,15 +159,15 @@ trace_check_result check_trace(const trace_metadata& meta,
   }
 
   if (prefix_complete) {
-    for (std::uint32_t id = 0; id < n; ++id) {
+    for (const auto& [id, state] : nodes) {
       const std::uint64_t allowed =
-          (meta.rounds + 1 + restarts[id]) * (1ULL + meta.max_retries);
-      if (requests_sent[id] > allowed) {
+          (meta.rounds + 1 + state.restarts) * (1ULL + meta.max_retries);
+      if (state.requests_sent > allowed) {
         report("retry_budget", horizon, id, last_index,
-               node_str(id) + " sent " + std::to_string(requests_sent[id]) +
+               node_str(id) + " sent " + std::to_string(state.requests_sent) +
                    " sample requests; budget is " + std::to_string(allowed) + " (" +
                    std::to_string(meta.rounds) + " rounds, " +
-                   std::to_string(restarts[id]) + " restarts, max_retries=" +
+                   std::to_string(state.restarts) + " restarts, max_retries=" +
                    std::to_string(meta.max_retries) + ")");
       }
     }

@@ -4,13 +4,13 @@
 /// The narrow bridge between the probe layer and network-backed engines.
 ///
 /// Protocol-grade measurements — message and byte cost, commit latency,
-/// adoption under churn — only make sense for engines that run over a
-/// simulated network (protocol/protocol_engine.h).  Instead of making the
-/// core probe layer depend on the protocol layer, an engine that can
-/// account for its network opts in by implementing net_instrumented; the
-/// message_cost / commit_latency / adoption probes (core/probe.cpp)
-/// discover the capability with a dynamic_cast and report nothing for
-/// engines without it.
+/// adoption under churn, divergence across a partition — only make sense
+/// for engines that run over a simulated network
+/// (protocol/protocol_engine.h).  Instead of making the core probe layer
+/// depend on the protocol layer, an engine that can account for its
+/// network opts in by implementing net_instrumented; the protocol probes
+/// (core/probe.cpp) discover the capability with a dynamic_cast and report
+/// nothing for engines without it.
 
 #include <cstdint>
 #include <vector>
@@ -39,15 +39,6 @@ struct net_metrics {
   std::uint64_t commit_events = 0;
 };
 
-/// Implemented by engines that can report net_metrics (the gossip protocol
-/// engine).  Purely observational: calling it must not change engine state
-/// or consume randomness.
-class net_instrumented {
- public:
-  virtual ~net_instrumented() = default;
-  [[nodiscard]] virtual net_metrics sample_net() const = 0;
-};
-
 /// A per-side view of the population under (or after) a network partition,
 /// taken after any step.  `has_sides` stays true after the cut heals — the
 /// side assignment of the most recent partition persists so post-heal
@@ -61,14 +52,13 @@ struct partition_sample {
   std::uint64_t side_b_committed = 0;
 };
 
-/// Implemented by engines that can report per-partition-side state (the
-/// gossip protocol engine under a fault schedule).  Discovered by the
-/// partition_divergence probe (core/probe.cpp) via dynamic_cast, like
-/// net_instrumented.
-/// Purely observational.
-class partition_instrumented {
+/// Implemented by engines that run over a simulated network (the gossip
+/// protocol engine).  Purely observational: calling either sampler must not
+/// change engine state or consume randomness.
+class net_instrumented {
  public:
-  virtual ~partition_instrumented() = default;
+  virtual ~net_instrumented() = default;
+  [[nodiscard]] virtual net_metrics sample_net() const = 0;
   [[nodiscard]] virtual partition_sample sample_partition() const = 0;
 };
 

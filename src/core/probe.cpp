@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <typeinfo>
 
 #include "core/aggregate_dynamics.h"
 #include "core/infinite_dynamics.h"
@@ -47,17 +48,67 @@ probe_scalar plain_scalar(std::string key, double value) {
   return {.key = std::move(key), .value = value};
 }
 
-std::vector<double> series_means(const series_stats& s) {
-  std::vector<double> out(s.length());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = s.mean(i);
-  return out;
-}
+/// One row per probe make_probe knows, in the order the error lists them:
+/// the name, its one numeric argument's key and default (an empty key: it
+/// takes no arguments), and the factory.
+struct probe_entry {
+  std::string_view name;
+  std::string_view arg_key;
+  double arg_default;
+  std::unique_ptr<probe> (*make)(const probe_entry& entry, double arg);
+};
 
-std::vector<double> series_half_widths(const series_stats& s) {
-  std::vector<double> out(s.length());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = s.ci(i).half_width;
-  return out;
-}
+/// The base of every probe.  It owns the state that outlives a replication
+/// — per-replication statistics as running_stats and exact tallies — and so
+/// writes name(), clone() and merge() once: clone() rebuilds through the
+/// probe's k_probes entry from its stored argument, and merge() folds every
+/// statistic and tally in index order.  A probe declares how many of each
+/// in its constructor and addresses them by index; trajectory and
+/// final_histogram size their statistics on first use (size_stats), and an
+/// empty side of a merge takes the other's.  Every other member of a probe
+/// is per-replication scratch that merge() never reads.
+class folding_probe : public probe {
+ public:
+  [[nodiscard]] std::string name() const final { return std::string{entry_->name}; }
+
+  [[nodiscard]] std::unique_ptr<probe> clone() const final { return entry_->make(*entry_, arg_); }
+
+  void merge(const probe& other) final {
+    if (typeid(other) != typeid(*this)) {
+      throw std::invalid_argument{"probe merge: '" + other.name() + "' into '" + name() + "'"};
+    }
+    const auto& o = static_cast<const folding_probe&>(other);
+    if (stats_.empty()) {
+      stats_ = o.stats_;
+    } else if (!o.stats_.empty()) {
+      if (o.stats_.size() != stats_.size()) {
+        throw std::invalid_argument{"probe merge: '" + name() + "' statistic count mismatch"};
+      }
+      for (std::size_t i = 0; i < stats_.size(); ++i) stats_[i].merge(o.stats_[i]);
+    }
+    for (std::size_t i = 0; i < tallies_.size(); ++i) tallies_[i] += o.tallies_[i];
+  }
+
+ protected:
+  folding_probe(const probe_entry& entry, double arg, std::size_t stats, std::size_t tallies = 0)
+      : entry_{&entry}, arg_{arg}, stats_(stats), tallies_(tallies) {}
+
+  [[nodiscard]] running_stats& stat(std::size_t i) { return stats_[i]; }
+  [[nodiscard]] const running_stats& stat(std::size_t i) const { return stats_[i]; }
+  [[nodiscard]] std::size_t stat_count() const noexcept { return stats_.size(); }
+  /// Starts over with `count` empty statistics unless there are that many.
+  void size_stats(std::size_t count) {
+    if (stats_.size() != count) stats_.assign(count, running_stats{});
+  }
+  [[nodiscard]] std::uint64_t& tally(std::size_t i) { return tallies_[i]; }
+  [[nodiscard]] std::uint64_t tally(std::size_t i) const { return tallies_[i]; }
+
+ private:
+  const probe_entry* entry_;
+  double arg_;
+  std::vector<running_stats> stats_;
+  std::vector<std::uint64_t> tallies_;
+};
 
 /// Cached (best option, best mean) of a *stationary* environment, filled on
 /// the first step of each replication and reused for the rest of it.
@@ -84,13 +135,9 @@ struct best_option_cache {
 
 /// The §2.2 scalar reduction.  Its accumulation order is pinned bit for bit
 /// by the probe_golden tests (tests/probe_test.cpp).
-class regret_probe final : public probe {
+class regret_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "regret"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<regret_probe>();
-  }
+  regret_probe(const probe_entry& entry, double arg) : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {
     reward_sum_ = 0.0;
@@ -113,42 +160,37 @@ class regret_probe final : public probe {
   void end_replication(const dynamics_engine& engine, const env::reward_model& environment,
                        std::uint64_t horizon) override {
     const double h = static_cast<double>(horizon);
-    regret_.add((best_mean_sum_ - reward_sum_) / h);
-    average_reward_.add(reward_sum_ / h);
-    best_mass_.add(best_mass_sum_ / h);
+    stat(k_regret).add((best_mean_sum_ - reward_sum_) / h);
+    stat(k_average_reward).add(reward_sum_ / h);
+    stat(k_best_mass).add(best_mass_sum_ / h);
     const auto q_final = engine.popularity();
-    final_best_mass_.add(q_final[environment.best_option(horizon)]);
-    empty_fraction_.add(static_cast<double>(engine.empty_steps()) / h);
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const regret_probe&>(other);
-    regret_.merge(o.regret_);
-    average_reward_.merge(o.average_reward_);
-    best_mass_.merge(o.best_mass_);
-    final_best_mass_.merge(o.final_best_mass_);
-    empty_fraction_.merge(o.empty_fraction_);
+    stat(k_final_best_mass).add(q_final[environment.best_option(horizon)]);
+    stat(k_empty_fraction).add(static_cast<double>(engine.empty_steps()) / h);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("regret", regret_));
-    out.scalars.push_back(ci_scalar("average_reward", average_reward_));
-    out.scalars.push_back(ci_scalar("best_mass", best_mass_));
-    out.scalars.push_back(ci_scalar("final_best_mass", final_best_mass_));
-    out.scalars.push_back(plain_scalar("empty_step_fraction", empty_fraction_.mean()));
+    out.scalars.push_back(ci_scalar("regret", stat(k_regret)));
+    out.scalars.push_back(ci_scalar("average_reward", stat(k_average_reward)));
+    out.scalars.push_back(ci_scalar("best_mass", stat(k_best_mass)));
+    out.scalars.push_back(ci_scalar("final_best_mass", stat(k_final_best_mass)));
+    out.scalars.push_back(plain_scalar("empty_step_fraction", stat(k_empty_fraction).mean()));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(regret_.count())));
+        plain_scalar("replications", static_cast<double>(stat(k_regret).count())));
     return out;
   }
 
  private:
-  running_stats regret_;
-  running_stats average_reward_;
-  running_stats best_mass_;
-  running_stats final_best_mass_;
-  running_stats empty_fraction_;
+  enum : std::size_t {
+    k_regret,
+    k_average_reward,
+    k_best_mass,
+    k_final_best_mass,
+    k_empty_fraction,
+    k_stats
+  };
+
   best_option_cache best_cache_;
   double reward_sum_ = 0.0;
   double best_mean_sum_ = 0.0;
@@ -158,29 +200,20 @@ class regret_probe final : public probe {
 // --- trajectory -------------------------------------------------------------
 
 /// The per-step curves (running regret, best mass, min popularity), pinned
-/// bit for bit by the probe_golden tests (tests/probe_test.cpp).
-class trajectory_probe final : public probe {
+/// bit for bit by the probe_golden tests (tests/probe_test.cpp).  Curve k's
+/// step t is statistic k·horizon + t − 1.
+class trajectory_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "trajectory"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<trajectory_probe>();
-  }
+  trajectory_probe(const probe_entry& entry, double arg) : folding_probe{entry, arg, 0} {}
 
   void begin_replication(std::uint64_t horizon) override {
-    if (!running_regret_ || running_regret_->length() != horizon) {
-      running_regret_.emplace(horizon);
-      best_mass_.emplace(horizon);
-      min_popularity_.emplace(horizon);
-    }
+    size_stats(k_curves * horizon);
     reward_sum_ = 0.0;
     best_mean_sum_ = 0.0;
-    regret_curve_.clear();
-    best_curve_.clear();
-    min_pop_curve_.clear();
-    regret_curve_.reserve(horizon);
-    best_curve_.reserve(horizon);
-    min_pop_curve_.reserve(horizon);
+    for (std::vector<double>& curve : curves_) {
+      curve.clear();
+      curve.reserve(horizon);
+    }
   }
 
   void on_step(const probe_step_view& step) override {
@@ -194,57 +227,46 @@ class trajectory_probe final : public probe {
     best_mean_sum_ += best_cache_.best_mean;
 
     const double td = static_cast<double>(step.t);
-    regret_curve_.push_back((best_mean_sum_ - reward_sum_) / td);
+    curves_[0].push_back((best_mean_sum_ - reward_sum_) / td);
     const auto q_now = step.engine.popularity();
-    best_curve_.push_back(q_now[best]);
-    min_pop_curve_.push_back(*std::min_element(q_now.begin(), q_now.end()));
+    curves_[1].push_back(q_now[best]);
+    curves_[2].push_back(*std::min_element(q_now.begin(), q_now.end()));
   }
 
   void end_replication(const dynamics_engine& /*engine*/,
                        const env::reward_model& /*environment*/,
-                       std::uint64_t /*horizon*/) override {
-    running_regret_->add_series(regret_curve_);
-    best_mass_->add_series(best_curve_);
-    min_popularity_->add_series(min_pop_curve_);
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const trajectory_probe&>(other);
-    if (!o.running_regret_) return;
-    if (!running_regret_) {
-      running_regret_ = o.running_regret_;
-      best_mass_ = o.best_mass_;
-      min_popularity_ = o.min_popularity_;
-      return;
+                       std::uint64_t horizon) override {
+    for (std::size_t k = 0; k < k_curves; ++k) {
+      for (std::size_t i = 0; i < horizon; ++i) stat(k * horizon + i).add(curves_[k][i]);
     }
-    running_regret_->merge(*o.running_regret_);
-    best_mass_->merge(*o.best_mass_);
-    min_popularity_->merge(*o.min_popularity_);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    if (!running_regret_) return out;
-    out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(running_regret_->replications())));
-    out.series.push_back({"running_regret_mean", series_means(*running_regret_)});
-    out.series.push_back({"running_regret_half_width", series_half_widths(*running_regret_)});
-    out.series.push_back({"best_mass_mean", series_means(*best_mass_)});
-    out.series.push_back({"best_mass_half_width", series_half_widths(*best_mass_)});
-    out.series.push_back({"min_popularity_mean", series_means(*min_popularity_)});
-    out.series.push_back({"min_popularity_half_width", series_half_widths(*min_popularity_)});
+    if (stat_count() == 0) return out;
+    out.scalars.push_back(plain_scalar("replications", static_cast<double>(stat(0).count())));
+    const std::size_t horizon = stat_count() / k_curves;
+    for (std::size_t k = 0; k < k_curves; ++k) {
+      probe_series means{std::string{k_keys[k]} + "_mean", {}};
+      probe_series widths{std::string{k_keys[k]} + "_half_width", {}};
+      for (std::size_t i = 0; i < horizon; ++i) {
+        const mean_ci ci = confidence_interval(stat(k * horizon + i));
+        means.values.push_back(ci.mean);
+        widths.values.push_back(ci.half_width);
+      }
+      out.series.push_back(std::move(means));
+      out.series.push_back(std::move(widths));
+    }
     return out;
   }
 
  private:
-  // Engaged once the first replication began; length = horizon.
-  std::optional<series_stats> running_regret_;
-  std::optional<series_stats> best_mass_;
-  std::optional<series_stats> min_popularity_;
-  std::vector<double> regret_curve_;
-  std::vector<double> best_curve_;
-  std::vector<double> min_pop_curve_;
+  static constexpr std::size_t k_curves = 3;
+  static constexpr std::array<std::string_view, k_curves> k_keys{
+      "running_regret", "best_mass", "min_popularity"};
+
+  std::array<std::vector<double>, k_curves> curves_;  // this replication's
   best_option_cache best_cache_;
   double reward_sum_ = 0.0;
   double best_mean_sum_ = 0.0;
@@ -255,18 +277,13 @@ class trajectory_probe final : public probe {
 /// Consensus / hitting time: the first step t at which the post-step mass of
 /// the current best option reaches 1 - eps.  Something the fixed reduction
 /// could not express (cf. Su–Zubeldia–Lynch's convergence-time metrics).
-class hitting_time_probe final : public probe {
+class hitting_time_probe final : public folding_probe {
  public:
-  explicit hitting_time_probe(double eps) : threshold_{1.0 - eps} {
+  hitting_time_probe(const probe_entry& entry, double eps)
+      : folding_probe{entry, eps, k_stats}, threshold_{1.0 - eps} {
     if (!(eps > 0.0 && eps < 1.0)) {
       throw std::invalid_argument{"hitting_time: eps must be in (0,1)"};
     }
-  }
-
-  [[nodiscard]] std::string name() const override { return "hitting_time"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<hitting_time_probe>(1.0 - threshold_);
   }
 
   void begin_replication(std::uint64_t /*horizon*/) override { hit_at_ = 0; }
@@ -280,32 +297,26 @@ class hitting_time_probe final : public probe {
   void end_replication(const dynamics_engine& /*engine*/,
                        const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
-    hit_fraction_.add(hit_at_ != 0 ? 1.0 : 0.0);
-    if (hit_at_ != 0) time_.add(static_cast<double>(hit_at_));
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const hitting_time_probe&>(other);
-    hit_fraction_.merge(o.hit_fraction_);
-    time_.merge(o.time_);
+    stat(k_hit_fraction).add(hit_at_ != 0 ? 1.0 : 0.0);
+    if (hit_at_ != 0) stat(k_time).add(static_cast<double>(hit_at_));
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
     out.scalars.push_back(plain_scalar("threshold", threshold_));
-    out.scalars.push_back(ci_scalar("hit_fraction", hit_fraction_));
-    out.scalars.push_back(ci_scalar("hitting_time", time_));
-    out.scalars.push_back(plain_scalar("hits", static_cast<double>(time_.count())));
+    out.scalars.push_back(ci_scalar("hit_fraction", stat(k_hit_fraction)));
+    out.scalars.push_back(ci_scalar("hitting_time", stat(k_time)));
+    out.scalars.push_back(plain_scalar("hits", static_cast<double>(stat(k_time).count())));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(hit_fraction_.count())));
+        plain_scalar("replications", static_cast<double>(stat(k_hit_fraction).count())));
     return out;
   }
 
  private:
+  enum : std::size_t { k_hit_fraction, k_time, k_stats };
+
   double threshold_;  // 1 - eps
-  running_stats hit_fraction_;
-  running_stats time_;
   best_option_cache best_cache_;
   std::uint64_t hit_at_ = 0;  // 0 = not yet hit this replication
 };
@@ -315,18 +326,13 @@ class hitting_time_probe final : public probe {
 /// The §4.3.2 popularity-floor audit: the worst min_j Q^t_j per replication
 /// and, when `floor` > 0, the per-step rate at which min_j Q^t_j < floor
 /// (the claim is that with zeta = mu(1-beta)/(4m) the rate is ~0).
-class popularity_floor_probe final : public probe {
+class popularity_floor_probe final : public folding_probe {
  public:
-  explicit popularity_floor_probe(double floor) : floor_{floor} {
+  popularity_floor_probe(const probe_entry& entry, double floor)
+      : folding_probe{entry, floor, k_stats}, floor_{floor} {
     if (!(floor >= 0.0 && floor < 1.0)) {
       throw std::invalid_argument{"popularity_floor: floor must be in [0,1)"};
     }
-  }
-
-  [[nodiscard]] std::string name() const override { return "popularity_floor"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<popularity_floor_probe>(floor_);
   }
 
   void begin_replication(std::uint64_t /*horizon*/) override {
@@ -344,45 +350,42 @@ class popularity_floor_probe final : public probe {
   void end_replication(const dynamics_engine& /*engine*/,
                        const env::reward_model& /*environment*/,
                        std::uint64_t horizon) override {
-    min_.add(worst_);
-    violation_rate_.add(static_cast<double>(violations_) / static_cast<double>(horizon));
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const popularity_floor_probe&>(other);
-    min_.merge(o.min_);
-    violation_rate_.merge(o.violation_rate_);
+    stat(k_min).add(worst_);
+    stat(k_violation_rate)
+        .add(static_cast<double>(violations_) / static_cast<double>(horizon));
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
     out.scalars.push_back(plain_scalar("floor", floor_));
-    out.scalars.push_back(ci_scalar("min_popularity", min_));
-    out.scalars.push_back(plain_scalar("min_popularity_worst", min_.min()));
-    out.scalars.push_back(ci_scalar("violation_rate", violation_rate_));
-    out.scalars.push_back(plain_scalar("replications", static_cast<double>(min_.count())));
+    out.scalars.push_back(ci_scalar("min_popularity", stat(k_min)));
+    out.scalars.push_back(plain_scalar("min_popularity_worst", stat(k_min).min()));
+    out.scalars.push_back(ci_scalar("violation_rate", stat(k_violation_rate)));
+    out.scalars.push_back(
+        plain_scalar("replications", static_cast<double>(stat(k_min).count())));
     return out;
   }
 
  private:
+  enum : std::size_t {
+    k_min,             // per-replication worst min_j Q^t_j
+    k_violation_rate,  // per-replication fraction of violating steps
+    k_stats
+  };
+
   double floor_;
-  running_stats min_;             // per-replication worst min_j Q^t_j
-  running_stats violation_rate_;  // per-replication fraction of violating steps
   double worst_ = 1.0;
   std::uint64_t violations_ = 0;
 };
 
 // --- final_histogram --------------------------------------------------------
 
-/// Per-option mean of the final popularity Q^T across replications.
-class final_histogram_probe final : public probe {
+/// Per-option mean of the final popularity Q^T across replications; option
+/// j is statistic j.
+class final_histogram_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "final_histogram"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<final_histogram_probe>();
-  }
+  final_histogram_probe(const probe_entry& entry, double arg) : folding_probe{entry, arg, 0} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {}
 
@@ -391,29 +394,19 @@ class final_histogram_probe final : public probe {
   void end_replication(const dynamics_engine& engine, const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
     const auto q = engine.popularity();
-    if (per_option_.size() != q.size()) per_option_.assign(q.size(), running_stats{});
-    for (std::size_t j = 0; j < q.size(); ++j) per_option_[j].add(q[j]);
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const final_histogram_probe&>(other);
-    if (o.per_option_.empty()) return;
-    if (per_option_.empty()) {
-      per_option_ = o.per_option_;
-      return;
-    }
-    for (std::size_t j = 0; j < per_option_.size(); ++j) per_option_[j].merge(o.per_option_[j]);
+    size_stats(q.size());
+    for (std::size_t j = 0; j < q.size(); ++j) stat(j).add(q[j]);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    const std::uint64_t reps = per_option_.empty() ? 0 : per_option_.front().count();
+    const std::uint64_t reps = stat_count() == 0 ? 0 : stat(0).count();
     out.scalars.push_back(plain_scalar("replications", static_cast<double>(reps)));
     probe_series means{"final_popularity_mean", {}};
     probe_series widths{"final_popularity_half_width", {}};
-    for (const auto& s : per_option_) {
-      const mean_ci ci = confidence_interval(s);
+    for (std::size_t j = 0; j < stat_count(); ++j) {
+      const mean_ci ci = confidence_interval(stat(j));
       means.values.push_back(ci.mean);
       widths.values.push_back(ci.half_width);
     }
@@ -421,9 +414,6 @@ class final_histogram_probe final : public probe {
     out.series.push_back(std::move(widths));
     return out;
   }
-
- private:
-  std::vector<running_stats> per_option_;
 };
 
 // --- recovery ---------------------------------------------------------------
@@ -433,18 +423,13 @@ class final_histogram_probe final : public probe {
 /// steps until the post-step mass of the new best option reaches 1 - eps.
 /// Switches that never recover before the horizon (or before the next
 /// switch) are counted separately.
-class recovery_probe final : public probe {
+class recovery_probe final : public folding_probe {
  public:
-  explicit recovery_probe(double eps) : threshold_{1.0 - eps} {
+  recovery_probe(const probe_entry& entry, double eps)
+      : folding_probe{entry, eps, k_stats, k_tallies}, threshold_{1.0 - eps} {
     if (!(eps > 0.0 && eps < 1.0)) {
       throw std::invalid_argument{"recovery: eps must be in (0,1)"};
     }
-  }
-
-  [[nodiscard]] std::string name() const override { return "recovery"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<recovery_probe>(1.0 - threshold_);
   }
 
   void begin_replication(std::uint64_t /*horizon*/) override {
@@ -456,13 +441,13 @@ class recovery_probe final : public probe {
     best_cache_.refresh(step);
     const std::size_t best = best_cache_.best;
     if (prev_best_ != static_cast<std::size_t>(-1) && best != prev_best_) {
-      if (pending_since_ != 0) ++unrecovered_;  // next switch arrived first
+      if (pending_since_ != 0) ++tally(k_unrecovered);  // next switch arrived first
       pending_since_ = step.t;
-      ++switches_;
+      ++tally(k_switches);
     }
     prev_best_ = best;
     if (pending_since_ != 0 && step.engine.popularity()[best] >= threshold_) {
-      times_.add(static_cast<double>(step.t - pending_since_));
+      stat(k_times).add(static_cast<double>(step.t - pending_since_));
       pending_since_ = 0;
     }
   }
@@ -471,35 +456,29 @@ class recovery_probe final : public probe {
                        const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
     if (pending_since_ != 0) {
-      ++unrecovered_;
+      ++tally(k_unrecovered);
       pending_since_ = 0;
     }
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const recovery_probe&>(other);
-    times_.merge(o.times_);
-    switches_ += o.switches_;
-    unrecovered_ += o.unrecovered_;
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
     out.scalars.push_back(plain_scalar("threshold", threshold_));
-    out.scalars.push_back(plain_scalar("switches", static_cast<double>(switches_)));
-    out.scalars.push_back(plain_scalar("recovered", static_cast<double>(times_.count())));
-    out.scalars.push_back(plain_scalar("unrecovered", static_cast<double>(unrecovered_)));
-    out.scalars.push_back(ci_scalar("recovery_time", times_));
+    out.scalars.push_back(plain_scalar("switches", static_cast<double>(tally(k_switches))));
+    out.scalars.push_back(plain_scalar("recovered", static_cast<double>(stat(k_times).count())));
+    out.scalars.push_back(
+        plain_scalar("unrecovered", static_cast<double>(tally(k_unrecovered))));
+    out.scalars.push_back(ci_scalar("recovery_time", stat(k_times)));
     return out;
   }
 
  private:
+  enum : std::size_t { k_times, k_stats };
+  enum : std::size_t { k_switches, k_unrecovered, k_tallies };
+
   double threshold_;  // 1 - eps
-  running_stats times_;
   best_option_cache best_cache_;
-  std::uint64_t switches_ = 0;
-  std::uint64_t unrecovered_ = 0;
   std::size_t prev_best_ = static_cast<std::size_t>(-1);
   std::uint64_t pending_since_ = 0;  // 0 = no outstanding switch
 };
@@ -515,13 +494,10 @@ const net_instrumented* net_view(const dynamics_engine& engine) {
 /// bytes, timers (normalized by the horizon) and the end-to-end drop rate.
 /// The "appropriate for low-power devices" reading of §6 needs exactly
 /// this: what does the distributed implementation cost on the air?
-class message_cost_probe final : public probe {
+class message_cost_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "message_cost"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<message_cost_probe>();
-  }
+  message_cost_probe(const probe_entry& entry, double arg)
+      : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {}
 
@@ -534,44 +510,39 @@ class message_cost_probe final : public probe {
     const net_metrics metrics = net->sample_net();
     const double h = static_cast<double>(horizon);
     const double sent = static_cast<double>(metrics.messages_sent);
-    messages_per_round_.add(sent / h);
-    messages_per_node_round_.add(
-        metrics.nodes == 0 ? 0.0 : sent / h / static_cast<double>(metrics.nodes));
-    bytes_per_round_.add(static_cast<double>(metrics.bytes_sent) / h);
-    timers_per_round_.add(static_cast<double>(metrics.timers_fired) / h);
-    drop_rate_.add(metrics.messages_sent == 0
-                       ? 0.0
-                       : static_cast<double>(metrics.messages_dropped) / sent);
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const message_cost_probe&>(other);
-    messages_per_round_.merge(o.messages_per_round_);
-    messages_per_node_round_.merge(o.messages_per_node_round_);
-    bytes_per_round_.merge(o.bytes_per_round_);
-    timers_per_round_.merge(o.timers_per_round_);
-    drop_rate_.merge(o.drop_rate_);
+    stat(k_messages_per_round).add(sent / h);
+    stat(k_messages_per_node_round)
+        .add(metrics.nodes == 0 ? 0.0 : sent / h / static_cast<double>(metrics.nodes));
+    stat(k_bytes_per_round).add(static_cast<double>(metrics.bytes_sent) / h);
+    stat(k_timers_per_round).add(static_cast<double>(metrics.timers_fired) / h);
+    stat(k_drop_rate).add(metrics.messages_sent == 0
+                              ? 0.0
+                              : static_cast<double>(metrics.messages_dropped) / sent);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("messages_per_round", messages_per_round_));
-    out.scalars.push_back(ci_scalar("messages_per_node_round", messages_per_node_round_));
-    out.scalars.push_back(ci_scalar("bytes_per_round", bytes_per_round_));
-    out.scalars.push_back(ci_scalar("timers_per_round", timers_per_round_));
-    out.scalars.push_back(ci_scalar("drop_rate", drop_rate_));
+    out.scalars.push_back(ci_scalar("messages_per_round", stat(k_messages_per_round)));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(messages_per_round_.count())));
+        ci_scalar("messages_per_node_round", stat(k_messages_per_node_round)));
+    out.scalars.push_back(ci_scalar("bytes_per_round", stat(k_bytes_per_round)));
+    out.scalars.push_back(ci_scalar("timers_per_round", stat(k_timers_per_round)));
+    out.scalars.push_back(ci_scalar("drop_rate", stat(k_drop_rate)));
+    out.scalars.push_back(plain_scalar(
+        "replications", static_cast<double>(stat(k_messages_per_round).count())));
     return out;
   }
 
  private:
-  running_stats messages_per_round_;
-  running_stats messages_per_node_round_;
-  running_stats bytes_per_round_;
-  running_stats timers_per_round_;
-  running_stats drop_rate_;
+  enum : std::size_t {
+    k_messages_per_round,
+    k_messages_per_node_round,
+    k_bytes_per_round,
+    k_timers_per_round,
+    k_drop_rate,
+    k_stats
+  };
 };
 
 // --- commit_latency ---------------------------------------------------------
@@ -580,13 +551,10 @@ class message_cost_probe final : public probe {
 /// protocol rounds, of an uncommitted spell before the node commits, plus
 /// commit events per round.  The protocol analogue of hitting-time-style
 /// convergence metrics (cf. Su–Zubeldia–Lynch).
-class commit_latency_probe final : public probe {
+class commit_latency_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "commit_latency"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<commit_latency_probe>();
-  }
+  commit_latency_probe(const probe_entry& entry, double arg)
+      : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {}
 
@@ -598,33 +566,30 @@ class commit_latency_probe final : public probe {
     if (net == nullptr) return;
     const net_metrics metrics = net->sample_net();
     if (metrics.commit_events > 0) {
-      latency_.add(metrics.commit_latency_rounds /
-                   static_cast<double>(metrics.commit_events));
+      stat(k_latency).add(metrics.commit_latency_rounds /
+                          static_cast<double>(metrics.commit_events));
     }
-    commits_per_round_.add(static_cast<double>(metrics.commit_events) /
-                           static_cast<double>(horizon));
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const commit_latency_probe&>(other);
-    latency_.merge(o.latency_);
-    commits_per_round_.merge(o.commits_per_round_);
+    stat(k_commits_per_round)
+        .add(static_cast<double>(metrics.commit_events) / static_cast<double>(horizon));
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("commit_latency_rounds", latency_));
-    out.scalars.push_back(ci_scalar("commits_per_round", commits_per_round_));
+    out.scalars.push_back(ci_scalar("commit_latency_rounds", stat(k_latency)));
+    out.scalars.push_back(ci_scalar("commits_per_round", stat(k_commits_per_round)));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(commits_per_round_.count())));
+        plain_scalar("replications", static_cast<double>(stat(k_commits_per_round).count())));
     return out;
   }
 
  private:
-  running_stats latency_;  // per-replication mean latency (rounds); only
-                           // replications with >= 1 commit event contribute
-  running_stats commits_per_round_;
+  enum : std::size_t {
+    k_latency,  // per-replication mean latency (rounds); only replications
+                // with >= 1 commit event contribute
+    k_commits_per_round,
+    k_stats
+  };
 };
 
 // --- adoption ---------------------------------------------------------------
@@ -632,13 +597,9 @@ class commit_latency_probe final : public probe {
 /// Adoption under churn for net-instrumented engines: the committed
 /// fraction (of alive nodes) averaged over the horizon and at the end, and
 /// the final alive fraction.
-class adoption_probe final : public probe {
+class adoption_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "adoption"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<adoption_probe>();
-  }
+  adoption_probe(const probe_entry& entry, double arg) : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {
     committed_fraction_sum_ = 0.0;
@@ -660,51 +621,44 @@ class adoption_probe final : public probe {
                        std::uint64_t /*horizon*/) override {
     const net_instrumented* net = net_view(engine);
     if (net == nullptr || observed_steps_ == 0) return;
-    committed_fraction_.add(committed_fraction_sum_ /
-                            static_cast<double>(observed_steps_));
+    stat(k_committed_fraction)
+        .add(committed_fraction_sum_ / static_cast<double>(observed_steps_));
     const net_metrics metrics = net->sample_net();
-    final_committed_fraction_.add(metrics.alive == 0
-                                      ? 0.0
-                                      : static_cast<double>(metrics.committed) /
-                                            static_cast<double>(metrics.alive));
-    final_alive_fraction_.add(metrics.nodes == 0
-                                  ? 0.0
-                                  : static_cast<double>(metrics.alive) /
-                                        static_cast<double>(metrics.nodes));
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const adoption_probe&>(other);
-    committed_fraction_.merge(o.committed_fraction_);
-    final_committed_fraction_.merge(o.final_committed_fraction_);
-    final_alive_fraction_.merge(o.final_alive_fraction_);
+    stat(k_final_committed_fraction)
+        .add(metrics.alive == 0 ? 0.0
+                                : static_cast<double>(metrics.committed) /
+                                      static_cast<double>(metrics.alive));
+    stat(k_final_alive_fraction)
+        .add(metrics.nodes == 0 ? 0.0
+                                : static_cast<double>(metrics.alive) /
+                                      static_cast<double>(metrics.nodes));
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("committed_fraction", committed_fraction_));
-    out.scalars.push_back(ci_scalar("final_committed_fraction", final_committed_fraction_));
-    out.scalars.push_back(ci_scalar("final_alive_fraction", final_alive_fraction_));
+    out.scalars.push_back(ci_scalar("committed_fraction", stat(k_committed_fraction)));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(committed_fraction_.count())));
+        ci_scalar("final_committed_fraction", stat(k_final_committed_fraction)));
+    out.scalars.push_back(ci_scalar("final_alive_fraction", stat(k_final_alive_fraction)));
+    out.scalars.push_back(plain_scalar(
+        "replications", static_cast<double>(stat(k_committed_fraction).count())));
     return out;
   }
 
  private:
-  running_stats committed_fraction_;  // mean over the horizon, per rep
-  running_stats final_committed_fraction_;
-  running_stats final_alive_fraction_;
+  enum : std::size_t {
+    k_committed_fraction,  // mean over the horizon, per rep
+    k_final_committed_fraction,
+    k_final_alive_fraction,
+    k_stats
+  };
+
   double committed_fraction_sum_ = 0.0;
   std::uint64_t observed_steps_ = 0;
 };
 
 // --- partition_divergence ---------------------------------------------------
-
-/// The partition-instrumented view of an engine, or nullptr when it has none.
-const partition_instrumented* partition_view(const dynamics_engine& engine) {
-  return dynamic_cast<const partition_instrumented*>(&engine);
-}
 
 /// ½ · Σ_j |p^A_j − p^B_j| — total variation distance between the two
 /// sides' committed-option histograms.  Only meaningful when both sides
@@ -717,7 +671,7 @@ double side_divergence(const partition_sample& sample) {
   return 0.5 * sum;
 }
 
-/// Disagreement across a scheduled network cut, for partition-instrumented
+/// Disagreement across a scheduled network cut, for net-instrumented
 /// engines (the protocol engine under a `faults.*` partition).  While the
 /// cut is active it measures the per-side disagreement
 /// div = ½ · Σ_j |p^A_j − p^B_j| over the two sides' committed-option
@@ -725,20 +679,15 @@ double side_divergence(const partition_sample& sample) {
 /// number of steps until div first drops to `eps` (re-convergence — the §6
 /// robustness question: does the dynamics re-mix after the network does?).
 /// Steps where either side has no committed nodes yet are not measurable
-/// and do not contribute.  Engines without a partition view, or runs whose
+/// and do not contribute.  Engines without a network view, or runs whose
 /// schedule never partitions, report zero replications.
-class partition_divergence_probe final : public probe {
+class partition_divergence_probe final : public folding_probe {
  public:
-  explicit partition_divergence_probe(double eps) : eps_{eps} {
+  partition_divergence_probe(const probe_entry& entry, double eps)
+      : folding_probe{entry, eps, k_stats, k_tallies}, eps_{eps} {
     if (!(eps > 0.0 && eps < 1.0)) {
       throw std::invalid_argument{"partition_divergence: eps must be in (0,1)"};
     }
-  }
-
-  [[nodiscard]] std::string name() const override { return "partition_divergence"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<partition_divergence_probe>(eps_);
   }
 
   void begin_replication(std::uint64_t /*horizon*/) override {
@@ -753,9 +702,9 @@ class partition_divergence_probe final : public probe {
   }
 
   void on_step(const probe_step_view& step) override {
-    const partition_instrumented* view = partition_view(step.engine);
-    if (view == nullptr) return;
-    const partition_sample sample = view->sample_partition();
+    const net_instrumented* net = net_view(step.engine);
+    if (net == nullptr) return;
+    const partition_sample sample = net->sample_partition();
     if (!sample.has_sides) return;
     const bool measurable = sample.side_a_committed > 0 && sample.side_b_committed > 0;
     const double div = measurable ? side_divergence(sample) : 0.0;
@@ -780,51 +729,49 @@ class partition_divergence_probe final : public probe {
 
   void end_replication(const dynamics_engine& engine, const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
-    if (partition_view(engine) == nullptr || !was_partitioned_) return;
-    partition_steps_.add(static_cast<double>(steps_partitioned_));
+    if (net_view(engine) == nullptr || !was_partitioned_) return;
+    stat(k_partition_steps).add(static_cast<double>(steps_partitioned_));
     if (div_steps_ > 0) {
-      divergence_.add(div_sum_ / static_cast<double>(div_steps_));
-      divergence_max_.add(div_max_);
+      stat(k_divergence).add(div_sum_ / static_cast<double>(div_steps_));
+      stat(k_divergence_max).add(div_max_);
     }
     if (heal_step_ != 0) {
       if (reconverged_) {
-        reconvergence_.add(static_cast<double>(reconverge_at_ - heal_step_));
+        stat(k_reconvergence).add(static_cast<double>(reconverge_at_ - heal_step_));
       } else {
-        ++unrecovered_;
+        ++tally(k_unrecovered);
       }
     }
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const partition_divergence_probe&>(other);
-    partition_steps_.merge(o.partition_steps_);
-    divergence_.merge(o.divergence_);
-    divergence_max_.merge(o.divergence_max_);
-    reconvergence_.merge(o.reconvergence_);
-    unrecovered_ += o.unrecovered_;
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("partition_steps", partition_steps_));
-    out.scalars.push_back(ci_scalar("divergence", divergence_));
-    out.scalars.push_back(ci_scalar("divergence_max", divergence_max_));
-    out.scalars.push_back(ci_scalar("reconvergence_steps", reconvergence_));
-    out.scalars.push_back(plain_scalar("unrecovered", static_cast<double>(unrecovered_)));
+    out.scalars.push_back(ci_scalar("partition_steps", stat(k_partition_steps)));
+    out.scalars.push_back(ci_scalar("divergence", stat(k_divergence)));
+    out.scalars.push_back(ci_scalar("divergence_max", stat(k_divergence_max)));
+    out.scalars.push_back(ci_scalar("reconvergence_steps", stat(k_reconvergence)));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(partition_steps_.count())));
+        plain_scalar("unrecovered", static_cast<double>(tally(k_unrecovered))));
+    out.scalars.push_back(plain_scalar(
+        "replications", static_cast<double>(stat(k_partition_steps).count())));
     return out;
   }
 
  private:
+  enum : std::size_t {
+    k_partition_steps,  // steps spent partitioned, per rep
+    k_divergence,       // mean measurable in-cut divergence, per rep
+    k_divergence_max,   // worst in-cut divergence, per rep
+    k_reconvergence,    // steps from heal until div <= eps
+    k_stats
+  };
+  enum : std::size_t {
+    k_unrecovered,  // healed reps that never re-converged
+    k_tallies
+  };
+
   double eps_;
-  running_stats partition_steps_;  // steps spent partitioned, per rep
-  running_stats divergence_;       // mean measurable in-cut divergence, per rep
-  running_stats divergence_max_;   // worst in-cut divergence, per rep
-  running_stats reconvergence_;    // steps from heal until div <= eps
-  std::uint64_t unrecovered_ = 0;  // healed reps that never re-converged
-  // per-replication accumulators
   std::uint64_t steps_partitioned_ = 0;
   double div_sum_ = 0.0;
   std::uint64_t div_steps_ = 0;
@@ -858,13 +805,10 @@ const adoption_rule* single_rule(const aggregate_dynamics* engine) {
 /// S_j = 0, for stage 2) have no ratio and are skipped.  Outside μ > 0,
 /// 0 < β < 1, N >= 2 the radii are undefined and a replication is not
 /// counted.
-class concentration_probe final : public probe {
+class concentration_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "concentration"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<concentration_probe>();
-  }
+  concentration_probe(const probe_entry& entry, double arg)
+      : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {
     applies_ = false;
@@ -910,33 +854,30 @@ class concentration_probe final : public probe {
                        const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
     if (!applies_) return;
-    stage1_.add(worst1_);
-    stage2_.add(worst2_);
-    combined_.add(worst3_);
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const concentration_probe&>(other);
-    stage1_.merge(o.stage1_);
-    stage2_.merge(o.stage2_);
-    combined_.merge(o.combined_);
+    stat(k_stage1).add(worst1_);
+    stat(k_stage2).add(worst2_);
+    stat(k_combined).add(worst3_);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(plain_scalar("stage1", stage1_.max()));
-    out.scalars.push_back(plain_scalar("stage2", stage2_.max()));
-    out.scalars.push_back(plain_scalar("combined", combined_.max()));
-    out.scalars.push_back(plain_scalar("replications", static_cast<double>(stage1_.count())));
+    out.scalars.push_back(plain_scalar("stage1", stat(k_stage1).max()));
+    out.scalars.push_back(plain_scalar("stage2", stat(k_stage2).max()));
+    out.scalars.push_back(plain_scalar("combined", stat(k_combined).max()));
+    out.scalars.push_back(
+        plain_scalar("replications", static_cast<double>(stat(k_stage1).count())));
     return out;
   }
 
  private:
-  running_stats stage1_;    // per-replication worst, in units of 2δ′
-  running_stats stage2_;    // ... of 2δ″
-  running_stats combined_;  // ... of 6δ″
-  // per-replication accumulators
+  enum : std::size_t {
+    k_stage1,    // per-replication worst, in units of 2δ′
+    k_stage2,    // ... of 2δ″
+    k_combined,  // ... of 6δ″
+    k_stats
+  };
+
   bool applies_ = false;
   double radius1_ = 0.0;
   double radius2_ = 0.0;
@@ -962,13 +903,10 @@ class concentration_probe final : public probe {
 ///   sampling_sd_sqrt_n — sd(Q^t_best − P^t_best)·√N over every step of
 ///       every replication: the shared rewards cancel, leaving the sampling
 ///       noise, whose 1/√N scale is what δ″ bounds.
-class coupling_probe final : public probe {
+class coupling_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "coupling"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<coupling_probe>();
-  }
+  coupling_probe(const probe_entry& entry, double arg)
+      : folding_probe{entry, arg, k_stats, k_tallies} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override {
     shadow_.reset();
@@ -1006,58 +944,54 @@ class coupling_probe final : public probe {
                                    : std::numeric_limits<double>::infinity();
     if (deviation <= bound) ++within_;
     if (deviation > k_deviation_cap) {
-      ++capped_steps_;
+      ++tally(k_capped_steps);
       deviation = k_deviation_cap;
     }
     worst_ = std::max(worst_, deviation);
     ++steps_;
 
     best_cache_.refresh(step);
-    sampling_.add(q[best_cache_.best] - p[best_cache_.best]);
+    stat(k_sampling).add(q[best_cache_.best] - p[best_cache_.best]);
   }
 
   void end_replication(const dynamics_engine& /*engine*/,
                        const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
     if (shadow_ == nullptr) return;
-    deviation_.add(worst_);
-    within_bound_.add(static_cast<double>(within_) / static_cast<double>(steps_));
-  }
-
-  void merge(const probe& other) override {
-    const auto& o = dynamic_cast<const coupling_probe&>(other);
-    deviation_.merge(o.deviation_);
-    within_bound_.merge(o.within_bound_);
-    sampling_.merge(o.sampling_);
-    capped_steps_ += o.capped_steps_;
-    num_agents_ = std::max(num_agents_, o.num_agents_);
+    stat(k_deviation).add(worst_);
+    stat(k_within_bound).add(static_cast<double>(within_) / static_cast<double>(steps_));
+    stat(k_num_agents).add(num_agents_);
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(ci_scalar("deviation", deviation_));
-    out.scalars.push_back(plain_scalar("deviation_max", deviation_.max()));
-    out.scalars.push_back(plain_scalar("capped_steps", static_cast<double>(capped_steps_)));
-    out.scalars.push_back(ci_scalar("within_bound", within_bound_));
+    out.scalars.push_back(ci_scalar("deviation", stat(k_deviation)));
+    out.scalars.push_back(plain_scalar("deviation_max", stat(k_deviation).max()));
     out.scalars.push_back(
-        plain_scalar("sampling_sd_sqrt_n", sampling_.stddev() * std::sqrt(num_agents_)));
+        plain_scalar("capped_steps", static_cast<double>(tally(k_capped_steps))));
+    out.scalars.push_back(ci_scalar("within_bound", stat(k_within_bound)));
+    out.scalars.push_back(plain_scalar(
+        "sampling_sd_sqrt_n", stat(k_sampling).stddev() * std::sqrt(stat(k_num_agents).max())));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(deviation_.count())));
+        plain_scalar("replications", static_cast<double>(stat(k_deviation).count())));
     return out;
   }
 
  private:
   static constexpr double k_deviation_cap = 10.0;
+  enum : std::size_t {
+    k_deviation,     // per-replication worst capped deviation
+    k_within_bound,  // per-replication fraction of steps
+    k_sampling,      // Q_best − P_best, every step
+    k_num_agents,    // per-replication N (read through max())
+    k_stats
+  };
+  enum : std::size_t { k_capped_steps, k_tallies };
 
-  running_stats deviation_;     // per-replication worst capped deviation
-  running_stats within_bound_;  // per-replication fraction of steps
-  running_stats sampling_;      // Q_best − P_best, every step
-  std::uint64_t capped_steps_ = 0;
-  double num_agents_ = 0.0;
-  // per-replication accumulators
   std::unique_ptr<infinite_dynamics> shadow_;
   best_option_cache best_cache_;
+  double num_agents_ = 0.0;
   double worst_ = 0.0;
   std::uint64_t within_ = 0;
   std::uint64_t steps_ = 0;
@@ -1071,13 +1005,10 @@ class coupling_probe final : public probe {
 /// replication (>= 0 means each inequality held on every path).  Applies
 /// only from the uniform start inside the theorem regime
 /// (dynamics_params::satisfies_theorem_conditions).
-class proof_audit_probe final : public probe {
+class proof_audit_probe final : public folding_probe {
  public:
-  [[nodiscard]] std::string name() const override { return "proof_audit"; }
-
-  [[nodiscard]] std::unique_ptr<probe> clone() const override {
-    return std::make_unique<proof_audit_probe>();
-  }
+  proof_audit_probe(const probe_entry& entry, double arg)
+      : folding_probe{entry, arg, k_stats} {}
 
   void begin_replication(std::uint64_t /*horizon*/) override { auditor_.reset(); }
 
@@ -1100,24 +1031,21 @@ class proof_audit_probe final : public probe {
   void end_replication(const dynamics_engine& /*engine*/,
                        const env::reward_model& /*environment*/,
                        std::uint64_t /*horizon*/) override {
-    if (auditor_ != nullptr) worst_slack_.add(auditor_->worst_slack());
-  }
-
-  void merge(const probe& other) override {
-    worst_slack_.merge(dynamic_cast<const proof_audit_probe&>(other).worst_slack_);
+    if (auditor_ != nullptr) stat(k_worst_slack).add(auditor_->worst_slack());
   }
 
   [[nodiscard]] probe_report report() const override {
     probe_report out;
     out.probe = name();
-    out.scalars.push_back(plain_scalar("min_slack", worst_slack_.min()));
+    out.scalars.push_back(plain_scalar("min_slack", stat(k_worst_slack).min()));
     out.scalars.push_back(
-        plain_scalar("replications", static_cast<double>(worst_slack_.count())));
+        plain_scalar("replications", static_cast<double>(stat(k_worst_slack).count())));
     return out;
   }
 
  private:
-  running_stats worst_slack_;               // per-replication worst slack
+  enum : std::size_t { k_worst_slack, k_stats };  // per-replication worst slack
+
   std::unique_ptr<proof_auditor> auditor_;  // this replication's, when it applies
 };
 
@@ -1177,39 +1105,24 @@ double only_arg(std::string_view spec,
 }
 
 template <class P>
-std::unique_ptr<probe> make_plain(double /*arg*/) {
-  return std::make_unique<P>();
+std::unique_ptr<probe> build(const probe_entry& entry, double arg) {
+  return std::make_unique<P>(entry, arg);
 }
-
-template <class P>
-std::unique_ptr<probe> make_with_arg(double arg) {
-  return std::make_unique<P>(arg);
-}
-
-/// One row per probe make_probe knows, in the order the error lists them:
-/// the name, its one numeric argument's key and default (an empty key: it
-/// takes no arguments), and the factory.
-struct probe_entry {
-  std::string_view name;
-  std::string_view arg_key;
-  double arg_default;
-  std::unique_ptr<probe> (*make)(double arg);
-};
 
 constexpr std::array<probe_entry, 13> k_probes{{
-    {"regret", {}, 0.0, make_plain<regret_probe>},
-    {"trajectory", {}, 0.0, make_plain<trajectory_probe>},
-    {"hitting_time", "eps", 0.1, make_with_arg<hitting_time_probe>},
-    {"popularity_floor", "floor", 0.0, make_with_arg<popularity_floor_probe>},
-    {"final_histogram", {}, 0.0, make_plain<final_histogram_probe>},
-    {"recovery", "eps", 0.5, make_with_arg<recovery_probe>},
-    {"concentration", {}, 0.0, make_plain<concentration_probe>},
-    {"coupling", {}, 0.0, make_plain<coupling_probe>},
-    {"proof_audit", {}, 0.0, make_plain<proof_audit_probe>},
-    {"message_cost", {}, 0.0, make_plain<message_cost_probe>},
-    {"commit_latency", {}, 0.0, make_plain<commit_latency_probe>},
-    {"adoption", {}, 0.0, make_plain<adoption_probe>},
-    {"partition_divergence", "eps", 0.1, make_with_arg<partition_divergence_probe>},
+    {"regret", {}, 0.0, build<regret_probe>},
+    {"trajectory", {}, 0.0, build<trajectory_probe>},
+    {"hitting_time", "eps", 0.1, build<hitting_time_probe>},
+    {"popularity_floor", "floor", 0.0, build<popularity_floor_probe>},
+    {"final_histogram", {}, 0.0, build<final_histogram_probe>},
+    {"recovery", "eps", 0.5, build<recovery_probe>},
+    {"concentration", {}, 0.0, build<concentration_probe>},
+    {"coupling", {}, 0.0, build<coupling_probe>},
+    {"proof_audit", {}, 0.0, build<proof_audit_probe>},
+    {"message_cost", {}, 0.0, build<message_cost_probe>},
+    {"commit_latency", {}, 0.0, build<commit_latency_probe>},
+    {"adoption", {}, 0.0, build<adoption_probe>},
+    {"partition_divergence", "eps", 0.1, build<partition_divergence_probe>},
 }};
 
 }  // namespace
@@ -1232,9 +1145,9 @@ std::unique_ptr<probe> make_probe(std::string_view spec) {
     if (entry.name != name) continue;
     if (entry.arg_key.empty()) {
       no_args(trimmed, parsed);
-      return entry.make(0.0);
+      return entry.make(entry, 0.0);
     }
-    return entry.make(only_arg(trimmed, parsed, entry.arg_key, entry.arg_default));
+    return entry.make(entry, only_arg(trimmed, parsed, entry.arg_key, entry.arg_default));
   }
 
   std::array<std::string_view, k_probes.size()> names;

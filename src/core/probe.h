@@ -19,6 +19,10 @@
 ///   * merge(other) folds a clone produced by the same prototype into this
 ///     one; the runner merges shards in fixed shard order, so results are
 ///     bit-identical for every thread count;
+///   * clone() and merge() are written once, by the base every built-in
+///     probe shares in probe.cpp: a probe declares its per-replication
+///     statistics and exact tallies, and merge() folds all of them in index
+///     order, so none can drop out of a shard merge;
 ///   * report() is the machine-readable result: named scalars (optionally
 ///     with a 95% CI half-width) and named series.  It is the only way to
 ///     read a probe: make_probe builds one by name, and the implementations

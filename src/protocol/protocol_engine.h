@@ -25,8 +25,8 @@
 ///     reconstruction.
 ///
 /// The engine also implements core::net_instrumented, so the message_cost /
-/// commit_latency / adoption probes can account for wire traffic, commit
-/// spells, and churn.
+/// commit_latency / adoption / partition_divergence probes can account for
+/// wire traffic, commit spells, churn, and disagreement across a cut.
 
 #include <cstdint>
 #include <memory>
@@ -61,9 +61,7 @@ struct engine_config {
   std::size_t trace_capacity = 0;
 };
 
-class protocol_engine final : public core::dynamics_engine,
-                              public core::net_instrumented,
-                              public core::partition_instrumented {
+class protocol_engine final : public core::dynamics_engine, public core::net_instrumented {
  public:
   /// `topology` restricts gossip partners (shared so generated graphs stay
   /// alive across every engine a factory builds); nullptr = fully mixed.

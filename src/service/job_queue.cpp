@@ -1,6 +1,5 @@
 #include "service/job_queue.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <span>
@@ -104,9 +103,8 @@ std::uint64_t job_queue::submit(
   if (on_accepted) on_accepted(id, digests);
   {
     const std::lock_guard<std::mutex> lock{mutex_};
-    // cancel() may have reached the job during on_accepted; a terminal
-    // job must not enter pending_ (it would sit there as a tombstone the
-    // sleeping dispatcher never clears, wedging drain()).
+    // cancel() may have reached the job during on_accepted; pending_
+    // holds only queued jobs, so a terminal one must not enter it.
     if (job->state == job_state::queued) {
       job->digests = std::move(digests);
       pending_.push_back(id);
@@ -207,20 +205,12 @@ void job_queue::drain() {
 
 std::shared_ptr<job_queue::job_record> job_queue::take_next_locked() {
   // Highest priority wins; pending_ is submission order, so the first
-  // match at the best priority is the FIFO choice.
-  std::size_t best = pending_.size();
-  int best_priority = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const auto it = jobs_.find(pending_[i]);
-    if (it == jobs_.end() || it->second->state != job_state::queued) continue;
-    if (best == pending_.size() || it->second->priority > best_priority) {
-      best = i;
-      best_priority = it->second->priority;
-    }
-  }
-  if (best == pending_.size()) {
-    pending_.clear();  // only tombstones left
-    return nullptr;
+  // match at the best priority is the FIFO choice.  Every pending id names
+  // a queued job: cancel() erases the jobs it finishes, and submit() never
+  // pushes one that is already terminal.
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < pending_.size(); ++i) {
+    if (jobs_.at(pending_[i])->priority > jobs_.at(pending_[best])->priority) best = i;
   }
   auto job = jobs_.at(pending_[best]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
@@ -232,17 +222,9 @@ void job_queue::dispatch_loop() {
     std::shared_ptr<job_record> job;
     {
       std::unique_lock<std::mutex> lock{mutex_};
-      wake_.wait(lock, [this] {
-        if (shutdown_) return true;
-        if (paused_) return false;
-        return std::any_of(pending_.begin(), pending_.end(), [this](std::uint64_t id) {
-          const auto it = jobs_.find(id);
-          return it != jobs_.end() && it->second->state == job_state::queued;
-        });
-      });
+      wake_.wait(lock, [this] { return shutdown_ || (!paused_ && !pending_.empty()); });
       if (shutdown_) return;
       job = take_next_locked();
-      if (!job) continue;
       job->state = job_state::running;
       --queued_;
       running_ = true;

@@ -225,7 +225,7 @@ class job_queue {
   std::condition_variable wake_;      // dispatcher: work arrived / unpaused
   std::condition_variable settled_;   // drain(): a job reached terminal state
   std::map<std::uint64_t, std::shared_ptr<job_record>> jobs_;
-  std::vector<std::uint64_t> pending_;  // submission order; filtered on take
+  std::vector<std::uint64_t> pending_;  // queued jobs, in submission order
   std::size_t queued_ = 0;              // jobs in state queued
   std::uint64_t next_id_ = 1;
   bool paused_ = false;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 namespace sgl {
 
@@ -104,30 +105,6 @@ double quantile(std::span<const double> values, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = h - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-series_stats::series_stats(std::size_t length) : per_index_(length) {
-  if (length == 0) throw std::invalid_argument{"series_stats: zero length"};
-}
-
-void series_stats::add_series(std::span<const double> series) {
-  if (series.size() != per_index_.size()) {
-    throw std::invalid_argument{"series_stats: length mismatch"};
-  }
-  for (std::size_t i = 0; i < series.size(); ++i) per_index_[i].add(series[i]);
-}
-
-void series_stats::merge(const series_stats& other) {
-  if (other.per_index_.size() != per_index_.size()) {
-    throw std::invalid_argument{"series_stats: merge length mismatch"};
-  }
-  for (std::size_t i = 0; i < per_index_.size(); ++i) per_index_[i].merge(other.per_index_[i]);
-}
-
-std::uint64_t series_stats::replications() const noexcept { return per_index_[0].count(); }
-
-mean_ci series_stats::ci(std::size_t i, double confidence) const {
-  return confidence_interval(per_index_[i], confidence);
 }
 
 }  // namespace sgl

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sgl {
 
@@ -62,28 +61,5 @@ struct mean_ci {
 /// Type-7 (linear interpolation) sample quantile, q in [0, 1].
 /// Copies and sorts; intended for end-of-run reporting, not hot loops.
 [[nodiscard]] double quantile(std::span<const double> values, double q);
-
-/// Per-time-index statistics across replications: replication r contributes
-/// a whole series x_r[0..len), and we expose mean/CI at each index.  This is
-/// how E[Q^t_j], Regret(T) curves, and coupling ratios are aggregated.
-class series_stats {
- public:
-  explicit series_stats(std::size_t length);
-
-  /// Adds one replication's series (must have exactly `length()` entries).
-  void add_series(std::span<const double> series);
-
-  /// Merges a shard built over the same length.
-  void merge(const series_stats& other);
-
-  [[nodiscard]] std::size_t length() const noexcept { return per_index_.size(); }
-  [[nodiscard]] std::uint64_t replications() const noexcept;
-  [[nodiscard]] double mean(std::size_t i) const noexcept { return per_index_[i].mean(); }
-  [[nodiscard]] mean_ci ci(std::size_t i, double confidence = 0.95) const;
-  [[nodiscard]] const running_stats& at(std::size_t i) const noexcept { return per_index_[i]; }
-
- private:
-  std::vector<running_stats> per_index_;
-};
 
 }  // namespace sgl

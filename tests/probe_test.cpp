@@ -4,8 +4,9 @@
 // merge deterministically across thread counts, the
 // new probes must measure what they claim (the analysis probes by hand on
 // one step, and off their engine with zero replications; the coupling
-// probe's own suite is coupling_test), and the probe spec grammar must
-// parse and reject correctly.  Every probe is built by name and read
+// probe's own suite is coupling_test), every probe's merge must carry all
+// of its statistics and tallies, and the probe spec grammar must parse and
+// reject correctly.  Every probe is built by name and read
 // through its report.
 
 #include "core/probe.h"
@@ -13,8 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -29,6 +34,7 @@
 #include "env/reward_model.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
+#include "scenario/serialize.h"
 
 namespace sgl::core {
 namespace {
@@ -479,6 +485,107 @@ TEST(probe, scenario_run_probes_uses_spec_defaults_then_fallback) {
   const auto explicit_choice = scenario::run_probes(spec, config, chosen);
   ASSERT_EQ(explicit_choice.size(), 1U);
   EXPECT_EQ(explicit_choice[0]->name(), "final_histogram");
+}
+
+// --- merge completeness -----------------------------------------------------
+//
+// A merge that forgets one statistic or tally still reports plausible
+// numbers, so nothing else notices it.  Folding a run's accumulator into an
+// empty clone, or an empty clone into it, must leave its report unchanged
+// bit for bit — every statistic and tally has to travel.
+
+/// The probe names make_probe's unknown-probe error lists, in its order.
+std::vector<std::string> known_probe_names() {
+  try {
+    (void)make_probe("no_such_probe");
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    const std::string marker = "; known:";
+    std::istringstream names{message.substr(message.find(marker) + marker.size())};
+    return {std::istream_iterator<std::string>{names}, std::istream_iterator<std::string>{}};
+  }
+  throw std::logic_error{"make_probe accepted no_such_probe"};
+}
+
+void expect_identical_reports(const probe_report& got, const probe_report& want,
+                              std::string_view what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(got.probe, want.probe) << what;
+  ASSERT_EQ(got.scalars.size(), want.scalars.size()) << what;
+  for (std::size_t k = 0; k < want.scalars.size(); ++k) {
+    const probe_scalar& g = got.scalars[k];
+    const probe_scalar& w = want.scalars[k];
+    EXPECT_EQ(g.key, w.key) << what;
+    EXPECT_EQ(bits(g.value), bits(w.value)) << what << " " << w.key;
+    EXPECT_EQ(bits(g.half_width), bits(w.half_width)) << what << " " << w.key;
+    EXPECT_EQ(g.has_ci, w.has_ci) << what << " " << w.key;
+    EXPECT_EQ(g.samples, w.samples) << what << " " << w.key;
+  }
+  ASSERT_EQ(got.series.size(), want.series.size()) << what;
+  for (std::size_t k = 0; k < want.series.size(); ++k) {
+    EXPECT_EQ(got.series[k].key, want.series[k].key) << what;
+    ASSERT_EQ(got.series[k].values.size(), want.series[k].values.size()) << what;
+    for (std::size_t i = 0; i < want.series[k].values.size(); ++i) {
+      EXPECT_EQ(bits(got.series[k].values[i]), bits(want.series[k].values[i]))
+          << what << " " << want.series[k].key << "[" << i << "]";
+    }
+  }
+}
+
+TEST(probe_merge, an_empty_side_leaves_every_statistic_and_tally_unchanged) {
+  // Each probe on a spec it applies to (the partition heals at round 25).
+  struct target {
+    std::string probe;
+    std::string_view scenario;
+    std::string_view override_assignment;  // empty: none
+  };
+  const std::vector<target> targets{
+      {"regret", "quickstart", ""},
+      {"trajectory", "quickstart", ""},
+      {"hitting_time", "quickstart", ""},
+      {"popularity_floor", "quickstart", ""},
+      {"final_histogram", "quickstart", ""},
+      {"recovery", "switching_recovery", "environment.period=20"},
+      {"concentration", "theorem-finite", ""},
+      {"coupling", "theorem-finite", ""},
+      {"proof_audit", "theorem-infinite", ""},
+      {"message_cost", "gossip_partition_heal", ""},
+      {"commit_latency", "gossip_partition_heal", ""},
+      {"adoption", "gossip_partition_heal", ""},
+      {"partition_divergence", "gossip_partition_heal", ""},
+  };
+  std::vector<std::string> names;
+  for (const target& t : targets) names.push_back(t.probe);
+  ASSERT_EQ(names, known_probe_names()) << "a probe make_probe knows is not covered here";
+
+  run_config config;
+  config.horizon = 40;
+  config.seed = 11;
+  constexpr std::uint64_t replications = 3;
+  for (const target& t : targets) {
+    scenario::scenario_spec spec = scenario::get_scenario(t.scenario);
+    if (!t.override_assignment.empty()) scenario::apply_override(spec, t.override_assignment);
+    replication_context context{scenario::make_engine(spec),
+                                scenario::make_environment(spec.environment)};
+    const std::unique_ptr<probe> prototype = make_probe(t.probe);
+    probe_list ran;
+    ran.push_back(prototype->clone());
+    for (std::uint64_t r = 0; r < replications; ++r) context.run(config, r, ran);
+    const probe_report want = ran[0]->report();
+
+    // Not vacuous: the run counted something (recovery reports switches,
+    // not replications).
+    const probe_scalar* counted = want.find_scalar("replications");
+    if (counted == nullptr) counted = want.find_scalar("switches");
+    ASSERT_NE(counted, nullptr) << t.probe;
+    EXPECT_GE(counted->value, 1.0) << t.probe << "." << counted->key;
+
+    const std::unique_ptr<probe> fresh = prototype->clone();
+    fresh->merge(*ran[0]);
+    expect_identical_reports(fresh->report(), want, t.probe + ": fresh.merge(ran)");
+    ran[0]->merge(*prototype->clone());
+    expect_identical_reports(ran[0]->report(), want, t.probe + ": ran.merge(fresh)");
+  }
 }
 
 // --- the spec grammar -------------------------------------------------------

@@ -169,37 +169,5 @@ TEST(quantile, rejects_bad_input) {
   EXPECT_THROW((void)quantile(std::vector<double>{1.0}, 1.5), std::invalid_argument);
 }
 
-// --- series_stats --------------------------------------------------------------
-
-TEST(series_stats, per_index_means) {
-  series_stats s{3};
-  s.add_series(std::vector<double>{1.0, 2.0, 3.0});
-  s.add_series(std::vector<double>{3.0, 4.0, 5.0});
-  EXPECT_EQ(s.replications(), 2U);
-  EXPECT_NEAR(s.mean(0), 2.0, 1e-12);
-  EXPECT_NEAR(s.mean(1), 3.0, 1e-12);
-  EXPECT_NEAR(s.mean(2), 4.0, 1e-12);
-}
-
-TEST(series_stats, merge_matches_combined) {
-  series_stats a{2};
-  series_stats b{2};
-  a.add_series(std::vector<double>{1.0, 10.0});
-  b.add_series(std::vector<double>{3.0, 30.0});
-  b.add_series(std::vector<double>{5.0, 50.0});
-  a.merge(b);
-  EXPECT_EQ(a.replications(), 3U);
-  EXPECT_NEAR(a.mean(0), 3.0, 1e-12);
-  EXPECT_NEAR(a.mean(1), 30.0, 1e-12);
-}
-
-TEST(series_stats, rejects_mismatches) {
-  series_stats s{2};
-  EXPECT_THROW(s.add_series(std::vector<double>{1.0}), std::invalid_argument);
-  series_stats other{3};
-  EXPECT_THROW(s.merge(other), std::invalid_argument);
-  EXPECT_THROW(series_stats{0}, std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sgl

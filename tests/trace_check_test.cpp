@@ -5,12 +5,14 @@
 //   * ring-evicted traces skip the prefix-dependent invariants instead of
 //     reporting nonsense;
 //   * the JSONL form round-trips, and the strict reader rejects malformed
-//     input naming the line.
+//     input naming the line;
+//   * the checker sizes its state by the records, not by the header.
 
 #include "analysis/trace_check.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -310,6 +312,24 @@ TEST(trace_io, reader_rejects_malformed_input_naming_the_line) {
   expect_error(header + "\n" + R"({"t":"zero","kind":"send"})", "unexpected string");
   expect_error(header + "\n" + R"({"t":x,"kind":"send"})", "non-numeric");
   expect_error(header + "\n" + R"({"t":0,"kind":"send"} trailing)", "line 2");
+}
+
+TEST(trace_io, header_population_does_not_size_the_check) {
+  // The checker keeps state only for the nodes records name: a header that
+  // claims 2^62 nodes must not make it allocate per claimed node.
+  std::istringstream stream{
+      R"({"sociolearn_trace":1,"num_nodes":4611686018427387904,"num_options":2,)"
+      R"("max_retries":1,"round_interval":1,"rounds":2,"seed":5,"evicted":0})"
+      "\n"
+      R"({"t":0,"kind":"post","node":0,"peer":0,"detail":2,"a":0,"b":0})"
+      "\n"
+      R"({"t":0.5,"kind":"send","node":7,"peer":9,"detail":1,"a":0,"b":0})"
+      "\n"};
+  const analysis::parsed_trace parsed = analysis::read_trace(stream);
+  ASSERT_EQ(parsed.meta.num_nodes, std::uint64_t{1} << 62);
+  const analysis::trace_check_result result = analysis::check_trace(parsed.meta, parsed.records);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.records_checked, 2U);
 }
 
 TEST(trace_io, stdout_trace_conflict_fires_only_for_dash_plus_check) {
