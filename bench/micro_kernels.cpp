@@ -145,8 +145,8 @@ BENCHMARK(BM_agent_based_step)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000)->Ar
 void BM_agent_based_step_heterogeneous(benchmark::State& state) {
   // Per-agent rules force the O(N) loop — the price of heterogeneity.
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::finite_dynamics dyn{make_params(10), n};
-  dyn.set_agent_rules(std::vector<core::adoption_rule>(n, {0.35, 0.65}));
+  core::finite_dynamics dyn{make_params(10), n, nullptr,
+                            std::vector<core::adoption_rule>(n, {0.35, 0.65})};
   rng gen{8};
   rng reward_gen{9};
   const auto rewards = random_rewards(10, reward_gen);
@@ -183,8 +183,11 @@ BENCHMARK(BM_grouped_step)->Arg(2)->Arg(8);
 //     cautious-adopter tail.
 // Items processed = agent-steps, so report ns/agent via items_per_second.
 
-const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
-  static std::map<std::pair<std::string, std::size_t>, graph::graph> cache;
+std::shared_ptr<const graph::graph> cached_topology(const std::string& kind,
+                                                    std::size_t n) {
+  static std::map<std::pair<std::string, std::size_t>,
+                  std::shared_ptr<const graph::graph>>
+      cache;
   const auto key = std::make_pair(kind, n);
   if (const auto it = cache.find(key); it != cache.end()) return it->second;
   scenario::topology_spec spec;
@@ -206,20 +209,19 @@ const graph::graph& cached_topology(const std::string& kind, std::size_t n) {
   } else {
     throw std::invalid_argument{"unknown bench topology"};
   }
-  return cache.emplace(key, scenario::build_topology(spec, n)).first->second;
+  return cache
+      .emplace(key, std::make_shared<const graph::graph>(scenario::build_topology(spec, n)))
+      .first->second;
 }
 
 void network_step_benchmark(benchmark::State& state, const std::string& kind,
                             double beta, std::vector<std::uint8_t> rewards) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::graph& g = cached_topology(kind, n);
-
   core::dynamics_params p;
   p.num_options = 2;
   p.mu = 0.05;
   p.beta = beta;
-  core::finite_dynamics dyn{p, n};
-  dyn.set_topology(&g);
+  core::finite_dynamics dyn{p, n, cached_topology(kind, n)};
 
   rng gen{8};
   for (int t = 0; t < 30; ++t) dyn.step(rewards, gen);  // past the transient

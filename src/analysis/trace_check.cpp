@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -327,14 +328,17 @@ double parse_number(const line_parser& parser, std::string_view key,
   return out;
 }
 
-std::int64_t parse_integer(const line_parser& parser, std::string_view key,
-                           std::string_view text) {
-  std::int64_t out = 0;
+/// Reads `text` as T, the type write_trace writes the field at: a value
+/// outside T's range (a negative count included) is refused, not narrowed.
+template <typename T>
+T parse_integer(const line_parser& parser, std::string_view key, std::string_view text) {
+  T out = 0;
   const auto* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
   if (ec != std::errc{} || ptr != end) {
-    parser.fail("non-integer value '" + std::string{text} + "' for key '" +
-                std::string{key} + "'");
+    parser.fail("value '" + std::string{text} + "' for key '" + std::string{key} +
+                "' is not an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
+                ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
   }
   return out;
 }
@@ -355,21 +359,21 @@ parsed_trace read_trace(std::istream& is) {
       parser.parse([&](std::string_view key, std::string_view value, bool is_string) {
         if (is_string) parser.fail("unexpected string value in header");
         if (key == "sociolearn_trace") {
-          magic = parse_integer(parser, key, value) == 1;
+          magic = parse_integer<std::uint64_t>(parser, key, value) == 1;
         } else if (key == "num_nodes") {
-          out.meta.num_nodes = static_cast<std::uint64_t>(parse_integer(parser, key, value));
+          out.meta.num_nodes = parse_integer<std::uint64_t>(parser, key, value);
         } else if (key == "num_options") {
-          out.meta.num_options = static_cast<std::uint64_t>(parse_integer(parser, key, value));
+          out.meta.num_options = parse_integer<std::uint64_t>(parser, key, value);
         } else if (key == "max_retries") {
-          out.meta.max_retries = static_cast<std::uint32_t>(parse_integer(parser, key, value));
+          out.meta.max_retries = parse_integer<std::uint32_t>(parser, key, value);
         } else if (key == "round_interval") {
           out.meta.round_interval = parse_number(parser, key, value);
         } else if (key == "rounds") {
-          out.meta.rounds = static_cast<std::uint64_t>(parse_integer(parser, key, value));
+          out.meta.rounds = parse_integer<std::uint64_t>(parser, key, value);
         } else if (key == "seed") {
-          out.meta.seed = static_cast<std::uint64_t>(parse_integer(parser, key, value));
+          out.meta.seed = parse_integer<std::uint64_t>(parser, key, value);
         } else if (key == "evicted") {
-          out.meta.evicted = static_cast<std::uint64_t>(parse_integer(parser, key, value));
+          out.meta.evicted = parse_integer<std::uint64_t>(parser, key, value);
         } else {
           parser.fail("unknown header key '" + std::string{key} + "'");
         }
@@ -391,15 +395,15 @@ parsed_trace read_trace(std::istream& is) {
       if (key == "t") {
         rec.time = parse_number(parser, key, value);
       } else if (key == "node") {
-        rec.node = static_cast<std::uint32_t>(parse_integer(parser, key, value));
+        rec.node = parse_integer<std::uint32_t>(parser, key, value);
       } else if (key == "peer") {
-        rec.peer = static_cast<std::uint32_t>(parse_integer(parser, key, value));
+        rec.peer = parse_integer<std::uint32_t>(parser, key, value);
       } else if (key == "detail") {
-        rec.detail = static_cast<std::int32_t>(parse_integer(parser, key, value));
+        rec.detail = parse_integer<std::int32_t>(parser, key, value);
       } else if (key == "a") {
-        rec.a = parse_integer(parser, key, value);
+        rec.a = parse_integer<std::int64_t>(parser, key, value);
       } else if (key == "b") {
-        rec.b = parse_integer(parser, key, value);
+        rec.b = parse_integer<std::int64_t>(parser, key, value);
       } else {
         parser.fail("unknown record key '" + std::string{key} + "'");
       }

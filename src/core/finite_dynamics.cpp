@@ -9,53 +9,51 @@
 
 namespace sgl::core {
 
-finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_agents)
-    : params_{params}, binomials_{params.resolved_alpha(), params.beta} {
+finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_agents,
+                                 std::shared_ptr<const graph::graph> topology,
+                                 std::vector<adoption_rule> rules)
+    : params_{params},
+      topology_{std::move(topology)},
+      rules_{std::move(rules)},
+      binomials_{params.resolved_alpha(), params.beta} {
   params_.validate();
   if (num_agents == 0) throw std::invalid_argument{"finite_dynamics: no agents"};
-  choices_.assign(num_agents, -1);
-  previous_choices_.assign(num_agents, -1);
-  popularity_.assign(params_.num_options, 0.0);
-  stage_weights_.assign(params_.num_options, 0.0);
-  adopter_counts_.assign(params_.num_options, 0);
-  stage_counts_.assign(params_.num_options, 0);
-  reset();
-}
-
-void finite_dynamics::set_agent_rules(std::vector<adoption_rule> rules) {
-  if (rules.size() != choices_.size()) {
-    throw std::invalid_argument{"finite_dynamics::set_agent_rules: size mismatch"};
+  if (topology_ != nullptr && topology_->num_vertices() != num_agents) {
+    throw std::invalid_argument{"finite_dynamics: topology vertex count != agents"};
   }
-  for (const auto& rule : rules) {
-    if (!rule.valid()) {
-      throw std::invalid_argument{
-          "finite_dynamics::set_agent_rules: need 0 <= alpha <= beta <= 1"};
-    }
+  if (!rules_.empty() && rules_.size() != num_agents) {
+    throw std::invalid_argument{"finite_dynamics: rules size != agents"};
   }
-  rules_ = std::move(rules);
   // SoA u64 thresholds for the v3 kernels.  prob_to_u64's endpoint
   // conventions keep alpha = 0 / beta = 1 rules exact there too.
   alpha_thr_.resize(rules_.size());
   beta_thr_.resize(rules_.size());
   for (std::size_t i = 0; i < rules_.size(); ++i) {
+    if (!rules_[i].valid()) {
+      throw std::invalid_argument{"finite_dynamics: need 0 <= alpha <= beta <= 1"};
+    }
     alpha_thr_[i] = prob_to_u64(rules_[i].alpha);
     beta_thr_[i] = prob_to_u64(rules_[i].beta);
   }
-}
-
-void finite_dynamics::set_topology(const graph::graph* topology) {
-  if (topology != nullptr && topology->num_vertices() != choices_.size()) {
-    throw std::invalid_argument{"finite_dynamics::set_topology: vertex count != agents"};
-  }
-  materialize_choices();  // the view below is built from them
-  topology_ = topology;
+  const std::size_t m = params_.num_options;
+  choices_.assign(num_agents, -1);
+  previous_choices_.assign(num_agents, -1);
+  popularity_.assign(m, 0.0);
+  stage_weights_.assign(m, 0.0);
+  adopter_counts_.assign(m, 0);
+  stage_counts_.assign(m, 0);
   // The packed two-option view stores per-option counts in 16-bit halves,
   // so a vertex of degree >= 2^16 also takes the stateless rejection path.
-  network_dense_ =
-      topology != nullptr &&
-      (topology->average_degree() > dense_degree_threshold ||
-       (params_.num_options == 2 && topology->max_degree() > 0xFFFF));
-  rebuild_neighbor_view();
+  network_dense_ = topology_ != nullptr &&
+                   (topology_->average_degree() > dense_degree_threshold ||
+                    (m == 2 && topology_->max_degree() > 0xFFFF));
+  if (topology_ != nullptr && !network_dense_) {
+    // Layout: for m == 2 one packed word per vertex (count of option 0 in
+    // the low half, option 1 in the high half — so a delta is a single
+    // add); otherwise m uint32 counts per vertex.
+    neighbor_view_.resize(m == 2 ? num_agents : num_agents * m);
+  }
+  reset();
 }
 
 void finite_dynamics::reset() {
@@ -66,35 +64,20 @@ void finite_dynamics::reset() {
   std::fill(popularity_.begin(), popularity_.end(), uniform);
   std::fill(adopter_counts_.begin(), adopter_counts_.end(), 0);
   std::fill(stage_counts_.begin(), stage_counts_.end(), 0);
+  // Nobody is committed, so no vertex has a committed neighbour.
+  std::fill(neighbor_view_.begin(), neighbor_view_.end(), 0);
   adopters_ = 0;
   empty_steps_ = 0;
   steps_ = 0;
-  rebuild_neighbor_view();
 }
 
-void finite_dynamics::rebuild_neighbor_view() {
-  if (topology_ == nullptr || network_dense_) {
-    neighbor_view_.clear();
-    neighbor_view_.shrink_to_fit();
-    return;
-  }
-  // Layout: for m == 2 one packed word per vertex (count of option 0 in
-  // the low half, option 1 in the high half — so a delta is a single add);
-  // otherwise m uint32 counts per vertex.
+std::uint32_t finite_dynamics::committed_neighbors(std::size_t v, std::size_t j) const {
   const std::size_t m = params_.num_options;
-  neighbor_view_.assign(m == 2 ? choices_.size() : choices_.size() * m, 0);
-  const std::size_t slot_stride = m == 2 ? 1 : m;
-  const auto offsets = topology_->offsets();
-  const auto adjacency = topology_->adjacency();
-  for (std::size_t u = 0; u < choices_.size(); ++u) {
-    const std::int32_t c = choices_[u];
-    if (c < 0) continue;
-    const std::uint32_t bump = m == 2 ? (c == 0 ? 1U : 0x10000U) : 1U;
-    const std::size_t offset = m == 2 ? 0 : static_cast<std::size_t>(c);
-    for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
-      neighbor_view_[static_cast<std::size_t>(adjacency[e]) * slot_stride + offset] += bump;
-    }
+  if (neighbor_view_.empty() || v >= choices_.size() || j >= m) {
+    throw std::out_of_range{"finite_dynamics::committed_neighbors: no view entry"};
   }
+  if (m == 2) return (neighbor_view_[v] >> (16 * j)) & 0xFFFFU;
+  return neighbor_view_[v * m + j];
 }
 
 void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
@@ -105,13 +88,10 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
     step_network(rewards, gen);
   } else if (rules_.empty()) {
     step_batched(rewards, gen);
+  } else if (params_.num_options <= 64) {
+    step_mixed_vec(rewards, gen);
   } else {
-    choices_stale_ = false;  // both per-agent paths write every choice
-    if (params_.num_options <= 64) {
-      step_mixed_vec(rewards, gen);
-    } else {
-      step_per_agent(rewards, gen);
-    }
+    step_per_agent(rewards, gen);
   }
   finish_step();
 }
@@ -238,10 +218,7 @@ void finite_dynamics::step_network(std::span<const std::uint8_t> rewards, rng& g
   // previous_choices_ with a swap, not an O(N) copy; every slot of
   // choices_ is overwritten below.  The committed-neighbour view is
   // consistent with the swapped-in previous choices (maintained by delta
-  // at the end of every network step, rebuilt on reset/set_topology).
-  // set_topology has written any batched choices already; the call keeps
-  // the swap from ever reading stale ones.
-  materialize_choices();
+  // at the end of every network step, zeroed on reset).
   previous_choices_.swap(choices_);
 
   // One word of the caller's stream seeds the step (DESIGN.md): the net2

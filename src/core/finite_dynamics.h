@@ -19,11 +19,12 @@
 /// stage 1, m binomials for stage 2 — so the two engines consume a shared
 /// stream identically and produce bit-identical popularity trajectories
 /// (tested).  That step is O(m): it updates the counts only, and the
-/// per-agent choices are written from them the first time something reads
-/// them (choices(), set_topology, a network step).  Heterogeneous rules
-/// without a topology take the O(N) per-agent step: the vectorized mixed
-/// kernel for m ≤ 64 (stream derivation v3, core/step_kernel.h), a scalar
-/// v2 loop above that.
+/// per-agent choices are written from them the first time choices() reads
+/// them.  Heterogeneous rules without a topology take the O(N) per-agent
+/// step: the vectorized mixed kernel for m ≤ 64 (stream derivation v3,
+/// core/step_kernel.h), a scalar v2 loop above that.  Rules and topology
+/// are constructor arguments, so an engine's step path is fixed when it
+/// is built.
 ///
 /// Network mode has its own path: an **incremental committed-neighbour
 /// view** — per-vertex, per-option counts of committed neighbours, updated
@@ -46,6 +47,7 @@
 ///     option, mirroring the uniform empty-population rule.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,30 +62,25 @@ namespace sgl::core {
 
 class finite_dynamics : public dynamics_engine {
  public:
-  /// Homogeneous population of `num_agents` with the rule implied by
-  /// `params`.  Throws std::invalid_argument on invalid parameters or
-  /// num_agents == 0.
-  finite_dynamics(const dynamics_params& params, std::size_t num_agents);
-
-  /// Installs per-agent adoption rules (size must equal num_agents; each
-  /// must satisfy 0 ≤ α_i ≤ β_i ≤ 1).  Replaces the homogeneous rule.
-  void set_agent_rules(std::vector<adoption_rule> rules);
-
-  /// Restricts sampling to `topology` (num_vertices must equal num_agents).
-  /// The graph is borrowed: the caller keeps it alive while in use.
-  /// Pass nullptr to return to full mixing.  Rebuilds the committed-
-  /// neighbour view from the current choices, so the engine can move in
-  /// and out of network mode mid-run.
-  void set_topology(const graph::graph* topology);
+  /// A population of `num_agents`, fully mixed (nullptr) or sampling only
+  /// the neighbours of `topology` (shared, so generated graphs stay alive
+  /// across every engine a factory builds), under per-agent `rules` or,
+  /// when empty, the homogeneous rule of `params`; both are fixed for the
+  /// engine's life.  Throws std::invalid_argument on invalid parameters,
+  /// num_agents == 0, a graph or non-empty `rules` not sized num_agents,
+  /// or a rule outside 0 ≤ α_i ≤ β_i ≤ 1.
+  finite_dynamics(const dynamics_params& params, std::size_t num_agents,
+                  std::shared_ptr<const graph::graph> topology = nullptr,
+                  std::vector<adoption_rule> rules = {});
 
   /// No-op kept so perfbench builds (perfbench only; drop with the next
   /// [benchmark] PR).  The step is serial.
   void set_threads(unsigned /*threads*/) noexcept {}
 
-  /// Everybody back to the initial state (no choices, uniform popularity);
-  /// rules and topology are configuration and survive, so the harness
-  /// reuses one instance across replications instead of reallocating the
-  /// agent/view buffers at large N.
+  /// Everybody back to the initial state (no choices, uniform popularity,
+  /// an all-zero committed-neighbour view); rules and topology survive, so
+  /// the harness reuses one instance across replications instead of
+  /// reallocating the agent/view buffers at large N.
   void reset() final;
 
   /// Advances one step given the realized signals R^{t+1} (size m).
@@ -115,6 +112,12 @@ class finite_dynamics : public dynamics_engine {
   [[nodiscard]] std::span<const std::uint64_t> stage_counts() const noexcept {
     return stage_counts_;
   }
+
+  /// Committed neighbours of vertex v on option j, read from the
+  /// incremental view (either layout).  Throws std::out_of_range when the
+  /// view has no such entry: v >= num_agents(), j >= m, or no view at all
+  /// (fully mixed or dense network mode).
+  [[nodiscard]] std::uint32_t committed_neighbors(std::size_t v, std::size_t j) const;
 
   /// Total number of committed agents after the last step.
   [[nodiscard]] std::uint64_t adopters() const noexcept { return adopters_; }
@@ -166,10 +169,6 @@ class finite_dynamics : public dynamics_engine {
   /// streams otherwise), delta view update.
   void step_network(std::span<const std::uint8_t> rewards, rng& gen);
 
-  /// Recomputes the committed-neighbour view from `choices_` (O(E)); used
-  /// by set_topology and reset.
-  void rebuild_neighbor_view();
-
   /// The view-delta walk: applies shard s's changed-list entries to the
   /// neighbours' view rows, reading the CSR arrays directly.
   void apply_view_deltas(std::size_t s);
@@ -183,7 +182,7 @@ class finite_dynamics : public dynamics_engine {
   void finish_step();
 
   dynamics_params params_;
-  const graph::graph* topology_ = nullptr;
+  std::shared_ptr<const graph::graph> topology_;
   std::vector<adoption_rule> rules_;  // empty = homogeneous params_ rule
   // Written on demand after batched steps (materialize_choices), hence
   // mutable: choices() is const.
@@ -208,7 +207,7 @@ class finite_dynamics : public dynamics_engine {
   std::vector<double> adopt_below_explore_;  // fused stage-2 threshold, μ-branch
   std::vector<double> adopt_below_copy_;     // fused stage-2 threshold, copy branch
   // SoA u64 adoption thresholds (prob_to_u64 of each rule), built once in
-  // set_agent_rules; the v3 kernels blend contiguous loads from these
+  // the constructor; the v3 kernels blend contiguous loads from these
   // instead of gathering adoption_rule structs.
   std::vector<std::uint64_t> alpha_thr_;
   std::vector<std::uint64_t> beta_thr_;

@@ -20,19 +20,6 @@
 namespace sgl::scenario {
 namespace {
 
-/// finite_dynamics that keeps its (possibly generated) graph alive.
-class networked_dynamics final : public core::finite_dynamics {
- public:
-  networked_dynamics(const core::dynamics_params& params, std::size_t num_agents,
-                     std::shared_ptr<const graph::graph> topology)
-      : finite_dynamics{params, num_agents}, topology_{std::move(topology)} {
-    set_topology(topology_.get());
-  }
-
- private:
-  std::shared_ptr<const graph::graph> topology_;
-};
-
 /// rows × cols == n, tested by division so that no product can wrap.
 bool lattice_fits(std::size_t rows, std::size_t cols, std::size_t n) {
   return rows != 0 && n % rows == 0 && n / rows == cols;
@@ -310,17 +297,9 @@ core::engine_factory make_engine(const scenario_spec& spec) {
       return core::make_finite_engine_factory(spec.params, spec.num_agents);
     case engine_kind::agent_based:
       return [params = spec.params, num_agents = spec.num_agents, topology,
-              rules = spec.agent_rules]() -> std::unique_ptr<core::dynamics_engine> {
-        std::unique_ptr<core::finite_dynamics> engine;
-        if (topology != nullptr) {
-          engine = std::make_unique<networked_dynamics>(
-              params, static_cast<std::size_t>(num_agents), topology);
-        } else {
-          engine = std::make_unique<core::finite_dynamics>(
-              params, static_cast<std::size_t>(num_agents));
-        }
-        if (!rules.empty()) engine->set_agent_rules(rules);
-        return engine;
+              rules = spec.agent_rules] {
+        return std::make_unique<core::finite_dynamics>(
+            params, static_cast<std::size_t>(num_agents), topology, rules);
       };
     case engine_kind::grouped:
       return [params = spec.params, groups = spec.groups] {

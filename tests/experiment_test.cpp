@@ -63,11 +63,9 @@ double scalar(const probe_report& report, std::string_view key) {
 
 /// The agent-based engine (fully mixed, or on `topology` when given).
 engine_factory agent_based(const dynamics_params& params, std::size_t num_agents,
-                           const graph::graph* topology = nullptr) {
+                           std::shared_ptr<const graph::graph> topology = nullptr) {
   return [params, num_agents, topology] {
-    auto engine = std::make_unique<finite_dynamics>(params, num_agents);
-    if (topology != nullptr) engine->set_topology(topology);
-    return engine;
+    return std::make_unique<finite_dynamics>(params, num_agents, topology);
   };
 }
 
@@ -180,13 +178,14 @@ TEST(finite_regret, learning_beats_no_learning) {
 TEST(finite_regret, topology_runs_and_converges) {
   const dynamics_params params = theorem_params(2, 0.62);
   rng topo_gen{99};
-  const graph::graph g = graph::graph::watts_strogatz(150, 3, 0.1, topo_gen);
+  const auto g = std::make_shared<const graph::graph>(
+      graph::graph::watts_strogatz(150, 3, 0.1, topo_gen));
   run_config config;
   config.horizon = 200;
   config.replications = 30;
   config.seed = 19;
   const probe_report est =
-      run_regret(agent_based(params, 150, &g), bernoulli_factory({0.85, 0.35}), config);
+      run_regret(agent_based(params, 150, g), bernoulli_factory({0.85, 0.35}), config);
   EXPECT_GT(scalar(est, "final_best_mass"), 0.5);
   EXPECT_LT(scalar(est, "regret"), 0.5);
 }

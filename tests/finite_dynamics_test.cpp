@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/params.h"
@@ -210,61 +212,6 @@ TEST(finite_dynamics, batched_choices_are_the_block_layout_of_the_counts) {
   EXPECT_EQ(copy_choices(read_at_end), block_layout(read_at_end));
 }
 
-TEST(finite_dynamics, set_topology_after_batched_steps_sees_the_counts) {
-  // Attaching a graph builds the committed-neighbour view from the choices,
-  // so they must be written first: the run must not depend on whether
-  // anything read them before set_topology.
-  const graph::graph g = graph::graph::ring(120);
-  finite_dynamics unread{make_params(3, 0.05, 0.7), 120};
-  finite_dynamics read{make_params(3, 0.05, 0.7), 120};
-  rng gu{33};
-  rng gr{33};
-  const std::vector<std::uint8_t> r{1, 0, 1};
-  for (int t = 0; t < 10; ++t) {
-    unread.step(r, gu);
-    read.step(r, gr);
-  }
-  const auto before = copy_choices(read);
-  EXPECT_EQ(before, block_layout(read));
-  unread.set_topology(&g);
-  read.set_topology(&g);
-  EXPECT_EQ(copy_choices(unread), before);
-  for (int t = 0; t < 10; ++t) {
-    unread.step(r, gu);
-    read.step(r, gr);
-    ASSERT_EQ(copy_choices(unread), copy_choices(read)) << "t=" << t;
-    ASSERT_EQ(unread.stage_counts()[0], read.stage_counts()[0]) << "t=" << t;
-  }
-  // Back to full mixing: the network step's choices stay readable.
-  unread.set_topology(nullptr);
-  EXPECT_EQ(copy_choices(unread), copy_choices(read));
-}
-
-TEST(finite_dynamics, set_agent_rules_mid_run_replaces_the_batched_choices) {
-  constexpr std::size_t n = 200;
-  // The first half never adopts, the second half always does — a pattern
-  // the block layout (adopters first) cannot produce.
-  std::vector<adoption_rule> rules(n, {1.0, 1.0});
-  std::fill(rules.begin(), rules.begin() + n / 2, adoption_rule{0.0, 0.0});
-  const std::vector<std::uint8_t> r{1, 0, 0};
-  for (const bool read_before_step : {false, true}) {
-    finite_dynamics dyn{make_params(3, 0.1, 0.6), n};
-    rng gen{34};
-    for (int t = 0; t < 5; ++t) dyn.step(r, gen);
-    dyn.set_agent_rules(rules);
-    // Until the next step the choices are still the last batched step's.
-    if (read_before_step) EXPECT_EQ(copy_choices(dyn), block_layout(dyn));
-    for (int t = 0; t < 3; ++t) {
-      dyn.step(r, gen);
-      ASSERT_EQ(dyn.adopters(), n / 2);
-      const auto choices = dyn.choices();
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(choices[i] >= 0, i >= n / 2) << "t=" << t << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(finite_dynamics, reset_after_unread_batched_steps_clears_choices) {
   finite_dynamics dyn{make_params(2, 0.1, 0.7), 64};
   rng gen{35};
@@ -277,17 +224,19 @@ TEST(finite_dynamics, reset_after_unread_batched_steps_clears_choices) {
 // --- heterogeneous rules ------------------------------------------------------------
 
 TEST(finite_dynamics, heterogeneous_rules_validation) {
-  finite_dynamics dyn{make_params(2, 0.1, 0.6), 3};
-  EXPECT_THROW(dyn.set_agent_rules({{0.1, 0.9}}), std::invalid_argument);  // wrong size
-  EXPECT_THROW(dyn.set_agent_rules({{0.9, 0.1}, {0.1, 0.9}, {0.1, 0.9}}),
+  const auto build = [](std::vector<adoption_rule> rules) {
+    return finite_dynamics{make_params(2, 0.1, 0.6), 3, nullptr, std::move(rules)};
+  };
+  EXPECT_THROW(build({{0.1, 0.9}}), std::invalid_argument);  // wrong size
+  EXPECT_THROW(build({{0.9, 0.1}, {0.1, 0.9}, {0.1, 0.9}}),
                std::invalid_argument);  // alpha > beta
-  EXPECT_NO_THROW(dyn.set_agent_rules({{0.1, 0.9}, {0.0, 1.0}, {0.5, 0.5}}));
+  EXPECT_NO_THROW(build({{0.1, 0.9}, {0.0, 1.0}, {0.5, 0.5}}));
 }
 
 TEST(finite_dynamics, deterministic_adopters_always_commit_on_good) {
   // Agents with (alpha=0, beta=1) commit exactly when the signal is good.
-  finite_dynamics dyn{make_params(2, 1.0, 0.6), 100};
-  dyn.set_agent_rules(std::vector<adoption_rule>(100, {0.0, 1.0}));
+  finite_dynamics dyn{make_params(2, 1.0, 0.6), 100, nullptr,
+                      std::vector<adoption_rule>(100, {0.0, 1.0})};
   rng gen{12};
   dyn.step(std::vector<std::uint8_t>{1, 1}, gen);
   EXPECT_EQ(dyn.adopters(), 100U);
@@ -298,10 +247,9 @@ TEST(finite_dynamics, deterministic_adopters_always_commit_on_good) {
 TEST(finite_dynamics, mixed_population_biases_towards_sensitive_agents) {
   // Half the agents never adopt (alpha = beta = 0): adopter count stays at
   // most N/2.
-  finite_dynamics dyn{make_params(2, 0.5, 0.8), 100};
   std::vector<adoption_rule> rules(100, {0.0, 0.0});
   for (std::size_t i = 0; i < 50; ++i) rules[i] = {1.0, 1.0};
-  dyn.set_agent_rules(std::move(rules));
+  finite_dynamics dyn{make_params(2, 0.5, 0.8), 100, nullptr, std::move(rules)};
   rng gen{13};
   for (int t = 0; t < 20; ++t) {
     dyn.step(std::vector<std::uint8_t>{1, 0}, gen);
@@ -312,15 +260,13 @@ TEST(finite_dynamics, mixed_population_biases_towards_sensitive_agents) {
 // --- topology ------------------------------------------------------------------------
 
 TEST(finite_dynamics, topology_size_mismatch_throws) {
-  finite_dynamics dyn{make_params(2, 0.1, 0.6), 10};
-  const graph::graph g = graph::graph::ring(11);
-  EXPECT_THROW(dyn.set_topology(&g), std::invalid_argument);
+  const auto g = std::make_shared<const graph::graph>(graph::graph::ring(11));
+  EXPECT_THROW((finite_dynamics{make_params(2, 0.1, 0.6), 10, g}), std::invalid_argument);
 }
 
 TEST(finite_dynamics, network_mode_keeps_invariants) {
-  const graph::graph g = graph::graph::ring(100);
-  finite_dynamics dyn{make_params(3, 0.1, 0.6), 100};
-  dyn.set_topology(&g);
+  finite_dynamics dyn{make_params(3, 0.1, 0.6), 100,
+                      std::make_shared<const graph::graph>(graph::graph::ring(100))};
   rng gen{14};
   rng env_gen{15};
   std::vector<std::uint8_t> r(3);
@@ -336,9 +282,9 @@ TEST(finite_dynamics, network_mode_keeps_invariants) {
 TEST(finite_dynamics, isolated_agents_fall_back_to_uniform) {
   // Edgeless graph: stage 1 must behave like uniform sampling even with
   // mu = 0 (the documented fallback).
-  const graph::graph g{50, std::vector<graph::graph::edge>{}};
-  finite_dynamics dyn{make_params(2, 0.0, 1.0, 1.0), 50};
-  dyn.set_topology(&g);
+  finite_dynamics dyn{make_params(2, 0.0, 1.0, 1.0), 50,
+                      std::make_shared<const graph::graph>(
+                          50, std::vector<graph::graph::edge>{})};
   rng gen{16};
   running_stats first_option;
   for (int t = 0; t < 200; ++t) {
@@ -352,10 +298,8 @@ TEST(finite_dynamics, network_convergence_on_complete_graph_matches_mixed) {
   // The complete graph is "everyone can copy everyone" — same as the mixed
   // mode in expectation.  Check both find the best option.
   const dynamics_params params = theorem_params(2, 0.62);
-  const graph::graph g = graph::graph::complete(200);
-
-  finite_dynamics with_graph{params, 200};
-  with_graph.set_topology(&g);
+  finite_dynamics with_graph{params, 200,
+                             std::make_shared<const graph::graph>(graph::graph::complete(200))};
   finite_dynamics mixed{params, 200};
 
   rng g1{17};

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/finite_dynamics.h"
@@ -141,11 +142,10 @@ TEST(aggregate_mixture, same_law_as_agent_based_with_two_groups) {
     ++grouped_hist[((a[0] * 4 + a[1]) * 4 + b[0]) * 4 + b[1]];
 
     rng g2 = rng::from_stream(21, static_cast<std::uint64_t>(rep));
-    finite_dynamics agent{params, 6};
     std::vector<adoption_rule> rules(6);
     for (std::size_t i = 0; i < 3; ++i) rules[i] = {0.2, 0.9};
     for (std::size_t i = 3; i < 6; ++i) rules[i] = {0.0, 0.5};
-    agent.set_agent_rules(std::move(rules));
+    finite_dynamics agent{params, 6, nullptr, std::move(rules)};
     agent.step(rewards, g2);
     std::uint64_t ga0 = 0, ga1 = 0, gb0 = 0, gb1 = 0;
     for (std::size_t i = 0; i < 6; ++i) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -260,28 +261,24 @@ TEST(reset_reuse_law, finite_mixed_homogeneous) {
 
 TEST(reset_reuse_law, finite_per_agent_rules) {
   expect_reset_reuse_law([] {
-    auto engine = std::make_unique<core::finite_dynamics>(test_params(3), 120);
     std::vector<core::adoption_rule> rules(120);
     for (std::size_t i = 0; i < rules.size(); ++i) {
       rules[i] = i % 2 == 0 ? core::adoption_rule{0.1, 0.9} : core::adoption_rule{0.3, 0.7};
     }
-    engine->set_agent_rules(std::move(rules));
-    return engine;
+    return std::make_unique<core::finite_dynamics>(test_params(3), 120, nullptr,
+                                                   std::move(rules));
   });
 }
 
 TEST(reset_reuse_law, finite_network_sparse_and_dense) {
-  static const graph::graph ring = graph::graph::ring(300);
-  expect_reset_reuse_law([] {
-    auto engine = std::make_unique<core::finite_dynamics>(test_params(2), 300);
-    engine->set_topology(&ring);
-    return engine;
+  const auto ring = std::make_shared<const graph::graph>(graph::graph::ring(300));
+  expect_reset_reuse_law([ring] {
+    return std::make_unique<core::finite_dynamics>(test_params(2), 300, ring);
   });
-  static const graph::graph cliques = graph::graph::two_cliques(150, 2);
-  expect_reset_reuse_law([] {
-    auto engine = std::make_unique<core::finite_dynamics>(test_params(2), 300);
-    engine->set_topology(&cliques);
-    return engine;
+  const auto cliques =
+      std::make_shared<const graph::graph>(graph::graph::two_cliques(150, 2));
+  expect_reset_reuse_law([cliques] {
+    return std::make_unique<core::finite_dynamics>(test_params(2), 300, cliques);
   });
 }
 

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -55,7 +56,6 @@ core::dynamics_params make_params(std::size_t m, double mu, double beta,
 /// j has mass (β if R_j else α)/m and sit-out the complement.  Returns
 /// the chi-square result over `replications` i.i.d. populations.
 sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
-                                             const graph::graph* topology,
                                              std::uint64_t seed) {
   const core::dynamics_params& params = prototype.params();
   const std::size_t m = params.num_options;
@@ -66,7 +66,6 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
   if (m > 2) rewards[m - 1] = 1;
 
   std::vector<std::uint64_t> observed(m + 1, 0);
-  prototype.set_topology(topology);
   for (int r = 0; r < replications; ++r) {
     prototype.reset();
     rng gen = rng::from_stream(seed, static_cast<std::uint64_t>(r));
@@ -93,9 +92,10 @@ sgl::gof_result one_step_adoption_chi_square(core::finite_dynamics&& prototype,
 
 TEST(kernel_law, network_sparse_one_step_chi_square) {
   const std::size_t n = 500;
-  const graph::graph g = graph::graph::ring(n);
   const auto result = one_step_adoption_chi_square(
-      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n}, &g, 101);
+      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n,
+                            std::make_shared<const graph::graph>(graph::graph::ring(n))},
+      101);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
@@ -103,9 +103,10 @@ TEST(kernel_law, network_dense_one_step_chi_square) {
   // K_60's average degree (59) is over dense_degree_threshold, so the
   // engine runs the v2 rejection sampler, not the net2 kernel.
   const std::size_t n = 60;
-  const graph::graph g = graph::graph::complete(n);
   const auto result = one_step_adoption_chi_square(
-      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n}, &g, 202);
+      core::finite_dynamics{make_params(2, 0.1, 0.7, 0.3), n,
+                            std::make_shared<const graph::graph>(graph::graph::complete(n))},
+      202);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 
@@ -114,9 +115,10 @@ TEST(kernel_law, mixed_one_step_chi_square) {
   // counts) while the non-empty rule vector forces the per-agent path —
   // which is the mixed v3 kernel for m <= 64.
   const std::size_t n = 400;
-  core::finite_dynamics dyn{make_params(3, 0.1, 0.7, 0.3), n};
-  dyn.set_agent_rules(std::vector<core::adoption_rule>(n, {0.3, 0.7}));
-  const auto result = one_step_adoption_chi_square(std::move(dyn), nullptr, 303);
+  const auto result = one_step_adoption_chi_square(
+      core::finite_dynamics{make_params(3, 0.1, 0.7, 0.3), n, nullptr,
+                            std::vector<core::adoption_rule>(n, {0.3, 0.7})},
+      303);
   EXPECT_GT(result.p_value, 1e-3) << "chi-square statistic " << result.statistic;
 }
 

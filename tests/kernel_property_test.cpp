@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -89,9 +90,8 @@ void check_step_invariants(const finite_dynamics& dyn, std::size_t n,
 TEST(kernel_property, network_invariants_on_every_batch_boundary) {
   const std::vector<std::uint8_t> rewards{1, 0};
   for (const std::size_t n : k_population_grid) {
-    finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n};
-    const graph::graph g = graph::graph::ring(n);
-    dyn.set_topology(&g);
+    finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n,
+                        std::make_shared<const graph::graph>(graph::graph::ring(n))};
     rng gen{0x51c7u + n};
     for (int t = 0; t < 6; ++t) {
       dyn.step(rewards, gen);
@@ -105,10 +105,9 @@ TEST(kernel_property, network_invariants_on_every_batch_boundary) {
 TEST(kernel_property, network_heterogeneous_rules_share_the_kernel) {
   const std::vector<std::uint8_t> rewards{0, 1};
   for (const std::size_t n : {std::size_t{9}, std::size_t{8193}}) {
-    finite_dynamics dyn{make_params(2, 0.15, 0.8), n};
-    const graph::graph g = graph::graph::ring(n);
-    dyn.set_topology(&g);
-    dyn.set_agent_rules(varied_rules(n));
+    finite_dynamics dyn{make_params(2, 0.15, 0.8), n,
+                        std::make_shared<const graph::graph>(graph::graph::ring(n)),
+                        varied_rules(n)};
     rng gen{0xbeefu + n};
     for (int t = 0; t < 4; ++t) {
       dyn.step(rewards, gen);
@@ -123,8 +122,8 @@ TEST(kernel_property, mixed_invariants_on_every_batch_boundary) {
     rewards[0] = 1;
     if (m > 2) rewards[2] = 1;
     for (const std::size_t n : k_population_grid) {
-      finite_dynamics dyn{make_params(m, 0.1, 0.7), n};
-      dyn.set_agent_rules(varied_rules(n));  // heterogeneous → per-agent path
+      // Heterogeneous rules → per-agent path.
+      finite_dynamics dyn{make_params(m, 0.1, 0.7), n, nullptr, varied_rules(n)};
       rng gen{0xabcdu + n * 31 + m};
       for (int t = 0; t < 5; ++t) {
         dyn.step(rewards, gen);
@@ -139,10 +138,9 @@ TEST(kernel_property, mixed_invariants_on_every_batch_boundary) {
 TEST(kernel_property, network_bit_identical_across_reuse) {
   const std::size_t n = 8193;
   const std::vector<std::uint8_t> rewards{1, 0};
-  const graph::graph g = graph::graph::ring(n);
+  const auto g = std::make_shared<const graph::graph>(graph::graph::ring(n));
   const auto run = [&](bool reuse) {
-    finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n};
-    dyn.set_topology(&g);
+    finite_dynamics dyn{make_params(2, 0.1, 0.7, 0.2), n, g};
     if (reuse) {
       // Dirty the state, then reset: a reused engine must replay the
       // reference trajectory exactly.

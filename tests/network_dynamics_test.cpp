@@ -1,9 +1,11 @@
 // Network-mode tests for finite_dynamics: the incremental committed-
 // neighbour view (sparse mode) and the rejection-with-exact-scan sampler
 // (dense mode) must both realize the law "copy a uniform committed
-// neighbour, uniform option when there is none" exactly; the sharded step
-// must be bit-identical for every thread count; and reset()/set_topology()
-// must rebuild the view so a reset() engine replays a fresh one.
+// neighbour, uniform option when there is none" exactly; the sharded
+// step's view-delta walk must keep the view equal to the counts rebuilt
+// from the choices; and reset() must zero the view so a reset engine
+// replays a fresh one.  The step is serial: threaded network runs are
+// covered by harness_determinism_test.
 
 #include "core/finite_dynamics.h"
 
@@ -12,8 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -97,30 +101,27 @@ void check_stage_one_law(finite_dynamics& dyn, const graph::graph& g,
 TEST(network_dynamics, stage_one_law_exact_sparse_mode) {
   // Ring: average degree 2 -> incremental-view sampler (m = 3 exercises the
   // generic row layout, not the packed two-option one).
-  const graph::graph g = graph::graph::ring(64);
-  finite_dynamics dyn{make_params(3, 0.1, 0.7), 64};
-  dyn.set_topology(&g);
+  const auto g = std::make_shared<const graph::graph>(graph::graph::ring(64));
+  finite_dynamics dyn{make_params(3, 0.1, 0.7), 64, g};
   const std::vector<std::uint8_t> rewards{1, 0, 1};
-  check_stage_one_law(dyn, g, 3, 0.1, rewards);
+  check_stage_one_law(dyn, *g, 3, 0.1, rewards);
 }
 
 TEST(network_dynamics, stage_one_law_exact_sparse_mode_packed) {
   // m = 2 takes the packed one-word-per-vertex view.
-  const graph::graph g = graph::graph::ring(64);
-  finite_dynamics dyn{make_params(2, 0.1, 0.7), 64};
-  dyn.set_topology(&g);
+  const auto g = std::make_shared<const graph::graph>(graph::graph::ring(64));
+  finite_dynamics dyn{make_params(2, 0.1, 0.7), 64, g};
   const std::vector<std::uint8_t> rewards{1, 0};
-  check_stage_one_law(dyn, g, 2, 0.1, rewards);
+  check_stage_one_law(dyn, *g, 2, 0.1, rewards);
 }
 
 TEST(network_dynamics, stage_one_law_exact_dense_mode) {
   // Two cliques of 40: average degree ~40 -> rejection sampler with the
   // exact scan fallback.
-  const graph::graph g = graph::graph::two_cliques(40, 2);
-  finite_dynamics dyn{make_params(2, 0.1, 0.7), 80};
-  dyn.set_topology(&g);
+  const auto g = std::make_shared<const graph::graph>(graph::graph::two_cliques(40, 2));
+  finite_dynamics dyn{make_params(2, 0.1, 0.7), 80, g};
   const std::vector<std::uint8_t> rewards{1, 0};
-  check_stage_one_law(dyn, g, 2, 0.1, rewards);
+  check_stage_one_law(dyn, *g, 2, 0.1, rewards);
 }
 
 /// Straight-line reference implementation of the network step: collect the
@@ -185,7 +186,8 @@ class naive_reference {
 /// Multi-step law equivalence on a given topology: engine trajectories and
 /// naive-reference trajectories (independent streams, shared reward
 /// streams) must agree in distribution.
-void check_law_against_reference(const graph::graph& g, double beta) {
+void check_law_against_reference(graph::graph g, double beta) {
+  const auto topology = std::make_shared<const graph::graph>(std::move(g));
   const std::size_t m = 2;
   const double mu = 0.08;
   const dynamics_params params = make_params(m, mu, beta);
@@ -198,9 +200,8 @@ void check_law_against_reference(const graph::graph& g, double beta) {
   std::vector<std::uint8_t> rewards(m);
 
   for (int r = 0; r < replications; ++r) {
-    finite_dynamics dyn{params, g.num_vertices()};
-    dyn.set_topology(&g);
-    naive_reference ref{g, m, mu, alpha, beta};
+    finite_dynamics dyn{params, topology->num_vertices(), topology};
+    naive_reference ref{*topology, m, mu, alpha, beta};
     rng gen_engine = rng::from_stream(11, static_cast<std::uint64_t>(r));
     rng gen_reference = rng::from_stream(12, static_cast<std::uint64_t>(r));
     rng env_engine = rng::from_stream(13, static_cast<std::uint64_t>(r));
@@ -243,55 +244,74 @@ TEST(network_dynamics, law_matches_naive_reference_dense_mode) {
 TEST(network_dynamics, sharded_step_matches_rebuilt_view) {
   // Sizes span several 8192-agent shards.  On BA 40 000 over a third of
   // the edges join vertices at least 2^14 apart: changed agents in one
-  // shard update view rows owned by another.  The control engine rebuilds
-  // its view from its choices before every step, so a slip in the
-  // incremental view-delta walk shows as a diverging trajectory.
+  // shard update view rows owned by another.  After every step the
+  // incremental view must equal the committed-neighbour counts rebuilt
+  // from the choices and the graph, so a slip in the view-delta walk shows
+  // at the step that makes it.
   rng topo_gen{5};
-  const graph::graph ba = graph::graph::barabasi_albert(40000, 3, topo_gen);
-  const graph::graph ring = graph::graph::ring(20000);
+  const auto ba = std::make_shared<const graph::graph>(
+      graph::graph::barabasi_albert(40000, 3, topo_gen));
+  const auto ring = std::make_shared<const graph::graph>(graph::graph::ring(20000));
   std::size_t long_edges = 0;
-  const auto adjacency = ba.adjacency();
-  const auto offsets = ba.offsets();
-  for (std::size_t u = 0; u < ba.num_vertices(); ++u) {
+  const auto adjacency = ba->adjacency();
+  const auto offsets = ba->offsets();
+  for (std::size_t u = 0; u < ba->num_vertices(); ++u) {
     for (std::size_t e = offsets[u]; e < offsets[u + 1]; ++e) {
       const std::size_t v = adjacency[e];
       long_edges += (u > v ? u - v : v - u) >= (std::size_t{1} << 14);
     }
   }
   ASSERT_GE(long_edges * 4, adjacency.size());
-  const std::vector<std::pair<const graph::graph*, std::size_t>> cases{
-      {&ba, 2},   // packed two-option layout, scattered rows
-      {&ba, 3},   // generic row layout
-      {&ring, 2}  // packed two-option layout, local rows
+  const std::vector<std::pair<std::shared_ptr<const graph::graph>, std::size_t>> cases{
+      {ba, 2},   // packed two-option layout, scattered rows
+      {ba, 3},   // generic row layout
+      {ring, 2}  // packed two-option layout, local rows
   };
   for (const auto& [g, m] : cases) {
-    finite_dynamics incremental{make_params(m, 0.1, 0.65), g->num_vertices()};
-    finite_dynamics rebuilt{make_params(m, 0.1, 0.65), g->num_vertices()};
-    incremental.set_topology(g);
-
-    rng g1{42}, g2{42};
+    const std::size_t n = g->num_vertices();
+    finite_dynamics dyn{make_params(m, 0.1, 0.65), n, g};
+    rng gen{42};
     rng env_gen{43};
     std::vector<std::uint8_t> rewards(m);
+    std::vector<std::uint32_t> rebuilt(n * m);
     for (int t = 0; t < 40; ++t) {
       for (auto& x : rewards) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
-      rebuilt.set_topology(nullptr);
-      rebuilt.set_topology(g);
-      incremental.step(rewards, g1);
-      rebuilt.step(rewards, g2);
-      ASSERT_EQ(g1, g2);
-      ASSERT_TRUE(std::ranges::equal(incremental.choices(), rebuilt.choices()))
-          << "N=" << g->num_vertices() << " m=" << m << " t=" << t;
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_DOUBLE_EQ(incremental.popularity()[j], rebuilt.popularity()[j]);
+      dyn.step(rewards, gen);
+      std::fill(rebuilt.begin(), rebuilt.end(), 0);
+      const auto choices = dyn.choices();
+      for (std::size_t u = 0; u < n; ++u) {
+        if (choices[u] < 0) continue;
+        for (const auto v : g->neighbors(static_cast<graph::graph::vertex>(u))) {
+          ++rebuilt[v * m + static_cast<std::size_t>(choices[u])];
+        }
+      }
+      for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t j = 0; j < m; ++j) {
+          ASSERT_EQ(dyn.committed_neighbors(v, j), rebuilt[v * m + j])
+              << "N=" << n << " m=" << m << " t=" << t << " v=" << v << " j=" << j;
+        }
       }
     }
   }
 }
 
+TEST(network_dynamics, committed_neighbors_needs_the_incremental_view) {
+  const auto cliques =
+      std::make_shared<const graph::graph>(graph::graph::two_cliques(40, 2));
+  const finite_dynamics dense{make_params(2, 0.1, 0.7), 80, cliques};
+  EXPECT_THROW((void)dense.committed_neighbors(0, 0), std::out_of_range);
+  const finite_dynamics mixed{make_params(2, 0.1, 0.7), 80};
+  EXPECT_THROW((void)mixed.committed_neighbors(0, 0), std::out_of_range);
+  const finite_dynamics sparse{make_params(3, 0.1, 0.7), 64,
+                               std::make_shared<const graph::graph>(graph::graph::ring(64))};
+  EXPECT_EQ(sparse.committed_neighbors(63, 2), 0U);
+  EXPECT_THROW((void)sparse.committed_neighbors(64, 0), std::out_of_range);
+  EXPECT_THROW((void)sparse.committed_neighbors(0, 3), std::out_of_range);
+}
+
 TEST(network_dynamics, reset_rebuilds_the_view) {
-  const graph::graph g = graph::graph::ring(200);
-  finite_dynamics dyn{make_params(2, 0.1, 0.65), 200};
-  dyn.set_topology(&g);
+  finite_dynamics dyn{make_params(2, 0.1, 0.65), 200,
+                      std::make_shared<const graph::graph>(graph::graph::ring(200))};
   const std::vector<std::uint8_t> rewards{1, 0};
 
   rng first{7};
@@ -302,6 +322,9 @@ TEST(network_dynamics, reset_rebuilds_the_view) {
   }
 
   dyn.reset();
+  for (std::size_t v = 0; v < 200; ++v) {
+    ASSERT_EQ(dyn.committed_neighbors(v, 0) + dyn.committed_neighbors(v, 1), 0U);
+  }
   rng second{7};
   for (int t = 0; t < 40; ++t) {
     dyn.step(rewards, second);
@@ -310,40 +333,12 @@ TEST(network_dynamics, reset_rebuilds_the_view) {
   }
 }
 
-TEST(network_dynamics, retopology_rebuilds_the_view_mid_run) {
-  // Toggling the topology off and back on rebuilds the committed-neighbour
-  // view from the live choices: the engine that toggled and the one that
-  // never did must continue identically.
-  const graph::graph g = graph::graph::ring(150);
-  finite_dynamics toggled{make_params(2, 0.1, 0.65), 150};
-  finite_dynamics control{make_params(2, 0.1, 0.65), 150};
-  toggled.set_topology(&g);
-  control.set_topology(&g);
-  const std::vector<std::uint8_t> rewards{1, 0};
-
-  rng ga{9}, gb{9};
-  for (int t = 0; t < 20; ++t) {
-    toggled.step(rewards, ga);
-    control.step(rewards, gb);
-  }
-  toggled.set_topology(nullptr);
-  toggled.set_topology(&g);
-  for (int t = 0; t < 20; ++t) {
-    toggled.step(rewards, ga);
-    control.step(rewards, gb);
-    for (std::size_t i = 0; i < 150; ++i) {
-      ASSERT_EQ(toggled.choices()[i], control.choices()[i]) << "t=" << t;
-    }
-  }
-}
-
 TEST(network_dynamics, dense_mode_scan_fallback_keeps_invariants) {
   // beta = 0.95 with all-bad signals: ~5% commitment on a degree-30 graph,
   // so the rejection budget is regularly exhausted and the exact scan
   // fallback runs; every invariant must hold throughout.
-  const graph::graph g = graph::graph::two_cliques(30, 1);
-  finite_dynamics dyn{make_params(2, 0.05, 0.95), 60};
-  dyn.set_topology(&g);
+  finite_dynamics dyn{make_params(2, 0.05, 0.95), 60,
+                      std::make_shared<const graph::graph>(graph::graph::two_cliques(30, 1))};
   rng gen{15};
   const std::vector<std::uint8_t> all_bad{0, 0};
   for (int t = 0; t < 300; ++t) {
@@ -362,12 +357,11 @@ TEST(network_dynamics, dense_mode_scan_fallback_keeps_invariants) {
 TEST(network_dynamics, heterogeneous_rules_respected_in_network_mode) {
   // Half the ring never adopts; the adopter count can never exceed N/2 and
   // the never-adopt agents always sit out.
-  const graph::graph g = graph::graph::ring(100);
-  finite_dynamics dyn{make_params(2, 0.2, 0.8), 100};
-  dyn.set_topology(&g);
   std::vector<adoption_rule> rules(100, {0.0, 0.0});
   for (std::size_t i = 0; i < 50; ++i) rules[i] = {1.0, 1.0};
-  dyn.set_agent_rules(std::move(rules));
+  finite_dynamics dyn{make_params(2, 0.2, 0.8), 100,
+                      std::make_shared<const graph::graph>(graph::graph::ring(100)),
+                      std::move(rules)};
   rng gen{23};
   for (int t = 0; t < 50; ++t) {
     dyn.step(std::vector<std::uint8_t>{1, 0}, gen);

@@ -187,7 +187,7 @@ TEST(scenario, prebuilt_graph_is_used_verbatim) {
   engine->step(rewards, gen);
   EXPECT_EQ(engine->steps(), 1U);
 
-  // Vertex-count mismatch is caught by set_topology at engine build time.
+  // Vertex-count mismatch is caught by the engine constructor at build time.
   spec.prebuilt_graph =
       std::make_shared<const graph::graph>(graph::graph::star(10));
   EXPECT_THROW((void)make_engine(spec)(), std::invalid_argument);

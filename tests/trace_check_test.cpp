@@ -5,7 +5,8 @@
 //   * ring-evicted traces skip the prefix-dependent invariants instead of
 //     reporting nonsense;
 //   * the JSONL form round-trips, and the strict reader rejects malformed
-//     input naming the line;
+//     input naming the line, including an integer outside the type its
+//     field is written at;
 //   * the checker sizes its state by the records, not by the header.
 
 #include "analysis/trace_check.h"
@@ -312,6 +313,69 @@ TEST(trace_io, reader_rejects_malformed_input_naming_the_line) {
   expect_error(header + "\n" + R"({"t":"zero","kind":"send"})", "unexpected string");
   expect_error(header + "\n" + R"({"t":x,"kind":"send"})", "non-numeric");
   expect_error(header + "\n" + R"({"t":0,"kind":"send"} trailing)", "line 2");
+}
+
+TEST(trace_io, reader_refuses_integers_outside_the_written_type) {
+  // Every field is read at the type write_trace writes it, so a wider
+  // value is refused rather than narrowed: read as uint32, node 4294967301
+  // would be node 5, and this trace would report a delivery to a crashed
+  // node 5.
+  const auto expect_refused = [](const std::string& text, const char* line,
+                                 const char* key) {
+    std::istringstream stream{text};
+    try {
+      (void)analysis::read_trace(stream);
+      FAIL() << "expected rejection of: " << text;
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(line), std::string::npos) << "raised: " << what;
+      EXPECT_NE(what.find(std::string{"key '"} + key + "'"), std::string::npos)
+          << "raised: " << what;
+      EXPECT_NE(what.find("is not an integer in"), std::string::npos) << "raised: " << what;
+    }
+  };
+  const auto header = [](const std::string& max_retries, const std::string& seed) {
+    return R"({"sociolearn_trace":1,"num_nodes":4,"num_options":3,"max_retries":)" +
+           max_retries + R"(,"round_interval":1,"rounds":2,"seed":)" + seed +
+           R"(,"evicted":0})" + "\n";
+  };
+  const auto record = [](const char* kind, const std::string& node,
+                         const std::string& peer, const std::string& detail) {
+    return R"({"t":0.5,"kind":")" + std::string{kind} + R"(","node":)" + node +
+           R"(,"peer":)" + peer + R"(,"detail":)" + detail + R"(,"a":0,"b":0})" + "\n";
+  };
+  const std::string ok = header("1", "5");
+
+  expect_refused(ok + record("crash", "4294967301", "0", "0") +
+                     record("deliver", "5", "0", "1"),
+                 "line 2", "node");
+  expect_refused(ok + record("send", "0", "4294967296", "1"), "line 2", "peer");
+  expect_refused(ok + record("send", "0", "-1", "1"), "line 2", "peer");
+  expect_refused(ok + record("send", "0", "1", "2147483648"), "line 2", "detail");
+  expect_refused(ok + record("send", "0", "1", "-2147483649"), "line 2", "detail");
+  expect_refused(header("-1", "5"), "line 1", "max_retries");
+  expect_refused(header("4294967296", "5"), "line 1", "max_retries");
+  expect_refused(header("1", "-1"), "line 1", "seed");
+  expect_refused(header("1", "18446744073709551616"), "line 1", "seed");
+}
+
+TEST(trace_io, header_seed_round_trips_over_the_full_uint64_range) {
+  // `scenario --seed -1` runs seed 2^64 - 1 and writes it as such; the
+  // trace it writes must read back and check clean.
+  analysis::trace_metadata meta = small_meta();
+  meta.seed = UINT64_MAX;
+  const std::vector<trace_record> records{
+      post(0.0, 1),
+      rec(0.1, trace_kind::send, 0, 1, 1),
+      rec(0.3, trace_kind::deliver, 1, 0, 1),
+  };
+  std::stringstream stream;
+  analysis::write_trace(stream, meta, records);
+  ASSERT_NE(stream.str().find(R"("seed":18446744073709551615)"), std::string::npos);
+
+  const analysis::parsed_trace parsed = analysis::read_trace(stream);
+  EXPECT_EQ(parsed.meta, meta);
+  EXPECT_TRUE(analysis::check_trace(parsed.meta, parsed.records).ok());
 }
 
 TEST(trace_io, header_population_does_not_size_the_check) {
