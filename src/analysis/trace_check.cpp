@@ -1,7 +1,7 @@
 #include "analysis/trace_check.h"
 
 #include <charconv>
-#include <cmath>
+#include <initializer_list>
 #include <istream>
 #include <limits>
 #include <map>
@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "support/json.h"
+#include "support/json_parse.h"
 
 namespace sgl::analysis {
 namespace {
@@ -228,186 +229,129 @@ void write_trace(std::ostream& os, const trace_metadata& meta,
 
 namespace {
 
-/// A strict scanner for the one-line compact objects write_trace emits:
-/// {"key":value,...} with string or numeric values and no nesting.
-class line_parser {
+/// One line of a trace: a JSON object whose members read_trace checks one
+/// by one, each at the type write_trace writes it.
+class trace_line {
  public:
-  line_parser(std::string_view line, std::size_t line_no)
-      : line_{line}, line_no_{line_no} {}
+  trace_line(std::string_view text, std::size_t line_no) : line_no_{line_no} {
+    try {
+      object_ = parse_json(text);
+    } catch (const std::invalid_argument& error) {
+      fail(error.what());
+    }
+    if (!object_.is_object()) fail("expected a JSON object");
+  }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error{"trace line " + std::to_string(line_no_) + ": " + what};
   }
 
-  /// Parses the full object, invoking on_field(key, value_text, is_string).
+  /// Calls on_field(key, value) for every member, then refuses the line
+  /// if it lacks any of `keys` (so a bad or unknown member is named first).
   template <typename F>
-  void parse(F&& on_field) {
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-    } else {
-      while (true) {
-        const std::string_view key = parse_string();
-        expect(':');
-        bool is_string = false;
-        std::string_view value;
-        if (peek() == '"') {
-          value = parse_string();
-          is_string = true;
-        } else {
-          const std::size_t start = pos_;
-          while (pos_ < line_.size() && line_[pos_] != ',' && line_[pos_] != '}') ++pos_;
-          value = trim(line_.substr(start, pos_ - start));
-          if (value.empty()) fail("empty value for key '" + std::string{key} + "'");
-        }
-        on_field(key, value, is_string);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        break;
-      }
+  void read(std::initializer_list<std::string_view> keys, F&& on_field) const {
+    for (const auto& [key, value] : object_.members) on_field(key, value);
+    for (const std::string_view key : keys) {
+      if (object_.find(key) == nullptr) fail("missing key '" + std::string{key} + "'");
     }
-    skip_ws();
-    if (pos_ != line_.size()) fail("trailing characters after object");
   }
 
- private:
-  static std::string_view trim(std::string_view s) {
-    while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-    while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-    return s;
+  double number(std::string_view key, const json_value& value) const {
+    expect_number(key, value);
+    return value.number;
   }
 
-  void skip_ws() {
-    while (pos_ < line_.size() && (line_[pos_] == ' ' || line_[pos_] == '\t')) ++pos_;
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos_ >= line_.size()) fail("unexpected end of line");
-    return line_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string{"expected '"} + c + "', found '" + line_[pos_] + "'");
-    ++pos_;
-  }
-
-  /// Keys and kind names never contain escapes; reject them rather than
-  /// decode them.
-  std::string_view parse_string() {
-    expect('"');
-    const std::size_t start = pos_;
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      if (line_[pos_] == '\\') fail("escape sequences are not supported");
-      ++pos_;
+  /// Reads `value` as T from its raw token: a value outside T's range (a
+  /// negative count included) is refused, not narrowed.
+  template <typename T>
+  T integer(std::string_view key, const json_value& value) const {
+    expect_number(key, value);
+    T out = 0;
+    const char* end = value.text.data() + value.text.size();
+    const auto [ptr, ec] = std::from_chars(value.text.data(), end, out);
+    if (ec != std::errc{} || ptr != end) {
+      fail("value '" + value.text + "' for key '" + std::string{key} +
+           "' is not an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
+           ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
     }
-    if (pos_ >= line_.size()) fail("unterminated string");
-    const std::string_view out = line_.substr(start, pos_ - start);
-    ++pos_;
     return out;
   }
 
-  std::string_view line_;
+ private:
+  void expect_number(std::string_view key, const json_value& value) const {
+    if (value.is_number()) return;
+    fail(std::string{value.is_string() ? "unexpected string" : "non-numeric"} +
+         " value for key '" + std::string{key} + "'");
+  }
+
   std::size_t line_no_;
-  std::size_t pos_ = 0;
+  json_value object_;
 };
-
-double parse_number(const line_parser& parser, std::string_view key,
-                    std::string_view text) {
-  double out = 0.0;
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
-    parser.fail("non-numeric value '" + std::string{text} + "' for key '" +
-                std::string{key} + "'");
-  }
-  return out;
-}
-
-/// Reads `text` as T, the type write_trace writes the field at: a value
-/// outside T's range (a negative count included) is refused, not narrowed.
-template <typename T>
-T parse_integer(const line_parser& parser, std::string_view key, std::string_view text) {
-  T out = 0;
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
-    parser.fail("value '" + std::string{text} + "' for key '" + std::string{key} +
-                "' is not an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
-                ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
-  }
-  return out;
-}
 
 }  // namespace
 
 parsed_trace read_trace(std::istream& is) {
   parsed_trace out;
-  std::string line;
+  std::string text;
   std::size_t line_no = 0;
   bool have_header = false;
-  while (std::getline(is, line)) {
+  while (std::getline(is, text)) {
     ++line_no;
-    if (line.empty()) continue;
-    line_parser parser{line, line_no};
+    if (text.empty()) continue;
+    const trace_line line{text, line_no};
     if (!have_header) {
-      bool magic = false;
-      parser.parse([&](std::string_view key, std::string_view value, bool is_string) {
-        if (is_string) parser.fail("unexpected string value in header");
-        if (key == "sociolearn_trace") {
-          magic = parse_integer<std::uint64_t>(parser, key, value) == 1;
-        } else if (key == "num_nodes") {
-          out.meta.num_nodes = parse_integer<std::uint64_t>(parser, key, value);
-        } else if (key == "num_options") {
-          out.meta.num_options = parse_integer<std::uint64_t>(parser, key, value);
-        } else if (key == "max_retries") {
-          out.meta.max_retries = parse_integer<std::uint32_t>(parser, key, value);
-        } else if (key == "round_interval") {
-          out.meta.round_interval = parse_number(parser, key, value);
-        } else if (key == "rounds") {
-          out.meta.rounds = parse_integer<std::uint64_t>(parser, key, value);
-        } else if (key == "seed") {
-          out.meta.seed = parse_integer<std::uint64_t>(parser, key, value);
-        } else if (key == "evicted") {
-          out.meta.evicted = parse_integer<std::uint64_t>(parser, key, value);
-        } else {
-          parser.fail("unknown header key '" + std::string{key} + "'");
-        }
-      });
-      if (!magic) parser.fail("missing or bad 'sociolearn_trace' header marker");
+      line.read({"sociolearn_trace", "num_nodes", "num_options", "max_retries",
+                 "round_interval", "rounds", "seed", "evicted"},
+                [&](const std::string& key, const json_value& value) {
+                  if (key == "sociolearn_trace") {
+                    if (line.integer<std::uint64_t>(key, value) != 1) {
+                      line.fail("bad 'sociolearn_trace' header marker");
+                    }
+                  } else if (key == "num_nodes") {
+                    out.meta.num_nodes = line.integer<std::uint64_t>(key, value);
+                  } else if (key == "num_options") {
+                    out.meta.num_options = line.integer<std::uint64_t>(key, value);
+                  } else if (key == "max_retries") {
+                    out.meta.max_retries = line.integer<std::uint32_t>(key, value);
+                  } else if (key == "round_interval") {
+                    out.meta.round_interval = line.number(key, value);
+                  } else if (key == "rounds") {
+                    out.meta.rounds = line.integer<std::uint64_t>(key, value);
+                  } else if (key == "seed") {
+                    out.meta.seed = line.integer<std::uint64_t>(key, value);
+                  } else if (key == "evicted") {
+                    out.meta.evicted = line.integer<std::uint64_t>(key, value);
+                  } else {
+                    line.fail("unknown header key '" + key + "'");
+                  }
+                });
       have_header = true;
       continue;
     }
     netsim::trace_record rec;
-    parser.parse([&](std::string_view key, std::string_view value, bool is_string) {
-      if (key == "kind") {
-        if (!is_string) parser.fail("'kind' must be a string");
-        if (!netsim::parse_trace_kind(value, rec.kind)) {
-          parser.fail("unknown record kind '" + std::string{value} + "'");
-        }
-        return;
-      }
-      if (is_string) parser.fail("unexpected string value for key '" + std::string{key} + "'");
-      if (key == "t") {
-        rec.time = parse_number(parser, key, value);
-      } else if (key == "node") {
-        rec.node = parse_integer<std::uint32_t>(parser, key, value);
-      } else if (key == "peer") {
-        rec.peer = parse_integer<std::uint32_t>(parser, key, value);
-      } else if (key == "detail") {
-        rec.detail = parse_integer<std::int32_t>(parser, key, value);
-      } else if (key == "a") {
-        rec.a = parse_integer<std::int64_t>(parser, key, value);
-      } else if (key == "b") {
-        rec.b = parse_integer<std::int64_t>(parser, key, value);
-      } else {
-        parser.fail("unknown record key '" + std::string{key} + "'");
-      }
-    });
+    line.read({"t", "kind", "node", "peer", "detail", "a", "b"},
+              [&](const std::string& key, const json_value& value) {
+                if (key == "kind") {
+                  if (!value.is_string()) line.fail("'kind' must be a string");
+                  if (!netsim::parse_trace_kind(value.text, rec.kind)) {
+                    line.fail("unknown record kind '" + value.text + "'");
+                  }
+                } else if (key == "t") {
+                  rec.time = line.number(key, value);
+                } else if (key == "node") {
+                  rec.node = line.integer<std::uint32_t>(key, value);
+                } else if (key == "peer") {
+                  rec.peer = line.integer<std::uint32_t>(key, value);
+                } else if (key == "detail") {
+                  rec.detail = line.integer<std::int32_t>(key, value);
+                } else if (key == "a") {
+                  rec.a = line.integer<std::int64_t>(key, value);
+                } else if (key == "b") {
+                  rec.b = line.integer<std::int64_t>(key, value);
+                } else {
+                  line.fail("unknown record key '" + key + "'");
+                }
+              });
     out.records.push_back(rec);
   }
   if (!have_header) throw std::runtime_error{"trace: empty input (no header line)"};

@@ -36,8 +36,9 @@
 /// verdict.
 ///
 /// The JSONL format written here (one metadata header object, then one
-/// compact object per record) is produced via support/json and read back by
-/// a strict parser that accepts exactly that shape.
+/// compact object per record) is produced via support/json and read back
+/// with parse_json (support/json_parse.h); the reader accepts exactly the
+/// fields write_trace writes, each at its written type.
 
 #include <cstdint>
 #include <iosfwd>
@@ -101,9 +102,10 @@ struct parsed_trace {
   std::vector<netsim::trace_record> records;
 };
 
-/// Reads what write_trace wrote.  Throws std::runtime_error naming the line
-/// number on anything malformed (missing header, unknown kind or key,
-/// non-numeric field).
+/// Reads what write_trace wrote.  Throws std::runtime_error starting
+/// "trace" and naming the line number on anything malformed (no header, a
+/// line that is not one JSON object, an unknown kind or key, a value of the
+/// wrong type or out of range, a missing field).
 [[nodiscard]] parsed_trace read_trace(std::istream& is);
 
 /// Diagnoses the one stdout collision the trace-capture CLI path can hit:

@@ -9,6 +9,7 @@
 #include <type_traits>
 
 #include "support/json.h"  // json_number / json_escape
+#include "support/json_parse.h"
 #include "support/text.h"  // trim_ascii / parse_full_double / closest_name
 
 namespace sgl::scenario {
@@ -40,100 +41,20 @@ std::uint64_t parse_unsigned(std::string_view key, std::string_view text) {
   return static_cast<std::uint64_t>(parsed);
 }
 
+/// Parses `text` as one JSON document; a syntax error names `key`.
+json_value parse_json_value(std::string_view key, std::string_view text) {
+  try {
+    return parse_json(text);
+  } catch (const std::invalid_argument& error) {
+    fail(key, error.what());
+  }
+}
+
 /// A string value: JSON-quoted ("...") or a bare token.
 std::string parse_string(std::string_view key, std::string_view text) {
   const std::string_view t = trim_ascii(text);
   if (t.empty() || t.front() != '"') return std::string{t};
-  std::string out;
-  out.reserve(t.size());
-  for (std::size_t i = 1; i < t.size(); ++i) {
-    const char c = t[i];
-    if (c == '"') {
-      if (i + 1 != t.size()) fail(key, "text after the closing quote");
-      return out;
-    }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (++i == t.size()) fail(key, "dangling escape");
-    const char escaped = t[i];
-    switch (escaped) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        // \uXXXX (BMP only, as emitted by json_escape and by JSON encoders
-        // with ensure_ascii), decoded to UTF-8.
-        if (i + 4 >= t.size()) fail(key, "truncated \\u escape");
-        unsigned code = 0;
-        for (int digit = 0; digit < 4; ++digit) {
-          const char h = t[++i];
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            fail(key, "bad \\u escape");
-          }
-        }
-        if (code >= 0xD800 && code < 0xE000) {
-          fail(key, "surrogate \\u escapes are not supported");
-        }
-        if (code < 0x80) {
-          out += static_cast<char>(code);
-        } else if (code < 0x800) {
-          out += static_cast<char>(0xC0U | (code >> 6));
-          out += static_cast<char>(0x80U | (code & 0x3FU));
-        } else {
-          out += static_cast<char>(0xE0U | (code >> 12));
-          out += static_cast<char>(0x80U | ((code >> 6) & 0x3FU));
-          out += static_cast<char>(0x80U | (code & 0x3FU));
-        }
-        break;
-      }
-      default: fail(key, std::string{"unsupported escape '\\"} + escaped + "'");
-    }
-  }
-  fail(key, "unterminated string");
-}
-
-/// Splits "[a, b, c]" into trimmed element texts ({} for "[]").
-std::vector<std::string_view> parse_array_elements(std::string_view key,
-                                                   std::string_view text) {
-  const std::string_view t = trim_ascii(text);
-  if (t.size() < 2 || t.front() != '[' || t.back() != ']') {
-    fail(key, "expected an array like [a, b, c], got '" + std::string{t} + "'");
-  }
-  const std::string_view body = trim_ascii(t.substr(1, t.size() - 2));
-  std::vector<std::string_view> out;
-  if (body.empty()) return out;
-  bool in_quotes = false;
-  bool escaped = false;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= body.size(); ++i) {
-    if (i < body.size()) {
-      if (escaped) {
-        escaped = false;
-        continue;
-      }
-      if (in_quotes && body[i] == '\\') {
-        escaped = true;
-        continue;
-      }
-      if (body[i] == '"') in_quotes = !in_quotes;
-    }
-    if (i == body.size() || (body[i] == ',' && !in_quotes)) {
-      out.push_back(trim_ascii(body.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  return out;
+  return parse_json_value(key, t).text;
 }
 
 std::string quote(std::string_view s) { return '"' + json_escape(s) + '"'; }
@@ -227,7 +148,7 @@ constexpr const auto& names_of(environment_spec::family_kind) { return k_environ
 constexpr const auto& names_of(fault_action_spec::action_kind) { return k_fault_kind_names; }
 constexpr const auto& names_of(fault_action_spec::link_class_kind) { return k_link_class_names; }
 
-/// Parses a value of field type `T`; a vector is an array of element values.
+/// Parses a value of field type `T`; a vector is a JSON array of elements.
 template <typename T>
 T parse_value(std::string_view key, std::string_view text) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -241,9 +162,22 @@ T parse_value(std::string_view key, std::string_view text) {
   } else if constexpr (std::is_same_v<T, std::string>) {
     return parse_string(key, text);
   } else {
+    const std::string_view t = trim_ascii(text);
+    if (t.empty() || t.front() != '[') {
+      fail(key, "expected an array like [a, b, c], got '" + std::string{t} + "'");
+    }
+    // A string element is its decoded text; a number is read from its raw
+    // token like a scalar value, so `1e5` stays an exact integer.
+    using element_type = typename T::value_type;
     T out;
-    for (const std::string_view element : parse_array_elements(key, text)) {
-      out.push_back(parse_value<typename T::value_type>(key, element));
+    for (const json_value& element : parse_json_value(key, t).items) {
+      if constexpr (std::is_same_v<element_type, std::string>) {
+        if (!element.is_string()) fail(key, "expected an array of quoted strings");
+        out.push_back(element.text);
+      } else {
+        if (!element.is_number()) fail(key, "expected an array of numbers");
+        out.push_back(parse_value<element_type>(key, element.text));
+      }
     }
     return out;
   }

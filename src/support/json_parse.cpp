@@ -135,14 +135,17 @@ class parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain characters up to the next quote or escape.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string");
       if (pos_ >= text_.size()) fail("dangling escape");
       const char escaped = text_[pos_++];
       switch (escaped) {

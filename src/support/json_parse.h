@@ -5,9 +5,8 @@
 /// (json.h is write-only).  The service wire protocol (src/service/) speaks
 /// newline-delimited JSON, so the daemon needs to *parse* arbitrary request
 /// documents: nested objects, arrays, every escape json_escape can emit.
-/// The netsim trace reader keeps its own strict flat-object parser
-/// (analysis/trace_check.cpp) because it validates a fixed shape; this one
-/// is general.
+/// It is the program's only JSON reader: quoted strings and arrays in the
+/// scenario text format and each line of a JSONL trace are read with it too.
 ///
 /// Numbers keep their raw token alongside the converted double, so 64-bit
 /// integers (seeds, job ids) round-trip exactly through as_uint64/as_int64

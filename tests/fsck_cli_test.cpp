@@ -3,9 +3,9 @@
 // subcommand's exit codes — 2 for usage errors, 1 for findings (even when
 // repaired), 0 for a clean store.  The CLI half drives the real binary via
 // SGL_CLI_PATH (set by CMake when SGL_BUILD_TOOLS is on; skipped when the
-// tools are not built), as do the usage checks on the run subcommands'
-// count flags at the end of the file (which also run sociolearnd, via
-// SGL_DAEMON_PATH).
+// tools are not built), as do the `check-trace` exit-code case and the
+// usage checks on the run subcommands' count flags at the end of the file
+// (which also run sociolearnd, via SGL_DAEMON_PATH).
 
 #include <gtest/gtest.h>
 
@@ -192,6 +192,49 @@ TEST_F(fsck_cli_test, clean_store_exits_0_findings_exit_1) {
     store.put(test_digest(), payload);
   }
   EXPECT_EQ(*run_fsck_cli("--store " + store_dir().string()), 0);
+}
+
+// --- check-trace exit codes --------------------------------------------------
+
+/// `check-trace` exits 0 on a clean trace, 1 on an invariant violation, and
+/// 2 on a file it cannot read as a trace, naming the line.
+TEST_F(fsck_cli_test, check_trace_exits_0_clean_1_violation_2_unreadable) {
+  const std::string header =
+      R"({"sociolearn_trace":1,"num_nodes":2,"num_options":2,"max_retries":1,)"
+      R"("round_interval":1,"rounds":2,"seed":5,"evicted":0})"
+      "\n"
+      R"({"t":0,"kind":"post","node":0,"peer":0,"detail":2,"a":1,"b":3})"
+      "\n"
+      R"({"t":0.1,"kind":"send","node":0,"peer":1,"detail":1,"a":0,"b":0})"
+      "\n";
+  const std::string deliver =
+      R"({"t":0.3,"kind":"deliver","node":1,"peer":0,"detail":1,"a":0,"b":0})"
+      "\n";
+  const std::string crash =
+      R"({"t":0.2,"kind":"crash","node":1,"peer":0,"detail":0,"a":0,"b":0})"
+      "\n";
+  const auto trace_file = [this](const std::string& name, const std::string& text) {
+    const fs::path path = root_ / name;
+    std::ofstream{path} << text;
+    return path.string();
+  };
+
+  const std::optional<int> clean = run_cli("check-trace " + trace_file("clean", header + deliver));
+  REQUIRE_CLI(clean);
+  EXPECT_EQ(*clean, 0);
+  EXPECT_EQ(*run_cli("check-trace " + trace_file("crashed", header + crash + deliver)), 1);
+
+  std::string error_text;
+  EXPECT_EQ(*run_cli("check-trace " + trace_file("cut", header + deliver.substr(0, 30)),
+                     &error_text),
+            2);
+  EXPECT_NE(error_text.find("trace line 4"), std::string::npos) << error_text;
+  EXPECT_EQ(*run_cli("check-trace " + trace_file("missing", header + R"({"t":0.5})" + "\n"),
+                     &error_text),
+            2);
+  EXPECT_NE(error_text.find("trace line 4: missing key 'kind'"), std::string::npos)
+      << error_text;
+  EXPECT_EQ(*run_cli("check-trace " + (root_ / "nonexistent").string()), 2);
 }
 
 // --- count flags of the run subcommands -------------------------------------

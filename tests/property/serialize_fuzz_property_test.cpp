@@ -6,15 +6,20 @@
 // — 300k iterations under ASan/UBSan — found the non-finite sweep-range
 // hang pinned as a named regression in tests/serialize_test.cpp; this
 // suite keeps the door shut at a few thousand iterations per CI run.)
+// The JSONL trace reader gets the same treatment with its own contract:
+// return, or throw std::runtime_error starting "trace".
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/trace_check.h"
+#include "netsim/trace.h"
 #include "property/generators.h"
 #include "scenario/scenario.h"
 #include "scenario/serialize.h"
@@ -51,15 +56,16 @@ std::string random_text(testgen::prng& rng, std::size_t max_pieces) {
   return out;
 }
 
-/// Mutates a valid serialized spec: splice hostile tokens into random
-/// positions, duplicate a line, truncate the tail.
-std::string mutate_serialized(testgen::prng& rng, std::string text) {
+/// Mutates valid writer output: splice tokens of `pieces` into random
+/// positions, erase short spans, overwrite single bytes.
+std::string mutate_serialized(testgen::prng& rng, std::string text,
+                              const std::vector<std::string>& pieces = vocabulary()) {
   const std::size_t edits = 1 + rng.below(4);
   for (std::size_t i = 0; i < edits; ++i) {
     if (text.empty()) break;
     const std::size_t at = rng.below(text.size());
     switch (rng.below(3)) {
-      case 0: text.insert(at, rng.pick(vocabulary())); break;
+      case 0: text.insert(at, rng.pick(pieces)); break;
       case 1: text.erase(at, rng.below(8) + 1); break;
       default: text[at] = static_cast<char>(rng.below(256)); break;
     }
@@ -140,6 +146,66 @@ TEST(serialize_fuzz, parse_sweep_axis_is_total) {
       // successful parse yields a modest value list, never a hang.
       EXPECT_LE(parsed.values.size(), 10000U);
     });
+  }
+}
+
+/// A write_trace document with a random header and 0..11 random records.
+std::string random_trace(testgen::prng& rng) {
+  analysis::trace_metadata meta;
+  meta.num_nodes = rng.below(8);
+  meta.num_options = rng.below(4);
+  meta.max_retries = static_cast<std::uint32_t>(rng.below(3));
+  meta.round_interval = testgen::random_double(rng);
+  meta.rounds = rng.below(50);
+  meta.seed = rng.next();
+  meta.evicted = rng.below(2);
+  std::vector<netsim::trace_record> records(rng.below(12));
+  for (netsim::trace_record& rec : records) {
+    rec.time = testgen::random_double(rng);
+    rec.kind = static_cast<netsim::trace_kind>(rng.below(12));
+    rec.node = static_cast<std::uint32_t>(rng.below(8));
+    rec.peer = static_cast<std::uint32_t>(rng.next());
+    rec.detail = static_cast<std::int32_t>(rng.next());
+    rec.a = static_cast<std::int64_t>(rng.next());
+    rec.b = static_cast<std::int64_t>(rng.below(9)) - 4;
+  }
+  std::ostringstream out;
+  analysis::write_trace(out, meta, records);
+  return out.str();
+}
+
+/// JSON and trace fragments to splice into a trace: structure, keys, kind
+/// names, out-of-range and non-JSON numbers, escapes and bad surrogates.
+const std::vector<std::string>& trace_vocabulary() {
+  static const std::vector<std::string> pieces = {
+      "{", "}", "[", "]", ":", ",", "\"", "\n", " ", "\t", "\r", "null", "true",
+      "\"t\":", "\"kind\":", "\"node\":", "\"peer\":", "\"detail\":",
+      "\"rounds\":", "\"seed\":", "\"sociolearn_trace\":1,", "\"send\"",
+      "\"deliver\"", "\"crash\"", "\"warp\"", "-1", "0", "1e5", "1.5", ".5",
+      "nan", "inf", "0x10", "4294967296", "18446744073709551616", "1e999",
+      "\\u0041", "\\ud800", "\\ud83d\\ude00", "\\", "\x01", "[[[[[[[[",
+  };
+  return pieces;
+}
+
+TEST(trace_fuzz, read_trace_is_total_on_mutated_traces) {
+  const testgen::property_plan plan = testgen::property_run_plan(1500);
+  for (std::uint64_t i = 0; i < plan.iterations; ++i) {
+    testgen::prng rng{plan.seed + 0x7a7aULL * (i + 1)};
+    const std::string input = mutate_serialized(rng, random_trace(rng), trace_vocabulary());
+    SCOPED_TRACE("iteration " + std::to_string(i) + " (seed " +
+                 std::to_string(plan.seed) + ")");
+    try {
+      std::istringstream stream{input};
+      (void)analysis::read_trace(stream);
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string{error.what()}.rfind("trace", 0), 0U)
+          << "rejection '" << error.what() << "' does not start with 'trace' on input:\n"
+          << input;
+    } catch (const std::exception& error) {
+      FAIL() << "non-runtime_error exception '" << error.what() << "' escaped on input:\n"
+             << input;
+    }
   }
 }
 

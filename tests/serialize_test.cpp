@@ -112,6 +112,32 @@ TEST(parse_scenario, quoted_strings_handle_escapes_exactly) {
   EXPECT_EQ(parse_scenario(serialize_scenario(control)).name, control.name);
   EXPECT_THROW((void)parse_scenario("name = \"\\u00\"\n"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("name = \"\\ud800x\"\n"), std::invalid_argument);
+  // JSON's other escapes parse too, and a surrogate pair decodes to one
+  // 4-byte UTF-8 character that round-trips through the canonical form.
+  EXPECT_EQ(parse_scenario("name = \"\\/\\b\\f\"\n").name, "/\b\f");
+  const scenario_spec emoji = parse_scenario("name = \"\\ud83d\\ude00!\"\n");
+  EXPECT_EQ(emoji.name, "\xf0\x9f\x98\x80!");
+  EXPECT_EQ(parse_scenario(serialize_scenario(emoji)).name, emoji.name);
+  // A raw control character in a quoted string is refused.
+  EXPECT_THROW((void)parse_scenario("name = \"a\x01z\"\n"), std::invalid_argument);
+}
+
+TEST(parse_scenario, arrays_refuse_non_json_elements_naming_the_key) {
+  // An array is a JSON array of JSON values: a bare token, a non-JSON
+  // number or an element of the wrong type is refused, naming the key.
+  for (const std::string line :
+       {"probes = [regret]", "probes = [\"regret\", hitting_time]", "probes = [1]",
+        "environment.etas = [.5, .5]", "environment.etas = [nan, 0.5]",
+        "environment.etas = [\"0.5\"]", "environment.etas = [0.5, 0.5"}) {
+    const std::string key = line.substr(0, line.find(' '));
+    try {
+      (void)parse_scenario(line + "\n");
+      FAIL() << "expected rejection of: " << line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("'" + key + "'"), std::string::npos)
+          << "for " << line << "\n  raised: " << error.what();
+    }
+  }
 }
 
 TEST(parse_scenario, errors_carry_line_numbers) {
@@ -143,6 +169,13 @@ TEST(apply_override, typed_values_and_scientific_integers) {
   apply_override(spec, "probes=[\"regret\", \"hitting_time(eps=0.2)\"]");
   ASSERT_EQ(spec.probes.size(), 2U);
   EXPECT_EQ(spec.probes[1], "hitting_time(eps=0.2)");
+  // A decoded array string is kept as decoded, even one that starts with
+  // a quote, and an array integer accepts scientific notation.
+  apply_override(spec, R"(probes=["\"regret\""])");
+  EXPECT_EQ(spec.probes, std::vector<std::string>{"\"regret\""});
+  scenario_spec gossip = get_scenario("gossip_ring_300");
+  apply_override(gossip, "faults.0.targets=[0, 1e2]");
+  EXPECT_EQ(gossip.faults.actions.at(0).targets, (std::vector<std::uint64_t>{0, 100}));
 }
 
 TEST(apply_override, indexed_keys_append_in_order) {

@@ -311,8 +311,21 @@ TEST(trace_io, reader_rejects_malformed_input_naming_the_line) {
   expect_error(header + "\n" + R"({"t":0,"kind":"warp","node":0})", "unknown record kind");
   expect_error(header + "\n" + R"({"t":0,"kind":"send","bogus":1})", "unknown record key");
   expect_error(header + "\n" + R"({"t":"zero","kind":"send"})", "unexpected string");
-  expect_error(header + "\n" + R"({"t":x,"kind":"send"})", "non-numeric");
+  expect_error(header + "\n" + R"({"t":x,"kind":"send"})", "line 2: JSON parse error");
   expect_error(header + "\n" + R"({"t":0,"kind":"send"} trailing)", "line 2");
+
+  // Every field write_trace writes is required: a missing one is refused,
+  // never defaulted (read with defaults, {"t":0.5} was a send 0 -> 0, and a
+  // header without `rounds` gave retry_budget a budget of one round).
+  expect_error(header + "\n" + R"({"t":0,"node":0,"peer":1,"detail":1,"a":0,"b":0})",
+               "line 2: missing key 'kind'");
+  expect_error(header + "\n" + R"({"t":0,"kind":"send","peer":1,"detail":1,"a":0,"b":0})",
+               "line 2: missing key 'node'");
+  expect_error(header + "\n" + R"({"t":0.5})", "line 2: missing key 'kind'");
+  expect_error(R"({"sociolearn_trace":1,"num_nodes":4,"num_options":3,"max_retries":1,)"
+               R"("round_interval":1,"seed":5,"evicted":0})",
+               "line 1: missing key 'rounds'");
+  expect_error(R"({"sociolearn_trace":1})", "line 1: missing key 'num_nodes'");
 }
 
 TEST(trace_io, reader_refuses_integers_outside_the_written_type) {

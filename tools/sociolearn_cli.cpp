@@ -21,7 +21,8 @@
 //       records one replication's structured netsim trace and replays it
 //       against the protocol invariants (analysis/trace_check.h).
 //   sociolearn_cli check-trace t.jsonl
-//       checks a previously saved trace; exit 1 on any violation.
+//       checks a previously saved trace; exit 1 on any violation, 2 when
+//       the file cannot be opened or read as a trace.
 //   sociolearn_cli claims claims/*.scn
 //       runs the paper's claims (scenario files with run.*, point.N and
 //       expect.N lines, scenario/claims.h) and prints one verdict row per
@@ -49,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -438,7 +440,8 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
 int cmd_check_trace(int argc, const char* const* argv) {
   flag_set flags{"sociolearn_cli check-trace <file>",
                  "replay a recorded JSONL trace (scenario --trace-out) against "
-                 "the protocol invariants; exit 1 on any violation"};
+                 "the protocol invariants; exit 1 on any violation, 2 when the "
+                 "file cannot be opened or read as a trace"};
   flags.allow_positional("FILE  the JSONL trace ('-' = stdin)");
   add_format_flag(flags, "table");
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
@@ -451,16 +454,20 @@ int cmd_check_trace(int argc, const char* const* argv) {
   }
   const std::string& file = flags.positional().front();
 
-  analysis::parsed_trace trace;
-  if (file == "-") {
-    trace = analysis::read_trace(std::cin);
-  } else {
-    std::ifstream input{file};
+  std::ifstream input;
+  if (file != "-") {
+    input.open(file);
     if (!input) {
       std::fprintf(stderr, "cannot open trace file '%s'\n", file.c_str());
       return 2;
     }
-    trace = analysis::read_trace(input);
+  }
+  analysis::parsed_trace trace;
+  try {
+    trace = analysis::read_trace(file == "-" ? std::cin : input);
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "check-trace: %s: %s\n", file.c_str(), error.what());
+    return 2;
   }
   return report_trace_check(analysis::check_trace(trace.meta, trace.records), format,
                             file);
@@ -1073,7 +1080,8 @@ void print_usage() {
       "  scenario   run a scenario (--name or --file, --set overrides, --probes)\n"
       "  sweep      same as scenario, one run per --sweep grid point\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
-      "             against the protocol invariants; exit 1 on violations\n"
+      "             against the protocol invariants; exit 1 on violations,\n"
+      "             2 when the file cannot be opened or read as a trace\n"
       "  claims     check the paper's claims (claims/*.scn): one verdict row\n"
       "             per (point, expect); exit 1 when any row fails\n"
       "  submit     submit a scenario/sweep to a running sociolearnd\n"
