@@ -1,10 +1,10 @@
 #include "analysis/trace_check.h"
 
-#include <charconv>
 #include <initializer_list>
 #include <istream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
@@ -261,20 +261,15 @@ class trace_line {
     return value.number;
   }
 
-  /// Reads `value` as T from its raw token: a value outside T's range (a
-  /// negative count included) is refused, not narrowed.
+  /// Reads `value` as T by the exact-integer rule: a value outside T's
+  /// range (a negative count included) is refused, not narrowed.
   template <typename T>
   T integer(std::string_view key, const json_value& value) const {
     expect_number(key, value);
-    T out = 0;
-    const char* end = value.text.data() + value.text.size();
-    const auto [ptr, ec] = std::from_chars(value.text.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-      fail("value '" + value.text + "' for key '" + std::string{key} +
-           "' is not an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
-           ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
-    }
-    return out;
+    if (const std::optional<T> out = value.integer<T>()) return *out;
+    fail("value '" + value.text + "' for key '" + std::string{key} +
+         "' is not an integer in [" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+         std::to_string(std::numeric_limits<T>::max()) + "]");
   }
 
  private:

@@ -14,8 +14,9 @@
 #include "core/net_metrics.h"
 #include "core/proof_audit.h"
 #include "core/theory.h"
+#include "support/json_parse.h"  // parse_json_number
 #include "support/stats.h"
-#include "support/text.h"  // trim_ascii / parse_full_double / closest_name
+#include "support/text.h"  // trim_ascii / closest_name
 
 namespace sgl::core {
 
@@ -1051,16 +1052,7 @@ class proof_audit_probe final : public folding_probe {
 
 // --- probe spec grammar -----------------------------------------------------
 
-double parse_probe_number(std::string_view spec, std::string_view text) {
-  const std::optional<double> parsed = parse_full_double(text);
-  if (!parsed) {
-    throw std::invalid_argument{"probe '" + std::string{spec} + "': bad numeric value '" +
-                                std::string{trim_ascii(text)} + "'"};
-  }
-  return *parsed;
-}
-
-/// Parses `key=value, key=value` into pairs; values are numbers.
+/// Parses `key=value, key=value` into pairs; each value is a JSON number.
 std::vector<std::pair<std::string, double>> parse_probe_args(std::string_view spec,
                                                              std::string_view args) {
   std::vector<std::pair<std::string, double>> out;
@@ -1075,8 +1067,13 @@ std::vector<std::pair<std::string, double>> parse_probe_args(std::string_view sp
         throw std::invalid_argument{"probe '" + std::string{spec} +
                                     "': arguments must be key=value"};
       }
-      out.emplace_back(std::string{trim_ascii(item.substr(0, eq))},
-                       parse_probe_number(spec, item.substr(eq + 1)));
+      const std::string_view text = trim_ascii(item.substr(eq + 1));
+      const std::optional<double> value = parse_json_number(text);
+      if (!value) {
+        throw std::invalid_argument{"probe '" + std::string{spec} + "': bad numeric value '" +
+                                    std::string{text} + "'"};
+      }
+      out.emplace_back(std::string{trim_ascii(item.substr(0, eq))}, *value);
     }
     start = comma + 1;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -49,14 +48,12 @@ std::optional<std::size_t> family_index(std::string_view key, std::string_view f
 
 /// A run.* value: a positive integer (run.seed may be 0).
 std::uint64_t parse_run_value(std::string_view key, std::string_view text) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size() ||
-      (value == 0 && key != "run.seed")) {
+  const std::optional<std::uint64_t> value = parse_json_integer<std::uint64_t>(text);
+  if (!value || (*value == 0 && key != "run.seed")) {
     throw std::invalid_argument{"'" + std::string{key} + "': expected a positive integer, got '" +
                                 std::string{text} + "'"};
   }
-  return value;
+  return *value;
 }
 
 /// A point or expect value: a JSON string, or the bare text.
@@ -67,12 +64,13 @@ std::string unquote(std::string_view text) {
   return parsed.text;
 }
 
-claim_expect parse_expect(std::string_view text) {
+/// Line `expect.<index> = text`.
+claim_expect parse_expect(std::size_t index, std::string_view text) {
   claim_expect expect;
   expect.text = std::string{text};
   const auto malformed = [&](const std::string& why) {
-    return std::invalid_argument{"expect '" + expect.text + "': " + why +
-                                 " (form: <probe>.<scalar> <= | >= <bound>)"};
+    return std::invalid_argument{"expect." + std::to_string(index) + " '" + expect.text +
+                                 "': " + why + " (form: <probe>.<scalar> <= | >= <bound>)"};
   };
   std::size_t op = text.find("<=");
   if (op == std::string_view::npos) {
@@ -89,19 +87,20 @@ claim_expect parse_expect(std::string_view text) {
   expect.probe = std::string{measured.substr(0, dot)};
   expect.scalar = std::string{measured.substr(dot + 1)};
 
+  // A JSON number is finite: `<= inf` would pass every row vacuously.
   const std::string_view bound = trim_ascii(text.substr(op + 2));
-  if (const std::optional<double> number = parse_full_double(bound)) {
+  const std::size_t star = std::min(bound.find('*'), bound.size());
+  const std::optional<double> number = parse_json_number(trim_ascii(bound.substr(0, star)));
+  if (number && star == bound.size()) {
+    expect.value = *number;
+  } else if (number && trim_ascii(bound.substr(star + 1)) == "delta") {
+    expect.bound = claim_expect::bound_kind::delta_multiple;
     expect.value = *number;
   } else if (bound == "best_mass_lower_bound") {
     expect.bound = claim_expect::bound_kind::best_mass_lower_bound;
-  } else if (const std::size_t star = bound.find('*');
-             star != std::string_view::npos && trim_ascii(bound.substr(star + 1)) == "delta" &&
-             parse_full_double(bound.substr(0, star))) {
-    expect.bound = claim_expect::bound_kind::delta_multiple;
-    expect.value = *parse_full_double(bound.substr(0, star));
   } else {
     throw malformed("unknown bound '" + std::string{bound} +
-                    "' (a number, k*delta or best_mass_lower_bound)");
+                    "' (a JSON number, k*delta or best_mass_lower_bound)");
   }
   return expect;
 }
@@ -197,13 +196,7 @@ claim_file parse_claims(std::string_view text, std::string source) {
           throw std::invalid_argument{"expected expect." + std::to_string(file.expects.size()) +
                                       ", got '" + std::string{key} + "'"};
         }
-        claim_expect& expect = file.expects.emplace_back(parse_expect(unquote(line.value)));
-        expect.line = line.number;
-        if (!std::isfinite(expect.value)) {
-          throw std::invalid_argument{"expect." + std::to_string(*index) + " '" + expect.text +
-                                      "': the bound must be a finite number (or k*delta "
-                                      "with a finite k)"};
-        }
+        file.expects.emplace_back(parse_expect(*index, unquote(line.value))).line = line.number;
       } else {
         apply_override(file.base, key, line.value);
       }

@@ -1,5 +1,6 @@
 #include "scenario/serialize.h"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -9,8 +10,8 @@
 #include <type_traits>
 
 #include "support/json.h"  // json_number / json_escape
-#include "support/json_parse.h"
-#include "support/text.h"  // trim_ascii / parse_full_double / closest_name
+#include "support/json_parse.h"  // parse_json / parse_json_number / parse_json_integer
+#include "support/text.h"  // trim_ascii / closest_name
 
 namespace sgl::scenario {
 namespace {
@@ -19,26 +20,6 @@ namespace {
 
 [[noreturn]] void fail(std::string_view key, const std::string& what) {
   throw std::invalid_argument{"scenario key '" + std::string{key} + "': " + what};
-}
-
-double parse_double(std::string_view key, std::string_view text) {
-  const std::optional<double> parsed = parse_full_double(text);
-  if (!parsed) fail(key, "bad number '" + std::string{trim_ascii(text)} + "'");
-  return *parsed;
-}
-
-/// Unsigned integer, accepting both exact decimal ("100000") and numeric
-/// notation that denotes an integer ("1e5").
-std::uint64_t parse_unsigned(std::string_view key, std::string_view text) {
-  const std::string_view t = trim_ascii(text);
-  std::uint64_t exact = 0;
-  const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), exact);
-  if (ec == std::errc{} && ptr == t.data() + t.size()) return exact;
-  const double parsed = parse_double(key, t);
-  if (!(parsed >= 0.0) || parsed != std::floor(parsed) || parsed > 9.007199254740992e15) {
-    fail(key, "expected a non-negative integer, got '" + std::string{t} + "'");
-  }
-  return static_cast<std::uint64_t>(parsed);
 }
 
 /// Parses `text` as one JSON document; a syntax error names `key`.
@@ -148,15 +129,18 @@ constexpr const auto& names_of(environment_spec::family_kind) { return k_environ
 constexpr const auto& names_of(fault_action_spec::action_kind) { return k_fault_kind_names; }
 constexpr const auto& names_of(fault_action_spec::link_class_kind) { return k_link_class_names; }
 
-/// Parses a value of field type `T`; a vector is a JSON array of elements.
+/// Parses a value of field type `T`: a number is one JSON number token (an
+/// integer under the exact-integer rule), a vector a JSON array of elements.
 template <typename T>
 T parse_value(std::string_view key, std::string_view text) {
   if constexpr (std::is_same_v<T, bool>) {
     return parse_bool(key, text);
   } else if constexpr (std::is_same_v<T, double>) {
-    return parse_double(key, text);
+    if (const std::optional<double> parsed = parse_json_number(text)) return *parsed;
+    fail(key, "expected a JSON number, got '" + std::string{text} + "'");
   } else if constexpr (std::is_integral_v<T>) {
-    return static_cast<T>(parse_unsigned(key, text));
+    if (const std::optional<T> parsed = parse_json_integer<T>(text)) return *parsed;
+    fail(key, "expected a non-negative integer, got '" + std::string{text} + "'");
   } else if constexpr (std::is_enum_v<T>) {
     return enum_value(key, text, names_of(T{}));
   } else if constexpr (std::is_same_v<T, std::string>) {
@@ -166,17 +150,21 @@ T parse_value(std::string_view key, std::string_view text) {
     if (t.empty() || t.front() != '[') {
       fail(key, "expected an array like [a, b, c], got '" + std::string{t} + "'");
     }
-    // A string element is its decoded text; a number is read from its raw
-    // token like a scalar value, so `1e5` stays an exact integer.
+    // A string element is its decoded text; a number is read through its
+    // accessor, under the same rules as a scalar value.
     using element_type = typename T::value_type;
     T out;
     for (const json_value& element : parse_json_value(key, t).items) {
       if constexpr (std::is_same_v<element_type, std::string>) {
         if (!element.is_string()) fail(key, "expected an array of quoted strings");
         out.push_back(element.text);
-      } else {
+      } else if constexpr (std::is_same_v<element_type, double>) {
         if (!element.is_number()) fail(key, "expected an array of numbers");
-        out.push_back(parse_value<element_type>(key, element.text));
+        out.push_back(element.as_double(key));
+      } else {
+        const std::optional<element_type> integer = element.integer<element_type>();
+        if (!integer) fail(key, "expected an array of non-negative integers");
+        out.push_back(*integer);
       }
     }
     return out;
@@ -650,34 +638,21 @@ sweep_axis parse_sweep_axis(std::string_view text) {
     throw std::invalid_argument{"sweep axis '" + std::string{t} + "' has no values"};
   }
 
-  if (values.find(':') != std::string_view::npos) {
-    // Inclusive numeric range lo:hi:step.
-    std::array<double, 3> parts{};
-    std::size_t part = 0;
-    std::size_t from = 0;
-    for (std::size_t i = 0; i <= values.size(); ++i) {
-      if (i == values.size() || values[i] == ':') {
-        if (part >= 3) {
-          throw std::invalid_argument{"sweep range '" + std::string{values} +
-                                      "' must be lo:hi:step"};
-        }
-        parts[part++] = parse_double(axis.key, values.substr(from, i - from));
-        from = i + 1;
-      }
-    }
-    if (part != 3) {
+  if (const std::size_t first = values.find(':'); first != std::string_view::npos) {
+    // Inclusive numeric range lo:hi:step.  Each part is a JSON number, so
+    // finite, and the point count below cannot go NaN.
+    const std::size_t second = values.find(':', first + 1);
+    if (second == std::string_view::npos ||
+        values.find(':', second + 1) != std::string_view::npos) {
       throw std::invalid_argument{"sweep range '" + std::string{values} +
                                   "' must be lo:hi:step"};
     }
-    const auto [lo, hi, step] = parts;
-    // Non-finite endpoints must be rejected up front: NaN slips past both
-    // relational guards below (every comparison is false), so the point
-    // count itself goes NaN and the size_t cast is UB — in practice a
-    // near-2^63 count that loops forever.  inf - inf is the same trap.
-    if (!std::isfinite(lo) || !std::isfinite(hi) || !std::isfinite(step)) {
-      throw std::invalid_argument{"sweep range '" + std::string{values} +
-                                  "': lo, hi and step must be finite"};
-    }
+    const auto part = [&](std::size_t from, std::size_t to) {
+      return parse_value<double>(axis.key, trim_ascii(values.substr(from, to - from)));
+    };
+    const double lo = part(0, first);
+    const double hi = part(first + 1, second);
+    const double step = part(second + 1, values.size());
     if (!(step > 0.0)) {
       throw std::invalid_argument{"sweep range '" + std::string{values} +
                                   "': step must be > 0"};
@@ -701,17 +676,13 @@ sweep_axis parse_sweep_axis(std::string_view text) {
       axis.values.emplace_back(buffer);
     }
   } else {
-    std::size_t from = 0;
-    for (std::size_t i = 0; i <= values.size(); ++i) {
-      if (i == values.size() || values[i] == ',') {
-        const std::string_view item = trim_ascii(values.substr(from, i - from));
-        if (item.empty()) {
-          throw std::invalid_argument{"sweep list '" + std::string{values} +
-                                      "' has an empty value"};
-        }
-        axis.values.emplace_back(item);
-        from = i + 1;
+    for (std::size_t from = 0, comma = 0; comma != std::string_view::npos; from = comma + 1) {
+      comma = values.find(',', from);
+      const std::string_view item = trim_ascii(values.substr(from, comma - from));
+      if (item.empty()) {
+        throw std::invalid_argument{"sweep list '" + std::string{values} + "' has an empty value"};
       }
+      axis.values.emplace_back(item);
     }
   }
   return axis;
@@ -723,6 +694,11 @@ std::vector<std::vector<std::pair<std::string, std::string>>> expand_sweep(
   for (const sweep_axis& axis : axes) {
     if (axis.values.empty()) {
       throw std::invalid_argument{"sweep axis '" + axis.key + "' has no values"};
+    }
+    // A later axis on the same key would overwrite the earlier one at every
+    // point while the rows stayed labelled with both.
+    if (std::any_of(axes.data(), &axis, [&](const sweep_axis& a) { return a.key == axis.key; })) {
+      throw std::invalid_argument{"sweep axis '" + axis.key + "' is given twice"};
     }
     if (total > 100000 / axis.values.size()) {
       throw std::invalid_argument{"sweep grid exceeds 100000 runs"};

@@ -88,15 +88,15 @@ struct sweep_axis {
   std::vector<std::string> values;
 };
 
-/// Parses `key=lo:hi:step` (inclusive numeric range; values are rounded to
-/// 12 significant digits) or `key=v1,v2,...` (explicit list, any value
-/// syntax).  Throws std::invalid_argument on malformed axes, step <= 0,
-/// lo > hi, or absurd grids (> 10000 points per axis).
+/// Parses `key=lo:hi:step` (inclusive numeric range of JSON numbers; values
+/// are rounded to 12 significant digits) or `key=v1,v2,...` (explicit list,
+/// any value syntax).  Throws std::invalid_argument on malformed axes,
+/// step <= 0, lo > hi, or absurd grids (> 10000 points per axis).
 [[nodiscard]] sweep_axis parse_sweep_axis(std::string_view text);
 
 /// The cartesian product of the axes, in deterministic order: the last
 /// axis varies fastest.  Each grid point lists (key, value) assignments to
-/// apply_override on a copy of the base spec.
+/// apply_override on a copy of the base spec.  Two axes on one key throw.
 [[nodiscard]] std::vector<std::vector<std::pair<std::string, std::string>>> expand_sweep(
     std::span<const sweep_axis> axes);
 

@@ -1,6 +1,5 @@
 #include "support/failpoint.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -9,6 +8,8 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <utility>
+
+#include "support/json_parse.h"  // parse_json_number / parse_json_integer
 
 namespace sgl::failpoints {
 namespace detail {
@@ -77,12 +78,9 @@ bool bernoulli_fires(std::string_view site, std::uint64_t seed, std::uint64_t in
 }
 
 std::uint64_t parse_uint(std::string_view text, std::string_view context) {
-  std::uint64_t out = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc{} || ptr != end) parse_fail("expected an unsigned integer", context);
-  return out;
+  const std::optional<std::uint64_t> out = parse_json_integer<std::uint64_t>(text);
+  if (!out) parse_fail("expected an unsigned integer", context);
+  return *out;
 }
 
 /// Parses one trigger spec (the part after '=').  See the header grammar.
@@ -110,12 +108,9 @@ std::unique_ptr<site_config> parse_spec(std::string_view spec, std::string_view 
     if (at == std::string_view::npos) {
       parse_fail("bernoulli spec needs a seed: p=PROB@SEED", entry);
     }
-    const std::string prob{spec.substr(2, at - 2)};
-    char* end = nullptr;
-    config->p = std::strtod(prob.c_str(), &end);
-    if (end != prob.c_str() + prob.size() || !(config->p >= 0.0) || config->p > 1.0) {
-      parse_fail("bernoulli probability must be in [0, 1]", entry);
-    }
+    const std::optional<double> p = parse_json_number(spec.substr(2, at - 2));
+    if (!p || *p < 0.0 || *p > 1.0) parse_fail("bernoulli probability must be in [0, 1]", entry);
+    config->p = *p;
     config->seed = parse_uint(spec.substr(at + 1), entry);
     config->kind = site_config::mode::bernoulli;
     return config;

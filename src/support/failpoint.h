@@ -28,7 +28,8 @@
 ///              |  N                fire on exactly the Nth hit (1-based)
 ///              |  N '..'           fire on every hit from the Nth on
 ///              |  N '..' M         fire on hits N through M inclusive
-///              |  'p=' P '@' SEED  fire each hit with probability P,
+///              |  'p=' P '@' SEED  fire each hit with probability P (a
+///                                  JSON number in [0, 1]),
 ///                                  decided by a counter-based stream
 ///                                  keyed on (site, SEED, hit index) — the
 ///                                  same hits fire for a given seed no

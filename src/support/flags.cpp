@@ -1,10 +1,12 @@
 #include "support/flags.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+
+#include "support/json_parse.h"  // parse_json_number / parse_json_integer
 
 namespace sgl {
 namespace {
@@ -42,6 +44,13 @@ std::string value_to_string(const flag_value& v) {
                                              });
     }
   }
+}
+
+/// Stores a parsed number; false when the text was not one of the flag's type.
+template <typename T>
+bool store(flag_value& current, const std::optional<T>& parsed) {
+  if (parsed) current = *parsed;
+  return parsed.has_value();
 }
 
 }  // namespace
@@ -114,24 +123,8 @@ std::string flag_set::closest_flag(const std::string& name) const {
 
 bool flag_set::assign(entry& e, const std::string& text) {
   switch (e.current.index()) {
-    case 0: {
-      std::int64_t parsed = 0;
-      const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), parsed);
-      if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-      e.current = parsed;
-      return true;
-    }
-    case 1: {
-      try {
-        std::size_t consumed = 0;
-        const double parsed = std::stod(text, &consumed);
-        if (consumed != text.size()) return false;
-        e.current = parsed;
-        return true;
-      } catch (const std::exception&) {
-        return false;
-      }
-    }
+    case 0: return store(e.current, parse_json_integer<std::int64_t>(text));
+    case 1: return store(e.current, parse_json_number(text));
     case 2: {
       if (text == "true" || text == "1" || text == "yes") {
         e.current = true;

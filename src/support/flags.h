@@ -5,7 +5,7 @@
 /// Supports `--name value`, `--name=value`, bare boolean `--name`,
 /// repeatable list flags, opt-in positional arguments, and `--help`.
 /// Unknown flags are an error (with a nearest-name suggestion) so typos
-/// never silently fall back to defaults.
+/// never silently fall back to defaults.  A number is a JSON number token.
 
 #include <cstdint>
 #include <map>

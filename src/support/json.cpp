@@ -2,9 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <stdexcept>
+
+#include "support/json_parse.h"
 
 namespace sgl {
 
@@ -38,7 +39,7 @@ std::string json_number(double value) {
   // back yields the exact double (17 significant digits always suffice).
   for (const int precision : {15, 16, 17}) {
     std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
+    if (parse_json_number(buffer) == value) break;
   }
   return buffer;
 }

@@ -1,14 +1,70 @@
 #include "support/json_parse.h"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace sgl {
 namespace {
 
 constexpr std::size_t k_max_depth = 64;
+
+/// Advances `pos` past a run of digits; whether there was one.
+bool skip_digits(std::string_view text, std::size_t& pos) noexcept {
+  const std::size_t start = pos;
+  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+  return pos > start;
+}
+
+/// Advances `pos` past the JSON number that starts there.  Returns what is
+/// wrong with a malformed one (`pos` at the fault), nullptr otherwise.
+const char* scan_number(std::string_view text, std::size_t& pos) noexcept {
+  if (pos < text.size() && text[pos] == '-') ++pos;
+  const std::size_t first = pos;
+  if (!skip_digits(text, pos)) return "expected a value";
+  if (text[first] == '0' && pos - first > 1) return "numbers may not have leading zeros";
+  if (pos < text.size() && text[pos] == '.' && !skip_digits(text, ++pos)) {
+    return "digits must follow the decimal point";
+  }
+  if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+    ++pos;
+    if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+    if (!skip_digits(text, pos)) return "digits must follow the exponent";
+  }
+  return nullptr;
+}
+
+/// The whole of `token` as T by std::from_chars (a double correctly
+/// rounded); nullopt when it does not parse whole or lies past T's range.
+template <typename T>
+std::optional<T> from_whole(std::string_view token) noexcept {
+  T out{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+/// Whether a scanned number token has neither a fraction nor an exponent.
+bool is_plain(std::string_view token) noexcept {
+  return std::ranges::none_of(token, [](char c) { return c == '.' || c == 'e' || c == 'E'; });
+}
+
+/// The exact-integer rule on a scanned token whose double is `value` (read
+/// only when the token is not plain).
+template <typename T>
+std::optional<T> exact_integer(std::string_view token, double value) noexcept {
+  if (is_plain(token)) {
+    if (token == "-0") return T{0};  // from_chars refuses a sign for unsigned T
+    return from_whole<T>(token);
+  }
+  if (value != std::floor(value) || std::abs(value) > 0x1p53) return std::nullopt;
+  const auto exact = static_cast<std::int64_t>(value);
+  if (!std::in_range<T>(exact)) return std::nullopt;
+  return static_cast<T>(exact);
+}
 
 class parser {
  public:
@@ -216,43 +272,13 @@ class parser {
 
   json_value parse_number() {
     const std::size_t start = pos_;
-    if (consume('-')) {
-    }
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      fail("expected a value");
-    }
-    const bool leading_zero = text_[pos_] == '0';
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (leading_zero && pos_ - start > (text_[start] == '-' ? 2U : 1U)) {
-      fail("numbers may not have leading zeros");
-    }
-    if (consume('.')) {
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digits must follow the decimal point");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digits must follow the exponent");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
+    if (const char* error = scan_number(text_, pos_)) fail(error);
     json_value value;
     value.type = json_value::kind::number;
     value.text = std::string{text_.substr(start, pos_ - start)};
-    const char* begin = value.text.data();
-    const char* end = begin + value.text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value.number);
-    if (ec != std::errc{} || ptr != end) fail("unparseable number");
+    const std::optional<double> number = from_whole<double>(value.text);
+    if (!number) fail("number past double range");
+    value.number = *number;
     return value;
   }
 
@@ -290,31 +316,20 @@ double json_value::as_double(std::string_view what) const {
   return number;
 }
 
+template <typename T>
+std::optional<T> json_value::integer() const noexcept {
+  if (type != kind::number) return std::nullopt;
+  return exact_integer<T>(text, number);
+}
+
 std::int64_t json_value::as_int64(std::string_view what) const {
-  if (type != kind::number) type_fail(what, "an integer");
-  // Reparse the raw token so values past 2^53 stay exact.
-  std::int64_t exact = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, exact);
-  if (ec == std::errc{} && ptr == end) return exact;
-  if (number != std::floor(number) || std::abs(number) > 9.007199254740992e15) {
-    type_fail(what, "an integer");
-  }
-  return static_cast<std::int64_t>(number);
+  if (const std::optional<std::int64_t> exact = integer<std::int64_t>()) return *exact;
+  type_fail(what, "an integer");
 }
 
 std::uint64_t json_value::as_uint64(std::string_view what) const {
-  if (type != kind::number) type_fail(what, "a non-negative integer");
-  std::uint64_t exact = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, exact);
-  if (ec == std::errc{} && ptr == end) return exact;
-  if (number < 0.0 || number != std::floor(number) || number > 9.007199254740992e15) {
-    type_fail(what, "a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(number);
+  if (const std::optional<std::uint64_t> exact = integer<std::uint64_t>()) return *exact;
+  type_fail(what, "a non-negative integer");
 }
 
 bool json_value::as_bool(std::string_view what) const {
@@ -323,5 +338,31 @@ bool json_value::as_bool(std::string_view what) const {
 }
 
 json_value parse_json(std::string_view text) { return parser{text}.run(); }
+
+std::optional<double> parse_json_number(std::string_view token) noexcept {
+  std::size_t end = 0;
+  if (scan_number(token, end) || end != token.size()) return std::nullopt;
+  return from_whole<double>(token);
+}
+
+template <typename T>
+std::optional<T> parse_json_integer(std::string_view token) noexcept {
+  std::size_t end = 0;
+  if (scan_number(token, end) || end != token.size()) return std::nullopt;
+  if (is_plain(token)) return exact_integer<T>(token, 0.0);
+  const std::optional<double> value = from_whole<double>(token);
+  return value ? exact_integer<T>(token, *value) : std::nullopt;
+}
+
+// Every standard integer type, so that each fixed-width alias is one of them.
+#define SGL_JSON_INTEGER(T)                                            \
+  template std::optional<T> json_value::integer<T>() const noexcept; \
+  template std::optional<T> parse_json_integer<T>(std::string_view) noexcept;
+SGL_JSON_INTEGER(int)
+SGL_JSON_INTEGER(unsigned)
+SGL_JSON_INTEGER(long)
+SGL_JSON_INTEGER(unsigned long)
+SGL_JSON_INTEGER(long long)
+SGL_JSON_INTEGER(unsigned long long)
 
 }  // namespace sgl

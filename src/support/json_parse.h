@@ -8,6 +8,9 @@
 /// It is the program's only JSON reader: quoted strings and arrays in the
 /// scenario text format and each line of a JSONL trace are read with it too.
 ///
+/// Its number lexer is the program's only number reader (parse_json_number
+/// and parse_json_integer below read every number the program reads).
+///
 /// Numbers keep their raw token alongside the converted double, so 64-bit
 /// integers (seeds, job ids) round-trip exactly through as_uint64/as_int64
 /// instead of losing precision past 2^53.
@@ -57,11 +60,27 @@ struct json_value {
   [[nodiscard]] std::int64_t as_int64(std::string_view what) const;
   [[nodiscard]] std::uint64_t as_uint64(std::string_view what) const;
   [[nodiscard]] bool as_bool(std::string_view what) const;
+
+  /// The number as T under parse_json_integer's rule; nullopt if it is not.
+  template <typename T>
+  [[nodiscard]] std::optional<T> integer() const noexcept;
 };
 
 /// Parses one complete JSON document.  Throws std::invalid_argument with
 /// the byte offset on malformed input, trailing garbage, or nesting deeper
 /// than 64 levels.
 [[nodiscard]] json_value parse_json(std::string_view text);
+
+/// The whole of `token` as one JSON number, correctly rounded; nullopt for
+/// anything else (`0x10`, `+1`, `.5`, `1.`, `01`, `nan`, `inf`, whitespace)
+/// or a number past double range (`1e999`).
+[[nodiscard]] std::optional<double> parse_json_number(std::string_view token) noexcept;
+
+/// The one exact-integer rule: `token`, a JSON number, as the standard
+/// integer type T when a plain decimal is exact in T's range, or a token with
+/// a fraction or exponent (`1e5`, `2.0`) is integral, at most 2^53 in
+/// magnitude and in T's range.  nullopt otherwise.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_json_integer(std::string_view token) noexcept;
 
 }  // namespace sgl

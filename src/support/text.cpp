@@ -1,7 +1,6 @@
 #include "support/text.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -17,15 +16,6 @@ std::string_view trim_ascii(std::string_view text) noexcept {
     text.remove_suffix(1);
   }
   return text;
-}
-
-std::optional<double> parse_full_double(std::string_view text) {
-  const std::string owned{trim_ascii(text)};
-  if (owned.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double parsed = std::strtod(owned.c_str(), &end);
-  if (end != owned.c_str() + owned.size()) return std::nullopt;
-  return parsed;
 }
 
 std::size_t edit_distance(std::string_view a, std::string_view b) {

@@ -1,13 +1,12 @@
 #pragma once
 
 /// \file text.h
-/// Small shared string utilities: trimming, strict number parsing, and the
-/// edit-distance machinery behind every "did you mean" suggestion (unknown
-/// flags, scenario keys, probe names).  Kept out of flags.h so the core
-/// library does not depend on the command-line flag parser.
+/// Small shared string utilities: trimming and the edit-distance machinery
+/// behind every "did you mean" suggestion (unknown flags, scenario keys,
+/// probe names).  Kept out of flags.h so the core library does not depend
+/// on the command-line flag parser.  Numbers are read by json_parse.h.
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -16,11 +15,6 @@ namespace sgl {
 
 /// `text` without leading/trailing ASCII whitespace (space, tab, CR).
 [[nodiscard]] std::string_view trim_ascii(std::string_view text) noexcept;
-
-/// `text` (trimmed) as a double if the whole string parses; nullopt
-/// otherwise.  The one number-acceptance rule shared by flag values, probe
-/// arguments, and scenario fields.
-[[nodiscard]] std::optional<double> parse_full_double(std::string_view text);
 
 /// Levenshtein edit distance (insert / delete / substitute).
 [[nodiscard]] std::size_t edit_distance(std::string_view a, std::string_view b);

@@ -367,6 +367,20 @@ hitting_time.hitting_time  n/a (0 samples)
 hitting_time.replications          20.0000
 )");
 
+  // A sweep value that is a JSON number is echoed as its token, so seeds
+  // past 2^53 print exactly, as the scenario echo beside them does.
+  std::string echo;
+  EXPECT_EQ(*run_cli("sweep --name ring --agents 100 --horizon 2 --reps 1 --sweep "
+                     "topology.seed=18446744073709551615,9007199254740993 --format json",
+                     nullptr, &echo),
+            0);
+  for (const char* seed : {"18446744073709551615", "9007199254740993"}) {
+    EXPECT_NE(echo.find(std::string{"\"sweep\": {\n      \"topology.seed\": "} + seed + "\n"),
+              std::string::npos)
+        << seed << " in:\n"
+        << echo;
+  }
+
   // The catalog listing: one row per scenarios/*.scn, in file-name order.
   std::string listing;
   EXPECT_EQ(*run_cli("scenarios --format csv", nullptr, &listing), 0);

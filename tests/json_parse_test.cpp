@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -112,6 +113,66 @@ TEST(json_parse, checked_accessors_name_the_field) {
   EXPECT_THROW((void)parse_json("2.5").as_int64("x"), std::invalid_argument);
   EXPECT_THROW((void)parse_json("1").as_string("x"), std::invalid_argument);
   EXPECT_THROW((void)parse_json("\"s\"").as_bool("x"), std::invalid_argument);
+}
+
+TEST(json_parse, number_reader_takes_one_whole_json_number) {
+  // The reader every number read from text goes through: one JSON number
+  // token, correctly rounded, nothing else.
+  EXPECT_EQ(parse_json_number("0.006711454669543919"), 0.006711454669543919);
+  EXPECT_EQ(parse_json_number("1E+2"), 100.0);
+  EXPECT_EQ(parse_json_number("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+  const std::optional<double> negative_zero = parse_json_number("-0");
+  ASSERT_TRUE(negative_zero.has_value());
+  EXPECT_TRUE(*negative_zero == 0.0 && std::signbit(*negative_zero));
+  for (const char* bad : {"0x10", "+1", ".5", "1.", "01", "-", "1e", "1e+", "nan", "inf",
+                          "-inf", "1e999", "1e-400", " 1", "1 ", "", "1,", "0.5.5"}) {
+    EXPECT_FALSE(parse_json_number(bad).has_value()) << "'" << bad << "'";
+  }
+  // A document number past double range is refused the same way.
+  EXPECT_THROW((void)parse_json("[1e999]"), std::invalid_argument);
+}
+
+TEST(json_parse, one_exact_integer_rule_at_32_and_64_bits) {
+  // A plain decimal must be exact in T's range.
+  EXPECT_EQ(parse_json_integer<std::int32_t>("2147483647"), INT32_MAX);
+  EXPECT_EQ(parse_json_integer<std::int32_t>("-2147483648"), INT32_MIN);
+  EXPECT_FALSE(parse_json_integer<std::int32_t>("2147483648"));
+  EXPECT_FALSE(parse_json_integer<std::int32_t>("-2147483649"));
+  EXPECT_EQ(parse_json_integer<std::uint32_t>("4294967295"), UINT32_MAX);
+  EXPECT_FALSE(parse_json_integer<std::uint32_t>("4294967296"));
+  EXPECT_FALSE(parse_json_integer<std::uint32_t>("-1"));
+  EXPECT_EQ(parse_json_integer<std::uint32_t>("-0"), 0U);
+  EXPECT_EQ(parse_json_integer<std::int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_FALSE(parse_json_integer<std::int64_t>("9223372036854775808"));
+  EXPECT_EQ(parse_json_integer<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_json_integer<std::uint64_t>("18446744073709551616"));
+  EXPECT_EQ(parse_json_integer<std::uint64_t>("9007199254740993"), (1ULL << 53) + 1);
+
+  // A fraction or an exponent: integral and at most 2^53, then T's range.
+  EXPECT_EQ(parse_json_integer<std::uint64_t>("1e5"), 100000U);
+  EXPECT_EQ(parse_json_integer<std::int32_t>("-2.0"), -2);
+  EXPECT_EQ(parse_json_integer<std::uint64_t>("9.007199254740992e15"), 1ULL << 53);
+  EXPECT_EQ(parse_json_integer<std::int64_t>("-9.007199254740992e15"), -(1LL << 53));
+  EXPECT_FALSE(parse_json_integer<std::uint64_t>("9.007199254740994e15"));  // 2^53 + 2
+  EXPECT_FALSE(parse_json_integer<std::uint64_t>("1e19"));
+  EXPECT_EQ(parse_json_integer<std::uint32_t>("4.294967295e9"), UINT32_MAX);
+  EXPECT_FALSE(parse_json_integer<std::uint32_t>("4.294967296e9"));
+  EXPECT_FALSE(parse_json_integer<std::int32_t>("3e9"));
+  EXPECT_FALSE(parse_json_integer<std::uint32_t>("-1e0"));
+  EXPECT_FALSE(parse_json_integer<std::uint64_t>("2.5"));
+  for (const char* bad : {"0x10", "+1", ".5", "1.", "01", "nan", "inf", "1e999", " 1", ""}) {
+    EXPECT_FALSE(parse_json_integer<std::int64_t>(bad)) << "'" << bad << "'";
+    EXPECT_FALSE(parse_json_integer<std::uint32_t>(bad)) << "'" << bad << "'";
+  }
+
+  // A parsed value's accessors apply the same rule.
+  EXPECT_EQ(parse_json("1e5").as_uint64("x"), 100000U);
+  EXPECT_EQ(parse_json("-0").as_uint64("x"), 0U);
+  EXPECT_EQ(parse_json("4294967295").integer<std::uint32_t>(), UINT32_MAX);
+  EXPECT_FALSE(parse_json("4294967296").integer<std::uint32_t>());
+  EXPECT_FALSE(parse_json("\"1\"").integer<std::int64_t>());
+  EXPECT_THROW((void)parse_json("9.007199254740994e15").as_int64("x"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

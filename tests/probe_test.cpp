@@ -626,9 +626,19 @@ TEST(probe_grammar, rejects_bad_specs) {
     EXPECT_THROW((void)make_probe(bad), std::invalid_argument) << bad;
   }
 
-  // partition_divergence's eps is checked like hitting_time's and recovery's.
-  for (const char* bad : {"partition_divergence(eps=nan)", "partition_divergence(eps=-3)",
-                          "partition_divergence(eps=0)", "partition_divergence(eps=1)"}) {
+  // partition_divergence's eps is checked like hitting_time's and recovery's;
+  // `nan` is not a JSON number, so it is refused before the range check.
+  try {
+    (void)make_probe("partition_divergence(eps=nan)");
+    ADD_FAILURE() << "accepted eps=nan";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(
+                  "probe 'partition_divergence(eps=nan)': bad numeric value 'nan'"),
+              std::string::npos)
+        << error.what();
+  }
+  for (const char* bad : {"partition_divergence(eps=-3)", "partition_divergence(eps=0)",
+                          "partition_divergence(eps=1)"}) {
     try {
       (void)make_probe(bad);
       ADD_FAILURE() << "accepted " << bad;

@@ -6,13 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/probe.h"
+#include "scenario/claims.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
+#include "support/flags.h"
 
 namespace sgl::scenario {
 namespace {
@@ -312,6 +318,22 @@ TEST(sweep_grammar, rejects_malformed_axes) {
   EXPECT_THROW((void)parse_sweep_axis("params.beta=0.5,,0.6"), std::invalid_argument);
 }
 
+TEST(sweep_grammar, refuses_a_key_swept_twice) {
+  // The later axis would overwrite the earlier one at every point while the
+  // rows stayed labelled with the earlier axis's values.
+  const std::vector<sweep_axis> axes{parse_sweep_axis("params.beta=0.6:0.7:0.05"),
+                                     parse_sweep_axis("num_agents=100,200"),
+                                     parse_sweep_axis("params.beta=0.6")};
+  try {
+    (void)expand_sweep(axes);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("sweep axis 'params.beta' is given twice"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(sweep_grammar, overrides_from_sweep_values_apply) {
   const sweep_axis axis = parse_sweep_axis("params.beta=0.55:0.65:0.05");
   scenario_spec spec = get_scenario("mixed_baseline");
@@ -449,6 +471,202 @@ TEST(validate_spec, drifting_checks_end_etas_too) {
   EXPECT_NO_THROW(validate_spec(spec));
   spec.environment.end_etas.pop_back();
   EXPECT_THROW(validate_spec(spec), std::invalid_argument);
+}
+
+// --- one number reader -----------------------------------------------------
+//
+// Every position that reads a number from text reads it with the same
+// grammar: a scalar --set, a one-element array, a sweep value, a probe
+// argument, a claim bound and a flag either all accept a token with the
+// same value or all refuse it, naming the key, flag or file:line.
+
+/// What one position made of a token: its value, or the refusal message.
+struct reading {
+  std::optional<double> value;
+  std::string error;
+};
+
+template <typename Read>
+reading read_at(const Read& read) {
+  try {
+    return {static_cast<double>(read()), {}};
+  } catch (const std::invalid_argument& error) {
+    return {std::nullopt, error.what()};
+  }
+}
+
+/// `--<name>=<token>` through a flag_set with one flag of the given type.
+reading read_flag(const std::string& name, bool integer, const std::string& token) {
+  flag_set flags{"numbers", "one flag"};
+  if (integer) {
+    flags.add_int64(name, 0, "an integer");
+  } else {
+    flags.add_double(name, 0.0, "a number");
+  }
+  const std::string arg = "--" + name + "=" + token;
+  const char* argv[] = {"numbers", arg.c_str()};
+  testing::internal::CaptureStderr();
+  const parse_status status = flags.parse(2, argv);
+  const std::string error = testing::internal::GetCapturedStderr();
+  if (status != parse_status::ok) return {std::nullopt, error};
+  return {integer ? static_cast<double>(flags.get_int64(name)) : flags.get_double(name), {}};
+}
+
+/// A one-point claim file; `run_seed` and `bound` are spliced in as written.
+std::string claim_text(const std::string& run_seed, const std::string& bound) {
+  return "engine = \"infinite\"\n"
+         "num_agents = 0\n"
+         "params.num_options = 2\n"
+         "params.mu = 0.03\n"
+         "environment.etas = [0.85, 0.35]\n"
+         "run.horizon = 16\n"
+         "run.replications = 2\n"
+         "run.seed = " + run_seed + "\n"
+         "point.0 = \"params.beta=0.62\"\n"
+         "expect.0 = \"regret.regret <= " + bound + "\"\n";
+}
+
+/// Checks `got` against `expected`: the same double (sign of zero
+/// included), or a refusal whose message contains `names`.
+void expect_reading(const char* position, const reading& got,
+                    const std::optional<double>& expected, const std::string& names) {
+  SCOPED_TRACE(position);
+  if (!expected) {
+    EXPECT_FALSE(got.value.has_value()) << "accepted as " << *got.value;
+    EXPECT_NE(got.error.find(names), std::string::npos) << got.error;
+    return;
+  }
+  ASSERT_TRUE(got.value.has_value()) << got.error;
+  EXPECT_EQ(*got.value, *expected);
+  EXPECT_EQ(std::signbit(*got.value), std::signbit(*expected));
+}
+
+struct number_row {
+  const char* token;
+  std::optional<double> value;     ///< as a number
+  std::optional<double> unsigned_value;  ///< as a uint64 (nullopt: refused)
+};
+
+const std::vector<number_row>& number_rows() {
+  static const std::vector<number_row> rows{
+      {"0x10", std::nullopt, std::nullopt},
+      {"+1", std::nullopt, std::nullopt},
+      {".5", std::nullopt, std::nullopt},
+      {"1.", std::nullopt, std::nullopt},
+      {"01", std::nullopt, std::nullopt},
+      {"nan", std::nullopt, std::nullopt},
+      {"inf", std::nullopt, std::nullopt},
+      {"1e999", std::nullopt, std::nullopt},
+      {"1e5", 1e5, 1e5},
+      {"-0", -0.0, 0.0},
+      {"0.5", 0.5, std::nullopt},
+      {"18446744073709551615", 18446744073709551615.0, 18446744073709551615.0},
+  };
+  return rows;
+}
+
+TEST(number_reader, every_position_reads_a_number_alike) {
+  for (const number_row& row : number_rows()) {
+    const std::string token = row.token;
+    SCOPED_TRACE("token " + token);
+    expect_reading("scalar --set",
+                   read_at([&] {
+                     scenario_spec spec;
+                     apply_override(spec, "params.beta", token);
+                     return spec.params.beta;
+                   }),
+                   row.value, "'params.beta'");
+    expect_reading("one-element array",
+                   read_at([&] {
+                     scenario_spec spec;
+                     apply_override(spec, "environment.etas", "[" + token + "]");
+                     return spec.environment.etas.at(0);
+                   }),
+                   row.value, "'environment.etas'");
+    expect_reading("sweep value",
+                   read_at([&] {
+                     const std::vector<sweep_axis> axes{
+                         parse_sweep_axis("params.beta=" + token)};
+                     const auto grid = expand_sweep(axes);
+                     scenario_spec spec;
+                     for (const auto& [key, value] : grid.at(0)) apply_override(spec, key, value);
+                     return spec.params.beta;
+                   }),
+                   row.value, "'params.beta'");
+    // A range's parts print at 12 digits, so only acceptance is compared.
+    const reading range = read_at([&] {
+      return parse_sweep_axis("params.beta=" + token + ":" + token + ":1").values.size();
+    });
+    EXPECT_EQ(range.value.has_value(), row.value.has_value()) << range.error;
+    if (!row.value) {
+      EXPECT_NE(range.error.find("'params.beta'"), std::string::npos) << range.error;
+    }
+    // popularity_floor takes floor in [0, 1): a number outside it is read,
+    // then refused by the probe's own range check.
+    const std::string probe = "popularity_floor(floor=" + token + ")";
+    const reading floor = read_at([&] {
+      return core::make_probe(probe)->report().find_scalar("floor")->value;
+    });
+    if (row.value && !(*row.value >= 0.0 && *row.value < 1.0)) {
+      EXPECT_NE(floor.error.find("floor must be in [0,1)"), std::string::npos) << floor.error;
+    } else {
+      expect_reading("probe argument", floor, row.value, "probe '" + probe + "'");
+    }
+    expect_reading("claim bound",
+                   read_at([&] {
+                     return parse_claims(claim_text("5", token), "claims/n.scn")
+                         .points.at(0)
+                         .bounds.at(0);
+                   }),
+                   row.value, "claims/n.scn:10:");
+    expect_reading("flag", read_flag("beta", false, token), row.value, "'--beta'");
+  }
+}
+
+TEST(number_reader, every_position_reads_an_integer_alike) {
+  // The exact-integer rule at 64 bits: a plain decimal is exact, `1e5` is
+  // integral and at most 2^53, a fraction is refused.  The int64 flag takes
+  // the same rule at its own width.
+  for (const number_row& row : number_rows()) {
+    const std::string token = row.token;
+    SCOPED_TRACE("token " + token);
+    expect_reading("scalar --set",
+                   read_at([&] {
+                     scenario_spec spec;
+                     apply_override(spec, "topology.seed", token);
+                     return spec.topology.seed;
+                   }),
+                   row.unsigned_value, "'topology.seed'");
+    expect_reading("one-element array",
+                   read_at([&] {
+                     scenario_spec spec = get_scenario("gossip_ring_300");
+                     apply_override(spec, "faults.0.targets", "[" + token + "]");
+                     return spec.faults.actions.at(0).targets.at(0);
+                   }),
+                   row.unsigned_value, "'faults.0.targets'");
+    expect_reading("sweep value",
+                   read_at([&] {
+                     const std::vector<sweep_axis> axes{
+                         parse_sweep_axis("topology.seed=" + token)};
+                     const auto grid = expand_sweep(axes);
+                     scenario_spec spec;
+                     for (const auto& [key, value] : grid.at(0)) apply_override(spec, key, value);
+                     return spec.topology.seed;
+                   }),
+                   row.unsigned_value, "'topology.seed'");
+    expect_reading("claim run.seed",
+                   read_at([&] {
+                     return parse_claims(claim_text(token, "1"), "claims/n.scn")
+                         .points.at(0)
+                         .run.seed;
+                   }),
+                   row.unsigned_value, "claims/n.scn:8:");
+    const bool fits_int64 =
+        row.unsigned_value &&
+        *row.unsigned_value <= static_cast<double>(std::numeric_limits<std::int64_t>::max());
+    expect_reading("int64 flag", read_flag("horizon", true, token),
+                   fits_int64 ? row.unsigned_value : std::nullopt, "'--horizon'");
+  }
 }
 
 }  // namespace

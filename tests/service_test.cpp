@@ -840,6 +840,25 @@ TEST(session, malformed_and_unknown_requests_produce_error_events) {
   }
 }
 
+TEST(session, a_key_swept_twice_is_an_error_event) {
+  // A later axis on the same key would overwrite the earlier one at every
+  // point; the submit is refused, naming the key, and nothing runs.
+  result_store store{fresh_store_root("session_swept_twice")};
+  job_queue queue{store, 1};
+  wire out;
+  session s{queue, out.options()};
+  std::string line = submit_line();
+  const std::string sweep = R"("sweep":["params.beta=0.6,0.65"])";
+  line.replace(line.find(sweep), sweep.size(),
+               R"("sweep":["params.beta=0.6:0.7:0.05","params.beta=0.6"])");
+  s.handle_line(line);
+  s.finish();
+  ASSERT_EQ(out.events(), std::vector<std::string>{"error"});
+  EXPECT_NE(out.lines[0].find("sweep axis 'params.beta' is given twice"), std::string::npos)
+      << out.lines[0];
+  EXPECT_EQ(store.object_count(), 0U) << "no point may run";
+}
+
 TEST(session, cancel_round_trip_over_the_wire) {
   result_store store{fresh_store_root("session_cancel")};
   job_queue queue{store, 1};

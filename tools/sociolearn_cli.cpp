@@ -33,7 +33,8 @@
 //       job reaches a terminal state; `status` and `cancel` address a job
 //       by the id the job_accepted event carried.
 //
-// Every subcommand accepts --format table|json|csv.  Every run is
+// Every subcommand but submit, status and cancel (which stream the
+// daemon's JSONL events) accepts --format table|json|csv.  Every run is
 // constructed through the scenario layer (scenario/) and executed by the
 // probe-based runner (core/experiment.h, core/probe.h); everything is
 // deterministic given --seed.
@@ -300,10 +301,11 @@ void write_run_json(json_writer& json, const scenario::scenario_spec& spec,
   json.key("threads").value(static_cast<std::uint64_t>(config.threads));
   json.end_object();
 
+  // A JSON-number assignment is echoed as its token, so 64-bit seeds stay exact.
   json.key("sweep").begin_object();
   for (const auto& [key, value] : assignments) {
-    if (const std::optional<double> number = parse_full_double(value)) {
-      json.key(key).value(*number);
+    if (parse_json_number(value)) {
+      json.key(key).raw(value);
     } else {
       json.key(key).value(value);
     }
@@ -1090,9 +1092,10 @@ void print_usage() {
       "  cancel     cancel a sociolearnd job by id (--socket --job N)\n"
       "  fsck       audit a result store: verify object checksums, find\n"
       "             orphans (--store DIR [--repair]); exit 1 on any finding\n\n"
-      "every subcommand accepts --format table|json|csv; 'scenario' and\n"
-      "'sweep' emit one JSON document per run (spec echo + probe results +\n"
-      "timing; sweeps wrap the documents in one array).\n"
+      "every subcommand but submit, status and cancel (which stream JSONL\n"
+      "events) accepts --format table|json|csv; 'scenario' and 'sweep' emit\n"
+      "one JSON document per run (spec echo + probe results + timing; sweeps\n"
+      "wrap the documents in one array).\n"
       "run 'sociolearn_cli <subcommand> --help' for the flags of each.\n");
 }
 
