@@ -283,17 +283,26 @@ BENCHMARK(BM_network_step_ring_very_sparse)->Arg(1000000)->Unit(benchmark::kMicr
 // arithmetic itself (counter RNG + stage 1 + branchless stage 2), the
 // number the DESIGN.md kernel table quotes.  The generic-TU twin runs the
 // same formulas one agent at a time — what a host without a vector ISA
-// (or SGL_KERNEL=generic) executes.
+// (or SGL_KERNEL=generic) executes.  The `_het` row gives every agent its
+// own adoption probabilities (p_reward0/1), the per-agent-rules path whose
+// stage 2 runs two mulhi64 products per lane.
 
-void kernel_net2_benchmark(benchmark::State& state, core::kernel::net2_fn fn) {
+void kernel_net2_benchmark(benchmark::State& state, core::kernel::net2_fn fn,
+                           bool per_agent = false) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<std::uint32_t> rows(n, 3U | (1U << 16));
   std::vector<std::int32_t> previous(n);
   std::vector<std::int32_t> choices(n, -1);
   std::vector<std::uint64_t> changed(n);
+  std::vector<std::uint64_t> p_reward0(per_agent ? n : 0);
+  std::vector<std::uint64_t> p_reward1(per_agent ? n : 0);
   rng fill{12};
   for (auto& c : previous) {
     c = static_cast<std::int32_t>(fill.next_u64() % 3) - 1;
+  }
+  for (std::size_t i = 0; i < p_reward0.size(); ++i) {
+    p_reward0[i] = prob_to_u64(0.2 + 0.3 * static_cast<double>(i % 5) / 5.0);
+    p_reward1[i] = prob_to_u64(0.55 + 0.4 * static_cast<double>(i % 7) / 7.0);
   }
   rng gen{13};
   for (auto _ : state) {
@@ -312,6 +321,10 @@ void kernel_net2_benchmark(benchmark::State& state, core::kernel::net2_fn fn) {
     a.thr_explore[1] = prob_to_u64(0.05 * 0.38);
     a.thr_copy[0] = prob_to_u64(0.05 + 0.95 * 0.62);
     a.thr_copy[1] = prob_to_u64(0.05 + 0.95 * 0.38);
+    if (per_agent) {
+      a.p_reward0 = p_reward0.data();
+      a.p_reward1 = p_reward1.data();
+    }
     a.changed = changed.data();
     a.changed_len = &changed_len;
     a.stage = stage;
@@ -327,6 +340,11 @@ void BM_kernel_net2_active(benchmark::State& state) {
   kernel_net2_benchmark(state, core::kernel::net2_step());
 }
 BENCHMARK(BM_kernel_net2_active)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
+
+void BM_kernel_net2_het_active(benchmark::State& state) {
+  kernel_net2_benchmark(state, core::kernel::net2_step(), true);
+}
+BENCHMARK(BM_kernel_net2_het_active)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
 
 void BM_kernel_net2_generic(benchmark::State& state) {
   kernel_net2_benchmark(state, core::kernel::net2_step_generic);

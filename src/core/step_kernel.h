@@ -32,7 +32,8 @@
 /// P==max (per-agent) comparison.
 ///
 /// Dispatch: the four translation units (generic / avx2 / avx512 / neon)
-/// compile one shared implementation under different target flags;
+/// compile one shared implementation, with every lane 64 bits wide, under
+/// different target flags;
 /// `active_isa()` picks once per process from CPU capability and what was
 /// compiled in.  The generic TU runs the scalar formulas only, since
 /// emulated vectors on a baseline target are slower than plain scalar
@@ -49,7 +50,10 @@ namespace sgl::core::kernel {
 
 /// Arguments for the sparse two-option network kernel.  All array
 /// pointers are global-base (indexed by absolute agent index) except
-/// `changed`, which the caller pre-offsets to the shard.
+/// `changed`, which the caller pre-offsets to the shard and which must
+/// have room for hi − lo entries: the kernel may write any of those
+/// slots, and the entries past *changed_len are unspecified (the AVX-512
+/// build stores each batch's packed entries at full vector width).
 struct net2_args {
   std::uint64_t step_seed = 0;  ///< S: seeds every counter_word draw
   std::size_t lo = 0;           ///< first agent (inclusive)
@@ -66,8 +70,8 @@ struct net2_args {
   /// thr_explore/thr_copy instead).
   const std::uint64_t* p_reward0 = nullptr;
   const std::uint64_t* p_reward1 = nullptr;
-  std::uint64_t* changed = nullptr;      ///< out: packed (i, was, now) entries
-  std::uint32_t* changed_len = nullptr;  ///< out: entries appended
+  std::uint64_t* changed = nullptr;      ///< out: packed (i, was, now) entries, hi − lo slots
+  std::uint32_t* changed_len = nullptr;  ///< out: entries written (the rest unspecified)
   std::uint64_t* stage = nullptr;        ///< in/out: stage[2] tallies (+=)
   std::uint64_t* adopt = nullptr;        ///< in/out: adopt[2] tallies (+=)
 };

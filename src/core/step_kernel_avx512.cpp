@@ -5,11 +5,13 @@
 /// can key off avx512_kernels_compiled() instead of the preprocessor.
 ///
 /// DQ matters as much as F here: it provides the native 64-bit lane
-/// multiply (vpmullq) that the splitmix-style counter hash spends most of
-/// its time in, where AVX2 has to emulate each product with three 32-bit
-/// half multiplies.  Together with the doubled lane width this TU roughly
-/// halves the per-agent hash cost relative to the AVX2 build — for
-/// bit-identical output, like every other ISA variant.
+/// multiply (vpmullq) for the counter hash's two full 64-bit constant
+/// products per word, where AVX2 emulates each with three 32-bit
+/// multiplies.  Every product that is only 32×32 bits wide (the bounded
+/// draw and the per-agent threshold products) goes to vpmuludq through
+/// simd::mul32_lanes instead, since vpmullq costs three uops.  This TU
+/// also packs the net2 changed list inside the main loop (vpcompressq).
+/// Output is bit-identical to every other ISA variant.
 
 #include "core/step_kernel.h"
 

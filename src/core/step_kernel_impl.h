@@ -2,10 +2,15 @@
 // The single implementation behind every per-ISA step-kernel translation
 // unit.  NOT a normal header: it defines internal-linkage functions and is
 // included exactly once per kernel TU (step_kernel_generic.cpp,
-// step_kernel_avx2.cpp, step_kernel_neon.cpp), each compiled with its own
-// target flags.  The lane types from support/simd.h resolve to that TU's
-// ABI, so the same source lowers to AVX2, NEON or baseline code — with
-// bit-identical results, because every operation below is integer-exact.
+// step_kernel_avx2.cpp, step_kernel_avx512.cpp, step_kernel_neon.cpp),
+// each compiled with its own target flags.  The lane types from
+// support/simd.h resolve to that TU's ABI, so the same source lowers to
+// AVX-512, AVX2, NEON or baseline code — with bit-identical results,
+// because every operation below is integer-exact.
+//
+// Every lane is 64 bits wide from load to store: the 32-bit inputs are
+// widened as they load and the choices narrowed only as they store, and
+// every 32×32-bit product goes through simd::mul32_lanes.
 //
 // Law and counter layout are specified in core/step_kernel.h; the exact
 // arithmetic (fused stage-2 thresholds, the copy-branch rescale
@@ -23,12 +28,6 @@
 #include "support/rng.h"
 #include "support/simd.h"
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-// Only the changed-list compaction drops to intrinsics (vpcompressq has no
-// GNU-vector spelling); everything else stays on the portable lane types.
-#include <immintrin.h>
-#endif
-
 // Same -Wpsabi note as support/simd.h: by-value vector parameters are fine
 // because nothing here crosses a translation-unit boundary.
 #if defined(__GNUC__)
@@ -41,9 +40,8 @@ namespace {
 using namespace sgl;
 using namespace sgl::core::kernel;
 using simd::lane_count;
-using simd::vi32;
+using simd::mul32_lanes;
 using simd::vi64;
-using simd::vu32;
 using simd::vu64;
 
 constexpr std::uint64_t k_gamma = 0x9e3779b97f4a7c15ULL;
@@ -53,6 +51,12 @@ constexpr std::uint64_t k_max = ~std::uint64_t{0};
 /// emulated on the baseline target, which is slower than the scalar
 /// remainder formulas.  There, the vector loops cover no agents at all.
 constexpr bool k_vector_loops = simd::compiled_abi != simd::isa::generic;
+
+/// AVX-512 packs each net2 batch's changed entries inside the main loop
+/// (vpcompressq has no GNU-vector spelling, so that one step is an
+/// intrinsic).  Every other ISA builds the changed list in a scalar pass
+/// after it.
+constexpr bool k_compress_in_loop = simd::compiled_abi == simd::isa::avx512;
 
 [[nodiscard]] inline vu64 splat64(std::uint64_t x) noexcept { return vu64{} + x; }
 [[nodiscard]] inline vi64 splat_mask64(bool b) noexcept {
@@ -68,24 +72,22 @@ constexpr bool k_vector_loops = simd::compiled_abi != simd::isa::generic;
 }
 
 /// High 64 bits of the 128-bit product, lane-wise, via 32-bit halves.
-/// Every partial product is a 32×32→64 multiply (pmuludq-class on x86),
-/// and the half recombination is exact — equal to the scalar
+/// Each of the four partial products is one mul32_lanes (pmuludq-class on
+/// x86), and the half recombination is exact — equal to the scalar
 /// (unsigned __int128) reference for all inputs.
 [[nodiscard]] inline vu64 mulhi64_lanes(vu64 a, vu64 b) noexcept {
-  const vu64 a_lo = a & 0xFFFFFFFFULL;
   const vu64 a_hi = a >> 32;
-  const vu64 b_lo = b & 0xFFFFFFFFULL;
   const vu64 b_hi = b >> 32;
-  const vu64 t = a_hi * b_lo + ((a_lo * b_lo) >> 32);
-  const vu64 u = a_lo * b_hi + (t & 0xFFFFFFFFULL);
-  return a_hi * b_hi + (t >> 32) + (u >> 32);
+  const vu64 t = mul32_lanes(a_hi, b) + (mul32_lanes(a, b) >> 32);
+  const vu64 u = mul32_lanes(a, b_hi) + (t & 0xFFFFFFFFULL);
+  return mul32_lanes(a_hi, b_hi) + (t >> 32) + (u >> 32);
 }
 
 /// floor(w · bound / 2^64) lane-wise — the vector twin of
 /// sgl::scale_bounded (bound < 2^32, so two half products suffice).
 [[nodiscard]] inline vu64 scale_bounded_lanes(vu64 w, vu64 bound) noexcept {
-  const vu64 lo = (w & 0xFFFFFFFFULL) * bound;
-  const vu64 hi = (w >> 32) * bound;
+  const vu64 lo = mul32_lanes(w, bound);
+  const vu64 hi = mul32_lanes(w >> 32, bound);
   return (hi + (lo >> 32)) >> 32;
 }
 
@@ -124,16 +126,18 @@ inline void net2_body(const net2_args& a) {
   const vu64 t_mu_v = splat64(t_mu);
   const vu64 t_not_mu_v = splat64(t_not_mu);
   const vu64 max_v = splat64(k_max);
+  const vu64 two_v = splat64(2);
   const vi64 explore_force = splat_mask64(mu_always);
   const vu64 te0 = splat64(a.thr_explore[0]);
   const vu64 te1 = splat64(a.thr_explore[1]);
   const vu64 tc0 = splat64(a.thr_copy[0]);
   const vu64 tc1 = splat64(a.thr_copy[1]);
 
-  // Per-lane tallies; a shard is at most 8192 agents, so u32 cannot wrap.
-  vu32 acc_stage1{};
-  vu32 acc_adopt0{};
-  vu32 acc_adopt1{};
+  // Per-lane tallies: agents that considered option 1, adopters of
+  // option 1, and adopters of either option.
+  vu64 acc_stage1{};
+  vu64 acc_adopt1{};
+  vu64 acc_adopted{};
   std::uint64_t tail_stage1 = 0;
   std::uint64_t tail_adopt0 = 0;
   std::uint64_t tail_adopt1 = 0;
@@ -163,22 +167,18 @@ inline void net2_body(const net2_args& a) {
     const vu64 w1 = mix_lanes(s0 + k_gamma);
 
     // --- Stage 1: explore, or copy a uniform committed neighbour. ---
-    const vu32 packed = simd::load_u32(a.rows + i);
-    const vu32 c0 = packed & 0xFFFFU;
-    const vu32 total = c0 + (packed >> 16);
+    const vu64 packed = simd::load_widen_u32(a.rows + i);
+    const vu64 c0 = packed & 0xFFFFU;
+    const vu64 total = c0 + (packed >> 16);
     const vi64 explore = (w0 < t_mu_v) | explore_force;
-    const vi32 explore32 = simd::narrow_mask(explore);
-    const vi32 by_view32 = ~explore32 & (total != 0);
-    const vu32 bound32 = by_view32 ? total : (vu32{} + 2);
-    const vu64 r = scale_bounded_lanes(w1, simd::widen_u32(bound32));
-    const vu32 r32 = simd::narrow_u64(r);
+    const vi64 by_view = ~explore & (total != 0);
+    const vu64 r = scale_bounded_lanes(w1, by_view ? total : two_v);
     // by-view: option 1 iff the draw falls past the option-0 block;
     // otherwise the draw itself is the uniform option.
-    const vu32 considered = by_view32 ? (vu32)((r32 >= c0) & 1) : r32;
+    const vu64 considered = by_view ? (vu64)((r >= c0) & 1) : r;
 
     // --- Stage 2: adopt or sit out, reusing w0 (fused thresholds). ---
-    const vi32 c_mask32 = (considered != 0);
-    const vi64 c_mask = simd::widen_mask(c_mask32);
+    const vi64 c_mask = (considered != 0);
     vu64 thr;
     vi64 always;
     if (heterogeneous) {
@@ -194,14 +194,27 @@ inline void net2_body(const net2_args& a) {
       thr = explore ? thr_e : thr_c;
       always = (thr == max_v);
     }
-    const vi32 adopted32 = simd::narrow_mask((w0 < thr) | always);
-    const vi32 now32 = adopted32 ? (vi32)considered : (vi32{} - 1);
-    simd::store_i32(a.choices + i, now32);
+    const vi64 adopted = (w0 < thr) | always;
+    const vi64 now = adopted ? (vi64)considered : (vi64{} - 1);
+    simd::store_narrow_i32(a.choices + i, now);
 
-    const vu32 adopted01 = (vu32)adopted32 & 1;
     acc_stage1 += considered;
-    acc_adopt1 += adopted01 & considered;
-    acc_adopt0 += adopted01 & ~considered & 1;
+    acc_adopt1 += considered & (vu64)adopted;
+    acc_adopted -= (vu64)adopted;  // true lanes are −1
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+    // Order-preserving compress of this batch's changed entries, then a
+    // full-width store: it writes 8 slots from changed_len ≤ i − lo, so it
+    // stays inside the shard's hi − lo, and the next batch overwrites
+    // whatever it left past the packed entries.
+    const vi64 was = simd::load_widen_i32(a.previous + i);
+    const vu64 entry = simd::lane_ramp(i, 1) | ((vu64)(was + 1) << 32) |
+                       ((vu64)(now + 1) << 48);
+    const __mmask8 mk = _mm512_cmpneq_epi64_mask((__m512i)was, (__m512i)now);
+    _mm512_storeu_si512(a.changed + changed_len,
+                        _mm512_maskz_compress_epi64(mk, (__m512i)entry));
+    changed_len += static_cast<unsigned>(__builtin_popcount(mk));
+#endif
   }
 
   // --- Scalar remainder: the identical formulas, one agent at a time. ---
@@ -233,29 +246,13 @@ inline void net2_body(const net2_args& a) {
     tail_adopt0 += adopted && considered == 0;
   }
 
-  // --- Changed-list pass: reading back the freshly written choices.
-  // Kept out of the main loop on purpose — interleaving a per-lane
-  // extraction there keeps every vector value live across scalar code and
-  // the register spills cost more than this second sweep (the two arrays
-  // are sequential and still cache-hot). ---
-  std::size_t g = a.lo;
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-  // Order-preserving masked compress: each batch packs its changed
-  // entries with vpcompressq, so the list is byte-for-byte the scalar
-  // loop's output.  (lane_count == 8 in this TU: one zmm per batch.)
-  for (; g + lane_count <= a.hi; g += lane_count) {
-    const vi64 wasq = __builtin_convertvector(simd::load_i32(a.previous + g), vi64);
-    const vi64 nowq = __builtin_convertvector(simd::load_i32(a.choices + g), vi64);
-    const vu64 entry = simd::lane_ramp(g, 1) |
-                       ((vu64)(wasq + 1) << 32) | ((vu64)(nowq + 1) << 48);
-    const __mmask8 mk =
-        _mm512_cmpneq_epi64_mask((__m512i)wasq, (__m512i)nowq);
-    _mm512_mask_compressstoreu_epi64(a.changed + changed_len, mk,
-                                     (__m512i)entry);
-    changed_len += static_cast<unsigned>(__builtin_popcount(mk));
-  }
-#endif
-  for (; g < a.hi; ++g) {
+  // --- Changed-list pass over what the main loop did not already pack:
+  // the scalar remainder on AVX-512, everything elsewhere.  Kept out of
+  // the main loop off AVX-512 on purpose — a per-lane extraction there
+  // keeps every vector value live across scalar code, and the register
+  // spills cost more than this second sweep (the two arrays are
+  // sequential and still cache-hot). ---
+  for (std::size_t g = k_compress_in_loop ? vec_end : a.lo; g < a.hi; ++g) {
     const std::int32_t was = a.previous[g];
     const std::int32_t now = a.choices[g];
     a.changed[changed_len] = pack_changed(g, was, now);
@@ -263,10 +260,12 @@ inline void net2_body(const net2_args& a) {
   }
 
   const std::uint64_t stage1 = simd::reduce_add(acc_stage1) + tail_stage1;
+  const std::uint64_t adopt1 = simd::reduce_add(acc_adopt1);
+  const std::uint64_t adopted = simd::reduce_add(acc_adopted);
   a.stage[0] += (a.hi - a.lo) - stage1;
   a.stage[1] += stage1;
-  a.adopt[0] += simd::reduce_add(acc_adopt0) + tail_adopt0;
-  a.adopt[1] += simd::reduce_add(acc_adopt1) + tail_adopt1;
+  a.adopt[0] += adopted - adopt1 + tail_adopt0;
+  a.adopt[1] += adopt1 + tail_adopt1;
   *a.changed_len = static_cast<std::uint32_t>(changed_len);
 }
 
@@ -317,11 +316,10 @@ inline void mixed_body(const mixed_args& a) {
     const vu64 p = sig ? p_beta : p_alpha;
     const vu64 thr = explore ? mulhi64_lanes(t_mu_v, p)
                              : t_mu_v + mulhi64_lanes(t_not_mu_v, p);
-    const vi32 adopted32 = simd::narrow_mask((w0 < thr) | (p == max_v));
-    const vu32 considered32 = simd::narrow_u64(considered);
-    const vi32 now32 = adopted32 ? (vi32)considered32 : (vi32{} - 1);
-    simd::store_i32(a.choices + g, now32);
-    simd::store_u32(a.considered + g, considered32);
+    const vi64 adopted = (w0 < thr) | (p == max_v);
+    const vi64 now = adopted ? (vi64)considered : (vi64{} - 1);
+    simd::store_narrow_i32(a.choices + g, now);
+    simd::store_narrow_u32(a.considered + g, considered);
   }
 
   // --- Scalar remainder: identical formulas. ---

@@ -7,15 +7,17 @@
 /// The wrappers are built on the GNU vector extensions rather than on raw
 /// intrinsics: one kernel implementation (core/step_kernel_impl.h) is
 /// written against fixed-width lane types and compiled once per ISA —
-/// core/step_kernel_avx2.cpp gets -mavx2, core/step_kernel_neon.cpp relies
-/// on the AArch64 baseline, core/step_kernel_generic.cpp takes whatever the
-/// build's default target provides — and the compiler lowers the lane
-/// operations (including the 64-bit multiplies and unsigned compares AVX2
-/// lacks as single instructions) to the best sequence for each target.
-/// Every operation here is integer-exact, so all three translation units
+/// core/step_kernel_avx2.cpp gets -mavx2, core/step_kernel_avx512.cpp
+/// -mavx512f -mavx512dq, core/step_kernel_neon.cpp relies on the AArch64
+/// baseline, core/step_kernel_generic.cpp takes whatever the build's
+/// default target provides — and the compiler lowers the lane operations
+/// (including the 64-bit multiplies and unsigned compares AVX2 lacks as
+/// single instructions) to the best sequence for each target.  The one
+/// exception is mul32_lanes, whose x86 forms are intrinsics.
+/// Every operation here is integer-exact, so all four translation units
 /// compute bit-identical results by construction; the per-ISA builds differ
 /// in speed only, which is what lets the runtime dispatcher pick freely and
-/// lets a test pin the generic path against the vector path lane for lane.
+/// lets a test pin the generic path against each vector path lane for lane.
 ///
 /// ODR note: the lane types below change meaning with the translation
 /// unit's target flags, so they live in a per-ABI `inline namespace` —
@@ -25,6 +27,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 // The helpers below pass and return wide vectors by value, which GCC flags
 // with -Wpsabi on baseline targets (the calling convention for such values
@@ -107,11 +113,10 @@ inline constexpr isa compiled_abi = isa::generic;
 
 /// Logical lanes per batch: the compiled target's native 64-bit vector
 /// width.  Wider-than-native was measured 3× *slower* on AVX2 (the doubled
-/// logical vectors keep twice the values live and the 64↔32-bit mask
-/// conversions then cross registers, so GCC spills).  The kernels' results
-/// do not depend on this number: draws are counter-addressed per agent, so
-/// any lane width — including the scalar remainder — produces the same
-/// bits.
+/// logical vectors keep twice the values live, so GCC spills).  The
+/// kernels' results do not depend on this number: draws are
+/// counter-addressed per agent, so any lane width — including the scalar
+/// remainder — produces the same bits.
 inline constexpr std::size_t lane_count = compiled_abi == isa::avx512 ? 8 : 4;
 
 typedef std::uint64_t vu64 __attribute__((vector_size(lane_count * sizeof(std::uint64_t))));
@@ -120,18 +125,10 @@ typedef std::uint32_t vu32 __attribute__((vector_size(lane_count * sizeof(std::u
 typedef std::int32_t vi32 __attribute__((vector_size(lane_count * sizeof(std::int32_t))));
 
 // --- unaligned loads / stores ----------------------------------------------
-
-[[nodiscard]] inline vu32 load_u32(const std::uint32_t* p) noexcept {
-  vu32 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-[[nodiscard]] inline vi32 load_i32(const std::int32_t* p) noexcept {
-  vi32 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
+//
+// Every lane stays 64 bits wide.  The 32-bit arrays (view rows, choices,
+// considered options) are widened on load and narrowed on store, so the
+// kernels never move a mask between lane widths.
 
 [[nodiscard]] inline vu64 load_u64(const std::uint64_t* p) noexcept {
   vu64 v;
@@ -139,30 +136,47 @@ typedef std::int32_t vi32 __attribute__((vector_size(lane_count * sizeof(std::in
   return v;
 }
 
-inline void store_i32(std::int32_t* p, vi32 v) noexcept { std::memcpy(p, &v, sizeof v); }
-inline void store_u32(std::uint32_t* p, vu32 v) noexcept { std::memcpy(p, &v, sizeof v); }
-
-// --- mask plumbing ----------------------------------------------------------
-//
-// Comparisons on GNU vectors yield signed masks (-1 true / 0 false) of the
-// operand width; selects are the vector ternary.  The only glue the kernels
-// need is moving masks between the 64-bit domain (RNG words, thresholds)
-// and the 32-bit domain (view rows, choices).
-
-[[nodiscard]] inline vi32 narrow_mask(vi64 m) noexcept {
-  return __builtin_convertvector(m, vi32);
-}
-
-[[nodiscard]] inline vi64 widen_mask(vi32 m) noexcept {
-  return __builtin_convertvector(m, vi64);  // sign-extends: masks survive
-}
-
-[[nodiscard]] inline vu64 widen_u32(vu32 v) noexcept {
+[[nodiscard]] inline vu64 load_widen_u32(const std::uint32_t* p) noexcept {
+  vu32 v;
+  std::memcpy(&v, p, sizeof v);
   return __builtin_convertvector(v, vu64);  // zero-extends
 }
 
-[[nodiscard]] inline vu32 narrow_u64(vu64 v) noexcept {
-  return __builtin_convertvector(v, vu32);  // truncates (caller guarantees fit)
+[[nodiscard]] inline vi64 load_widen_i32(const std::int32_t* p) noexcept {
+  vi32 v;
+  std::memcpy(&v, p, sizeof v);
+  return __builtin_convertvector(v, vi64);  // sign-extends
+}
+
+/// Truncating stores (callers guarantee every lane fits in 32 bits).
+inline void store_narrow_i32(std::int32_t* p, vi64 v) noexcept {
+  const vi32 narrow = __builtin_convertvector(v, vi32);
+  std::memcpy(p, &narrow, sizeof narrow);
+}
+
+inline void store_narrow_u32(std::uint32_t* p, vu64 v) noexcept {
+  const vu32 narrow = __builtin_convertvector(v, vu32);
+  std::memcpy(p, &narrow, sizeof narrow);
+}
+
+// --- arithmetic ---------------------------------------------------------------
+
+/// Lane-wise product of the low 32 bits of a and b, as a full 64-bit
+/// result: one pmuludq-class multiply, where the full 64-bit lane product
+/// costs a 3-uop vpmullq on AVX-512 and three multiplies on AVX2.  The x86
+/// forms are spelled as intrinsics because GCC lowers the portable
+/// spelling (both operands cut to 32 bits, then multiplied) to the full
+/// 64-bit product.  AVX-512 takes the zero-masked form: the plain
+/// _mm512_mul_epu32 passes _mm512_undefined_epi32 through, which GCC 12
+/// flags with -Wmaybe-uninitialized.
+[[nodiscard]] inline vu64 mul32_lanes(vu64 a, vu64 b) noexcept {
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+  return (vu64)_mm512_maskz_mul_epu32(0xFF, (__m512i)a, (__m512i)b);
+#elif defined(__AVX2__)
+  return (vu64)_mm256_mul_epu32((__m256i)a, (__m256i)b);
+#else
+  return (a & 0xFFFFFFFFULL) * (b & 0xFFFFFFFFULL);
+#endif
 }
 
 /// Lane k = base + k * step; the counter ramp of the position-addressable
@@ -175,8 +189,8 @@ inline void store_u32(std::uint32_t* p, vu32 v) noexcept { std::memcpy(p, &v, si
   return v;
 }
 
-/// Horizontal sum of the 32-bit lanes (tally flushes — not hot).
-[[nodiscard]] inline std::uint64_t reduce_add(vu32 v) noexcept {
+/// Horizontal sum of the lanes (tally flushes — not hot).
+[[nodiscard]] inline std::uint64_t reduce_add(vu64 v) noexcept {
   std::uint64_t sum = 0;
   for (std::size_t k = 0; k < lane_count; ++k) sum += v[k];
   return sum;
