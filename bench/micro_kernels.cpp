@@ -127,21 +127,6 @@ void BM_aggregate_step(benchmark::State& state) {
 }
 BENCHMARK(BM_aggregate_step)->Arg(1000)->Arg(100000)->Arg(10000000);
 
-void BM_agent_based_step(benchmark::State& state) {
-  // Homogeneous + fully mixed: the batched multinomial/binomial path, O(m)
-  // per step — the per-agent choices are written only when read, and
-  // nothing reads them here.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  core::finite_dynamics dyn{make_params(10), n};
-  rng gen{8};
-  rng reward_gen{9};
-  const auto rewards = random_rewards(10, reward_gen);
-  for (auto _ : state) dyn.step(rewards, gen);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
-                                                    static_cast<std::int64_t>(n)));
-}
-BENCHMARK(BM_agent_based_step)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
-
 void BM_agent_based_step_heterogeneous(benchmark::State& state) {
   // Per-agent rules force the O(N) loop — the price of heterogeneity.
   const auto n = static_cast<std::size_t>(state.range(0));

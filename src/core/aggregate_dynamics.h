@@ -16,15 +16,16 @@
 /// popularity, so heterogeneity only enters at adoption).  Sampling those
 /// laws directly advances the whole population in O(G·m) work per step,
 /// independent of N, enabling the N = 10⁶ sweeps of Theorem 4.4's
-/// experiment.  For per-agent rules or network sampling use finite_dynamics
-/// — with the same group assignment the two engines induce the *same*
+/// experiment.  It is the one fully mixed count engine: scenario::make_engine
+/// also builds it for an `agent_based` spec with no graph and no per-agent
+/// rules.  For per-agent rules or network sampling use finite_dynamics —
+/// with the same group assignment the two engines induce the *same*
 /// distribution over trajectories (tested).
 ///
 /// The draw itself is sample_mixed_counts below, the one sampler of this
-/// law: each group of aggregate_dynamics and finite_dynamics' batched step
-/// call it.  Its m stage-2 binomials come from two binomial_tables per rule
-/// (p = α and p = β never change), so a step re-uses the sampler set-up of
-/// earlier steps' stage counts.
+/// law, called once per group.  Its m stage-2 binomials come from two
+/// binomial_tables per rule (p = α and p = β never change), so a step
+/// re-uses the sampler set-up of earlier steps' stage counts.
 
 #include <cstdint>
 #include <span>

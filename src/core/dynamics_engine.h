@@ -7,9 +7,10 @@
 /// equivalent formulations — finite agent-based (§2.1), exact aggregate
 /// (Propositions 4.1/4.2), and infinite mean-field (§4.2, eq. (1)) — all
 /// inducing the same law on the popularity trajectory in the homogeneous,
-/// fully mixed case.  The repo mirrors that: aggregate_dynamics (which also
-/// runs rule-group mixtures), finite_dynamics and infinite_dynamics are all
-/// `dynamics_engine`s, and every harness (the Monte-Carlo runner in
+/// fully mixed case.  The repo mirrors that: aggregate_dynamics (the one
+/// fully mixed count engine, which also runs rule-group mixtures),
+/// finite_dynamics (per-agent rules and/or a graph) and infinite_dynamics
+/// are all `dynamics_engine`s, and every harness (the Monte-Carlo runner in
 /// experiment.h, the scenario registry in scenario/, the CLI, and the
 /// benchmarks) drives them solely through this interface.
 ///
@@ -20,8 +21,7 @@
 ///     entries sum to the number of committed individuals;
 ///   * empty_steps() counts the steps on which nobody adopted (for the
 ///     infinite engine: the degenerate α = 0 annihilation steps);
-///   * step() consumes `gen` deterministically — engines that are
-///     distribution-equal may share streams (see the identical-law test).
+///   * step() consumes `gen` deterministically.
 
 #include <cstdint>
 #include <span>
@@ -36,8 +36,8 @@ class dynamics_engine {
 
   /// Back to the constructed state: the start the engine was built with
   /// (nobody committed and uniform popularity unless a start was given),
-  /// step/empty-step counters cleared.  Configuration installed through
-  /// setters (topology, per-agent rules) survives.  A reset() engine
+  /// step/empty-step counters cleared.  Constructor configuration
+  /// (topology, per-agent rules, rule groups) survives.  A reset() engine
   /// replays a freshly constructed one's trajectory bit for bit from the
   /// same streams, so the Monte-Carlo harness keeps one instance per
   /// worker and reset()s it between replications (core/experiment.h).

@@ -92,6 +92,9 @@ class replication_context {
   /// `probes` (begin_replication / on_step / end_replication).
   void run(const run_config& config, std::uint64_t replication, const probe_list& probes);
 
+  /// The engine, as the last run() left it (e.g. to read what it recorded).
+  [[nodiscard]] const dynamics_engine& engine() const noexcept { return *engine_; }
+
  private:
   bool fresh_ = true;  ///< just built: the state is already initial
   std::unique_ptr<env::reward_model> environment_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/step_kernel.h"
 #include "support/distributions.h"
@@ -14,10 +13,14 @@ finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_
                                  std::vector<adoption_rule> rules)
     : params_{params},
       topology_{std::move(topology)},
-      rules_{std::move(rules)},
-      binomials_{params.resolved_alpha(), params.beta} {
+      rules_{std::move(rules)} {
   params_.validate();
   if (num_agents == 0) throw std::invalid_argument{"finite_dynamics: no agents"};
+  if (topology_ == nullptr && rules_.empty()) {
+    throw std::invalid_argument{
+        "finite_dynamics: a fully mixed homogeneous population runs on "
+        "aggregate_dynamics (give a topology or per-agent rules)"};
+  }
   if (topology_ != nullptr && topology_->num_vertices() != num_agents) {
     throw std::invalid_argument{"finite_dynamics: topology vertex count != agents"};
   }
@@ -39,7 +42,6 @@ finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_
   choices_.assign(num_agents, -1);
   previous_choices_.assign(num_agents, -1);
   popularity_.assign(m, 0.0);
-  stage_weights_.assign(m, 0.0);
   adopter_counts_.assign(m, 0);
   stage_counts_.assign(m, 0);
   // The packed two-option view stores per-option counts in 16-bit halves,
@@ -58,7 +60,6 @@ finite_dynamics::finite_dynamics(const dynamics_params& params, std::size_t num_
 
 void finite_dynamics::reset() {
   std::fill(choices_.begin(), choices_.end(), -1);
-  choices_stale_ = false;
   std::fill(previous_choices_.begin(), previous_choices_.end(), -1);
   const double uniform = 1.0 / static_cast<double>(params_.num_options);
   std::fill(popularity_.begin(), popularity_.end(), uniform);
@@ -86,47 +87,12 @@ void finite_dynamics::step(std::span<const std::uint8_t> rewards, rng& gen) {
   }
   if (topology_ != nullptr) {
     step_network(rewards, gen);
-  } else if (rules_.empty()) {
-    step_batched(rewards, gen);
   } else if (params_.num_options <= 64) {
     step_mixed_vec(rewards, gen);
   } else {
     step_per_agent(rewards, gen);
   }
   finish_step();
-}
-
-void finite_dynamics::step_batched(std::span<const std::uint8_t> rewards, rng& gen) {
-  // Homogeneous + fully mixed: conditioned on Q^t the agent-level randomness
-  // factors exactly (Propositions 4.1/4.2) as
-  //   S ~ Multinomial(N, (1−μ)Q + μ/m),  D_j ~ Binomial(S_j, β^{R_j} α^{1−R_j}),
-  // drawn by the same function as aggregate_dynamics::step, so the two
-  // engines consume a shared stream identically.
-  const std::size_t m = params_.num_options;
-  const double mu = params_.mu;
-  for (std::size_t j = 0; j < m; ++j) {
-    stage_weights_[j] = (1.0 - mu) * popularity_[j] + mu / static_cast<double>(m);
-  }
-  adopters_ = sample_mixed_counts(gen, choices_.size(), stage_weights_, rewards,
-                                  binomials_, stage_counts_, adopter_counts_);
-  choices_stale_ = true;
-}
-
-void finite_dynamics::materialize_choices() const noexcept {
-  if (!choices_stale_) return;
-  // Agents are exchangeable under the homogeneous rule, so a block
-  // assignment realizes the same law for every count statistic (DESIGN.md
-  // §"Batched agent materialization"): the first S_0 agents considered
-  // option 0, of which the first D_0 committed, and so on.
-  auto* cursor = choices_.data();
-  for (std::size_t j = 0; j < stage_counts_.size(); ++j) {
-    const auto committed = static_cast<std::size_t>(adopter_counts_[j]);
-    const auto considered = static_cast<std::size_t>(stage_counts_[j]);
-    std::fill_n(cursor, committed, static_cast<std::int32_t>(j));
-    std::fill_n(cursor + committed, considered - committed, -1);
-    cursor += considered;
-  }
-  choices_stale_ = false;
 }
 
 void finite_dynamics::step_per_agent(std::span<const std::uint8_t> rewards, rng& gen) {

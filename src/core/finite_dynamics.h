@@ -2,8 +2,9 @@
 
 /// \file finite_dynamics.h
 /// The agent-based finite-population dynamics — the paper's actual object
-/// of study (§2.1).  Every individual is simulated explicitly, so the
-/// engine supports the full generality of the model:
+/// of study (§2.1) — for the populations whose agents are not
+/// exchangeable.  Every individual is simulated explicitly, so the engine
+/// supports the full generality of the model:
 ///
 ///   * heterogeneous adoption functions f_i = (α_i, β_i)  (§2.1 keeps them
 ///     identical "for simplicity in the exposition ... not essential"; a
@@ -13,18 +14,13 @@
 ///     problem 1) instead of the whole group;
 ///   * individuals sitting out (adopting nothing) for a step.
 ///
-/// In the homogeneous, fully mixed case the step factors exactly as in
-/// aggregate_dynamics (Propositions 4.1/4.2), and this engine takes the
-/// batched path: the same sample_mixed_counts draw — one multinomial for
-/// stage 1, m binomials for stage 2 — so the two engines consume a shared
-/// stream identically and produce bit-identical popularity trajectories
-/// (tested).  That step is O(m): it updates the counts only, and the
-/// per-agent choices are written from them the first time choices() reads
-/// them.  Heterogeneous rules without a topology take the O(N) per-agent
-/// step: the vectorized mixed kernel for m ≤ 64 (stream derivation v3,
-/// core/step_kernel.h), a scalar v2 loop above that.  Rules and topology
-/// are constructor arguments, so an engine's step path is fixed when it
-/// is built.
+/// A homogeneous, fully mixed population is exactly the count process of
+/// Propositions 4.1/4.2 and runs on aggregate_dynamics, so this engine
+/// needs a topology, per-agent rules, or both.  Per-agent rules without a
+/// topology take the O(N) per-agent step: the vectorized mixed kernel for
+/// m ≤ 64 (stream derivation v3, core/step_kernel.h), a scalar v2 loop
+/// above that.  Rules and topology are constructor arguments, so an
+/// engine's step path is fixed when it is built.
 ///
 /// Network mode has its own path: an **incremental committed-neighbour
 /// view** — per-vertex, per-option counts of committed neighbours, updated
@@ -51,7 +47,6 @@
 #include <span>
 #include <vector>
 
-#include "core/aggregate_dynamics.h"  // sample_mixed_counts
 #include "core/dynamics_engine.h"
 #include "core/params.h"
 #include "graph/graph.h"
@@ -68,7 +63,8 @@ class finite_dynamics : public dynamics_engine {
   /// when empty, the homogeneous rule of `params`; both are fixed for the
   /// engine's life.  Throws std::invalid_argument on invalid parameters,
   /// num_agents == 0, a graph or non-empty `rules` not sized num_agents,
-  /// or a rule outside 0 ≤ α_i ≤ β_i ≤ 1.
+  /// a rule outside 0 ≤ α_i ≤ β_i ≤ 1, or neither a topology nor rules
+  /// (that population is aggregate_dynamics').
   finite_dynamics(const dynamics_params& params, std::size_t num_agents,
                   std::shared_ptr<const graph::graph> topology = nullptr,
                   std::vector<adoption_rule> rules = {});
@@ -92,13 +88,8 @@ class finite_dynamics : public dynamics_engine {
     return popularity_;
   }
 
-  /// Current choice of each agent; -1 means sitting out.  After a batched
-  /// step the choices exist only as counts: the first read writes them
-  /// (O(N), DESIGN.md "Batched agent materialization").  So this const
-  /// accessor may write the engine's buffer — do not call it concurrently
-  /// with any other use of the same engine.
+  /// Current choice of each agent; -1 means sitting out.
   [[nodiscard]] std::span<const std::int32_t> choices() const noexcept {
-    if (choices_stale_) materialize_choices();
     return choices_;
   }
 
@@ -147,15 +138,6 @@ class finite_dynamics : public dynamics_engine {
   /// uniform fallback while committed neighbours exist).
   static constexpr int rejection_cap = 64;
 
-  /// O(m) step for the homogeneous, fully mixed case: the exact
-  /// multinomial/binomial factorization (sample_mixed_counts, shared with
-  /// aggregate_dynamics).  Leaves choices_ stale.
-  void step_batched(std::span<const std::uint8_t> rewards, rng& gen);
-
-  /// Writes choices_ from the last batched step's stage and adopter counts
-  /// in option-major blocks, and clears the stale mark.
-  void materialize_choices() const noexcept;
-
   /// O(N) per-agent loop (derivation v2): heterogeneous rules, fully mixed
   /// (no topology), m > 64 — beyond the mixed kernel's CDF ladder.
   void step_per_agent(std::span<const std::uint8_t> rewards, rng& gen);
@@ -184,16 +166,11 @@ class finite_dynamics : public dynamics_engine {
   dynamics_params params_;
   std::shared_ptr<const graph::graph> topology_;
   std::vector<adoption_rule> rules_;  // empty = homogeneous params_ rule
-  // Written on demand after batched steps (materialize_choices), hence
-  // mutable: choices() is const.
-  mutable std::vector<std::int32_t> choices_;
-  mutable bool choices_stale_ = false;
+  std::vector<std::int32_t> choices_;
   std::vector<std::int32_t> previous_choices_;  // network mode reads these
   std::vector<double> popularity_;
-  std::vector<double> stage_weights_;  // batched path: (1−μ)Q + μ/m
   std::vector<std::uint64_t> adopter_counts_;
   std::vector<std::uint64_t> stage_counts_;
-  adoption_binomials binomials_;  // batched path: the stage-2 samplers
   // Network mode: neighbor_view_[v*m + j] = committed neighbours of v on
   // option j (m == 2: one word per vertex, option 1 in the high half),
   // always consistent with choices_; maintained by apply_view_deltas.

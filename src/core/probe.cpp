@@ -786,7 +786,9 @@ class partition_divergence_probe final : public folding_probe {
 // --- concentration ----------------------------------------------------------
 
 /// The one rule of a homogeneous aggregate engine, or null: the analysis
-/// probes apply to the exact aggregate engine with exactly one rule group.
+/// probes apply to the exact aggregate engine with exactly one rule group
+/// (what an `aggregate`, a one-group `grouped` and a fully mixed
+/// `agent_based` spec without per-agent rules all build).
 const adoption_rule* single_rule(const aggregate_dynamics* engine) {
   if (engine == nullptr || engine->groups().size() != 1) return nullptr;
   return &engine->groups().front().rule;
@@ -794,8 +796,9 @@ const adoption_rule* single_rule(const aggregate_dynamics* engine) {
 
 /// Propositions 4.1–4.3 (per-stage concentration), on the exact aggregate
 /// engine with exactly one rule group (α and β are that group's rule; an
-/// `engine = "grouped"` spec with one group qualifies, a mixture reports
-/// zero replications).  Conditioned on Q^{t−1}, each step's counts should satisfy
+/// `engine = "grouped"` spec with one group and an `agent_based` spec with
+/// no graph and no per-agent rules qualify, a mixture reports zero
+/// replications).  Conditioned on Q^{t−1}, each step's counts should satisfy
 ///   |S_j / E[S_j] − 1|         <= 2δ′   (Prop 4.1),
 ///   |D_j / (S_j g_j) − 1|      <= 2δ″   (Prop 4.2),
 ///   |D_j / (E[S_j] g_j) − 1|   <= 6δ″   (Prop 4.3),
@@ -891,9 +894,10 @@ class concentration_probe final : public folding_probe {
 // --- coupling ---------------------------------------------------------------
 
 /// Lemma 4.5's coupling, on the exact aggregate engine with exactly one
-/// rule group (as concentration): a shadow infinite_dynamics with that
-/// group's (α, β) starts from step 1's Q^0 and steps on every step's
-/// rewards, so P^t and Q^t share the reward realization.  Reported:
+/// rule group (the specs concentration applies to): a shadow
+/// infinite_dynamics with that group's (α, β) starts from step 1's Q^0 and
+/// steps on every step's rewards, so P^t and Q^t share the reward
+/// realization.  Reported:
 ///   deviation / deviation_max — per replication the worst ratio deviation
 ///       max_j max(P_j/Q_j, Q_j/P_j) − 1 over its steps, capped at 10 (a
 ///       zero popularity makes the ratio infinite); `capped_steps` counts

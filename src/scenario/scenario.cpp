@@ -296,6 +296,11 @@ core::engine_factory make_engine(const scenario_spec& spec) {
     case engine_kind::aggregate:
       return core::make_finite_engine_factory(spec.params, spec.num_agents);
     case engine_kind::agent_based:
+      // A homogeneous, fully mixed population is exactly the count process
+      // of Propositions 4.1/4.2: explicit agents would only re-draw it.
+      if (topology == nullptr && spec.agent_rules.empty()) {
+        return core::make_finite_engine_factory(spec.params, spec.num_agents);
+      }
       return [params = spec.params, num_agents = spec.num_agents, topology,
               rules = spec.agent_rules] {
         return std::make_unique<core::finite_dynamics>(
@@ -369,7 +374,8 @@ void validate_spec(const scenario_spec& spec) {
         topology_build_error(spec.topology, static_cast<std::size_t>(spec.num_agents));
     if (!error.empty()) throw std::invalid_argument{where(error.c_str())};
   }
-  if ((kind == engine_kind::agent_based || kind == engine_kind::protocol) &&
+  if ((kind == engine_kind::aggregate || kind == engine_kind::agent_based ||
+       kind == engine_kind::protocol) &&
       spec.num_agents == 0) {
     throw std::invalid_argument{where("the ") + std::string{engine_name(kind)} +
                                 " engine needs num_agents >= 1"};

@@ -30,7 +30,9 @@ enum class engine_kind {
                 ///< infinite if num_agents == 0, exact aggregate otherwise
   infinite,     ///< mean-field stochastic MWU (§4.2)
   aggregate,    ///< exact O(m) aggregate (Propositions 4.1/4.2)
-  agent_based,  ///< explicit agents (§2.1); required for topology/rules
+  agent_based,  ///< explicit agents (§2.1); required for topology/rules.
+                ///< With neither, the population is fully mixed and
+                ///< homogeneous, and runs on the aggregate engine
   grouped,      ///< exact O(G·m) aggregate of a rule mixture
   protocol,     ///< netsim-backed gossip protocol (§6 converse); never
                 ///< auto-selected — set it explicitly

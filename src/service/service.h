@@ -58,9 +58,9 @@ struct session_options {
   std::function<bool(std::string_view line)> write_line;
 
   /// Crash-test hook: invoked after each *computed* point's event has
-  /// been written (never for cache hits).  The daemon's
-  /// --exit-after-points uses it to die at a deterministic place so CI
-  /// can test kill-and-resume.
+  /// been written (never for cache hits).  The daemon's fail point
+  /// `daemon.point_computed` uses it to die at a deterministic place so
+  /// kill-and-resume is testable.
   std::function<void()> on_point_computed;
 
   /// Wall-clock budget applied to submissions that do not carry their own

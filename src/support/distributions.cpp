@@ -34,7 +34,8 @@ namespace {
 
 /// Binomial(n, p) by sequential inversion over the pmf ladder: pmf[k] for
 /// k < setup.rungs is read, the rest is computed by the recurrence and
-/// kept while it fits in `pmf`.
+/// kept while it fits in `pmf`.  setup.rungs never exceeds pmf.size(); the
+/// read tests both so the compiler sees the bound of a one-rung ladder.
 [[nodiscard, gnu::always_inline]] inline std::uint64_t inversion_draw(
     rng& gen, std::uint64_t n, detail::inversion_setup& setup, std::span<double> pmf) noexcept {
   double r = pmf[0];
@@ -43,7 +44,7 @@ namespace {
   while (u > r && k < n) {
     u -= r;
     ++k;
-    if (k < setup.rungs) {
+    if (k < setup.rungs && k < pmf.size()) {
       r = pmf[k];
       continue;
     }

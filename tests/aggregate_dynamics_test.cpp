@@ -9,6 +9,7 @@
 
 #include "core/finite_dynamics.h"
 #include "core/params.h"
+#include "identical_agents.h"
 #include "support/gof.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -161,7 +162,7 @@ TEST(aggregate_dynamics, same_law_as_agent_based_one_step) {
   std::map<std::uint64_t, std::uint64_t> aggregate_hist;
   for (int rep = 0; rep < reps; ++rep) {
     rng g1 = rng::from_stream(100, static_cast<std::uint64_t>(rep));
-    finite_dynamics agent{params, n};
+    finite_dynamics agent = identical_agents(params, n);
     agent.step(r, g1);
     const std::uint64_t key_a = agent.adopter_counts()[0] * 16 + agent.adopter_counts()[1];
     ++agent_hist[key_a];
@@ -188,7 +189,7 @@ TEST(aggregate_dynamics, same_law_as_agent_based_three_steps) {
   std::map<std::uint64_t, std::uint64_t> aggregate_hist;
   for (int rep = 0; rep < reps; ++rep) {
     rng g1 = rng::from_stream(300, static_cast<std::uint64_t>(rep));
-    finite_dynamics agent{params, n};
+    finite_dynamics agent = identical_agents(params, n);
     for (const auto& r : schedule) agent.step(r, g1);
     const auto da = agent.adopter_counts();
     ++agent_hist[(da[0] * 8 + da[1]) * 8 + da[2]];
@@ -216,7 +217,7 @@ TEST(aggregate_dynamics, matches_agent_based_mean_trajectory) {
   for (int rep = 0; rep < reps; ++rep) {
     rng env1 = rng::from_stream(500, static_cast<std::uint64_t>(rep));
     rng g1 = rng::from_stream(600, static_cast<std::uint64_t>(rep));
-    finite_dynamics agent{params, n};
+    finite_dynamics agent = identical_agents(params, n);
     std::vector<std::uint8_t> r(3);
     for (int t = 0; t < 30; ++t) {
       for (std::size_t j = 0; j < 3; ++j) r[j] = env1.next_bernoulli(etas[j]) ? 1 : 0;

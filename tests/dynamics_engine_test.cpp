@@ -1,9 +1,6 @@
 // Property and invariant tests for the dynamics_engine interface: every
 // engine, driven polymorphically, must keep popularity on the simplex,
-// keep adopter counts consistent with popularity, and honour reset();
-// and the aggregate and agent-based engines must produce *identical*
-// trajectories from a shared stream in the homogeneous mixed case (they
-// sample the same multinomial/binomial factorization in the same order).
+// keep adopter counts consistent with popularity, and honour reset().
 
 #include "core/dynamics_engine.h"
 
@@ -22,6 +19,7 @@
 #include "core/params.h"
 #include "core/probe.h"
 #include "env/reward_model.h"
+#include "identical_agents.h"
 #include "support/rng.h"
 
 namespace sgl::core {
@@ -42,7 +40,7 @@ std::vector<std::unique_ptr<dynamics_engine>> all_engines(const dynamics_params&
   std::vector<std::unique_ptr<dynamics_engine>> engines;
   engines.push_back(std::make_unique<aggregate_dynamics>(params, num_agents));
   engines.push_back(std::make_unique<finite_dynamics>(
-      params, static_cast<std::size_t>(num_agents)));
+      identical_agents(params, static_cast<std::size_t>(num_agents))));
   engines.push_back(std::make_unique<infinite_dynamics>(params));
   engines.push_back(std::make_unique<aggregate_dynamics>(
       params, std::vector<rule_group>{{num_agents / 2, {0.1, 0.9}},
@@ -109,7 +107,7 @@ TEST(dynamics_engine, empty_steps_counted_and_uniform) {
   const std::vector<std::uint8_t> all_bad{0, 0, 0};
   std::vector<std::unique_ptr<dynamics_engine>> engines;
   engines.push_back(std::make_unique<aggregate_dynamics>(params, 50));
-  engines.push_back(std::make_unique<finite_dynamics>(params, 50));
+  engines.push_back(std::make_unique<finite_dynamics>(identical_agents(params, 50)));
   engines.push_back(std::make_unique<infinite_dynamics>(params));
   engines.push_back(std::make_unique<aggregate_dynamics>(
       params, std::vector<rule_group>{{50, {0.0, 1.0}}}));
@@ -136,69 +134,6 @@ TEST(dynamics_engine, reset_restores_the_initial_state) {
   }
 }
 
-TEST(dynamics_engine, aggregate_and_agent_based_share_the_law_exactly) {
-  // Homogeneous + fully mixed: the agent-based engine takes the batched
-  // multinomial/binomial path, which consumes the generator identically to
-  // the aggregate engine — same seed, same rewards, bit-identical
-  // popularity trajectory *through the interface*.
-  const dynamics_params params = make_params(6, 0.08, 0.64);
-  constexpr std::uint64_t n = 1234;
-  std::unique_ptr<dynamics_engine> agg = std::make_unique<aggregate_dynamics>(params, n);
-  std::unique_ptr<dynamics_engine> fin =
-      std::make_unique<finite_dynamics>(params, static_cast<std::size_t>(n));
-
-  rng gen_a{2024};
-  rng gen_f{2024};
-  rng env_gen{99};
-  std::vector<std::uint8_t> rewards(6);
-  for (int t = 0; t < 400; ++t) {
-    for (auto& x : rewards) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
-    agg->step(rewards, gen_a);
-    fin->step(rewards, gen_f);
-    ASSERT_EQ(gen_a, gen_f) << "engines consumed the stream differently at t=" << t;
-    const auto qa = agg->popularity();
-    const auto qf = fin->popularity();
-    const auto da = agg->adopter_counts();
-    const auto df = fin->adopter_counts();
-    for (std::size_t j = 0; j < 6; ++j) {
-      ASSERT_EQ(da[j], df[j]) << "adopter counts diverged at t=" << t;
-      ASSERT_DOUBLE_EQ(qa[j], qf[j]) << "popularity diverged at t=" << t;
-    }
-    EXPECT_EQ(agg->empty_steps(), fin->empty_steps());
-  }
-}
-
-TEST(dynamics_engine, batched_choices_are_consistent_with_counts) {
-  // The batched path materializes per-agent choices from the sampled
-  // counts; they must tally exactly and respect stage counts.
-  const dynamics_params params = make_params(4, 0.1, 0.65);
-  finite_dynamics dyn{params, 5000};
-  rng gen{21};
-  rng env_gen{22};
-  std::vector<std::uint8_t> rewards(4);
-  for (int t = 0; t < 100; ++t) {
-    for (auto& x : rewards) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
-    dyn.step(rewards, gen);
-    std::vector<std::uint64_t> tally(4, 0);
-    std::uint64_t sitting_out = 0;
-    for (const std::int32_t c : dyn.choices()) {
-      if (c >= 0) {
-        ++tally[static_cast<std::size_t>(c)];
-      } else {
-        ++sitting_out;
-      }
-    }
-    std::uint64_t stage_total = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      ASSERT_EQ(tally[j], dyn.adopter_counts()[j]);
-      ASSERT_LE(dyn.adopter_counts()[j], dyn.stage_counts()[j]);
-      stage_total += dyn.stage_counts()[j];
-    }
-    ASSERT_EQ(stage_total, 5000U);
-    ASSERT_EQ(sitting_out + dyn.adopters(), 5000U);
-  }
-}
-
 TEST(dynamics_engine, run_with_probes_accepts_any_engine_factory) {
   // The generic runner only sees dynamics_engine; every engine kind must
   // run through it under the regret probe alone and with the trajectory
@@ -210,7 +145,7 @@ TEST(dynamics_engine, run_with_probes_accepts_any_engine_factory) {
   const std::vector<engine_factory> factories{
       [&] { return std::make_unique<infinite_dynamics>(params); },
       [&] { return std::make_unique<aggregate_dynamics>(params, 500); },
-      [&] { return std::make_unique<finite_dynamics>(params, 500); },
+      [&] { return std::make_unique<finite_dynamics>(identical_agents(params, 500)); },
       [&] {
         return std::make_unique<aggregate_dynamics>(
             params, std::vector<rule_group>{{500, {0.35, 0.65}}});

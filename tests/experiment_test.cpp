@@ -17,6 +17,7 @@
 #include "core/probe.h"
 #include "env/reward_model.h"
 #include "graph/graph.h"
+#include "identical_agents.h"
 
 namespace sgl::core {
 namespace {
@@ -61,10 +62,14 @@ double scalar(const probe_report& report, std::string_view key) {
   return found->value;
 }
 
-/// The agent-based engine (fully mixed, or on `topology` when given).
+/// The agent-based engine on `topology`, or fully mixed with every agent
+/// holding the params' rule.
 engine_factory agent_based(const dynamics_params& params, std::size_t num_agents,
                            std::shared_ptr<const graph::graph> topology = nullptr) {
   return [params, num_agents, topology] {
+    if (topology == nullptr) {
+      return std::make_unique<finite_dynamics>(identical_agents(params, num_agents));
+    }
     return std::make_unique<finite_dynamics>(params, num_agents, topology);
   };
 }

@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/params.h"
 #include "graph/graph.h"
+#include "identical_agents.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
@@ -26,7 +29,7 @@ dynamics_params make_params(std::size_t m, double mu, double beta, double alpha 
 }
 
 TEST(finite_dynamics, initial_state) {
-  const finite_dynamics dyn{make_params(3, 0.1, 0.6), 50};
+  const finite_dynamics dyn = identical_agents(make_params(3, 0.1, 0.6), 50);
   EXPECT_EQ(dyn.num_agents(), 50U);
   EXPECT_EQ(dyn.adopters(), 0U);
   EXPECT_EQ(dyn.steps(), 0U);
@@ -35,7 +38,7 @@ TEST(finite_dynamics, initial_state) {
 }
 
 TEST(finite_dynamics, invariants_hold_across_steps) {
-  finite_dynamics dyn{make_params(4, 0.1, 0.65), 200};
+  finite_dynamics dyn = identical_agents(make_params(4, 0.1, 0.65), 200);
   rng gen{1};
   std::vector<std::uint8_t> r(4);
   rng env_gen{2};
@@ -70,7 +73,7 @@ TEST(finite_dynamics, invariants_hold_across_steps) {
 }
 
 TEST(finite_dynamics, single_agent_population_works) {
-  finite_dynamics dyn{make_params(3, 0.2, 1.0, 1.0), 1};
+  finite_dynamics dyn = identical_agents(make_params(3, 0.2, 1.0, 1.0), 1);
   rng gen{21};
   dyn.step(std::vector<std::uint8_t>{1, 1, 1}, gen);
   EXPECT_EQ(dyn.num_agents(), 1U);
@@ -79,7 +82,7 @@ TEST(finite_dynamics, single_agent_population_works) {
 }
 
 TEST(finite_dynamics, pure_copy_regime_never_sits_out) {
-  finite_dynamics dyn{make_params(3, 0.2, 1.0, 1.0), 100};
+  finite_dynamics dyn = identical_agents(make_params(3, 0.2, 1.0, 1.0), 100);
   rng gen{3};
   const std::vector<std::uint8_t> r{0, 1, 0};
   for (int t = 0; t < 100; ++t) {
@@ -91,7 +94,7 @@ TEST(finite_dynamics, pure_copy_regime_never_sits_out) {
 
 TEST(finite_dynamics, alpha_zero_bad_signals_empty_population) {
   // beta=1, alpha=0, all signals bad: nobody can adopt.
-  finite_dynamics dyn{make_params(2, 0.5, 1.0, 0.0), 50};
+  finite_dynamics dyn = identical_agents(make_params(2, 0.5, 1.0, 0.0), 50);
   rng gen{4};
   const std::vector<std::uint8_t> all_bad{0, 0};
   dyn.step(all_bad, gen);
@@ -102,7 +105,7 @@ TEST(finite_dynamics, alpha_zero_bad_signals_empty_population) {
 
 TEST(finite_dynamics, mu_one_samples_uniformly) {
   // mu = 1: stage-1 counts are Multinomial(N, uniform) regardless of history.
-  finite_dynamics dyn{make_params(4, 1.0, 1.0, 1.0), 4000};
+  finite_dynamics dyn = identical_agents(make_params(4, 1.0, 1.0, 1.0), 4000);
   rng gen{5};
   const std::vector<std::uint8_t> r{1, 1, 1, 1};
   std::vector<running_stats> s(4);
@@ -118,7 +121,7 @@ TEST(finite_dynamics, mu_one_samples_uniformly) {
 TEST(finite_dynamics, mu_zero_herds_to_consensus) {
   // No exploration, signal-independent adoption (alpha = beta = 1): pure
   // Polya-style copying must fixate on a single option and stay there.
-  finite_dynamics dyn{make_params(3, 0.0, 1.0, 1.0), 60};
+  finite_dynamics dyn = identical_agents(make_params(3, 0.0, 1.0, 1.0), 60);
   rng gen{6};
   const std::vector<std::uint8_t> r{1, 1, 1};
   for (int t = 0; t < 2000; ++t) dyn.step(r, gen);
@@ -133,7 +136,7 @@ TEST(finite_dynamics, mu_zero_herds_to_consensus) {
 
 TEST(finite_dynamics, converges_to_best_option) {
   const dynamics_params params = theorem_params(3, 0.6);
-  finite_dynamics dyn{params, 500};
+  finite_dynamics dyn = identical_agents(params, 500);
   rng gen{7};
   rng env_gen{8};
   const std::vector<double> etas{0.9, 0.2, 0.2};
@@ -149,8 +152,8 @@ TEST(finite_dynamics, converges_to_best_option) {
 
 TEST(finite_dynamics, same_seed_reproduces_exactly) {
   const dynamics_params params = make_params(3, 0.1, 0.6);
-  finite_dynamics a{params, 100};
-  finite_dynamics b{params, 100};
+  finite_dynamics a = identical_agents(params, 100);
+  finite_dynamics b = identical_agents(params, 100);
   rng ga{9};
   rng gb{9};
   rng env_gen{10};
@@ -164,60 +167,13 @@ TEST(finite_dynamics, same_seed_reproduces_exactly) {
 }
 
 TEST(finite_dynamics, reset_clears_everything) {
-  finite_dynamics dyn{make_params(2, 0.1, 0.7), 30};
+  finite_dynamics dyn = identical_agents(make_params(2, 0.1, 0.7), 30);
   rng gen{11};
   dyn.step(std::vector<std::uint8_t>{1, 0}, gen);
   dyn.reset();
   EXPECT_EQ(dyn.steps(), 0U);
   EXPECT_EQ(dyn.adopters(), 0U);
   EXPECT_DOUBLE_EQ(dyn.popularity()[0], 0.5);
-  for (const std::int32_t c : dyn.choices()) EXPECT_EQ(c, -1);
-}
-
-// --- on-demand choices (batched path) -----------------------------------------------
-
-// The option-major block layout the batched step defines: the first S_0
-// agents considered option 0, of which the first D_0 committed, and so on.
-std::vector<std::int32_t> block_layout(const finite_dynamics& dyn) {
-  std::vector<std::int32_t> out;
-  const auto stage = dyn.stage_counts();
-  const auto adopt = dyn.adopter_counts();
-  for (std::size_t j = 0; j < stage.size(); ++j) {
-    out.insert(out.end(), adopt[j], static_cast<std::int32_t>(j));
-    out.insert(out.end(), stage[j] - adopt[j], -1);
-  }
-  return out;
-}
-
-std::vector<std::int32_t> copy_choices(const finite_dynamics& dyn) {
-  return {dyn.choices().begin(), dyn.choices().end()};
-}
-
-TEST(finite_dynamics, batched_choices_are_the_block_layout_of_the_counts) {
-  finite_dynamics read_every_step{make_params(4, 0.1, 0.65), 300};
-  finite_dynamics read_at_end{make_params(4, 0.1, 0.65), 300};
-  rng ga{31};
-  rng gb{31};
-  rng env_gen{32};
-  std::vector<std::uint8_t> r(4);
-  for (int t = 0; t < 40; ++t) {
-    for (auto& x : r) x = env_gen.next_bernoulli(0.5) ? 1 : 0;
-    read_every_step.step(r, ga);
-    read_at_end.step(r, gb);
-    ASSERT_EQ(copy_choices(read_every_step), block_layout(read_every_step)) << "t=" << t;
-  }
-  // Reading the choices draws nothing and changes nothing.
-  EXPECT_EQ(ga, gb);
-  EXPECT_EQ(copy_choices(read_at_end), copy_choices(read_every_step));
-  EXPECT_EQ(copy_choices(read_at_end), block_layout(read_at_end));
-}
-
-TEST(finite_dynamics, reset_after_unread_batched_steps_clears_choices) {
-  finite_dynamics dyn{make_params(2, 0.1, 0.7), 64};
-  rng gen{35};
-  for (int t = 0; t < 8; ++t) dyn.step(std::vector<std::uint8_t>{1, 0}, gen);
-  ASSERT_GT(dyn.adopters(), 0U);
-  dyn.reset();
   for (const std::int32_t c : dyn.choices()) EXPECT_EQ(c, -1);
 }
 
@@ -254,6 +210,18 @@ TEST(finite_dynamics, mixed_population_biases_towards_sensitive_agents) {
   for (int t = 0; t < 20; ++t) {
     dyn.step(std::vector<std::uint8_t>{1, 0}, gen);
     EXPECT_EQ(dyn.adopters(), 50U);
+  }
+}
+
+TEST(finite_dynamics, refuses_a_fully_mixed_homogeneous_population) {
+  // Neither a topology nor per-agent rules: that population is the count
+  // process aggregate_dynamics runs, and the refusal says so.
+  try {
+    const finite_dynamics dyn{make_params(2, 0.1, 0.6), 10};
+    FAIL() << "constructed a fully mixed homogeneous finite_dynamics";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("aggregate_dynamics"), std::string::npos)
+        << error.what();
   }
 }
 
@@ -300,7 +268,7 @@ TEST(finite_dynamics, network_convergence_on_complete_graph_matches_mixed) {
   const dynamics_params params = theorem_params(2, 0.62);
   finite_dynamics with_graph{params, 200,
                              std::make_shared<const graph::graph>(graph::graph::complete(200))};
-  finite_dynamics mixed{params, 200};
+  finite_dynamics mixed = identical_agents(params, 200);
 
   rng g1{17};
   rng g2{18};
@@ -324,9 +292,9 @@ TEST(finite_dynamics, network_convergence_on_complete_graph_matches_mixed) {
 }
 
 TEST(finite_dynamics, rejects_bad_construction) {
-  EXPECT_THROW((finite_dynamics{make_params(2, 0.1, 0.6), 0}), std::invalid_argument);
-  EXPECT_THROW((finite_dynamics{make_params(0, 0.1, 0.6), 10}), std::invalid_argument);
-  finite_dynamics dyn{make_params(2, 0.1, 0.6), 10};
+  EXPECT_THROW(identical_agents(make_params(2, 0.1, 0.6), 0), std::invalid_argument);
+  EXPECT_THROW(identical_agents(make_params(0, 0.1, 0.6), 10), std::invalid_argument);
+  finite_dynamics dyn = identical_agents(make_params(2, 0.1, 0.6), 10);
   rng gen{20};
   EXPECT_THROW(dyn.step(std::vector<std::uint8_t>{1}, gen), std::invalid_argument);
 }

@@ -16,6 +16,7 @@
 
 #include "core/finite_dynamics.h"
 #include "core/params.h"
+#include "identical_agents.h"
 #include "support/gof.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -109,7 +110,7 @@ TEST(aggregate_mixture, single_group_matches_agent_based_mean_trajectory) {
   for (int rep = 0; rep < reps; ++rep) {
     rng env_gen = rng::from_stream(10, static_cast<std::uint64_t>(rep));
     rng gen = rng::from_stream(12, static_cast<std::uint64_t>(rep));
-    finite_dynamics dyn{params, 500};
+    finite_dynamics dyn = identical_agents(params, 500);
     std::vector<std::uint8_t> r(2);
     for (int t = 1; t <= 40; ++t) {
       r[0] = env_gen.next_bernoulli(0.85) ? 1 : 0;

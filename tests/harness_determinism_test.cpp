@@ -254,9 +254,10 @@ TEST(reset_reuse_law, grouped) {
   });
 }
 
-TEST(reset_reuse_law, finite_mixed_homogeneous) {
+TEST(reset_reuse_law, agent_based_fully_mixed) {
+  // An agent_based spec with no graph and no per-agent rules builds this.
   expect_reset_reuse_law(
-      [] { return std::make_unique<core::finite_dynamics>(test_params(4), 400); });
+      [] { return std::make_unique<core::aggregate_dynamics>(test_params(4), 400); });
 }
 
 TEST(reset_reuse_law, finite_per_agent_rules) {

@@ -11,7 +11,6 @@
 
 #include "core/aggregate_dynamics.h"
 #include "core/experiment.h"
-#include "core/finite_dynamics.h"
 #include "core/params.h"
 #include "core/probe.h"
 #include "core/theory.h"
@@ -101,7 +100,7 @@ TEST(integration, ef_direct_and_reduced_models_agree) {
     params.mu = mu;
     params.beta = reduced.beta;
     params.alpha = reduced.alpha;
-    core::finite_dynamics binary{params, n};
+    core::aggregate_dynamics binary{params, n};
     env::exclusive_rewards environment{{reduced.eta1, reduced.eta2}};
     rng env_gen = rng::from_stream(2, static_cast<std::uint64_t>(3 * rep + 2));
     rng bin_gen = rng::from_stream(3, static_cast<std::uint64_t>(rep));

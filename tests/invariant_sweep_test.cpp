@@ -14,6 +14,7 @@
 #include "core/finite_dynamics.h"
 #include "core/infinite_dynamics.h"
 #include "graph/graph.h"
+#include "identical_agents.h"
 #include "support/rng.h"
 
 namespace sgl {
@@ -99,7 +100,7 @@ TEST_P(randomized_invariants, every_engine_keeps_its_invariants) {
     const std::size_t m = params.num_options;
     const std::uint64_t n = 1 + meta.next_below(300);
 
-    core::finite_dynamics agent{params, static_cast<std::size_t>(n)};
+    core::finite_dynamics agent = core::identical_agents(params, static_cast<std::size_t>(n));
     core::aggregate_dynamics aggregate{params, n};
     core::infinite_dynamics infinite{params};
     core::aggregate_dynamics grouped{

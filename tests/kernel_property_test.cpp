@@ -46,7 +46,7 @@ dynamics_params make_params(std::size_t m, double mu, double beta,
   return p;
 }
 
-/// Mildly heterogeneous rules so the per-agent (not batched) path runs.
+/// Mildly heterogeneous rules for the per-agent path.
 std::vector<adoption_rule> varied_rules(std::size_t n) {
   std::vector<adoption_rule> rules(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -23,6 +23,7 @@
 
 #include "core/params.h"
 #include "graph/graph.h"
+#include "identical_agents.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
@@ -300,7 +301,7 @@ TEST(network_dynamics, committed_neighbors_needs_the_incremental_view) {
       std::make_shared<const graph::graph>(graph::graph::two_cliques(40, 2));
   const finite_dynamics dense{make_params(2, 0.1, 0.7), 80, cliques};
   EXPECT_THROW((void)dense.committed_neighbors(0, 0), std::out_of_range);
-  const finite_dynamics mixed{make_params(2, 0.1, 0.7), 80};
+  const finite_dynamics mixed = identical_agents(make_params(2, 0.1, 0.7), 80);
   EXPECT_THROW((void)mixed.committed_neighbors(0, 0), std::out_of_range);
   const finite_dynamics sparse{make_params(3, 0.1, 0.7), 64,
                                std::make_shared<const graph::graph>(graph::graph::ring(64))};

@@ -110,4 +110,33 @@ TEST(engine_law_property, aggregate_spec_equals_single_group_spec) {
       /*default_iterations=*/40);
 }
 
+// An agent_based spec with no graph and no per-agent rules is the same
+// fully mixed count process, so it must report exactly what its aggregate
+// twin reports — every probe, concentration and coupling included.
+TEST(engine_law_property, aggregate_spec_equals_agent_based_spec) {
+  testgen::check_scenario_property(
+      [](scenario::scenario_spec spec) -> std::string {
+        try {
+          if (scenario::resolved_engine(spec) != scenario::engine_kind::aggregate) {
+            return {};
+          }
+          scenario::scenario_spec agents = spec;
+          agents.engine = scenario::engine_kind::agent_based;
+          const std::string validity = scenario::validate_spec_error(agents);
+          if (!validity.empty()) {
+            return "agent_based rewrite fails validate_spec: " + validity;
+          }
+          const core::run_config config = testgen::property_run_config();
+          if (testgen::run_fingerprint(spec, config) !=
+              testgen::run_fingerprint(agents, config)) {
+            return "aggregate spec and its agent_based twin diverge";
+          }
+          return {};
+        } catch (const std::exception& error) {
+          return std::string{"unexpected exception: "} + error.what();
+        }
+      },
+      /*default_iterations=*/40);
+}
+
 }  // namespace

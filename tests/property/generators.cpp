@@ -247,9 +247,10 @@ void fill_probes(prng& rng, scenario_spec& spec) {
       "popularity_floor",
       "popularity_floor(floor=0.01)",
       "concentration",   // these six report zero replications off their
-      "coupling",        // engine (aggregate, aggregate, infinite; protocol
-      "proof_audit",     // for the last three), which is itself part of the
-      "message_cost",    // contract under test
+      "coupling",        // engine (one-rule count engine: aggregate, one-
+      "proof_audit",     // group grouped or fully mixed agent_based; then
+      "message_cost",    // infinite; protocol for the last three), which is
+                         // itself part of the contract under test
       "commit_latency",
       "adoption",
   };

@@ -22,7 +22,8 @@
 //      verified by a pooled chi-square test (support/gof) against the
 //      closed-form category probabilities;
 //   2. a multi-round statistical comparison of the protocol against
-//      finite_dynamics (the agent-based engine, fully mixed) on final
+//      finite_dynamics (the agent-based engine, fully mixed, every agent
+//      holding the same rule) on final
 //      best-option popularity and adopter counts, within 4.5σ of the
 //      difference of means.  Residual model gap: the protocol samples
 //      among the OTHER N-1 nodes (no self-copy) and falls back to uniform
@@ -40,6 +41,7 @@
 
 #include "core/finite_dynamics.h"
 #include "core/params.h"
+#include "identical_agents.h"
 #include "protocol/protocol_engine.h"
 #include "support/gof.h"
 #include "support/rng.h"
@@ -127,7 +129,7 @@ TEST(protocol_law, multi_round_adoption_matches_finite_dynamics) {
 
   for (int r = 0; r < replications; ++r) {
     protocol::protocol_engine gossip{config, num_nodes};
-    core::finite_dynamics reference{params, num_nodes};
+    core::finite_dynamics reference = core::identical_agents(params, num_nodes);
     // Independent process streams and independent (identically distributed)
     // reward streams per engine: the comparison is distributional.
     rng gossip_gen = rng::from_stream(21, static_cast<std::uint64_t>(r));

@@ -193,6 +193,24 @@ TEST(scenario, prebuilt_graph_is_used_verbatim) {
   EXPECT_THROW((void)make_engine(spec)(), std::invalid_argument);
 }
 
+TEST(scenario, count_engines_need_agents) {
+  // num_agents = 0 on the aggregate engine (which an agent_based spec with
+  // no graph and no rules also builds) is refused by key, not by the
+  // engine constructor mid-run.
+  scenario_spec spec;
+  spec.name = "no_agents";
+  spec.params = core::theorem_params(2, 0.65);
+  spec.environment.etas = {0.8, 0.4};
+  spec.num_agents = 0;
+  for (const engine_kind kind : {engine_kind::aggregate, engine_kind::agent_based}) {
+    spec.engine = kind;
+    const std::string error = validate_spec_error(spec);
+    EXPECT_NE(error.find("scenario 'no_agents': the "), std::string::npos) << error;
+    EXPECT_NE(error.find(" engine needs num_agents >= 1"), std::string::npos) << error;
+    EXPECT_THROW((void)make_engine(spec), std::invalid_argument);
+  }
+}
+
 TEST(scenario, resolved_engine_matches_spec_shape) {
   scenario_spec spec;
   spec.params = core::theorem_params(2, 0.65);

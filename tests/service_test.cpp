@@ -859,6 +859,24 @@ TEST(session, a_key_swept_twice_is_an_error_event) {
   EXPECT_EQ(store.object_count(), 0U) << "no point may run";
 }
 
+TEST(session, an_aggregate_spec_without_agents_is_an_error_event) {
+  // num_agents = 0 on the aggregate engine is refused by validate_spec,
+  // naming the key, before any job is accepted.
+  result_store store{fresh_store_root("session_no_agents")};
+  job_queue queue{store, 1};
+  wire out;
+  session s{queue, out.options()};
+  std::string line = submit_line();
+  line.insert(line.size() - 1, R"(,"set":["engine=aggregate","num_agents=0"])");
+  s.handle_line(line);
+  s.finish();
+  ASSERT_EQ(out.events(), std::vector<std::string>{"error"});
+  EXPECT_NE(out.lines[0].find("the aggregate engine needs num_agents >= 1"),
+            std::string::npos)
+      << out.lines[0];
+  EXPECT_EQ(store.object_count(), 0U) << "no point may run";
+}
+
 TEST(session, cancel_round_trip_over_the_wire) {
   result_store store{fresh_store_root("session_cancel")};
   job_queue queue{store, 1};

@@ -52,7 +52,7 @@ STORE_SITES = ["store.tmp_open", "store.write", "store.fsync", "store.rename"]
 class Daemon:
     """One sociolearnd process; waits for the ready line on start."""
 
-    def __init__(self, binary, socket_path, store, extra_flags=(), env_extra=None):
+    def __init__(self, binary, socket_path, store, env_extra=None):
         self.socket_path = socket_path
         self.log = tempfile.NamedTemporaryFile(
             mode="w+", prefix="sociolearnd_", suffix=".log", delete=False)
@@ -61,7 +61,7 @@ class Daemon:
         if env_extra:
             env.update(env_extra)
         self.proc = subprocess.Popen(
-            [binary, "--socket", socket_path, "--store", store, *extra_flags],
+            [binary, "--socket", socket_path, "--store", store],
             stdout=self.log, stderr=self.log, env=env)
         deadline = time.time() + 15
         while time.time() < deadline:
@@ -199,7 +199,7 @@ def main():
             if fault == "kill_after_points":
                 n = rng.randrange(1, 3)
                 daemon = Daemon(daemon_bin, sock, store,
-                                extra_flags=["--exit-after-points", str(n)])
+                                env_extra={"SGL_FAILPOINTS": f"daemon.point_computed={n}"})
                 submit(cli, sock, seed)     # dies mid-stream with the daemon
                 daemon.wait()               # _Exit(0) after the Nth point
             elif fault == "store_fault":

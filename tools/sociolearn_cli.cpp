@@ -380,9 +380,8 @@ int report_trace_check(const analysis::trace_check_result& result,
   return result.ok() ? 0 : 1;
 }
 
-/// Runs replication 0 of the harness — the exact streams
-/// rng::from_stream(seed, 0)/(seed, 1) the runner would use — with trace
-/// recording forced on, then writes and/or checks the captured trace.
+/// Runs replication 0 of the harness through its replication runner, with
+/// trace recording forced on, then writes and/or checks the captured trace.
 int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
                            std::uint64_t seed, const std::string& trace_out,
                            bool check, output_format format) {
@@ -395,17 +394,14 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
     return 2;
   }
 
-  const auto engine = scenario::make_engine(spec)();
-  const auto environment = scenario::make_environment(spec.environment)();
-  rng reward_gen = rng::from_stream(seed, 0);
-  rng process_gen = rng::from_stream(seed, 1);
-  std::vector<std::uint8_t> r(spec.params.num_options);
-  for (std::uint64_t t = 1; t <= horizon; ++t) {
-    environment->sample(t, reward_gen, r);
-    engine->step(r, process_gen);
-  }
+  core::replication_context context{scenario::make_engine(spec),
+                                    scenario::make_environment(spec.environment)};
+  core::run_config config;
+  config.horizon = horizon;
+  config.seed = seed;
+  context.run(config, 0, {});
 
-  const auto* proto = dynamic_cast<const protocol::protocol_engine*>(engine.get());
+  const auto* proto = dynamic_cast<const protocol::protocol_engine*>(&context.engine());
   if (proto == nullptr || proto->recorder() == nullptr) {
     std::fprintf(stderr, "internal: the protocol engine produced no trace recorder\n");
     return 1;

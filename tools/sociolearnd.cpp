@@ -24,12 +24,11 @@
 // every job at its next work item (completed points stay persisted), send
 // the pending job_done events, then exit 0.  SGL_FAILPOINTS= scripts
 // deterministic faults into the store/socket/queue edges (support/
-// failpoint.h) for torture testing.
-//
-// --exit-after-points N is a crash-test hook: the daemon calls _Exit
-// right after the Nth computed point's event is written, at a
-// deterministic point of the protocol, so the kill-and-resume contract is
-// testable from CI without signal races.
+// failpoint.h) for torture testing; the site `daemon.point_computed`
+// fires right after a computed point's event is written, and the daemon
+// then calls _Exit — so SGL_FAILPOINTS=daemon.point_computed=N crashes it
+// after the Nth computed point, at a deterministic place of the protocol,
+// and the kill-and-resume contract is testable without signal races.
 
 #include <atomic>
 #include <csignal>
@@ -64,9 +63,7 @@ void request_shutdown(int) noexcept { g_shutdown.store(true, std::memory_order_r
 
 struct daemon_config {
   service::job_queue* queue = nullptr;
-  std::int64_t exit_after_points = 0;        // 0 = never
-  double job_timeout_seconds = 0.0;          // 0 = none; per-job default
-  std::atomic<std::int64_t> points_emitted{0};
+  double job_timeout_seconds = 0.0;  // 0 = none; per-job default
 
   // Live connection fds, so a drain can unblock their readers: shutdown()
   // forces each blocked read() to return 0 (EOF) and the session winds
@@ -80,18 +77,14 @@ service::session_options make_session_options(
   service::session_options options;
   options.write_line = std::move(write_line);
   options.default_timeout_seconds = daemon.job_timeout_seconds;
-  if (daemon.exit_after_points > 0) {
-    options.on_point_computed = [&daemon] {
-      const std::int64_t n =
-          daemon.points_emitted.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (n >= daemon.exit_after_points) {
-        // The crash under test: die without flushing, unwinding, or
-        // persisting anything further.  Everything already acknowledged
-        // is in the store (persist-then-emit), nothing else may be.
-        std::_Exit(0);
-      }
-    };
-  }
+  options.on_point_computed = [] {
+    if (failpoints::check("daemon.point_computed")) {
+      // The crash under test: die without flushing, unwinding, or
+      // persisting anything further.  Everything already acknowledged is
+      // in the store (persist-then-emit), nothing else may be.
+      std::_Exit(0);
+    }
+  };
   return options;
 }
 
@@ -206,9 +199,6 @@ int main(int argc, char** argv) {
                   "default per-job wall-clock budget in seconds; an expired "
                   "job fails but keeps every persisted point (0 = none; a "
                   "request's own 'timeout' field overrides)");
-  flags.add_int64("exit-after-points", 0,
-                  "crash-test hook: _Exit right after this many computed "
-                  "points have been emitted (0 = never)");
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
 
   const std::string& store_path = flags.get_string("store");
@@ -247,7 +237,6 @@ int main(int argc, char** argv) {
                              static_cast<std::size_t>(flags.get_int64("max-queued"))};
     daemon_config daemon;
     daemon.queue = &queue;
-    daemon.exit_after_points = flags.get_int64("exit-after-points");
     daemon.job_timeout_seconds = static_cast<double>(flags.get_int64("job-timeout"));
     return once ? run_once(daemon) : run_daemon(daemon, socket_path);
   } catch (const std::exception& e) {
