@@ -353,12 +353,4 @@ parsed_trace read_trace(std::istream& is) {
   return out;
 }
 
-std::string stdout_trace_conflict(std::string_view trace_out, bool check_requested) {
-  if (trace_out != "-" || !check_requested) return {};
-  return "--trace-out - and --check-trace both write to stdout, which would "
-         "interleave the JSONL trace with the check report and corrupt both; "
-         "write the trace to a file (--trace-out trace.jsonl --check-trace) "
-         "or run the check separately (sociolearn_cli check-trace trace.jsonl)";
-}
-
 }  // namespace sgl::analysis

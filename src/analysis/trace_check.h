@@ -44,7 +44,6 @@
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netsim/trace.h"
@@ -107,15 +106,5 @@ struct parsed_trace {
 /// line that is not one JSON object, an unknown kind or key, a value of the
 /// wrong type or out of range, a missing field).
 [[nodiscard]] parsed_trace read_trace(std::istream& is);
-
-/// Diagnoses the one stdout collision the trace-capture CLI path can hit:
-/// `--trace-out -` streams the recorded JSONL trace to stdout, and
-/// `--check-trace` then writes its verdict document (JSON or table) to the
-/// same stream — a consumer of either sees the two interleaved, and the
-/// trace is no longer valid JSONL.  Returns the refusal message to print
-/// (suggesting the working spellings), or an empty string when the
-/// combination is fine.  Pure so the CLI's refusal is unit-testable.
-[[nodiscard]] std::string stdout_trace_conflict(std::string_view trace_out,
-                                                bool check_requested);
 
 }  // namespace sgl::analysis

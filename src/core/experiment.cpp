@@ -227,8 +227,8 @@ engine_factory make_infinite_engine_factory(const dynamics_params& params,
   };
 }
 
-engine_factory make_finite_engine_factory(const dynamics_params& params,
-                                          std::uint64_t num_agents) {
+engine_factory make_aggregate_engine_factory(const dynamics_params& params,
+                                             std::uint64_t num_agents) {
   return [params, num_agents] {
     return std::make_unique<aggregate_dynamics>(params, num_agents);
   };

@@ -155,7 +155,7 @@ std::size_t run_points(std::vector<run_request> runs, const run_config& config,
 /// Engine factory for the exact O(m) aggregate finite dynamics
 /// (homogeneous, fully mixed).  Agent-based, networked and heterogeneous
 /// populations are built by scenario::make_engine.
-[[nodiscard]] engine_factory make_finite_engine_factory(const dynamics_params& params,
-                                                        std::uint64_t num_agents);
+[[nodiscard]] engine_factory make_aggregate_engine_factory(const dynamics_params& params,
+                                                           std::uint64_t num_agents);
 
 }  // namespace sgl::core

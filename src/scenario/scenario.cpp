@@ -294,12 +294,12 @@ core::engine_factory make_engine(const scenario_spec& spec) {
     case engine_kind::infinite:
       return core::make_infinite_engine_factory(spec.params, spec.start);
     case engine_kind::aggregate:
-      return core::make_finite_engine_factory(spec.params, spec.num_agents);
+      return core::make_aggregate_engine_factory(spec.params, spec.num_agents);
     case engine_kind::agent_based:
       // A homogeneous, fully mixed population is exactly the count process
       // of Propositions 4.1/4.2: explicit agents would only re-draw it.
       if (topology == nullptr && spec.agent_rules.empty()) {
-        return core::make_finite_engine_factory(spec.params, spec.num_agents);
+        return core::make_aggregate_engine_factory(spec.params, spec.num_agents);
       }
       return [params = spec.params, num_agents = spec.num_agents, topology,
               rules = spec.agent_rules] {

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/probe.h"
 #include "scenario/serialize.h"
 #include "scenario/sweep.h"
 #include "service/payload.h"
@@ -15,7 +16,8 @@ namespace sgl::service {
 namespace {
 
 /// Per-point digests of a submission, in grid order.  Validates every point
-/// (apply_override + validate_spec) on the way; throws as they do.
+/// (apply_override + validate_spec + building its probes) on the way;
+/// throws as they do.
 std::vector<digest128> point_digests(const job_request& request) {
   core::check_run_config(request.config);
   const std::size_t points = request.grid.empty() ? 1 : request.grid.size();
@@ -29,6 +31,7 @@ std::vector<digest128> point_digests(const job_request& request) {
       }
     }
     scenario::validate_spec(spec);
+    (void)core::make_probes(scenario::resolved_probes(spec, request.probe_specs));
     digests.push_back(spec_digest(spec, request.config, request.probe_specs));
   }
   return digests;

@@ -88,8 +88,9 @@ TEST(coupling, deviation_shrinks_with_population) {
   config.replications = 60;
   config.seed = 2;
   const auto envs = bernoulli_factory({0.8, 0.4});
-  const probe_report small = run_report(make_finite_engine_factory(params, 500), envs, config);
-  const probe_report large = run_report(make_finite_engine_factory(params, 200000), envs, config);
+  const probe_report small = run_report(make_aggregate_engine_factory(params, 500), envs, config);
+  const probe_report large =
+      run_report(make_aggregate_engine_factory(params, 200000), envs, config);
   EXPECT_LT(scalar(large, "deviation"), scalar(small, "deviation") / 10.0);
   EXPECT_LT(scalar(large, "deviation"), 0.05);
 }
@@ -101,9 +102,9 @@ TEST(coupling, deviation_grows_with_time) {
   config.seed = 3;
   const auto envs = bernoulli_factory({0.8, 0.4});
   config.horizon = 1;
-  const probe_report first = run_report(make_finite_engine_factory(params, 5000), envs, config);
+  const probe_report first = run_report(make_aggregate_engine_factory(params, 5000), envs, config);
   config.horizon = 40;
-  const probe_report later = run_report(make_finite_engine_factory(params, 5000), envs, config);
+  const probe_report later = run_report(make_aggregate_engine_factory(params, 5000), envs, config);
   // Early deviation is tiny; trajectories decouple as the steps add up.
   EXPECT_LT(2.0 * scalar(first, "deviation"), scalar(later, "deviation"));
 }
@@ -116,7 +117,7 @@ TEST(coupling, lemma_bound_holds_with_high_probability) {
   config.horizon = 4;
   config.replications = 200;
   config.seed = 4;
-  const probe_report report = run_report(make_finite_engine_factory(params, 1000000),
+  const probe_report report = run_report(make_aggregate_engine_factory(params, 1000000),
                                          bernoulli_factory({0.8, 0.4}), config);
   EXPECT_GT(scalar(report, "within_bound"), 0.99);
   EXPECT_EQ(scalar(report, "replications"), 200.0);
@@ -134,7 +135,7 @@ TEST(coupling, caps_the_ratio_on_zero_popularity) {
   config.horizon = 30;
   config.replications = 40;
   config.seed = 5;
-  const probe_report report = run_report(make_finite_engine_factory(params, 10),
+  const probe_report report = run_report(make_aggregate_engine_factory(params, 10),
                                          bernoulli_factory({0.9, 0.1}), config);
   EXPECT_EQ(scalar(report, "deviation_max"), 10.0) << "the cap";
   EXPECT_LE(scalar(report, "deviation"), 10.0);

@@ -153,7 +153,8 @@ TEST(finite_regret, engines_agree_within_noise) {
   const auto factory = bernoulli_factory({0.8, 0.4, 0.4});
 
   const probe_scalar agg =
-      *run_regret(make_finite_engine_factory(params, 300), factory, config).find_scalar("regret");
+      *run_regret(make_aggregate_engine_factory(params, 300), factory, config)
+           .find_scalar("regret");
   const probe_scalar agent =
       *run_regret(agent_based(params, 300), factory, config).find_scalar("regret");
   EXPECT_NEAR(agg.value, agent.value, agg.half_width + agent.half_width + 0.01);
@@ -173,9 +174,11 @@ TEST(finite_regret, learning_beats_no_learning) {
   blind.alpha = blind.beta;  // adopt regardless of the signal
 
   const probe_scalar with_signal =
-      *run_regret(make_finite_engine_factory(learning, 500), factory, config).find_scalar("regret");
+      *run_regret(make_aggregate_engine_factory(learning, 500), factory, config)
+           .find_scalar("regret");
   const probe_scalar without_signal =
-      *run_regret(make_finite_engine_factory(blind, 500), factory, config).find_scalar("regret");
+      *run_regret(make_aggregate_engine_factory(blind, 500), factory, config)
+           .find_scalar("regret");
   EXPECT_LT(with_signal.value + with_signal.half_width,
             without_signal.value - without_signal.half_width);
 }
@@ -204,7 +207,7 @@ TEST(run_with_probes, rejects_bad_configs) {
                std::invalid_argument);
   config.horizon = 10;
   config.replications = 0;
-  EXPECT_THROW(run_regret(make_finite_engine_factory(params, 10),
+  EXPECT_THROW(run_regret(make_aggregate_engine_factory(params, 10),
                           bernoulli_factory({0.5, 0.5}), config),
                std::invalid_argument);
   config.replications = 1;
@@ -244,7 +247,7 @@ std::vector<run_request> two_runs() {
   const std::vector<std::string> first_probes{"regret", "trajectory"};
   const std::vector<std::string> second_probes{"regret", "hitting_time(eps=0.25)"};
   std::vector<run_request> runs(2);
-  runs[0].make_engine = make_finite_engine_factory(theorem_params(3, 0.65), 200);
+  runs[0].make_engine = make_aggregate_engine_factory(theorem_params(3, 0.65), 200);
   runs[0].make_env = bernoulli_factory({0.8, 0.5, 0.3});
   runs[0].prototypes = make_probes(first_probes);
   runs[1].make_engine = make_infinite_engine_factory(theorem_params(2, 0.62));
@@ -331,7 +334,7 @@ TEST(trajectories, curve_shapes_and_lengths) {
   // Regret curve settles below its early value.
   EXPECT_LT(inf_regret->values[119], inf_regret->values[5]);
 
-  const probe_report fin = run_curves(make_finite_engine_factory(params, 400), factory, config);
+  const probe_report fin = run_curves(make_aggregate_engine_factory(params, 400), factory, config);
   const probe_series* fin_best = fin.find_series("best_mass_mean");
   const probe_series* fin_min_popularity = fin.find_series("min_popularity_mean");
   ASSERT_NE(fin_best, nullptr);
@@ -353,7 +356,7 @@ TEST(trajectories, switching_environment_tracks_new_best) {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 150);
   };
   const probe_report curves =
-      run_curves(make_finite_engine_factory(params, 400), factory, config);
+      run_curves(make_aggregate_engine_factory(params, 400), factory, config);
   const probe_series* best = curves.find_series("best_mass_mean");
   ASSERT_NE(best, nullptr);
   ASSERT_EQ(best->values.size(), 300U);

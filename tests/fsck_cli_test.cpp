@@ -4,7 +4,7 @@
 // repaired), 0 for a clean store.  The CLI half drives the real binary via
 // SGL_CLI_PATH (set by CMake when SGL_BUILD_TOOLS is on; skipped when the
 // tools are not built), as do the `check-trace` exit-code case and the
-// usage checks on the run subcommands' count flags at the end of the file
+// usage checks on the run subcommands' flags at the end of the file
 // (which also run sociolearnd, via SGL_DAEMON_PATH).
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 
 #include "service/digest.h"
 #include "service/result_store.h"
+#include "support/json_parse.h"
 
 namespace {
 
@@ -237,15 +239,16 @@ TEST_F(fsck_cli_test, check_trace_exits_0_clean_1_violation_2_unreadable) {
   EXPECT_EQ(*run_cli("check-trace " + (root_ / "nonexistent").string()), 2);
 }
 
-// --- count flags of the run subcommands -------------------------------------
+// --- usage errors of the run subcommands ------------------------------------
 
-/// A negative --reps/--horizon/--threads/--agents is a usage error (exit 2,
-/// the flag named) on every subcommand that takes it, and so are the
-/// daemon's --threads and status/cancel's --retries/--retry-base-ms, and a
-/// --retries or --threads above INT_MAX.  Cast to an unsigned count it used
-/// to wrap: an empty report, an endless run, a bad_alloc, a daemon that
-/// exited 0, or --threads 4294967297 running on one thread; cast to int,
-/// --retries 4294967296 gave up after one attempt.
+/// A negative --reps/--horizon/--threads is a usage error (exit 2, the flag
+/// named) on every subcommand that takes it, and so are the daemon's
+/// --threads and status/cancel's --retries/--retry-base-ms, and a --retries
+/// or --threads above INT_MAX.  Cast to an unsigned count it used to wrap:
+/// an empty report, an endless run, a bad_alloc, a daemon that exited 0, or
+/// --threads 4294967297 running on one thread; cast to int, --retries
+/// 4294967296 gave up after one attempt.  A run input has one spelling, so
+/// a second one (a removed flag or subcommand) is refused by name too.
 TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
   struct usage_case {
     std::string args;
@@ -258,10 +261,13 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
       {"scenario --name mixed_baseline --reps -3", "--reps"},
       {"scenario --name mixed_baseline --horizon -5", "--horizon"},
       {"scenario --name mixed_baseline --threads -2", "--threads"},
-      {"scenario --name mixed_baseline --agents -5", "--agents"},
-      {"sweep --name mixed_baseline --sweep params.beta=0.6,0.7 --reps -1", "--reps"},
-      {"sweep --name mixed_baseline --horizon -1", "--horizon"},
+      {"scenario --name mixed_baseline --sweep params.beta=0.6,0.7 --reps -1", "--reps"},
+      {"scenario --name mixed_baseline --sweep params.beta=0.6,0.7 --horizon -1", "--horizon"},
       {"simulate --horizon 5", "unknown subcommand"},
+      {"sweep --name mixed_baseline --sweep params.beta=0.6,0.7", "unknown subcommand"},
+      {"scenario --name mixed_baseline --agents 5", "unknown flag '--agents'"},
+      {"scenario --name quickstart --curves", "unknown flag '--curves'"},
+      {"scenario --name gossip_partition_heal --check-trace", "unknown flag '--check-trace'"},
       {"submit --socket /nonexistent.sock --reps -3", "--reps"},
       {"submit --socket /nonexistent.sock --horizon -3", "--horizon"},
       {"status --socket /nonexistent.sock --job 1 --retries -3", "--retries"},
@@ -279,17 +285,33 @@ TEST(cli_counts, negative_counts_exit_2_naming_the_flag) {
     EXPECT_EQ(*code, 2) << c.args << "\n" << error_text;
     EXPECT_NE(error_text.find(c.flag), std::string::npos) << c.args << "\n" << error_text;
   }
-  // The sentinel stays: --agents -1 keeps the scenario's population.
-  EXPECT_EQ(*run_cli("scenario --name mixed_baseline --agents -1 --horizon 5 --reps 2"), 0);
+}
+
+/// Trace capture runs the harness's config check before building the
+/// engine, so a zero horizon is refused as `scenario --horizon 0` refuses
+/// it, and no trace file is written.
+TEST(cli_counts, trace_capture_refuses_a_zero_horizon) {
+  const fs::path trace =
+      fs::temp_directory_path() / ("sgl-zero-horizon-" + std::to_string(::getpid()) + ".jsonl");
+  std::string error_text;
+  const std::optional<int> code = run_cli(
+      "scenario --name gossip_ring_300 --horizon 0 --trace-out " + trace.string(), &error_text);
+  REQUIRE_CLI(code);
+  EXPECT_EQ(*code, 1) << error_text;
+  EXPECT_NE(error_text.find("run_config: horizon must be >= 1"), std::string::npos)
+      << error_text;
+  EXPECT_FALSE(fs::exists(trace));
+  fs::remove(trace);
 }
 
 // --- hand-formatted run output ----------------------------------------------
 
-/// `scenario`'s regret table, its --curves CSV and its --format csv row are
-/// formatted by hand, so their bytes are pinned here: stdout only (the
-/// `elapsed` line goes to stderr) and without the CSV's wall-clock
-/// `seconds` column.
-TEST(cli_output, regret_table_curves_and_csv_are_pinned) {
+/// `scenario`'s regret table and its --format csv row are formatted by
+/// hand, so their bytes are pinned here: stdout only (the `elapsed` line
+/// goes to stderr) and without the CSV's wall-clock `seconds` column.  The
+/// same run's per-step curves (the trajectory probe's series in the JSON
+/// document) are pinned to six decimals.
+TEST(cli_output, regret_table_and_csv_are_pinned) {
   const std::string run = "scenario --name quickstart --horizon 20 --reps 4 --threads 1";
   std::string table;
   const std::optional<int> code = run_cli(run, nullptr, &table);
@@ -309,8 +331,25 @@ final best-option mass  0.7219 ± 0.1686
           replications                4
 )");
 
-  std::string curves;
-  EXPECT_EQ(*run_cli(run + " --curves", nullptr, &curves), 0);
+  std::string document;
+  EXPECT_EQ(*run_cli(run + " --probes regret,trajectory --format json", nullptr, &document), 0);
+  const json_value run_json = parse_json(document);
+  const json_value* trajectory = nullptr;
+  for (const json_value& report : run_json.find("probes")->items) {
+    if (report.find("probe")->text == "trajectory") trajectory = &report;
+  }
+  ASSERT_NE(trajectory, nullptr) << document;
+  const json_value* series = trajectory->find("series");
+  const auto& regret = series->find("running_regret_mean")->items;
+  const auto& best = series->find("best_mass_mean")->items;
+  const auto& min_pop = series->find("min_popularity_mean")->items;
+  std::string curves = "t,running_regret,best_mass,min_popularity\n";
+  for (std::size_t t = 0; t < best.size(); ++t) {
+    char row[96];
+    std::snprintf(row, sizeof row, "%zu,%.6f,%.6f,%.6f\n", t + 1, regret[t].number,
+                  best[t].number, min_pop[t].number);
+    curves += row;
+  }
   EXPECT_EQ(curves, R"(t,running_regret,best_mass,min_popularity
 1,0.537500,0.254478,0.193377
 2,0.280923,0.270280,0.179669
@@ -370,7 +409,7 @@ hitting_time.replications          20.0000
   // A sweep value that is a JSON number is echoed as its token, so seeds
   // past 2^53 print exactly, as the scenario echo beside them does.
   std::string echo;
-  EXPECT_EQ(*run_cli("sweep --name ring --agents 100 --horizon 2 --reps 1 --sweep "
+  EXPECT_EQ(*run_cli("scenario --name ring --set num_agents=100 --horizon 2 --reps 1 --sweep "
                      "topology.seed=18446744073709551615,9007199254740993 --format json",
                      nullptr, &echo),
             0);

@@ -29,7 +29,7 @@ core::probe_report finite_regret(const core::dynamics_params& params,
                                  const core::run_config& config) {
   const std::unique_ptr<core::probe> prototype = core::make_probe("regret");
   const core::probe* probes[] = {prototype.get()};
-  return core::run_with_probes(core::make_finite_engine_factory(params, num_agents), envs,
+  return core::run_with_probes(core::make_aggregate_engine_factory(params, num_agents), envs,
                                config, probes)[0]
       ->report();
 }

@@ -71,7 +71,7 @@ TEST(probe_golden, finite_regret_matches_pre_redesign_numbers) {
   config.replications = 24;
   config.seed = 123;
   config.threads = 3;
-  const probe_report est = run_report(make_finite_engine_factory(theorem_params(3, 0.65), 400),
+  const probe_report est = run_report(make_aggregate_engine_factory(theorem_params(3, 0.65), 400),
                                       bernoulli_factory({0.8, 0.45, 0.4}), config, "regret");
 
   EXPECT_EQ(scalar(est, "regret"), 0.11268049156909628);
@@ -112,7 +112,7 @@ TEST(probe_golden, finite_trajectory_matches_pre_redesign_numbers) {
   config.seed = 31;
   config.threads = 4;
   const probe_report curves =
-      run_report(make_finite_engine_factory(theorem_params(2, 0.62), 250),
+      run_report(make_aggregate_engine_factory(theorem_params(2, 0.62), 250),
                  bernoulli_factory({0.85, 0.35}), config, "trajectory");
   const probe_series* regret = curves.find_series("running_regret_mean");
   const probe_series* regret_width = curves.find_series("running_regret_half_width");
@@ -170,7 +170,7 @@ TEST(probe, reports_are_thread_count_independent) {
     std::vector<const probe*> pointers;
     for (const auto& p : prototypes) pointers.push_back(p.get());
     return collect_reports(
-        run_with_probes(make_finite_engine_factory(params, 300), envs, c, pointers));
+        run_with_probes(make_aggregate_engine_factory(params, 300), envs, c, pointers));
   };
 
   const auto one = run_at(1);
@@ -196,7 +196,7 @@ TEST(probe, hitting_time_on_learning_run) {
   config.replications = 10;
   config.seed = 3;
   const probe_report report =
-      run_report(make_finite_engine_factory(params, 400), bernoulli_factory({0.9, 0.2}), config,
+      run_report(make_aggregate_engine_factory(params, 400), bernoulli_factory({0.9, 0.2}), config,
                  "hitting_time(eps=0.3)");
   // A strongly separated two-option instance concentrates well past 70%.
   EXPECT_EQ(scalar(report, "hit_fraction"), 1.0);
@@ -213,7 +213,7 @@ TEST(probe, popularity_floor_stays_positive_with_exploration) {
   config.replications = 8;
   config.seed = 11;
   const probe_report report =
-      run_report(make_finite_engine_factory(params, 500), bernoulli_factory({0.85, 0.35}),
+      run_report(make_aggregate_engine_factory(params, 500), bernoulli_factory({0.85, 0.35}),
                  config, "popularity_floor(floor=0)");
   EXPECT_GT(scalar(report, "min_popularity_worst"), 0.0);
   EXPECT_LE(scalar(report, "min_popularity_worst"), scalar(report, "min_popularity"));
@@ -228,7 +228,7 @@ TEST(probe, final_histogram_masses_sum_to_one) {
   config.replications = 6;
   config.seed = 21;
   const probe_report report =
-      run_report(make_finite_engine_factory(params, 300), bernoulli_factory({0.8, 0.5, 0.3}),
+      run_report(make_aggregate_engine_factory(params, 300), bernoulli_factory({0.8, 0.5, 0.3}),
                  config, "final_histogram");
   const probe_series* means = report.find_series("final_popularity_mean");
   ASSERT_NE(means, nullptr);
@@ -251,7 +251,7 @@ TEST(probe, recovery_counts_switches_and_measures_recovery) {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 80);
   };
   const probe_report report =
-      run_report(make_finite_engine_factory(params, 500), envs, config, "recovery(eps=0.4)");
+      run_report(make_aggregate_engine_factory(params, 500), envs, config, "recovery(eps=0.4)");
   // The best option rotates at t = 80, 160, 240: three switches per
   // replication, every one either recovered or counted unrecovered.
   EXPECT_EQ(scalar(report, "switches"), 6.0 * 3.0);
@@ -275,7 +275,7 @@ TEST(probe, deterministic_schedule_never_recovers_when_threshold_unreachable) {
     return std::make_unique<env::switching_rewards>(std::vector<double>{0.85, 0.35}, 40);
   };
   const probe_report report =
-      run_report(make_finite_engine_factory(params, 100), envs, config, "recovery(eps=0.01)");
+      run_report(make_aggregate_engine_factory(params, 100), envs, config, "recovery(eps=0.01)");
   EXPECT_EQ(scalar(report, "recovered"), 0.0);
   EXPECT_EQ(scalar(report, "unrecovered"), scalar(report, "switches"));
   EXPECT_GT(scalar(report, "switches"), 0.0);
@@ -304,7 +304,7 @@ TEST(analysis_probes, report_zero_replications_off_their_engine_with_every_key) 
   const probe_report coupling =
       run_report(make_infinite_engine_factory(params), envs, config, "coupling");
   const probe_report audit =
-      run_report(make_finite_engine_factory(params, 1000), envs, config, "proof_audit");
+      run_report(make_aggregate_engine_factory(params, 1000), envs, config, "proof_audit");
   for (const auto& [report, keys] :
        {std::pair{concentration, std::vector<std::string>{"stage1", "stage2", "combined"}},
         std::pair{coupling,
@@ -448,13 +448,13 @@ TEST(probe, adding_probes_does_not_change_results) {
   config.seed = 41;
 
   const probe_report bare =
-      run_report(make_finite_engine_factory(params, 200), envs, config, "regret");
+      run_report(make_aggregate_engine_factory(params, 200), envs, config, "regret");
   const probe_list prototypes = make_probes(
       split_probe_specs("regret, hitting_time(eps=0.2), trajectory, final_histogram"));
   std::vector<const probe*> pointers;
   for (const auto& p : prototypes) pointers.push_back(p.get());
   const probe_report full =
-      run_with_probes(make_finite_engine_factory(params, 200), envs, config, pointers)[0]
+      run_with_probes(make_aggregate_engine_factory(params, 200), envs, config, pointers)[0]
           ->report();
 
   EXPECT_EQ(scalar(bare, "regret"), scalar(full, "regret"));

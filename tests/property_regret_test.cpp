@@ -47,7 +47,7 @@ mean_ci infinite_regret(const dynamics_params& params, const env_factory& envs,
 /// 95% CI of the regret of the exact aggregate finite dynamics.
 mean_ci finite_regret(const dynamics_params& params, std::uint64_t num_agents,
                       const env_factory& envs, const run_config& config) {
-  return run_regret(make_finite_engine_factory(params, num_agents), envs, config, "regret");
+  return run_regret(make_aggregate_engine_factory(params, num_agents), envs, config, "regret");
 }
 
 struct sweep_point {
@@ -278,7 +278,7 @@ TEST(monotonicity, bigger_quality_gap_gives_more_best_mass) {
   config.horizon = 150;
   config.replications = 120;
   config.seed = 41;
-  const auto engines = make_finite_engine_factory(params, 5000);
+  const auto engines = make_aggregate_engine_factory(params, 5000);
   const mean_ci wide = run_regret(engines, bernoulli_factory({0.9, 0.2}), config, "best_mass");
   const mean_ci narrow = run_regret(engines, bernoulli_factory({0.9, 0.7}), config, "best_mass");
   EXPECT_GT(wide.mean, narrow.mean + narrow.half_width);

@@ -877,6 +877,29 @@ TEST(session, an_aggregate_spec_without_agents_is_an_error_event) {
   EXPECT_EQ(store.object_count(), 0U) << "no point may run";
 }
 
+TEST(session, a_bad_probe_is_an_error_event) {
+  // Every point's probes are built at submit, beside validate_spec: an
+  // unknown probe or an argument out of range is refused, naming it,
+  // before any job is accepted.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"(["regrett"])", "unknown probe 'regrett'"},
+      {R"j(["hitting_time(eps=2)"])j", "hitting_time: eps must be in (0,1)"},
+  };
+  for (const auto& [probes, message] : cases) {
+    result_store store{fresh_store_root("session_bad_probe")};
+    job_queue queue{store, 1};
+    wire out;
+    session s{queue, out.options()};
+    std::string line = submit_line();
+    line.insert(line.size() - 1, std::string{R"(,"probes":)"} + probes);
+    s.handle_line(line);
+    s.finish();
+    ASSERT_EQ(out.events(), std::vector<std::string>{"error"}) << probes;
+    EXPECT_NE(out.lines[0].find(message), std::string::npos) << out.lines[0];
+    EXPECT_EQ(store.object_count(), 0U) << "no point may run";
+  }
+}
+
 TEST(session, cancel_round_trip_over_the_wire) {
   result_store store{fresh_store_root("session_cancel")};
   job_queue queue{store, 1};

@@ -409,20 +409,4 @@ TEST(trace_io, header_population_does_not_size_the_check) {
   EXPECT_EQ(result.records_checked, 2U);
 }
 
-TEST(trace_io, stdout_trace_conflict_fires_only_for_dash_plus_check) {
-  // `--trace-out -` and `--check-trace` both write stdout; the CLI must
-  // refuse the combination instead of interleaving the two documents.
-  const std::string conflict = analysis::stdout_trace_conflict("-", true);
-  ASSERT_FALSE(conflict.empty());
-  EXPECT_NE(conflict.find("stdout"), std::string::npos);
-  EXPECT_NE(conflict.find("interleave"), std::string::npos);
-
-  // Every working spelling stays allowed.
-  EXPECT_TRUE(analysis::stdout_trace_conflict("-", false).empty());
-  EXPECT_TRUE(analysis::stdout_trace_conflict("trace.jsonl", true).empty());
-  EXPECT_TRUE(analysis::stdout_trace_conflict("trace.jsonl", false).empty());
-  EXPECT_TRUE(analysis::stdout_trace_conflict("", true).empty())
-      << "--check-trace alone records to no file and reports to stdout";
-}
-
 }  // namespace

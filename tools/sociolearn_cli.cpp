@@ -11,13 +11,14 @@
 //       --probes chooses the measurements, and --format json emits one
 //       machine-readable document per run (spec echo + probe results +
 //       timing).
-//   sociolearn_cli sweep     --name mixed_baseline --sweep params.beta=0.55:0.75:0.05
-//       the same command with one run per grid point (axes are repeatable;
-//       the cartesian product is taken, last axis fastest).
-//   sociolearn_cli sweep     --name gossip_lossy_sweep --sweep protocol.drop_probability=0:0.3:0.1
+//   sociolearn_cli scenario  --name mixed_baseline --sweep params.beta=0.55:0.75:0.05
+//       one run per grid point (axes are repeatable; the cartesian product
+//       is taken, last axis fastest; --format json wraps the documents in
+//       one array).
+//   sociolearn_cli scenario  --name gossip_lossy_sweep --sweep protocol.drop_probability=0:0.3:0.1
 //       the gossip_* registry scenarios run the netsim-backed protocol
 //       engine, configured by `protocol.*` and `faults.*` keys.
-//   sociolearn_cli scenario  --name gossip_partition_heal --trace-out t.jsonl --check-trace
+//   sociolearn_cli scenario  --name gossip_partition_heal --trace-out - | sociolearn_cli check-trace -
 //       records one replication's structured netsim trace and replays it
 //       against the protocol invariants (analysis/trace_check.h).
 //   sociolearn_cli check-trace t.jsonl
@@ -234,10 +235,10 @@ int cmd_scenarios(int argc, const char* const* argv) {
   return 0;
 }
 
-// --- scenario / sweep -------------------------------------------------------
+// --- scenario ---------------------------------------------------------------
 
 /// The flags that pick a run's base spec and what runs on it, shared by
-/// `scenario`, `sweep` and `submit`.
+/// `scenario` and `submit`.
 void add_spec_flags(flag_set& flags) {
   flags.add_string("name", "",
                    "registry scenario name (see 'scenarios'); takes precedence "
@@ -322,18 +323,6 @@ void write_run_json(json_writer& json, const scenario::scenario_spec& spec,
   json.end_object();
 }
 
-/// Legacy per-step CSV (the --curves output shape predating probes), from
-/// the trajectory probe's report.
-void print_curves_csv(const core::probe_report& curves) {
-  std::printf("t,running_regret,best_mass,min_popularity\n");
-  const std::vector<double>& regret = curves.find_series("running_regret_mean")->values;
-  const std::vector<double>& best = curves.find_series("best_mass_mean")->values;
-  const std::vector<double>& min_pop = curves.find_series("min_popularity_mean")->values;
-  for (std::size_t t = 0; t < best.size(); ++t) {
-    std::printf("%zu,%.6f,%.6f,%.6f\n", t + 1, regret[t], best[t], min_pop[t]);
-  }
-}
-
 // --- trace capture / invariant checking -------------------------------------
 
 /// Renders a trace_check_result and returns the process exit code (0 when
@@ -381,10 +370,10 @@ int report_trace_check(const analysis::trace_check_result& result,
 }
 
 /// Runs replication 0 of the harness through its replication runner, with
-/// trace recording forced on, then writes and/or checks the captured trace.
+/// trace recording forced on, then writes the captured trace to `trace_out`
+/// ('-' = stdout).
 int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
-                           std::uint64_t seed, const std::string& trace_out,
-                           bool check, output_format format) {
+                           std::uint64_t seed, const std::string& trace_out) {
   spec.faults.record = true;  // force recording whatever the spec says
   if (scenario::resolved_engine(spec) != scenario::engine_kind::protocol) {
     std::fprintf(stderr,
@@ -394,11 +383,12 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
     return 2;
   }
 
-  core::replication_context context{scenario::make_engine(spec),
-                                    scenario::make_environment(spec.environment)};
   core::run_config config;
   config.horizon = horizon;
   config.seed = seed;
+  core::check_run_config(config);
+  core::replication_context context{scenario::make_engine(spec),
+                                    scenario::make_environment(spec.environment)};
   context.run(config, 0, {});
 
   const auto* proto = dynamic_cast<const protocol::protocol_engine*>(&context.engine());
@@ -417,22 +407,18 @@ int run_traced_replication(scenario::scenario_spec spec, std::uint64_t horizon,
   meta.evicted = recorder.evicted();
   const std::vector<netsim::trace_record> records = recorder.snapshot();
 
-  if (!trace_out.empty()) {
-    if (trace_out == "-") {
-      analysis::write_trace(std::cout, meta, records);
-    } else {
-      std::ofstream out{trace_out};
-      if (!out) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", trace_out.c_str());
-        return 2;
-      }
-      analysis::write_trace(out, meta, records);
-      std::fprintf(stderr, "wrote %zu trace records to %s\n", records.size(),
-                   trace_out.c_str());
-    }
+  if (trace_out == "-") {
+    analysis::write_trace(std::cout, meta, records);
+    return 0;
   }
-  if (!check) return 0;
-  return report_trace_check(analysis::check_trace(meta, records), format, spec.name);
+  std::ofstream out{trace_out};
+  if (!out) {
+    std::fprintf(stderr, "cannot open '%s' for writing\n", trace_out.c_str());
+    return 2;
+  }
+  analysis::write_trace(out, meta, records);
+  std::fprintf(stderr, "wrote %zu trace records to %s\n", records.size(), trace_out.c_str());
+  return 0;
 }
 
 int cmd_check_trace(int argc, const char* const* argv) {
@@ -471,8 +457,8 @@ int cmd_check_trace(int argc, const char* const* argv) {
                             file);
 }
 
-int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
-  flag_set flags{sweep_command ? "sociolearn_cli sweep" : "sociolearn_cli scenario",
+int cmd_scenario(int argc, const char* const* argv) {
+  flag_set flags{"sociolearn_cli scenario",
                  "run a scenario: registry or file base, overrides, sweeps, probes"};
   add_spec_flags(flags);
   add_format_flag(flags, "table");
@@ -480,25 +466,14 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   flags.add_int64("reps", 100, "replications");
   flags.add_int64("seed", 1, "master RNG seed");
   flags.add_int64("threads", 0, "replication worker threads (0 = all)");
-  flags.add_int64("agents", -1, "override the scenario's population (-1 = keep)");
-  flags.add_bool("curves", false, "emit per-step curves as CSV instead of the table");
   flags.add_string("trace-out", "",
                    "record replication 0's structured netsim trace to this "
                    "JSONL file ('-' = stdout; protocol engine only)");
-  flags.add_bool("check-trace", false,
-                 "record replication 0 and replay its trace against the "
-                 "protocol invariants (exit 1 on any violation)");
   if (flags.parse(argc, argv) != parse_status::ok) return 2;
   output_format format = output_format::table;
   if (!read_format(flags, format)) return 2;
-  const char* command = sweep_command ? "sweep" : "scenario";
-  if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, command) ||
-      !count_fits_int(flags, "threads", command)) {
-    return 2;
-  }
-  if (flags.get_int64("agents") < -1) {
-    std::fprintf(stderr, "%s: --agents must be >= 0 (or -1 to keep the scenario's), got %lld\n",
-                 command, static_cast<long long>(flags.get_int64("agents")));
+  if (!counts_non_negative(flags, {"horizon", "reps", "threads"}, "scenario") ||
+      !count_fits_int(flags, "threads", "scenario")) {
     return 2;
   }
 
@@ -506,51 +481,20 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   if (!base) return 2;
   scenario::scenario_spec spec = std::move(*base);
 
-  // Legacy convenience override, kept on top of --set.
-  if (flags.get_int64("agents") >= 0) {
-    const scenario::engine_kind kind = scenario::resolved_engine(spec);
-    if (kind == scenario::engine_kind::infinite ||
-        kind == scenario::engine_kind::grouped) {
-      std::fprintf(stderr,
-                   "scenario '%s' runs the %s engine; --agents does not apply "
-                   "(the %s carries the population)\n",
-                   spec.name.c_str(),
-                   kind == scenario::engine_kind::infinite ? "infinite" : "grouped",
-                   kind == scenario::engine_kind::infinite ? "mean field" : "group mix");
-      return 2;
-    }
-    if (flags.get_int64("agents") == 0) {
-      // num_agents = 0 would silently re-resolve auto-select specs to the
-      // mean-field engine; a scenario keeps its formulation.
-      std::fprintf(stderr,
-                   "--agents must be >= 1 (scenario '%s' is population-based; "
-                   "run an infinite scenario for the mean field)\n",
-                   spec.name.c_str());
-      return 2;
-    }
-    spec.num_agents = static_cast<std::uint64_t>(flags.get_int64("agents"));
-  }
-
   // Trace capture short-circuits the harness: one dedicated recorded
   // replication instead of the Monte-Carlo run.
   const std::string& trace_out = flags.get_string("trace-out");
-  if (!trace_out.empty() || flags.get_bool("check-trace")) {
-    if (sweep_command || !flags.get_string_list("sweep").empty()) {
+  if (!trace_out.empty()) {
+    if (!flags.get_string_list("sweep").empty()) {
       std::fprintf(stderr,
-                   "--trace-out/--check-trace record a single replication; "
-                   "they do not combine with a sweep\n");
-      return 2;
-    }
-    if (const std::string conflict = analysis::stdout_trace_conflict(
-            trace_out, flags.get_bool("check-trace"));
-        !conflict.empty()) {
-      std::fprintf(stderr, "%s\n", conflict.c_str());
+                   "--trace-out records a single replication; it does not "
+                   "combine with a sweep\n");
       return 2;
     }
     return run_traced_replication(std::move(spec),
                                   static_cast<std::uint64_t>(flags.get_int64("horizon")),
                                   static_cast<std::uint64_t>(flags.get_int64("seed")),
-                                  trace_out, flags.get_bool("check-trace"), format);
+                                  trace_out);
   }
 
   core::run_config config;
@@ -558,19 +502,10 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
   config.replications = static_cast<std::uint64_t>(flags.get_int64("reps"));
   config.seed = static_cast<std::uint64_t>(flags.get_int64("seed"));
   config.threads = static_cast<unsigned>(flags.get_int64("threads"));
-  const bool curves = flags.get_bool("curves");
 
-  // Probe selection: --probes > the spec's probes > regret; --curves
-  // additionally wants the trajectory probe.
-  std::vector<std::string> probe_specs = scenario::resolved_probes(
+  // Probe selection: --probes > the spec's probes > regret.
+  const std::vector<std::string> probe_specs = scenario::resolved_probes(
       spec, core::split_probe_specs(flags.get_string("probes")));
-  if (curves) {
-    bool have_trajectory = false;
-    for (const std::string& p : probe_specs) {
-      if (p.rfind("trajectory", 0) == 0) have_trajectory = true;
-    }
-    if (!have_trajectory) probe_specs.emplace_back("trajectory");
-  }
 
   // The sweep grid; one empty point when no axes were given.
   std::vector<scenario::sweep_axis> axes;
@@ -578,18 +513,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     axes.push_back(scenario::parse_sweep_axis(axis));
   }
   const auto grid = scenario::expand_sweep(axes);
-  // The sweep output contract (one array wrapping the run documents) is a
-  // property of the subcommand, not of how many axes happened to be given.
-  const bool sweeping = sweep_command || !axes.empty();
-
-  // Per-step curves for several grid points cannot be one flat CSV (no
-  // column identifies the run); JSON carries them per document.
-  if (curves && format == output_format::csv && grid.size() > 1) {
-    std::fprintf(stderr,
-                 "--curves with a multi-point sweep needs --format json (one "
-                 "document per run); flat CSV cannot label the runs\n");
-    return 2;
-  }
+  const bool sweeping = !axes.empty();
 
   // Run the whole grid through the flattened sweep scheduler: every point
   // is overridden and validated before any replication starts, all
@@ -620,22 +544,6 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
     // points overlap, so the values can sum past the sweep's elapsed time.
     const double seconds = point.seconds;
     const std::vector<core::probe_report> reports = core::collect_reports(point.probes);
-
-    // --curves keeps its historical output shape outside JSON: the per-step
-    // CSV, for the table and csv formats alike.
-    if (curves && format != output_format::json) {
-      if (sweeping) {
-        std::printf("# run %zu/%zu:", run_index + 1, results.size());
-        for (const auto& [key, value] : assignments) {
-          std::printf(" %s=%s", key.c_str(), value.c_str());
-        }
-        std::printf("\n");
-      }
-      for (const auto& report : reports) {
-        if (report.probe == "trajectory") print_curves_csv(report);
-      }
-      continue;
-    }
 
     switch (format) {
       case output_format::json:
@@ -687,7 +595,7 @@ int cmd_scenario(int argc, const char* const* argv, bool sweep_command) {
                 format);
             continue;
           }
-          if (report.probe == "trajectory") continue;  // curves are CSV-only in table mode
+          if (report.probe == "trajectory") continue;  // per-step curves: --format json
           text_table table{{"probe metric", "value"}};
           for (const auto& scalar : report.scalars) {
             table.add_row({report.probe + "." + scalar.key, fmt_scalar(scalar)});
@@ -1075,8 +983,8 @@ void print_usage() {
       "subcommands:\n"
       "  bounds     print every theorem constant for given parameters\n"
       "  scenarios  list the named scenarios of the registry\n"
-      "  scenario   run a scenario (--name or --file, --set overrides, --probes)\n"
-      "  sweep      same as scenario, one run per --sweep grid point\n"
+      "  scenario   run a scenario (--name or --file, --set overrides, --probes;\n"
+      "             one run per grid point of the --sweep axes)\n"
       "  check-trace  replay a recorded JSONL trace (scenario --trace-out)\n"
       "             against the protocol invariants; exit 1 on violations,\n"
       "             2 when the file cannot be opened or read as a trace\n"
@@ -1089,9 +997,9 @@ void print_usage() {
       "  fsck       audit a result store: verify object checksums, find\n"
       "             orphans (--store DIR [--repair]); exit 1 on any finding\n\n"
       "every subcommand but submit, status and cancel (which stream JSONL\n"
-      "events) accepts --format table|json|csv; 'scenario' and 'sweep' emit\n"
-      "one JSON document per run (spec echo + probe results + timing; sweeps\n"
-      "wrap the documents in one array).\n"
+      "events) accepts --format table|json|csv; 'scenario' emits one JSON\n"
+      "document per run (spec echo + probe results + timing; a --sweep wraps\n"
+      "the documents in one array).\n"
       "run 'sociolearn_cli <subcommand> --help' for the flags of each.\n");
 }
 
@@ -1109,9 +1017,7 @@ int main(int argc, char** argv) {
     failpoints::init_from_env();  // SGL_FAILPOINTS= (torture testing)
     if (command == "bounds") return cmd_bounds(sub_argc, sub_argv);
     if (command == "scenarios") return cmd_scenarios(sub_argc, sub_argv);
-    if (command == "scenario" || command == "sweep") {
-      return cmd_scenario(sub_argc, sub_argv, command == "sweep");
-    }
+    if (command == "scenario") return cmd_scenario(sub_argc, sub_argv);
     if (command == "check-trace") return cmd_check_trace(sub_argc, sub_argv);
     if (command == "claims") return cmd_claims(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
